@@ -21,8 +21,7 @@
 //! columns (`sharded_ms` at W = 4, `exchanged_tuples`, `shard_skew_pct`,
 //! and `shard_scaling` rows at 1/2/4/8 shards whose `work_balance_x` is
 //! the machine-independent load-balance ceiling — wall clock is bounded
-//! by the header's `host_cpus`), and per-case thread-scaling rows at
-//! 1/2/4 workers for both planner modes.
+//! by the header's `host_cpus`).
 //!
 //! Every report header is stamped with the git revision and a UTC
 //! timestamp, and every case records the RNG seed of its input structure,
@@ -64,16 +63,15 @@ fn armed_governor() -> Governor {
 }
 
 /// Percent overhead of `governed` over `plain`, from the *minimum*
-/// observed times (the standard microbenchmark noise filter), clamped at
-/// 0 from below so residual timer noise does not render as a negative
-/// cost.
+/// observed times (the standard microbenchmark noise filter). Not clamped:
+/// a negative value means the difference is within timer noise.
 fn overhead_pct(plain: Duration, governed: Duration) -> f64 {
     let p = plain.as_secs_f64();
     let g = governed.as_secs_f64();
     if p <= 0.0 {
         return 0.0;
     }
-    ((g - p) / p * 100.0).max(0.0)
+    (g - p) / p * 100.0
 }
 
 /// A flat JSON object: keys paired with pre-rendered JSON values.
@@ -378,10 +376,14 @@ fn edb_facts(s: &Structure) -> Vec<Fact> {
 }
 
 /// A per-case scratch directory for durable-engine measurements, namespaced
-/// by pid so concurrent harness runs do not collide. The caller removes it
-/// when done; a stale leftover from a killed run is clobbered here.
+/// by pid and a per-process call counter so neither concurrent harness runs
+/// nor concurrent report builds in one process (the unit tests) collide.
+/// The caller removes it when done; a stale leftover from a killed run is
+/// clobbered here.
 fn durable_scratch_dir(tag: &str, case: &str) -> std::path::PathBuf {
-    let dir = std::env::temp_dir().join(format!("kv-{tag}-{}-{case}", std::process::id()));
+    static CALLS: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
+    let call = CALLS.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+    let dir = std::env::temp_dir().join(format!("kv-{tag}-{}-{call}-{case}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     dir
 }
@@ -397,32 +399,26 @@ fn savings_pct(textual: u64, planned: u64) -> f64 {
 
 /// Datalog engine report: fixpoint size, stage count, the storage-engine
 /// counters (interned tuples, join probes, duplicate derivations), wall
-/// time with rule-variant parallelism on vs. off (both semi-naive), the
-/// magic-set demand columns for the case's bounded goal query, the
-/// cost-based planner columns (`planned_*`, `scc_count`,
-/// `probe_savings_pct`), the durability columns (`flush_overhead_pct`,
-/// `recovery_ms`), and thread-scaling rows at 1/2/4 workers for both
-/// planner modes.
+/// time of the default single-worker semi-naive run, the magic-set demand
+/// columns for the case's bounded goal query, the cost-based planner
+/// columns (`planned_*`, `scc_count`, `probe_savings_pct`), the
+/// durability columns (`flush_overhead_pct`, `recovery_ms`), and the
+/// sharded columns and shard-scaling rows.
 pub fn datalog_report() -> String {
     let mut cases = Vec::new();
     for (name, program, s, query, seed) in &datalog_instances() {
         let ev = Evaluator::new(program);
-        let opts = |parallel| EvalOptions {
-            parallel,
-            ..EvalOptions::default()
-        };
-        let planned_opts = |parallel| opts(parallel).with_planner(PlannerMode::CostBased);
-        let result = ev.run(s, opts(true));
-        // Engine counters compare the two planner modes on identical
-        // sequential runs (deterministic counters, no scratch merging).
-        let textual_seq = ev.run(s, opts(false));
-        let planned_seq = ev.run(s, planned_opts(false));
-        let parallel = time_fn(2, 15, || ev.run(s, opts(true)).stats.len());
-        let sequential = time_fn(1, 5, || ev.run(s, opts(false)).stats.len());
-        let planned = time_fn(2, 15, || ev.run(s, planned_opts(true)).stats.len());
+        let opts = EvalOptions::default();
+        let planned_opts = opts.with_planner(PlannerMode::CostBased);
+        // Engine counters compare the two planner modes on single-worker
+        // runs (deterministic counters).
+        let result = ev.run(s, opts);
+        let planned_result = ev.run(s, planned_opts);
+        let sequential = time_fn(2, 15, || ev.run(s, opts).stats.len());
+        let planned = time_fn(2, 15, || ev.run(s, planned_opts).stats.len());
         let governed = time_fn(2, 15, || {
             let gov = armed_governor();
-            match ev.try_run_governed(s, opts(true), &gov) {
+            match ev.try_run_governed(s, opts, &gov) {
                 Ok(result) => result.stats.len(),
                 Err(e) => unreachable!("armed-but-ample governor interrupted: {e}"),
             }
@@ -433,10 +429,8 @@ pub fn datalog_report() -> String {
         // scaling rows' `work_balance_x` are the machine-independent
         // signals — how evenly the planner's shard keys split the
         // derivation work.
-        let sharded_result = ev.run(s, opts(true).with_shards(Some(4)));
-        let sharded = time_fn(2, 15, || {
-            ev.run(s, opts(true).with_shards(Some(4))).stats.len()
-        });
+        let sharded_result = ev.run(s, opts.with_shards(Some(4)));
+        let sharded = time_fn(2, 15, || ev.run(s, opts.with_shards(Some(4))).stats.len());
         let (exchanged, skew) = sharded_result
             .shard
             .as_ref()
@@ -449,10 +443,8 @@ pub fn datalog_report() -> String {
         let shard_rows: Vec<String> = [1usize, 2, 4, 8]
             .iter()
             .map(|&w| {
-                let r = ev.run(s, opts(true).with_shards(Some(w)));
-                let t = time_fn(1, 5, || {
-                    ev.run(s, opts(true).with_shards(Some(w))).stats.len()
-                });
+                let r = ev.run(s, opts.with_shards(Some(w)));
+                let t = time_fn(1, 5, || ev.run(s, opts.with_shards(Some(w))).stats.len());
                 let (exch, skew, balance) = r
                     .shard
                     .as_ref()
@@ -476,25 +468,6 @@ pub fn datalog_report() -> String {
                     .render()
             })
             .collect();
-        // Thread-scaling rows: pinned worker counts, both planner modes.
-        let scaling_rows: Vec<String> = [1usize, 2, 4]
-            .iter()
-            .map(|&t| {
-                let textual_t = time_fn(1, 5, || {
-                    ev.run(s, opts(true).with_threads(Some(t))).stats.len()
-                });
-                let planned_t = time_fn(1, 5, || {
-                    ev.run(s, planned_opts(true).with_threads(Some(t)))
-                        .stats
-                        .len()
-                });
-                Obj::new()
-                    .num("threads", t)
-                    .num("textual_ms", format!("{:.4}", ms(textual_t.median)))
-                    .num("planned_ms", format!("{:.4}", ms(planned_t.median)))
-                    .render()
-            })
-            .collect();
         let pattern = BindingPattern::new(vec![true; query.len()]);
         // The bench programs are all rewritable; a failure here is a
         // report bug worth surfacing loudly.
@@ -504,20 +477,18 @@ pub fn datalog_report() -> String {
         let seeds = [(magic.magic_goal(), magic.seed(query))];
         #[allow(clippy::expect_used)]
         let demand_result = compiled
-            .try_run_seeded(s, opts(true), &seeds)
+            .try_run_seeded(s, opts, &seeds)
             .expect("no limits configured");
-        let demand = time_fn(2, 15, || {
-            match compiled.try_run_seeded(s, opts(true), &seeds) {
-                Ok(r) => r.stats.len(),
-                Err(e) => unreachable!("no limits configured: {e:?}"),
-            }
+        let demand = time_fn(2, 15, || match compiled.try_run_seeded(s, opts, &seeds) {
+            Ok(r) => r.stats.len(),
+            Err(e) => unreachable!("no limits configured: {e:?}"),
         });
         // Incremental maintenance columns: steady-state churn of a small
         // edge set (one retract batch + one reinsert batch per round)
         // against a live engine, vs. re-running the fixpoint from scratch
         // after every batch.
         let churn = churn_set(s, 4);
-        let (mut engine, _) = IncrementalEngine::from_structure(program, s, opts(true));
+        let (mut engine, _) = IncrementalEngine::from_structure(program, s, opts);
         let dropped = engine.apply_batch(&[], &churn);
         let steady = engine.apply_batch(&churn, &[]);
         let incremental = time_fn(2, 15, || churn_round(&mut engine, &churn).epoch);
@@ -535,9 +506,8 @@ pub fn datalog_report() -> String {
             ..DurabilityOptions::default()
         };
         #[allow(clippy::expect_used)]
-        let mut durable =
-            DurableEngine::open(program, s, opts(true), &durable_dir, durability.clone())
-                .expect("durable scratch dir opens");
+        let mut durable = DurableEngine::open(program, s, opts, &durable_dir, durability.clone())
+            .expect("durable scratch dir opens");
         #[allow(clippy::expect_used)]
         durable
             .apply_batch(&edb_facts(s), &[])
@@ -576,7 +546,7 @@ pub fn datalog_report() -> String {
         drop(durable);
         let recovery = time_fn(1, 5, || {
             #[allow(clippy::expect_used)]
-            DurableEngine::open(program, s, opts(true), &durable_dir, durability.clone())
+            DurableEngine::open(program, s, opts, &durable_dir, durability.clone())
                 .expect("recovery succeeds")
                 .epoch()
         });
@@ -591,33 +561,38 @@ pub fn datalog_report() -> String {
                 .num("stages", result.stage_count())
                 .num("tuples", result.idb.iter().map(|r| r.len()).sum::<usize>())
                 .num("tuples_interned", result.eval_stats.tuples_interned)
-                .num("join_probes", textual_seq.eval_stats.join_probes)
+                .num("join_probes", result.eval_stats.join_probes)
                 .num(
                     "duplicate_derivations",
-                    textual_seq.eval_stats.duplicate_derivations,
+                    result.eval_stats.duplicate_derivations,
                 )
-                .num("planned_join_probes", planned_seq.eval_stats.join_probes)
+                .num("planned_join_probes", planned_result.eval_stats.join_probes)
                 .num(
                     "planned_duplicate_derivations",
-                    planned_seq.eval_stats.duplicate_derivations,
+                    planned_result.eval_stats.duplicate_derivations,
                 )
-                .num("planned_block_probes", planned_seq.eval_stats.block_probes)
-                .num("planned_gallop_steps", planned_seq.eval_stats.gallop_steps)
-                .num("planned_wcoj_rules", planned_seq.eval_stats.wcoj_rules)
+                .num(
+                    "planned_block_probes",
+                    planned_result.eval_stats.block_probes,
+                )
+                .num(
+                    "planned_gallop_steps",
+                    planned_result.eval_stats.gallop_steps,
+                )
+                .num("planned_wcoj_rules", planned_result.eval_stats.wcoj_rules)
                 .num("scc_count", ev.compiled().scc_count())
                 .num(
                     "probe_savings_pct",
                     format!(
                         "{:.2}",
                         savings_pct(
-                            textual_seq.eval_stats.join_probes,
-                            planned_seq.eval_stats.join_probes,
+                            result.eval_stats.join_probes,
+                            planned_result.eval_stats.join_probes,
                         )
                     ),
                 )
                 .num("demand_tuples", demand_result.eval_stats.tuples_interned)
                 .num("magic_probes", demand_result.eval_stats.magic_probes)
-                .num("parallel_ms", format!("{:.4}", ms(parallel.median)))
                 .num("sequential_ms", format!("{:.4}", ms(sequential.median)))
                 .num("planned_ms", format!("{:.4}", ms(planned.median)))
                 .num("sharded_ms", format!("{:.4}", ms(sharded.median)))
@@ -636,9 +611,8 @@ pub fn datalog_report() -> String {
                 .num("governed_ms", format!("{:.4}", ms(governed.median)))
                 .num(
                     "governance_overhead_pct",
-                    format!("{:.2}", overhead_pct(parallel.min, governed.min)),
+                    format!("{:.2}", overhead_pct(sequential.min, governed.min)),
                 )
-                .raw("scaling", format!("[{}]", scaling_rows.join(", ")))
                 .raw("shard_scaling", format!("[{}]", shard_rows.join(", "))),
         );
     }
@@ -856,11 +830,8 @@ pub fn smoke_check() -> Vec<String> {
         violations.extend(durable_recovery_check(name, program, s, &churn, &engine));
         let full_holds = full.idb[program.goal().0].contains(&query[..]);
         let full_tuples = full.eval_stats.tuples_interned;
-        // Planned ≡ textual differential (sequential: exact counters).
-        let seq = EvalOptions {
-            parallel: false,
-            ..EvalOptions::default()
-        };
+        // Planned ≡ textual differential (single worker: exact counters).
+        let seq = EvalOptions::default();
         let textual = ev.run(s, seq);
         let planned = ev.run(s, seq.with_planner(PlannerMode::CostBased));
         if !textual.same_stages(&planned) {
@@ -1009,10 +980,7 @@ pub fn regression_check(committed: &str) -> Vec<String> {
     let mut violations = Vec::new();
     for (name, program, s, _query, _seed) in &datalog_instances() {
         let ev = Evaluator::new(program);
-        let seq = EvalOptions {
-            parallel: false,
-            ..EvalOptions::default()
-        };
+        let seq = EvalOptions::default();
         let textual = ev.run(s, seq);
         let planned = ev.run(s, seq.with_planner(PlannerMode::CostBased));
         let measured: [(&str, u64); 6] = [
@@ -1078,7 +1046,9 @@ mod tests {
         assert!(datalog.contains("\"rederived_tuples\""));
         assert!(datalog.contains("\"tc_mutation_tenants48x12_churn4\""));
         assert!(datalog.contains("\"speedup_x\""));
-        assert!(datalog.contains("\"scaling\": [{\"threads\": 1,"));
+        assert!(datalog.contains("\"sequential_ms\""));
+        assert!(!datalog.contains("\"scaling\""));
+        assert!(!datalog.contains("\"parallel_ms\""));
         assert!(datalog.contains("\"host_cpus\""));
         assert!(datalog.contains("\"sharded_ms\""));
         assert!(datalog.contains("\"exchanged_tuples\""));

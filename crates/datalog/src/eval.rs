@@ -25,14 +25,13 @@
 //!
 //! Programs are compiled **once** — [`Evaluator::new`] (or
 //! [`CompiledProgram::compile`]) performs equality elimination, delta
-//! rewriting, and index planning; `run` only joins. Because the stores are
-//! immutable during a stage, independent rule variants evaluate **in
-//! parallel** (driven by [`kv_structures::par`], honoring
-//! `RAYON_NUM_THREADS`): workers read the shared stores and intern
-//! candidate heads into private scratch arenas whose [`TupleId`]-dense
-//! contents are re-interned into the shared stores at stage end; set-union
-//! merging makes the result identical to sequential evaluation, stage by
-//! stage.
+//! rewriting, and index planning; `run` only joins. Each stage runs through
+//! the one stage executor, [`crate::sharded`]: workers read the shared
+//! stores, which are immutable during a stage, and intern candidate heads
+//! into private scratch arenas that are merged into the shared stores at
+//! the stage barrier. [`EvalOptions::shards`] sets the worker count `W`;
+//! the default is one worker, which partitions and routes nothing, and
+//! set-union merging makes every `W` produce the same stages.
 //!
 //! Evaluation reports [`EvalStats`] (tuples interned, duplicate
 //! derivations, join probes, stages) and honors [`Limits`] budgets via
@@ -49,7 +48,6 @@ use crate::program::Program;
 use crate::sharded;
 use crate::wcoj::{self, GenericPlan};
 use kv_structures::govern::{Budget, Governor, Interrupted};
-use kv_structures::par::{par_workers, thread_count};
 use kv_structures::store::{
     gallop_intersect, tuple_hash, EvalStats, IdRange, LimitExceeded, Limits, PosIndex, StoreView,
     TupleBloom, TupleId, TupleStore,
@@ -68,15 +66,6 @@ pub struct EvalOptions {
     /// a *graceful* cut — the result reports `converged: false`. For a
     /// hard budget that errors instead, use [`Limits::max_stages`].
     pub max_stages: Option<usize>,
-    /// Evaluate independent rule variants in parallel within each stage.
-    /// Stage results are identical either way (differential-tested); set
-    /// `RAYON_NUM_THREADS=1` or turn this off for single-threaded runs.
-    pub parallel: bool,
-    /// Worker count override for parallel stages (`None` = derive from
-    /// `RAYON_NUM_THREADS`/`KV_NUM_THREADS`/the CPU count). Lets one
-    /// process measure thread scaling without re-exec'ing under different
-    /// environment variables.
-    pub threads: Option<usize>,
     /// How rule bodies are joined. [`PlannerMode::Textual`] keeps the
     /// written atom order and the generic probe loop (the engine's
     /// historical behaviour — the default here, so baseline counters stay
@@ -95,13 +84,16 @@ pub struct EvalOptions {
     /// Resource budgets; exceeding one makes [`Evaluator::try_run`] return
     /// [`LimitExceeded`].
     pub limits: Limits,
-    /// Sharded execution: hash-partition each stage's delta across this
-    /// many workers by tuple ownership (planner-chosen key positions) and
-    /// exchange cross-owner derivations at the stage barrier. `None` (the
-    /// default) keeps the rule-partitioned parallel stages. Stage *sets*
-    /// are identical for every worker count (differential-tested for
-    /// W ∈ {1, 2, 4, 8}); counters such as `join_probes` may differ
-    /// because every worker walks the full rule list over its sub-delta.
+    /// The worker count `W`, the only parallelism setting: each stage's
+    /// delta is hash-partitioned across `W` workers by tuple ownership
+    /// (planner-chosen key positions) and cross-owner derivations are
+    /// exchanged at the stage barrier (see [`crate::sharded`]). `None`
+    /// (the default) and `Some(1)` run the same single-worker stages and
+    /// differ only in whether [`EvalResult::shard`] is reported. Stage
+    /// *sets* are identical for every worker count (differential-tested
+    /// for W ∈ {1, 2, 4, 8}); counters such as `join_probes` may differ
+    /// at `W > 1` because every worker walks the full rule list over its
+    /// sub-delta.
     pub shards: Option<usize>,
 }
 
@@ -110,8 +102,6 @@ impl Default for EvalOptions {
         Self {
             semi_naive: true,
             max_stages: None,
-            parallel: true,
-            threads: None,
             planner: PlannerMode::Textual,
             lowering: JoinLowering::default(),
             limits: Limits::default(),
@@ -134,16 +124,9 @@ impl EvalOptions {
         self
     }
 
-    /// The same options with an explicit worker-thread count (parallel
-    /// runs only; `None` uses the engine-wide default).
-    pub fn with_threads(mut self, threads: Option<usize>) -> Self {
-        self.threads = threads;
-        self
-    }
-
-    /// The same options with sharded (hash-partitioned, owner-computes)
-    /// stage execution across `shards` workers; `None` disables sharding.
-    /// See [`EvalOptions::shards`].
+    /// The same options with `shards` workers per stage (hash-partitioned,
+    /// owner-computes); `None` runs one worker without reporting
+    /// [`EvalResult::shard`]. See [`EvalOptions::shards`].
     pub fn with_shards(mut self, shards: Option<usize>) -> Self {
         self.shards = shards;
         self
@@ -176,7 +159,7 @@ pub struct EvalResult {
     /// Whether the fixpoint was reached (false only if `max_stages` hit).
     pub converged: bool,
     /// Sharded-run statistics (worker loads, exchange traffic, key
-    /// choices); `None` unless the run used [`EvalOptions::shards`].
+    /// choices); `None` unless the run set [`EvalOptions::shards`].
     pub shard: Option<crate::sharded::ShardStats>,
 }
 
@@ -849,6 +832,41 @@ pub(crate) fn index_plan<'r>(
     )
 }
 
+/// Builds one [`PosIndex`] per planned position of each store, over the
+/// store's current contents (`positions[i]` lists store `i`'s positions).
+pub(crate) fn build_indexes<'s>(
+    stores: impl IntoIterator<Item = &'s TupleStore>,
+    positions: &[Vec<usize>],
+) -> Vec<Vec<PosIndex>> {
+    stores
+        .into_iter()
+        .zip(positions)
+        .map(|(store, positions)| {
+            positions
+                .iter()
+                .map(|&p| {
+                    let mut ix = PosIndex::new(p);
+                    ix.update(store);
+                    ix
+                })
+                .collect()
+        })
+        .collect()
+}
+
+/// Extends every index over the tuples its store gained since the last
+/// build or extension.
+pub(crate) fn extend_indexes<'s>(
+    indexes: &mut [Vec<PosIndex>],
+    stores: impl IntoIterator<Item = &'s TupleStore>,
+) {
+    for (ixs, store) in indexes.iter_mut().zip(stores) {
+        for ix in ixs {
+            ix.update(store);
+        }
+    }
+}
+
 /// A program compiled for evaluation: rule variants with static index
 /// positions, plus the index plan (which positions of which relations any
 /// variant will ever probe). Compiled **once** — by [`Evaluator::new`] or
@@ -1110,7 +1128,6 @@ impl CompiledProgram {
             &self.vocabulary,
             "structure/program vocabulary mismatch"
         );
-        let idb_count = self.idb_arities.len();
         let universe = structure.universe_size();
 
         // Cost-based mode re-plans every rule body against this structure's
@@ -1145,20 +1162,7 @@ impl CompiledProgram {
             .relations()
             .map(|r| structure.relation(r).store())
             .collect();
-        let edb_idx: Vec<Vec<PosIndex>> = edb_stores
-            .iter()
-            .zip(edb_positions)
-            .map(|(store, positions)| {
-                positions
-                    .iter()
-                    .map(|&p| {
-                        let mut ix = PosIndex::new(p);
-                        ix.update(store);
-                        ix
-                    })
-                    .collect()
-            })
-            .collect();
+        let edb_idx = build_indexes(edb_stores.iter().copied(), edb_positions);
 
         // IDB state from the checkpoint (empty on a fresh run); indexes
         // are rebuilt over the committed prefix and then extended (not
@@ -1172,20 +1176,7 @@ impl CompiledProgram {
             mut stage,
             active_sccs: _,
         } = cp;
-        let mut idb_idx: Vec<Vec<PosIndex>> = idb_positions
-            .iter()
-            .zip(&idb_stores)
-            .map(|(positions, store)| {
-                positions
-                    .iter()
-                    .map(|&p| {
-                        let mut ix = PosIndex::new(p);
-                        ix.update(store);
-                        ix
-                    })
-                    .collect()
-            })
-            .collect();
+        let mut idb_idx = build_indexes(&idb_stores, idb_positions);
 
         // Cost-based runs keep a Bloom pre-filter over each IDB's
         // committed tuples: a negative answer skips the interner lookup on
@@ -1204,33 +1195,21 @@ impl CompiledProgram {
                 .collect()
         });
 
-        // Sharded execution state: shard keys are a pure function of the
-        // compiled variants and the EDB statistics (resumed runs re-derive
-        // them identically), and the per-worker delta sub-ranges are
-        // recomputed from the committed checkpoint by scanning owners —
-        // interrupts discard partial stages whole, so a checkpoint never
-        // holds in-flight exchange tuples.
-        let mut shard_state: Option<sharded::ShardState> = options.shards.map(|w| {
-            let workers = w.max(1);
+        // Shard keys are a pure function of the compiled variants and the
+        // EDB statistics (resumed runs re-derive them identically); at
+        // W = 1 none are chosen. Interrupts discard partial stages whole,
+        // so a checkpoint never holds in-flight exchange tuples.
+        let mut shards = sharded::Shards::new(options.shards, || {
             let edb_stats: Vec<kv_structures::CardStats> =
                 edb_stores.iter().map(|s| s.card_stats()).collect();
             let edb_arities: Vec<usize> = edb_stores.iter().map(|s| s.arity()).collect();
-            let plan = sharded::choose_plan(
+            sharded::choose_plan(
                 semi_variants,
                 &[],
                 &self.idb_arities,
                 &edb_arities,
                 &edb_stats,
-            );
-            let idb_refs: Vec<&TupleStore> = idb_stores.iter().collect();
-            let ranges = sharded::delta_ranges(&idb_refs, &delta_lo, &plan.idb_keys, workers);
-            sharded::ShardState {
-                workers,
-                plan,
-                ranges,
-                owned: vec![0; workers],
-                exchanged: 0,
-            }
+            )
         });
 
         // Packages the committed state back up on interrupt.
@@ -1313,181 +1292,37 @@ impl CompiledProgram {
                 })
                 .collect();
 
-            // Evaluate independent variants in parallel. Workers read the
-            // shared stores and intern candidate heads into private
-            // scratch arenas; re-interning those at merge makes the stage
-            // result identical to a sequential run (set union).
-            let idb_refs: Vec<&TupleStore> = idb_stores.iter().collect();
-            let mut new_count = vec![0usize; idb_count];
-            if let Some(state) = shard_state.as_mut() {
-                // Sharded stage: every worker runs the *full* live-rule
-                // set over its owner slice of each delta window (stage one
-                // and naive stages have no delta, so they partition rules
-                // instead), then routes derivations by the owner of the
-                // derived tuple. The per-worker derivation sets partition
-                // the stage's derivations, and the stage barrier below is
-                // the only synchronization point.
-                let w_count = state.workers;
-                let use_sub = options.semi_naive && stage > 1;
-                let sub_ranges = &state.ranges;
-                let keys = &state.plan.idb_keys;
-                let mut results: Vec<(WorkerBuf, sharded::RoutedDelta)> =
-                    par_workers(w_count, |w| {
-                        let ctx = JoinCtx {
-                            structure,
-                            universe,
-                            edb: &edb_stores,
-                            edb_idx: &edb_idx,
-                            idb: &idb_refs,
-                            idb_idx: &idb_idx,
-                            blooms: blooms.as_deref(),
-                            prev_len: &prev_len,
-                            delta_lo: &delta_lo,
-                            edb_delta_lo: None,
-                            idb_delta_sub: if use_sub { Some(&sub_ranges[w]) } else { None },
-                            edb_delta_sub: None,
-                            batched: planned.is_some(),
-                            gov,
-                        };
-                        let mut buf = WorkerBuf::new(&self.idb_arities);
-                        let (skip, step) = if use_sub { (0, 1) } else { (w, w_count) };
-                        for rule in live_rules.iter().skip(skip).step_by(step) {
-                            if let Err(reason) = evaluate_rule(rule, &ctx, &mut buf) {
-                                buf.tripped = Some(reason);
-                                break;
-                            }
-                        }
-                        let routed = sharded::route_worker(&buf, keys, w_count);
-                        (buf, routed)
-                    });
-                for (buf, _) in &mut results {
-                    if buf.tripped.is_none() && buf.pending_steps > 0 {
-                        buf.tripped = gov.step(buf.pending_steps).err();
-                        buf.pending_steps = 0;
+            let env = StageEnv {
+                structure,
+                universe,
+                edb: &edb_stores,
+                edb_idx: &edb_idx,
+                idb_idx: &idb_idx,
+                blooms: blooms.as_deref(),
+                prev_len: &prev_len,
+                delta_lo: &delta_lo,
+                edb_delta_lo: None,
+                batched: planned.is_some(),
+                gov,
+            };
+            let idb = sharded::IdbStores::Set(&mut idb_stores);
+            let new_count =
+                match sharded::run_stage(&env, &live_rules, idb, &mut shards, &mut eval_stats) {
+                    Ok(new_count) => new_count,
+                    Err(reason) => {
+                        stage -= 1;
+                        interrupt!(
+                            reason,
+                            idb_stores,
+                            delta_lo,
+                            stats,
+                            stage_marks,
+                            eval_stats,
+                            stage,
+                            active_sccs
+                        );
                     }
-                }
-                // A tripped worker aborts the stage whole: scratch arenas
-                // *and* routed outboxes are discarded, so a checkpoint
-                // never carries in-flight exchange tuples — the per-shard
-                // frontier is exactly the committed delta, recomputed by
-                // owner scan on resume.
-                if let Some(reason) = results.iter().find_map(|(b, _)| b.tripped) {
-                    stage -= 1;
-                    interrupt!(
-                        reason,
-                        idb_stores,
-                        delta_lo,
-                        stats,
-                        stage_marks,
-                        eval_stats,
-                        stage,
-                        active_sccs
-                    );
-                }
-                let mut routed = Vec::with_capacity(w_count);
-                for (buf, r) in results {
-                    eval_stats.join_probes += buf.probes;
-                    eval_stats.magic_probes += buf.magic_probes;
-                    eval_stats.block_probes += buf.block_probes;
-                    eval_stats.gallop_steps += buf.gallop_steps;
-                    eval_stats.wcoj_rules += buf.wcoj_rules;
-                    eval_stats.duplicate_derivations += buf.dups;
-                    routed.push(r);
-                }
-                // Owner-ordered merge through the delta exchange: the
-                // committed delta is owner-contiguous, giving the next
-                // stage its per-worker sub-ranges for free.
-                let next = sharded::merge_set(
-                    &mut idb_stores,
-                    routed,
-                    w_count,
-                    &mut new_count,
-                    &mut eval_stats.duplicate_derivations,
-                    &mut state.exchanged,
-                );
-                state.commit_stage(next);
-            } else {
-                let ctx = JoinCtx {
-                    structure,
-                    universe,
-                    edb: &edb_stores,
-                    edb_idx: &edb_idx,
-                    idb: &idb_refs,
-                    idb_idx: &idb_idx,
-                    blooms: blooms.as_deref(),
-                    prev_len: &prev_len,
-                    delta_lo: &delta_lo,
-                    edb_delta_lo: None,
-                    idb_delta_sub: None,
-                    edb_delta_sub: None,
-                    batched: planned.is_some(),
-                    gov,
                 };
-                let workers = if options.parallel {
-                    options
-                        .threads
-                        .unwrap_or_else(thread_count)
-                        .min(live_rules.len())
-                        .max(1)
-                } else {
-                    1
-                };
-                let mut buffers: Vec<WorkerBuf> = par_workers(workers, |w| {
-                    let mut buf = WorkerBuf::new(&self.idb_arities);
-                    for rule in live_rules.iter().skip(w).step_by(workers) {
-                        if let Err(reason) = evaluate_rule(rule, &ctx, &mut buf) {
-                            buf.tripped = Some(reason);
-                            break;
-                        }
-                    }
-                    buf
-                });
-                // Flush each worker's trailing step count; a flush that trips
-                // the budget aborts the stage like an in-worker trip.
-                for buf in &mut buffers {
-                    if buf.tripped.is_none() && buf.pending_steps > 0 {
-                        buf.tripped = gov.step(buf.pending_steps).err();
-                        buf.pending_steps = 0;
-                    }
-                }
-                // Any tripped worker aborts the whole stage: scratch arenas
-                // and counters are discarded so the checkpoint holds exactly
-                // the committed stages (stage `n+1` is recomputed on resume).
-                if let Some(reason) = buffers.iter().find_map(|b| b.tripped) {
-                    stage -= 1;
-                    interrupt!(
-                        reason,
-                        idb_stores,
-                        delta_lo,
-                        stats,
-                        stage_marks,
-                        eval_stats,
-                        stage,
-                        active_sccs
-                    );
-                }
-
-                // Merge: re-intern each worker's scratch arena into the shared
-                // stores. A tuple scratch-derived by several workers is fresh
-                // only once (set union).
-                for buf in buffers {
-                    eval_stats.join_probes += buf.probes;
-                    eval_stats.magic_probes += buf.magic_probes;
-                    eval_stats.block_probes += buf.block_probes;
-                    eval_stats.gallop_steps += buf.gallop_steps;
-                    eval_stats.wcoj_rules += buf.wcoj_rules;
-                    eval_stats.duplicate_derivations += buf.dups;
-                    for (i, scratch) in buf.scratch.into_iter().enumerate() {
-                        for t in scratch.iter() {
-                            if idb_stores[i].intern(t).1 {
-                                new_count[i] += 1;
-                            } else {
-                                eval_stats.duplicate_derivations += 1;
-                            }
-                        }
-                    }
-                }
-            }
 
             let any_new = new_count.iter().any(|&c| c > 0);
             if any_new {
@@ -1499,11 +1334,7 @@ impl CompiledProgram {
                 // Advance delta markers and extend the indexes over the
                 // newly committed id range.
                 delta_lo.copy_from_slice(&prev_len);
-                for (store, ixs) in idb_stores.iter().zip(idb_idx.iter_mut()) {
-                    for ix in ixs {
-                        ix.update(store);
-                    }
-                }
+                extend_indexes(&mut idb_idx, &idb_stores);
                 // Extend the Bloom pre-filters over the committed delta,
                 // rebuilding any filter that grew past its useful load.
                 if let Some(blooms) = blooms.as_mut() {
@@ -1559,7 +1390,7 @@ impl CompiledProgram {
             eval_stats,
             stage_marks,
             converged,
-            shard: shard_state.map(|s| s.stats()),
+            shard: options.shards.map(|_| shards.stats(semi_variants.len())),
         })
     }
 }
@@ -1646,15 +1477,17 @@ impl<'p> Evaluator<'p> {
     }
 }
 
-/// The read-only per-stage join context shared by all workers. Everything
-/// here is borrowed immutably; [`TupleStore`] and [`PosIndex`] have no
-/// interior mutability, so the context is `Sync`.
-pub(crate) struct JoinCtx<'a> {
+/// What every worker of a stage reads besides the IDB stores themselves.
+/// Everything here is borrowed immutably; [`TupleStore`] and [`PosIndex`]
+/// have no interior mutability, so the environment is `Sync`. It is
+/// copied into each worker's [`JoinCtx`], so the join loops read its fields
+/// without a second indirection.
+#[derive(Clone, Copy)]
+pub(crate) struct StageEnv<'a> {
     pub(crate) structure: &'a Structure,
     pub(crate) universe: usize,
     pub(crate) edb: &'a [&'a TupleStore],
     pub(crate) edb_idx: &'a [Vec<PosIndex>],
-    pub(crate) idb: &'a [&'a TupleStore],
     pub(crate) idb_idx: &'a [Vec<PosIndex>],
     /// Bloom pre-filters over each IDB's committed tuples (cost-based runs
     /// only): a negative membership answer is definitive and skips the
@@ -1671,14 +1504,6 @@ pub(crate) struct JoinCtx<'a> {
     /// keeps the historical behaviour — EDB atoms read their whole store
     /// regardless of access mode.
     pub(crate) edb_delta_lo: Option<&'a [u32]>,
-    /// Sharded semi-naive stages: this worker's owner sub-range of each
-    /// IDB delta window. Every variant pins exactly one delta atom, so
-    /// narrowing its `Delta` window partitions the variant's derivations
-    /// across workers without touching `Old`/`Full` reads.
-    pub(crate) idb_delta_sub: Option<&'a [IdRange]>,
-    /// Sharded incremental stage 0: this worker's owner sub-range of each
-    /// EDB delta window (meaningful only with `edb_delta_lo` set).
-    pub(crate) edb_delta_sub: Option<&'a [IdRange]>,
     /// Whether batched-kernel bookkeeping (probe memos, block counters) is
     /// active — cost-based runs only, so textual counters stay
     /// byte-identical to the historical engine.
@@ -1688,14 +1513,31 @@ pub(crate) struct JoinCtx<'a> {
     pub(crate) gov: &'a Governor,
 }
 
+/// One worker's view of a stage: the shared environment, the IDB stores,
+/// and the worker's own delta windows.
+pub(crate) struct JoinCtx<'a> {
+    pub(crate) env: StageEnv<'a>,
+    pub(crate) idb: &'a [&'a TupleStore],
+    /// This worker's window of each IDB delta: the whole
+    /// `[delta_lo, prev_len)` at `W = 1`, its owner sub-range otherwise.
+    /// Every semi-naive variant pins exactly one delta atom, so narrowing
+    /// the `Delta` window partitions its derivations across workers
+    /// without touching `Old`/`Full` reads.
+    pub(crate) idb_delta: &'a [IdRange],
+    /// This worker's window of each EDB delta (the batch's insertions);
+    /// read only when [`StageEnv::edb_delta_lo`] is set.
+    pub(crate) edb_delta: &'a [IdRange],
+}
+
 impl<'a> JoinCtx<'a> {
     /// Resolves an atom to its backing store, available indexes, and id
     /// range.
     pub(crate) fn source(&self, atom: &JoinAtom) -> (&'a TupleStore, &'a [PosIndex], IdRange) {
+        let env = &self.env;
         match atom.pred {
             Pred::Edb(r) => {
-                let store = self.edb[r.0];
-                let range = match self.edb_delta_lo {
+                let store = env.edb[r.0];
+                let range = match env.edb_delta_lo {
                     None => store.id_range(),
                     // Incremental maintenance: the EDB is append-only
                     // within a batch, so the batch's insertions are the id
@@ -1707,41 +1549,25 @@ impl<'a> JoinCtx<'a> {
                             start: 0,
                             end: lo[r.0],
                         },
-                        IdbAccess::Delta => match self.edb_delta_sub {
-                            // Sharded stage 0: this worker's owner slice
-                            // of the batch's insertions.
-                            Some(sub) => sub[r.0],
-                            None => IdRange {
-                                start: lo[r.0],
-                                end: store.len() as u32,
-                            },
-                        },
+                        IdbAccess::Delta => self.edb_delta[r.0],
                     },
                 };
-                (store, &self.edb_idx[r.0], range)
+                (store, &env.edb_idx[r.0], range)
             }
             Pred::Idb(i) => {
                 let store = self.idb[i.0];
                 let range = match atom.access {
                     IdbAccess::Full => IdRange {
                         start: 0,
-                        end: self.prev_len[i.0],
+                        end: env.prev_len[i.0],
                     },
                     IdbAccess::Old => IdRange {
                         start: 0,
-                        end: self.delta_lo[i.0],
+                        end: env.delta_lo[i.0],
                     },
-                    IdbAccess::Delta => match self.idb_delta_sub {
-                        // Sharded semi-naive stage: this worker's owner
-                        // slice of the delta window.
-                        Some(sub) => sub[i.0],
-                        None => IdRange {
-                            start: self.delta_lo[i.0],
-                            end: self.prev_len[i.0],
-                        },
-                    },
+                    IdbAccess::Delta => self.idb_delta[i.0],
                 };
-                (store, &self.idb_idx[i.0], range)
+                (store, &env.idb_idx[i.0], range)
             }
         }
     }
@@ -1749,7 +1575,7 @@ impl<'a> JoinCtx<'a> {
     /// Whether `tuple` is already committed in IDB `head`'s shared store,
     /// going through the Bloom pre-filter when one is maintained.
     fn committed(&self, head: usize, tuple: &[Element]) -> bool {
-        if let Some(blooms) = self.blooms {
+        if let Some(blooms) = self.env.blooms {
             if !blooms[head].maybe_contains(tuple_hash(tuple)) {
                 return false;
             }
@@ -1771,7 +1597,7 @@ pub(crate) fn find_index(indexes: &[PosIndex], p: usize) -> &PosIndex {
 
 /// Per-worker evaluation buffers: one scratch arena per IDB predicate plus
 /// counters. Workers never exchange boxed tuples — scratch arenas are
-/// re-interned into the shared stores at merge.
+/// merged into the shared stores at the stage barrier.
 pub(crate) struct WorkerBuf {
     pub(crate) scratch: Vec<TupleStore>,
     /// Counting mode (incremental maintenance): per-scratch-tuple
@@ -1834,11 +1660,14 @@ const MEMO_CAP: usize = 1 << 14;
 pub(crate) const EMIT_BLOCK: usize = 64;
 
 impl WorkerBuf {
-    pub(crate) fn new(idb_arities: &[usize]) -> Self {
+    /// Empty buffers for the given IDB arities; `counting` selects
+    /// counting mode (incremental maintenance's insertion pass), where
+    /// every derivation is recorded with a per-tuple count.
+    pub(crate) fn new(idb_arities: &[usize], counting: bool) -> Self {
         Self {
             scratch: idb_arities.iter().map(|&a| TupleStore::new(a)).collect(),
             scratch_counts: vec![Vec::new(); idb_arities.len()],
-            counting: false,
+            counting,
             emit_buf: Vec::new(),
             head_buf: Vec::new(),
             block_buf: Vec::new(),
@@ -1854,14 +1683,6 @@ impl WorkerBuf {
             tripped: None,
         }
     }
-
-    /// A worker buffer in counting mode: every derivation is recorded with
-    /// a per-tuple count (incremental maintenance's insertion pass).
-    pub(crate) fn new_counting(idb_arities: &[usize]) -> Self {
-        let mut buf = Self::new(idb_arities);
-        buf.counting = true;
-        buf
-    }
 }
 
 /// Evaluates one compiled rule against the stage context, interning
@@ -1876,7 +1697,7 @@ pub(crate) fn evaluate_rule(
     for (a, b) in &rule.const_eqs {
         let resolve = |t: &Term| match t {
             Term::Var(_) => None,
-            Term::Const(c) => Some(ctx.structure.constant(*c)),
+            Term::Const(c) => Some(ctx.env.structure.constant(*c)),
         };
         if resolve(a) != resolve(b) {
             return Ok(());
@@ -1884,7 +1705,7 @@ pub(crate) fn evaluate_rule(
     }
     // Batched (cost-based) runs keep per-atom probe memos: consecutive
     // branches that bind the same key reuse the previous index answer.
-    let memo_len = if ctx.batched { rule.atoms.len() } else { 0 };
+    let memo_len = if ctx.env.batched { rule.atoms.len() } else { 0 };
     let mut join = RuleJoin {
         rule,
         ctx,
@@ -1931,7 +1752,7 @@ impl<'a, 'b> RuleJoin<'a, 'b> {
     pub(crate) fn term_value(&self, t: &Term) -> Option<Element> {
         match t {
             Term::Var(v) => self.binding[v.0],
-            Term::Const(c) => Some(self.ctx.structure.constant(*c)),
+            Term::Const(c) => Some(self.ctx.env.structure.constant(*c)),
         }
     }
 
@@ -1943,7 +1764,7 @@ impl<'a, 'b> RuleJoin<'a, 'b> {
         if self.buf.pending_steps >= WORKER_FLUSH_STRIDE {
             let n = self.buf.pending_steps;
             self.buf.pending_steps = 0;
-            self.ctx.gov.step(n)?;
+            self.ctx.env.gov.step(n)?;
         }
         Ok(())
     }
@@ -2052,7 +1873,7 @@ impl<'a, 'b> RuleJoin<'a, 'b> {
             }
             JoinKernel::Probe { pos } => {
                 let e = arg_value(self, pos);
-                let list: &'a [u32] = if self.ctx.batched {
+                let list: &'a [u32] = if self.ctx.env.batched {
                     if let Some(&hit) = self.probe_memo[atom_pos].get(&e) {
                         self.count_block()?;
                         hit
@@ -2074,7 +1895,7 @@ impl<'a, 'b> RuleJoin<'a, 'b> {
             }
             JoinKernel::MergedProbe { pos_a, pos_b } => {
                 let (ea, eb) = (arg_value(self, pos_a), arg_value(self, pos_b));
-                let hit = self.ctx.batched
+                let hit = self.ctx.env.batched
                     && matches!(&self.merge_memo[atom_pos],
                                 Some((ka, kb, _)) if *ka == ea && *kb == eb);
                 let ids: Vec<u32> = if hit {
@@ -2104,7 +1925,7 @@ impl<'a, 'b> RuleJoin<'a, 'b> {
                     Ok(())
                 };
                 let r = walk(self);
-                if self.ctx.batched {
+                if self.ctx.env.batched {
                     self.merge_memo[atom_pos] = Some((ea, eb, ids));
                 } else {
                     self.buf.merge_buf = ids;
@@ -2120,7 +1941,7 @@ impl<'a, 'b> RuleJoin<'a, 'b> {
                     let e = arg_value(self, pos);
                     self.buf.check_buf.push(e);
                 }
-                let hit = if self.ctx.batched {
+                let hit = if self.ctx.env.batched {
                     if let Some(&v) = self.check_memo[atom_pos].get(self.buf.check_buf.as_slice()) {
                         self.count_block()?;
                         v
@@ -2155,7 +1976,7 @@ impl<'a, 'b> RuleJoin<'a, 'b> {
         let mut newly_bound: Vec<VarId> = Vec::new();
         for (pos, t) in atom.args.iter().enumerate() {
             let ok = match t {
-                Term::Const(c) => self.ctx.structure.constant(*c) == tuple[pos],
+                Term::Const(c) => self.ctx.env.structure.constant(*c) == tuple[pos],
                 Term::Var(v) => match self.binding[v.0] {
                     Some(e) => e == tuple[pos],
                     None => {
@@ -2192,7 +2013,7 @@ impl<'a, 'b> RuleJoin<'a, 'b> {
         }
         let v = rule.free_vars[free_pos];
         let slot = rule.atoms.len() + 1 + free_pos;
-        for e in 0..self.ctx.universe as Element {
+        for e in 0..self.ctx.env.universe as Element {
             self.charge()?;
             self.binding[v.0] = Some(e);
             if self.neqs_ok_at(slot) {
@@ -2209,7 +2030,7 @@ impl<'a, 'b> RuleJoin<'a, 'b> {
     /// never runs it), so deferring interns changes no kernel decision.
     #[inline]
     fn emits_batched(&self) -> bool {
-        self.ctx.batched && (self.rule.head_check_at.is_none() || self.rule.generic.is_some())
+        self.ctx.env.batched && (self.rule.head_check_at.is_none() || self.rule.generic.is_some())
     }
 
     /// Emits the (fully bound) head tuple. Set mode: skip if already
@@ -2227,7 +2048,7 @@ impl<'a, 'b> RuleJoin<'a, 'b> {
             #[allow(clippy::expect_used)]
             let v = match t {
                 Term::Var(v) => self.binding[v.0].expect("head variables fully bound"),
-                Term::Const(c) => ctx.structure.constant(*c),
+                Term::Const(c) => ctx.env.structure.constant(*c),
             };
             self.buf.head_buf.push(v);
         }
@@ -2610,10 +2431,7 @@ mod tests {
         let p = tc();
         let s = directed_path(10);
         let ev = Evaluator::new(&p);
-        let opts = EvalOptions {
-            parallel: false,
-            ..EvalOptions::default()
-        };
+        let opts = EvalOptions::default();
         let baseline = ev.run(&s, opts);
         // Trip the step budget at many different points; resuming the
         // checkpoint with a relaxed governor must reach the identical
@@ -2649,10 +2467,7 @@ mod tests {
         let p = tc();
         let s = directed_path(10);
         let ev = Evaluator::new(&p);
-        let opts = EvalOptions {
-            parallel: false,
-            ..EvalOptions::default()
-        };
+        let opts = EvalOptions::default();
         let baseline = ev.run(&s, opts);
         for max_steps in [5, 60, 400] {
             let gov = kv_structures::govern::chaos::step_tripper(max_steps);
@@ -2677,10 +2492,7 @@ mod tests {
         let p = tc();
         let s = directed_path(8);
         let ev = Evaluator::new(&p);
-        let opts = EvalOptions {
-            parallel: false,
-            ..EvalOptions::default()
-        };
+        let opts = EvalOptions::default();
         let gov = kv_structures::govern::chaos::step_tripper(40);
         let e = ev.try_run_governed(&s, opts, &gov).unwrap_err();
         let bytes = e.checkpoint.to_bytes();
@@ -2722,25 +2534,5 @@ mod tests {
         assert_eq!(err.checkpoint.stage_count(), 0);
         let partial = err.checkpoint.partial_result();
         assert!(!partial.converged);
-    }
-
-    #[test]
-    fn parallel_and_sequential_are_stage_identical() {
-        let p = tc();
-        for seed in 0..3 {
-            let g = random_digraph(10, 0.2, 70 + seed);
-            let s = g.to_structure();
-            let par = Evaluator::new(&p).run(&s, EvalOptions::default());
-            let seq = Evaluator::new(&p).run(
-                &s,
-                EvalOptions {
-                    parallel: false,
-                    ..EvalOptions::default()
-                },
-            );
-            assert_eq!(par.idb, seq.idb);
-            assert_eq!(par.stats, seq.stats);
-            assert!(par.same_stages(&seq));
-        }
     }
 }

@@ -54,15 +54,14 @@
 
 use crate::ast::{IdbId, Pred, Term, VarId};
 use crate::eval::{
-    compile_rule_pinned, evaluate_rule, index_plan, CompiledProgram, CompiledRule, DeltaPin,
-    EvalOptions, IdbAccess, JoinCtx, WorkerBuf,
+    build_indexes, compile_rule_pinned, extend_indexes, index_plan, CompiledProgram, CompiledRule,
+    DeltaPin, EvalOptions, IdbAccess, StageEnv,
 };
 use crate::planner::plan_rules_with_stats;
 use crate::program::Program;
-use crate::sharded;
+use crate::sharded::{self, IdbStores, Shards};
 use kv_structures::govern::{Governor, Interrupted};
-use kv_structures::par::{par_workers, thread_count};
-use kv_structures::store::{CardStats, EvalStats, PosIndex, TupleId, TupleStore};
+use kv_structures::store::{CardStats, EvalStats, TupleId, TupleStore};
 use kv_structures::{Element, InsertOutcome, MutableStore, PlannerMode, RelId, Structure};
 use std::cell::OnceCell;
 use std::collections::{HashMap, HashSet};
@@ -149,13 +148,12 @@ struct InsertionState {
     deleted_tuples: u64,
     rederived_tuples: u64,
     overdeleted_tuples: u64,
-    /// Shard-key assignment when the engine runs sharded (`None`
-    /// otherwise). Chosen once per batch from the committed post-deletion
-    /// EDB — a pure function of frozen state, so resumed batches re-use
-    /// the identical keys and the owner-sorted insert appends stay valid.
-    shard: Option<crate::sharded::ShardPlan>,
-    /// Tuples that crossed a shard boundary in committed stages.
-    exchanged: u64,
+    /// The batch's worker count and shard keys (chosen only at `W > 1`),
+    /// plus the exchange traffic of committed stages. Keys are chosen once
+    /// per batch from the committed post-deletion EDB — a pure function of
+    /// frozen state, so resumed batches re-use the identical keys and the
+    /// owner-sorted insert appends stay valid.
+    shards: Shards,
 }
 
 /// Where a pending batch stands.
@@ -164,7 +162,7 @@ enum Phase {
     /// Nothing committed yet; the deletion plan is recomputed on resume.
     Deletion,
     /// Deletion committed and inserts appended; stages commit one by one.
-    /// Boxed: the state is ~264 bytes against the dataless `Deletion`.
+    /// Boxed: the state is ~300 bytes against the dataless `Deletion`.
     Insertion(Box<InsertionState>),
 }
 
@@ -651,7 +649,7 @@ impl IncrementalEngine {
             rederived_tuples: state.rederived_tuples,
             overdeleted_tuples: state.overdeleted_tuples,
             stage_new: state.stage_new,
-            exchanged_tuples: state.exchanged,
+            exchanged_tuples: state.shards.exchanged,
             coalesced_pairs: batch.coalesced,
             eval_stats,
         })
@@ -705,11 +703,10 @@ impl IncrementalEngine {
         // Shard keys are chosen against the committed post-deletion EDB —
         // frozen state for the rest of the batch, so an interrupted batch
         // re-derives the identical assignment on resume.
-        let workers = self.options.shards.map(|w| w.max(1));
-        let shard = workers.map(|_| {
+        let shards = Shards::new(self.options.shards, || {
             let stats: Vec<CardStats> = self.edb.iter().map(|m| m.store().card_stats()).collect();
             let edb_arities: Vec<usize> = self.edb.iter().map(|m| m.store().arity()).collect();
-            crate::sharded::choose_plan(
+            sharded::choose_plan(
                 &self.compiled.semi_variants,
                 &self.edb_variants,
                 &self.compiled.idb_arities,
@@ -722,10 +719,10 @@ impl IncrementalEngine {
         // stage 0 of the insertion pass hands every worker a contiguous
         // sub-range instead of falling back to worker 0.
         let mut order: Vec<usize> = (0..inserts.len()).collect();
-        if let (Some(w), Some(plan)) = (workers, shard.as_ref()) {
+        if let Some(plan) = &shards.plan {
             order.sort_by_key(|&i| {
                 let (r, t) = &inserts[i];
-                kv_structures::shard_of(t, plan.edb_keys[r.0], w)
+                kv_structures::shard_of(t, plan.edb_keys[r.0], shards.workers)
             });
         }
         let mut edb_inserted = 0u64;
@@ -750,8 +747,7 @@ impl IncrementalEngine {
             deleted_tuples,
             rederived_tuples: plan.rederived,
             overdeleted_tuples: plan.overdeleted,
-            shard,
-            exchanged: 0,
+            shards,
         }
     }
 
@@ -815,34 +811,8 @@ impl IncrementalEngine {
         let (edb_positions, idb_positions) =
             index_plan(edb_rules.iter().chain(&semi_rules), edb_count, idb_count);
         let edb_stores: Vec<&TupleStore> = edb.iter().map(|m| m.store()).collect();
-        let edb_idx: Vec<Vec<PosIndex>> = edb_stores
-            .iter()
-            .zip(&edb_positions)
-            .map(|(store, positions)| {
-                positions
-                    .iter()
-                    .map(|&p| {
-                        let mut ix = PosIndex::new(p);
-                        ix.update(store);
-                        ix
-                    })
-                    .collect()
-            })
-            .collect();
-        let mut idb_idx: Vec<Vec<PosIndex>> = idb_positions
-            .iter()
-            .zip(idb.iter())
-            .map(|(positions, m)| {
-                positions
-                    .iter()
-                    .map(|&p| {
-                        let mut ix = PosIndex::new(p);
-                        ix.update(m.store());
-                        ix
-                    })
-                    .collect()
-            })
-            .collect();
+        let edb_idx = build_indexes(edb_stores.iter().copied(), &edb_positions);
+        let mut idb_idx = build_indexes(idb.iter().map(|m| m.store()), &idb_positions);
         loop {
             gov.check().and_then(|()| gov.charge_stage())?;
             let prev_len: Vec<u32> = idb.iter().map(|m| m.len() as u32).collect();
@@ -861,167 +831,26 @@ impl IncrementalEngine {
                     .filter(|r| live_rule(r, edb, &st.edb_delta_lo, &prev_len, &st.delta_lo))
                     .collect()
             };
-            let mut new_count = vec![0usize; idb_count];
-            let shard_w = options.shards.map(|w| w.max(1));
-            if let (Some(w_count), Some(splan)) = (shard_w, st.shard.as_ref()) {
-                // Sharded stage: every worker runs every live delta-pinned
-                // variant over its own owner sub-ranges of the delta
-                // windows (IDB deltas from the previous committed stage,
-                // the EDB delta from the owner-sorted batch appends), so
-                // each derivation is produced — and its support counted —
-                // by exactly one worker. Fact rules have no delta window
-                // to narrow and are partitioned round-robin instead.
-                let idb_refs: Vec<&TupleStore> = idb.iter().map(|m| m.store()).collect();
-                let idb_ranges =
-                    sharded::delta_ranges(&idb_refs, &st.delta_lo, &splan.idb_keys, w_count);
-                let edb_ranges =
-                    sharded::delta_ranges(&edb_stores, &st.edb_delta_lo, &splan.edb_keys, w_count);
-                let mut results: Vec<(WorkerBuf, sharded::RoutedDelta)> =
-                    par_workers(w_count, |w| {
-                        let ctx = JoinCtx {
-                            structure: template,
-                            universe,
-                            edb: &edb_stores,
-                            edb_idx: &edb_idx,
-                            idb: &idb_refs,
-                            idb_idx: &idb_idx,
-                            blooms: None,
-                            prev_len: &prev_len,
-                            delta_lo: &st.delta_lo,
-                            edb_delta_lo: Some(&st.edb_delta_lo),
-                            idb_delta_sub: Some(&idb_ranges[w]),
-                            edb_delta_sub: Some(&edb_ranges[w]),
-                            batched: !textual,
-                            gov,
-                        };
-                        let mut buf = WorkerBuf::new_counting(&compiled.idb_arities);
-                        for (ri, rule) in live_rules.iter().enumerate() {
-                            if rule.atoms.is_empty() && ri % w_count != w {
-                                continue;
-                            }
-                            if let Err(reason) = evaluate_rule(rule, &ctx, &mut buf) {
-                                buf.tripped = Some(reason);
-                                break;
-                            }
-                        }
-                        // Routing runs inside the worker, before the stage
-                        // barrier; the scratch arena already deduplicated
-                        // this worker's derivations into per-tuple counts.
-                        let routed = sharded::route_worker(&buf, &splan.idb_keys, w_count);
-                        (buf, routed)
-                    });
-                for (buf, _) in &mut results {
-                    if buf.tripped.is_none() && buf.pending_steps > 0 {
-                        buf.tripped = gov.step(buf.pending_steps).err();
-                        buf.pending_steps = 0;
-                    }
-                }
-                if let Some(reason) = results.iter().find_map(|(b, _)| b.tripped) {
-                    return Err(reason);
-                }
-                let mut routed = Vec::with_capacity(w_count);
-                for (buf, r) in results {
-                    st.stats.join_probes += buf.probes;
-                    st.stats.magic_probes += buf.magic_probes;
-                    st.stats.block_probes += buf.block_probes;
-                    st.stats.gallop_steps += buf.gallop_steps;
-                    st.stats.wcoj_rules += buf.wcoj_rules;
-                    st.stats.duplicate_derivations += buf.dups;
-                    routed.push(r);
-                }
-                // Owner-ordered merge: the committed delta comes out
-                // owner-contiguous, so the next stage's `delta_ranges`
-                // scan recovers each worker's sub-range for free.
-                let mut dups = 0u64;
-                sharded::merge_counting(
-                    idb,
-                    routed,
-                    w_count,
-                    &mut new_count,
-                    &mut dups,
-                    &mut st.exchanged,
-                );
-                st.stats.duplicate_derivations += dups;
-            } else {
-                let idb_refs: Vec<&TupleStore> = idb.iter().map(|m| m.store()).collect();
-                let ctx = JoinCtx {
-                    structure: template,
-                    universe,
-                    edb: &edb_stores,
-                    edb_idx: &edb_idx,
-                    idb: &idb_refs,
-                    idb_idx: &idb_idx,
-                    blooms: None,
-                    prev_len: &prev_len,
-                    delta_lo: &st.delta_lo,
-                    edb_delta_lo: Some(&st.edb_delta_lo),
-                    idb_delta_sub: None,
-                    edb_delta_sub: None,
-                    batched: !textual,
-                    gov,
-                };
-                let workers = if options.parallel {
-                    options
-                        .threads
-                        .unwrap_or_else(thread_count)
-                        .min(live_rules.len())
-                        .max(1)
-                } else {
-                    1
-                };
-                let mut buffers: Vec<WorkerBuf> = par_workers(workers, |w| {
-                    let mut buf = WorkerBuf::new_counting(&compiled.idb_arities);
-                    for rule in live_rules.iter().skip(w).step_by(workers) {
-                        if let Err(reason) = evaluate_rule(rule, &ctx, &mut buf) {
-                            buf.tripped = Some(reason);
-                            break;
-                        }
-                    }
-                    buf
-                });
-                for buf in &mut buffers {
-                    if buf.tripped.is_none() && buf.pending_steps > 0 {
-                        buf.tripped = gov.step(buf.pending_steps).err();
-                        buf.pending_steps = 0;
-                    }
-                }
-                // A tripped worker aborts the stage whole: scratch arenas
-                // and counters are discarded, the committed state is
-                // untouched, and resume recomputes the stage.
-                if let Some(reason) = buffers.iter().find_map(|b| b.tripped) {
-                    return Err(reason);
-                }
-                // Merge with counting: a tuple derived by several workers
-                // is fresh once; every recorded derivation lands in its
-                // support count.
-                for buf in buffers {
-                    st.stats.join_probes += buf.probes;
-                    st.stats.magic_probes += buf.magic_probes;
-                    st.stats.block_probes += buf.block_probes;
-                    st.stats.gallop_steps += buf.gallop_steps;
-                    st.stats.wcoj_rules += buf.wcoj_rules;
-                    st.stats.duplicate_derivations += buf.dups;
-                    for (i, (scratch, counts)) in
-                        buf.scratch.into_iter().zip(buf.scratch_counts).enumerate()
-                    {
-                        for (tid, t) in scratch.iter().enumerate() {
-                            let c = counts[tid];
-                            match idb[i].insert_with_support(t, c) {
-                                InsertOutcome::Fresh(_) => {
-                                    new_count[i] += 1;
-                                    st.stats.duplicate_derivations += (c - 1) as u64;
-                                }
-                                InsertOutcome::Bumped(_) => {
-                                    st.stats.duplicate_derivations += c as u64;
-                                }
-                                InsertOutcome::Revived(_) => {
-                                    debug_assert!(false, "no dead tuples during insertion");
-                                }
-                            }
-                        }
-                    }
-                }
-            }
+            let env = StageEnv {
+                structure: template,
+                universe,
+                edb: &edb_stores,
+                edb_idx: &edb_idx,
+                idb_idx: &idb_idx,
+                blooms: None,
+                prev_len: &prev_len,
+                delta_lo: &st.delta_lo,
+                edb_delta_lo: Some(&st.edb_delta_lo),
+                batched: !textual,
+                gov,
+            };
+            let new_count = sharded::run_stage(
+                &env,
+                &live_rules,
+                IdbStores::Counting(idb),
+                &mut st.shards,
+                &mut st.stats,
+            )?;
             st.stage += 1;
             let any_new = new_count.iter().any(|&c| c > 0);
             if !any_new {
@@ -1036,11 +865,7 @@ impl IncrementalEngine {
             st.stats.tuples_interned += new_total;
             st.stage_new.push(new_count);
             st.delta_lo.copy_from_slice(&prev_len);
-            for (m, ixs) in idb.iter().zip(idb_idx.iter_mut()) {
-                for ix in ixs {
-                    ix.update(m.store());
-                }
-            }
+            extend_indexes(&mut idb_idx, idb.iter().map(|m| m.store()));
             // Budgets charge after the stage commits, so the pending
             // state includes it and resume continues from the next stage.
             gov.charge_tuples(new_total)
@@ -1062,8 +887,9 @@ enum DelFilter {
 /// the slice of tuple ids carrying `e` at the indexed position, in
 /// increasing id order. Elements are universe indices, so two linear
 /// passes build it with no hashing — several times cheaper than a
-/// [`PosIndex`] build, which matters because deletion plans index lazily
-/// per batch and throw the result away.
+/// [`PosIndex`](kv_structures::store::PosIndex) build, which matters
+/// because deletion plans index lazily per batch and throw the result
+/// away.
 struct DenseIdx {
     /// Bucket `e` is `ids[offsets[e] as usize..offsets[e + 1] as usize]`.
     offsets: Vec<u32>,
@@ -2111,7 +1937,7 @@ mod tests {
         let s = g.to_structure();
         let e = RelId(0);
         let edges: Vec<Vec<Element>> = g.edges().map(|(u, v)| vec![u, v]).collect();
-        let options = EvalOptions::default().with_threads(Some(1));
+        let options = EvalOptions::default();
         let run = |budget: Option<u64>| -> (IncrementalEngine, BatchSummary, u32) {
             let (mut engine, _) = IncrementalEngine::from_structure(&program, &s, options);
             let retracts: Vec<Fact> = edges.iter().take(3).map(|t| (e, t.clone())).collect();

@@ -542,28 +542,26 @@ mod tests {
     }
 
     #[test]
-    fn seeded_run_composes_with_parallel_and_sequential() {
+    fn seeded_run_composes_with_sharded_workers() {
         let tc = programs::transitive_closure();
         let s = random_digraph(12, 0.18, 29).to_structure();
         let magic = MagicProgram::rewrite(&tc, &BindingPattern::all_bound(2)).unwrap();
         let compiled = magic.compile();
         let seeds = vec![(magic.magic_goal(), magic.seed(&[0, 11]))];
-        let par = compiled
+        let seq = compiled
             .try_run_seeded(&s, EvalOptions::default(), &seeds)
             .unwrap();
-        let seq = compiled
-            .try_run_seeded(
-                &s,
-                EvalOptions {
-                    parallel: false,
-                    ..EvalOptions::default()
-                },
-                &seeds,
-            )
-            .unwrap();
-        assert_eq!(par.idb, seq.idb);
-        assert_eq!(par.eval_stats, seq.eval_stats);
-        assert!(par.same_stages(&seq));
+        for w in [1, 4] {
+            let sharded = compiled
+                .try_run_seeded(&s, EvalOptions::default().with_shards(Some(w)), &seeds)
+                .unwrap();
+            assert!(sharded.same_stages(&seq), "W={w}");
+            if w == 1 {
+                // One worker is the default path: counters are identical.
+                assert_eq!(sharded.idb, seq.idb);
+                assert_eq!(sharded.eval_stats, seq.eval_stats);
+            }
+        }
     }
 
     #[test]

@@ -1,18 +1,27 @@
-//! Sharded (hash-partitioned, owner-computes) stage execution.
+//! The stage executor: one semi-naive stage, run by `W` workers and
+//! committed at the stage barrier.
 //!
-//! Sharding partitions each stage's *delta* across `W` workers by tuple
-//! ownership — [`kv_structures::shard_of`] over one planner-chosen key
-//! position per predicate — instead of partitioning rules. Every worker
-//! runs the full live-rule set of the stage, but its [`JoinCtx`] narrows
-//! each pinned `Δ` window to the worker's owner sub-range, so the workers'
-//! derivation sets partition the stage's derivations exactly (each
-//! semi-naive variant pins exactly one delta atom, and each delta tuple
-//! has exactly one owner). Derived tuples are then routed *by the owner of
-//! the derived tuple*: tuples a worker owns stay local, the rest cross the
-//! [`DeltaExchange`] at the stage barrier. The merge drains exchange
-//! inboxes in (owner, sender) order, which keeps every committed delta
-//! owner-contiguous — the next stage's sub-ranges are just id ranges, and
-//! resuming from a checkpoint recomputes them by scanning owners.
+//! `run_stage` is the only place a stage's rules are evaluated: both
+//! from-scratch evaluation and incremental maintenance's insertion pass call
+//! it. The shard count `W` ([`EvalOptions::shards`](crate::EvalOptions::shards))
+//! is the only parallelism setting. At `W = 1` a single worker runs every
+//! live rule over the whole delta windows, and its scratch arenas are
+//! committed as they are: no shard keys are chosen, no owners are computed,
+//! and no tuple is routed or copied.
+//!
+//! At `W > 1` each stage's *delta* is partitioned across the workers by
+//! tuple ownership — [`kv_structures::shard_of`] over one planner-chosen key
+//! position per predicate. Every worker runs the full live-rule set of the
+//! stage over its owner window of each delta, so the workers' derivation
+//! sets partition the stage's derivations exactly (each semi-naive variant
+//! pins exactly one delta atom, and each delta tuple has exactly one owner);
+//! rules that pin no delta (naive stages, fact rules) are dealt out
+//! round-robin. Derived tuples are then routed *by the owner of the derived
+//! tuple*: tuples a worker owns stay local, the rest cross the
+//! [`DeltaExchange`] at the stage barrier. The merge drains exchange inboxes
+//! in (owner, sender) order, which keeps every committed delta
+//! owner-contiguous, so the next stage — or a run resumed from a
+//! checkpoint — finds each worker's window by scanning owners.
 //!
 //! The global stage loop — and with it the paper's Theorem 3.6 stage
 //! semantics — is untouched: the stage barrier is the only synchronization
@@ -21,9 +30,12 @@
 //! lowerings × magic binding patterns × W ∈ {1, 2, 4, 8}).
 
 use crate::ast::{Pred, Term};
-use crate::eval::{CompiledRule, IdbAccess, WorkerBuf};
+use crate::eval::{evaluate_rule, CompiledRule, IdbAccess, JoinCtx, StageEnv, WorkerBuf};
+use kv_structures::govern::Interrupted;
 use kv_structures::mutable::InsertOutcome;
+use kv_structures::par::par_workers;
 use kv_structures::shard::{shard_of, DeltaExchange, ShardKey};
+use kv_structures::store::EvalStats;
 use kv_structures::{CardStats, Element, IdRange, MutableStore, TupleStore};
 
 /// Aggregate statistics of one sharded run, surfaced on
@@ -33,7 +45,8 @@ use kv_structures::{CardStats, Element, IdRange, MutableStore, TupleStore};
 pub struct ShardStats {
     /// Worker (shard) count the run executed with.
     pub workers: usize,
-    /// The shard key position chosen per IDB predicate.
+    /// The shard key position chosen per IDB predicate (empty at `W = 1`,
+    /// where one worker owns every tuple and no key is chosen).
     pub idb_keys: Vec<usize>,
     /// Tuples that crossed worker boundaries through the delta exchange.
     pub exchanged_tuples: u64,
@@ -209,54 +222,61 @@ pub(crate) fn choose_plan(
     }
 }
 
-/// Mutable sharded-run state carried across stages by the stage loop.
-#[derive(Debug)]
-pub(crate) struct ShardState {
+/// How a run splits its stages: the worker count `W`, the shard keys
+/// (chosen only when `W > 1`), and the load and exchange counters behind
+/// [`ShardStats`].
+#[derive(Debug, Clone)]
+pub(crate) struct Shards {
     pub(crate) workers: usize,
-    pub(crate) plan: ShardPlan,
-    /// `ranges[w][pred]`: worker `w`'s owned sub-range of each IDB's
-    /// current delta window. Owner-contiguous by construction of the
-    /// merge; recomputed by owner scan when resuming from a checkpoint.
-    pub(crate) ranges: Vec<Vec<IdRange>>,
-    /// Tuples merged under each worker's ownership, across stages.
-    pub(crate) owned: Vec<u64>,
+    /// `None` at `W = 1`, where the single worker owns every tuple.
+    pub(crate) plan: Option<ShardPlan>,
+    /// Tuples committed under each worker's ownership, across stages.
+    owned: Vec<u64>,
     /// Tuples that crossed worker boundaries at stage barriers.
     pub(crate) exchanged: u64,
 }
 
-impl ShardState {
-    pub(crate) fn stats(&self) -> ShardStats {
-        let local_variants = self.plan.local.iter().filter(|&&l| l).count();
-        ShardStats {
-            workers: self.workers,
-            idb_keys: self.plan.idb_keys.iter().map(|k| k.pos).collect(),
-            exchanged_tuples: self.exchanged,
-            owned: self.owned.clone(),
-            local_variants,
-            exchange_variants: self.plan.local.len() - local_variants,
+impl Shards {
+    /// `workers` shards (`None` means one). `plan` is called only when
+    /// there are several, so the single-worker path chooses no keys.
+    pub(crate) fn new(workers: Option<usize>, plan: impl FnOnce() -> ShardPlan) -> Self {
+        let workers = workers.unwrap_or(1).max(1);
+        Shards {
+            workers,
+            plan: (workers > 1).then(plan),
+            owned: vec![0; workers],
+            exchanged: 0,
         }
     }
 
-    /// Folds a stage's committed owner ranges into the per-worker load
-    /// counters and installs them as the next stage's delta sub-ranges.
-    pub(crate) fn commit_stage(&mut self, next: Vec<Vec<IdRange>>) {
-        for (w, per_pred) in next.iter().enumerate() {
-            self.owned[w] += per_pred
-                .iter()
-                .map(|r| u64::from(r.end.saturating_sub(r.start)))
-                .sum::<u64>();
+    /// The run's statistics over `variants` semi-naive rule variants (all
+    /// of them local at `W = 1`).
+    pub(crate) fn stats(&self, variants: usize) -> ShardStats {
+        let (idb_keys, local_variants) = match &self.plan {
+            Some(plan) => (
+                plan.idb_keys.iter().map(|k| k.pos).collect(),
+                plan.local.iter().filter(|&&l| l).count(),
+            ),
+            None => (Vec::new(), variants),
+        };
+        ShardStats {
+            workers: self.workers,
+            idb_keys,
+            exchanged_tuples: self.exchanged,
+            owned: self.owned.clone(),
+            local_variants,
+            exchange_variants: variants - local_variants,
         }
-        self.ranges = next;
     }
 }
 
 /// Splits each store's delta window `[delta_lo, len)` into per-worker
 /// owner sub-ranges. Deltas committed by a sharded merge are
 /// owner-contiguous, so the scan finds monotone owner boundaries; a delta
-/// committed by some *other* configuration (an unsharded checkpoint, a
+/// committed by some *other* configuration (a checkpoint taken at a
 /// different W) falls back to assigning the whole window to worker 0 —
 /// correct for one stage, after which the merge restores owner order.
-pub(crate) fn delta_ranges(
+fn delta_ranges(
     stores: &[&TupleStore],
     delta_lo: &[u32],
     keys: &[ShardKey],
@@ -299,88 +319,196 @@ pub(crate) fn delta_ranges(
     ranges
 }
 
-/// One worker's routed stage output: per predicate, per destination
-/// worker, the flat (arity-strided) derived tuples — plus parallel
-/// derivation counts in counting mode, and a separate derivation tally
-/// for nullary predicates (whose owner is always worker 0).
-#[derive(Debug)]
-pub(crate) struct RoutedDelta {
-    pub(crate) tuples: Vec<Vec<Vec<Element>>>,
-    pub(crate) counts: Vec<Vec<Vec<u32>>>,
-    pub(crate) nullary: Vec<u32>,
+/// Each worker's `(IDB, EDB)` delta windows for one stage. At `W = 1` the
+/// single worker gets the whole windows; otherwise each gets its owner
+/// sub-ranges. EDB windows exist only in incremental maintenance, where
+/// the batch's insertions are the EDB delta.
+fn delta_windows(
+    env: &StageEnv<'_>,
+    idb: &[&TupleStore],
+    shards: &Shards,
+) -> Vec<(Vec<IdRange>, Vec<IdRange>)> {
+    let Some(plan) = &shards.plan else {
+        let window = |lo: &[u32], stores: &[&TupleStore]| -> Vec<IdRange> {
+            lo.iter()
+                .zip(stores)
+                .map(|(&start, s)| IdRange {
+                    start,
+                    end: s.len() as u32,
+                })
+                .collect()
+        };
+        let edb = env
+            .edb_delta_lo
+            .map_or_else(Vec::new, |lo| window(lo, env.edb));
+        return vec![(window(env.delta_lo, idb), edb)];
+    };
+    let w = shards.workers;
+    let idb = delta_ranges(idb, env.delta_lo, &plan.idb_keys, w);
+    let edb = match env.edb_delta_lo {
+        Some(lo) => delta_ranges(env.edb, lo, &plan.edb_keys, w),
+        None => vec![Vec::new(); w],
+    };
+    idb.into_iter().zip(edb).collect()
 }
 
-/// Partitions a worker's scratch arenas by the owner of each derived
-/// tuple. Runs inside the worker (before the stage barrier), so routing
-/// itself is parallel; the scratch arena already deduplicated this
-/// worker's derivations, so each tuple crosses the exchange at most once
-/// per worker.
-pub(crate) fn route_worker(buf: &WorkerBuf, keys: &[ShardKey], workers: usize) -> RoutedDelta {
+/// One worker's stage output: per predicate, per destination worker, the
+/// flat (arity-strided) derived tuples — plus parallel derivation counts in
+/// counting mode, and a separate derivation tally for nullary predicates
+/// (whose owner is always worker 0).
+#[derive(Debug)]
+struct RoutedDelta {
+    tuples: Vec<Vec<Vec<Element>>>,
+    counts: Vec<Vec<Vec<u32>>>,
+    nullary: Vec<u32>,
+}
+
+/// Moves a worker's scratch arenas into its outboxes. At `W = 1` each
+/// arena moves over whole (no hashing, no copy); otherwise each derived
+/// tuple goes to its owner's outbox. Runs inside the worker, before the
+/// stage barrier; the scratch arena already deduplicated this worker's
+/// derivations, so each tuple crosses the exchange at most once per
+/// worker.
+fn route_worker(buf: &mut WorkerBuf, shards: &Shards) -> RoutedDelta {
+    let workers = shards.workers;
     let preds = buf.scratch.len();
     let mut routed = RoutedDelta {
         tuples: (0..preds).map(|_| vec![Vec::new(); workers]).collect(),
         counts: (0..preds).map(|_| vec![Vec::new(); workers]).collect(),
         nullary: vec![0; preds],
     };
-    for (p, scratch) in buf.scratch.iter().enumerate() {
-        let arity = scratch.arity();
-        if arity == 0 {
-            for (id, _) in scratch.iter().enumerate() {
-                routed.nullary[p] += if buf.counting {
-                    buf.scratch_counts[p][id]
-                } else {
-                    1
-                };
-            }
+    let counts = std::mem::take(&mut buf.scratch_counts);
+    for (p, (scratch, counts)) in std::mem::take(&mut buf.scratch)
+        .into_iter()
+        .zip(counts)
+        .enumerate()
+    {
+        if scratch.arity() == 0 {
+            routed.nullary[p] = if buf.counting {
+                counts.iter().sum()
+            } else {
+                scratch.len() as u32
+            };
             continue;
         }
+        let Some(plan) = &shards.plan else {
+            routed.tuples[p][0] = scratch.into_flat();
+            routed.counts[p][0] = counts;
+            continue;
+        };
         for (id, tuple) in scratch.iter().enumerate() {
-            let dest = shard_of(tuple, keys[p], workers);
+            let dest = shard_of(tuple, plan.idb_keys[p], workers);
             routed.tuples[p][dest].extend_from_slice(tuple);
             if buf.counting {
-                routed.counts[p][dest].push(buf.scratch_counts[p][id]);
+                routed.counts[p][dest].push(counts[id]);
             }
         }
     }
     routed
 }
 
+/// The IDB stores a stage commits into.
+pub(crate) enum IdbStores<'s> {
+    /// From-scratch evaluation: a set union into plain stores.
+    Set(&'s mut [TupleStore]),
+    /// Incremental maintenance: every derivation is credited to its
+    /// tuple's support count.
+    Counting(&'s mut [MutableStore]),
+}
+
+/// Runs one stage of `rules` and commits it into `idb`. Spawns the `W`
+/// workers, hands each its delta windows, evaluates the rules, flushes the
+/// workers' pending governor steps, folds their counters into `stats`, and
+/// merges their output in owner order. Returns the fresh tuples per IDB
+/// predicate.
+///
+/// A rule that pins a delta atom runs on every worker, over that worker's
+/// windows; a rule that pins none runs on one worker, round-robin. An
+/// interrupt in any worker, or in a step flush, aborts the stage whole:
+/// nothing is committed and `stats` is untouched, so a checkpoint never
+/// holds a partial stage or in-flight exchange tuples.
+pub(crate) fn run_stage(
+    env: &StageEnv<'_>,
+    rules: &[&CompiledRule],
+    idb: IdbStores<'_>,
+    shards: &mut Shards,
+    stats: &mut EvalStats,
+) -> Result<Vec<usize>, Interrupted> {
+    let workers = shards.workers;
+    let (counting, stores): (bool, Vec<&TupleStore>) = match &idb {
+        IdbStores::Set(s) => (false, s.iter().collect()),
+        IdbStores::Counting(m) => (true, m.iter().map(|m| m.store()).collect()),
+    };
+    let arities: Vec<usize> = stores.iter().map(|s| s.arity()).collect();
+    let windows = delta_windows(env, &stores, shards);
+    let mut results: Vec<(WorkerBuf, RoutedDelta)> = par_workers(workers, |w| {
+        let ctx = JoinCtx {
+            env: *env,
+            idb: &stores,
+            idb_delta: &windows[w].0,
+            edb_delta: &windows[w].1,
+        };
+        let mut buf = WorkerBuf::new(&arities, counting);
+        for (ri, rule) in rules.iter().enumerate() {
+            if ri % workers != w && delta_atom(rule).is_none() {
+                continue;
+            }
+            if let Err(reason) = evaluate_rule(rule, &ctx, &mut buf) {
+                buf.tripped = Some(reason);
+                break;
+            }
+        }
+        let routed = route_worker(&mut buf, shards);
+        (buf, routed)
+    });
+    for (buf, _) in &mut results {
+        if buf.tripped.is_none() && buf.pending_steps > 0 {
+            buf.tripped = env.gov.step(buf.pending_steps).err();
+            buf.pending_steps = 0;
+        }
+    }
+    if let Some(reason) = results.iter().find_map(|(b, _)| b.tripped) {
+        return Err(reason);
+    }
+    let mut routed = Vec::with_capacity(workers);
+    for (buf, r) in results {
+        stats.join_probes += buf.probes;
+        stats.magic_probes += buf.magic_probes;
+        stats.block_probes += buf.block_probes;
+        stats.gallop_steps += buf.gallop_steps;
+        stats.wcoj_rules += buf.wcoj_rules;
+        stats.duplicate_derivations += buf.dups;
+        routed.push(r);
+    }
+    let mut new_count = vec![0usize; arities.len()];
+    let dups = &mut stats.duplicate_derivations;
+    match idb {
+        IdbStores::Set(s) => merge_set(s, routed, shards, &mut new_count, dups),
+        IdbStores::Counting(m) => merge_counting(m, routed, shards, &mut new_count, dups),
+    }
+    Ok(new_count)
+}
+
 /// Owner-ordered set-mode merge (from-scratch evaluation): seals each
 /// predicate's per-worker outboxes into a [`DeltaExchange`], then interns
-/// every owner's inbox in (owner, sender) order. The committed delta is
-/// owner-contiguous; the returned ranges are the next stage's per-worker
-/// delta sub-ranges. Cross-worker duplicate derivations land in `dups`,
-/// exchange traffic in `exchanged`.
-pub(crate) fn merge_set(
+/// every owner's inbox in (owner, sender) order, so the committed delta is
+/// owner-contiguous. Cross-worker duplicate derivations land in `dups`.
+fn merge_set(
     idb_stores: &mut [TupleStore],
     mut routed: Vec<RoutedDelta>,
-    workers: usize,
+    shards: &mut Shards,
     new_count: &mut [usize],
     dups: &mut u64,
-    exchanged: &mut u64,
-) -> Vec<Vec<IdRange>> {
-    let preds = idb_stores.len();
-    let mut ranges = vec![vec![IdRange { start: 0, end: 0 }; preds]; workers];
-    for p in 0..preds {
-        let store = &mut idb_stores[p];
+) {
+    for (p, store) in idb_stores.iter_mut().enumerate() {
         let arity = store.arity();
         if arity == 0 {
             let derivations: u32 = routed.iter().map(|r| r.nullary[p]).sum();
-            let start = store.len() as u32;
             if derivations > 0 {
                 let fresh = store.intern(&[]).1;
-                if fresh {
-                    new_count[p] += 1;
-                }
+                new_count[p] += usize::from(fresh);
+                shards.owned[0] += u64::from(fresh);
                 *dups += u64::from(derivations) - u64::from(fresh);
-            }
-            for (w, row) in ranges.iter_mut().enumerate() {
-                let end = store.len() as u32;
-                row[p] = if w == 0 {
-                    IdRange { start, end }
-                } else {
-                    IdRange { start: end, end }
-                };
             }
             continue;
         }
@@ -389,78 +517,61 @@ pub(crate) fn merge_set(
             .map(|r| std::mem::take(&mut r.tuples[p]))
             .collect();
         let exchange = DeltaExchange::seal(arity, matrix);
-        *exchanged += exchange.exchanged();
-        for (w, row) in ranges.iter_mut().enumerate() {
-            let start = store.len() as u32;
-            for block in exchange.inbox(w) {
-                let tuples = block.len() / arity;
-                let fresh = store.extend_block(block);
-                new_count[p] += fresh;
-                *dups += (tuples - fresh) as u64;
+        shards.exchanged += exchange.exchanged();
+        for w in 0..shards.workers {
+            for tuple in exchange.inbox(w).flat_map(|b| b.chunks_exact(arity)) {
+                if store.intern(tuple).1 {
+                    new_count[p] += 1;
+                    shards.owned[w] += 1;
+                } else {
+                    *dups += 1;
+                }
             }
-            row[p] = IdRange {
-                start,
-                end: store.len() as u32,
-            };
         }
     }
-    ranges
 }
 
 /// Owner-ordered counting-mode merge (incremental maintenance): like
 /// [`merge_set`] but into [`MutableStore`]s, crediting each tuple's
-/// support with its routed derivation count. The exchange matrices carry
-/// parallel count blocks, so this drains them directly instead of going
-/// through [`DeltaExchange`].
-pub(crate) fn merge_counting(
+/// support with its routed derivation count. The outboxes carry parallel
+/// count blocks, so this drains them directly instead of going through
+/// [`DeltaExchange`].
+fn merge_counting(
     idb: &mut [MutableStore],
     routed: Vec<RoutedDelta>,
-    workers: usize,
+    shards: &mut Shards,
     new_count: &mut [usize],
     dups: &mut u64,
-    exchanged: &mut u64,
-) -> Vec<Vec<IdRange>> {
-    let preds = idb.len();
-    let mut ranges = vec![vec![IdRange { start: 0, end: 0 }; preds]; workers];
-    for p in 0..preds {
-        let arity = idb[p].store().arity();
+) {
+    for (p, store) in idb.iter_mut().enumerate() {
+        let arity = store.store().arity();
         if arity == 0 {
             let derivations: u64 = routed.iter().map(|r| u64::from(r.nullary[p])).sum();
-            let start = idb[p].len() as u32;
             if derivations > 0 {
                 // Nullary derivations all route to worker 0; support gets
                 // every derivation.
-                match idb[p].insert_with_support(&[], derivations as u32) {
+                match store.insert_with_support(&[], derivations as u32) {
                     InsertOutcome::Fresh(_) => {
                         new_count[p] += 1;
+                        shards.owned[0] += 1;
                         *dups += derivations - 1;
                     }
                     _ => *dups += derivations,
                 }
             }
-            for (w, row) in ranges.iter_mut().enumerate() {
-                let end = idb[p].len() as u32;
-                row[p] = if w == 0 {
-                    IdRange { start, end }
-                } else {
-                    IdRange { start: end, end }
-                };
-            }
             continue;
         }
-        for (w, row) in ranges.iter_mut().enumerate().take(workers) {
-            let start = idb[p].len() as u32;
+        for w in 0..shards.workers {
             for (sender, r) in routed.iter().enumerate() {
                 let block = &r.tuples[p][w];
-                let counts = &r.counts[p][w];
                 if sender != w {
-                    *exchanged += (block.len() / arity) as u64;
+                    shards.exchanged += (block.len() / arity) as u64;
                 }
-                for (tid, tuple) in block.chunks_exact(arity).enumerate() {
-                    let c = counts[tid];
-                    match idb[p].insert_with_support(tuple, c) {
+                for (tuple, &c) in block.chunks_exact(arity).zip(&r.counts[p][w]) {
+                    match store.insert_with_support(tuple, c) {
                         InsertOutcome::Fresh(_) => {
                             new_count[p] += 1;
+                            shards.owned[w] += 1;
                             *dups += u64::from(c) - 1;
                         }
                         InsertOutcome::Bumped(_) => *dups += u64::from(c),
@@ -470,11 +581,6 @@ pub(crate) fn merge_counting(
                     }
                 }
             }
-            row[p] = IdRange {
-                start,
-                end: idb[p].len() as u32,
-            };
         }
     }
-    ranges
 }

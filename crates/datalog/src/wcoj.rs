@@ -202,7 +202,7 @@ fn seed_tuple(
     let mut ok = true;
     for (pos, t) in seed.args.iter().enumerate() {
         let good = match t {
-            Term::Const(c) => join.ctx.structure.constant(*c) == tuple[pos],
+            Term::Const(c) => join.ctx.env.structure.constant(*c) == tuple[pos],
             Term::Var(v) => match join.binding[v.0] {
                 Some(e) => e == tuple[pos],
                 None => {

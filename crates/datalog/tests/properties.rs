@@ -57,11 +57,10 @@ fn parallel_is_stage_identical_to_sequential() {
             s,
             EvalOptions {
                 semi_naive: false,
-                parallel: false,
                 ..EvalOptions::default()
             },
         );
-        let parallel = Evaluator::new(program).run(s, EvalOptions::default());
+        let parallel = Evaluator::new(program).run(s, EvalOptions::default().with_shards(Some(4)));
         assert_eq!(sequential.idb, parallel.idb, "idb, seed {seed}");
         assert_eq!(sequential.stats, parallel.stats, "stats, seed {seed}");
         assert!(sequential.same_stages(&parallel), "stages, seed {seed}");

@@ -1,16 +1,23 @@
 //! Minimal data-parallel helpers on top of `std::thread::scope`.
 //!
 //! The workspace builds offline with zero external dependencies, so
-//! instead of `rayon` this module provides the one primitive the hot paths
-//! need: a parallel, order-preserving map over a slice, with work handed
-//! out in interleaved strides so uneven items balance across threads.
+//! instead of `rayon` this module provides the two primitives the hot
+//! paths need: a parallel, order-preserving map over a slice ([`par_map`],
+//! used by the pebble-game arena builder), with work handed out in
+//! interleaved strides so uneven items balance across threads, and a
+//! fixed-size worker fan-out ([`par_workers`], used by the Datalog stage
+//! executor).
 //!
-//! Thread count resolution honors `RAYON_NUM_THREADS` (the de-facto
-//! convention for Rust data-parallel code, so deployment guides transfer),
-//! then `KV_NUM_THREADS`, then [`std::thread::available_parallelism`].
-//! Setting the variable to `1` disables threading entirely — every helper
-//! then runs inline on the caller's thread, which keeps single-threaded
-//! differential baselines trivial to produce.
+//! [`thread_count`] sizes the maps. It honors `RAYON_NUM_THREADS` (the
+//! de-facto convention for Rust data-parallel code, so deployment guides
+//! transfer), then `KV_NUM_THREADS`, then
+//! [`std::thread::available_parallelism`]. Setting the variable to `1`
+//! disables threading for the maps — they then run inline on the caller's
+//! thread, which keeps single-threaded differential baselines trivial to
+//! produce. [`par_workers`] takes its worker count from the caller
+//! instead: Datalog evaluation passes the shard count `W` it was
+//! configured with, so its results and counters do not depend on these
+//! variables or on the host.
 
 use crate::govern::{Governor, Interrupted};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};

@@ -364,6 +364,13 @@ impl TupleStore {
         &self.data[range.start as usize * a..range.end as usize * a]
     }
 
+    /// Consumes the store, returning its arena: every tuple in id order,
+    /// arity-strided — the whole-store [`range_slice`](Self::range_slice),
+    /// moved out instead of copied.
+    pub fn into_flat(self) -> Vec<Element> {
+        self.data
+    }
+
     /// A snapshot of the store's cardinality statistics.
     ///
     /// The per-position distinct counters are maintained incrementally on

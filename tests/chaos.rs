@@ -514,11 +514,7 @@ fn chaos_planned_datalog_interrupt_resume_equals_run() {
     // the checkpoint's active-SCC record must stay inside the program's
     // component range.
     let programs = all_programs();
-    let opts = EvalOptions {
-        parallel: false,
-        ..EvalOptions::default()
-    }
-    .with_planner(PlannerMode::CostBased);
+    let opts = EvalOptions::default().with_planner(PlannerMode::CostBased);
     for index in 0..16usize {
         let program = &programs[index % programs.len()];
         let s = fixture_for(program, 4_100 + (index % programs.len()) as u64);
@@ -553,10 +549,9 @@ fn chaos_planned_datalog_interrupt_resume_equals_run() {
 
 #[test]
 fn chaos_planned_parallel_interrupt_resume_matches_stages() {
-    // The same contract under rule-variant parallelism. Duplicate
-    // suppression is scratch-local there, so counters may legitimately
-    // differ between runs; the guarantee is stage identity and the same
-    // fixpoint.
+    // The same contract on the chaos shards axis (`KV_CHAOS_SHARDS`
+    // workers per stage): resume lands on the straight run's stages and
+    // fixpoint at any worker count.
     let programs = all_programs();
     let opts = chaos_options().with_planner(PlannerMode::CostBased);
     for index in 0..8usize {
@@ -590,11 +585,7 @@ fn chaos_generic_join_interrupt_resume_equals_run() {
     // every checkpoint must stay monotone in them.
     use datalog_expressiveness::datalog::programs::triangles;
     let program = triangles();
-    let opts = EvalOptions {
-        parallel: false,
-        ..EvalOptions::default()
-    }
-    .with_planner(PlannerMode::CostBased);
+    let opts = EvalOptions::default().with_planner(PlannerMode::CostBased);
     for index in 0..12usize {
         let s = random_digraph(10, 0.3, 33_000 + (index % 4) as u64).to_structure();
         let eval = Evaluator::new(&program);
@@ -629,11 +620,7 @@ fn chaos_batched_block_loop_interrupt_resume_equals_run() {
     // trip between blocks of the same scan. Resume must land on the
     // straight run exactly (sequential planned runs are deterministic).
     let program = transitive_closure();
-    let opts = EvalOptions {
-        parallel: false,
-        ..EvalOptions::default()
-    }
-    .with_planner(PlannerMode::CostBased);
+    let opts = EvalOptions::default().with_planner(PlannerMode::CostBased);
     for index in 0..8usize {
         let s = random_digraph(30, 0.08, 7 + (index % 2) as u64).to_structure();
         let eval = Evaluator::new(&program);

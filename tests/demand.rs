@@ -138,23 +138,26 @@ fn magic_equals_full_for_every_program_and_binding_pattern() {
 
 #[test]
 fn magic_equals_full_under_parallel_evaluation() {
-    // The demand path composes with rule-variant parallelism: same
-    // selection equality with `parallel: true` (and it must agree with
-    // the sequential demand run tuple-for-tuple).
+    // The demand path composes with sharded parallel stages: at W ∈ {1, 4}
+    // workers the seeded demand run must agree with the default
+    // single-worker demand run tuple-for-tuple, and selection equality
+    // holds.
     let program = transitive_closure();
     let s = random_digraph(12, 0.2, 9_900).to_structure();
     let magic = MagicProgram::rewrite(&program, &BindingPattern::all_bound(2)).unwrap();
     let compiled = magic.compile();
     let seeds = vec![(magic.magic_goal(), magic.seed(&[0, 11]))];
-    let opts = |parallel| EvalOptions {
-        parallel,
-        ..EvalOptions::default()
-    };
-    let seq = compiled.try_run_seeded(&s, opts(false), &seeds).unwrap();
-    let par = compiled.try_run_seeded(&s, opts(true), &seeds).unwrap();
-    for (a, b) in seq.idb.iter().zip(&par.idb) {
-        assert_eq!(a.len(), b.len());
-        assert!(a.iter().all(|t| b.contains(t)));
+    let seq = compiled
+        .try_run_seeded(&s, EvalOptions::default(), &seeds)
+        .unwrap();
+    for w in [1, 4] {
+        let par = compiled
+            .try_run_seeded(&s, EvalOptions::default().with_shards(Some(w)), &seeds)
+            .unwrap();
+        for (a, b) in seq.idb.iter().zip(&par.idb) {
+            assert_eq!(a.len(), b.len(), "W={w}");
+            assert!(a.iter().all(|t| b.contains(t)), "W={w}");
+        }
     }
     assert_selection_equality(
         &program,

@@ -62,12 +62,8 @@ fn all_programs() -> Vec<Program> {
     ]
 }
 
-fn opts(planner: PlannerMode, parallel: bool) -> EvalOptions {
-    EvalOptions {
-        parallel,
-        ..EvalOptions::default()
-    }
-    .with_planner(planner)
+fn opts(planner: PlannerMode) -> EvalOptions {
+    EvalOptions::default().with_planner(planner)
 }
 
 #[test]
@@ -75,8 +71,8 @@ fn cost_based_matches_textual_stage_for_stage() {
     for (pi, program) in all_programs().iter().enumerate() {
         for round in 0..3u64 {
             let s = fixture_for(program, 11_000 + 17 * pi as u64 + round);
-            let textual = Evaluator::new(program).run(&s, opts(PlannerMode::Textual, true));
-            let planned = Evaluator::new(program).run(&s, opts(PlannerMode::CostBased, true));
+            let textual = Evaluator::new(program).run(&s, opts(PlannerMode::Textual));
+            let planned = Evaluator::new(program).run(&s, opts(PlannerMode::CostBased));
             assert_eq!(textual.idb, planned.idb, "program {pi}, round {round}");
             assert!(
                 textual.same_stages(&planned),
@@ -119,10 +115,10 @@ fn cost_based_matches_textual_under_magic_for_every_binding_pattern() {
             let compiled = magic.compile();
             let seeds = vec![(magic.magic_goal(), magic.seed(&query))];
             let textual = compiled
-                .try_run_seeded(&s, opts(PlannerMode::Textual, true), &seeds)
+                .try_run_seeded(&s, opts(PlannerMode::Textual), &seeds)
                 .unwrap_or_else(|e| panic!("{label}: textual run hit a limit: {e:?}"));
             let planned = compiled
-                .try_run_seeded(&s, opts(PlannerMode::CostBased, true), &seeds)
+                .try_run_seeded(&s, opts(PlannerMode::CostBased), &seeds)
                 .unwrap_or_else(|e| panic!("{label}: planned run hit a limit: {e:?}"));
             assert_eq!(textual.idb, planned.idb, "{label}");
             assert!(textual.same_stages(&planned), "{label}");
@@ -132,13 +128,15 @@ fn cost_based_matches_textual_under_magic_for_every_binding_pattern() {
 
 #[test]
 fn cost_based_parallel_matches_sequential() {
-    // Worker-private scratch stores merge by set union, so planned
-    // parallel runs must be stage-identical to planned sequential runs
-    // (counters may differ: duplicate suppression is scratch-local).
+    // Worker-private scratch stores merge by set union, so planned runs
+    // at W = 4 shard workers must be stage-identical to the default
+    // single-worker planned run (counters may differ at W > 1: duplicate
+    // suppression is scratch-local).
     for (pi, program) in all_programs().iter().enumerate() {
         let s = fixture_for(program, 13_000 + pi as u64);
-        let seq = Evaluator::new(program).run(&s, opts(PlannerMode::CostBased, false));
-        let par = Evaluator::new(program).run(&s, opts(PlannerMode::CostBased, true));
+        let seq = Evaluator::new(program).run(&s, opts(PlannerMode::CostBased));
+        let par =
+            Evaluator::new(program).run(&s, opts(PlannerMode::CostBased).with_shards(Some(4)));
         assert_eq!(seq.idb, par.idb, "program {pi}");
         assert!(seq.same_stages(&par), "program {pi}");
     }
@@ -146,21 +144,17 @@ fn cost_based_parallel_matches_sequential() {
 
 #[test]
 fn cost_based_respects_explicit_thread_counts() {
-    // The harness's thread-scaling rows pin worker counts explicitly; every
-    // count must reach the same fixpoint with the same stage structure.
+    // The harness's scaling rows pin the shard worker count W explicitly;
+    // every count must reach the same fixpoint with the same stage
+    // structure as the default single-worker run.
     for (pi, program) in all_programs().iter().enumerate() {
         let s = fixture_for(program, 14_000 + pi as u64);
-        let baseline = Evaluator::new(program).run(&s, opts(PlannerMode::CostBased, false));
-        for threads in [1usize, 2, 4] {
-            let run = Evaluator::new(program).run(
-                &s,
-                opts(PlannerMode::CostBased, true).with_threads(Some(threads)),
-            );
-            assert_eq!(baseline.idb, run.idb, "program {pi}, threads {threads}");
-            assert!(
-                baseline.same_stages(&run),
-                "program {pi}, threads {threads}"
-            );
+        let baseline = Evaluator::new(program).run(&s, opts(PlannerMode::CostBased));
+        for w in [1usize, 2, 4] {
+            let run =
+                Evaluator::new(program).run(&s, opts(PlannerMode::CostBased).with_shards(Some(w)));
+            assert_eq!(baseline.idb, run.idb, "program {pi}, W={w}");
+            assert!(baseline.same_stages(&run), "program {pi}, W={w}");
         }
     }
 }
@@ -170,20 +164,21 @@ fn generic_lowering_matches_binary_stage_for_stage() {
     // The worst-case-optimal generic join must be a pure execution-strategy
     // swap: for every program and structure, forcing JoinLowering::Generic
     // derives exactly the same stages as forcing JoinLowering::Binary (and
-    // as the textual baseline), sequential and parallel alike.
+    // as the textual baseline), at W ∈ {1, 4} shard workers alike.
     for (pi, program) in all_programs().iter().enumerate() {
         for round in 0..3u64 {
             let s = fixture_for(program, 15_000 + 17 * pi as u64 + round);
-            for parallel in [false, true] {
-                let label = format!("program {pi}, round {round}, parallel {parallel}");
-                let textual = Evaluator::new(program).run(&s, opts(PlannerMode::Textual, parallel));
+            for w in [1usize, 4] {
+                let label = format!("program {pi}, round {round}, W={w}");
+                let opts = |planner| opts(planner).with_shards(Some(w));
+                let textual = Evaluator::new(program).run(&s, opts(PlannerMode::Textual));
                 let binary = Evaluator::new(program).run(
                     &s,
-                    opts(PlannerMode::CostBased, parallel).with_lowering(JoinLowering::Binary),
+                    opts(PlannerMode::CostBased).with_lowering(JoinLowering::Binary),
                 );
                 let generic = Evaluator::new(program).run(
                     &s,
-                    opts(PlannerMode::CostBased, parallel).with_lowering(JoinLowering::Generic),
+                    opts(PlannerMode::CostBased).with_lowering(JoinLowering::Generic),
                 );
                 assert_eq!(binary.idb, generic.idb, "{label}");
                 assert_eq!(textual.idb, generic.idb, "{label}");
@@ -214,14 +209,14 @@ fn generic_lowering_matches_binary_under_magic_for_every_binding_pattern() {
             let binary = compiled
                 .try_run_seeded(
                     &s,
-                    opts(PlannerMode::CostBased, true).with_lowering(JoinLowering::Binary),
+                    opts(PlannerMode::CostBased).with_lowering(JoinLowering::Binary),
                     &seeds,
                 )
                 .unwrap_or_else(|e| panic!("{label}: binary run hit a limit: {e:?}"));
             let generic = compiled
                 .try_run_seeded(
                     &s,
-                    opts(PlannerMode::CostBased, true).with_lowering(JoinLowering::Generic),
+                    opts(PlannerMode::CostBased).with_lowering(JoinLowering::Generic),
                     &seeds,
                 )
                 .unwrap_or_else(|e| panic!("{label}: generic run hit a limit: {e:?}"));
@@ -239,12 +234,12 @@ fn generic_join_beats_binary_probes_on_triangles() {
     let s = random_digraph(24, 0.2, 21).to_structure();
     let auto = Evaluator::new(&program).run(
         &s,
-        opts(PlannerMode::CostBased, false).with_lowering(JoinLowering::Auto),
+        opts(PlannerMode::CostBased).with_lowering(JoinLowering::Auto),
     );
     assert!(auto.eval_stats.wcoj_rules > 0, "Auto must pick generic");
     let binary = Evaluator::new(&program).run(
         &s,
-        opts(PlannerMode::CostBased, false).with_lowering(JoinLowering::Binary),
+        opts(PlannerMode::CostBased).with_lowering(JoinLowering::Binary),
     );
     assert_eq!(auto.idb, binary.idb);
     assert!(auto.same_stages(&binary));
@@ -263,8 +258,8 @@ fn cost_based_never_regresses_probes_on_bench_programs() {
         (q_kl(2, 1), random_digraph(10, 0.15, 9).to_structure()),
     ];
     for (i, (program, s)) in cases.iter().enumerate() {
-        let textual = Evaluator::new(program).run(s, opts(PlannerMode::Textual, false));
-        let planned = Evaluator::new(program).run(s, opts(PlannerMode::CostBased, false));
+        let textual = Evaluator::new(program).run(s, opts(PlannerMode::Textual));
+        let planned = Evaluator::new(program).run(s, opts(PlannerMode::CostBased));
         assert_eq!(textual.idb, planned.idb, "case {i}");
         assert!(
             planned.eval_stats.join_probes <= textual.eval_stats.join_probes,

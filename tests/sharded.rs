@@ -19,6 +19,9 @@
 //!    resumed run re-derives its owner ranges from the committed deltas.
 //! 4. **Shard statistics sanity**: owned-tuple counts sum to the derived
 //!    total, `W = 1` exchanges nothing, and the skew metric is finite.
+//! 5. **Counter exactness at `W = 1`**: one shard *is* the default path,
+//!    so from-scratch runs and maintenance batches report identical
+//!    counters with and without `shards: Some(1)`.
 
 use datalog_expressiveness::datalog::programs::{
     avoiding_path, path_systems, q_kl, q_prime, transitive_closure, two_disjoint_paths_acyclic,
@@ -132,8 +135,8 @@ fn sharded_stages_match_unsharded_for_every_worker_count() {
 
 #[test]
 fn sharded_naive_evaluation_matches_semi_naive() {
-    // Naive stages have no delta windows; sharding falls back to rule
-    // partitioning there but must still route derivations by owner.
+    // Naive rules pin no delta; sharded stages deal them out to workers
+    // round-robin but must still route derivations by owner.
     for program in all_programs() {
         let s = fixture_for(&program, 9_200);
         let label = program.idb_name(program.goal()).to_string();
@@ -426,6 +429,84 @@ fn sharded_batch_interrupt_resume_equals_straight_batch() {
                 support_map(&chaotic, i),
                 "{label} W={w}: support diverged on IDB {i}"
             );
+        }
+    }
+}
+
+// ---------------------------------------------------------------------
+// Counter exactness: one shard is the default path
+// ---------------------------------------------------------------------
+
+#[test]
+fn single_shard_is_counter_identical_to_default() {
+    // `None` and `Some(1)` run the same single-worker stages, so every
+    // engine counter — not just every stage set — must agree. The
+    // cost-based Q_{2,1} instance is large enough that a multi-threaded
+    // default path would shift its `join_probes` with the host's CPUs
+    // (its textual and generic runs take minutes, so it runs under the
+    // `cost-auto` options alone).
+    let mut cases: Vec<(String, Program, Structure, Vec<_>)> = all_programs()
+        .into_iter()
+        .map(|p| {
+            let s = fixture_for(&p, 9_900);
+            (p.idb_name(p.goal()).to_string(), p, s, option_matrix())
+        })
+        .collect();
+    let cost_auto = option_matrix()
+        .into_iter()
+        .filter(|(m, _)| *m == "cost-auto");
+    cases.push((
+        "Q21/n24".to_string(),
+        q_kl(2, 1),
+        random_digraph(24, 0.15, 7).to_structure(),
+        cost_auto.collect(),
+    ));
+    for (label, program, s, matrix) in &cases {
+        let eval = Evaluator::new(program);
+        for &(mode, base) in matrix {
+            let default = eval.run(s, base);
+            let single = eval.run(s, base.with_shards(Some(1)));
+            assert_eq!(
+                default.eval_stats, single.eval_stats,
+                "{label}/{mode}: counters differ at W=1"
+            );
+            assert_eq!(default.stats, single.stats, "{label}/{mode}");
+            assert!(default.same_stages(&single), "{label}/{mode}: stages");
+            assert!(default.shard.is_none(), "{label}/{mode}");
+            assert_eq!(single.shard.map(|st| st.workers), Some(1), "{label}/{mode}");
+        }
+    }
+}
+
+#[test]
+fn single_shard_maintenance_is_counter_identical_to_default() {
+    // The same exactness for incremental maintenance: along a churn
+    // stream, every batch's counters agree between the default engine and
+    // one pinned at one shard.
+    for (pi, program) in all_programs().iter().enumerate() {
+        for (mode, base) in option_matrix() {
+            let s = fixture_for(program, 9_950 + pi as u64);
+            let (mut plain, first) = IncrementalEngine::from_structure(program, &s, base);
+            let (mut single, first_single) =
+                IncrementalEngine::from_structure(program, &s, base.with_shards(Some(1)));
+            assert_eq!(
+                first.eval_stats, first_single.eval_stats,
+                "program {pi}/{mode}: initial batch"
+            );
+            let mut rng = SplitMix64::seed_from_u64(0x1990_9950 + pi as u64);
+            for batch in 0..4u32 {
+                let (inserts, retracts) = random_batch(&plain, &mut rng);
+                let a = plain.apply_batch(&inserts, &retracts);
+                let b = single.apply_batch(&inserts, &retracts);
+                assert_eq!(
+                    a.eval_stats, b.eval_stats,
+                    "program {pi}/{mode} batch {batch}: counters differ at W=1"
+                );
+                assert_eq!(
+                    a.stage_new, b.stage_new,
+                    "program {pi}/{mode} batch {batch}"
+                );
+            }
         }
     }
 }
