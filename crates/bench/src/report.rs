@@ -475,14 +475,8 @@ pub fn datalog_report() -> String {
         let magic = MagicProgram::rewrite(program, &pattern).expect("bench program rewrites");
         let compiled = magic.compile();
         let seeds = [(magic.magic_goal(), magic.seed(query))];
-        #[allow(clippy::expect_used)]
-        let demand_result = compiled
-            .try_run_seeded(s, opts, &seeds)
-            .expect("no limits configured");
-        let demand = time_fn(2, 15, || match compiled.try_run_seeded(s, opts, &seeds) {
-            Ok(r) => r.stats.len(),
-            Err(e) => unreachable!("no limits configured: {e:?}"),
-        });
+        let demand_result = compiled.run_seeded(s, opts, &seeds);
+        let demand = time_fn(2, 15, || compiled.run_seeded(s, opts, &seeds).stats.len());
         // Incremental maintenance columns: steady-state churn of a small
         // edge set (one retract batch + one reinsert batch per round)
         // against a live engine, vs. re-running the fixpoint from scratch
@@ -909,16 +903,9 @@ pub fn smoke_check() -> Vec<String> {
             }
         };
         let seeds = [(magic.magic_goal(), magic.seed(query))];
-        let demand = match magic
+        let demand = magic
             .compile()
-            .try_run_seeded(s, EvalOptions::default(), &seeds)
-        {
-            Ok(r) => r,
-            Err(e) => {
-                violations.push(format!("{name}: demand run hit a limit: {e:?}"));
-                continue;
-            }
-        };
+            .run_seeded(s, EvalOptions::default(), &seeds);
         let demand_holds = demand.idb[magic.goal().0].contains(&query[..]);
         if demand_holds != full_holds {
             violations.push(format!(

@@ -238,12 +238,7 @@ impl ProgramQuery {
     /// demand path and the answer cache (differential partner and
     /// benchmark baseline for the demand route).
     pub fn eval_full_with_stats(&self, structure: &Structure) -> (bool, EvalStats) {
-        // Infallible: default options configure no limits.
-        #[allow(clippy::expect_used)]
-        let result = self
-            .compiled
-            .try_run(structure, self.eval_options())
-            .expect("no limits configured");
+        let result = self.compiled.run(structure, self.eval_options());
         let holds = result.idb[self.compiled.goal().0].contains(&self.goal_tuple);
         (holds, result.eval_stats)
     }
@@ -253,12 +248,9 @@ impl ProgramQuery {
     pub fn eval_demand_with_stats(&self, structure: &Structure) -> Option<(bool, EvalStats)> {
         let path = self.demand.as_ref()?;
         let seeds = [(path.magic.magic_goal(), path.magic.seed(&self.goal_tuple))];
-        // Infallible: default options configure no limits.
-        #[allow(clippy::expect_used)]
         let result = path
             .compiled
-            .try_run_seeded(structure, self.eval_options(), &seeds)
-            .expect("no limits configured");
+            .run_seeded(structure, self.eval_options(), &seeds);
         let holds = result.idb[path.magic.goal().0].contains(&self.goal_tuple);
         Some((holds, result.eval_stats))
     }

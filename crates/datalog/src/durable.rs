@@ -508,12 +508,15 @@ impl DurableEngine {
                     self.crash();
                 }
             }
+            // Each checkpoint starts a fresh log, so this append's framed
+            // bytes are the difference across it, not the log's total.
+            let before = self.wal.appended_bytes();
             self.wal.append(&payload)?;
             if self.opts.fsync {
                 self.wal.sync()?;
             }
             self.stats.wal_records += 1;
-            self.stats.wal_bytes = self.wal.appended_bytes();
+            self.stats.wal_bytes += self.wal.appended_bytes() - before;
             if let Some(CrashPoint::AfterWal { epoch: e }) = self.opts.crash {
                 if e == epoch {
                     self.crash();
@@ -1027,6 +1030,36 @@ mod tests {
             );
             std::fs::remove_dir_all(&dir).ok();
         }
+    }
+
+    #[test]
+    fn wal_bytes_grow_monotonically_across_a_forced_checkpoint() {
+        let program = transitive_closure();
+        let template = random_digraph(9, 0.2, 3).to_structure();
+        let dir = temp_dir("walbytes");
+        let opts = DurabilityOptions {
+            checkpoint_every: 0,
+            ..DurabilityOptions::default()
+        };
+        let mut d = DurableEngine::open(&program, &template, EvalOptions::default(), &dir, opts)
+            .expect("open");
+        let mut last = d.flush_stats().wal_bytes;
+        for (i, (ins, ret)) in edge_batches(17, 9, 6).iter().enumerate() {
+            if i == 3 {
+                d.checkpoint().expect("forced checkpoint");
+                assert_eq!(
+                    d.flush_stats().wal_bytes,
+                    last,
+                    "checkpoint appends no record"
+                );
+            }
+            d.apply_batch(ins, ret).expect("apply");
+            let now = d.flush_stats().wal_bytes;
+            assert!(now > last, "batch {i}: wal_bytes went from {last} to {now}");
+            last = now;
+        }
+        assert_eq!(d.flush_stats().checkpoints, 1);
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

@@ -34,9 +34,9 @@
 //! set-union merging makes every `W` produce the same stages.
 //!
 //! Evaluation reports [`EvalStats`] (tuples interned, duplicate
-//! derivations, join probes, stages) and honors [`Limits`] budgets via
-//! [`Evaluator::try_run`], returning a graceful [`LimitExceeded`] instead
-//! of unbounded growth.
+//! derivations, join probes, stages) and honors a [`Governor`]'s budgets
+//! via [`Evaluator::try_run_governed`], interrupting gracefully with a
+//! resumable checkpoint instead of growing without bound.
 //!
 //! Unbound variables — head or inequality variables that occur in no body
 //! atom — range over the whole universe, matching the first-order reading
@@ -47,10 +47,10 @@ use crate::planner::{self, RunPlan, SccInfo};
 use crate::program::Program;
 use crate::sharded;
 use crate::wcoj::{self, GenericPlan};
-use kv_structures::govern::{Budget, Governor, Interrupted};
+use kv_structures::govern::{Governor, Interrupted};
 use kv_structures::store::{
-    gallop_intersect, tuple_hash, EvalStats, IdRange, LimitExceeded, Limits, PosIndex, StoreView,
-    TupleBloom, TupleId, TupleStore,
+    gallop_intersect, tuple_hash, EvalStats, IdRange, PosIndex, StoreView, TupleBloom, TupleId,
+    TupleStore,
 };
 use kv_structures::{Element, JoinLowering, PlannerMode, Relation, Structure, Vocabulary};
 use std::collections::{HashMap, HashSet};
@@ -64,7 +64,8 @@ pub struct EvalOptions {
     pub semi_naive: bool,
     /// Truncate after this many stages (`None` = run to fixpoint). This is
     /// a *graceful* cut — the result reports `converged: false`. For a
-    /// hard budget that errors instead, use [`Limits::max_stages`].
+    /// hard budget that errors instead, govern the run with a
+    /// [`kv_structures::Budget`] stage limit.
     pub max_stages: Option<usize>,
     /// How rule bodies are joined. [`PlannerMode::Textual`] keeps the
     /// written atom order and the generic probe loop (the engine's
@@ -81,9 +82,6 @@ pub struct EvalOptions {
     /// Ignored in textual mode. Both lowerings derive the same tuple set
     /// at every stage (differential-tested).
     pub lowering: JoinLowering,
-    /// Resource budgets; exceeding one makes [`Evaluator::try_run`] return
-    /// [`LimitExceeded`].
-    pub limits: Limits,
     /// The worker count `W`, the only parallelism setting: each stage's
     /// delta is hash-partitioned across `W` workers by tuple ownership
     /// (planner-chosen key positions) and cross-owner derivations are
@@ -104,7 +102,6 @@ impl Default for EvalOptions {
             max_stages: None,
             planner: PlannerMode::Textual,
             lowering: JoinLowering::default(),
-            limits: Limits::default(),
             shards: None,
         }
     }
@@ -669,20 +666,21 @@ pub(crate) fn schedule_neqs(
 }
 
 /// Where a semi-naive rule variant pins its delta atom: on the `d`-th IDB
-/// occurrence (ordinary stage variants), on the `d`-th EDB occurrence
-/// (the incremental engine's EDB-insertion variants, where the delta is
-/// the batch of freshly asserted facts), or nowhere (naive rules).
+/// occurrence (ordinary stage variants), on the `d`-th body atom of
+/// either kind (the incremental engine's insertion variants for EDB atoms
+/// and its deletion variants), or nowhere (naive rules).
 #[derive(Debug, Clone, Copy)]
 pub(crate) enum DeltaPin {
     /// No delta: every atom reads its full relation.
     None,
     /// Delta on the `d`-th IDB occurrence (EDB atoms stay full).
     Idb(usize),
-    /// Delta on the `d`-th EDB occurrence (IDB atoms stay full). The
-    /// occurrence partition — earlier EDB occurrences old, later ones
-    /// full — enumerates each new derivation exactly once, which is what
-    /// counting-based maintenance needs.
-    Edb(usize),
+    /// Delta on the `d`-th body atom of either kind; earlier atoms old,
+    /// later ones full. Across `d` this enumerates each derivation using a
+    /// delta tuple exactly once, as counting maintenance needs: inserted
+    /// EDB tuples (stage one of the insertion pass, where IDB old and full
+    /// coincide) or deleted ones (read through [`DeletionWindows`]).
+    Any(usize),
 }
 
 pub(crate) fn compile_rule_pinned(rule: &Rule, pin: DeltaPin, magic: &[bool]) -> CompiledRule {
@@ -694,8 +692,8 @@ pub(crate) fn compile_rule_pinned(rule: &Rule, pin: DeltaPin, magic: &[bool]) ->
         .collect();
     let mut atoms = Vec::new();
     let mut neqs = Vec::new();
-    let mut idb_occurrence = 0usize;
-    let mut edb_occurrence = 0usize;
+    // Occurrences so far: IDB atoms and all atoms.
+    let (mut idb_seen, mut seen) = (0usize, 0usize);
     let partition = |occ: usize, d: usize| match occ.cmp(&d) {
         std::cmp::Ordering::Less => IdbAccess::Old,
         std::cmp::Ordering::Equal => IdbAccess::Delta,
@@ -704,24 +702,13 @@ pub(crate) fn compile_rule_pinned(rule: &Rule, pin: DeltaPin, magic: &[bool]) ->
     for lit in &rule.body {
         match lit {
             Literal::Atom(pred, args) => {
-                let access = match pred {
-                    Pred::Idb(_) => {
-                        let acc = match pin {
-                            DeltaPin::Idb(d) => partition(idb_occurrence, d),
-                            DeltaPin::None | DeltaPin::Edb(_) => IdbAccess::Full,
-                        };
-                        idb_occurrence += 1;
-                        acc
-                    }
-                    Pred::Edb(_) => {
-                        let acc = match pin {
-                            DeltaPin::Edb(d) => partition(edb_occurrence, d),
-                            DeltaPin::None | DeltaPin::Idb(_) => IdbAccess::Full,
-                        };
-                        edb_occurrence += 1;
-                        acc
-                    }
+                let access = match (pin, pred) {
+                    (DeltaPin::Idb(d), Pred::Idb(_)) => partition(idb_seen, d),
+                    (DeltaPin::Any(d), _) => partition(seen, d),
+                    _ => IdbAccess::Full,
                 };
+                idb_seen += usize::from(matches!(pred, Pred::Idb(_)));
+                seen += 1;
                 atoms.push(JoinAtom {
                     pred: *pred,
                     access,
@@ -832,36 +819,21 @@ pub(crate) fn index_plan<'r>(
     )
 }
 
-/// Builds one [`PosIndex`] per planned position of each store, over the
-/// store's current contents (`positions[i]` lists store `i`'s positions).
-pub(crate) fn build_indexes<'s>(
-    stores: impl IntoIterator<Item = &'s TupleStore>,
-    positions: &[Vec<usize>],
-) -> Vec<Vec<PosIndex>> {
-    stores
-        .into_iter()
-        .zip(positions)
-        .map(|(store, positions)| {
-            positions
-                .iter()
-                .map(|&p| {
-                    let mut ix = PosIndex::new(p);
-                    ix.update(store);
-                    ix
-                })
-                .collect()
-        })
-        .collect()
-}
-
-/// Extends every index over the tuples its store gained since the last
-/// build or extension.
-pub(crate) fn extend_indexes<'s>(
+/// Brings `indexes[i]`, the indexes over store `i`, up to date: adds an
+/// index for each planned position it lacks (`positions[i]`, if given)
+/// and extends every index over the tuples its store gained since.
+pub(crate) fn sync_indexes<'s>(
     indexes: &mut [Vec<PosIndex>],
     stores: impl IntoIterator<Item = &'s TupleStore>,
+    positions: &[Vec<usize>],
 ) {
-    for (ixs, store) in indexes.iter_mut().zip(stores) {
-        for ix in ixs {
+    for (i, (ixs, store)) in indexes.iter_mut().zip(stores).enumerate() {
+        for &pos in positions.get(i).into_iter().flatten() {
+            if !ixs.iter().any(|ix| ix.pos() == pos) {
+                ixs.push(PosIndex::new(pos));
+            }
+        }
+        for ix in ixs.iter_mut() {
             ix.update(store);
         }
     }
@@ -967,26 +939,13 @@ impl CompiledProgram {
         self.scc.count()
     }
 
-    /// Evaluates on `structure`, honoring the budgets in
-    /// `options.limits`. Compatibility wrapper over
-    /// [`try_run_governed`](Self::try_run_governed) with a governor built
-    /// from `options.limits` (no deadline, no cancellation).
+    /// Evaluates on `structure` to fixpoint (or `options.max_stages`),
+    /// ungoverned.
     ///
     /// # Panics
     /// Panics if the structure's vocabulary differs from the program's.
-    pub fn try_run(
-        &self,
-        structure: &Structure,
-        options: EvalOptions,
-    ) -> Result<EvalResult, LimitExceeded> {
-        let gov = Governor::with_budget(Budget::from(options.limits));
-        self.try_run_governed(structure, options, &gov)
-            .map_err(|e| match e.reason {
-                Interrupted::Limit(l) => l,
-                // The governor above has no deadline and a private,
-                // never-cancelled token.
-                other => unreachable!("ungoverned interrupt source fired: {other}"),
-            })
+    pub fn run(&self, structure: &Structure, options: EvalOptions) -> EvalResult {
+        unlimited(self.try_run_governed(structure, options, &Governor::unlimited()))
     }
 
     /// Governed evaluation: honors the `gov`'s budget, deadline, and
@@ -1037,21 +996,16 @@ impl CompiledProgram {
     /// # Panics
     /// Panics on a vocabulary mismatch, an out-of-range seed predicate, or
     /// a seed arity mismatch.
-    pub fn try_run_seeded(
+    pub fn run_seeded(
         &self,
         structure: &Structure,
         options: EvalOptions,
         seeds: &[(IdbId, Vec<Element>)],
-    ) -> Result<EvalResult, LimitExceeded> {
-        let gov = Governor::with_budget(Budget::from(options.limits));
-        self.try_run_governed_seeded(structure, options, &gov, seeds)
-            .map_err(|e| match e.reason {
-                Interrupted::Limit(l) => l,
-                other => unreachable!("ungoverned interrupt source fired: {other}"),
-            })
+    ) -> EvalResult {
+        unlimited(self.try_run_governed_seeded(structure, options, &Governor::unlimited(), seeds))
     }
 
-    /// Governed variant of [`try_run_seeded`](Self::try_run_seeded); see
+    /// Governed variant of [`run_seeded`](Self::run_seeded); see
     /// [`try_run_governed`](Self::try_run_governed) for governance
     /// semantics.
     ///
@@ -1162,7 +1116,8 @@ impl CompiledProgram {
             .relations()
             .map(|r| structure.relation(r).store())
             .collect();
-        let edb_idx = build_indexes(edb_stores.iter().copied(), edb_positions);
+        let mut edb_idx = vec![Vec::new(); edb_stores.len()];
+        sync_indexes(&mut edb_idx, edb_stores.iter().copied(), edb_positions);
 
         // IDB state from the checkpoint (empty on a fresh run); indexes
         // are rebuilt over the committed prefix and then extended (not
@@ -1176,7 +1131,8 @@ impl CompiledProgram {
             mut stage,
             active_sccs: _,
         } = cp;
-        let mut idb_idx = build_indexes(&idb_stores, idb_positions);
+        let mut idb_idx = vec![Vec::new(); idb_stores.len()];
+        sync_indexes(&mut idb_idx, &idb_stores, idb_positions);
 
         // Cost-based runs keep a Bloom pre-filter over each IDB's
         // committed tuples: a negative answer skips the interner lookup on
@@ -1264,6 +1220,20 @@ impl CompiledProgram {
             } else {
                 semi_variants
             };
+            let env = StageEnv {
+                structure,
+                universe,
+                edb: &edb_stores,
+                edb_idx: &edb_idx,
+                idb_idx: &idb_idx,
+                blooms: blooms.as_deref(),
+                prev_len: &prev_len,
+                delta_lo: &delta_lo,
+                edb_delta_lo: None,
+                batched: planned.is_some(),
+                deletion: None,
+                gov,
+            };
             // Textual mode: keep only variants whose delta seed is
             // non-empty (the rest derive nothing this stage). Cost-based
             // mode sharpens this with the full range check: a rule with
@@ -1281,30 +1251,9 @@ impl CompiledProgram {
                         },
                         _ => true,
                     },
-                    PlannerMode::CostBased => rule.atoms.iter().all(|atom| match atom.pred {
-                        Pred::Edb(_) => true,
-                        Pred::Idb(i) => match atom.access {
-                            IdbAccess::Delta => delta_lo[i.0] < prev_len[i.0],
-                            IdbAccess::Old => delta_lo[i.0] > 0,
-                            IdbAccess::Full => prev_len[i.0] > 0,
-                        },
-                    }),
+                    PlannerMode::CostBased => env.can_fire(rule),
                 })
                 .collect();
-
-            let env = StageEnv {
-                structure,
-                universe,
-                edb: &edb_stores,
-                edb_idx: &edb_idx,
-                idb_idx: &idb_idx,
-                blooms: blooms.as_deref(),
-                prev_len: &prev_len,
-                delta_lo: &delta_lo,
-                edb_delta_lo: None,
-                batched: planned.is_some(),
-                gov,
-            };
             let idb = sharded::IdbStores::Set(&mut idb_stores);
             let new_count =
                 match sharded::run_stage(&env, &live_rules, idb, &mut shards, &mut eval_stats) {
@@ -1334,7 +1283,7 @@ impl CompiledProgram {
                 // Advance delta markers and extend the indexes over the
                 // newly committed id range.
                 delta_lo.copy_from_slice(&prev_len);
-                extend_indexes(&mut idb_idx, &idb_stores);
+                sync_indexes(&mut idb_idx, &idb_stores, &[]);
                 // Extend the Bloom pre-filters over the committed delta,
                 // rebuilding any filter that grew past its useful load.
                 if let Some(blooms) = blooms.as_mut() {
@@ -1395,6 +1344,12 @@ impl CompiledProgram {
     }
 }
 
+/// Unwraps the result of a run governed by [`Governor::unlimited`], which
+/// has no budget, no deadline and a never-cancelled token.
+fn unlimited(r: Result<EvalResult, EvalInterrupted>) -> EvalResult {
+    r.unwrap_or_else(|e| unreachable!("unlimited governor interrupted a run: {e}"))
+}
+
 /// The evaluator: a program compiled once ([`CompiledProgram`]), reused
 /// across structures.
 #[derive(Debug)]
@@ -1420,23 +1375,9 @@ impl<'p> Evaluator<'p> {
     /// Evaluates the program on `structure` with the given options.
     ///
     /// # Panics
-    /// Panics if the structure's vocabulary differs from the program's, or
-    /// if a [`Limits`] budget in `options` is exceeded — use
-    /// [`try_run`](Self::try_run) to handle budgets gracefully.
+    /// Panics if the structure's vocabulary differs from the program's.
     pub fn run(&self, structure: &Structure, options: EvalOptions) -> EvalResult {
-        self.compiled
-            .try_run(structure, options)
-            .unwrap_or_else(|e| panic!("evaluation budget exceeded: {e}"))
-    }
-
-    /// Evaluates the program, returning `Err` if a budget in
-    /// `options.limits` is exceeded.
-    pub fn try_run(
-        &self,
-        structure: &Structure,
-        options: EvalOptions,
-    ) -> Result<EvalResult, LimitExceeded> {
-        self.compiled.try_run(structure, options)
+        self.compiled.run(structure, options)
     }
 
     /// Governed evaluation honoring a [`Governor`]'s budget, deadline,
@@ -1508,9 +1449,116 @@ pub(crate) struct StageEnv<'a> {
     /// active — cost-based runs only, so textual counters stay
     /// byte-identical to the historical engine.
     pub(crate) batched: bool,
+    /// Set only while incremental maintenance plans a deletion: the
+    /// deletion reading of the windows (see [`DeletionWindows`]).
+    pub(crate) deletion: Option<&'a DeletionWindows<'a>>,
     /// The shared governor; workers poll it cooperatively through
     /// worker-local batched counters ([`WorkerBuf::pending_steps`]).
     pub(crate) gov: &'a Governor,
+}
+
+/// How incremental maintenance's deletion plan reads the three windows
+/// of a rule variant (pinned by [`DeltaPin::Any`], or a head-seeded
+/// rederivation check):
+///
+/// - `Delta` is [`seed`](Self::seed), a small store holding the pinned
+///   occurrence's deleted (or newly overdeleted, or newly rederived)
+///   tuples;
+/// - `Old` is the survivors: the pre-state store minus the ids in the
+///   predicate's deleted set, which the kernels check per candidate;
+/// - `Full` is the pre-state store, or the survivors too when the
+///   [`pass`](Self::pass) looks for derivations of the post-deletion
+///   state.
+///
+/// The pre-state is compacted (no dead tuples), so `Old` and `Full` span
+/// whole stores and read the engine's persistent indexes.
+pub(crate) struct DeletionWindows<'a> {
+    /// Scanned, never probed: deletion plans give their delta atom the
+    /// [`JoinKernel::Scan`] kernel.
+    pub(crate) seed: &'a TupleStore,
+    /// Per EDB relation: the ids dying in this batch.
+    pub(crate) edb_dead: &'a [DenseSet],
+    /// Per IDB predicate: the ids deleted so far.
+    pub(crate) idb_dead: &'a [DenseSet],
+    /// What the evaluation looks for, which decides how `Full` reads.
+    pub(crate) pass: DeletionPass,
+}
+
+/// What a deletion plan's rule evaluation looks for.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum DeletionPass {
+    /// Derivations the deleted seed takes away: `Full` is the pre-state.
+    Lost,
+    /// Derivations of the post-deletion state: `Full` reads survivors.
+    Regained,
+    /// Like `Regained`, but each seed tuple's join stops at its first
+    /// derivation: the rederivation check only asks whether one exists.
+    Check,
+}
+
+/// A set of tuple ids over one store, as a dense bitmap. The deletion
+/// kernels test membership once per candidate of a survivor atom, so a
+/// word-indexed bit test beats hashing; ids are bounded by the compacted
+/// store length.
+#[derive(Debug, Clone)]
+pub(crate) struct DenseSet(Vec<u64>);
+
+impl DenseSet {
+    /// An empty set over ids `0..n`.
+    pub(crate) fn for_ids(n: usize) -> Self {
+        DenseSet(vec![0; n.div_ceil(64)])
+    }
+
+    #[inline]
+    pub(crate) fn contains(&self, id: u32) -> bool {
+        self.0
+            .get(id as usize / 64)
+            .is_some_and(|word| word >> (id % 64) & 1 == 1)
+    }
+
+    /// Adds `id`; returns whether it was absent.
+    pub(crate) fn insert(&mut self, id: u32) -> bool {
+        let fresh = !self.contains(id);
+        self.0[id as usize / 64] |= 1 << (id % 64);
+        fresh
+    }
+
+    /// Removes `id`; returns whether it was present.
+    pub(crate) fn remove(&mut self, id: u32) -> bool {
+        let was = self.contains(id);
+        self.0[id as usize / 64] &= !(1 << (id % 64));
+        was
+    }
+
+    /// All members in increasing id order.
+    pub(crate) fn iter_sorted(&self) -> impl Iterator<Item = u32> + '_ {
+        self.0.iter().enumerate().flat_map(|(w, &word)| {
+            (0..64)
+                .filter(move |b| word >> b & 1 == 1)
+                .map(move |b| (w * 64 + b) as u32)
+        })
+    }
+}
+
+impl StageEnv<'_> {
+    /// Whether every atom of `rule` has a non-empty window this stage. A
+    /// rule with an empty source derives nothing (and so, in counting
+    /// mode, credits no support): the stage can skip it. EDB atoms always
+    /// qualify unless the EDB has delta windows.
+    pub(crate) fn can_fire(&self, rule: &CompiledRule) -> bool {
+        rule.atoms.iter().all(|atom| {
+            let (lo, hi) = match (atom.pred, self.edb_delta_lo) {
+                (Pred::Edb(_), None) => return true,
+                (Pred::Edb(r), Some(lo)) => (lo[r.0], self.edb[r.0].len() as u32),
+                (Pred::Idb(i), _) => (self.delta_lo[i.0], self.prev_len[i.0]),
+            };
+            match atom.access {
+                IdbAccess::Delta => lo < hi,
+                IdbAccess::Old => lo > 0,
+                IdbAccess::Full => hi > 0,
+            }
+        })
+    }
 }
 
 /// One worker's view of a stage: the shared environment, the IDB stores,
@@ -1534,6 +1582,9 @@ impl<'a> JoinCtx<'a> {
     /// range.
     pub(crate) fn source(&self, atom: &JoinAtom) -> (&'a TupleStore, &'a [PosIndex], IdRange) {
         let env = &self.env;
+        if let (IdbAccess::Delta, Some(d)) = (atom.access, env.deletion) {
+            return (d.seed, &[], d.seed.id_range());
+        }
         match atom.pred {
             Pred::Edb(r) => {
                 let store = env.edb[r.0];
@@ -1570,6 +1621,22 @@ impl<'a> JoinCtx<'a> {
                 (store, &env.idb_idx[i.0], range)
             }
         }
+    }
+
+    /// The deleted ids a candidate of `atom` must avoid: set only for
+    /// atoms that read survivors while a deletion is planned.
+    #[inline]
+    pub(crate) fn dead(&self, atom: &JoinAtom) -> Option<&'a DenseSet> {
+        let d = self.env.deletion?;
+        let survivor = match atom.access {
+            IdbAccess::Old => true,
+            IdbAccess::Full => d.pass != DeletionPass::Lost,
+            IdbAccess::Delta => false,
+        };
+        survivor.then(|| match atom.pred {
+            Pred::Edb(r) => &d.edb_dead[r.0],
+            Pred::Idb(i) => &d.idb_dead[i.0],
+        })
     }
 
     /// Whether `tuple` is already committed in IDB `head`'s shared store,
@@ -1639,6 +1706,13 @@ pub(crate) struct WorkerBuf {
     pub(crate) pending_steps: u64,
     /// Set when this worker observed an interrupt; the stage is aborted.
     pub(crate) tripped: Option<Interrupted>,
+    /// Deletion plans ([`DeletionWindows`]): per IDB predicate, the
+    /// pre-state id of the head of every derivation found, in place of
+    /// the scratch arenas.
+    pub(crate) derived: Vec<Vec<u32>>,
+    /// The same ids as sets, kept (when sized by the caller) for the head
+    /// early exit of rederivation checks.
+    pub(crate) derived_set: Vec<DenseSet>,
 }
 
 /// Worker-local steps between governor flushes: keeps the hot join loops
@@ -1681,6 +1755,8 @@ impl WorkerBuf {
             merge_buf: Vec::new(),
             pending_steps: 0,
             tripped: None,
+            derived: vec![Vec::new(); idb_arities.len()],
+            derived_set: Vec::new(),
         }
     }
 }
@@ -1714,6 +1790,8 @@ pub(crate) fn evaluate_rule(
         probe_memo: vec![HashMap::new(); memo_len],
         check_memo: vec![HashMap::new(); memo_len],
         merge_memo: vec![None; memo_len],
+        cut: false,
+        trail: Vec::with_capacity(rule.var_count),
     };
     // Entry-slot ≠-checks: both sides already bound (constants).
     if !join.neqs_ok_at(0) {
@@ -1746,6 +1824,12 @@ pub(crate) struct RuleJoin<'a, 'b> {
     /// Per-atom memo of the last merged-probe key pair and its intersected
     /// id list.
     merge_memo: Vec<Option<(Element, Element, Vec<u32>)>>,
+    /// Set by an emit of a [`DeletionPass::Check`]: candidates are
+    /// skipped until the seed atom moves to its next tuple.
+    cut: bool,
+    /// Variables bound by the atoms on the current branch, innermost
+    /// last: each candidate pops what it bound, with no allocation.
+    trail: Vec<VarId>,
 }
 
 impl<'a, 'b> RuleJoin<'a, 'b> {
@@ -1820,6 +1904,12 @@ impl<'a, 'b> RuleJoin<'a, 'b> {
             }
         }
         let head = rule.head.0;
+        if ctx.env.deletion.is_some() {
+            let derived = self.buf.derived_set.get(head);
+            return ctx.idb[head]
+                .lookup(&self.buf.head_buf)
+                .is_some_and(|id| derived.is_some_and(|set| set.contains(id.0)));
+        }
         self.buf.scratch[head].contains(&self.buf.head_buf)
             || ctx.committed(head, &self.buf.head_buf)
     }
@@ -1840,6 +1930,9 @@ impl<'a, 'b> RuleJoin<'a, 'b> {
         let ctx = self.ctx;
         let atom = &rule.atoms[atom_pos];
         let (store, indexes, range) = ctx.source(atom);
+        // Survivor atoms of a deletion plan skip deleted candidates.
+        let dead = ctx.dead(atom);
+        let live = |id: u32| !dead.is_some_and(|d| d.contains(id));
         // Arguments chosen by a probing kernel are constants or variables
         // bound by earlier atoms — always resolvable here.
         #[allow(clippy::expect_used)]
@@ -1850,23 +1943,28 @@ impl<'a, 'b> RuleJoin<'a, 'b> {
                 self.count_probe(atom.is_magic)?;
                 let arity = atom.args.len();
                 if arity == 0 {
-                    for _ in range.iter() {
-                        self.try_tuple(atom_pos, &[])?;
+                    for id in range.iter() {
+                        if live(id.0) {
+                            self.try_tuple(atom_pos, &[])?;
+                        }
                     }
                 } else {
                     // Batched columnar walk: the arity-strided arena hands
-                    // out one contiguous slice per block, keeping the inner
-                    // loop free of per-tuple id arithmetic and charging the
+                    // out one contiguous slice per block, charging the
                     // governor once per block instead of never mid-scan.
                     let cols = store.range_slice(range);
                     let mut first = true;
+                    let mut id = range.start;
                     for block in cols.chunks(SCAN_BLOCK * arity) {
                         if !first {
                             self.charge()?;
                         }
                         first = false;
                         for tuple in block.chunks_exact(arity) {
-                            self.try_tuple(atom_pos, tuple)?;
+                            if live(id) {
+                                self.try_tuple(atom_pos, tuple)?;
+                            }
+                            id += 1;
                         }
                     }
                 }
@@ -1890,7 +1988,9 @@ impl<'a, 'b> RuleJoin<'a, 'b> {
                     find_index(indexes, pos).probe(e, range)
                 };
                 for &id in list {
-                    self.try_tuple(atom_pos, store.get(TupleId(id)))?;
+                    if live(id) {
+                        self.try_tuple(atom_pos, store.get(TupleId(id)))?;
+                    }
                 }
             }
             JoinKernel::MergedProbe { pos_a, pos_b } => {
@@ -1920,7 +2020,9 @@ impl<'a, 'b> RuleJoin<'a, 'b> {
                 };
                 let walk = |join: &mut Self| -> Result<(), Interrupted> {
                     for &id in &ids {
-                        join.try_tuple(atom_pos, store.get(TupleId(id)))?;
+                        if live(id) {
+                            join.try_tuple(atom_pos, store.get(TupleId(id)))?;
+                        }
                     }
                     Ok(())
                 };
@@ -1949,7 +2051,7 @@ impl<'a, 'b> RuleJoin<'a, 'b> {
                         self.count_probe(atom.is_magic)?;
                         let v = matches!(
                             store.lookup(&self.buf.check_buf),
-                            Some(id) if range.contains(id)
+                            Some(id) if range.contains(id) && live(id.0)
                         );
                         if self.check_memo[atom_pos].len() < MEMO_CAP {
                             self.check_memo[atom_pos].insert(self.buf.check_buf.clone(), v);
@@ -1958,7 +2060,10 @@ impl<'a, 'b> RuleJoin<'a, 'b> {
                     }
                 } else {
                     self.count_probe(atom.is_magic)?;
-                    matches!(store.lookup(&self.buf.check_buf), Some(id) if range.contains(id))
+                    matches!(
+                        store.lookup(&self.buf.check_buf),
+                        Some(id) if range.contains(id) && live(id.0)
+                    )
                 };
                 if hit {
                     // No new bindings: recurse directly.
@@ -1972,8 +2077,11 @@ impl<'a, 'b> RuleJoin<'a, 'b> {
     /// Per-candidate matching: extend the binding, apply the ≠-checks
     /// scheduled after this atom, recurse, restore.
     fn try_tuple(&mut self, atom_pos: usize, tuple: &[Element]) -> Result<(), Interrupted> {
+        if self.cut {
+            return Ok(());
+        }
         let atom = &self.rule.atoms[atom_pos];
-        let mut newly_bound: Vec<VarId> = Vec::new();
+        let mark = self.trail.len();
         for (pos, t) in atom.args.iter().enumerate() {
             let ok = match t {
                 Term::Const(c) => self.ctx.env.structure.constant(*c) == tuple[pos],
@@ -1981,15 +2089,13 @@ impl<'a, 'b> RuleJoin<'a, 'b> {
                     Some(e) => e == tuple[pos],
                     None => {
                         self.binding[v.0] = Some(tuple[pos]);
-                        newly_bound.push(*v);
+                        self.trail.push(*v);
                         true
                     }
                 },
             };
             if !ok {
-                for v in newly_bound.drain(..) {
-                    self.binding[v.0] = None;
-                }
+                self.unbind(mark);
                 return Ok(());
             }
         }
@@ -1998,10 +2104,20 @@ impl<'a, 'b> RuleJoin<'a, 'b> {
         } else {
             Ok(())
         };
-        for v in newly_bound.drain(..) {
-            self.binding[v.0] = None;
+        self.unbind(mark);
+        if atom_pos == 0 {
+            // The seed atom moves on: a cut ends with its tuple.
+            self.cut = false;
         }
         r
+    }
+
+    /// Unbinds the variables bound since the trail was `mark` long.
+    #[inline]
+    fn unbind(&mut self, mark: usize) {
+        for v in self.trail.drain(mark..) {
+            self.binding[v.0] = None;
+        }
     }
 
     /// Enumerates universe values for variables bound by no atom, then
@@ -2014,6 +2130,9 @@ impl<'a, 'b> RuleJoin<'a, 'b> {
         let v = rule.free_vars[free_pos];
         let slot = rule.atoms.len() + 1 + free_pos;
         for e in 0..self.ctx.env.universe as Element {
+            if self.cut {
+                break;
+            }
             self.charge()?;
             self.binding[v.0] = Some(e);
             if self.neqs_ok_at(slot) {
@@ -2041,6 +2160,10 @@ impl<'a, 'b> RuleJoin<'a, 'b> {
     fn emit(&mut self) -> Result<(), Interrupted> {
         let rule = self.rule;
         let ctx = self.ctx;
+        self.cut = ctx
+            .env
+            .deletion
+            .is_some_and(|d| d.pass == DeletionPass::Check);
         self.buf.head_buf.clear();
         for t in &rule.head_args {
             // Head variables are bound: emit runs after the last atom, and
@@ -2052,6 +2175,18 @@ impl<'a, 'b> RuleJoin<'a, 'b> {
             };
             self.buf.head_buf.push(v);
         }
+        let head = rule.head.0;
+        if ctx.env.deletion.is_some() {
+            // Deletion only shrinks the fixpoint: every head it derives is
+            // a pre-state tuple, recorded by id.
+            if let Some(id) = ctx.idb[head].lookup(&self.buf.head_buf) {
+                self.buf.derived[head].push(id.0);
+                if let Some(set) = self.buf.derived_set.get_mut(head) {
+                    set.insert(id.0);
+                }
+            }
+            return Ok(());
+        }
         let arity = self.buf.head_buf.len();
         if arity > 0 && self.emits_batched() {
             self.buf.emit_buf.extend_from_slice(&self.buf.head_buf);
@@ -2060,7 +2195,7 @@ impl<'a, 'b> RuleJoin<'a, 'b> {
             }
             return Ok(());
         }
-        self.intern_head(rule.head.0);
+        self.intern_head(head);
         Ok(())
     }
 
@@ -2136,6 +2271,7 @@ mod tests {
     use crate::parser::parse_program;
     use kv_structures::generators::{directed_cycle, directed_path, random_digraph};
     use kv_structures::Vocabulary;
+    use kv_structures::{Budget, LimitExceeded};
     use std::sync::Arc;
 
     fn graph_vocab() -> Arc<Vocabulary> {
@@ -2349,26 +2485,26 @@ mod tests {
         let p = tc();
         let s = directed_cycle(8); // fixpoint has 64 tuples
         let ev = Evaluator::new(&p);
-        let limited = EvalOptions {
-            limits: Limits {
-                max_tuples: Some(10),
-                max_stages: None,
-            },
-            ..EvalOptions::default()
-        };
-        match ev.try_run(&s, limited) {
-            Err(LimitExceeded::Tuples { limit: 10, reached }) => assert!(reached > 10),
+        let limited = Governor::with_budget(Budget {
+            max_tuples: Some(10),
+            ..Budget::UNLIMITED
+        });
+        match ev.try_run_governed(&s, EvalOptions::default(), &limited) {
+            Err(EvalInterrupted {
+                reason: Interrupted::Limit(LimitExceeded::Tuples { limit: 10, reached }),
+                ..
+            }) => assert!(reached > 10),
             other => panic!("expected tuple limit error, got {other:?}"),
         }
         // A generous budget succeeds.
-        let generous = EvalOptions {
-            limits: Limits {
-                max_tuples: Some(1000),
-                max_stages: Some(100),
-            },
-            ..EvalOptions::default()
-        };
-        let r = ev.try_run(&s, generous).unwrap();
+        let generous = Governor::with_budget(Budget {
+            max_tuples: Some(1000),
+            max_stages: Some(100),
+            ..Budget::UNLIMITED
+        });
+        let r = ev
+            .try_run_governed(&s, EvalOptions::default(), &generous)
+            .unwrap();
         assert!(r.converged);
         assert_eq!(r.idb[0].len(), 64);
     }
@@ -2377,15 +2513,15 @@ mod tests {
     fn stage_limit_is_a_graceful_error() {
         let p = tc();
         let s = directed_path(10);
-        let opts = EvalOptions {
-            limits: Limits {
-                max_tuples: None,
-                max_stages: Some(3),
-            },
-            ..EvalOptions::default()
-        };
-        match Evaluator::new(&p).try_run(&s, opts) {
-            Err(LimitExceeded::Stages { limit: 3 }) => {}
+        let gov = Governor::with_budget(Budget {
+            max_stages: Some(3),
+            ..Budget::UNLIMITED
+        });
+        match Evaluator::new(&p).try_run_governed(&s, EvalOptions::default(), &gov) {
+            Err(EvalInterrupted {
+                reason: Interrupted::Limit(LimitExceeded::Stages { limit: 3 }),
+                ..
+            }) => {}
             other => panic!("expected stage limit error, got {other:?}"),
         }
     }

@@ -11,22 +11,29 @@
 //!
 //! # Batch anatomy
 //!
-//! Each [`apply_batch`](IncrementalEngine::apply_batch) runs two phases:
+//! Each [`apply_batch`](IncrementalEngine::apply_batch) runs two phases,
+//! both on the shared join kernels of [`crate::eval`]:
 //!
 //! 1. **Deletion** (read-only plan, all-or-nothing commit). Retractions
-//!    that drop an EDB tuple's assertion count to zero delete it; lost
-//!    IDB derivations are then found by a single-shot occurrence
-//!    partition per rule — the pinned occurrence ranges over the deleted
-//!    tuples, earlier occurrences over survivors, later occurrences over
-//!    the pre-state — so each lost derivation is enumerated exactly once.
-//!    Non-recursive predicates subtract the lost count from their
-//!    per-tuple support (maintained exactly by the insertion pass) and die
-//!    at zero; predicates in recursive SCCs fall back to DRed:
-//!    over-delete the affected closure, then re-derive survivors from
-//!    untouched facts until stable. The commit kills the dead tuples and
-//!    **compacts** every store that holds one — after compaction no dead
-//!    tuple exists, so the insertion pass (and every range-based join
-//!    kernel) sees contiguous live id ranges, unchanged.
+//!    that drop an EDB tuple's assertion count to zero delete it. Lost IDB
+//!    derivations are then found by rule variants that pin one body atom
+//!    each (`DeltaPin::Any`), read through the *deletion windows*
+//!    (`DeletionWindows`): `Delta` is a small seed store of the pinned
+//!    predicate's deleted (or newly overdeleted, or newly rederived)
+//!    tuples, `Old` is the survivors — the pre-state with a deleted-id
+//!    bitmap that the kernels check per candidate — and `Full` is the
+//!    pre-state. Earlier atoms old, later atoms full: each lost derivation
+//!    is enumerated exactly once. Non-recursive predicates subtract the
+//!    lost count from their per-tuple support (maintained exactly by the
+//!    insertion pass) and die at zero. Predicates in recursive SCCs use
+//!    DRed: overdelete round by round from the deletions (semi-naive
+//!    passes with the last round's overdeletions as the seed), check each
+//!    overdeleted tuple for one derivation from survivors (a seed atom on
+//!    the head, cut at the first derivation), and propagate rederivations
+//!    until stable. The commit kills the dead tuples and **compacts**
+//!    every store that holds one — after compaction no dead tuple exists,
+//!    so the insertion pass (and every range-based join kernel) sees
+//!    contiguous live id ranges, unchanged.
 //! 2. **Insertion** (stage-by-stage commit, like a from-scratch run).
 //!    Fresh EDB tuples append above the batch's delta mark. Stage one
 //!    runs the *EDB-delta* rule variants — the `d`-th EDB occurrence
@@ -36,6 +43,11 @@
 //!    derivation is recorded (no committed-store shortcut, no head-check
 //!    early exit), so per-tuple support counts stay exact for the
 //!    counting deletion path.
+//!
+//! Both phases read one set of position indexes that the engine keeps
+//! across batches: stages extend them as stores grow, compaction patches
+//! them in place (dead ids leave their postings, moved ids are
+//! renumbered), and a position is built the first time a plan probes it.
 //!
 //! On the *initial* batch this degenerates to exactly the from-scratch
 //! stage sequence — stage one of the batch enumerates precisely the
@@ -52,18 +64,20 @@
 //! continues to a result — counters included — identical to an
 //! uninterrupted run.
 
-use crate::ast::{IdbId, Pred, Term, VarId};
+use crate::ast::{IdbId, Literal, Pred, Rule};
 use crate::eval::{
-    build_indexes, compile_rule_pinned, extend_indexes, index_plan, CompiledProgram, CompiledRule,
-    DeltaPin, EvalOptions, IdbAccess, StageEnv,
+    compile_rule_pinned, evaluate_rule, index_plan, sync_indexes, CompiledProgram, CompiledRule,
+    DeletionPass, DeletionWindows, DeltaPin, DenseSet, EvalOptions, JoinCtx, JoinKernel, StageEnv,
+    WorkerBuf,
 };
 use crate::planner::plan_rules_with_stats;
 use crate::program::Program;
 use crate::sharded::{self, IdbStores, Shards};
 use kv_structures::govern::{Governor, Interrupted};
-use kv_structures::store::{CardStats, EvalStats, TupleId, TupleStore};
-use kv_structures::{Element, InsertOutcome, MutableStore, PlannerMode, RelId, Structure};
-use std::cell::OnceCell;
+use kv_structures::store::{CardStats, EvalStats, PosIndex, TupleId, TupleStore};
+use kv_structures::{
+    Element, InsertOutcome, JoinLowering, MutableStore, PlannerMode, RelId, Structure,
+};
 use std::collections::{HashMap, HashSet};
 use std::fmt;
 use std::sync::Arc;
@@ -206,8 +220,14 @@ pub struct IncrementalEngine {
     edb_variants: Vec<CompiledRule>,
     /// Rules with no body atoms; they fire once, on the first batch.
     fact_rules: Vec<CompiledRule>,
-    /// Naive-rule indices grouped by head predicate (deletion joins).
-    rules_by_head: Vec<Vec<usize>>,
+    /// The deletion plan's rule variants.
+    deletion_variants: DeletionVariants,
+    /// Position indexes over each EDB and IDB store, shared by both
+    /// phases and kept across batches: extended when stores grow,
+    /// patched by compaction, and a position is built the first time a
+    /// plan probes it.
+    edb_idx: Vec<Vec<PosIndex>>,
+    idb_idx: Vec<Vec<PosIndex>>,
     epoch: u64,
     pending: Option<PendingBatch>,
     total_stats: EvalStats,
@@ -237,12 +257,10 @@ impl IncrementalEngine {
         let magic = vec![false; program.idb_count()];
         let mut edb_variants = Vec::new();
         for rule in program.rules() {
-            let edb_atoms = rule
-                .atoms()
-                .filter(|(p, _)| matches!(p, Pred::Edb(_)))
-                .count();
-            for e in 0..edb_atoms {
-                edb_variants.push(compile_rule_pinned(rule, DeltaPin::Edb(e), &magic));
+            for (o, (pred, _)) in rule.atoms().enumerate() {
+                if matches!(pred, Pred::Edb(_)) {
+                    edb_variants.push(compile_rule_pinned(rule, DeltaPin::Any(o), &magic));
+                }
             }
         }
         let fact_rules: Vec<CompiledRule> = compiled
@@ -251,10 +269,6 @@ impl IncrementalEngine {
             .filter(|r| r.atoms.is_empty())
             .cloned()
             .collect();
-        let mut rules_by_head = vec![Vec::new(); program.idb_count()];
-        for (ri, rule) in compiled.naive_rules.iter().enumerate() {
-            rules_by_head[rule.head.0].push(ri);
-        }
         let edb: Vec<MutableStore> = vocab
             .relations()
             .map(|r| MutableStore::new(vocab.arity(r)))
@@ -272,7 +286,9 @@ impl IncrementalEngine {
             idb,
             edb_variants,
             fact_rules,
-            rules_by_head,
+            deletion_variants: DeletionVariants::compile(program),
+            edb_idx: vec![Vec::new(); vocab.relations().count()],
+            idb_idx: vec![Vec::new(); program.idb_count()],
             epoch: 0,
             pending: None,
             total_stats: EvalStats::default(),
@@ -664,7 +680,11 @@ impl IncrementalEngine {
         retracts: &[Fact],
     ) -> InsertionState {
         let edb_retracted: u64 = plan.edb_dying.iter().map(|d| d.len() as u64).sum();
-        let deleted_tuples: u64 = plan.idb_deleted.iter().map(|d| d.len() as u64).sum();
+        let deleted_tuples: u64 = plan
+            .idb_deleted
+            .iter()
+            .map(|d| d.iter_sorted().count() as u64)
+            .sum();
         for (r, dying) in plan.edb_dying.iter().enumerate() {
             for &id in dying {
                 self.edb[r].kill(TupleId(id));
@@ -690,13 +710,16 @@ impl IncrementalEngine {
                 }
             }
         }
-        for m in self.edb.iter_mut().chain(self.idb.iter_mut()) {
+        let edb = self.edb.iter_mut().zip(&mut self.edb_idx);
+        let idb = self.idb.iter_mut().zip(&mut self.idb_idx);
+        for (m, indexes) in edb.chain(idb) {
             if m.live_len() < m.len() {
                 // Drop the dead tuples in place: the insertion pass (and
                 // every range-windowed join) then sees only live,
-                // contiguous ids, and the commit costs O(deleted) instead
-                // of a full O(live) store rebuild.
-                m.compact_in_place();
+                // contiguous ids, the commit costs O(deleted) instead of a
+                // full O(live) store rebuild, and the indexes are patched
+                // rather than rebuilt.
+                m.compact_in_place(indexes);
             }
         }
         let edb_delta_lo: Vec<u32> = self.edb.iter().map(|m| m.len() as u32).collect();
@@ -759,91 +782,55 @@ impl IncrementalEngine {
         gov: &Governor,
         st: &mut InsertionState,
     ) -> Result<(), Interrupted> {
-        let Self {
-            ref template,
-            ref edb,
-            ref mut idb,
-            ref compiled,
-            ref edb_variants,
-            ref fact_rules,
-            options,
-            epoch,
-            ..
-        } = *self;
-        let idb_count = compiled.idb_arities.len();
-        let edb_count = edb.len();
-        let universe = template.universe_size();
-        let textual = matches!(options.planner, PlannerMode::Textual);
-        // Retraction-only batches arrive here with every delta window
-        // empty, and every rule variant pins at least one delta atom —
-        // nothing can fire, now or at any later stage. Skip the planning
-        // and index builds (both O(world)); the stage loop below then runs
-        // its single zero-derivation stage and exits with identical
-        // counters and governor charges.
-        let any_delta = epoch == 0
-            || edb
-                .iter()
-                .zip(&st.edb_delta_lo)
-                .any(|(m, &lo)| (m.len() as u32) > lo)
-            || idb
-                .iter()
-                .zip(&st.delta_lo)
-                .any(|(m, &lo)| (m.len() as u32) > lo);
-        // The plan is a pure function of the committed post-deletion EDB
-        // (frozen for the whole pass), so interrupted batches re-derive it
-        // identically on resume.
-        let (mut edb_rules, mut semi_rules) = if !any_delta {
-            (Vec::new(), Vec::new())
-        } else if textual {
-            (edb_variants.clone(), compiled.semi_variants.clone())
-        } else {
-            let stats: Vec<CardStats> = edb.iter().map(|m| m.store().card_stats()).collect();
-            (
-                plan_rules_with_stats(edb_variants, &stats, universe, options.lowering),
-                plan_rules_with_stats(&compiled.semi_variants, &stats, universe, options.lowering),
-            )
-        };
+        let (mut edb_rules, mut semi_rules) = self.insertion_variants(st);
         // Counting mode must visit every derivation: the head-check early
         // exit (which skips re-derivations of existing tuples) is off.
         for rule in edb_rules.iter_mut().chain(semi_rules.iter_mut()) {
             rule.head_check_at = None;
         }
-        let (edb_positions, idb_positions) =
-            index_plan(edb_rules.iter().chain(&semi_rules), edb_count, idb_count);
+        self.sync_indexes(edb_rules.iter().chain(&semi_rules));
+        let Self {
+            ref template,
+            ref edb,
+            ref mut idb,
+            ref compiled,
+            ref fact_rules,
+            ref edb_idx,
+            ref mut idb_idx,
+            options,
+            epoch,
+            ..
+        } = *self;
+        let universe = template.universe_size();
+        let textual = matches!(options.planner, PlannerMode::Textual);
         let edb_stores: Vec<&TupleStore> = edb.iter().map(|m| m.store()).collect();
-        let edb_idx = build_indexes(edb_stores.iter().copied(), &edb_positions);
-        let mut idb_idx = build_indexes(idb.iter().map(|m| m.store()), &idb_positions);
         loop {
             gov.check().and_then(|()| gov.charge_stage())?;
             let prev_len: Vec<u32> = idb.iter().map(|m| m.len() as u32).collect();
-            let live_rules: Vec<&CompiledRule> = if st.stage == 0 {
-                let mut live: Vec<&CompiledRule> = edb_rules
-                    .iter()
-                    .filter(|r| live_rule(r, edb, &st.edb_delta_lo, &prev_len, &st.delta_lo))
-                    .collect();
-                if epoch == 0 {
-                    live.extend(fact_rules.iter());
-                }
-                live
-            } else {
-                semi_rules
-                    .iter()
-                    .filter(|r| live_rule(r, edb, &st.edb_delta_lo, &prev_len, &st.delta_lo))
-                    .collect()
-            };
             let env = StageEnv {
                 structure: template,
                 universe,
                 edb: &edb_stores,
-                edb_idx: &edb_idx,
-                idb_idx: &idb_idx,
+                edb_idx,
+                idb_idx,
                 blooms: None,
                 prev_len: &prev_len,
                 delta_lo: &st.delta_lo,
                 edb_delta_lo: Some(&st.edb_delta_lo),
                 batched: !textual,
+                deletion: None,
                 gov,
             };
+            let rules = if st.stage == 0 {
+                &edb_rules
+            } else {
+                &semi_rules
+            };
+            let mut live_rules: Vec<&CompiledRule> =
+                rules.iter().filter(|r| env.can_fire(r)).collect();
+            if st.stage == 0 && epoch == 0 {
+                live_rules.extend(fact_rules.iter());
+            }
             let new_count = sharded::run_stage(
                 &env,
                 &live_rules,
@@ -865,7 +852,7 @@ impl IncrementalEngine {
             st.stats.tuples_interned += new_total;
             st.stage_new.push(new_count);
             st.delta_lo.copy_from_slice(&prev_len);
-            extend_indexes(&mut idb_idx, idb.iter().map(|m| m.store()));
+            sync_indexes(idb_idx, idb.iter().map(|m| m.store()), &[]);
             // Budgets charge after the stage commits, so the pending
             // state includes it and resume continues from the next stage.
             gov.charge_tuples(new_total)
@@ -874,560 +861,364 @@ impl IncrementalEngine {
     }
 }
 
-/// Liveness filter for one atom during deletion joins.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum DelFilter {
-    /// The pre-state: everything live before the batch (deleted included).
-    Pre,
-    /// The post-state: pre-state tuples not marked deleted.
-    Survivor,
-}
-
-/// A counting-sort position index over one pre-state store: `probe(e)` is
-/// the slice of tuple ids carrying `e` at the indexed position, in
-/// increasing id order. Elements are universe indices, so two linear
-/// passes build it with no hashing — several times cheaper than a
-/// [`PosIndex`](kv_structures::store::PosIndex) build, which matters
-/// because deletion plans index lazily per batch and throw the result
-/// away.
-struct DenseIdx {
-    /// Bucket `e` is `ids[offsets[e] as usize..offsets[e + 1] as usize]`.
-    offsets: Vec<u32>,
-    ids: Vec<u32>,
-}
-
-impl DenseIdx {
-    fn build(store: &TupleStore, pos: usize, universe: usize) -> Self {
-        let n = store.len();
-        let mut offsets = vec![0u32; universe + 2];
-        for id in 0..n as u32 {
-            offsets[store.get(TupleId(id))[pos] as usize + 2] += 1;
+impl IncrementalEngine {
+    /// The insertion pass's `(EDB-delta, IDB-delta)` variants for this
+    /// batch: textual as compiled, cost-based against the committed
+    /// post-deletion EDB. The plan is a pure function of that frozen
+    /// state, so interrupted batches re-derive it identically on resume.
+    ///
+    /// Retraction-only batches arrive with every delta window empty, and
+    /// every variant pins a delta atom, so nothing can fire now or at any
+    /// later stage: they get no variants, and the stage loop runs its
+    /// single zero-derivation stage with identical counters and governor
+    /// charges.
+    fn insertion_variants(&self, st: &InsertionState) -> (Vec<CompiledRule>, Vec<CompiledRule>) {
+        let grew = |stores: &[MutableStore], lo: &[u32]| {
+            stores.iter().zip(lo).any(|(m, &lo)| m.len() as u32 > lo)
+        };
+        let any_delta =
+            self.epoch == 0 || grew(&self.edb, &st.edb_delta_lo) || grew(&self.idb, &st.delta_lo);
+        if !any_delta {
+            return (Vec::new(), Vec::new());
         }
-        for e in 2..offsets.len() {
-            offsets[e] += offsets[e - 1];
-        }
-        let mut ids = vec![0u32; n];
-        for id in 0..n as u32 {
-            let cursor = &mut offsets[store.get(TupleId(id))[pos] as usize + 1];
-            ids[*cursor as usize] = id;
-            *cursor += 1;
-        }
-        offsets.pop();
-        DenseIdx { offsets, ids }
+        let (planner, lowering) = (self.options.planner, self.options.lowering);
+        (
+            self.planned(&self.edb_variants, planner, lowering),
+            self.planned(&self.compiled.semi_variants, planner, lowering),
+        )
     }
 
-    fn probe(&self, e: Element) -> &[u32] {
-        match self.offsets.get(e as usize..e as usize + 2) {
-            Some(&[lo, hi]) => &self.ids[lo as usize..hi as usize],
-            _ => &[],
+    /// The deletion plan's variants for this batch, cost-planned against
+    /// the live EDB in every mode: no from-scratch counter depends on
+    /// them, and written atom order has no Check kernels for the
+    /// rederivation check's bound atoms. Seeds are small and scanned, so
+    /// every delta atom gets the scan kernel. Counting needs every
+    /// derivation, so only the checks keep the head early exit — it skips
+    /// tuples an earlier rule already rederived — and they stay binary,
+    /// where the [`DeletionPass::Check`] cut stops each seed at its first
+    /// derivation.
+    fn plan_deletion_variants(&self) -> DeletionVariants {
+        let compiled = &self.deletion_variants;
+        let cost = PlannerMode::CostBased;
+        let mut lost = self.planned(&compiled.lost, cost, self.options.lowering);
+        let mut check = self.planned(&compiled.check, cost, JoinLowering::Binary);
+        for rule in &mut lost {
+            rule.head_check_at = None;
+            rule.atoms[0].kernel = JoinKernel::Scan;
+        }
+        for rule in &mut check {
+            rule.head_check_at = (rule.atoms.len() > 1).then_some(1);
+            rule.atoms[0].kernel = JoinKernel::Scan;
+        }
+        DeletionVariants { lost, check }
+    }
+
+    /// `rules` as compiled (textual mode) or cost-planned against the
+    /// live EDB's statistics with `lowering`. A pure function of the
+    /// committed state, so an interrupted batch re-derives it on resume.
+    fn planned(
+        &self,
+        rules: &[CompiledRule],
+        planner: PlannerMode,
+        lowering: JoinLowering,
+    ) -> Vec<CompiledRule> {
+        match planner {
+            PlannerMode::Textual => rules.to_vec(),
+            PlannerMode::CostBased => {
+                let stats: Vec<CardStats> =
+                    self.edb.iter().map(|m| m.store().card_stats()).collect();
+                plan_rules_with_stats(rules, &stats, self.template.universe_size(), lowering)
+            }
         }
     }
 }
 
-/// Immutable world the deletion joins read: the pre-state stores plus
-/// position indexes built lazily on first probe. The deletion plan is
-/// single-threaded, and most positions are never probed — the fully-bound
-/// fast path in [`del_join`] answers bound atoms with hash lookups — so
-/// eager all-position builds would cost O(world) per batch for nothing.
-struct DelWorld<'a> {
+/// The deletion plan's rule variants, read through [`DeletionWindows`]:
+/// compiled once per engine and planned per batch like the insertion
+/// variants. Each variant's delta atom leads its body, so
+/// `atoms[0].pred` is the predicate whose seed it reads.
+#[derive(Debug)]
+struct DeletionVariants {
+    /// Per rule and body atom `o`, the variant pinned by
+    /// [`DeltaPin::Any`]`(o)`. Seeded with deleted tuples
+    /// ([`DeletionPass::Lost`]) it enumerates each lost derivation exactly
+    /// once across `o`; seeded with rederived tuples
+    /// ([`DeletionPass::Regained`]) it finds derivations of the
+    /// post-deletion state.
+    lost: Vec<CompiledRule>,
+    /// Per rule, DRed's rederivation check ([`DeletionPass::Check`]): a
+    /// seed atom over the head binds it to an overdeleted tuple.
+    check: Vec<CompiledRule>,
+}
+
+impl DeletionVariants {
+    fn compile(program: &Program) -> Self {
+        let magic = vec![false; program.idb_count()];
+        let mut variants = DeletionVariants {
+            lost: Vec::new(),
+            check: Vec::new(),
+        };
+        for rule in program.rules() {
+            for o in 0..rule.atoms().count() {
+                variants
+                    .lost
+                    .push(compile_rule_pinned(rule, DeltaPin::Any(o), &magic));
+            }
+            let mut body = vec![Literal::Atom(Pred::Idb(rule.head), rule.head_args.clone())];
+            body.extend(rule.body.iter().cloned());
+            let seeded = Rule {
+                body,
+                ..rule.clone()
+            };
+            variants
+                .check
+                .push(compile_rule_pinned(&seeded, DeltaPin::Any(0), &magic));
+        }
+        variants
+    }
+
+    fn all(&self) -> impl Iterator<Item = &CompiledRule> {
+        self.lost.iter().chain(&self.check)
+    }
+}
+
+/// The deletion plan's working state: the pre-state stores and the
+/// engine's persistent indexes, this batch's planned variants, the
+/// deleted sets (final for every SCC already processed), and counters.
+struct Deleter<'a> {
     template: &'a Structure,
-    universe: usize,
-    edb: &'a [MutableStore],
-    idb: &'a [MutableStore],
-    edb_idx: Vec<Vec<OnceCell<DenseIdx>>>,
-    idb_idx: Vec<Vec<OnceCell<DenseIdx>>>,
-}
-
-impl<'a> DelWorld<'a> {
-    fn new(template: &'a Structure, edb: &'a [MutableStore], idb: &'a [MutableStore]) -> Self {
-        let cells = |store: &TupleStore| -> Vec<OnceCell<DenseIdx>> {
-            (0..store.arity()).map(|_| OnceCell::new()).collect()
-        };
-        DelWorld {
-            template,
-            universe: template.universe_size(),
-            edb,
-            idb,
-            edb_idx: edb.iter().map(|m| cells(m.store())).collect(),
-            idb_idx: idb.iter().map(|m| cells(m.store())).collect(),
-        }
-    }
-
-    fn store(&self, pred: Pred) -> &TupleStore {
-        match pred {
-            Pred::Edb(r) => self.edb[r.0].store(),
-            Pred::Idb(i) => self.idb[i.0].store(),
-        }
-    }
-
-    fn index(&self, pred: Pred, pos: usize) -> &DenseIdx {
-        let (cell, store) = match pred {
-            Pred::Edb(r) => (&self.edb_idx[r.0][pos], self.edb[r.0].store()),
-            Pred::Idb(i) => (&self.idb_idx[i.0][pos], self.idb[i.0].store()),
-        };
-        cell.get_or_init(|| DenseIdx::build(store, pos, self.universe))
-    }
-}
-
-/// A set of tuple ids over one pre-state store, as a dense bitmap. The
-/// deletion joins test membership once per fetched candidate, so this is
-/// the hottest structure in the whole deletion plan — a word-indexed bit
-/// test beats hashing by an order of magnitude and ids are bounded by the
-/// (compacted, contiguous) store length.
-#[derive(Clone)]
-struct DenseSet {
-    words: Vec<u64>,
-    len: usize,
-}
-
-impl DenseSet {
-    fn for_ids(n: usize) -> Self {
-        DenseSet {
-            words: vec![0; n.div_ceil(64)],
-            len: 0,
-        }
-    }
-
-    fn contains(&self, id: u32) -> bool {
-        let (w, b) = (id as usize / 64, id % 64);
-        self.words.get(w).is_some_and(|word| word >> b & 1 == 1)
-    }
-
-    fn insert(&mut self, id: u32) -> bool {
-        let (w, b) = (id as usize / 64, id % 64);
-        let fresh = self.words[w] >> b & 1 == 0;
-        self.words[w] |= 1 << b;
-        self.len += fresh as usize;
-        fresh
-    }
-
-    fn remove(&mut self, id: u32) -> bool {
-        let (w, b) = (id as usize / 64, id % 64);
-        let was = self.words[w] >> b & 1 == 1;
-        self.words[w] &= !(1 << b);
-        self.len -= was as usize;
-        was
-    }
-
-    fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    fn len(&self) -> usize {
-        self.len
-    }
-
-    /// All members in increasing id order.
-    fn iter_sorted(&self) -> impl Iterator<Item = u32> + '_ {
-        self.words.iter().enumerate().flat_map(|(w, &word)| {
-            (0..64)
-                .filter(move |b| word >> b & 1 == 1)
-                .map(move |b| (w * 64 + b) as u32)
-        })
-    }
-}
-
-/// The mutating deleted-tuple sets the plan accumulates. Strata are
-/// processed in topological order, so by the time a predicate's rules are
-/// joined every upstream set is final.
-struct DelSets {
-    edb_dying: Vec<DenseSet>,
-    idb_deleted: Vec<DenseSet>,
-}
-
-impl DelSets {
-    fn deleted(&self, pred: Pred, id: u32) -> bool {
-        match pred {
-            Pred::Edb(r) => self.edb_dying[r.0].contains(id),
-            Pred::Idb(i) => self.idb_deleted[i.0].contains(id),
-        }
-    }
-
-    /// The pinned-occurrence candidate list for `pred`, sorted, or `None`
-    /// when nothing of that predicate is deleted.
-    fn deleted_sorted(&self, pred: Pred) -> Option<Vec<u32>> {
-        let set = match pred {
-            Pred::Edb(r) => &self.edb_dying[r.0],
-            Pred::Idb(i) => &self.idb_deleted[i.0],
-        };
-        if set.is_empty() {
-            return None;
-        }
-        Some(set.iter_sorted().collect())
-    }
-}
-
-/// Governor accounting for the deletion pass: worker-local step batching,
-/// one probe counted per candidate-source fetch.
-struct DelMeter<'a> {
+    edb: Vec<&'a TupleStore>,
+    idb_stores: &'a [MutableStore],
+    idb: Vec<&'a TupleStore>,
+    edb_idx: &'a [Vec<PosIndex>],
+    idb_idx: &'a [Vec<PosIndex>],
+    /// Every IDB store's length: `Old` and `Full` span whole stores.
+    lens: Vec<u32>,
+    variants: &'a DeletionVariants,
     gov: &'a Governor,
-    pending: u64,
-    probes: u64,
+    edb_dead: Vec<DenseSet>,
+    idb_dead: Vec<DenseSet>,
+    stats: EvalStats,
 }
 
-impl<'a> DelMeter<'a> {
-    fn charge(&mut self) -> Result<(), Interrupted> {
-        self.pending += 1;
-        if self.pending >= 64 {
-            let n = self.pending;
-            self.pending = 0;
-            self.gov.step(n)?;
-        }
-        Ok(())
-    }
-
-    fn flush(&mut self) -> Result<(), Interrupted> {
-        if self.pending > 0 {
-            let n = self.pending;
-            self.pending = 0;
-            self.gov.step(n)?;
-        }
-        Ok(())
-    }
-}
-
-fn pre_live(world: &DelWorld<'_>, pred: Pred, id: u32) -> bool {
-    match pred {
-        // The deletion plan runs before any mutation, so "live now" is
-        // the pre-state; EDB tuples marked dying are still live here.
-        Pred::Edb(r) => world.edb[r.0].is_live(TupleId(id)),
-        Pred::Idb(_) => true,
-    }
-}
-
-fn filter_ok(world: &DelWorld<'_>, sets: &DelSets, pred: Pred, id: u32, f: DelFilter) -> bool {
-    match f {
-        DelFilter::Pre => pre_live(world, pred, id),
-        DelFilter::Survivor => pre_live(world, pred, id) && !sets.deleted(pred, id),
-    }
-}
-
-fn resolve(world: &DelWorld<'_>, binding: &[Option<Element>], t: &Term) -> Option<Element> {
-    match t {
-        Term::Var(v) => binding[v.0],
-        Term::Const(c) => Some(world.template.constant(*c)),
-    }
-}
-
-fn const_eqs_ok(world: &DelWorld<'_>, rule: &CompiledRule) -> bool {
-    rule.const_eqs.iter().all(|(a, b)| {
-        let val = |t: &Term| match t {
-            Term::Var(_) => None,
-            Term::Const(c) => Some(world.template.constant(*c)),
-        };
-        val(a) == val(b)
-    })
-}
-
-/// Recursive deletion join: binds atoms in `order` (the pinned deleted
-/// occurrence first, seeded by `seed`), then enumerates unbound free
-/// variables, checks all ≠-constraints, and emits each satisfying head.
-/// `emit` returning `true` stops the whole join (existence queries).
-///
-/// Candidate selection is dynamic — the first resolvable argument position
-/// probes its all-position index, otherwise the atom scans — because
-/// deleted sets are not id ranges and the static kernels don't apply.
-#[allow(clippy::too_many_arguments)]
-fn del_join(
-    world: &DelWorld<'_>,
-    sets: &DelSets,
-    m: &mut DelMeter<'_>,
-    rule: &CompiledRule,
-    order: &[usize],
-    filters: &[DelFilter],
-    seed: Option<&[u32]>,
-    binding: &mut Vec<Option<Element>>,
-    depth: usize,
-    emit: &mut dyn FnMut(&[Element]) -> bool,
-) -> Result<bool, Interrupted> {
-    if depth == order.len() {
-        return del_free(world, m, rule, 0, binding, emit);
-    }
-    let ai = order[depth];
-    let atom = &rule.atoms[ai];
-    let store = world.store(atom.pred);
-    m.probes += 1;
-    let seed_ids = if depth == 0 { seed } else { None };
-    if seed_ids.is_none() {
-        // Fully-bound fast path: every argument resolves, so the atom is
-        // an existence test — one hash lookup instead of a probe+scan.
-        // Dominant in `derivable`, where the head binds all join vars.
-        let mut full: Vec<Element> = Vec::with_capacity(atom.args.len());
-        if atom
-            .args
-            .iter()
-            .all(|t| resolve(world, binding, t).map(|e| full.push(e)).is_some())
-        {
-            m.charge()?;
-            if let Some(id) = store.lookup(&full) {
-                if filter_ok(world, sets, atom.pred, id.0, filters[ai]) {
-                    return del_join(
-                        world,
-                        sets,
-                        m,
-                        rule,
-                        order,
-                        filters,
-                        seed,
-                        binding,
-                        depth + 1,
-                        emit,
-                    );
-                }
+impl Deleter<'_> {
+    /// Seed stores (the `Delta` windows of the variants pinned on each
+    /// predicate) holding the given ids of each predicate. Predicates
+    /// without ids get no seed, so the variants pinned on them are
+    /// skipped.
+    fn seeds(&self, preds: impl Iterator<Item = (Pred, Vec<u32>)>) -> HashMap<Pred, TupleStore> {
+        let mut seeds = HashMap::new();
+        for (pred, ids) in preds {
+            if ids.is_empty() {
+                continue;
             }
-            return Ok(false);
-        }
-    }
-    let probe = if seed_ids.is_none() {
-        atom.args
-            .iter()
-            .enumerate()
-            .find_map(|(p, t)| resolve(world, binding, t).map(|e| (p, e)))
-    } else {
-        None
-    };
-    let scan_buf: Vec<u32>;
-    let ids: &[u32] = match (seed_ids, probe) {
-        (Some(s), _) => s,
-        (None, Some((p, e))) => world.index(atom.pred, p).probe(e),
-        (None, None) => {
-            scan_buf = (0..store.len() as u32).collect();
-            &scan_buf
-        }
-    };
-    let mut newly: Vec<VarId> = Vec::new();
-    for &id in ids {
-        m.charge()?;
-        if !filter_ok(world, sets, atom.pred, id, filters[ai]) {
-            continue;
-        }
-        let tuple = store.get(TupleId(id));
-        let mut ok = true;
-        for (pos, t) in atom.args.iter().enumerate() {
-            match t {
-                Term::Const(c) => {
-                    if world.template.constant(*c) != tuple[pos] {
-                        ok = false;
-                        break;
-                    }
-                }
-                Term::Var(v) => match binding[v.0] {
-                    Some(e) => {
-                        if e != tuple[pos] {
-                            ok = false;
-                            break;
-                        }
-                    }
-                    None => {
-                        binding[v.0] = Some(tuple[pos]);
-                        newly.push(*v);
-                    }
-                },
+            let source = match pred {
+                Pred::Edb(r) => self.edb[r.0],
+                Pred::Idb(i) => self.idb[i.0],
+            };
+            let mut store = TupleStore::with_capacity(source.arity(), ids.len());
+            for id in ids {
+                store.intern(source.get(TupleId(id)));
             }
+            seeds.insert(pred, store);
         }
-        let stop = if ok {
-            del_join(
-                world,
-                sets,
-                m,
-                rule,
-                order,
-                filters,
+        seeds
+    }
+
+    /// Seeds holding the deleted tuples of each of `preds`.
+    fn dead_seeds(&self, preds: impl Iterator<Item = Pred>) -> HashMap<Pred, TupleStore> {
+        let preds: HashSet<Pred> = preds.collect();
+        self.seeds(preds.into_iter().map(|pred| {
+            let dead = match pred {
+                Pred::Edb(r) => &self.edb_dead[r.0],
+                Pred::Idb(i) => &self.idb_dead[i.0],
+            };
+            (pred, dead.iter_sorted().collect())
+        }))
+    }
+
+    /// Evaluates `rules` in one worker, each over the seed of its delta
+    /// atom's predicate; rules whose predicate has no seed are skipped.
+    /// Returns the worker, whose [`WorkerBuf::derived`] lists hold the
+    /// head id of every derivation found.
+    fn run<'r>(
+        &mut self,
+        rules: impl Iterator<Item = &'r CompiledRule>,
+        seeds: &HashMap<Pred, TupleStore>,
+        pass: DeletionPass,
+    ) -> Result<WorkerBuf, Interrupted> {
+        let arities: Vec<usize> = self.idb.iter().map(|s| s.arity()).collect();
+        let mut buf = WorkerBuf::new(&arities, false);
+        if pass == DeletionPass::Check {
+            buf.derived_set = self
+                .lens
+                .iter()
+                .map(|&n| DenseSet::for_ids(n as usize))
+                .collect();
+        }
+        for rule in rules {
+            let Some(seed) = seeds.get(&rule.atoms[0].pred) else {
+                continue;
+            };
+            let windows = DeletionWindows {
                 seed,
-                binding,
-                depth + 1,
-                emit,
-            )?
-        } else {
-            false
-        };
-        for v in newly.drain(..) {
-            binding[v.0] = None;
-        }
-        if stop {
-            return Ok(true);
-        }
-    }
-    Ok(false)
-}
-
-/// Enumerates still-unbound free variables (head-bound re-derivation
-/// checks arrive with some already fixed), then checks every
-/// ≠-constraint and emits the head tuple.
-fn del_free(
-    world: &DelWorld<'_>,
-    m: &mut DelMeter<'_>,
-    rule: &CompiledRule,
-    fi: usize,
-    binding: &mut Vec<Option<Element>>,
-    emit: &mut dyn FnMut(&[Element]) -> bool,
-) -> Result<bool, Interrupted> {
-    if fi == rule.free_vars.len() {
-        for (a, b) in &rule.neqs {
-            if let (Some(x), Some(y)) = (resolve(world, binding, a), resolve(world, binding, b)) {
-                if x == y {
-                    return Ok(false);
-                }
-            }
-        }
-        let mut head: Vec<Element> = Vec::with_capacity(rule.head_args.len());
-        for t in &rule.head_args {
-            match resolve(world, binding, t) {
-                Some(e) => head.push(e),
-                None => {
-                    debug_assert!(false, "head variables bound after free enumeration");
-                    return Ok(false);
-                }
-            }
-        }
-        return Ok(emit(&head));
-    }
-    let v = rule.free_vars[fi];
-    if binding[v.0].is_some() {
-        return del_free(world, m, rule, fi + 1, binding, emit);
-    }
-    for e in 0..world.universe as Element {
-        m.charge()?;
-        binding[v.0] = Some(e);
-        let stop = del_free(world, m, rule, fi + 1, binding, emit)?;
-        if stop {
-            binding[v.0] = None;
-            return Ok(true);
-        }
-    }
-    binding[v.0] = None;
-    Ok(false)
-}
-
-/// Collects, for one rule and one pinned deleted occurrence `o`, every
-/// lost derivation's head id: occurrence `o` ranges over the deleted
-/// tuples, earlier occurrences over survivors, later ones over the
-/// pre-state — the single-shot partition that enumerates each lost
-/// derivation exactly once across all `o`.
-#[allow(clippy::too_many_arguments)]
-fn lost_heads(
-    world: &DelWorld<'_>,
-    sets: &DelSets,
-    m: &mut DelMeter<'_>,
-    rule: &CompiledRule,
-    o: usize,
-    seed: &[u32],
-    out: &mut Vec<u32>,
-) -> Result<(), Interrupted> {
-    if !const_eqs_ok(world, rule) {
-        return Ok(());
-    }
-    let n = rule.atoms.len();
-    let mut order: Vec<usize> = vec![o];
-    order.extend((0..n).filter(|&j| j != o));
-    let filters: Vec<DelFilter> = (0..n)
-        .map(|j| {
-            if j < o {
-                DelFilter::Survivor
-            } else {
-                DelFilter::Pre
-            }
-        })
-        .collect();
-    let head_store = world.idb[rule.head.0].store();
-    let mut binding = vec![None; rule.var_count];
-    del_join(
-        world,
-        sets,
-        m,
-        rule,
-        &order,
-        &filters,
-        Some(seed),
-        &mut binding,
-        0,
-        &mut |head| {
-            match head_store.lookup(head) {
-                Some(id) => out.push(id.0),
-                // A lost derivation's head was derivable pre-batch, so it
-                // is interned; anything else signals count drift.
-                None => debug_assert!(false, "lost derivation of an unknown head tuple"),
-            }
-            false
-        },
-    )?;
-    Ok(())
-}
-
-/// Whether `tuple` of predicate `head` is derivable from survivors only
-/// (the DRed re-derivation test): head-bound existence join over every
-/// rule for `head`.
-fn derivable(
-    world: &DelWorld<'_>,
-    sets: &DelSets,
-    m: &mut DelMeter<'_>,
-    rules: &[&CompiledRule],
-    tuple: &[Element],
-) -> Result<bool, Interrupted> {
-    'rules: for rule in rules {
-        if !const_eqs_ok(world, rule) {
-            continue;
-        }
-        let mut binding = vec![None; rule.var_count];
-        for (k, t) in rule.head_args.iter().enumerate() {
-            match t {
-                Term::Const(c) => {
-                    if world.template.constant(*c) != tuple[k] {
-                        continue 'rules;
-                    }
-                }
-                Term::Var(v) => match binding[v.0] {
-                    Some(e) => {
-                        if e != tuple[k] {
-                            continue 'rules;
-                        }
-                    }
-                    None => binding[v.0] = Some(tuple[k]),
+                edb_dead: &self.edb_dead,
+                idb_dead: &self.idb_dead,
+                pass,
+            };
+            let ctx = JoinCtx {
+                env: StageEnv {
+                    structure: self.template,
+                    universe: self.template.universe_size(),
+                    edb: &self.edb,
+                    edb_idx: self.edb_idx,
+                    idb_idx: self.idb_idx,
+                    blooms: None,
+                    prev_len: &self.lens,
+                    delta_lo: &self.lens,
+                    edb_delta_lo: None,
+                    // Probe and check memos pay off when consecutive
+                    // seeds bind the same keys; deletion seeds rarely do,
+                    // and the memo upkeep measured slower than probing.
+                    batched: false,
+                    deletion: Some(&windows),
+                    gov: self.gov,
                 },
+                idb: &self.idb,
+                idb_delta: &[],
+                edb_delta: &[],
+            };
+            evaluate_rule(rule, &ctx, &mut buf)?;
+        }
+        if buf.pending_steps > 0 {
+            self.gov.step(buf.pending_steps)?;
+        }
+        self.stats.join_probes += buf.probes;
+        self.stats.magic_probes += buf.magic_probes;
+        self.stats.block_probes += buf.block_probes;
+        self.stats.gallop_steps += buf.gallop_steps;
+        self.stats.wcoj_rules += buf.wcoj_rules;
+        Ok(buf)
+    }
+
+    /// The distinct head ids `buf` derived for predicate `p`, sorted,
+    /// each with its derivation count.
+    fn heads(buf: &mut WorkerBuf, p: usize) -> Vec<(u32, u32)> {
+        let ids = &mut buf.derived[p];
+        ids.sort_unstable();
+        let mut heads: Vec<(u32, u32)> = Vec::new();
+        for &id in ids.iter() {
+            match heads.last_mut() {
+                Some((last, count)) if *last == id => *count += 1,
+                _ => heads.push((id, 1)),
             }
         }
-        let n = rule.atoms.len();
-        let order: Vec<usize> = (0..n).collect();
-        let filters = vec![DelFilter::Survivor; n];
-        let mut found = false;
-        del_join(
-            world,
-            sets,
-            m,
-            rule,
-            &order,
-            &filters,
-            None,
-            &mut binding,
-            0,
-            &mut |_| {
-                found = true;
-                true
-            },
-        )?;
-        if found {
-            return Ok(true);
+        heads
+    }
+
+    /// Exact counting deletion for non-recursive predicate `p`: count
+    /// each tuple's lost derivations over all rules and pinned atoms; a
+    /// tuple dies when they reach its support.
+    fn count(&mut self, p: usize, plan: &mut DeletionPlan) -> Result<(), Interrupted> {
+        let rules: Vec<&CompiledRule> = self
+            .variants
+            .lost
+            .iter()
+            .filter(|r| r.head.0 == p)
+            .collect();
+        let seeds = self.dead_seeds(rules.iter().map(|r| r.atoms[0].pred));
+        let mut buf = self.run(rules.into_iter(), &seeds, DeletionPass::Lost)?;
+        for (id, lost) in Self::heads(&mut buf, p) {
+            if self.idb_stores[p].support(TupleId(id)) <= lost {
+                self.idb_dead[p].insert(id);
+            }
+            plan.support_sub[p].insert(id, lost);
+        }
+        Ok(())
+    }
+
+    /// DRed for the recursive SCC of `members`: overdelete everything with
+    /// a deleted premise, round by round from the external deletions,
+    /// then rederive the overdeleted tuples that keep a derivation from
+    /// survivors and propagate the rederivations until stable.
+    fn dred(&mut self, members: &[usize], plan: &mut DeletionPlan) -> Result<(), Interrupted> {
+        let variants = self.variants;
+        let in_scc: Vec<&CompiledRule> = variants
+            .lost
+            .iter()
+            .filter(|r| members.contains(&r.head.0))
+            .collect();
+        // Round zero is seeded by the external deletions (EDB deaths and
+        // finalized earlier strata; no member has deletions yet), later
+        // rounds by the last round's overdeleted member tuples.
+        let mut seeds = self.dead_seeds(in_scc.iter().map(|r| r.atoms[0].pred));
+        let mut overdeleted: Vec<(Pred, Vec<u32>)> = members
+            .iter()
+            .map(|&p| (Pred::Idb(IdbId(p)), Vec::new()))
+            .collect();
+        loop {
+            let buf = self.run(in_scc.iter().copied(), &seeds, DeletionPass::Lost)?;
+            let mut round = Vec::new();
+            for (slot, &p) in members.iter().enumerate() {
+                let fresh: Vec<u32> = buf.derived[p]
+                    .iter()
+                    .copied()
+                    .filter(|&id| self.idb_dead[p].insert(id))
+                    .collect();
+                plan.overdeleted += fresh.len() as u64;
+                overdeleted[slot].1.extend(&fresh);
+                round.push((Pred::Idb(IdbId(p)), fresh));
+            }
+            if round.iter().all(|(_, ids)| ids.is_empty()) {
+                break;
+            }
+            seeds = self.seeds(round.into_iter());
+        }
+        // Rederive: every overdeleted tuple gets one existence check
+        // against survivors; only the ones that pass seed propagation.
+        let checks = variants
+            .check
+            .iter()
+            .filter(|r| members.contains(&r.head.0));
+        let seeds = self.seeds(overdeleted.into_iter());
+        let mut buf = self.run(checks, &seeds, DeletionPass::Check)?;
+        loop {
+            let mut round = Vec::new();
+            for &p in members {
+                let back: Vec<u32> = buf.derived[p]
+                    .iter()
+                    .copied()
+                    .filter(|&id| self.idb_dead[p].remove(id))
+                    .collect();
+                plan.rederived += back.len() as u64;
+                round.push((Pred::Idb(IdbId(p)), back));
+            }
+            if round.iter().all(|(_, ids)| ids.is_empty()) {
+                return Ok(());
+            }
+            let seeds = self.seeds(round.into_iter());
+            buf = self.run(in_scc.iter().copied(), &seeds, DeletionPass::Regained)?;
         }
     }
-    Ok(false)
 }
 
 impl IncrementalEngine {
     /// Computes the deletion plan against the pre-state without mutating
-    /// anything: EDB deaths from the retract list, then per SCC in
-    /// topological stratum order either exact counting (non-recursive) or
-    /// DRed overdelete/re-derive (recursive).
+    /// any store: EDB deaths from the retract list, then per SCC in
+    /// topological stratum order either exact counting (non-recursive)
+    /// or DRed overdelete/rederive (recursive). Both run this batch's
+    /// planned [`DeletionVariants`] on the shared join kernels, over the
+    /// engine's persistent indexes (missing positions are built here and
+    /// kept).
     fn plan_deletions(
-        &self,
+        &mut self,
         retracts: &[Fact],
         gov: &Governor,
     ) -> Result<DeletionPlan, Interrupted> {
         let idb_count = self.compiled.idb_arities.len();
         let mut plan = DeletionPlan {
             edb_dying: vec![Vec::new(); self.edb.len()],
-            idb_deleted: (0..idb_count)
-                .map(|i| DenseSet::for_ids(self.idb[i].len()))
-                .collect(),
+            idb_deleted: Vec::new(),
             support_sub: vec![HashMap::new(); idb_count],
             overdeleted: 0,
             rederived: 0,
@@ -1443,7 +1234,6 @@ impl IncrementalEngine {
                 }
             }
         }
-        let mut any_dying = false;
         for (r, counts) in pending.into_iter().enumerate() {
             let mut dying: Vec<u32> = counts
                 .into_iter()
@@ -1451,355 +1241,77 @@ impl IncrementalEngine {
                 .map(|(id, _)| id)
                 .collect();
             dying.sort_unstable();
-            any_dying |= !dying.is_empty();
             plan.edb_dying[r] = dying;
         }
-        if !any_dying {
-            // Nothing becomes false: skip index builds and joins entirely
-            // (the common insert-only batch).
+        let idb_none: Vec<DenseSet> = self
+            .idb
+            .iter()
+            .map(|m| DenseSet::for_ids(m.len()))
+            .collect();
+        if plan.edb_dying.iter().all(Vec::is_empty) {
+            // Nothing becomes false (the common insert-only batch).
+            plan.idb_deleted = idb_none;
             return Ok(plan);
         }
         gov.check()?;
-        let world = DelWorld::new(&self.template, &self.edb, &self.idb);
-        let mut sets = DelSets {
-            edb_dying: plan
+        let variants = self.plan_deletion_variants();
+        self.sync_indexes(variants.all());
+        let mut del = Deleter {
+            template: &self.template,
+            edb: self.edb.iter().map(|m| m.store()).collect(),
+            idb_stores: &self.idb,
+            idb: self.idb.iter().map(|m| m.store()).collect(),
+            edb_idx: &self.edb_idx,
+            idb_idx: &self.idb_idx,
+            lens: self.idb.iter().map(|m| m.len() as u32).collect(),
+            variants: &variants,
+            gov,
+            edb_dead: plan
                 .edb_dying
                 .iter()
                 .zip(&self.edb)
-                .map(|(v, m)| {
+                .map(|(ids, m)| {
                     let mut set = DenseSet::for_ids(m.len());
-                    for &id in v {
+                    for &id in ids {
                         set.insert(id);
                     }
                     set
                 })
                 .collect(),
-            idb_deleted: (0..idb_count)
-                .map(|i| DenseSet::for_ids(self.idb[i].len()))
-                .collect(),
-        };
-        let mut meter = DelMeter {
-            gov,
-            pending: 0,
-            probes: 0,
+            idb_dead: idb_none,
+            stats: EvalStats::default(),
         };
         let scc = self.compiled.scc_info();
         for c in 0..scc.count() {
             if scc.is_recursive(c) {
-                self.dred_component(&world, &mut sets, &mut meter, c, &mut plan)?;
+                del.dred(scc.members(c), &mut plan)?;
             } else {
                 for &p in scc.members(c) {
-                    self.count_deletions(&world, &mut sets, &mut meter, p, &mut plan)?;
+                    del.count(p, &mut plan)?;
                 }
             }
         }
-        meter.flush()?;
-        plan.idb_deleted = sets.idb_deleted;
-        plan.stats.join_probes = meter.probes;
+        plan.stats = del.stats;
+        plan.idb_deleted = del.idb_dead;
         Ok(plan)
     }
 
-    /// Exact counting deletion for a non-recursive predicate: accumulate
-    /// lost derivation counts over all rules and pinned occurrences, kill
-    /// tuples whose support reaches zero.
-    fn count_deletions(
-        &self,
-        world: &DelWorld<'_>,
-        sets: &mut DelSets,
-        meter: &mut DelMeter<'_>,
-        p: usize,
-        plan: &mut DeletionPlan,
-    ) -> Result<(), Interrupted> {
-        let mut lost: HashMap<u32, u32> = HashMap::new();
-        let mut heads: Vec<u32> = Vec::new();
-        for &ri in &self.rules_by_head[p] {
-            let rule = &self.compiled.naive_rules[ri];
-            for o in 0..rule.atoms.len() {
-                let Some(seed) = sets.deleted_sorted(rule.atoms[o].pred) else {
-                    continue;
-                };
-                heads.clear();
-                lost_heads(world, sets, meter, rule, o, &seed, &mut heads)?;
-                for &id in &heads {
-                    *lost.entry(id).or_insert(0) += 1;
-                }
-            }
-        }
-        for (&id, &c) in &lost {
-            if self.idb[p].support(TupleId(id)) <= c {
-                sets.idb_deleted[p].insert(id);
-            }
-        }
-        plan.support_sub[p] = lost;
-        Ok(())
+    /// Builds the indexes `rules` probe that the engine lacks (each
+    /// position once, kept across batches) and extends every index over
+    /// its store's appends.
+    fn sync_indexes<'r>(&mut self, rules: impl Iterator<Item = &'r CompiledRule>) {
+        let (edb_positions, idb_positions) = index_plan(rules, self.edb.len(), self.idb.len());
+        sync_indexes(
+            &mut self.edb_idx,
+            self.edb.iter().map(|m| m.store()),
+            &edb_positions,
+        );
+        sync_indexes(
+            &mut self.idb_idx,
+            self.idb.iter().map(|m| m.store()),
+            &idb_positions,
+        );
     }
-
-    /// DRed for one recursive SCC: seed the overdeletion from external
-    /// deletions, propagate through member occurrences to a fixpoint,
-    /// then re-derive overdeleted tuples from survivors until stable.
-    fn dred_component(
-        &self,
-        world: &DelWorld<'_>,
-        sets: &mut DelSets,
-        meter: &mut DelMeter<'_>,
-        c: usize,
-        plan: &mut DeletionPlan,
-    ) -> Result<(), Interrupted> {
-        let scc = self.compiled.scc_info();
-        let members: Vec<usize> = scc.members(c).to_vec();
-        let member_set: HashSet<usize> = members.iter().copied().collect();
-        let mut rules: Vec<usize> = Vec::new();
-        for &p in &members {
-            rules.extend(self.rules_by_head[p].iter().copied());
-        }
-        rules.sort_unstable();
-        let mut heads: Vec<u32> = Vec::new();
-        // Overdelete seed: derivations with at least one externally
-        // deleted premise (EDB deaths or finalized earlier strata).
-        let mut frontier: HashMap<usize, Vec<u32>> = HashMap::new();
-        for &ri in &rules {
-            let rule = &self.compiled.naive_rules[ri];
-            let head = rule.head.0;
-            for (o, atom) in rule.atoms.iter().enumerate() {
-                if matches!(atom.pred, Pred::Idb(i) if member_set.contains(&i.0)) {
-                    continue;
-                }
-                let Some(seed) = sets.deleted_sorted(atom.pred) else {
-                    continue;
-                };
-                heads.clear();
-                lost_dred(world, sets, meter, rule, o, &seed, &mut heads)?;
-                collect_fresh(&mut frontier, &sets.idb_deleted[head], head, &heads);
-            }
-        }
-        let mut overdeleted: Vec<(usize, u32)> = Vec::new();
-        while !frontier.is_empty() {
-            // Commit this round's overdeletions before propagating.
-            let mut round: Vec<(usize, Vec<u32>)> = frontier.drain().collect();
-            round.sort_unstable_by_key(|(p, _)| *p);
-            for (p, ids) in &round {
-                for &id in ids {
-                    sets.idb_deleted[*p].insert(id);
-                    overdeleted.push((*p, id));
-                }
-            }
-            let mut next: HashMap<usize, Vec<u32>> = HashMap::new();
-            for &ri in &rules {
-                let rule = &self.compiled.naive_rules[ri];
-                let head = rule.head.0;
-                for (o, atom) in rule.atoms.iter().enumerate() {
-                    let Pred::Idb(i) = atom.pred else { continue };
-                    let Some((_, seed)) = round.iter().find(|(p, _)| *p == i.0) else {
-                        continue;
-                    };
-                    if seed.is_empty() {
-                        continue;
-                    }
-                    heads.clear();
-                    lost_dred(world, sets, meter, rule, o, seed, &mut heads)?;
-                    collect_fresh(&mut next, &sets.idb_deleted[head], head, &heads);
-                }
-            }
-            frontier = next;
-        }
-        overdeleted.sort_unstable();
-        overdeleted.dedup();
-        plan.overdeleted += overdeleted.len() as u64;
-        // Re-derive: an overdeleted tuple with a surviving derivation
-        // comes back, possibly re-enabling others. One head-bound
-        // existence pass over the overdeleted set seeds a frontier; after
-        // that only delta joins pinned on freshly rederived tuples run, so
-        // tuples no rederivation can reach are never rechecked (the naive
-        // alternative — rescanning every overdeleted tuple per round —
-        // costs rounds × overdeleted and dominates TC-style cascades).
-        let rules_of: Vec<Vec<&CompiledRule>> = (0..self.compiled.idb_arities.len())
-            .map(|p| {
-                self.rules_by_head[p]
-                    .iter()
-                    .map(|&ri| &self.compiled.naive_rules[ri])
-                    .collect()
-            })
-            .collect();
-        let mut frontier: HashMap<usize, Vec<u32>> = HashMap::new();
-        for &(p, id) in &overdeleted {
-            let tuple = world.idb[p].store().get(TupleId(id)).to_vec();
-            // Rederived tuples count as survivors immediately (the
-            // iteration order is fixed, so this stays deterministic and
-            // only accelerates convergence).
-            if derivable(world, sets, meter, &rules_of[p], &tuple)? {
-                sets.idb_deleted[p].remove(id);
-                plan.rederived += 1;
-                frontier.entry(p).or_default().push(id);
-            }
-        }
-        while !frontier.is_empty() {
-            let mut round: Vec<(usize, Vec<u32>)> = frontier.drain().collect();
-            round.sort_unstable_by_key(|(p, _)| *p);
-            for (_, ids) in round.iter_mut() {
-                ids.sort_unstable();
-            }
-            let mut next: HashMap<usize, Vec<u32>> = HashMap::new();
-            for &ri in &rules {
-                let rule = &self.compiled.naive_rules[ri];
-                let head = rule.head.0;
-                for (o, atom) in rule.atoms.iter().enumerate() {
-                    let Pred::Idb(i) = atom.pred else { continue };
-                    let Some((_, seed)) = round.iter().find(|(p, _)| *p == i.0) else {
-                        continue;
-                    };
-                    heads.clear();
-                    rederive_heads(world, sets, meter, rule, o, seed, &mut heads)?;
-                    for &id in &heads {
-                        if sets.idb_deleted[head].remove(id) {
-                            plan.rederived += 1;
-                            next.entry(head).or_default().push(id);
-                        }
-                    }
-                }
-            }
-            frontier = next;
-        }
-        Ok(())
-    }
-}
-
-/// Rederivation propagation join: the pinned occurrence ranges over
-/// freshly rederived tuples, every other occurrence over survivors. Any
-/// head it derives is derivable from the post-deletion state.
-#[allow(clippy::too_many_arguments)]
-fn rederive_heads(
-    world: &DelWorld<'_>,
-    sets: &DelSets,
-    m: &mut DelMeter<'_>,
-    rule: &CompiledRule,
-    o: usize,
-    seed: &[u32],
-    out: &mut Vec<u32>,
-) -> Result<(), Interrupted> {
-    if !const_eqs_ok(world, rule) {
-        return Ok(());
-    }
-    let n = rule.atoms.len();
-    let mut order: Vec<usize> = vec![o];
-    order.extend((0..n).filter(|&j| j != o));
-    let filters = vec![DelFilter::Survivor; n];
-    let head_store = world.idb[rule.head.0].store();
-    let mut binding = vec![None; rule.var_count];
-    del_join(
-        world,
-        sets,
-        m,
-        rule,
-        &order,
-        &filters,
-        Some(seed),
-        &mut binding,
-        0,
-        &mut |head| {
-            // Deletion shrinks the fixpoint, so every tuple derivable from
-            // survivors was derivable pre-batch and is interned; a miss
-            // would only mean the head was never derived — skip it.
-            if let Some(id) = head_store.lookup(head) {
-                out.push(id.0);
-            }
-            false
-        },
-    )?;
-    Ok(())
-}
-
-/// Overdeletion join: like [`lost_heads`] but every non-pinned occurrence
-/// reads the pre-state (the over-approximation DRed wants — duplicates
-/// across pinned occurrences are fine, re-derivation repairs excess).
-#[allow(clippy::too_many_arguments)]
-fn lost_dred(
-    world: &DelWorld<'_>,
-    sets: &DelSets,
-    m: &mut DelMeter<'_>,
-    rule: &CompiledRule,
-    o: usize,
-    seed: &[u32],
-    out: &mut Vec<u32>,
-) -> Result<(), Interrupted> {
-    if !const_eqs_ok(world, rule) {
-        return Ok(());
-    }
-    let n = rule.atoms.len();
-    let mut order: Vec<usize> = vec![o];
-    order.extend((0..n).filter(|&j| j != o));
-    let filters = vec![DelFilter::Pre; n];
-    let head_store = world.idb[rule.head.0].store();
-    let mut binding = vec![None; rule.var_count];
-    del_join(
-        world,
-        sets,
-        m,
-        rule,
-        &order,
-        &filters,
-        Some(seed),
-        &mut binding,
-        0,
-        &mut |head| {
-            if let Some(id) = head_store.lookup(head) {
-                out.push(id.0);
-            }
-            false
-        },
-    )?;
-    Ok(())
-}
-
-/// Adds head ids not already marked deleted to `frontier[head]`, sorted
-/// and deduplicated (deterministic round order).
-fn collect_fresh(
-    frontier: &mut HashMap<usize, Vec<u32>>,
-    deleted: &DenseSet,
-    head: usize,
-    heads: &[u32],
-) {
-    let mut fresh: Vec<u32> = heads
-        .iter()
-        .copied()
-        .filter(|&id| !deleted.contains(id))
-        .collect();
-    if fresh.is_empty() {
-        return;
-    }
-    fresh.sort_unstable();
-    fresh.dedup();
-    let entry = frontier.entry(head).or_default();
-    entry.extend(fresh);
-    entry.sort_unstable();
-    entry.dedup();
-}
-
-/// Whether a rule variant can derive anything this stage: every atom's
-/// window must be non-empty (see the from-scratch loop's sharpened
-/// cost-based filter; sound in counting mode because a filtered variant
-/// derives nothing and therefore contributes no support).
-fn live_rule(
-    rule: &CompiledRule,
-    edb: &[MutableStore],
-    edb_delta_lo: &[u32],
-    prev_len: &[u32],
-    delta_lo: &[u32],
-) -> bool {
-    rule.atoms.iter().all(|atom| match atom.pred {
-        Pred::Edb(r) => {
-            let len = edb[r.0].len() as u32;
-            match atom.access {
-                IdbAccess::Delta => edb_delta_lo[r.0] < len,
-                IdbAccess::Old => edb_delta_lo[r.0] > 0,
-                IdbAccess::Full => len > 0,
-            }
-        }
-        Pred::Idb(i) => match atom.access {
-            IdbAccess::Delta => delta_lo[i.0] < prev_len[i.0],
-            IdbAccess::Old => delta_lo[i.0] > 0,
-            IdbAccess::Full => prev_len[i.0] > 0,
-        },
-    })
 }
 
 #[cfg(test)]

@@ -26,7 +26,7 @@
 //! goal relation) can skip most of that fixpoint: the [`magic`] module
 //! rewrites a program for a binding pattern so that semi-naive evaluation,
 //! seeded with the query's bound values
-//! ([`CompiledProgram::try_run_seeded`]), derives only goal-relevant
+//! ([`CompiledProgram::run_seeded`]), derives only goal-relevant
 //! tuples.
 
 #![warn(missing_docs)]
@@ -60,7 +60,7 @@ pub use incremental::{BatchInterrupted, BatchSummary, Fact, IncrementalEngine};
 pub use kv_structures::RecoveryError;
 pub use kv_structures::{
     Budget, CancelToken, Deadline, EvalStats, Governor, Interrupted, JoinLowering, LimitExceeded,
-    Limits, PlannerMode,
+    PlannerMode,
 };
 pub use magic::{BindingPattern, MagicProgram};
 pub use parser::{parse_program, parse_program_strict, ParseError};

@@ -44,7 +44,7 @@
 //!
 //! At evaluation time the magic goal predicate is *seeded* with the query's
 //! bound values (see [`MagicProgram::seed`] and
-//! [`crate::CompiledProgram::try_run_seeded`]); no other facts are assumed.
+//! [`crate::CompiledProgram::run_seeded`]); no other facts are assumed.
 //! The classical soundness/completeness argument (answers of the rewritten
 //! program restricted to the query's bound values coincide with the answers
 //! of the original program) goes through verbatim for Datalog(≠): `≠` and
@@ -463,9 +463,7 @@ mod tests {
         let magic = MagicProgram::rewrite(program, pattern).unwrap();
         let compiled = magic.compile();
         let seeds = vec![(magic.magic_goal(), magic.seed(query))];
-        let demand = compiled
-            .try_run_seeded(s, EvalOptions::default(), &seeds)
-            .unwrap();
+        let demand = compiled.run_seeded(s, EvalOptions::default(), &seeds);
         let demand_goal = &demand.idb[magic.goal().0];
         let matches =
             |t: &[kv_structures::Element]| pattern.bound_positions().all(|i| t[i] == query[i]);
@@ -526,9 +524,7 @@ mod tests {
         let magic = MagicProgram::rewrite(&tc, &BindingPattern::all_bound(2)).unwrap();
         let compiled = magic.compile();
         let seeds = vec![(magic.magic_goal(), magic.seed(&[17, 19]))];
-        let demand = compiled
-            .try_run_seeded(&s, EvalOptions::default(), &seeds)
-            .unwrap();
+        let demand = compiled.run_seeded(&s, EvalOptions::default(), &seeds);
         let demand_tuples: usize = demand.idb.iter().map(|r| r.len()).sum();
         assert!(demand.idb[magic.goal().0].contains(&[17u32, 19][..]));
         assert!(
@@ -548,13 +544,10 @@ mod tests {
         let magic = MagicProgram::rewrite(&tc, &BindingPattern::all_bound(2)).unwrap();
         let compiled = magic.compile();
         let seeds = vec![(magic.magic_goal(), magic.seed(&[0, 11]))];
-        let seq = compiled
-            .try_run_seeded(&s, EvalOptions::default(), &seeds)
-            .unwrap();
+        let seq = compiled.run_seeded(&s, EvalOptions::default(), &seeds);
         for w in [1, 4] {
-            let sharded = compiled
-                .try_run_seeded(&s, EvalOptions::default().with_shards(Some(w)), &seeds)
-                .unwrap();
+            let sharded =
+                compiled.run_seeded(&s, EvalOptions::default().with_shards(Some(w)), &seeds);
             assert!(sharded.same_stages(&seq), "W={w}");
             if w == 1 {
                 // One worker is the default path: counters are identical.
@@ -577,16 +570,12 @@ mod tests {
             let magic = MagicProgram::rewrite(&tc, &pattern).unwrap();
             let compiled = magic.compile();
             let seeds = vec![(magic.magic_goal(), magic.seed(&[0, 11]))];
-            let textual = compiled
-                .try_run_seeded(&s, EvalOptions::default(), &seeds)
-                .unwrap();
-            let planned = compiled
-                .try_run_seeded(
-                    &s,
-                    EvalOptions::default().with_planner(PlannerMode::CostBased),
-                    &seeds,
-                )
-                .unwrap();
+            let textual = compiled.run_seeded(&s, EvalOptions::default(), &seeds);
+            let planned = compiled.run_seeded(
+                &s,
+                EvalOptions::default().with_planner(PlannerMode::CostBased),
+                &seeds,
+            );
             assert_eq!(textual.idb, planned.idb, "pattern {pattern}");
             assert!(textual.same_stages(&planned), "pattern {pattern}");
             assert!(

@@ -244,7 +244,7 @@ fn run_steps(join: &mut RuleJoin, plan: &GenericPlan) -> Result<(), Interrupted>
                 lists.push(find_index(indexes, pos).probe(e, range));
             }
         }
-        let ids: Vec<u32> = if lists.is_empty() {
+        let mut ids: Vec<u32> = if lists.is_empty() {
             // No position bound yet: every tuple in the accessible range
             // is a candidate (covers nullary atoms naturally).
             (range.start..range.end).collect()
@@ -255,6 +255,11 @@ fn run_steps(join: &mut RuleJoin, plan: &GenericPlan) -> Result<(), Interrupted>
             join.buf.gallop_steps += gsteps;
             out
         };
+        // Survivor atoms of a deletion plan drop deleted candidates once;
+        // every refinement below intersects with this list.
+        if let Some(dead) = join.ctx.dead(atom) {
+            ids.retain(|&id| !dead.contains(id));
+        }
         if ids.is_empty() {
             return Ok(()); // some atom is unsatisfiable: dead branch
         }

@@ -1,8 +1,7 @@
 //! Engine-wide resource governance: budgets, deadlines, and cooperative
 //! cancellation for every long-running kernel in the workspace.
 //!
-//! PR 2 gave the Datalog evaluator tuple/stage [`Limits`]; this module
-//! generalizes that into one governance surface shared by *all* solvers —
+//! One governance surface is shared by *all* solvers —
 //! the semi-naive Datalog engine, the `L^k` fixpoint materializer, the
 //! existential pebble-game arenas, the max-flow homeomorphism solver, and
 //! the Theorem 6.6 reduction builders:
@@ -35,7 +34,6 @@
 //! deterministic fault-injection schedules the test suite uses to verify
 //! this contract across all solvers.
 
-use crate::store::LimitExceeded;
 use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -124,15 +122,72 @@ impl Budget {
     }
 }
 
-impl From<crate::store::Limits> for Budget {
-    fn from(l: crate::store::Limits) -> Self {
-        Budget {
-            max_tuples: l.max_tuples,
-            max_stages: l.max_stages,
-            ..Budget::UNLIMITED
+/// A [`Budget`] counter was exhausted: the payload of
+/// [`Interrupted::Limit`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum LimitExceeded {
+    /// The tuple budget was exceeded.
+    Tuples {
+        /// The configured budget.
+        limit: u64,
+        /// How many tuples had been interned when evaluation stopped.
+        reached: u64,
+    },
+    /// The stage budget was exceeded.
+    Stages {
+        /// The configured budget.
+        limit: u64,
+    },
+    /// The abstract step budget was exceeded.
+    Steps {
+        /// The configured budget.
+        limit: u64,
+    },
+    /// The game-position budget was exceeded.
+    Positions {
+        /// The configured budget.
+        limit: u64,
+        /// How many positions had been generated when the solver stopped.
+        reached: u64,
+    },
+    /// The byte budget was exceeded.
+    Bytes {
+        /// The configured budget.
+        limit: u64,
+        /// How many bytes had been charged when the solver stopped.
+        reached: u64,
+    },
+}
+
+impl fmt::Display for LimitExceeded {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            LimitExceeded::Tuples { limit, reached } => {
+                write!(
+                    f,
+                    "tuple budget exceeded: {reached} interned, limit {limit}"
+                )
+            }
+            LimitExceeded::Stages { limit } => {
+                write!(f, "stage budget exceeded: limit {limit}")
+            }
+            LimitExceeded::Steps { limit } => {
+                write!(f, "step budget exceeded: limit {limit}")
+            }
+            LimitExceeded::Positions { limit, reached } => {
+                write!(
+                    f,
+                    "position budget exceeded: {reached} generated, limit {limit}"
+                )
+            }
+            LimitExceeded::Bytes { limit, reached } => {
+                write!(f, "byte budget exceeded: {reached} charged, limit {limit}")
+            }
         }
     }
 }
+
+impl std::error::Error for LimitExceeded {}
 
 /// An optional monotonic wall-clock deadline.
 #[derive(Debug, Clone, Copy, Default)]
@@ -568,6 +623,17 @@ pub mod chaos {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn limits_display() {
+        let t = LimitExceeded::Tuples {
+            limit: 10,
+            reached: 12,
+        };
+        assert!(t.to_string().contains("limit 10"));
+        let s = LimitExceeded::Stages { limit: 3 };
+        assert!(s.to_string().contains("stage"));
+    }
 
     #[test]
     fn unlimited_never_interrupts() {

@@ -44,7 +44,9 @@ pub mod store;
 pub mod structure;
 pub mod vocabulary;
 
-pub use govern::{Budget, CancelToken, Deadline, Governor, GovernorUsage, Interrupted, Meter};
+pub use govern::{
+    Budget, CancelToken, Deadline, Governor, GovernorUsage, Interrupted, LimitExceeded, Meter,
+};
 pub use graph::Digraph;
 pub use hom::{HomKind, PartialMap};
 pub use io::{parse_digraph, write_digraph, DigraphParseError};
@@ -56,10 +58,10 @@ pub use plan::{
     QueryCache, QueryPlan, StructureId, StructureRegistry,
 };
 pub use rng::SplitMix64;
-pub use shard::{shard_of, DeltaExchange, ShardKey, ShardedStore};
+pub use shard::{shard_of, DeltaExchange, ShardKey};
 pub use store::{
     gallop, gallop_intersect, gallop_intersect2, gallop_scalar, tuple_hash, CardStats, EvalStats,
-    IdRange, LimitExceeded, Limits, PosIndex, StoreView, TupleBloom, TupleId, TupleStore,
+    IdRange, PosIndex, StoreView, TupleBloom, TupleId, TupleStore,
 };
 pub use structure::{Element, Relation, Structure, Tuple};
 pub use vocabulary::{ConstId, RelId, Vocabulary};

@@ -23,16 +23,17 @@
 //!   batch `e` — the same prefix-view trick stage snapshots use, now at
 //!   batch granularity.
 //! - **Compaction restores the invariant the evaluator needs.** After a
-//!   deletion batch commits, [`compact`](MutableStore::compact) rebuilds
-//!   the arena without the dead tuples (preserving the id order of the
-//!   survivors) and returns the id remapping. With no dead tuples left,
+//!   deletion batch commits,
+//!   [`compact_in_place`](MutableStore::compact_in_place) fills each dead
+//!   tuple's slot with a live tuple from the arena tail, patching any
+//!   position indexes over the store as it goes. With no dead tuples left,
 //!   every subsequent insertion appends — deltas are contiguous id ranges
 //!   again, which is exactly what lets the incremental engine reuse the
 //!   unmodified semi-naive join machinery. Compaction starts a new
 //!   epoch-mark generation: earlier epoch views refer to pre-compaction
 //!   ids and are invalidated.
 
-use crate::store::{StoreView, TupleId, TupleStore};
+use crate::store::{PosIndex, StoreView, TupleId, TupleStore};
 use crate::structure::Element;
 
 /// What an [`insert`](MutableStore::insert) did.
@@ -41,7 +42,8 @@ pub enum InsertOutcome {
     /// The tuple was not interned before: appended with support 1.
     Fresh(TupleId),
     /// The tuple was interned but dead (support 0): revived in place.
-    /// After a [`compact`](MutableStore::compact) this cannot occur.
+    /// After a [`compact_in_place`](MutableStore::compact_in_place) this
+    /// cannot occur.
     Revived(TupleId),
     /// The tuple was already live: its support count was incremented.
     Bumped(TupleId),
@@ -78,7 +80,8 @@ pub enum RetractOutcome {
 ///
 /// See the [module docs](self) for the design. The live relation is the
 /// set of interned tuples whose support is positive; everything else in
-/// the arena is a tombstone awaiting [`compact`](MutableStore::compact).
+/// the arena is a tombstone awaiting
+/// [`compact_in_place`](MutableStore::compact_in_place).
 #[derive(Debug, Clone)]
 pub struct MutableStore {
     store: TupleStore,
@@ -104,7 +107,8 @@ impl MutableStore {
 
     /// The append-only arena underneath. Joins and indexes read this;
     /// callers must filter by liveness themselves when dead tuples may be
-    /// present (there are none right after a [`compact`](Self::compact)).
+    /// present (there are none right after a
+    /// [`compact_in_place`](Self::compact_in_place)).
     pub fn store(&self) -> &TupleStore {
         &self.store
     }
@@ -304,8 +308,8 @@ impl MutableStore {
 
     /// The arena as of committed epoch `epoch` (1-based), as a prefix
     /// view. Only epochs committed since the last
-    /// [`compact`](Self::compact) are available — compaction renumbers ids
-    /// and starts a fresh mark generation.
+    /// [`compact_in_place`](Self::compact_in_place) are available —
+    /// compaction renumbers ids and starts a fresh mark generation.
     pub fn epoch_view(&self, epoch: u64) -> Option<StoreView<'_>> {
         let generation_base = self.epoch - self.epoch_marks.len() as u64;
         let idx = epoch.checked_sub(generation_base + 1)?;
@@ -314,58 +318,55 @@ impl MutableStore {
             .map(|&upto| self.store.view(upto))
     }
 
-    /// Rebuilds the arena without dead tuples, preserving the id order of
-    /// the survivors, and returns the remapping `old id -> new id` (`None`
-    /// for dropped tuples). Clears the epoch-mark generation (the epoch
-    /// *counter* keeps advancing).
-    pub fn compact(&mut self) -> Vec<Option<TupleId>> {
-        let arity = self.store.arity();
-        let mut rebuilt = TupleStore::with_capacity(arity, self.live_len());
-        let mut support = Vec::with_capacity(self.live_len());
-        let mut remap = Vec::with_capacity(self.store.len());
-        for (tuple, &c) in self.store.iter().zip(&self.support) {
-            if c > 0 {
-                let (id, fresh) = rebuilt.intern(tuple);
-                debug_assert!(fresh, "arena tuples are distinct by construction");
-                support.push(c);
-                remap.push(Some(id));
-            } else {
-                remap.push(None);
-            }
-        }
-        self.store = rebuilt;
-        self.support = support;
-        self.epoch_marks.clear();
-        remap
-    }
-
     /// Drops every dead tuple in place by moving arena-tail tuples into
     /// their slots ([`TupleStore::swap_remove`]) — O(dead) table and data
-    /// work instead of [`compact`](Self::compact)'s O(live) re-interning
-    /// rebuild, at the cost of not preserving survivor id order. Like
-    /// `compact`, the result has contiguous live ids and a cleared
-    /// epoch-mark generation.
-    pub fn compact_in_place(&mut self) {
+    /// work instead of an O(live) re-interning rebuild, at the cost of not
+    /// preserving survivor id order. The result has contiguous live ids
+    /// and a cleared epoch-mark generation.
+    ///
+    /// `indexes` (position indexes over this store, possibly none) are
+    /// patched to match: each dead id leaves its posting and each moved
+    /// tail id is renumbered to the hole it fills, postings staying
+    /// sorted (see [`PosIndex::apply_moves`]).
+    pub fn compact_in_place(&mut self, indexes: &mut [PosIndex]) {
+        let (moves, live) = self.compaction_moves();
+        for ix in indexes.iter_mut() {
+            ix.update(&self.store);
+            ix.apply_moves(&self.store, &moves, live);
+        }
+        // Each drop is a swap-remove: the tail tuple (and its support)
+        // fills the hole, which is the move recorded right after it.
+        for &(id, to) in &moves {
+            if to.is_none() {
+                self.store.swap_remove(TupleId(id));
+                self.support.swap_remove(id as usize);
+            }
+        }
+        self.epoch_marks.clear();
+    }
+
+    /// The id moves [`compact_in_place`](Self::compact_in_place) will
+    /// make, computed before any of them happens: `(id, None)` drops a
+    /// dead id, `(tail, Some(hole))` moves a live tail tuple into a hole.
+    /// Also returns the live count (the compacted length).
+    fn compaction_moves(&self) -> (Vec<(u32, Option<u32>)>, u32) {
+        let mut moves = Vec::new();
         let mut id = 0usize;
         let mut len = self.support.len();
         while id < len {
             if self.support[id] > 0 {
                 id += 1;
             } else if self.support[len - 1] == 0 {
-                // The tail tuple is dead too (this also covers id ==
-                // len - 1): pop it without filling any hole.
-                self.store.swap_remove(TupleId((len - 1) as u32));
-                self.support.pop();
+                moves.push(((len - 1) as u32, None));
                 len -= 1;
             } else {
-                self.store.swap_remove(TupleId(id as u32));
-                self.support[id] = self.support[len - 1];
-                self.support.pop();
+                moves.push((id as u32, None));
+                moves.push(((len - 1) as u32, Some(id as u32)));
                 len -= 1;
                 id += 1;
             }
         }
-        self.epoch_marks.clear();
+        (moves, len as u32)
     }
 }
 
@@ -408,7 +409,7 @@ mod tests {
         m.retract(&[1, 101]);
         m.retract(&[6, 106]);
         m.retract(&[7, 107]);
-        m.compact_in_place();
+        m.compact_in_place(&mut []);
         assert_eq!(m.len(), 5);
         assert_eq!(m.live_len(), 5);
         // Survivors are exactly the live pre-state tuples (ids permuted),
@@ -436,42 +437,14 @@ mod tests {
         for e in 0..4u32 {
             m.retract(&[e]);
         }
-        m.compact_in_place();
+        m.compact_in_place(&mut []);
         assert_eq!(m.len(), 0);
         for e in 10..13u32 {
             m.insert(&[e]);
         }
-        m.compact_in_place();
+        m.compact_in_place(&mut []);
         assert_eq!(m.len(), 3);
         assert!(m.contains_live(&[11]));
-    }
-
-    #[test]
-    fn compact_drops_dead_and_remaps() {
-        let mut m = MutableStore::new(1);
-        for e in 0..5u32 {
-            m.insert(&[e]);
-        }
-        m.retract(&[1]);
-        m.retract(&[3]);
-        let remap = m.compact();
-        assert_eq!(
-            remap,
-            vec![
-                Some(TupleId(0)),
-                None,
-                Some(TupleId(1)),
-                None,
-                Some(TupleId(2)),
-            ]
-        );
-        assert_eq!(m.len(), 3);
-        assert_eq!(m.live_len(), 3);
-        let rows: Vec<Vec<Element>> = m.live_iter().map(<[Element]>::to_vec).collect();
-        assert_eq!(rows, vec![vec![0], vec![2], vec![4]]);
-        // After compaction every insert of a new tuple is Fresh (no
-        // revivals possible), so deltas are contiguous id ranges.
-        assert!(matches!(m.insert(&[7]), InsertOutcome::Fresh(TupleId(3))));
     }
 
     #[test]
@@ -491,7 +464,7 @@ mod tests {
         assert!(m.epoch_view(3).is_none());
         // Compaction invalidates the old generation but keeps counting.
         m.retract(&[1]);
-        m.compact();
+        m.compact_in_place(&mut []);
         assert!(m.epoch_view(1).is_none());
         assert!(m.epoch_view(2).is_none());
         assert_eq!(m.commit_epoch(), 3);

@@ -28,14 +28,12 @@
 //! mutability and is `Sync`: parallel evaluation workers read a shared
 //! store and exchange [`TupleId`] buffers, never boxed tuples.
 //!
-//! [`EvalStats`] and [`Limits`] are the engine's observability surface:
-//! evaluators report tuples interned, duplicate derivations, join probes
-//! and stage counts, and can be given tuple/stage budgets that make them
-//! return a graceful [`LimitExceeded`] instead of growing without bound.
+//! [`EvalStats`] is the engine's observability surface: evaluators report
+//! tuples interned, duplicate derivations, join probes and stage counts.
+//! Budgets live in [`crate::govern`].
 
 use crate::structure::Element;
 use std::collections::HashMap;
-use std::fmt;
 
 /// A dense identifier of an interned tuple within one [`TupleStore`].
 ///
@@ -621,7 +619,7 @@ impl<'a> StoreView<'a> {
 /// The batched join kernels and the generic-join lowering depend on this —
 /// a multi-position probe is the [`gallop_intersect`] of the per-position
 /// posting lists, with no hashing or re-sorting.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PosIndex {
     pos: usize,
     upto: u32,
@@ -661,6 +659,46 @@ impl PosIndex {
             self.postings.entry(e).or_default().push(id);
         }
         self.upto = store.len() as u32;
+    }
+
+    /// Applies an in-place compaction of `store` (see
+    /// `MutableStore::compact_in_place`) before it happens: `moves` holds
+    /// `(id, None)` for each dropped id and `(tail, Some(hole))` for each
+    /// tuple moved from the tail into a hole, and `live` is the compacted
+    /// length. Only the postings of touched elements change; each is
+    /// filtered, given its new ids, and re-sorted.
+    ///
+    /// # Panics
+    /// Panics if the index does not cover all of `store`.
+    pub fn apply_moves(&mut self, store: &TupleStore, moves: &[(u32, Option<u32>)], live: u32) {
+        assert_eq!(
+            self.upto as usize,
+            store.len(),
+            "index must cover the store"
+        );
+        let mut touched: HashMap<Element, (Vec<u32>, Vec<u32>)> = HashMap::new();
+        for &(from, to) in moves {
+            let entry = touched
+                .entry(store.get(TupleId(from))[self.pos])
+                .or_default();
+            entry.0.push(from);
+            entry.1.extend(to);
+        }
+        for (e, (mut gone, added)) in touched {
+            gone.sort_unstable();
+            let Some(list) = self.postings.get_mut(&e) else {
+                continue;
+            };
+            list.retain(|id| gone.binary_search(id).is_err());
+            if !added.is_empty() {
+                list.extend(added);
+                list.sort_unstable();
+            }
+            if list.is_empty() {
+                self.postings.remove(&e);
+            }
+        }
+        self.upto = live;
     }
 
     /// The ids in `range` whose tuple has `e` at the indexed position.
@@ -899,93 +937,6 @@ impl EvalStats {
     }
 }
 
-/// Optional budgets for store-backed evaluators. Exceeding a budget makes
-/// the evaluator return a graceful [`LimitExceeded`] instead of growing
-/// without bound.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct Limits {
-    /// Maximum number of tuples interned across all result relations.
-    pub max_tuples: Option<u64>,
-    /// Maximum number of stages.
-    pub max_stages: Option<u64>,
-}
-
-impl Limits {
-    /// No limits at all — evaluation runs to its natural fixpoint.
-    pub const fn unlimited() -> Self {
-        Limits {
-            max_tuples: None,
-            max_stages: None,
-        }
-    }
-}
-
-/// A budget from [`Limits`] (or a [`crate::govern::Budget`]) was exceeded.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum LimitExceeded {
-    /// The tuple budget was exceeded.
-    Tuples {
-        /// The configured budget.
-        limit: u64,
-        /// How many tuples had been interned when evaluation stopped.
-        reached: u64,
-    },
-    /// The stage budget was exceeded.
-    Stages {
-        /// The configured budget.
-        limit: u64,
-    },
-    /// The abstract step budget was exceeded.
-    Steps {
-        /// The configured budget.
-        limit: u64,
-    },
-    /// The game-position budget was exceeded.
-    Positions {
-        /// The configured budget.
-        limit: u64,
-        /// How many positions had been generated when the solver stopped.
-        reached: u64,
-    },
-    /// The byte budget was exceeded.
-    Bytes {
-        /// The configured budget.
-        limit: u64,
-        /// How many bytes had been charged when the solver stopped.
-        reached: u64,
-    },
-}
-
-impl fmt::Display for LimitExceeded {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            LimitExceeded::Tuples { limit, reached } => {
-                write!(
-                    f,
-                    "tuple budget exceeded: {reached} interned, limit {limit}"
-                )
-            }
-            LimitExceeded::Stages { limit } => {
-                write!(f, "stage budget exceeded: limit {limit}")
-            }
-            LimitExceeded::Steps { limit } => {
-                write!(f, "step budget exceeded: limit {limit}")
-            }
-            LimitExceeded::Positions { limit, reached } => {
-                write!(
-                    f,
-                    "position budget exceeded: {reached} generated, limit {limit}"
-                )
-            }
-            LimitExceeded::Bytes { limit, reached } => {
-                write!(f, "byte budget exceeded: {reached} charged, limit {limit}")
-            }
-        }
-    }
-}
-
-impl std::error::Error for LimitExceeded {}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1121,17 +1072,6 @@ mod tests {
         assert!(!r.contains(TupleId(5)));
         assert!(IdRange::EMPTY.is_empty());
         assert_eq!(r.iter().count(), 3);
-    }
-
-    #[test]
-    fn limits_display() {
-        let t = LimitExceeded::Tuples {
-            limit: 10,
-            reached: 12,
-        };
-        assert!(t.to_string().contains("limit 10"));
-        let s = LimitExceeded::Stages { limit: 3 };
-        assert!(s.to_string().contains("stage"));
     }
 
     #[test]

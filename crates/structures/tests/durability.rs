@@ -9,7 +9,7 @@ use kv_structures::persist::{
     Manifest, RecoveryError, SegmentedLog,
 };
 use kv_structures::rng::SplitMix64;
-use kv_structures::{Element, MutableStore, TupleStore};
+use kv_structures::{Element, MutableStore, PosIndex, TupleId, TupleStore};
 use std::path::PathBuf;
 
 fn temp_dir(tag: &str) -> PathBuf {
@@ -62,41 +62,78 @@ fn live_content(m: &MutableStore) -> Vec<(Vec<Element>, u32)> {
 // Compaction properties.
 // ---------------------------------------------------------------------
 
-/// `compact` and `compact_in_place` preserve exactly the live content
-/// (tuples and support counts); both leave a contiguous fully-live
-/// arena and a cleared mark generation.
+/// `compact_in_place` preserves exactly the live content (tuples and
+/// support counts) and leaves a contiguous fully-live arena and a cleared
+/// mark generation.
 #[test]
 fn compaction_strategies_preserve_live_content() {
     for seed in 0..48u64 {
         for arity in [1usize, 2, 3] {
             let base = random_store(seed * 31 + arity as u64, arity, 60);
             let expect = live_content(&base);
-
-            let mut ordered = base.clone();
-            let remap = ordered.compact();
-            assert_eq!(live_content(&ordered), expect, "compact seed={seed}");
-            assert_eq!(ordered.len(), ordered.live_len(), "compact left tombstones");
-            assert_eq!(remap.len(), base.len());
-            // The remap is exactly the live survivors, in id order.
-            assert_eq!(
-                remap.iter().filter(|r| r.is_some()).count(),
-                expect.len(),
-                "remap live count"
-            );
-
             let mut swapped = base.clone();
-            swapped.compact_in_place();
+            swapped.compact_in_place(&mut []);
             assert_eq!(live_content(&swapped), expect, "in-place seed={seed}");
             assert_eq!(
                 swapped.len(),
                 swapped.live_len(),
                 "in-place left tombstones"
             );
-            // Both compactions agree with each other (id order may differ).
-            assert_eq!(live_content(&ordered), live_content(&swapped));
             // Marks are cleared: no epoch views survive compaction.
-            assert!(ordered.epoch_marks().is_empty());
             assert!(swapped.epoch_marks().is_empty());
+        }
+    }
+}
+
+/// Position indexes kept across random appends, kills and in-place
+/// compactions equal indexes built fresh over the final store, and every
+/// posting stays strictly increasing.
+#[test]
+fn maintained_indexes_equal_fresh_ones_across_compactions() {
+    for seed in 0..32u64 {
+        let arity = 1 + (seed % 3) as usize;
+        let universe = 12u32;
+        let mut rng = SplitMix64::seed_from_u64(0x1dec5 + seed);
+        let mut m = MutableStore::new(arity);
+        let mut indexes: Vec<PosIndex> = (0..arity).map(PosIndex::new).collect();
+        for _round in 0..6 {
+            for _ in 0..rng.gen_range(0u32..40) {
+                let t: Vec<Element> = (0..arity).map(|_| rng.gen_range(0..universe)).collect();
+                m.insert(&t);
+            }
+            for ix in &mut indexes {
+                ix.update(m.store());
+            }
+            for id in 0..m.len() as u32 {
+                if rng.gen_bool(0.3) {
+                    m.kill(TupleId(id));
+                }
+            }
+            // Every other round leaves the last appends unindexed, which
+            // compaction must pick up itself.
+            if rng.gen_bool(0.5) {
+                for _ in 0..rng.gen_range(0u32..5) {
+                    let t: Vec<Element> = (0..arity).map(|_| rng.gen_range(0..universe)).collect();
+                    m.insert(&t);
+                }
+            }
+            m.compact_in_place(&mut indexes);
+            assert_eq!(m.len(), m.live_len(), "seed {seed}: tombstones left");
+            for ix in &indexes {
+                let mut fresh = PosIndex::new(ix.pos());
+                fresh.update(m.store());
+                assert_eq!(ix, &fresh, "seed {seed}: index on {} drifted", ix.pos());
+                for e in 0..universe {
+                    let posting = ix.probe(e, m.store().id_range());
+                    assert!(
+                        posting.windows(2).all(|w| w[0] < w[1]),
+                        "seed {seed}: unsorted posting for {e}"
+                    );
+                    for &id in posting {
+                        assert_eq!(m.store().get(TupleId(id))[ix.pos()], e);
+                    }
+                }
+            }
         }
     }
 }
@@ -121,13 +158,9 @@ fn compacting_zero_live_tuples() {
         }
         assert_eq!(m.live_len(), 0);
         assert_eq!(m.len(), 10);
-        let mut in_place = m.clone();
-        in_place.compact_in_place();
-        assert_eq!(in_place.len(), 0);
-        assert_eq!(in_place.live_len(), 0);
-        let remap = m.compact();
+        m.compact_in_place(&mut []);
         assert_eq!(m.len(), 0);
-        assert!(remap.iter().all(|r| r.is_none()));
+        assert_eq!(m.live_len(), 0);
         // The emptied store is still usable.
         m.insert(&[3, 4]);
         assert!(m.contains_live(&[3, 4]));
@@ -147,7 +180,7 @@ fn compacting_all_dead_middle_segment() {
         m.retract(&[i]);
     }
     let expect = live_content(&m);
-    m.compact_in_place();
+    m.compact_in_place(&mut []);
     assert_eq!(live_content(&m), expect);
     assert_eq!(m.len(), 10);
     // Every survivor is findable at its new id.
@@ -179,7 +212,7 @@ fn interleaved_epoch_marks_and_compaction() {
     m.retract(&[1]);
     m.retract(&[4]);
     assert!(m.epoch_view(committed[0].0).is_some());
-    m.compact_in_place();
+    m.compact_in_place(&mut []);
     // The old generation is gone; ids were permuted.
     for (epoch, _) in &committed {
         assert!(m.epoch_view(*epoch).is_none(), "stale epoch {epoch} served");

@@ -660,9 +660,7 @@ fn chaos_seeded_magic_interrupt_resume_equals_run() {
             .expect("bench programs rewrite");
         let compiled = magic.compile();
         let seeds = vec![(magic.magic_goal(), magic.seed(query))];
-        let baseline = compiled
-            .try_run_seeded(&s, chaos_options(), &seeds)
-            .expect("no limits configured");
+        let baseline = compiled.run_seeded(&s, chaos_options(), &seeds);
         let (label, gov) = chaos::injection(chaos_seed(), 1_000 + index, 60);
         let run = match compiled.try_run_governed_seeded(&s, chaos_options(), &gov, &seeds) {
             Ok(done) => done,

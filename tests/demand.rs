@@ -104,8 +104,7 @@ fn assert_selection_equality(
     let seeds = vec![(magic.magic_goal(), magic.seed(query))];
     let demand = magic
         .compile()
-        .try_run_seeded(s, EvalOptions::default(), &seeds)
-        .unwrap_or_else(|e| panic!("{label}: seeded run hit a limit: {e:?}"));
+        .run_seeded(s, EvalOptions::default(), &seeds);
     let demand_goal = &demand.idb[magic.goal().0];
     let matches = |t: &[Element]| pattern.bound_positions().all(|i| t[i] == query[i]);
     for t in full_goal.iter().filter(|t| matches(t)) {
@@ -147,13 +146,9 @@ fn magic_equals_full_under_parallel_evaluation() {
     let magic = MagicProgram::rewrite(&program, &BindingPattern::all_bound(2)).unwrap();
     let compiled = magic.compile();
     let seeds = vec![(magic.magic_goal(), magic.seed(&[0, 11]))];
-    let seq = compiled
-        .try_run_seeded(&s, EvalOptions::default(), &seeds)
-        .unwrap();
+    let seq = compiled.run_seeded(&s, EvalOptions::default(), &seeds);
     for w in [1, 4] {
-        let par = compiled
-            .try_run_seeded(&s, EvalOptions::default().with_shards(Some(w)), &seeds)
-            .unwrap();
+        let par = compiled.run_seeded(&s, EvalOptions::default().with_shards(Some(w)), &seeds);
         for (a, b) in seq.idb.iter().zip(&par.idb) {
             assert_eq!(a.len(), b.len(), "W={w}");
             assert!(a.iter().all(|t| b.contains(t)), "W={w}");

@@ -257,3 +257,121 @@ fn reordered_batches_are_equivalent_to_unreordered() {
         }
     }
 }
+
+/// One seeded maintenance schedule whose batches do not depend on the
+/// engine's tuple-id order: retract and insert choices are drawn against
+/// the *sorted* live EDB, so every join lowering and worker count sees the
+/// identical batches. Returns each batch's `(deleted, overdeleted,
+/// rederived)` triple and the sorted live IDB after every batch.
+#[allow(clippy::type_complexity)]
+fn deletion_trace(
+    program: &Program,
+    opts: EvalOptions,
+    seed: u64,
+) -> (Vec<(u64, u64, u64)>, Vec<Vec<Vec<Element>>>) {
+    let s = fixture_for(program, seed);
+    let (mut engine, _) = IncrementalEngine::from_structure(program, &s, opts);
+    let mut rng = SplitMix64::seed_from_u64(seed ^ 0x5eed);
+    let mut triples = Vec::new();
+    let mut idbs = Vec::new();
+    for batch in 0..5u32 {
+        let live = engine.edb_structure();
+        let n = live.universe_size() as u32;
+        let mut inserts = Vec::new();
+        let mut retracts = Vec::new();
+        for rel in live.vocabulary().relations() {
+            let mut tuples: Vec<Vec<Element>> =
+                live.relation(rel).iter().map(|t| t.to_vec()).collect();
+            tuples.sort();
+            for t in tuples {
+                if rng.gen_bool(0.3) {
+                    retracts.push((rel, t));
+                }
+            }
+            let arity = live.vocabulary().arity(rel);
+            for _ in 0..rng.gen_range(0u32..3) {
+                let t: Vec<Element> = (0..arity).map(|_| rng.gen_range(0..n)).collect();
+                inserts.push((rel, t));
+            }
+        }
+        let summary = engine.apply_batch(&inserts, &retracts);
+        assert_matches_scratch(&engine, program, &format!("seed {seed} batch {batch}"));
+        triples.push((
+            summary.deleted_tuples,
+            summary.overdeleted_tuples,
+            summary.rederived_tuples,
+        ));
+        for i in 0..program.idb_count() {
+            let mut rows: Vec<Vec<Element>> = engine
+                .idb_store(IdbId(i))
+                .live_iter()
+                .map(|t| t.to_vec())
+                .collect();
+            rows.sort();
+            idbs.push(rows);
+        }
+    }
+    (triples, idbs)
+}
+
+#[test]
+fn deletion_counters_are_pinned_for_every_lowering_and_worker_count() {
+    // Deleted, overdeleted and rederived tuples are set quantities of the
+    // DRed/counting semantics — which pre-state tuples lose every
+    // derivation, which the overdeletion closure reaches, and which of
+    // those survive — so they may not depend on join order, kernels, the
+    // lowering, or the worker count. Each program's per-batch triples are
+    // pinned to recorded values, and every configuration must reproduce
+    // them and the same maintained IDB.
+    for (pi, program) in all_programs().iter().enumerate() {
+        let seed = 4_400 + pi as u64;
+        let reference = deletion_trace(program, EvalOptions::default(), seed);
+        assert_eq!(
+            reference.0, PINNED_DELETION_TRIPLES[pi],
+            "program {pi}: deletion triples moved"
+        );
+        for (oi, opts) in lowerings().into_iter().enumerate() {
+            for w in [1usize, 4] {
+                let got = deletion_trace(program, opts.with_shards(Some(w)), seed);
+                assert_eq!(
+                    got.0, reference.0,
+                    "program {pi} lowering {oi} W={w}: deletion triples"
+                );
+                assert_eq!(
+                    got.1, reference.1,
+                    "program {pi} lowering {oi} W={w}: maintained IDB"
+                );
+            }
+        }
+    }
+}
+
+/// `(deleted, overdeleted, rederived)` per batch of [`deletion_trace`],
+/// one row per program of [`all_programs`] (seed `4_400 + index`).
+const PINNED_DELETION_TRIPLES: [&[(u64, u64, u64)]; 7] = [
+    &[(2, 7, 5), (11, 11, 0), (4, 4, 0), (1, 1, 0), (1, 1, 0)],
+    &[
+        (52, 240, 188),
+        (27, 155, 128),
+        (71, 132, 61),
+        (0, 0, 0),
+        (65, 131, 66),
+    ],
+    &[
+        (252, 359, 107),
+        (0, 0, 0),
+        (44, 63, 19),
+        (41, 46, 5),
+        (43, 48, 5),
+    ],
+    &[
+        (756, 1143, 387),
+        (460, 613, 153),
+        (173, 173, 0),
+        (66, 66, 0),
+        (0, 0, 0),
+    ],
+    &[(0, 0, 0), (0, 4, 4), (1, 1, 0), (0, 0, 0), (1, 5, 4)],
+    &[(8, 9, 1), (1, 1, 0), (0, 0, 0), (0, 0, 0), (0, 0, 0)],
+    &[(12, 17, 5), (4, 4, 0), (0, 0, 0), (1, 1, 0), (1, 1, 0)],
+];

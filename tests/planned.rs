@@ -114,12 +114,8 @@ fn cost_based_matches_textual_under_magic_for_every_binding_pattern() {
                 .unwrap_or_else(|e| panic!("{label}: rewrite failed: {e}"));
             let compiled = magic.compile();
             let seeds = vec![(magic.magic_goal(), magic.seed(&query))];
-            let textual = compiled
-                .try_run_seeded(&s, opts(PlannerMode::Textual), &seeds)
-                .unwrap_or_else(|e| panic!("{label}: textual run hit a limit: {e:?}"));
-            let planned = compiled
-                .try_run_seeded(&s, opts(PlannerMode::CostBased), &seeds)
-                .unwrap_or_else(|e| panic!("{label}: planned run hit a limit: {e:?}"));
+            let textual = compiled.run_seeded(&s, opts(PlannerMode::Textual), &seeds);
+            let planned = compiled.run_seeded(&s, opts(PlannerMode::CostBased), &seeds);
             assert_eq!(textual.idb, planned.idb, "{label}");
             assert!(textual.same_stages(&planned), "{label}");
         }
@@ -206,20 +202,16 @@ fn generic_lowering_matches_binary_under_magic_for_every_binding_pattern() {
                 .unwrap_or_else(|e| panic!("{label}: rewrite failed: {e}"));
             let compiled = magic.compile();
             let seeds = vec![(magic.magic_goal(), magic.seed(&query))];
-            let binary = compiled
-                .try_run_seeded(
-                    &s,
-                    opts(PlannerMode::CostBased).with_lowering(JoinLowering::Binary),
-                    &seeds,
-                )
-                .unwrap_or_else(|e| panic!("{label}: binary run hit a limit: {e:?}"));
-            let generic = compiled
-                .try_run_seeded(
-                    &s,
-                    opts(PlannerMode::CostBased).with_lowering(JoinLowering::Generic),
-                    &seeds,
-                )
-                .unwrap_or_else(|e| panic!("{label}: generic run hit a limit: {e:?}"));
+            let binary = compiled.run_seeded(
+                &s,
+                opts(PlannerMode::CostBased).with_lowering(JoinLowering::Binary),
+                &seeds,
+            );
+            let generic = compiled.run_seeded(
+                &s,
+                opts(PlannerMode::CostBased).with_lowering(JoinLowering::Generic),
+                &seeds,
+            );
             assert_eq!(binary.idb, generic.idb, "{label}");
             assert!(binary.same_stages(&generic), "{label}");
         }

@@ -176,13 +176,10 @@ fn sharded_magic_runs_match_unsharded_for_every_binding_pattern() {
             };
             let seeds = vec![(magic.magic_goal(), magic.seed(&query))];
             let compiled = magic.compile();
-            let baseline = compiled
-                .try_run_seeded(&s, EvalOptions::default(), &seeds)
-                .unwrap_or_else(|e| panic!("{}: seeded baseline: {e:?}", label));
+            let baseline = compiled.run_seeded(&s, EvalOptions::default(), &seeds);
             for w in [2, 4] {
-                let sharded = compiled
-                    .try_run_seeded(&s, EvalOptions::default().with_shards(Some(w)), &seeds)
-                    .unwrap_or_else(|e| panic!("{}: seeded sharded W={w}: {e:?}", label));
+                let sharded =
+                    compiled.run_seeded(&s, EvalOptions::default().with_shards(Some(w)), &seeds);
                 assert!(
                     baseline.same_stages(&sharded),
                     "{}: magic {pattern} sharded W={w} diverged",
