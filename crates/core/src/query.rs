@@ -8,8 +8,8 @@
 
 use kv_datalog::{
     BatchInterrupted, BatchSummary, BindingPattern, CompiledProgram, DurabilityOptions,
-    DurableBatchError, DurableEngine, EvalOptions, EvalStats, Fact, FlushStats, IncrementalEngine,
-    MagicProgram, Program, RecoveryError, RecoveryReport,
+    DurableBatchError, DurableEngine, EdbIndexes, EvalOptions, EvalStats, Fact, FlushStats,
+    IncrementalEngine, MagicProgram, Program, RecoveryError, RecoveryReport,
 };
 use kv_structures::{CacheStats, Governor, Interrupted, QueryCache, QueryPlan, Structure};
 use std::path::Path;
@@ -518,6 +518,26 @@ impl ProgramQuery {
         tuple: &[kv_structures::Element],
         gov: &Governor,
     ) -> Result<bool, Interrupted> {
+        self.try_eval_at_indexed(structure, &EdbIndexes::new(structure), tuple, gov)
+    }
+
+    /// [`try_eval_at_uncached`](Self::try_eval_at_uncached) probing the EDB
+    /// through `indexes`, a set made for `structure` and shared by every
+    /// evaluation against it (see [`EdbIndexes`]): the first evaluation to
+    /// probe a position builds its index, later ones reuse it. A service
+    /// keeps one set per immutable snapshot, so a cache miss costs its
+    /// fixpoint rather than a rebuild of the snapshot's indexes.
+    ///
+    /// # Panics
+    /// Panics if `tuple`'s arity differs from the goal's, or if `indexes`
+    /// was made for another structure.
+    pub fn try_eval_at_indexed(
+        &self,
+        structure: &Structure,
+        indexes: &EdbIndexes,
+        tuple: &[kv_structures::Element],
+        gov: &Governor,
+    ) -> Result<bool, Interrupted> {
         assert_eq!(
             tuple.len(),
             self.program.idb_arity(self.program.goal()),
@@ -528,14 +548,14 @@ impl ProgramQuery {
                 let seeds = [(path.magic.magic_goal(), path.magic.seed(tuple))];
                 let result = path
                     .compiled
-                    .try_run_governed_seeded(structure, self.eval_options(), gov, &seeds)
+                    .try_run_indexed(structure, indexes, self.eval_options(), gov, &seeds)
                     .map_err(|e| e.reason)?;
                 Ok(result.idb[path.magic.goal().0].contains(tuple))
             }
             None => {
                 let result = self
                     .compiled
-                    .try_run_governed(structure, self.eval_options(), gov)
+                    .try_run_indexed(structure, indexes, self.eval_options(), gov, &[])
                     .map_err(|e| e.reason)?;
                 Ok(result.idb[self.compiled.goal().0].contains(tuple))
             }

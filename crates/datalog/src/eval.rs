@@ -18,10 +18,14 @@
 //! single store — `old = [0, delta_lo)`, `delta = [delta_lo, prev_len)`,
 //! `full = [0, prev_len)` — with no per-stage snapshot clones. EDB
 //! relations are joined directly out of the structure's own stores
-//! (zero-copy). Per-position [`PosIndex`]es are built once and *extended*
-//! after each stage; range-restricted probes are `partition_point`
-//! sub-slices of their sorted posting lists. Each atom's probe position is
-//! chosen **statically** at rule-compile time.
+//! (zero-copy), probed through an [`EdbIndexes`] set whose per-position
+//! indexes are built the first time a plan probes them — once per run, or
+//! once per structure when the set is kept beside an immutable structure
+//! and shared across runs ([`CompiledProgram::try_run_indexed`]). IDB
+//! [`PosIndex`]es are built once and *extended* after each stage;
+//! range-restricted probes are `partition_point` sub-slices of their sorted
+//! posting lists. Each atom's probe position is chosen **statically** at
+//! rule-compile time.
 //!
 //! Programs are compiled **once** — [`Evaluator::new`] (or
 //! [`CompiledProgram::compile`]) performs equality elimination, delta
@@ -52,10 +56,10 @@ use kv_structures::store::{
     gallop_intersect, tuple_hash, EvalStats, IdRange, PosIndex, StoreView, TupleBloom, TupleId,
     TupleStore,
 };
-use kv_structures::{Element, JoinLowering, PlannerMode, Relation, Structure, Vocabulary};
+use kv_structures::{Element, JoinLowering, PlannerMode, RelId, Relation, Structure, Vocabulary};
 use std::collections::{HashMap, HashSet};
 use std::fmt;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// Options controlling evaluation.
 #[derive(Debug, Clone, Copy)]
@@ -839,11 +843,108 @@ pub(crate) fn sync_indexes<'s>(
     }
 }
 
+/// Position indexes over one structure's EDB relations, each built the
+/// first time a plan probes it.
+///
+/// The set holds one slot per (relation, tuple position). A slot is filled
+/// at most once, by whichever worker probes it first; a concurrent reader
+/// of the same slot waits for that fill instead of building its own. A
+/// one-shot run uses a set of its own, so it builds the indexes it probes
+/// and drops them on return. A holder of an immutable structure keeps one
+/// set beside it and passes it to every run on that structure
+/// ([`CompiledProgram::try_run_indexed`]), so each index is built once per
+/// structure rather than once per run — the query service keeps one per
+/// published snapshot.
+///
+/// A set serves only the structure it was made for; runs check that the
+/// relation lengths agree.
+#[derive(Debug)]
+pub struct EdbIndexes {
+    /// Per relation, one slot per tuple position.
+    slots: Vec<Box<[OnceLock<PosIndex>]>>,
+    /// Per relation, the tuple count of the structure the set was made for.
+    lens: Vec<usize>,
+}
+
+impl EdbIndexes {
+    /// An empty set for `structure`'s relations: nothing is built yet.
+    pub fn new(structure: &Structure) -> Self {
+        let vocab = structure.vocabulary();
+        EdbIndexes {
+            slots: vocab
+                .relations()
+                .map(|r| (0..vocab.arity(r)).map(|_| OnceLock::new()).collect())
+                .collect(),
+            lens: vocab
+                .relations()
+                .map(|r| structure.relation(r).len())
+                .collect(),
+        }
+    }
+
+    /// The index on position `pos` of `rel`, if some run has built it.
+    ///
+    /// # Panics
+    /// Panics if `rel` or `pos` is out of range.
+    pub fn built(&self, rel: RelId, pos: usize) -> Option<&PosIndex> {
+        self.slots[rel.0][pos].get()
+    }
+
+    /// Whether the set was made for a structure shaped like `structure`.
+    fn serves(&self, structure: &Structure) -> bool {
+        let vocab = structure.vocabulary();
+        self.lens.len() == vocab.relation_count()
+            && vocab
+                .relations()
+                .all(|r| self.lens[r.0] == structure.relation(r).len())
+    }
+}
+
+/// The position indexes an atom's source offers the join kernels.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Indexes<'a> {
+    /// Built before the stage runs: the IDB indexes, and the EDB indexes
+    /// incremental maintenance keeps. Holds exactly the planned positions.
+    Kept(&'a [PosIndex]),
+    /// One relation's slots of an [`EdbIndexes`] set, over its store; a
+    /// slot is filled on first probe.
+    Lazy(&'a [OnceLock<PosIndex>], &'a TupleStore),
+}
+
+impl<'a> Indexes<'a> {
+    /// The index on position `p`. Kept indexes cover every statically
+    /// chosen probe position (the index plan), so the lookup succeeds.
+    #[allow(clippy::expect_used)]
+    pub(crate) fn at(self, p: usize) -> &'a PosIndex {
+        match self {
+            Indexes::Kept(indexes) => indexes
+                .iter()
+                .find(|ix| ix.pos() == p)
+                .expect("index plan covers every statically chosen probe position"),
+            Indexes::Lazy(slots, store) => slots[p].get_or_init(|| {
+                let mut ix = PosIndex::new(p);
+                ix.update(store);
+                ix
+            }),
+        }
+    }
+}
+
+/// Where a stage reads its EDB indexes.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum EdbIdx<'a> {
+    /// A from-scratch run: a set filled on first probe (see [`EdbIndexes`]).
+    Lazy(&'a EdbIndexes),
+    /// Incremental maintenance: the indexes the engine keeps across
+    /// batches, indexed by relation.
+    Kept(&'a [Vec<PosIndex>]),
+}
+
 /// A program compiled for evaluation: rule variants with static index
-/// positions, plus the index plan (which positions of which relations any
-/// variant will ever probe). Compiled **once** — by [`Evaluator::new`] or
-/// directly — and reusable across arbitrarily many structures, which is
-/// what `kv-core`'s `ProgramQuery` relies on.
+/// positions, plus the IDB index plan (which positions of which IDB
+/// predicates any variant will ever probe). Compiled **once** — by
+/// [`Evaluator::new`] or directly — and reusable across arbitrarily many
+/// structures, which is what `kv-core`'s `ProgramQuery` relies on.
 #[derive(Debug, Clone)]
 pub struct CompiledProgram {
     pub(crate) vocabulary: Arc<Vocabulary>,
@@ -853,10 +954,9 @@ pub struct CompiledProgram {
     pub(crate) idb_names: Vec<String>,
     pub(crate) naive_rules: Vec<CompiledRule>,
     pub(crate) semi_variants: Vec<CompiledRule>,
-    /// Index positions needed per EDB relation (sorted, deduplicated).
-    pub(crate) edb_positions: Vec<Vec<usize>>,
-    /// Index positions needed per IDB predicate. One index per position
-    /// serves all three access modes (full / old / delta) via id ranges.
+    /// Index positions needed per IDB predicate (sorted, deduplicated).
+    /// One index per position serves all three access modes (full / old /
+    /// delta) via id ranges.
     pub(crate) idb_positions: Vec<Vec<usize>>,
     /// The predicate dependency graph's strongly connected components and
     /// their topological stratum order (see [`crate::planner`]).
@@ -902,7 +1002,7 @@ impl CompiledProgram {
         }
         let edb_count = program.vocabulary().relations().count();
         let idb_count = program.idb_count();
-        let (edb_positions, idb_positions) = index_plan(
+        let (_, idb_positions) = index_plan(
             naive_rules.iter().chain(&semi_variants),
             edb_count,
             idb_count,
@@ -918,7 +1018,6 @@ impl CompiledProgram {
                 .collect(),
             naive_rules,
             semi_variants,
-            edb_positions,
             idb_positions,
             scc: SccInfo::of_program(program),
         }
@@ -963,21 +1062,7 @@ impl CompiledProgram {
         options: EvalOptions,
         gov: &Governor,
     ) -> Result<EvalResult, EvalInterrupted> {
-        let idb_count = self.idb_arities.len();
-        let checkpoint = EvalCheckpoint {
-            idb_stores: self
-                .idb_arities
-                .iter()
-                .map(|&a| TupleStore::new(a))
-                .collect(),
-            delta_lo: vec![0u32; idb_count],
-            stats: Vec::new(),
-            stage_marks: Vec::new(),
-            eval_stats: EvalStats::default(),
-            stage: 0,
-            active_sccs: Vec::new(),
-        };
-        self.run_from(structure, options, gov, checkpoint)
+        self.try_run_governed_seeded(structure, options, gov, &[])
     }
 
     /// Evaluates on `structure` with `seeds` pre-interned into their IDB
@@ -1019,6 +1104,30 @@ impl CompiledProgram {
         gov: &Governor,
         seeds: &[(IdbId, Vec<Element>)],
     ) -> Result<EvalResult, EvalInterrupted> {
+        let indexes = EdbIndexes::new(structure);
+        self.try_run_indexed(structure, &indexes, options, gov, seeds)
+    }
+
+    /// [`try_run_governed_seeded`](Self::try_run_governed_seeded) reading
+    /// the EDB indexes from `indexes`, a set made for `structure` by
+    /// [`EdbIndexes::new`]. The run builds the indexes it probes into the
+    /// set and leaves them there, so later runs against the same
+    /// structure — any program, plan or binding — probe them without
+    /// rebuilding. Answers, stages and [`EvalStats`] are those of a run
+    /// with a fresh set.
+    ///
+    /// # Panics
+    /// Panics on a vocabulary mismatch, a set made for a structure with
+    /// other relation sizes, an out-of-range seed predicate, or a seed
+    /// arity mismatch.
+    pub fn try_run_indexed(
+        &self,
+        structure: &Structure,
+        indexes: &EdbIndexes,
+        options: EvalOptions,
+        gov: &Governor,
+        seeds: &[(IdbId, Vec<Element>)],
+    ) -> Result<EvalResult, EvalInterrupted> {
         let idb_count = self.idb_arities.len();
         let mut idb_stores: Vec<TupleStore> = self
             .idb_arities
@@ -1044,7 +1153,7 @@ impl CompiledProgram {
             stage: 0,
             active_sccs: Vec::new(),
         };
-        self.run_from(structure, options, gov, checkpoint)
+        self.run_from(structure, indexes, options, gov, checkpoint)
     }
 
     /// Resumes an interrupted governed evaluation from its checkpoint.
@@ -1065,14 +1174,22 @@ impl CompiledProgram {
         gov: &Governor,
         checkpoint: EvalCheckpoint,
     ) -> Result<EvalResult, EvalInterrupted> {
-        self.run_from(structure, options, gov, checkpoint)
+        self.run_from(
+            structure,
+            &EdbIndexes::new(structure),
+            options,
+            gov,
+            checkpoint,
+        )
     }
 
     /// The governed evaluation core: runs from `cp` (fresh or resumed) to
-    /// fixpoint, truncation, or interrupt.
+    /// fixpoint, truncation, or interrupt, probing the EDB through
+    /// `edb_idx`.
     fn run_from(
         &self,
         structure: &Structure,
+        edb_idx: &EdbIndexes,
         options: EvalOptions,
         gov: &Governor,
         cp: EvalCheckpoint,
@@ -1081,6 +1198,10 @@ impl CompiledProgram {
             structure.vocabulary(),
             &self.vocabulary,
             "structure/program vocabulary mismatch"
+        );
+        assert!(
+            edb_idx.serves(structure),
+            "EDB index set was made for another structure"
         );
         let universe = structure.universe_size();
 
@@ -1094,30 +1215,18 @@ impl CompiledProgram {
                 Some(planner::plan_program(self, structure, options.lowering))
             }
         };
-        let (naive_rules, semi_variants, edb_positions, idb_positions) = match &planned {
-            None => (
-                &self.naive_rules,
-                &self.semi_variants,
-                &self.edb_positions,
-                &self.idb_positions,
-            ),
-            Some(p) => (
-                &p.naive_rules,
-                &p.semi_variants,
-                &p.edb_positions,
-                &p.idb_positions,
-            ),
+        let (naive_rules, semi_variants, idb_positions) = match &planned {
+            None => (&self.naive_rules, &self.semi_variants, &self.idb_positions),
+            Some(p) => (&p.naive_rules, &p.semi_variants, &p.idb_positions),
         };
 
         // EDB stores are the structure's own relation stores (zero-copy);
-        // their indexes are built once, up front.
+        // their indexes come from `edb_idx`, built on first probe.
         let edb_stores: Vec<&TupleStore> = self
             .vocabulary
             .relations()
             .map(|r| structure.relation(r).store())
             .collect();
-        let mut edb_idx = vec![Vec::new(); edb_stores.len()];
-        sync_indexes(&mut edb_idx, edb_stores.iter().copied(), edb_positions);
 
         // IDB state from the checkpoint (empty on a fresh run); indexes
         // are rebuilt over the committed prefix and then extended (not
@@ -1224,7 +1333,7 @@ impl CompiledProgram {
                 structure,
                 universe,
                 edb: &edb_stores,
-                edb_idx: &edb_idx,
+                edb_idx: EdbIdx::Lazy(edb_idx),
                 idb_idx: &idb_idx,
                 blooms: blooms.as_deref(),
                 prev_len: &prev_len,
@@ -1419,16 +1528,16 @@ impl<'p> Evaluator<'p> {
 }
 
 /// What every worker of a stage reads besides the IDB stores themselves.
-/// Everything here is borrowed immutably; [`TupleStore`] and [`PosIndex`]
-/// have no interior mutability, so the environment is `Sync`. It is
-/// copied into each worker's [`JoinCtx`], so the join loops read its fields
-/// without a second indirection.
+/// Everything here is borrowed immutably; the only interior mutability is
+/// an [`EdbIndexes`] slot's one-time fill, which is thread-safe, so the
+/// environment is `Sync`. It is copied into each worker's [`JoinCtx`], so
+/// the join loops read its fields without a second indirection.
 #[derive(Clone, Copy)]
 pub(crate) struct StageEnv<'a> {
     pub(crate) structure: &'a Structure,
     pub(crate) universe: usize,
     pub(crate) edb: &'a [&'a TupleStore],
-    pub(crate) edb_idx: &'a [Vec<PosIndex>],
+    pub(crate) edb_idx: EdbIdx<'a>,
     pub(crate) idb_idx: &'a [Vec<PosIndex>],
     /// Bloom pre-filters over each IDB's committed tuples (cost-based runs
     /// only): a negative membership answer is definitive and skips the
@@ -1580,10 +1689,10 @@ pub(crate) struct JoinCtx<'a> {
 impl<'a> JoinCtx<'a> {
     /// Resolves an atom to its backing store, available indexes, and id
     /// range.
-    pub(crate) fn source(&self, atom: &JoinAtom) -> (&'a TupleStore, &'a [PosIndex], IdRange) {
+    pub(crate) fn source(&self, atom: &JoinAtom) -> (&'a TupleStore, Indexes<'a>, IdRange) {
         let env = &self.env;
         if let (IdbAccess::Delta, Some(d)) = (atom.access, env.deletion) {
-            return (d.seed, &[], d.seed.id_range());
+            return (d.seed, Indexes::Kept(&[]), d.seed.id_range());
         }
         match atom.pred {
             Pred::Edb(r) => {
@@ -1603,7 +1712,11 @@ impl<'a> JoinCtx<'a> {
                         IdbAccess::Delta => self.edb_delta[r.0],
                     },
                 };
-                (store, &env.edb_idx[r.0], range)
+                let indexes = match env.edb_idx {
+                    EdbIdx::Lazy(set) => Indexes::Lazy(&set.slots[r.0], store),
+                    EdbIdx::Kept(kept) => Indexes::Kept(&kept[r.0]),
+                };
+                (store, indexes, range)
             }
             Pred::Idb(i) => {
                 let store = self.idb[i.0];
@@ -1618,7 +1731,7 @@ impl<'a> JoinCtx<'a> {
                     },
                     IdbAccess::Delta => self.idb_delta[i.0],
                 };
-                (store, &env.idb_idx[i.0], range)
+                (store, Indexes::Kept(&env.idb_idx[i.0]), range)
             }
         }
     }
@@ -1649,17 +1762,6 @@ impl<'a> JoinCtx<'a> {
         }
         self.idb[head].lookup(tuple).is_some()
     }
-}
-
-/// Finds the prepared index on position `p`. The index plan in
-/// [`CompiledProgram`] covers every statically chosen probe position, so
-/// this always succeeds.
-#[allow(clippy::expect_used)]
-pub(crate) fn find_index(indexes: &[PosIndex], p: usize) -> &PosIndex {
-    indexes
-        .iter()
-        .find(|ix| ix.pos() == p)
-        .expect("index plan covers every statically chosen probe position")
 }
 
 /// Per-worker evaluation buffers: one scratch arena per IDB predicate plus
@@ -1977,7 +2079,7 @@ impl<'a, 'b> RuleJoin<'a, 'b> {
                         hit
                     } else {
                         self.count_probe(atom.is_magic)?;
-                        let l = find_index(indexes, pos).probe(e, range);
+                        let l = indexes.at(pos).probe(e, range);
                         if self.probe_memo[atom_pos].len() < MEMO_CAP {
                             self.probe_memo[atom_pos].insert(e, l);
                         }
@@ -1985,7 +2087,7 @@ impl<'a, 'b> RuleJoin<'a, 'b> {
                     }
                 } else {
                     self.count_probe(atom.is_magic)?;
-                    find_index(indexes, pos).probe(e, range)
+                    indexes.at(pos).probe(e, range)
                 };
                 for &id in list {
                     if live(id) {
@@ -2007,8 +2109,8 @@ impl<'a, 'b> RuleJoin<'a, 'b> {
                     ids
                 } else {
                     self.count_probe(atom.is_magic)?;
-                    let la = find_index(indexes, pos_a).probe(ea, range);
-                    let lb = find_index(indexes, pos_b).probe(eb, range);
+                    let la = indexes.at(pos_a).probe(ea, range);
+                    let lb = indexes.at(pos_b).probe(eb, range);
                     // Both posting lists are id-sorted: a galloping k-way
                     // intersection visits only ids matching both positions,
                     // skipping runs geometrically instead of one at a time.

@@ -67,8 +67,8 @@
 use crate::ast::{IdbId, Literal, Pred, Rule};
 use crate::eval::{
     compile_rule_pinned, evaluate_rule, index_plan, sync_indexes, CompiledProgram, CompiledRule,
-    DeletionPass, DeletionWindows, DeltaPin, DenseSet, EvalOptions, JoinCtx, JoinKernel, StageEnv,
-    WorkerBuf,
+    DeletionPass, DeletionWindows, DeltaPin, DenseSet, EdbIdx, EvalOptions, JoinCtx, JoinKernel,
+    StageEnv, WorkerBuf,
 };
 use crate::planner::plan_rules_with_stats;
 use crate::program::Program;
@@ -811,7 +811,7 @@ impl IncrementalEngine {
                 structure: template,
                 universe,
                 edb: &edb_stores,
-                edb_idx,
+                edb_idx: EdbIdx::Kept(edb_idx),
                 idb_idx,
                 blooms: None,
                 prev_len: &prev_len,
@@ -1071,7 +1071,7 @@ impl Deleter<'_> {
                     structure: self.template,
                     universe: self.template.universe_size(),
                     edb: &self.edb,
-                    edb_idx: self.edb_idx,
+                    edb_idx: EdbIdx::Kept(self.edb_idx),
                     idb_idx: self.idb_idx,
                     blooms: None,
                     prev_len: &self.lens,

@@ -53,8 +53,8 @@ pub use durable::{
     CrashPoint, DurabilityOptions, DurableBatchError, DurableEngine, FlushStats, RecoveryReport,
 };
 pub use eval::{
-    CompiledProgram, EvalCheckpoint, EvalInterrupted, EvalOptions, EvalResult, Evaluator,
-    StageStats,
+    CompiledProgram, EdbIndexes, EvalCheckpoint, EvalInterrupted, EvalOptions, EvalResult,
+    Evaluator, StageStats,
 };
 pub use incremental::{BatchInterrupted, BatchSummary, Fact, IncrementalEngine};
 pub use kv_structures::RecoveryError;

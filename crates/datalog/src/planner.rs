@@ -200,12 +200,12 @@ impl SccInfo {
 }
 
 /// A program re-planned for one concrete structure: cost-ordered rule
-/// bodies with kernels assigned, plus the index plan they need.
+/// bodies with kernels assigned, plus the IDB index plan they need (EDB
+/// indexes are built on first probe, see [`crate::eval::EdbIndexes`]).
 #[derive(Debug, Clone)]
 pub(crate) struct RunPlan {
     pub(crate) naive_rules: Vec<CompiledRule>,
     pub(crate) semi_variants: Vec<CompiledRule>,
-    pub(crate) edb_positions: Vec<Vec<usize>>,
     pub(crate) idb_positions: Vec<Vec<usize>>,
 }
 
@@ -529,15 +529,14 @@ pub(crate) fn plan_program(
     };
     let naive_rules: Vec<CompiledRule> = compiled.naive_rules.iter().map(lower).collect();
     let semi_variants: Vec<CompiledRule> = compiled.semi_variants.iter().map(lower).collect();
-    let (edb_positions, idb_positions) = index_plan(
+    let (_, idb_positions) = index_plan(
         naive_rules.iter().chain(&semi_variants),
-        compiled.edb_positions.len(),
+        compiled.vocabulary.relation_count(),
         compiled.idb_arities.len(),
     );
     RunPlan {
         naive_rules,
         semi_variants,
-        edb_positions,
         idb_positions,
     }
 }

@@ -22,7 +22,7 @@
 //! machinery from [`crate::eval`].
 
 use crate::ast::{Term, VarId};
-use crate::eval::{find_index, CompiledRule, RuleJoin, SCAN_BLOCK};
+use crate::eval::{CompiledRule, RuleJoin, SCAN_BLOCK};
 use kv_structures::store::gallop_intersect;
 use kv_structures::{Element, Interrupted, TupleId};
 
@@ -241,7 +241,7 @@ fn run_steps(join: &mut RuleJoin, plan: &GenericPlan) -> Result<(), Interrupted>
         let mut lists: Vec<&[u32]> = Vec::new();
         for (pos, t) in atom.args.iter().enumerate() {
             if let Some(e) = join.term_value(t) {
-                lists.push(find_index(indexes, pos).probe(e, range));
+                lists.push(indexes.at(pos).probe(e, range));
             }
         }
         let mut ids: Vec<u32> = if lists.is_empty() {
@@ -313,7 +313,7 @@ fn step_rec(
             let mut lists: Vec<&[u32]> = Vec::with_capacity(positions.len() + 1);
             lists.push(&cands[*ai]);
             for &p in positions {
-                lists.push(find_index(indexes, p).probe(v, range));
+                lists.push(indexes.at(p).probe(v, range));
             }
             let mut out = Vec::new();
             let mut gsteps = 0u64;

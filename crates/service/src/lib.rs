@@ -11,11 +11,15 @@
 //!
 //! - **Snapshot isolation** ([`snapshot`]): the writer publishes an
 //!   immutable [`Snapshot`] — the committed epoch, per-relation
-//!   store-length marks, and a materialized [`Structure`] — at every batch
-//!   commit. Readers clone an `Arc` to the current snapshot and evaluate
-//!   against it lock-free, so reads never block writes, writes never block
-//!   reads, and no reader can observe a half-applied batch: every answer
-//!   is the fixpoint of exactly one committed epoch.
+//!   store-length marks, a materialized [`Structure`], and the EDB
+//!   position indexes its readers share — at every batch commit. Readers
+//!   clone an `Arc` to the current snapshot and evaluate against it
+//!   lock-free, so reads never block writes, writes never block reads,
+//!   and no reader can observe a half-applied batch: every answer is the
+//!   fixpoint of exactly one committed epoch. The first reader to probe a
+//!   relation position builds that index into the snapshot; later readers
+//!   of the snapshot reuse it, so a cache miss pays for its own demand
+//!   fixpoint, not for indexing the EDB.
 //! - **Shared result cache** ([`QueryService`]): one capacity-bounded
 //!   [`ClockCache`] keyed by `(query, tuple)` and stamped with the
 //!   snapshot epoch serves all tenants. Inserts are validated against the

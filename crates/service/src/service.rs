@@ -10,6 +10,12 @@
 //!   critical sections: cloning the published snapshot `Arc`, one cache
 //!   lookup, and the admission debit. Evaluation itself runs against the
 //!   immutable snapshot with no lock held.
+//! - **Readers share a snapshot's indexes.** A cache miss evaluates
+//!   through the snapshot's [`EdbIndexes`](kv_datalog::EdbIndexes): the
+//!   first miss to probe a relation position builds its index, and every
+//!   later miss on the snapshot reuses it, so a miss costs its demand
+//!   fixpoint rather than a pass over the EDB. Readers that race the
+//!   first probe of one position wait for a single build.
 //! - **No torn reads.** Every answer is computed against (or cached from)
 //!   the fixpoint of exactly one committed epoch; the epoch is returned
 //!   with the answer. A reader holding an old snapshot keeps it alive
@@ -243,7 +249,10 @@ impl ServiceBuilder {
             }
             stores[rel.0].commit_epoch();
         }
-        let snapshot = Snapshot::capture(&vocabulary, universe, &constants, &stores, 0);
+        // The stores hold exactly the initial tuples, interned in the
+        // initial structure's id order, so it already is the epoch-0
+        // snapshot's structure: adopt it instead of capturing a copy.
+        let snapshot = Snapshot::adopt(self.initial, &stores, 0);
         let cache = match self.cache_capacity {
             Some(cap) => ClockCache::with_capacity(cap),
             None => ClockCache::new(),
@@ -396,12 +405,16 @@ impl QueryService {
         tc.cache_misses.fetch_add(1, Ordering::Relaxed);
         self.counters.cache_misses.fetch_add(1, Ordering::Relaxed);
 
-        // Governed evaluation against the immutable snapshot — no lock
-        // held, concurrent with every other reader and the writer.
+        // Governed evaluation against the immutable snapshot and its
+        // shared indexes — no lock held, concurrent with every other
+        // reader and the writer.
         let gov = governor_for(tenant);
-        let outcome = registered
-            .query
-            .try_eval_at_uncached(snapshot.edb(), &request.tuple, &gov);
+        let outcome = registered.query.try_eval_at_indexed(
+            snapshot.edb(),
+            snapshot.edb_indexes(),
+            &request.tuple,
+            &gov,
+        );
         self.charge(request.tenant, gov.usage().steps);
         match outcome {
             Ok(holds) => {
@@ -442,13 +455,17 @@ impl QueryService {
     /// until the publish instant and are never blocked.
     ///
     /// # Panics
-    /// Panics on a fact whose arity or elements do not fit the EDB.
+    /// Panics on a fact whose arity or elements do not fit the EDB. Every
+    /// fact is checked before any store changes, so a rejected batch
+    /// leaves no trace.
     pub fn apply_batch(&self, inserts: &[Fact], retracts: &[Fact]) -> BatchOutcome {
+        for (rel, tuple) in retracts.iter().chain(inserts) {
+            self.validate(*rel, tuple);
+        }
         let mut writer = self.lock_writer();
         let mut retracted = 0usize;
         let mut retract_misses = 0usize;
         for (rel, tuple) in retracts {
-            self.validate(*rel, tuple);
             match writer.stores[rel.0].retract(tuple) {
                 RetractOutcome::Died(_) => retracted += 1,
                 RetractOutcome::Decremented(_) => {}
@@ -457,7 +474,6 @@ impl QueryService {
         }
         let mut inserted = 0usize;
         for (rel, tuple) in inserts {
-            self.validate(*rel, tuple);
             if writer.stores[rel.0].insert(tuple).is_new() {
                 inserted += 1;
             }
@@ -474,7 +490,7 @@ impl QueryService {
             &writer.stores,
             epoch,
         ));
-        {
+        let retired = {
             // Publish snapshot and bump the cache epoch together, so the
             // pair (published snapshot, cache epoch) only ever advances in
             // lock-step. A reader that grabbed the old snapshot just
@@ -483,9 +499,13 @@ impl QueryService {
             // check.
             let mut published = self.lock_published();
             let mut cache = self.lock_cache();
-            *published = snapshot;
             cache.bump_epoch();
-        }
+            std::mem::replace(&mut *published, snapshot)
+        };
+        // Released after the locks: freeing the old snapshot's structure
+        // and indexes (when no reader still holds it) never delays a
+        // reader's snapshot or cache lookup.
+        drop(retired);
         self.counters.batches.fetch_add(1, Ordering::Relaxed);
         BatchOutcome {
             epoch,
@@ -726,6 +746,63 @@ mod tests {
             Response::Rejected(RejectReason::ArityMismatch)
         );
         assert_eq!(svc.metrics().rejected, 3);
+    }
+
+    #[test]
+    fn misses_on_one_snapshot_share_its_indexes() {
+        let (svc, q, ids) = tc_service(vec![TenantPolicy::unlimited("t0")]);
+        let e = RelId(0);
+        let built = |snap: &Snapshot| -> Vec<Option<*const kv_structures::PosIndex>> {
+            (0..2)
+                .map(|pos| {
+                    snap.edb_indexes()
+                        .built(e, pos)
+                        .map(|ix| ix as *const kv_structures::PosIndex)
+                })
+                .collect()
+        };
+        let snap = svc.snapshot();
+        assert_eq!(built(&snap), vec![None, None], "nothing is built up front");
+        let first = svc.serve(&req(ids[0], q, vec![0, 3]));
+        assert!(matches!(first, Response::Answer { cached: false, .. }));
+        let after_first = built(&snap);
+        assert!(after_first.iter().any(Option::is_some), "a miss builds");
+        // A second miss on the same snapshot reads the very same indexes.
+        let second = svc.serve(&req(ids[0], q, vec![1, 3]));
+        assert!(matches!(second, Response::Answer { cached: false, .. }));
+        let after_second = built(&snap);
+        for (a, b) in after_first.iter().zip(&after_second) {
+            if let (Some(a), Some(b)) = (a, b) {
+                assert!(std::ptr::eq(*a, *b), "the index was rebuilt");
+            }
+        }
+        // A commit publishes a new snapshot with a set of its own.
+        svc.apply_batch(&[(e, vec![3, 0])], &[]);
+        assert_eq!(built(&svc.snapshot()), vec![None, None]);
+    }
+
+    #[test]
+    fn a_rejected_batch_leaves_no_trace() {
+        let (svc, q, ids) = tc_service(vec![TenantPolicy::unlimited("t0")]);
+        let e = RelId(0);
+        // A valid insert followed by an out-of-universe fact: the batch
+        // panics, and none of it may reach a later commit.
+        let torn = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            svc.apply_batch(&[(e, vec![3, 0]), (e, vec![0, 99])], &[])
+        }));
+        assert!(torn.is_err(), "an out-of-universe fact is refused");
+        assert_eq!(svc.epoch(), 0);
+        let outcome = svc.apply_batch(&[], &[]);
+        assert_eq!((outcome.epoch, outcome.inserted), (1, 0));
+        assert!(!svc.snapshot().edb().relation(e).contains(&[3, 0]));
+        assert_eq!(
+            svc.serve(&req(ids[0], q, vec![3, 0])),
+            Response::Answer {
+                holds: false,
+                epoch: 1,
+                cached: false
+            }
+        );
     }
 
     #[test]

@@ -4,13 +4,21 @@
 //! counts, tombstones) and, at each commit, *publishes* a [`Snapshot`]:
 //! the committed epoch, one [`SnapshotMark`] per relation recording the
 //! append-only arena length and live-tuple count at that instant — the
-//! "store-length mark" that identifies a semi-naive stage — and a
-//! materialized [`Structure`] holding exactly the live tuples. Readers
-//! hold the snapshot through an `Arc`, so a snapshot outlives its epoch
-//! for as long as any in-flight request still evaluates against it.
+//! "store-length mark" that identifies a semi-naive stage — a
+//! materialized [`Structure`] holding exactly the live tuples, and an
+//! [`EdbIndexes`] set over that structure. Readers hold the snapshot
+//! through an `Arc`, so a snapshot outlives its epoch for as long as any
+//! in-flight request still evaluates against it.
+//!
+//! The index set starts empty. The first evaluation to probe a position
+//! of a relation builds that position's index into the set; every later
+//! evaluation against the snapshot, from any reader thread, reads the
+//! same index. A snapshot's indexes are therefore built at most once, and
+//! freed with the snapshot.
 //!
 //! [`MutableStore`]: kv_structures::MutableStore
 
+use kv_datalog::EdbIndexes;
 use kv_structures::{Element, MutableStore, Structure, Vocabulary};
 use std::sync::Arc;
 
@@ -28,12 +36,14 @@ pub struct SnapshotMark {
     pub live: u32,
 }
 
-/// An immutable view of the EDB at one committed epoch.
+/// An immutable view of the EDB at one committed epoch, with the position
+/// indexes its readers share.
 #[derive(Debug)]
 pub struct Snapshot {
     epoch: u64,
     marks: Vec<SnapshotMark>,
     edb: Structure,
+    indexes: EdbIndexes,
 }
 
 impl Snapshot {
@@ -52,18 +62,45 @@ impl Snapshot {
         for (c, &value) in vocabulary.constants().zip(constants) {
             edb.set_constant(c, value);
         }
-        let mut marks = Vec::with_capacity(stores.len());
         for rel in vocabulary.relations() {
-            let store = &stores[rel.0];
-            for tuple in store.live_iter() {
+            for tuple in stores[rel.0].live_iter() {
                 edb.insert(rel, tuple);
             }
-            marks.push(SnapshotMark {
-                arena_len: store.len() as u32,
-                live: store.live_len() as u32,
-            });
         }
-        Snapshot { epoch, marks, edb }
+        Self::adopt(edb, stores, epoch)
+    }
+
+    /// Publishes `edb` as the snapshot of `stores` at `epoch` without
+    /// copying it. `edb` must be what [`capture`](Self::capture) would
+    /// build: each relation holds its store's live tuples, interned in
+    /// arena order — true of the structure a writer filled its stores from.
+    ///
+    /// # Panics
+    /// Panics if a relation's size differs from its store's live count.
+    pub(crate) fn adopt(edb: Structure, stores: &[MutableStore], epoch: u64) -> Self {
+        let marks = edb
+            .vocabulary()
+            .relations()
+            .map(|rel| {
+                let store = &stores[rel.0];
+                assert_eq!(
+                    edb.relation(rel).len(),
+                    store.live_len(),
+                    "snapshot relation must hold its store's live tuples"
+                );
+                SnapshotMark {
+                    arena_len: store.len() as u32,
+                    live: store.live_len() as u32,
+                }
+            })
+            .collect();
+        let indexes = EdbIndexes::new(&edb);
+        Snapshot {
+            epoch,
+            marks,
+            edb,
+            indexes,
+        }
     }
 
     /// The committed epoch this snapshot reflects (0 = initial load).
@@ -80,6 +117,13 @@ impl Snapshot {
     /// against this structure; it never changes after capture.
     pub fn edb(&self) -> &Structure {
         &self.edb
+    }
+
+    /// The position indexes over [`edb`](Self::edb) that every reader of
+    /// this snapshot shares, each built by the first evaluation that
+    /// probes it.
+    pub fn edb_indexes(&self) -> &EdbIndexes {
+        &self.indexes
     }
 
     /// Total live tuples across all relations at this epoch.
@@ -118,5 +162,34 @@ mod tests {
         let rel = v.relations().next().unwrap();
         assert!(snap.edb().relation(rel).contains(&[0, 1]));
         assert!(!snap.edb().relation(rel).contains(&[1, 2]));
+    }
+
+    #[test]
+    fn adopting_the_source_structure_equals_capturing_it() {
+        let v = vocab();
+        let rel = v.relations().next().unwrap();
+        let mut source = Structure::new(Arc::clone(&v), 5);
+        for t in [[3, 1], [0, 4], [2, 2], [1, 0]] {
+            source.insert(rel, &t);
+        }
+        let mut store = MutableStore::new(2);
+        for t in source.relation(rel).iter() {
+            store.insert(t);
+        }
+        store.commit_epoch();
+        let stores = [store];
+        let captured = Snapshot::capture(&v, 5, &[], &stores, 0);
+        let adopted = Snapshot::adopt(source, &stores, 0);
+        assert_eq!(adopted.marks(), captured.marks());
+        // Same tuples under the same ids, not just the same set.
+        assert!(adopted
+            .edb()
+            .relation(rel)
+            .iter()
+            .eq(captured.edb().relation(rel).iter()));
+        assert_eq!(
+            adopted.edb().universe_size(),
+            captured.edb().universe_size()
+        );
     }
 }

@@ -19,7 +19,8 @@ use datalog_expressiveness::datalog::programs::{
     two_disjoint_paths_acyclic, two_disjoint_paths_paper_rules, two_pairs_vocabulary,
 };
 use datalog_expressiveness::datalog::{
-    BindingPattern, EvalOptions, Evaluator, JoinLowering, MagicProgram, PlannerMode, Program,
+    BindingPattern, CompiledProgram, EdbIndexes, EvalOptions, Evaluator, Governor, IdbId,
+    JoinLowering, MagicProgram, PlannerMode, Program,
 };
 use datalog_expressiveness::structures::generators::{random_dag, random_digraph};
 use datalog_expressiveness::structures::{Element, Structure, Vocabulary};
@@ -265,5 +266,82 @@ fn cost_based_never_regresses_probes_on_bench_programs() {
             planned.eval_stats.duplicate_derivations,
             textual.eval_stats.duplicate_derivations
         );
+    }
+}
+
+/// Magic-goal seeds for a seeded run (empty for a plain run).
+type Seeds = Vec<(IdbId, Vec<Element>)>;
+
+/// Every planner × lowering × worker-count configuration the shared index
+/// differential covers.
+fn index_sharing_configs() -> Vec<EvalOptions> {
+    let mut configs = Vec::new();
+    for planner in [PlannerMode::Textual, PlannerMode::CostBased] {
+        for lowering in [
+            JoinLowering::Auto,
+            JoinLowering::Binary,
+            JoinLowering::Generic,
+        ] {
+            for w in [1usize, 4] {
+                configs.push(opts(planner).with_lowering(lowering).with_shards(Some(w)));
+            }
+        }
+    }
+    configs
+}
+
+#[test]
+fn shared_prewarmed_indexes_match_a_fresh_run() {
+    // A service evaluates every miss on a snapshot through the snapshot's
+    // one EDB index set. Whatever earlier runs — other plans, lowerings,
+    // worker counts, seeds — built into the set, a run through it must
+    // derive exactly what a run with a set of its own derives, with the
+    // same stages and the same counters.
+    let configs = index_sharing_configs();
+    for (pi, program) in all_programs().iter().enumerate() {
+        for round in 0..2u64 {
+            let s = fixture_for(program, 15_000 + 19 * pi as u64 + round);
+            let arity = program.idb_arity(program.goal());
+            let query: Vec<Element> = (0..arity)
+                .map(|i| (3 * i as Element + round as Element) % s.universe_size() as Element)
+                .collect();
+            let magic = MagicProgram::rewrite(program, &BindingPattern::all_bound(arity))
+                .unwrap_or_else(|e| panic!("program {pi}: rewrite failed: {e}"));
+            let runs: [(CompiledProgram, Seeds); 2] = [
+                (CompiledProgram::compile(program), Vec::new()),
+                (
+                    magic.compile(),
+                    vec![(magic.magic_goal(), magic.seed(&query))],
+                ),
+            ];
+            let shared = EdbIndexes::new(&s);
+            let through = |compiled: &CompiledProgram, seeds: &[(IdbId, Vec<Element>)], o| {
+                compiled
+                    .try_run_indexed(&s, &shared, o, &Governor::unlimited(), seeds)
+                    .expect("unlimited governor")
+            };
+            // The first pass fills the set as it goes; the second reads a
+            // set every configuration has already probed.
+            for pass in 0..2 {
+                for (compiled, seeds) in &runs {
+                    for &o in &configs {
+                        let label = format!(
+                            "program {pi}, round {round}, pass {pass}, seeded {}, {:?}/{}/{:?}",
+                            !seeds.is_empty(),
+                            o.planner,
+                            o.lowering,
+                            o.shards
+                        );
+                        let fresh = compiled.run_seeded(&s, o, seeds);
+                        let via = through(compiled, seeds, o);
+                        assert_eq!(fresh.idb, via.idb, "{label}");
+                        assert_eq!(fresh.stage_marks, via.stage_marks, "{label}");
+                        assert!(fresh.same_stages(&via), "{label}");
+                        assert_eq!(fresh.eval_stats, via.eval_stats, "{label}");
+                        assert_eq!(fresh.converged, via.converged, "{label}");
+                    }
+                }
+            }
+        }
     }
 }

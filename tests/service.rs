@@ -205,3 +205,72 @@ fn concurrent_readers_observe_only_committed_fixpoints() {
     assert!(m.cache_hits > 0, "no cache hits under repeat traffic");
     assert_eq!(m.batches, BATCHES as u64);
 }
+
+#[test]
+fn racing_first_misses_on_one_snapshot_agree_with_ground_truth() {
+    // Four readers hit a fresh snapshot at the same instant, so their
+    // first misses race to build the snapshot's shared indexes; every
+    // answer must still be the epoch-0 fixpoint.
+    const NODES: u32 = 40;
+    let initial = random_digraph(NODES as usize, 0.06, 0x4ace).to_structure();
+    let mut builder = ServiceBuilder::new(&initial);
+    let q = builder.register_query(
+        "tc",
+        ProgramQuery::at_tuple("tc", transitive_closure(), vec![0, 1]),
+    );
+    let tenants: Vec<TenantId> = (0..READERS)
+        .map(|i| builder.register_tenant(TenantPolicy::unlimited(format!("racer-{i}"))))
+        .collect();
+    let svc = builder.build();
+    let truth: HashSet<Vec<Element>> = Evaluator::new(&transitive_closure())
+        .run(&initial, EvalOptions::default())
+        .idb[0]
+        .iter()
+        .map(|t| t.to_vec())
+        .collect();
+    let start = std::sync::Barrier::new(READERS);
+    let checked: usize = std::thread::scope(|scope| {
+        let racers: Vec<_> = tenants
+            .iter()
+            .enumerate()
+            .map(|(i, &tenant)| {
+                let (svc, start, truth) = (&svc, &start, &truth);
+                scope.spawn(move || {
+                    start.wait();
+                    // Each racer asks its own sources, so every request
+                    // is a miss.
+                    let mut checked = 0usize;
+                    for u in (i as u32..NODES).step_by(READERS).take(3) {
+                        for v in 0..NODES {
+                            let tuple = vec![u, v];
+                            let response = svc.serve(&Request {
+                                tenant,
+                                query: q,
+                                tuple: tuple.clone(),
+                            });
+                            let expect = Response::Answer {
+                                holds: truth.contains(&tuple),
+                                epoch: 0,
+                                cached: false,
+                            };
+                            assert_eq!(response, expect, "racer {i}: answer for {tuple:?}");
+                            checked += 1;
+                        }
+                    }
+                    checked
+                })
+            })
+            .collect();
+        racers
+            .into_iter()
+            .map(|r| r.join().expect("racer panicked"))
+            .sum()
+    });
+    assert_eq!(checked, READERS * 3 * NODES as usize);
+    assert!(truth.len() > NODES as usize, "the fixture has long paths");
+    let snapshot = svc.snapshot();
+    assert!(
+        (0..2).any(|pos| snapshot.edb_indexes().built(edge(), pos).is_some()),
+        "the misses built the snapshot's indexes"
+    );
+}
