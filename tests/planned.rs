@@ -16,42 +16,65 @@
 
 use datalog_expressiveness::datalog::programs::{
     avoiding_path, path_systems, q_kl, q_prime, transitive_closure, triangles,
-    two_disjoint_paths_acyclic, two_disjoint_paths_paper_rules, two_pairs_vocabulary,
+    two_disjoint_paths_acyclic, two_disjoint_paths_paper_rules,
 };
 use datalog_expressiveness::datalog::{
     BindingPattern, CompiledProgram, EdbIndexes, EvalOptions, Evaluator, Governor, IdbId,
     JoinLowering, MagicProgram, PlannerMode, Program,
 };
+use datalog_expressiveness::homeo::{acyclic_game_program, PatternSpec};
 use datalog_expressiveness::structures::generators::{random_dag, random_digraph};
-use datalog_expressiveness::structures::{Element, Structure, Vocabulary};
+use datalog_expressiveness::structures::{Element, EvalStats, Structure};
 use std::sync::Arc;
 
-/// One structure appropriate for each program's vocabulary (mirrors the
-/// chaos and demand suites' fixtures).
+/// One structure over the program's own vocabulary: the path-systems
+/// relations `R/3, A/1`, or a digraph `E/2` whose distinguished nodes
+/// interpret the vocabulary's constants. Programs with constants (the
+/// two-disjoint-paths programs and Theorem 6.2's game programs) assume
+/// acyclic inputs, so they get a random DAG.
 fn fixture_for(program: &Program, seed: u64) -> Structure {
-    let vocab = program.vocabulary();
-    if vocab.constant_count() == 4 {
-        let mut g = random_dag(8, 0.35, seed);
-        g.set_distinguished(vec![0, 6, 1, 7]);
-        g.to_structure_with(Arc::new(two_pairs_vocabulary()))
-    } else if vocab.relation_count() == 2 {
-        let mut v = Vocabulary::new();
-        let r = v.add_relation("R", 3);
-        let a = v.add_relation("A", 1);
-        let mut s = Structure::new(Arc::new(v), 7);
+    let vocab = Arc::clone(program.vocabulary());
+    if let (Some(r), Some(a)) = (vocab.relation_by_name("R"), vocab.relation_by_name("A")) {
+        let mut s = Structure::new(vocab, 7);
         s.insert(a, &[0]);
         s.insert(a, &[1]);
         for &(x, y, z) in &[(2, 0, 1), (3, 2, 0), (4, 3, 2), (5, 6, 6), (6, 4, 5)] {
             s.insert(r, &[x, y, z]);
         }
-        s
+        return s;
+    }
+    // Q_{k,l} with k + l = 3 has a 5-ary goal: one node fewer keeps its
+    // fixpoint (up to n^5 tuples) in the range of the other programs'.
+    let nodes = if program.idb_arity(program.goal()) > 4 {
+        6
     } else {
-        random_digraph(7, 0.3, seed).to_structure()
+        7
+    };
+    match vocab.constant_count() {
+        0 => random_digraph(nodes, 0.3, seed).to_structure(),
+        c => {
+            let mut g = random_dag(8, 0.35, seed);
+            g.set_distinguished([0, 6, 1, 7, 2, 5][..c].to_vec());
+            g.to_structure_with(vocab)
+        }
     }
 }
 
+/// Theorem 6.2's game programs for a two-edge and a three-edge pattern:
+/// one IDB per subset of pattern edges, mutually recursive, with
+/// ≠-heavy bodies.
+fn game_patterns() -> [PatternSpec; 2] {
+    [
+        PatternSpec::path_length_two(),
+        PatternSpec {
+            node_count: 4,
+            edges: vec![(0, 1), (1, 2), (2, 3)],
+        },
+    ]
+}
+
 fn all_programs() -> Vec<Program> {
-    vec![
+    let mut programs = vec![
         transitive_closure(),
         avoiding_path(),
         q_prime(),
@@ -60,7 +83,12 @@ fn all_programs() -> Vec<Program> {
         two_disjoint_paths_acyclic(),
         two_disjoint_paths_paper_rules(),
         triangles(),
-    ]
+        q_kl(1, 1),
+        q_kl(2, 2),
+        q_kl(3, 1),
+    ];
+    programs.extend(game_patterns().iter().map(acyclic_game_program));
+    programs
 }
 
 fn opts(planner: PlannerMode) -> EvalOptions {
@@ -345,3 +373,190 @@ fn shared_prewarmed_indexes_match_a_fresh_run() {
         }
     }
 }
+
+/// The fixtures the pinned counters are recorded on.
+const PINNED_SEEDS: [u64; 2] = [21_000, 21_001];
+
+/// The configurations the pinned counters cover, in row order: textual,
+/// then cost-based under the Auto, Binary and Generic lowerings.
+fn pinned_configs() -> [EvalOptions; 4] {
+    let cost = |lowering| opts(PlannerMode::CostBased).with_lowering(lowering);
+    [
+        opts(PlannerMode::Textual),
+        cost(JoinLowering::Auto),
+        cost(JoinLowering::Binary),
+        cost(JoinLowering::Generic),
+    ]
+}
+
+/// The full [`EvalStats`] as one row: join probes, magic probes, block
+/// probes, gallop steps, duplicate derivations, tuples interned, stages,
+/// generic-join rules.
+fn counter_row(s: &EvalStats) -> [u64; 8] {
+    [
+        s.join_probes,
+        s.magic_probes,
+        s.block_probes,
+        s.gallop_steps,
+        s.duplicate_derivations,
+        s.tuples_interned,
+        s.stages,
+        s.wcoj_rules,
+    ]
+}
+
+#[test]
+fn from_scratch_counters_are_pinned() {
+    // Join order, kernels, probe memos, batched emission, Bloom filters
+    // and the live-rule filter all show in the single-worker counters. A
+    // change to how plans are built or executed that is meant to leave
+    // evaluation as it was must reproduce every recorded row.
+    let mut got = Vec::new();
+    for program in all_programs() {
+        for seed in PINNED_SEEDS {
+            let s = fixture_for(&program, seed);
+            for o in pinned_configs() {
+                got.push(counter_row(&Evaluator::new(&program).run(&s, o).eval_stats));
+            }
+        }
+    }
+    assert_eq!(
+        got.len(),
+        PINNED_COUNTERS.len(),
+        "one row per program, seed and configuration"
+    );
+    let per_program = PINNED_SEEDS.len() * pinned_configs().len();
+    for (i, (row, want)) in got.iter().zip(&PINNED_COUNTERS).enumerate() {
+        let (seed, config) = (i % per_program / 4, i % 4);
+        assert_eq!(
+            row,
+            want,
+            "program {}, seed {}, configuration {config}",
+            i / per_program,
+            PINNED_SEEDS[seed]
+        );
+    }
+}
+
+/// Recorded [`counter_row`]s: per program of [`all_programs`], per seed of
+/// [`PINNED_SEEDS`], per configuration of [`pinned_configs`].
+#[rustfmt::skip]
+const PINNED_COUNTERS: [[u64; 8]; 104] = [
+    // transitive_closure
+    [54, 0, 0, 0, 34, 35, 4, 0],
+    [22, 0, 18, 0, 34, 35, 4, 0],
+    [22, 0, 18, 0, 34, 35, 4, 0],
+    [96, 0, 0, 154, 34, 35, 4, 4],
+    [63, 0, 0, 0, 63, 42, 4, 0],
+    [25, 0, 22, 0, 63, 42, 4, 0],
+    [25, 0, 22, 0, 63, 42, 4, 0],
+    [137, 0, 0, 252, 63, 42, 4, 4],
+    // avoiding_path
+    [166, 0, 0, 0, 119, 147, 4, 0],
+    [22, 0, 130, 0, 119, 147, 4, 0],
+    [22, 0, 130, 0, 119, 147, 4, 0],
+    [387, 0, 0, 634, 119, 147, 4, 4],
+    [207, 0, 0, 0, 214, 186, 4, 0],
+    [29, 0, 162, 0, 214, 186, 4, 0],
+    [29, 0, 162, 0, 214, 186, 4, 0],
+    [588, 0, 0, 1081, 214, 186, 4, 4],
+    // q_prime
+    [702, 0, 0, 0, 165, 238, 5, 0],
+    [236, 0, 289, 0, 119, 238, 5, 0],
+    [236, 0, 289, 0, 119, 238, 5, 0],
+    [998, 0, 0, 3521, 165, 238, 5, 14],
+    [905, 0, 0, 0, 288, 286, 6, 0],
+    [324, 0, 358, 0, 214, 286, 6, 0],
+    [324, 0, 358, 0, 214, 286, 6, 0],
+    [1449, 0, 0, 6837, 288, 286, 6, 15],
+    // q_kl(2, 1)
+    [2279, 0, 0, 0, 655, 925, 5, 0],
+    [402, 0, 1355, 0, 552, 925, 5, 0],
+    [402, 0, 1355, 0, 552, 925, 5, 0],
+    [3789, 0, 0, 40461, 655, 925, 5, 14],
+    [2922, 0, 0, 0, 964, 1121, 6, 0],
+    [565, 0, 1709, 0, 805, 1121, 6, 0],
+    [565, 0, 1709, 0, 805, 1121, 6, 0],
+    [5075, 0, 0, 77330, 964, 1121, 6, 15],
+    // path_systems
+    [32, 0, 0, 0, 0, 5, 4, 0],
+    [21, 0, 0, 0, 0, 5, 4, 0],
+    [21, 0, 0, 0, 0, 5, 4, 0],
+    [34, 0, 0, 13, 0, 5, 4, 7],
+    [32, 0, 0, 0, 0, 5, 4, 0],
+    [21, 0, 0, 0, 0, 5, 4, 0],
+    [21, 0, 0, 0, 0, 5, 4, 0],
+    [34, 0, 0, 13, 0, 5, 4, 7],
+    // two_disjoint_paths_acyclic
+    [33, 0, 0, 0, 0, 2, 1, 0],
+    [4, 0, 0, 0, 0, 2, 1, 0],
+    [4, 0, 0, 0, 0, 2, 1, 0],
+    [4, 0, 0, 0, 0, 2, 1, 1],
+    [248, 0, 0, 0, 12, 27, 4, 0],
+    [79, 0, 26, 0, 8, 27, 4, 0],
+    [79, 0, 26, 0, 8, 27, 4, 0],
+    [235, 0, 0, 367, 12, 27, 4, 19],
+    // two_disjoint_paths_paper_rules
+    [21, 0, 0, 0, 0, 3, 2, 0],
+    [8, 0, 1, 0, 0, 3, 2, 0],
+    [8, 0, 1, 0, 0, 3, 2, 0],
+    [11, 0, 0, 3, 0, 3, 2, 4],
+    [65, 0, 0, 0, 38, 30, 5, 0],
+    [30, 0, 14, 0, 38, 30, 5, 0],
+    [30, 0, 14, 0, 38, 30, 5, 0],
+    [111, 0, 0, 207, 38, 30, 5, 10],
+    // triangles
+    [35, 0, 0, 0, 0, 6, 1, 0],
+    [49, 0, 0, 56, 0, 6, 1, 1],
+    [24, 0, 11, 0, 0, 6, 1, 0],
+    [49, 0, 0, 56, 0, 6, 1, 1],
+    [44, 0, 0, 0, 0, 6, 1, 0],
+    [68, 0, 0, 82, 0, 6, 1, 1],
+    [31, 0, 13, 0, 0, 6, 1, 0],
+    [68, 0, 0, 82, 0, 6, 1, 1],
+    // q_kl(1, 1)
+    [153, 0, 0, 0, 152, 147, 4, 0],
+    [26, 0, 126, 0, 152, 147, 4, 0],
+    [26, 0, 126, 0, 152, 147, 4, 0],
+    [435, 0, 0, 814, 152, 147, 4, 4],
+    [192, 0, 0, 0, 221, 186, 4, 0],
+    [27, 0, 164, 0, 221, 186, 4, 0],
+    [27, 0, 164, 0, 221, 186, 4, 0],
+    [582, 0, 0, 1075, 221, 186, 4, 4],
+    // q_kl(2, 2)
+    [1665, 0, 0, 0, 414, 798, 3, 0],
+    [156, 0, 1146, 0, 414, 798, 3, 0],
+    [156, 0, 1146, 0, 414, 798, 3, 0],
+    [2636, 0, 0, 24424, 414, 798, 3, 9],
+    [2373, 0, 0, 0, 574, 1132, 4, 0],
+    [141, 0, 1632, 0, 554, 1132, 4, 0],
+    [141, 0, 1632, 0, 554, 1132, 4, 0],
+    [3337, 0, 0, 41870, 574, 1132, 4, 10],
+    // q_kl(3, 1)
+    [1765, 0, 0, 0, 414, 798, 3, 0],
+    [170, 0, 1178, 0, 414, 798, 3, 0],
+    [170, 0, 1178, 0, 414, 798, 3, 0],
+    [2682, 0, 0, 24442, 414, 798, 3, 11],
+    [2562, 0, 0, 0, 576, 1150, 4, 0],
+    [181, 0, 1698, 0, 554, 1150, 4, 0],
+    [181, 0, 1698, 0, 554, 1150, 4, 0],
+    [3487, 0, 0, 43141, 576, 1150, 4, 16],
+    // acyclic_game_program(path of length two)
+    [43, 0, 0, 0, 0, 2, 2, 0],
+    [5, 0, 0, 0, 0, 2, 2, 0],
+    [5, 0, 0, 0, 0, 2, 2, 0],
+    [6, 0, 0, 1, 0, 2, 2, 3],
+    [87, 0, 0, 0, 1, 5, 3, 0],
+    [8, 0, 0, 0, 1, 5, 3, 0],
+    [8, 0, 0, 0, 1, 5, 3, 0],
+    [13, 0, 0, 15, 1, 5, 3, 4],
+    // acyclic_game_program(path of length three)
+    [144, 0, 0, 0, 0, 6, 3, 0],
+    [19, 0, 2, 0, 0, 6, 3, 0],
+    [19, 0, 2, 0, 0, 6, 3, 0],
+    [28, 0, 0, 12, 0, 6, 3, 9],
+    [519, 0, 0, 0, 12, 27, 5, 0],
+    [90, 0, 35, 0, 8, 27, 5, 0],
+    [90, 0, 35, 0, 8, 27, 5, 0],
+    [242, 0, 0, 380, 12, 27, 5, 22],
+];
