@@ -47,16 +47,17 @@
 //! of the rule bodies as existential formulas over the structure.
 
 use crate::ast::{IdbId, Literal, Pred, Rule, Term, VarId};
-use crate::planner::{self, RunPlan, SccInfo};
+use crate::planner::{self, Fire, RunPlan, SccInfo};
 use crate::program::Program;
 use crate::sharded;
 use crate::wcoj::{self, GenericPlan};
 use kv_structures::govern::{Governor, Interrupted};
 use kv_structures::store::{
-    gallop_intersect, tuple_hash, EvalStats, IdRange, PosIndex, StoreView, TupleBloom, TupleId,
-    TupleStore,
+    gallop_intersect, tuple_hash, CardStats, EvalStats, IdRange, PosIndex, StoreView, TupleBloom,
+    TupleId, TupleStore,
 };
 use kv_structures::{Element, JoinLowering, PlannerMode, RelId, Relation, Structure, Vocabulary};
+use std::borrow::Cow;
 use std::collections::{HashMap, HashSet};
 use std::fmt;
 use std::sync::{Arc, OnceLock};
@@ -71,20 +72,23 @@ pub struct EvalOptions {
     /// hard budget that errors instead, govern the run with a
     /// [`kv_structures::Budget`] stage limit.
     pub max_stages: Option<usize>,
-    /// How rule bodies are joined. [`PlannerMode::Textual`] keeps the
-    /// written atom order and the generic probe loop (the engine's
-    /// historical behaviour — the default here, so baseline counters stay
-    /// byte-identical); [`PlannerMode::CostBased`] re-plans each body
-    /// against the structure's [`kv_structures::CardStats`] at run start
-    /// and selects specialized join kernels. Both derive the same tuple
-    /// set at every stage (differential-tested).
+    /// Which plan the planner emits for the run; every plan runs on the
+    /// same stage loop. [`PlannerMode::Textual`] is the plan of the rules
+    /// as written: written atom order, first-bound-argument probes, and no
+    /// probe memos, batched emission or Bloom filters (the default here,
+    /// so baseline counters stay byte-identical to the seed engine's).
+    /// [`PlannerMode::CostBased`] re-plans each body against the
+    /// structure's [`kv_structures::CardStats`] at run start, selects
+    /// specialized join kernels and turns those batching aids on. Both
+    /// derive the same tuple set at every stage (differential-tested).
     pub planner: PlannerMode,
     /// How cost-based plans lower rule bodies into join loops:
     /// [`JoinLowering::Auto`] picks the worst-case-optimal generic join
     /// for cyclic, blow-up-prone rules and the binary kernel pipeline for
     /// the rest; `Binary`/`Generic` force one lowering for every rule.
-    /// Ignored in textual mode. Both lowerings derive the same tuple set
-    /// at every stage (differential-tested).
+    /// The textual plan is the written rules, which it does not lower.
+    /// Both lowerings derive the same tuple set at every stage
+    /// (differential-tested).
     pub lowering: JoinLowering,
     /// The worker count `W`, the only parallelism setting: each stage's
     /// delta is hash-partitioned across `W` workers by tuple ownership
@@ -118,8 +122,8 @@ impl EvalOptions {
         self
     }
 
-    /// The same options with the given [`JoinLowering`] (cost-based mode
-    /// only; textual mode always runs the historical probe loop).
+    /// The same options with the given [`JoinLowering`] (cost-based plans
+    /// only; the textual plan is the written rules).
     pub fn with_lowering(mut self, lowering: JoinLowering) -> Self {
         self.lowering = lowering;
         self
@@ -299,7 +303,8 @@ impl EvalCheckpoint {
 
     /// Rebuilds a checkpoint from [`to_bytes`](Self::to_bytes) output.
     /// Malformed bytes — truncation, duplicate tuples, inconsistent
-    /// markers — decode to a typed [`RecoveryError`], never a panic.
+    /// markers — decode to a typed
+    /// [`RecoveryError`](kv_structures::RecoveryError), never a panic.
     /// Resuming the rebuilt checkpoint produces a result identical,
     /// tuple id by tuple id, to resuming the original.
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, kv_structures::RecoveryError> {
@@ -540,9 +545,14 @@ pub(crate) struct CompiledRule {
     /// Cost-based early exit: once the join has bound all head arguments
     /// (after this many atoms), a branch whose head tuple already exists
     /// can stop — the remaining atoms only re-verify a derivation that
-    /// changes nothing. `None` disables the check (textual mode, or the
-    /// head needs free variables).
+    /// changes nothing. `None` disables the check (written rules, or the
+    /// head needs free variables). Counting workers never take it.
     pub(crate) head_check_at: Option<usize>,
+    /// Whether the join keeps per-atom probe memos and batches its head
+    /// emission (see [`WorkerBuf::emit_buf`]): set by cost-based plans,
+    /// off for written rules so their counters stay as the seed engine
+    /// counted them.
+    pub(crate) batched: bool,
     /// When set, the rule body is executed by the worst-case-optimal
     /// generic join (`crate::wcoj`) instead of the binary kernel
     /// pipeline: the first atom seeds the join, the remaining variables
@@ -611,11 +621,11 @@ fn apply_subst(t: &Term, subst: &[Term]) -> Term {
     }
 }
 
-/// Assigns the textual-mode kernel to every atom: probe the first argument
-/// position that is a constant or a variable bound by an earlier atom, scan
-/// otherwise. This reproduces the engine's historical static index choice
-/// exactly, so textual-mode probe counters stay byte-identical.
-pub(crate) fn assign_textual_kernels(atoms: &mut [JoinAtom]) {
+/// Assigns the written plan's kernel to every atom: probe the first
+/// argument position that is a constant or a variable bound by an earlier
+/// atom, scan otherwise. This reproduces the engine's historical static
+/// index choice exactly, so textual probe counters stay byte-identical.
+fn assign_textual_kernels(atoms: &mut [JoinAtom]) {
     let mut bound: HashSet<VarId> = HashSet::new();
     for a in atoms {
         let first = a.args.iter().position(|t| match t {
@@ -732,8 +742,8 @@ pub(crate) fn compile_rule_pinned(rule: &Rule, pin: DeltaPin, magic: &[bool]) ->
         let delta = atoms.remove(pos);
         atoms.insert(0, delta);
     }
-    // Static kernel selection for textual mode (which variables are bound
-    // at each atom is fully determined by the atom order).
+    // Written-order kernels (which variables are bound at each atom is
+    // fully determined by the atom order); cost-based plans re-assign them.
     assign_textual_kernels(&mut atoms);
     // Variables occurring in atoms.
     let mut in_atoms: HashSet<VarId> = HashSet::new();
@@ -772,16 +782,9 @@ pub(crate) fn compile_rule_pinned(rule: &Rule, pin: DeltaPin, magic: &[bool]) ->
         free_vars,
         neq_at,
         head_check_at: None,
+        batched: false,
         generic: None,
     }
-}
-
-fn compile_rule(rule: &Rule, delta_at: Option<usize>, magic: &[bool]) -> CompiledRule {
-    let pin = match delta_at {
-        None => DeltaPin::None,
-        Some(d) => DeltaPin::Idb(d),
-    };
-    compile_rule_pinned(rule, pin, magic)
 }
 
 /// Gathers the index plan — which positions of which relations the given
@@ -940,11 +943,12 @@ pub(crate) enum EdbIdx<'a> {
     Kept(&'a [Vec<PosIndex>]),
 }
 
-/// A program compiled for evaluation: rule variants with static index
-/// positions, plus the IDB index plan (which positions of which IDB
-/// predicates any variant will ever probe). Compiled **once** — by
-/// [`Evaluator::new`] or directly — and reusable across arbitrarily many
-/// structures, which is what `kv-core`'s `ProgramQuery` relies on.
+/// A program compiled for evaluation: its written rules and semi-naive
+/// variants as one plan, with static index positions and the IDB index
+/// plan (which positions of which IDB predicates any variant will ever
+/// probe). Compiled **once** — by [`Evaluator::new`] or directly — and
+/// reusable across arbitrarily many structures, which is what `kv-core`'s
+/// `ProgramQuery` relies on.
 #[derive(Debug, Clone)]
 pub struct CompiledProgram {
     pub(crate) vocabulary: Arc<Vocabulary>,
@@ -952,12 +956,9 @@ pub struct CompiledProgram {
     pub(crate) idb_arities: Vec<usize>,
     /// IDB display names, kept for `explain()` renderings.
     pub(crate) idb_names: Vec<String>,
-    pub(crate) naive_rules: Vec<CompiledRule>,
-    pub(crate) semi_variants: Vec<CompiledRule>,
-    /// Index positions needed per IDB predicate (sorted, deduplicated).
-    /// One index per position serves all three access modes (full / old /
-    /// delta) via id ranges.
-    pub(crate) idb_positions: Vec<Vec<usize>>,
+    /// The rules as written: the textual plan, which textual runs borrow
+    /// and cost-based runs re-plan (see [`crate::planner`]).
+    pub(crate) written: RunPlan,
     /// The predicate dependency graph's strongly connected components and
     /// their topological stratum order (see [`crate::planner`]).
     pub(crate) scc: SccInfo,
@@ -988,7 +989,7 @@ impl CompiledProgram {
         let naive_rules: Vec<CompiledRule> = program
             .rules()
             .iter()
-            .map(|r| compile_rule(r, None, magic))
+            .map(|r| compile_rule_pinned(r, DeltaPin::None, magic))
             .collect();
         let mut semi_variants = Vec::new();
         for rule in program.rules() {
@@ -997,16 +998,10 @@ impl CompiledProgram {
                 .filter(|(p, _)| matches!(p, Pred::Idb(_)))
                 .count();
             for d in 0..idb_atoms {
-                semi_variants.push(compile_rule(rule, Some(d), magic));
+                semi_variants.push(compile_rule_pinned(rule, DeltaPin::Idb(d), magic));
             }
         }
-        let edb_count = program.vocabulary().relations().count();
         let idb_count = program.idb_count();
-        let (_, idb_positions) = index_plan(
-            naive_rules.iter().chain(&semi_variants),
-            edb_count,
-            idb_count,
-        );
         CompiledProgram {
             vocabulary: Arc::clone(program.vocabulary()),
             goal: program.goal(),
@@ -1016,9 +1011,12 @@ impl CompiledProgram {
             idb_names: (0..idb_count)
                 .map(|i| program.idb_name(IdbId(i)).to_string())
                 .collect(),
-            naive_rules,
-            semi_variants,
-            idb_positions,
+            written: RunPlan {
+                naive_rules,
+                semi_variants,
+                blooms: false,
+                fire: Fire::Seed,
+            },
             scc: SccInfo::of_program(program),
         }
     }
@@ -1036,6 +1034,31 @@ impl CompiledProgram {
     /// Number of strongly connected components among the IDB predicates.
     pub fn scc_count(&self) -> usize {
         self.scc.count()
+    }
+
+    /// The cardinality statistics of `structure`'s relations, one per
+    /// relation of the program's vocabulary.
+    pub(crate) fn edb_card_stats(&self, structure: &Structure) -> Vec<CardStats> {
+        self.vocabulary
+            .relations()
+            .map(|r| structure.relation(r).store().card_stats())
+            .collect()
+    }
+
+    /// The plan a run on `structure` under `options` evaluates: the
+    /// written plan, borrowed, or its cost-based re-plan.
+    fn plan_for(&self, structure: &Structure, options: &EvalOptions) -> Cow<'_, RunPlan> {
+        assert_eq!(
+            structure.vocabulary(),
+            &self.vocabulary,
+            "structure/program vocabulary mismatch"
+        );
+        planner::plan(
+            &self.written,
+            options,
+            || self.edb_card_stats(structure),
+            structure.universe_size(),
+        )
     }
 
     /// Evaluates on `structure` to fixpoint (or `options.max_stages`),
@@ -1153,7 +1176,8 @@ impl CompiledProgram {
             stage: 0,
             active_sccs: Vec::new(),
         };
-        self.run_from(structure, indexes, options, gov, checkpoint)
+        let plan = self.plan_for(structure, &options);
+        self.run_from(structure, indexes, &plan, options, gov, checkpoint)
     }
 
     /// Resumes an interrupted governed evaluation from its checkpoint.
@@ -1174,51 +1198,29 @@ impl CompiledProgram {
         gov: &Governor,
         checkpoint: EvalCheckpoint,
     ) -> Result<EvalResult, EvalInterrupted> {
-        self.run_from(
-            structure,
-            &EdbIndexes::new(structure),
-            options,
-            gov,
-            checkpoint,
-        )
+        let plan = self.plan_for(structure, &options);
+        let indexes = EdbIndexes::new(structure);
+        self.run_from(structure, &indexes, &plan, options, gov, checkpoint)
     }
 
-    /// The governed evaluation core: runs from `cp` (fresh or resumed) to
-    /// fixpoint, truncation, or interrupt, probing the EDB through
-    /// `edb_idx`.
+    /// The governed evaluation core: runs `plan` from `cp` (fresh or
+    /// resumed) to fixpoint, truncation, or interrupt, probing the EDB
+    /// through `edb_idx`. The plan is a pure function of (program,
+    /// structure, options), so interrupted runs re-derive it identically
+    /// on resume.
     fn run_from(
         &self,
         structure: &Structure,
         edb_idx: &EdbIndexes,
+        plan: &RunPlan,
         options: EvalOptions,
         gov: &Governor,
-        cp: EvalCheckpoint,
+        mut cp: EvalCheckpoint,
     ) -> Result<EvalResult, EvalInterrupted> {
-        assert_eq!(
-            structure.vocabulary(),
-            &self.vocabulary,
-            "structure/program vocabulary mismatch"
-        );
         assert!(
             edb_idx.serves(structure),
             "EDB index set was made for another structure"
         );
-        let universe = structure.universe_size();
-
-        // Cost-based mode re-plans every rule body against this structure's
-        // cardinality statistics; textual mode evaluates the compiled rules
-        // as written. The plan is a pure function of (program, structure,
-        // mode), so interrupted runs re-derive it identically on resume.
-        let planned: Option<RunPlan> = match options.planner {
-            PlannerMode::Textual => None,
-            PlannerMode::CostBased => {
-                Some(planner::plan_program(self, structure, options.lowering))
-            }
-        };
-        let (naive_rules, semi_variants, idb_positions) = match &planned {
-            None => (&self.naive_rules, &self.semi_variants, &self.idb_positions),
-            Some(p) => (&p.naive_rules, &p.semi_variants, &p.idb_positions),
-        };
 
         // EDB stores are the structure's own relation stores (zero-copy);
         // their indexes come from `edb_idx`, built on first probe.
@@ -1231,226 +1233,160 @@ impl CompiledProgram {
         // IDB state from the checkpoint (empty on a fresh run); indexes
         // are rebuilt over the committed prefix and then extended (not
         // rebuilt) after each further stage commits.
-        let EvalCheckpoint {
-            mut idb_stores,
-            mut delta_lo,
-            mut stats,
-            mut stage_marks,
-            mut eval_stats,
-            mut stage,
-            active_sccs: _,
-        } = cp;
-        let mut idb_idx = vec![Vec::new(); idb_stores.len()];
-        sync_indexes(&mut idb_idx, &idb_stores, idb_positions);
+        let rules = plan.naive_rules.iter().chain(&plan.semi_variants);
+        let (_, idb_positions) = index_plan(rules, edb_stores.len(), cp.idb_stores.len());
+        let mut idb_idx = vec![Vec::new(); cp.idb_stores.len()];
+        sync_indexes(&mut idb_idx, &cp.idb_stores, &idb_positions);
 
-        // Cost-based runs keep a Bloom pre-filter over each IDB's
-        // committed tuples: a negative answer skips the interner lookup on
-        // the hot early-exit and emit paths. Rebuilt deterministically from
-        // the committed prefix, extended after each stage commit.
-        let mut blooms: Option<Vec<TupleBloom>> = planned.as_ref().map(|_| {
-            idb_stores
-                .iter()
-                .map(|store| {
-                    let mut bloom = TupleBloom::with_capacity(store.len().max(64) * 2);
-                    for t in store.iter() {
-                        bloom.insert(tuple_hash(t));
-                    }
-                    bloom
-                })
-                .collect()
-        });
+        // Plans that keep Bloom pre-filters over each IDB's committed
+        // tuples rebuild them deterministically from the committed prefix
+        // and extend them after each stage commit.
+        let mut blooms: Option<Vec<TupleBloom>> = plan
+            .blooms
+            .then(|| cp.idb_stores.iter().map(bloom_over).collect());
 
         // Shard keys are a pure function of the compiled variants and the
         // EDB statistics (resumed runs re-derive them identically); at
         // W = 1 none are chosen. Interrupts discard partial stages whole,
         // so a checkpoint never holds in-flight exchange tuples.
         let mut shards = sharded::Shards::new(options.shards, || {
-            let edb_stats: Vec<kv_structures::CardStats> =
-                edb_stores.iter().map(|s| s.card_stats()).collect();
             let edb_arities: Vec<usize> = edb_stores.iter().map(|s| s.arity()).collect();
-            sharded::choose_plan(
-                semi_variants,
+            Some(sharded::choose_plan(
+                &plan.semi_variants,
                 &[],
                 &self.idb_arities,
                 &edb_arities,
-                &edb_stats,
-            )
+                &self.edb_card_stats(structure),
+            ))
         });
 
-        // Packages the committed state back up on interrupt.
-        macro_rules! interrupt {
-            ($reason:expr, $stores:expr, $delta:expr, $stats:expr, $marks:expr, $estats:expr, $stage:expr, $active:expr) => {{
-                let mut eval_stats = $estats;
-                eval_stats.stages = $stats.len() as u64;
-                return Err(EvalInterrupted {
-                    reason: $reason,
-                    checkpoint: EvalCheckpoint {
-                        idb_stores: $stores,
-                        delta_lo: $delta,
-                        stats: $stats,
-                        stage_marks: $marks,
-                        eval_stats,
-                        stage: $stage,
-                        active_sccs: $active,
-                    },
-                });
-            }};
-        }
+        // Hands the committed state back as a resumable interrupt, with the
+        // SCC stratum schedule's live set at that boundary: the components
+        // whose predicates still carry a non-empty delta (or, before stage
+        // 1, any committed tuples — seeds).
+        let interrupted = |reason: Interrupted, mut cp: EvalCheckpoint| {
+            cp.eval_stats.stages = cp.stats.len() as u64;
+            cp.active_sccs = self.scc.active_components(&cp.delta_lo, &cp.idb_stores);
+            Err(EvalInterrupted {
+                reason,
+                checkpoint: cp,
+            })
+        };
 
         let mut converged = false;
-        loop {
-            // The SCC stratum schedule's live set at this boundary: the
-            // components whose predicates still carry a non-empty delta
-            // (or, entering stage 1, any committed tuples — seeds).
-            let active_sccs: Vec<u32> = self.scc.active_components(&delta_lo, &idb_stores);
-            if let Some(max) = options.max_stages {
-                if stage >= max {
-                    break;
-                }
-            }
+        while cp.stage < options.max_stages.unwrap_or(usize::MAX) {
             // Coarse boundary check (cancellation poll + deadline + all
             // budgets), then the stage budget for the stage about to run.
             if let Err(reason) = gov.check().and_then(|()| gov.charge_stage()) {
-                interrupt!(
-                    reason,
-                    idb_stores,
-                    delta_lo,
-                    stats,
-                    stage_marks,
-                    eval_stats,
-                    stage,
-                    active_sccs
-                );
+                return interrupted(reason, cp);
             }
-            stage += 1;
-            let prev_len: Vec<u32> = idb_stores.iter().map(|s| s.len() as u32).collect();
-            let rules_this_stage: &[CompiledRule] = if stage == 1 || !options.semi_naive {
-                naive_rules
+            let prev_len: Vec<u32> = cp.idb_stores.iter().map(|s| s.len() as u32).collect();
+            let rules_this_stage: &[CompiledRule] = if cp.stage == 0 || !options.semi_naive {
+                &plan.naive_rules
             } else {
-                semi_variants
+                &plan.semi_variants
             };
             let env = StageEnv {
                 structure,
-                universe,
                 edb: &edb_stores,
                 edb_idx: EdbIdx::Lazy(edb_idx),
                 idb_idx: &idb_idx,
                 blooms: blooms.as_deref(),
                 prev_len: &prev_len,
-                delta_lo: &delta_lo,
+                delta_lo: &cp.delta_lo,
                 edb_delta_lo: None,
-                batched: planned.is_some(),
                 deletion: None,
                 gov,
             };
-            // Textual mode: keep only variants whose delta seed is
-            // non-empty (the rest derive nothing this stage). Cost-based
-            // mode sharpens this with the full range check: a rule with
-            // *any* empty IDB source derives nothing either, so whole rule
-            // groups of not-yet-populated (or already-converged) SCCs are
-            // skipped before a single probe is issued — the stratum
-            // schedule's work-avoidance, with stage semantics intact.
             let live_rules: Vec<&CompiledRule> = rules_this_stage
                 .iter()
-                .filter(|rule| match options.planner {
-                    PlannerMode::Textual => match rule.atoms.first() {
-                        Some(first) if first.access == IdbAccess::Delta => match first.pred {
-                            Pred::Idb(i) => delta_lo[i.0] < prev_len[i.0],
-                            Pred::Edb(_) => true,
-                        },
-                        _ => true,
-                    },
-                    PlannerMode::CostBased => env.can_fire(rule),
-                })
+                .filter(|rule| env.fires(rule, plan.fire))
                 .collect();
-            let idb = sharded::IdbStores::Set(&mut idb_stores);
+            let idb = sharded::IdbStores::Set(&mut cp.idb_stores);
             let new_count =
-                match sharded::run_stage(&env, &live_rules, idb, &mut shards, &mut eval_stats) {
+                match sharded::run_stage(&env, &live_rules, idb, &mut shards, &mut cp.eval_stats) {
                     Ok(new_count) => new_count,
-                    Err(reason) => {
-                        stage -= 1;
-                        interrupt!(
-                            reason,
-                            idb_stores,
-                            delta_lo,
-                            stats,
-                            stage_marks,
-                            eval_stats,
-                            stage,
-                            active_sccs
-                        );
-                    }
+                    Err(reason) => return interrupted(reason, cp),
                 };
-
-            let any_new = new_count.iter().any(|&c| c > 0);
-            if any_new {
-                eval_stats.tuples_interned += new_count.iter().map(|&c| c as u64).sum::<u64>();
-                stats.push(StageStats {
-                    new_tuples: new_count.clone(),
-                });
-                stage_marks.push(idb_stores.iter().map(|s| s.len() as u32).collect());
-                // Advance delta markers and extend the indexes over the
-                // newly committed id range.
-                delta_lo.copy_from_slice(&prev_len);
-                sync_indexes(&mut idb_idx, &idb_stores, &[]);
-                // Extend the Bloom pre-filters over the committed delta,
-                // rebuilding any filter that grew past its useful load.
-                if let Some(blooms) = blooms.as_mut() {
-                    for (i, store) in idb_stores.iter().enumerate() {
-                        if blooms[i].should_grow() {
-                            let mut grown = TupleBloom::with_capacity(store.len() * 2);
-                            for t in store.iter() {
-                                grown.insert(tuple_hash(t));
-                            }
-                            blooms[i] = grown;
-                        } else {
-                            for id in delta_lo[i]..store.len() as u32 {
-                                blooms[i].insert(tuple_hash(store.get(TupleId(id))));
-                            }
-                        }
-                    }
-                }
-                // Tuple/byte budgets are charged after the stage commits,
-                // so the checkpoint includes it and resume continues from
-                // the next stage.
-                let new_total: u64 = new_count.iter().map(|&c| c as u64).sum();
-                let new_bytes: u64 = new_count
-                    .iter()
-                    .zip(&self.idb_arities)
-                    .map(|(&c, &a)| c as u64 * a.max(1) as u64 * 4)
-                    .sum();
-                if let Err(reason) = gov
-                    .charge_tuples(new_total)
-                    .and_then(|()| gov.charge_bytes(new_bytes))
-                {
-                    let active = self.scc.active_components(&delta_lo, &idb_stores);
-                    interrupt!(
-                        reason,
-                        idb_stores,
-                        delta_lo,
-                        stats,
-                        stage_marks,
-                        eval_stats,
-                        stage,
-                        active
-                    );
-                }
-            } else {
+            cp.stage += 1;
+            if new_count.iter().all(|&c| c == 0) {
                 converged = true;
                 break;
             }
+            cp.stage_marks
+                .push(cp.idb_stores.iter().map(|s| s.len() as u32).collect());
+            // Advance delta markers and extend the indexes over the newly
+            // committed id range.
+            cp.delta_lo.copy_from_slice(&prev_len);
+            sync_indexes(&mut idb_idx, &cp.idb_stores, &[]);
+            // Extend the Bloom pre-filters over the committed delta,
+            // rebuilding any filter that grew past its useful load.
+            if let Some(blooms) = blooms.as_mut() {
+                for (i, store) in cp.idb_stores.iter().enumerate() {
+                    if blooms[i].should_grow() {
+                        blooms[i] = bloom_over(store);
+                    } else {
+                        for id in cp.delta_lo[i]..store.len() as u32 {
+                            blooms[i].insert(tuple_hash(store.get(TupleId(id))));
+                        }
+                    }
+                }
+            }
+            let charged = commit_stage(gov, &mut cp.eval_stats, &new_count, &self.idb_arities);
+            cp.stats.push(StageStats {
+                new_tuples: new_count,
+            });
+            if let Err(reason) = charged {
+                return interrupted(reason, cp);
+            }
         }
-        eval_stats.stages = stats.len() as u64;
+        cp.eval_stats.stages = cp.stats.len() as u64;
 
         Ok(EvalResult {
-            idb: idb_stores.into_iter().map(Relation::from_store).collect(),
-            stats,
-            eval_stats,
-            stage_marks,
+            idb: cp
+                .idb_stores
+                .into_iter()
+                .map(Relation::from_store)
+                .collect(),
+            stats: cp.stats,
+            eval_stats: cp.eval_stats,
+            stage_marks: cp.stage_marks,
             converged,
-            shard: options.shards.map(|_| shards.stats(semi_variants.len())),
+            shard: options
+                .shards
+                .map(|_| shards.stats(plan.semi_variants.len())),
         })
     }
+}
+
+/// A Bloom pre-filter sized for twice `store`'s tuples, holding them all.
+fn bloom_over(store: &TupleStore) -> TupleBloom {
+    let mut bloom = TupleBloom::with_capacity(store.len().max(64) * 2);
+    for t in store.iter() {
+        bloom.insert(tuple_hash(t));
+    }
+    bloom
+}
+
+/// Counts a committed stage's fresh tuples into `stats` and charges them,
+/// with their bytes, to `gov`'s budgets. Budgets are charged after the
+/// stage commits, so the checkpoint includes it and resume continues from
+/// the next stage.
+pub(crate) fn commit_stage(
+    gov: &Governor,
+    stats: &mut EvalStats,
+    new_count: &[usize],
+    arities: &[usize],
+) -> Result<(), Interrupted> {
+    let tuples: u64 = new_count.iter().map(|&c| c as u64).sum();
+    let bytes: u64 = new_count
+        .iter()
+        .zip(arities)
+        .map(|(&c, &a)| c as u64 * a.max(1) as u64 * 4)
+        .sum();
+    stats.tuples_interned += tuples;
+    gov.charge_tuples(tuples)
+        .and_then(|()| gov.charge_bytes(bytes))
 }
 
 /// Unwraps the result of a run governed by [`Governor::unlimited`], which
@@ -1535,13 +1471,12 @@ impl<'p> Evaluator<'p> {
 #[derive(Clone, Copy)]
 pub(crate) struct StageEnv<'a> {
     pub(crate) structure: &'a Structure,
-    pub(crate) universe: usize,
     pub(crate) edb: &'a [&'a TupleStore],
     pub(crate) edb_idx: EdbIdx<'a>,
     pub(crate) idb_idx: &'a [Vec<PosIndex>],
-    /// Bloom pre-filters over each IDB's committed tuples (cost-based runs
-    /// only): a negative membership answer is definitive and skips the
-    /// interner lookup.
+    /// Bloom pre-filters over each IDB's committed tuples, when the plan
+    /// keeps them: a negative membership answer is definitive and skips
+    /// the interner lookup.
     pub(crate) blooms: Option<&'a [TupleBloom]>,
     /// Store length of each IDB at stage start (`full` view bound).
     pub(crate) prev_len: &'a [u32],
@@ -1554,11 +1489,7 @@ pub(crate) struct StageEnv<'a> {
     /// keeps the historical behaviour — EDB atoms read their whole store
     /// regardless of access mode.
     pub(crate) edb_delta_lo: Option<&'a [u32]>,
-    /// Whether batched-kernel bookkeeping (probe memos, block counters) is
-    /// active — cost-based runs only, so textual counters stay
-    /// byte-identical to the historical engine.
-    pub(crate) batched: bool,
-    /// Set only while incremental maintenance plans a deletion: the
+    /// Set only for incremental maintenance's deletion passes: the
     /// deletion reading of the windows (see [`DeletionWindows`]).
     pub(crate) deletion: Option<&'a DeletionWindows<'a>>,
     /// The shared governor; workers poll it cooperatively through
@@ -1566,13 +1497,13 @@ pub(crate) struct StageEnv<'a> {
     pub(crate) gov: &'a Governor,
 }
 
-/// How incremental maintenance's deletion plan reads the three windows
+/// How a deletion pass of incremental maintenance reads the three windows
 /// of a rule variant (pinned by [`DeltaPin::Any`], or a head-seeded
 /// rederivation check):
 ///
-/// - `Delta` is [`seed`](Self::seed), a small store holding the pinned
-///   occurrence's deleted (or newly overdeleted, or newly rederived)
-///   tuples;
+/// - `Delta` is the pinned predicate's [seed](Self::seed), a small
+///   store holding its deleted (or newly overdeleted, or newly rederived)
+///   tuples, or the worker's share of them;
 /// - `Old` is the survivors: the pre-state store minus the ids in the
 ///   predicate's deleted set, which the kernels check per candidate;
 /// - `Full` is the pre-state store, or the survivors too when the
@@ -1582,9 +1513,12 @@ pub(crate) struct StageEnv<'a> {
 /// The pre-state is compacted (no dead tuples), so `Old` and `Full` span
 /// whole stores and read the engine's persistent indexes.
 pub(crate) struct DeletionWindows<'a> {
-    /// Scanned, never probed: deletion plans give their delta atom the
-    /// [`JoinKernel::Scan`] kernel.
-    pub(crate) seed: &'a TupleStore,
+    /// Per EDB relation, the seed of the variants pinned on it (empty when
+    /// the pass has none). Seeds are scanned, never probed: deletion plans
+    /// give their delta atom the [`JoinKernel::Scan`] kernel.
+    pub(crate) edb_seeds: Vec<TupleStore>,
+    /// Per IDB predicate, the seed of the variants pinned on it.
+    pub(crate) idb_seeds: Vec<TupleStore>,
     /// Per EDB relation: the ids dying in this batch.
     pub(crate) edb_dead: &'a [DenseSet],
     /// Per IDB predicate: the ids deleted so far.
@@ -1609,7 +1543,7 @@ pub(crate) enum DeletionPass {
 /// kernels test membership once per candidate of a survivor atom, so a
 /// word-indexed bit test beats hashing; ids are bounded by the compacted
 /// store length.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub(crate) struct DenseSet(Vec<u64>);
 
 impl DenseSet {
@@ -1625,10 +1559,14 @@ impl DenseSet {
             .is_some_and(|word| word >> (id % 64) & 1 == 1)
     }
 
-    /// Adds `id`; returns whether it was absent.
+    /// Adds `id`, growing the set as needed; returns whether it was absent.
     pub(crate) fn insert(&mut self, id: u32) -> bool {
         let fresh = !self.contains(id);
-        self.0[id as usize / 64] |= 1 << (id % 64);
+        let word = id as usize / 64;
+        if word >= self.0.len() {
+            self.0.resize(word + 1, 0);
+        }
+        self.0[word] |= 1 << (id % 64);
         fresh
     }
 
@@ -1650,23 +1588,46 @@ impl DenseSet {
 }
 
 impl StageEnv<'_> {
-    /// Whether every atom of `rule` has a non-empty window this stage. A
-    /// rule with an empty source derives nothing (and so, in counting
-    /// mode, credits no support): the stage can skip it. EDB atoms always
+    /// Whether `rule` runs this stage under the plan's filter. A rule with
+    /// an empty window derives nothing (and so, in counting mode, credits
+    /// no support): [`Fire::AllSources`] skips it, [`Fire::Seed`] only when
+    /// the empty window is its first atom's delta.
+    pub(crate) fn fires(&self, rule: &CompiledRule, fire: Fire) -> bool {
+        match fire {
+            Fire::Seed => match rule.atoms.first() {
+                Some(a) if a.access == IdbAccess::Delta => self.has_window(a),
+                _ => true,
+            },
+            Fire::AllSources => rule.atoms.iter().all(|a| self.has_window(a)),
+        }
+    }
+
+    /// Whether `atom`'s window is non-empty this stage. EDB atoms always
     /// qualify unless the EDB has delta windows.
-    pub(crate) fn can_fire(&self, rule: &CompiledRule) -> bool {
-        rule.atoms.iter().all(|atom| {
-            let (lo, hi) = match (atom.pred, self.edb_delta_lo) {
-                (Pred::Edb(_), None) => return true,
-                (Pred::Edb(r), Some(lo)) => (lo[r.0], self.edb[r.0].len() as u32),
-                (Pred::Idb(i), _) => (self.delta_lo[i.0], self.prev_len[i.0]),
-            };
-            match atom.access {
-                IdbAccess::Delta => lo < hi,
-                IdbAccess::Old => lo > 0,
-                IdbAccess::Full => hi > 0,
+    fn has_window(&self, atom: &JoinAtom) -> bool {
+        let (lo, hi) = match (atom.pred, self.edb_delta_lo, self.deletion) {
+            (pred, _, Some(d)) if atom.access == IdbAccess::Delta => {
+                return !d.seed(pred).is_empty()
             }
-        })
+            (Pred::Edb(_), None, _) => return true,
+            (Pred::Edb(r), Some(lo), _) => (lo[r.0], self.edb[r.0].len() as u32),
+            (Pred::Idb(i), _, _) => (self.delta_lo[i.0], self.prev_len[i.0]),
+        };
+        match atom.access {
+            IdbAccess::Delta => lo < hi,
+            IdbAccess::Old => lo > 0,
+            IdbAccess::Full => hi > 0,
+        }
+    }
+}
+
+impl DeletionWindows<'_> {
+    /// The seed of the variants pinned on `pred`.
+    pub(crate) fn seed(&self, pred: Pred) -> &TupleStore {
+        match pred {
+            Pred::Edb(r) => &self.edb_seeds[r.0],
+            Pred::Idb(i) => &self.idb_seeds[i.0],
+        }
     }
 }
 
@@ -1676,13 +1637,15 @@ pub(crate) struct JoinCtx<'a> {
     pub(crate) env: StageEnv<'a>,
     pub(crate) idb: &'a [&'a TupleStore],
     /// This worker's window of each IDB delta: the whole
-    /// `[delta_lo, prev_len)` at `W = 1`, its owner sub-range otherwise.
-    /// Every semi-naive variant pins exactly one delta atom, so narrowing
-    /// the `Delta` window partitions its derivations across workers
-    /// without touching `Old`/`Full` reads.
+    /// `[delta_lo, prev_len)` at `W = 1`, its owner sub-range otherwise;
+    /// in a deletion pass, its share of each IDB seed. Every semi-naive
+    /// variant pins exactly one delta atom, so narrowing the `Delta`
+    /// window partitions its derivations across workers without touching
+    /// `Old`/`Full` reads.
     pub(crate) idb_delta: &'a [IdRange],
-    /// This worker's window of each EDB delta (the batch's insertions);
-    /// read only when [`StageEnv::edb_delta_lo`] is set.
+    /// This worker's window of each EDB delta (the batch's insertions, or
+    /// its share of each EDB seed in a deletion pass); read only when
+    /// [`StageEnv::edb_delta_lo`] or [`StageEnv::deletion`] is set.
     pub(crate) edb_delta: &'a [IdRange],
 }
 
@@ -1692,7 +1655,11 @@ impl<'a> JoinCtx<'a> {
     pub(crate) fn source(&self, atom: &JoinAtom) -> (&'a TupleStore, Indexes<'a>, IdRange) {
         let env = &self.env;
         if let (IdbAccess::Delta, Some(d)) = (atom.access, env.deletion) {
-            return (d.seed, Indexes::Kept(&[]), d.seed.id_range());
+            let window = match atom.pred {
+                Pred::Edb(r) => self.edb_delta[r.0],
+                Pred::Idb(i) => self.idb_delta[i.0],
+            };
+            return (d.seed(atom.pred), Indexes::Kept(&[]), window);
         }
         match atom.pred {
             Pred::Edb(r) => {
@@ -1779,8 +1746,8 @@ pub(crate) struct WorkerBuf {
     pub(crate) counting: bool,
     /// Batched-emission buffer: derived head tuples accumulate here (flat,
     /// arity-strided) and are interned in blocks of [`EMIT_BLOCK`],
-    /// charging the governor once per block instead of never. Active in
-    /// batched (cost-based) runs for rules whose join never consults the
+    /// charging the governor once per block instead of never. Active for
+    /// batched (cost-based) rules whose join never consults the
     /// scratch arena mid-branch (no head-check early exit, or executed by
     /// the generic join, which has none) — deferring those interns cannot
     /// change any kernel decision, so answers and counters stay identical.
@@ -1795,7 +1762,7 @@ pub(crate) struct WorkerBuf {
     pub(crate) probes: u64,
     pub(crate) magic_probes: u64,
     /// Probes answered from a batched kernel's memo instead of a fresh
-    /// index operation (cost-based mode only).
+    /// index operation (batched rules only).
     pub(crate) block_probes: u64,
     /// Comparison steps taken by galloping sorted-intersection searches.
     pub(crate) gallop_steps: u64,
@@ -1812,8 +1779,8 @@ pub(crate) struct WorkerBuf {
     /// pre-state id of the head of every derivation found, in place of
     /// the scratch arenas.
     pub(crate) derived: Vec<Vec<u32>>,
-    /// The same ids as sets, kept (when sized by the caller) for the head
-    /// early exit of rederivation checks.
+    /// The ids rederivation checks found, as sets, for their head early
+    /// exit.
     pub(crate) derived_set: Vec<DenseSet>,
 }
 
@@ -1858,7 +1825,7 @@ impl WorkerBuf {
             pending_steps: 0,
             tripped: None,
             derived: vec![Vec::new(); idb_arities.len()],
-            derived_set: Vec::new(),
+            derived_set: vec![DenseSet::default(); idb_arities.len()],
         }
     }
 }
@@ -1881,9 +1848,9 @@ pub(crate) fn evaluate_rule(
             return Ok(());
         }
     }
-    // Batched (cost-based) runs keep per-atom probe memos: consecutive
+    // Batched (cost-based) rules keep per-atom probe memos: consecutive
     // branches that bind the same key reuse the previous index answer.
-    let memo_len = if ctx.env.batched { rule.atoms.len() } else { 0 };
+    let memo_len = if rule.batched { rule.atoms.len() } else { 0 };
     let mut join = RuleJoin {
         rule,
         ctx,
@@ -1990,11 +1957,23 @@ impl<'a, 'b> RuleJoin<'a, 'b> {
         self.charge()
     }
 
+    /// Where this join takes the head early exit: the rule's
+    /// [`CompiledRule::head_check_at`], except in counting mode, which must
+    /// visit every derivation to keep support counts exact.
+    #[inline]
+    fn head_check_at(&self) -> Option<usize> {
+        if self.buf.counting {
+            None
+        } else {
+            self.rule.head_check_at
+        }
+    }
+
     /// Whether the (fully bound) head tuple of the current branch has
     /// already been derived — committed in the shared store or interned in
     /// this worker's scratch arena. Only meaningful at
-    /// [`CompiledRule::head_check_at`], where the planner guarantees every
-    /// head argument is bound.
+    /// [`head_check_at`](Self::head_check_at), where the planner guarantees
+    /// every head argument is bound.
     fn head_already_derived(&mut self) -> bool {
         let rule = self.rule;
         let ctx = self.ctx;
@@ -2007,10 +1986,10 @@ impl<'a, 'b> RuleJoin<'a, 'b> {
         }
         let head = rule.head.0;
         if ctx.env.deletion.is_some() {
-            let derived = self.buf.derived_set.get(head);
+            let derived = &self.buf.derived_set[head];
             return ctx.idb[head]
                 .lookup(&self.buf.head_buf)
-                .is_some_and(|id| derived.is_some_and(|set| set.contains(id.0)));
+                .is_some_and(|id| derived.contains(id.0));
         }
         self.buf.scratch[head].contains(&self.buf.head_buf)
             || ctx.committed(head, &self.buf.head_buf)
@@ -2023,7 +2002,7 @@ impl<'a, 'b> RuleJoin<'a, 'b> {
         // on, so a branch whose head tuple is already derived can stop —
         // the remaining atoms would only re-verify a derivation that adds
         // nothing to the stage.
-        if rule.head_check_at == Some(atom_pos) && self.head_already_derived() {
+        if self.head_check_at() == Some(atom_pos) && self.head_already_derived() {
             return Ok(());
         }
         if atom_pos == rule.atoms.len() {
@@ -2073,7 +2052,7 @@ impl<'a, 'b> RuleJoin<'a, 'b> {
             }
             JoinKernel::Probe { pos } => {
                 let e = arg_value(self, pos);
-                let list: &'a [u32] = if self.ctx.env.batched {
+                let list: &'a [u32] = if rule.batched {
                     if let Some(&hit) = self.probe_memo[atom_pos].get(&e) {
                         self.count_block()?;
                         hit
@@ -2097,7 +2076,7 @@ impl<'a, 'b> RuleJoin<'a, 'b> {
             }
             JoinKernel::MergedProbe { pos_a, pos_b } => {
                 let (ea, eb) = (arg_value(self, pos_a), arg_value(self, pos_b));
-                let hit = self.ctx.env.batched
+                let hit = rule.batched
                     && matches!(&self.merge_memo[atom_pos],
                                 Some((ka, kb, _)) if *ka == ea && *kb == eb);
                 let ids: Vec<u32> = if hit {
@@ -2129,7 +2108,7 @@ impl<'a, 'b> RuleJoin<'a, 'b> {
                     Ok(())
                 };
                 let r = walk(self);
-                if self.ctx.env.batched {
+                if rule.batched {
                     self.merge_memo[atom_pos] = Some((ea, eb, ids));
                 } else {
                     self.buf.merge_buf = ids;
@@ -2145,7 +2124,7 @@ impl<'a, 'b> RuleJoin<'a, 'b> {
                     let e = arg_value(self, pos);
                     self.buf.check_buf.push(e);
                 }
-                let hit = if self.ctx.env.batched {
+                let hit = if rule.batched {
                     if let Some(&v) = self.check_memo[atom_pos].get(self.buf.check_buf.as_slice()) {
                         self.count_block()?;
                         v
@@ -2231,7 +2210,7 @@ impl<'a, 'b> RuleJoin<'a, 'b> {
         }
         let v = rule.free_vars[free_pos];
         let slot = rule.atoms.len() + 1 + free_pos;
-        for e in 0..self.ctx.env.universe as Element {
+        for e in 0..self.ctx.env.structure.universe_size() as Element {
             if self.cut {
                 break;
             }
@@ -2245,19 +2224,20 @@ impl<'a, 'b> RuleJoin<'a, 'b> {
         Ok(())
     }
 
-    /// Whether batched emission is active for this rule: cost-based runs
-    /// only, and only when the join never consults the scratch arena
-    /// mid-branch (the head-check early exit does; the generic executor
-    /// never runs it), so deferring interns changes no kernel decision.
+    /// Whether batched emission is active for this rule: batched
+    /// (cost-based) rules only, and only when the join never consults the
+    /// scratch arena mid-branch (the head-check early exit does; the
+    /// generic executor never runs it), so deferring interns changes no
+    /// kernel decision.
     #[inline]
     fn emits_batched(&self) -> bool {
-        self.ctx.env.batched && (self.rule.head_check_at.is_none() || self.rule.generic.is_some())
+        self.rule.batched && (self.head_check_at().is_none() || self.rule.generic.is_some())
     }
 
     /// Emits the (fully bound) head tuple. Set mode: skip if already
     /// committed in the shared store, otherwise intern into the worker's
     /// scratch arena. Counting mode: record the derivation
-    /// unconditionally, bumping the tuple's scratch count. Batched runs
+    /// unconditionally, bumping the tuple's scratch count. Batched rules
     /// buffer tuples and intern one [`EMIT_BLOCK`] at a time.
     fn emit(&mut self) -> Result<(), Interrupted> {
         let rule = self.rule;
@@ -2283,8 +2263,9 @@ impl<'a, 'b> RuleJoin<'a, 'b> {
             // a pre-state tuple, recorded by id.
             if let Some(id) = ctx.idb[head].lookup(&self.buf.head_buf) {
                 self.buf.derived[head].push(id.0);
-                if let Some(set) = self.buf.derived_set.get_mut(head) {
-                    set.insert(id.0);
+                if self.cut {
+                    // A rederivation check: later checks skip this head.
+                    self.buf.derived_set[head].insert(id.0);
                 }
             }
             return Ok(());

@@ -12,7 +12,9 @@
 //! # Batch anatomy
 //!
 //! Each [`apply_batch`](IncrementalEngine::apply_batch) runs two phases,
-//! both on the shared join kernels of [`crate::eval`]:
+//! both on the stage executor ([`crate::sharded`]'s `run_stage`) and its
+//! shared join kernels, so the shard count `W` of
+//! [`EvalOptions::shards`] splits the work of either:
 //!
 //! 1. **Deletion** (read-only plan, all-or-nothing commit). Retractions
 //!    that drop an EDB tuple's assertion count to zero delete it. Lost IDB
@@ -30,7 +32,10 @@
 //!    passes with the last round's overdeletions as the seed), check each
 //!    overdeleted tuple for one derivation from survivors (a seed atom on
 //!    the head, cut at the first derivation), and propagate rederivations
-//!    until stable. The commit kills the dead tuples and **compacts**
+//!    until stable. Each of these rounds is one deletion pass of the stage
+//!    executor; at `W > 1` its workers split the seeds into contiguous
+//!    shares. Deletion variants are cost-planned under every planner
+//!    mode. The commit kills the dead tuples and **compacts**
 //!    every store that holds one — after compaction no dead tuple exists,
 //!    so the insertion pass (and every range-based join kernel) sees
 //!    contiguous live id ranges, unchanged.
@@ -39,7 +44,10 @@
 //!    runs the *EDB-delta* rule variants — the `d`-th EDB occurrence
 //!    pinned to the insertion window, earlier EDB occurrences old, later
 //!    ones full, IDB atoms full — and subsequent stages run the ordinary
-//!    semi-naive IDB-delta variants. Workers run in counting mode: every
+//!    semi-naive IDB-delta variants. These two rule sets are the insertion
+//!    plan: the planner borrows it as written under textual evaluation
+//!    and re-plans it against the live EDB under cost-based evaluation,
+//!    as for a from-scratch run. Workers run in counting mode: every
 //!    derivation is recorded (no committed-store shortcut, no head-check
 //!    early exit), so per-tuple support counts stay exact for the
 //!    counting deletion path.
@@ -66,18 +74,15 @@
 
 use crate::ast::{IdbId, Literal, Pred, Rule};
 use crate::eval::{
-    compile_rule_pinned, evaluate_rule, index_plan, sync_indexes, CompiledProgram, CompiledRule,
-    DeletionPass, DeletionWindows, DeltaPin, DenseSet, EdbIdx, EvalOptions, JoinCtx, JoinKernel,
-    StageEnv, WorkerBuf,
+    commit_stage, compile_rule_pinned, index_plan, sync_indexes, CompiledProgram, CompiledRule,
+    DeletionPass, DeletionWindows, DeltaPin, DenseSet, EdbIdx, EvalOptions, StageEnv,
 };
-use crate::planner::plan_rules_with_stats;
+use crate::planner::{self, Fire, RunPlan};
 use crate::program::Program;
 use crate::sharded::{self, IdbStores, Shards};
 use kv_structures::govern::{Governor, Interrupted};
 use kv_structures::store::{CardStats, EvalStats, PosIndex, TupleId, TupleStore};
-use kv_structures::{
-    Element, InsertOutcome, JoinLowering, MutableStore, PlannerMode, RelId, Structure,
-};
+use kv_structures::{Element, InsertOutcome, MutableStore, RelId, Structure};
 use std::collections::{HashMap, HashSet};
 use std::fmt;
 use std::sync::Arc;
@@ -216,8 +221,11 @@ pub struct IncrementalEngine {
     template: Structure,
     edb: Vec<MutableStore>,
     idb: Vec<MutableStore>,
-    /// EDB-delta rule variants: one per rule per EDB occurrence.
-    edb_variants: Vec<CompiledRule>,
+    /// The insertion pass as written: the EDB-delta variants (one per rule
+    /// per EDB occurrence) run at stage one, the semi-naive variants after.
+    /// Maintenance has no seed counters to keep, so even the written plan
+    /// skips every rule with an empty window.
+    insertion: RunPlan,
     /// Rules with no body atoms; they fire once, on the first batch.
     fact_rules: Vec<CompiledRule>,
     /// The deletion plan's rule variants.
@@ -264,6 +272,7 @@ impl IncrementalEngine {
             }
         }
         let fact_rules: Vec<CompiledRule> = compiled
+            .written
             .naive_rules
             .iter()
             .filter(|r| r.atoms.is_empty())
@@ -278,13 +287,19 @@ impl IncrementalEngine {
             .iter()
             .map(|&a| MutableStore::new(a))
             .collect();
+        let insertion = RunPlan {
+            naive_rules: edb_variants,
+            semi_variants: compiled.written.semi_variants.clone(),
+            blooms: false,
+            fire: Fire::AllSources,
+        };
         IncrementalEngine {
             compiled,
             options,
             template: empty,
             edb,
             idb,
-            edb_variants,
+            insertion,
             fact_rules,
             deletion_variants: DeletionVariants::compile(program),
             edb_idx: vec![Vec::new(); vocab.relations().count()],
@@ -727,15 +742,14 @@ impl IncrementalEngine {
         // frozen state for the rest of the batch, so an interrupted batch
         // re-derives the identical assignment on resume.
         let shards = Shards::new(self.options.shards, || {
-            let stats: Vec<CardStats> = self.edb.iter().map(|m| m.store().card_stats()).collect();
             let edb_arities: Vec<usize> = self.edb.iter().map(|m| m.store().arity()).collect();
-            sharded::choose_plan(
-                &self.compiled.semi_variants,
-                &self.edb_variants,
+            Some(sharded::choose_plan(
+                &self.insertion.semi_variants,
+                &self.insertion.naive_rules,
                 &self.compiled.idb_arities,
                 &edb_arities,
-                &stats,
-            )
+                &card_stats(&self.edb),
+            ))
         });
         // Route the batch to its owning shards: appending each relation's
         // inserts in owner order makes the EDB delta owner-contiguous, so
@@ -775,59 +789,71 @@ impl IncrementalEngine {
     }
 
     /// The insertion pass: the same global stage loop as
-    /// [`CompiledProgram::try_run_governed`], with the EDB-delta variants
-    /// at stage one and counting-mode workers throughout.
+    /// [`CompiledProgram::try_run_governed`], running this batch's
+    /// insertion plan — the EDB-delta variants at stage one, the IDB-delta
+    /// variants after — with counting-mode workers throughout. The plan is
+    /// a pure function of the committed post-deletion EDB, so an
+    /// interrupted batch re-derives it identically on resume.
+    ///
+    /// Retraction-only batches arrive with every delta window empty, and
+    /// every variant pins a delta atom, so nothing can fire now or at any
+    /// later stage: they plan nothing and charge the single
+    /// zero-derivation stage a full pass would run.
     fn insertion_pass(
         &mut self,
         gov: &Governor,
         st: &mut InsertionState,
     ) -> Result<(), Interrupted> {
-        let (mut edb_rules, mut semi_rules) = self.insertion_variants(st);
-        // Counting mode must visit every derivation: the head-check early
-        // exit (which skips re-derivations of existing tuples) is off.
-        for rule in edb_rules.iter_mut().chain(semi_rules.iter_mut()) {
-            rule.head_check_at = None;
+        let grew = |stores: &[MutableStore], lo: &[u32]| {
+            stores.iter().zip(lo).any(|(m, &lo)| m.len() as u32 > lo)
+        };
+        if self.epoch > 0 && !grew(&self.edb, &st.edb_delta_lo) && !grew(&self.idb, &st.delta_lo) {
+            gov.check().and_then(|()| gov.charge_stage())?;
+            st.stage += 1;
+            return Ok(());
         }
-        self.sync_indexes(edb_rules.iter().chain(&semi_rules));
         let Self {
             ref template,
             ref edb,
             ref mut idb,
             ref compiled,
+            ref insertion,
             ref fact_rules,
-            ref edb_idx,
+            ref mut edb_idx,
             ref mut idb_idx,
             options,
             epoch,
             ..
         } = *self;
         let universe = template.universe_size();
-        let textual = matches!(options.planner, PlannerMode::Textual);
+        let plan = planner::plan(insertion, &options, || card_stats(edb), universe);
+        let rules = plan.naive_rules.iter().chain(&plan.semi_variants);
+        sync_kept_indexes(edb, edb_idx, idb, idb_idx, rules);
         let edb_stores: Vec<&TupleStore> = edb.iter().map(|m| m.store()).collect();
         loop {
             gov.check().and_then(|()| gov.charge_stage())?;
             let prev_len: Vec<u32> = idb.iter().map(|m| m.len() as u32).collect();
             let env = StageEnv {
                 structure: template,
-                universe,
                 edb: &edb_stores,
                 edb_idx: EdbIdx::Kept(edb_idx),
                 idb_idx,
+                // Counting workers never consult the committed stores, so
+                // a plan's Bloom filters would go unread.
                 blooms: None,
                 prev_len: &prev_len,
                 delta_lo: &st.delta_lo,
                 edb_delta_lo: Some(&st.edb_delta_lo),
-                batched: !textual,
                 deletion: None,
                 gov,
             };
             let rules = if st.stage == 0 {
-                &edb_rules
+                &plan.naive_rules
             } else {
-                &semi_rules
+                &plan.semi_variants
             };
             let mut live_rules: Vec<&CompiledRule> =
-                rules.iter().filter(|r| env.can_fire(r)).collect();
+                rules.iter().filter(|r| env.fires(r, plan.fire)).collect();
             if st.stage == 0 && epoch == 0 {
                 live_rules.extend(fact_rules.iter());
             }
@@ -839,104 +865,42 @@ impl IncrementalEngine {
                 &mut st.stats,
             )?;
             st.stage += 1;
-            let any_new = new_count.iter().any(|&c| c > 0);
-            if !any_new {
+            if new_count.iter().all(|&c| c == 0) {
                 return Ok(());
             }
-            let new_total: u64 = new_count.iter().map(|&c| c as u64).sum();
-            let new_bytes: u64 = new_count
-                .iter()
-                .zip(&compiled.idb_arities)
-                .map(|(&c, &a)| c as u64 * a.max(1) as u64 * 4)
-                .sum();
-            st.stats.tuples_interned += new_total;
-            st.stage_new.push(new_count);
             st.delta_lo.copy_from_slice(&prev_len);
             sync_indexes(idb_idx, idb.iter().map(|m| m.store()), &[]);
-            // Budgets charge after the stage commits, so the pending
-            // state includes it and resume continues from the next stage.
-            gov.charge_tuples(new_total)
-                .and_then(|()| gov.charge_bytes(new_bytes))?;
+            let charged = commit_stage(gov, &mut st.stats, &new_count, &compiled.idb_arities);
+            st.stage_new.push(new_count);
+            charged?;
         }
     }
 }
 
-impl IncrementalEngine {
-    /// The insertion pass's `(EDB-delta, IDB-delta)` variants for this
-    /// batch: textual as compiled, cost-based against the committed
-    /// post-deletion EDB. The plan is a pure function of that frozen
-    /// state, so interrupted batches re-derive it identically on resume.
-    ///
-    /// Retraction-only batches arrive with every delta window empty, and
-    /// every variant pins a delta atom, so nothing can fire now or at any
-    /// later stage: they get no variants, and the stage loop runs its
-    /// single zero-derivation stage with identical counters and governor
-    /// charges.
-    fn insertion_variants(&self, st: &InsertionState) -> (Vec<CompiledRule>, Vec<CompiledRule>) {
-        let grew = |stores: &[MutableStore], lo: &[u32]| {
-            stores.iter().zip(lo).any(|(m, &lo)| m.len() as u32 > lo)
-        };
-        let any_delta =
-            self.epoch == 0 || grew(&self.edb, &st.edb_delta_lo) || grew(&self.idb, &st.delta_lo);
-        if !any_delta {
-            return (Vec::new(), Vec::new());
-        }
-        let (planner, lowering) = (self.options.planner, self.options.lowering);
-        (
-            self.planned(&self.edb_variants, planner, lowering),
-            self.planned(&self.compiled.semi_variants, planner, lowering),
-        )
-    }
+/// The cardinality statistics of the live stores `stores`.
+fn card_stats(stores: &[MutableStore]) -> Vec<CardStats> {
+    stores.iter().map(|m| m.store().card_stats()).collect()
+}
 
-    /// The deletion plan's variants for this batch, cost-planned against
-    /// the live EDB in every mode: no from-scratch counter depends on
-    /// them, and written atom order has no Check kernels for the
-    /// rederivation check's bound atoms. Seeds are small and scanned, so
-    /// every delta atom gets the scan kernel. Counting needs every
-    /// derivation, so only the checks keep the head early exit — it skips
-    /// tuples an earlier rule already rederived — and they stay binary,
-    /// where the [`DeletionPass::Check`] cut stops each seed at its first
-    /// derivation.
-    fn plan_deletion_variants(&self) -> DeletionVariants {
-        let compiled = &self.deletion_variants;
-        let cost = PlannerMode::CostBased;
-        let mut lost = self.planned(&compiled.lost, cost, self.options.lowering);
-        let mut check = self.planned(&compiled.check, cost, JoinLowering::Binary);
-        for rule in &mut lost {
-            rule.head_check_at = None;
-            rule.atoms[0].kernel = JoinKernel::Scan;
-        }
-        for rule in &mut check {
-            rule.head_check_at = (rule.atoms.len() > 1).then_some(1);
-            rule.atoms[0].kernel = JoinKernel::Scan;
-        }
-        DeletionVariants { lost, check }
-    }
-
-    /// `rules` as compiled (textual mode) or cost-planned against the
-    /// live EDB's statistics with `lowering`. A pure function of the
-    /// committed state, so an interrupted batch re-derives it on resume.
-    fn planned(
-        &self,
-        rules: &[CompiledRule],
-        planner: PlannerMode,
-        lowering: JoinLowering,
-    ) -> Vec<CompiledRule> {
-        match planner {
-            PlannerMode::Textual => rules.to_vec(),
-            PlannerMode::CostBased => {
-                let stats: Vec<CardStats> =
-                    self.edb.iter().map(|m| m.store().card_stats()).collect();
-                plan_rules_with_stats(rules, &stats, self.template.universe_size(), lowering)
-            }
-        }
-    }
+/// Builds the indexes `rules` probe that the engine lacks (each position
+/// once, kept across batches) and extends every index over its store's
+/// appends.
+fn sync_kept_indexes<'r>(
+    edb: &[MutableStore],
+    edb_idx: &mut [Vec<PosIndex>],
+    idb: &[MutableStore],
+    idb_idx: &mut [Vec<PosIndex>],
+    rules: impl Iterator<Item = &'r CompiledRule>,
+) {
+    let (edb_positions, idb_positions) = index_plan(rules, edb.len(), idb.len());
+    sync_indexes(edb_idx, edb.iter().map(|m| m.store()), &edb_positions);
+    sync_indexes(idb_idx, idb.iter().map(|m| m.store()), &idb_positions);
 }
 
 /// The deletion plan's rule variants, read through [`DeletionWindows`]:
-/// compiled once per engine and planned per batch like the insertion
-/// variants. Each variant's delta atom leads its body, so
-/// `atoms[0].pred` is the predicate whose seed it reads.
+/// compiled once per engine and planned per batch
+/// ([`planner::plan_deletion`]). Each variant's delta atom leads its body,
+/// so `atoms[0].pred` is the predicate whose seed it reads.
 #[derive(Debug)]
 struct DeletionVariants {
     /// Per rule and body atom `o`, the variant pinned by
@@ -989,44 +953,53 @@ struct Deleter<'a> {
     template: &'a Structure,
     edb: Vec<&'a TupleStore>,
     idb_stores: &'a [MutableStore],
-    idb: Vec<&'a TupleStore>,
     edb_idx: &'a [Vec<PosIndex>],
     idb_idx: &'a [Vec<PosIndex>],
     /// Every IDB store's length: `Old` and `Full` span whole stores.
     lens: Vec<u32>,
     variants: &'a DeletionVariants,
     gov: &'a Governor,
+    /// The batch's worker count: each pass splits its seeds across them.
+    shards: Shards,
     edb_dead: Vec<DenseSet>,
     idb_dead: Vec<DenseSet>,
     stats: EvalStats,
 }
 
+/// One deletion pass's seeds, per EDB relation and per IDB predicate.
+type Seeds = (Vec<TupleStore>, Vec<TupleStore>);
+
 impl Deleter<'_> {
     /// Seed stores (the `Delta` windows of the variants pinned on each
     /// predicate) holding the given ids of each predicate. Predicates
-    /// without ids get no seed, so the variants pinned on them are
-    /// skipped.
-    fn seeds(&self, preds: impl Iterator<Item = (Pred, Vec<u32>)>) -> HashMap<Pred, TupleStore> {
-        let mut seeds = HashMap::new();
+    /// without ids get an empty seed, so the variants pinned on them do
+    /// not fire.
+    fn seeds(&self, preds: impl Iterator<Item = (Pred, Vec<u32>)>) -> Seeds {
+        let mut edb: Vec<TupleStore> = self
+            .edb
+            .iter()
+            .map(|s| TupleStore::new(s.arity()))
+            .collect();
+        let mut idb: Vec<TupleStore> = self
+            .idb_stores
+            .iter()
+            .map(|m| TupleStore::new(m.arity()))
+            .collect();
         for (pred, ids) in preds {
-            if ids.is_empty() {
-                continue;
-            }
-            let source = match pred {
-                Pred::Edb(r) => self.edb[r.0],
-                Pred::Idb(i) => self.idb[i.0],
+            let (seed, source) = match pred {
+                Pred::Edb(r) => (&mut edb[r.0], self.edb[r.0]),
+                Pred::Idb(i) => (&mut idb[i.0], self.idb_stores[i.0].store()),
             };
-            let mut store = TupleStore::with_capacity(source.arity(), ids.len());
+            *seed = TupleStore::with_capacity(source.arity(), ids.len());
             for id in ids {
-                store.intern(source.get(TupleId(id)));
+                seed.intern(source.get(TupleId(id)));
             }
-            seeds.insert(pred, store);
         }
-        seeds
+        (edb, idb)
     }
 
     /// Seeds holding the deleted tuples of each of `preds`.
-    fn dead_seeds(&self, preds: impl Iterator<Item = Pred>) -> HashMap<Pred, TupleStore> {
+    fn dead_seeds(&self, preds: impl Iterator<Item = Pred>) -> Seeds {
         let preds: HashSet<Pred> = preds.collect();
         self.seeds(preds.into_iter().map(|pred| {
             let dead = match pred {
@@ -1037,77 +1010,51 @@ impl Deleter<'_> {
         }))
     }
 
-    /// Evaluates `rules` in one worker, each over the seed of its delta
-    /// atom's predicate; rules whose predicate has no seed are skipped.
-    /// Returns the worker, whose [`WorkerBuf::derived`] lists hold the
-    /// head id of every derivation found.
+    /// One deletion pass: evaluates `rules` on the stage executor, each
+    /// over the seed of its delta atom's predicate (rules whose seed is
+    /// empty do not fire). Returns, per IDB predicate, the head id of
+    /// every derivation found.
     fn run<'r>(
         &mut self,
         rules: impl Iterator<Item = &'r CompiledRule>,
-        seeds: &HashMap<Pred, TupleStore>,
+        (edb_seeds, idb_seeds): Seeds,
         pass: DeletionPass,
-    ) -> Result<WorkerBuf, Interrupted> {
-        let arities: Vec<usize> = self.idb.iter().map(|s| s.arity()).collect();
-        let mut buf = WorkerBuf::new(&arities, false);
-        if pass == DeletionPass::Check {
-            buf.derived_set = self
-                .lens
-                .iter()
-                .map(|&n| DenseSet::for_ids(n as usize))
-                .collect();
-        }
-        for rule in rules {
-            let Some(seed) = seeds.get(&rule.atoms[0].pred) else {
-                continue;
-            };
-            let windows = DeletionWindows {
-                seed,
-                edb_dead: &self.edb_dead,
-                idb_dead: &self.idb_dead,
-                pass,
-            };
-            let ctx = JoinCtx {
-                env: StageEnv {
-                    structure: self.template,
-                    universe: self.template.universe_size(),
-                    edb: &self.edb,
-                    edb_idx: EdbIdx::Kept(self.edb_idx),
-                    idb_idx: self.idb_idx,
-                    blooms: None,
-                    prev_len: &self.lens,
-                    delta_lo: &self.lens,
-                    edb_delta_lo: None,
-                    // Probe and check memos pay off when consecutive
-                    // seeds bind the same keys; deletion seeds rarely do,
-                    // and the memo upkeep measured slower than probing.
-                    batched: false,
-                    deletion: Some(&windows),
-                    gov: self.gov,
-                },
-                idb: &self.idb,
-                idb_delta: &[],
-                edb_delta: &[],
-            };
-            evaluate_rule(rule, &ctx, &mut buf)?;
-        }
-        if buf.pending_steps > 0 {
-            self.gov.step(buf.pending_steps)?;
-        }
-        self.stats.join_probes += buf.probes;
-        self.stats.magic_probes += buf.magic_probes;
-        self.stats.block_probes += buf.block_probes;
-        self.stats.gallop_steps += buf.gallop_steps;
-        self.stats.wcoj_rules += buf.wcoj_rules;
-        Ok(buf)
+    ) -> Result<Vec<Vec<u32>>, Interrupted> {
+        let windows = DeletionWindows {
+            edb_seeds,
+            idb_seeds,
+            edb_dead: &self.edb_dead,
+            idb_dead: &self.idb_dead,
+            pass,
+        };
+        let env = StageEnv {
+            structure: self.template,
+            edb: &self.edb,
+            edb_idx: EdbIdx::Kept(self.edb_idx),
+            idb_idx: self.idb_idx,
+            blooms: None,
+            prev_len: &self.lens,
+            delta_lo: &self.lens,
+            edb_delta_lo: None,
+            deletion: Some(&windows),
+            gov: self.gov,
+        };
+        let live: Vec<&CompiledRule> = rules.filter(|r| env.fires(r, Fire::Seed)).collect();
+        let mut derived = vec![Vec::new(); self.lens.len()];
+        let idb = IdbStores::Deleted {
+            stores: self.idb_stores,
+            derived: &mut derived,
+        };
+        sharded::run_stage(&env, &live, idb, &mut self.shards, &mut self.stats)?;
+        Ok(derived)
     }
 
-    /// The distinct head ids `buf` derived for predicate `p`, sorted,
-    /// each with its derivation count.
-    fn heads(buf: &mut WorkerBuf, p: usize) -> Vec<(u32, u32)> {
-        let ids = &mut buf.derived[p];
-        ids.sort_unstable();
+    /// The distinct head ids in `derived`, sorted, each with its
+    /// derivation count.
+    fn heads(derived: &mut [u32]) -> Vec<(u32, u32)> {
+        derived.sort_unstable();
         let mut heads: Vec<(u32, u32)> = Vec::new();
-        for &id in ids.iter() {
+        for &id in derived.iter() {
             match heads.last_mut() {
                 Some((last, count)) if *last == id => *count += 1,
                 _ => heads.push((id, 1)),
@@ -1127,8 +1074,8 @@ impl Deleter<'_> {
             .filter(|r| r.head.0 == p)
             .collect();
         let seeds = self.dead_seeds(rules.iter().map(|r| r.atoms[0].pred));
-        let mut buf = self.run(rules.into_iter(), &seeds, DeletionPass::Lost)?;
-        for (id, lost) in Self::heads(&mut buf, p) {
+        let mut derived = self.run(rules.into_iter(), seeds, DeletionPass::Lost)?;
+        for (id, lost) in Self::heads(&mut derived[p]) {
             if self.idb_stores[p].support(TupleId(id)) <= lost {
                 self.idb_dead[p].insert(id);
             }
@@ -1157,10 +1104,10 @@ impl Deleter<'_> {
             .map(|&p| (Pred::Idb(IdbId(p)), Vec::new()))
             .collect();
         loop {
-            let buf = self.run(in_scc.iter().copied(), &seeds, DeletionPass::Lost)?;
+            let derived = self.run(in_scc.iter().copied(), seeds, DeletionPass::Lost)?;
             let mut round = Vec::new();
             for (slot, &p) in members.iter().enumerate() {
-                let fresh: Vec<u32> = buf.derived[p]
+                let fresh: Vec<u32> = derived[p]
                     .iter()
                     .copied()
                     .filter(|&id| self.idb_dead[p].insert(id))
@@ -1181,11 +1128,11 @@ impl Deleter<'_> {
             .iter()
             .filter(|r| members.contains(&r.head.0));
         let seeds = self.seeds(overdeleted.into_iter());
-        let mut buf = self.run(checks, &seeds, DeletionPass::Check)?;
+        let mut derived = self.run(checks, seeds, DeletionPass::Check)?;
         loop {
             let mut round = Vec::new();
             for &p in members {
-                let back: Vec<u32> = buf.derived[p]
+                let back: Vec<u32> = derived[p]
                     .iter()
                     .copied()
                     .filter(|&id| self.idb_dead[p].remove(id))
@@ -1197,7 +1144,7 @@ impl Deleter<'_> {
                 return Ok(());
             }
             let seeds = self.seeds(round.into_iter());
-            buf = self.run(in_scc.iter().copied(), &seeds, DeletionPass::Regained)?;
+            derived = self.run(in_scc.iter().copied(), seeds, DeletionPass::Regained)?;
         }
     }
 }
@@ -1254,18 +1201,32 @@ impl IncrementalEngine {
             return Ok(plan);
         }
         gov.check()?;
-        let variants = self.plan_deletion_variants();
-        self.sync_indexes(variants.all());
+        let written = &self.deletion_variants;
+        let (lost, check) = planner::plan_deletion(
+            &written.lost,
+            &written.check,
+            self.options.lowering,
+            card_stats(&self.edb),
+            self.template.universe_size(),
+        );
+        let variants = DeletionVariants { lost, check };
+        sync_kept_indexes(
+            &self.edb,
+            &mut self.edb_idx,
+            &self.idb,
+            &mut self.idb_idx,
+            variants.all(),
+        );
         let mut del = Deleter {
             template: &self.template,
             edb: self.edb.iter().map(|m| m.store()).collect(),
             idb_stores: &self.idb,
-            idb: self.idb.iter().map(|m| m.store()).collect(),
             edb_idx: &self.edb_idx,
             idb_idx: &self.idb_idx,
             lens: self.idb.iter().map(|m| m.len() as u32).collect(),
             variants: &variants,
             gov,
+            shards: Shards::new(self.options.shards, || None),
             edb_dead: plan
                 .edb_dying
                 .iter()
@@ -1295,23 +1256,6 @@ impl IncrementalEngine {
         plan.idb_deleted = del.idb_dead;
         Ok(plan)
     }
-
-    /// Builds the indexes `rules` probe that the engine lacks (each
-    /// position once, kept across batches) and extends every index over
-    /// its store's appends.
-    fn sync_indexes<'r>(&mut self, rules: impl Iterator<Item = &'r CompiledRule>) {
-        let (edb_positions, idb_positions) = index_plan(rules, self.edb.len(), self.idb.len());
-        sync_indexes(
-            &mut self.edb_idx,
-            self.edb.iter().map(|m| m.store()),
-            &edb_positions,
-        );
-        sync_indexes(
-            &mut self.idb_idx,
-            self.idb.iter().map(|m| m.store()),
-            &idb_positions,
-        );
-    }
 }
 
 #[cfg(test)]
@@ -1322,6 +1266,7 @@ mod tests {
     use kv_structures::generators::{directed_path, random_digraph};
     use kv_structures::govern::Budget;
     use kv_structures::JoinLowering;
+    use kv_structures::PlannerMode;
 
     /// The engine's live IDB sets must equal a from-scratch run over the
     /// engine's own materialized EDB.

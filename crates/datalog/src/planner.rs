@@ -1,9 +1,14 @@
-//! Cost-based query compilation: the predicate dependency graph, its
-//! strongly connected components, and per-rule join planning.
+//! Query planning: the predicate dependency graph, its strongly connected
+//! components, and the `RunPlan` every evaluation runs.
 //!
-//! The textual evaluator joins every rule body in the order the rule was
-//! written. This module supplies the [`kv_structures::PlannerMode::CostBased`]
-//! alternative, in three parts:
+//! Theorem 3.6 fixes what a stage derives, not the order a rule body is
+//! joined in, so textual and cost-based evaluation are two plans run by one
+//! stage loop. This module is the only code that reads
+//! [`kv_structures::PlannerMode`]: from-scratch runs and the incremental
+//! engine's insertion pass get their plan from one entry, `plan`, which
+//! borrows the written (textual) plan or re-plans it. A plan carries all
+//! the modes differ in: atom order, kernels, probe memos and batched
+//! emission, Bloom pre-filters, and which rules a stage skips.
 //!
 //! - **SCC stratum schedule.** [`SccInfo`] computes the IDB dependency
 //!   graph (head depends on body predicates), its SCCs (iterative Tarjan),
@@ -11,41 +16,39 @@
 //!   loop — which must be kept *exactly* as the paper defines it, because
 //!   the Theorem 3.6 experiments compare Datalog stages against `L^k`
 //!   stage formulas tuple set by tuple set — the schedule manifests as
-//!   work-avoidance: a rule with any provably-empty IDB source is skipped
-//!   before a single probe is issued, so not-yet-populated downstream
-//!   strata and already-converged upstream strata cost nothing, and deltas
-//!   only drive the variants of the components that consume them.
-//! - **Cardinality-driven join ordering.** [`plan_program`] re-plans every
-//!   compiled rule against one concrete structure: atoms are ordered
-//!   greedily by estimated selectivity (bound-position coverage ×
-//!   [`CardStats`] estimates), with the semi-naive delta atom pinned
-//!   first and ≠-constraints re-hoisted to their earliest fully-bound
-//!   point. Atom order within a body is semantics-free — the set of
-//!   satisfying assignments of a conjunction does not depend on the order
-//!   its conjuncts are enumerated — so every stage derives the same tuple
-//!   set as the textual order (property-tested via `same_stages`).
+//!   work-avoidance: a cost-based plan skips a rule with any provably-empty
+//!   source before a single probe is issued, so not-yet-populated
+//!   downstream strata and already-converged upstream strata cost nothing.
+//! - **Cardinality-driven join ordering.** A cost-based plan orders each
+//!   body greedily by estimated selectivity (bound-position coverage ×
+//!   [`CardStats`] estimates), with the semi-naive delta atom pinned first
+//!   and ≠-constraints re-hoisted to their earliest fully-bound point. Atom
+//!   order within a body is semantics-free — the set of satisfying
+//!   assignments of a conjunction does not depend on the order its
+//!   conjuncts are enumerated — so every stage derives the same tuple set
+//!   as the written order (property-tested via `same_stages`).
 //! - **Kernel selection.** Each planned atom gets the cheapest applicable
-//!   [`JoinKernel`]: a single interner lookup when every argument is
-//!   bound, a merged two-position posting intersection, a one-position
-//!   index probe, or the full-scan fallback. Rules whose head is fully
-//!   bound before the last atom also get an early-exit point
-//!   ([`CompiledRule::head_check_at`]): once the head tuple is known to
-//!   exist, the remaining atoms would only re-verify a derivation that
+//!   join kernel: a single interner lookup when every argument is bound, a
+//!   merged two-position posting intersection, a one-position index probe,
+//!   or the full-scan fallback. Rules whose head is fully bound before the
+//!   last atom also get an early-exit point: once the head tuple is known
+//!   to exist, the remaining atoms would only re-verify a derivation that
 //!   adds nothing.
 //!
-//! Plans are pure functions of `(program, structure, mode)`, so governed
-//! interrupt/resume re-derives them deterministically, and
+//! Plans are pure functions of `(program, EDB statistics, options)`, so
+//! governed interrupt/resume re-derives them deterministically, and
 //! [`CompiledProgram::explain`]/[`CompiledProgram::explain_for`] render
 //! them for golden tests and review diffs.
 
 use crate::ast::{Pred, Term};
 use crate::eval::{
-    index_plan, schedule_neqs, CompiledProgram, CompiledRule, IdbAccess, JoinAtom, JoinKernel,
+    schedule_neqs, CompiledProgram, CompiledRule, EvalOptions, IdbAccess, JoinAtom, JoinKernel,
 };
 use crate::program::Program;
 use crate::wcoj;
 use kv_structures::store::{CardStats, TupleStore};
-use kv_structures::{JoinLowering, Structure};
+use kv_structures::{JoinLowering, PlannerMode, Structure};
+use std::borrow::Cow;
 use std::collections::HashSet;
 use std::fmt::Write as _;
 
@@ -199,14 +202,91 @@ impl SccInfo {
     }
 }
 
-/// A program re-planned for one concrete structure: cost-ordered rule
-/// bodies with kernels assigned, plus the IDB index plan they need (EDB
-/// indexes are built on first probe, see [`crate::eval::EdbIndexes`]).
+/// A rule set ready to run, and how a stage runs it.
 #[derive(Debug, Clone)]
 pub(crate) struct RunPlan {
+    /// Stage-one rules: a from-scratch run's naive rules, or a maintenance
+    /// insertion pass's EDB-delta variants.
     pub(crate) naive_rules: Vec<CompiledRule>,
+    /// The semi-naive IDB-delta variants every later stage runs.
     pub(crate) semi_variants: Vec<CompiledRule>,
-    pub(crate) idb_positions: Vec<Vec<usize>>,
+    /// Whether a from-scratch run keeps Bloom pre-filters over the IDBs'
+    /// committed tuples, sparing interner lookups on the emit paths.
+    pub(crate) blooms: bool,
+    /// Which rules a stage skips.
+    pub(crate) fire: Fire,
+}
+
+/// Which of a stage's rules run. A rule that reads an empty window derives
+/// nothing, so skipping it changes no stage, only the work counted.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Fire {
+    /// Skip a rule whose first atom is a delta with an empty window: the
+    /// written plan's filter, which counts probes as the seed engine did.
+    Seed,
+    /// Skip a rule with any empty window.
+    AllSources,
+}
+
+/// The planning entry of every run: `written` under `options`. The textual
+/// plan is `written` itself, borrowed. The cost-based plan re-plans each
+/// rule against `edb_stats()` (called only then) under `options.lowering`,
+/// with memos, batched emission, Bloom filters and the all-sources filter
+/// on. Pure in its inputs, so a resumed run or batch re-derives it.
+pub(crate) fn plan<'w>(
+    written: &'w RunPlan,
+    options: &EvalOptions,
+    edb_stats: impl FnOnce() -> Vec<CardStats>,
+    universe: usize,
+) -> Cow<'w, RunPlan> {
+    let lowering = match options.planner {
+        PlannerMode::Textual => return Cow::Borrowed(written),
+        PlannerMode::CostBased => options.lowering,
+    };
+    let ctx = PlanCtx::new(edb_stats(), universe);
+    let lower = |rules: &[CompiledRule]| -> Vec<CompiledRule> {
+        rules.iter().map(|r| plan_rule(r, &ctx, lowering)).collect()
+    };
+    Cow::Owned(RunPlan {
+        naive_rules: lower(&written.naive_rules),
+        semi_variants: lower(&written.semi_variants),
+        blooms: true,
+        fire: Fire::AllSources,
+    })
+}
+
+/// Plans maintenance's deletion variants — `lost` and the rederivation
+/// `check`s — against `edb_stats`, under every planner mode: no
+/// from-scratch counter depends on them, and written order gives the
+/// checks' bound atoms no Check kernels. Seeds are small and scanned, and
+/// memos stay off (seeds rarely repeat a key; the upkeep measured slower).
+/// Only the checks keep a head early exit, skipping heads an earlier rule
+/// rederived; they stay binary, where the cut stops each seed at its first
+/// derivation.
+pub(crate) fn plan_deletion(
+    lost: &[CompiledRule],
+    check: &[CompiledRule],
+    lowering: JoinLowering,
+    edb_stats: Vec<CardStats>,
+    universe: usize,
+) -> (Vec<CompiledRule>, Vec<CompiledRule>) {
+    let ctx = PlanCtx::new(edb_stats, universe);
+    let seeded = |rules: &[CompiledRule], lowering, checks: bool| -> Vec<CompiledRule> {
+        rules
+            .iter()
+            .map(|rule| {
+                let mut planned = plan_rule(rule, &ctx, lowering);
+                planned.head_check_at = (checks && planned.atoms.len() > 1).then_some(1);
+                planned.atoms[0].kernel = JoinKernel::Scan;
+                planned.batched = false;
+                planned
+            })
+            .collect()
+    };
+    (
+        seeded(lost, lowering, false),
+        seeded(check, JoinLowering::Binary, true),
+    )
 }
 
 /// Per-structure planning context: EDB cardinality snapshots plus the
@@ -223,19 +303,8 @@ struct PlanCtx {
 }
 
 impl PlanCtx {
-    fn new(compiled: &CompiledProgram, structure: &Structure) -> Self {
-        let edb_stats: Vec<CardStats> = compiled
-            .vocabulary
-            .relations()
-            .map(|r| structure.relation(r).store().card_stats())
-            .collect();
-        Self::from_stats(edb_stats, structure.universe_size())
-    }
-
-    /// Builds a planning context from raw cardinality snapshots — the
-    /// incremental engine's entry point, whose EDB lives in
-    /// [`kv_structures::MutableStore`]s rather than a [`Structure`].
-    fn from_stats(edb_stats: Vec<CardStats>, universe_size: usize) -> Self {
+    /// A context over per-relation cardinality snapshots.
+    fn new(edb_stats: Vec<CardStats>, universe_size: usize) -> Self {
         let idb_len_est = edb_stats
             .iter()
             .map(|s| s.len)
@@ -305,9 +374,10 @@ impl PlanCtx {
 }
 
 /// Re-plans one compiled rule: greedy selectivity ordering (delta atom
-/// pinned first), cost-based kernels, re-hoisted ≠-constraints, and the
-/// head early-exit point.
-fn plan_rule(rule: &CompiledRule, ctx: &PlanCtx) -> CompiledRule {
+/// pinned first), cost-based kernels, re-hoisted ≠-constraints, the head
+/// early-exit point, the join lowering, and probe memos with batched
+/// emission.
+fn plan_rule(rule: &CompiledRule, ctx: &PlanCtx, lowering: JoinLowering) -> CompiledRule {
     let mut out = rule.clone();
     let mut remaining: Vec<JoinAtom> = std::mem::take(&mut out.atoms);
     let mut ordered: Vec<JoinAtom> = Vec::with_capacity(remaining.len());
@@ -367,6 +437,8 @@ fn plan_rule(rule: &CompiledRule, ctx: &PlanCtx) -> CompiledRule {
     out.atoms = ordered;
     out.neq_at = schedule_neqs(&out.atoms, &out.free_vars, &out.neqs);
     out.head_check_at = head_check_point(&out);
+    out.batched = true;
+    choose_lowering(&mut out, ctx, lowering);
     out
 }
 
@@ -510,59 +582,6 @@ fn head_check_point(rule: &CompiledRule) -> Option<usize> {
     }
 }
 
-/// Plans `compiled` against one concrete structure: every rule body is
-/// cost-ordered and kernel-assigned, each rule's join lowering (binary
-/// kernels vs. worst-case-optimal generic join) is chosen, and the index
-/// plan is recomputed from the chosen kernels. Pure in
-/// `(program, structure, lowering)` — governed resume re-derives the
-/// identical plan.
-pub(crate) fn plan_program(
-    compiled: &CompiledProgram,
-    structure: &Structure,
-    lowering: JoinLowering,
-) -> RunPlan {
-    let ctx = PlanCtx::new(compiled, structure);
-    let lower = |r: &CompiledRule| {
-        let mut planned = plan_rule(r, &ctx);
-        choose_lowering(&mut planned, &ctx, lowering);
-        planned
-    };
-    let naive_rules: Vec<CompiledRule> = compiled.naive_rules.iter().map(lower).collect();
-    let semi_variants: Vec<CompiledRule> = compiled.semi_variants.iter().map(lower).collect();
-    let (_, idb_positions) = index_plan(
-        naive_rules.iter().chain(&semi_variants),
-        compiled.vocabulary.relation_count(),
-        compiled.idb_arities.len(),
-    );
-    RunPlan {
-        naive_rules,
-        semi_variants,
-        idb_positions,
-    }
-}
-
-/// Cost-plans an arbitrary rule set against raw EDB cardinality
-/// snapshots: the incremental engine's planning entry point, used for its
-/// EDB-delta variants (and re-used for the ordinary variants) against the
-/// live [`kv_structures::MutableStore`] state. Pure in its inputs, so an
-/// interrupted maintenance run re-derives the identical plan on resume.
-pub(crate) fn plan_rules_with_stats(
-    rules: &[CompiledRule],
-    edb_stats: &[CardStats],
-    universe_size: usize,
-    lowering: JoinLowering,
-) -> Vec<CompiledRule> {
-    let ctx = PlanCtx::from_stats(edb_stats.to_vec(), universe_size);
-    rules
-        .iter()
-        .map(|r| {
-            let mut planned = plan_rule(r, &ctx);
-            choose_lowering(&mut planned, &ctx, lowering);
-            planned
-        })
-        .collect()
-}
-
 impl CompiledProgram {
     /// Renders an atom's predicate with its semi-naive access decoration
     /// (`Δ` / `old·`), without the kernel suffix.
@@ -687,23 +706,27 @@ impl CompiledProgram {
         }
     }
 
-    /// Renders the compiled (textual-mode) plan: goal, stratum schedule,
-    /// and every rule/variant with its kernels and hoisted ≠-slots.
-    pub fn explain(&self) -> String {
-        let mut out = String::new();
-        let _ = writeln!(out, "plan mode: textual");
+    /// Renders `plan` below the mode-specific header `out`: goal, stratum
+    /// schedule, and every rule/variant with its kernels and hoisted
+    /// ≠-slots.
+    fn render(&self, mut out: String, plan: &RunPlan) -> String {
         let _ = writeln!(
             out,
             "goal: {} | {} IDB(s), {} rule(s), {} semi-naive variant(s)",
             self.idb_names[self.goal.0],
             self.idb_names.len(),
-            self.naive_rules.len(),
-            self.semi_variants.len()
+            plan.naive_rules.len(),
+            plan.semi_variants.len()
         );
         self.render_strata(&mut out);
-        self.render_rules(&mut out, "naive rules", "n", &self.naive_rules);
-        self.render_rules(&mut out, "semi-naive variants", "v", &self.semi_variants);
+        self.render_rules(&mut out, "naive rules", "n", &plan.naive_rules);
+        self.render_rules(&mut out, "semi-naive variants", "v", &plan.semi_variants);
         out
+    }
+
+    /// Renders the written (textual) plan.
+    pub fn explain(&self) -> String {
+        self.render("plan mode: textual\n".to_string(), &self.written)
     }
 
     /// Renders the cost-based plan chosen for `structure` under the
@@ -720,13 +743,12 @@ impl CompiledProgram {
     /// lowered rules — the variable binding order with its per-variable
     /// posting-list iterators.
     pub fn explain_for_lowered(&self, structure: &Structure, lowering: JoinLowering) -> String {
-        let plan = plan_program(self, structure, lowering);
-        let ctx = PlanCtx::new(self, structure);
+        let stats = self.edb_card_stats(structure);
         let mut out = String::new();
         let _ = writeln!(out, "plan mode: cost-based");
         let _ = writeln!(out, "lowering: {lowering}");
         let _ = writeln!(out, "structure: |A| = {}", structure.universe_size());
-        for (r, stats) in self.vocabulary.relations().zip(&ctx.edb_stats) {
+        for (r, stats) in self.vocabulary.relations().zip(&stats) {
             let _ = writeln!(
                 out,
                 "edb {}: {} tuple(s), distinct {:?}",
@@ -735,18 +757,11 @@ impl CompiledProgram {
                 stats.distinct
             );
         }
-        let _ = writeln!(
-            out,
-            "goal: {} | {} IDB(s), {} rule(s), {} semi-naive variant(s)",
-            self.idb_names[self.goal.0],
-            self.idb_names.len(),
-            plan.naive_rules.len(),
-            plan.semi_variants.len()
-        );
-        self.render_strata(&mut out);
-        self.render_rules(&mut out, "naive rules", "n", &plan.naive_rules);
-        self.render_rules(&mut out, "semi-naive variants", "v", &plan.semi_variants);
-        out
+        let options = EvalOptions::default()
+            .with_planner(PlannerMode::CostBased)
+            .with_lowering(lowering);
+        let plan = plan(&self.written, &options, || stats, structure.universe_size());
+        self.render(out, &plan)
     }
 
     /// Renders the shard plan a sharded run over `structure` would choose
@@ -757,24 +772,24 @@ impl CompiledProgram {
     /// owner (`local`) or some variant must cross the inter-worker
     /// exchange at the stage barrier (`exchange`).
     pub fn explain_sharded(&self, structure: &Structure, shards: usize) -> String {
-        let ctx = PlanCtx::new(self, structure);
+        let variants = &self.written.semi_variants;
         let edb_arities: Vec<usize> = self
             .vocabulary
             .relations()
             .map(|r| self.vocabulary.arity(r))
             .collect();
         let plan = crate::sharded::choose_plan(
-            &self.semi_variants,
+            variants,
             &[],
             &self.idb_arities,
             &edb_arities,
-            &ctx.edb_stats,
+            &self.edb_card_stats(structure),
         );
         let mut out = String::new();
         let _ = writeln!(out, "shard plan: W = {}", shards.max(1));
         for (p, name) in self.idb_names.iter().enumerate() {
-            let producing: Vec<usize> = (0..self.semi_variants.len())
-                .filter(|&v| self.semi_variants[v].head.0 == p)
+            let producing: Vec<usize> = (0..variants.len())
+                .filter(|&v| variants[v].head.0 == p)
                 .collect();
             let verdict = if producing.iter().all(|&v| plan.local[v]) {
                 "local"
@@ -872,14 +887,49 @@ mod tests {
     }
 
     #[test]
+    fn textual_plan_is_the_written_plan_borrowed() {
+        // Textual runs evaluate the compiled rules as written: the entry
+        // hands back the program's own plan, reading no statistics.
+        let compiled = CompiledProgram::compile(&programs::q_kl(2, 1));
+        let plan = plan(
+            &compiled.written,
+            &EvalOptions::default(),
+            || unreachable!("the textual plan reads no statistics"),
+            5,
+        );
+        assert!(matches!(plan, Cow::Borrowed(p) if std::ptr::eq(p, &compiled.written)));
+        assert_eq!(plan.fire, Fire::Seed);
+        assert!(!plan.blooms);
+        let rules = plan.naive_rules.iter().chain(&plan.semi_variants);
+        assert!(rules
+            .clone()
+            .all(|r| !r.batched && r.head_check_at.is_none()));
+        // The cost-based plan of the same rules turns the batching aids on.
+        let s = directed_path(5);
+        let options = EvalOptions::default().with_planner(PlannerMode::CostBased);
+        let cost = super::plan(
+            &compiled.written,
+            &options,
+            || compiled.edb_card_stats(&s),
+            5,
+        );
+        assert!(matches!(cost, Cow::Owned(_)));
+        assert_eq!(cost.fire, Fire::AllSources);
+        assert!(cost.blooms);
+        assert!(cost.semi_variants.iter().all(|r| r.batched));
+    }
+
+    #[test]
     fn planned_rules_start_with_delta_and_cover_all_atoms() {
         let p = programs::q_kl(2, 1);
         let compiled = CompiledProgram::compile(&p);
         let s = kv_structures::generators::random_digraph(10, 0.2, 11).to_structure();
-        let plan = plan_program(&compiled, &s, JoinLowering::Auto);
-        assert_eq!(plan.naive_rules.len(), compiled.naive_rules.len());
-        assert_eq!(plan.semi_variants.len(), compiled.semi_variants.len());
-        for (planned, textual) in plan.semi_variants.iter().zip(&compiled.semi_variants) {
+        let options = EvalOptions::default().with_planner(PlannerMode::CostBased);
+        let written = &compiled.written;
+        let plan = plan(written, &options, || compiled.edb_card_stats(&s), 10);
+        assert_eq!(plan.naive_rules.len(), written.naive_rules.len());
+        assert_eq!(plan.semi_variants.len(), written.semi_variants.len());
+        for (planned, textual) in plan.semi_variants.iter().zip(&written.semi_variants) {
             assert_eq!(planned.atoms.len(), textual.atoms.len());
             // The delta atom stays pinned first.
             if textual

@@ -1,13 +1,14 @@
 //! The stage executor: one semi-naive stage, run by `W` workers and
 //! committed at the stage barrier.
 //!
-//! `run_stage` is the only place a stage's rules are evaluated: both
-//! from-scratch evaluation and incremental maintenance's insertion pass call
-//! it. The shard count `W` ([`EvalOptions::shards`](crate::EvalOptions::shards))
-//! is the only parallelism setting. At `W = 1` a single worker runs every
-//! live rule over the whole delta windows, and its scratch arenas are
-//! committed as they are: no shard keys are chosen, no owners are computed,
-//! and no tuple is routed or copied.
+//! `run_stage` is the only place a stage's rules are evaluated: from-scratch
+//! evaluation and both passes of incremental maintenance — insertion
+//! stages and deletion rounds — call it. The shard count `W`
+//! ([`EvalOptions::shards`](crate::EvalOptions::shards)) is the only
+//! parallelism setting. At `W = 1` a single worker runs every live rule
+//! over the whole delta windows, and its scratch arenas are committed as
+//! they are: no shard keys are chosen, no owners are computed, and no tuple
+//! is routed or copied.
 //!
 //! At `W > 1` each stage's *delta* is partitioned across the workers by
 //! tuple ownership — [`kv_structures::shard_of`] over one planner-chosen key
@@ -22,6 +23,10 @@
 //! in (owner, sender) order, which keeps every committed delta
 //! owner-contiguous, so the next stage — or a run resumed from a
 //! checkpoint — finds each worker's window by scanning owners.
+//!
+//! A deletion pass commits nothing: it reports the pre-state id of the head
+//! of every derivation it finds. Its delta is the pass's seeds, which each
+//! worker reads one contiguous share of; no tuple is routed.
 //!
 //! The global stage loop — and with it the paper's Theorem 3.6 stage
 //! semantics — is untouched: the stage barrier is the only synchronization
@@ -228,7 +233,8 @@ pub(crate) fn choose_plan(
 #[derive(Debug, Clone)]
 pub(crate) struct Shards {
     pub(crate) workers: usize,
-    /// `None` at `W = 1`, where the single worker owns every tuple.
+    /// `None` at `W = 1`, where the single worker owns every tuple, and for
+    /// deletion passes, which route nothing.
     pub(crate) plan: Option<ShardPlan>,
     /// Tuples committed under each worker's ownership, across stages.
     owned: Vec<u64>,
@@ -238,12 +244,13 @@ pub(crate) struct Shards {
 
 impl Shards {
     /// `workers` shards (`None` means one). `plan` is called only when
-    /// there are several, so the single-worker path chooses no keys.
-    pub(crate) fn new(workers: Option<usize>, plan: impl FnOnce() -> ShardPlan) -> Self {
+    /// there are several, so the single-worker path chooses no keys;
+    /// deletion passes, which route nothing, choose none either.
+    pub(crate) fn new(workers: Option<usize>, plan: impl FnOnce() -> Option<ShardPlan>) -> Self {
         let workers = workers.unwrap_or(1).max(1);
         Shards {
             workers,
-            plan: (workers > 1).then(plan),
+            plan: if workers > 1 { plan() } else { None },
             owned: vec![0; workers],
             exchanged: 0,
         }
@@ -322,12 +329,31 @@ fn delta_ranges(
 /// Each worker's `(IDB, EDB)` delta windows for one stage. At `W = 1` the
 /// single worker gets the whole windows; otherwise each gets its owner
 /// sub-ranges. EDB windows exist only in incremental maintenance, where
-/// the batch's insertions are the EDB delta.
+/// the batch's insertions are the EDB delta. A deletion pass's delta is its
+/// seeds, split into `W` contiguous shares.
 fn delta_windows(
     env: &StageEnv<'_>,
     idb: &[&TupleStore],
     shards: &Shards,
 ) -> Vec<(Vec<IdRange>, Vec<IdRange>)> {
+    let w = shards.workers;
+    if let Some(d) = env.deletion {
+        let share = |seeds: &[TupleStore], k: usize| -> Vec<IdRange> {
+            seeds
+                .iter()
+                .map(|s| {
+                    let cut = |k: usize| (s.len() * k / w) as u32;
+                    IdRange {
+                        start: cut(k),
+                        end: cut(k + 1),
+                    }
+                })
+                .collect()
+        };
+        return (0..w)
+            .map(|k| (share(&d.idb_seeds, k), share(&d.edb_seeds, k)))
+            .collect();
+    }
     let Some(plan) = &shards.plan else {
         let window = |lo: &[u32], stores: &[&TupleStore]| -> Vec<IdRange> {
             lo.iter()
@@ -343,7 +369,6 @@ fn delta_windows(
             .map_or_else(Vec::new, |lo| window(lo, env.edb));
         return vec![(window(env.delta_lo, idb), edb)];
     };
-    let w = shards.workers;
     let idb = delta_ranges(idb, env.delta_lo, &plan.idb_keys, w);
     let edb = match env.edb_delta_lo {
         Some(lo) => delta_ranges(env.edb, lo, &plan.edb_keys, w),
@@ -407,20 +432,27 @@ fn route_worker(buf: &mut WorkerBuf, shards: &Shards) -> RoutedDelta {
     routed
 }
 
-/// The IDB stores a stage commits into.
+/// The IDB stores a stage reads and commits into.
 pub(crate) enum IdbStores<'s> {
     /// From-scratch evaluation: a set union into plain stores.
     Set(&'s mut [TupleStore]),
-    /// Incremental maintenance: every derivation is credited to its
-    /// tuple's support count.
+    /// Incremental maintenance's insertion pass: every derivation is
+    /// credited to its tuple's support count.
     Counting(&'s mut [MutableStore]),
+    /// A deletion pass over the pre-state `stores`, which it leaves as
+    /// they are: the head id of every derivation found is appended to
+    /// `derived`, per predicate, in worker order.
+    Deleted {
+        stores: &'s [MutableStore],
+        derived: &'s mut [Vec<u32>],
+    },
 }
 
 /// Runs one stage of `rules` and commits it into `idb`. Spawns the `W`
 /// workers, hands each its delta windows, evaluates the rules, flushes the
 /// workers' pending governor steps, folds their counters into `stats`, and
 /// merges their output in owner order. Returns the fresh tuples per IDB
-/// predicate.
+/// predicate (none for a deletion pass).
 ///
 /// A rule that pins a delta atom runs on every worker, over that worker's
 /// windows; a rule that pins none runs on one worker, round-robin. An
@@ -438,6 +470,7 @@ pub(crate) fn run_stage(
     let (counting, stores): (bool, Vec<&TupleStore>) = match &idb {
         IdbStores::Set(s) => (false, s.iter().collect()),
         IdbStores::Counting(m) => (true, m.iter().map(|m| m.store()).collect()),
+        IdbStores::Deleted { stores, .. } => (false, stores.iter().map(|m| m.store()).collect()),
     };
     let arities: Vec<usize> = stores.iter().map(|s| s.arity()).collect();
     let windows = delta_windows(env, &stores, shards);
@@ -471,6 +504,7 @@ pub(crate) fn run_stage(
         return Err(reason);
     }
     let mut routed = Vec::with_capacity(workers);
+    let mut heads = Vec::with_capacity(workers);
     for (buf, r) in results {
         stats.join_probes += buf.probes;
         stats.magic_probes += buf.magic_probes;
@@ -479,12 +513,20 @@ pub(crate) fn run_stage(
         stats.wcoj_rules += buf.wcoj_rules;
         stats.duplicate_derivations += buf.dups;
         routed.push(r);
+        heads.push(buf.derived);
     }
     let mut new_count = vec![0usize; arities.len()];
     let dups = &mut stats.duplicate_derivations;
     match idb {
         IdbStores::Set(s) => merge_set(s, routed, shards, &mut new_count, dups),
         IdbStores::Counting(m) => merge_counting(m, routed, shards, &mut new_count, dups),
+        IdbStores::Deleted { derived, .. } => {
+            for worker in heads {
+                for (out, ids) in derived.iter_mut().zip(worker) {
+                    out.extend(ids);
+                }
+            }
+        }
     }
     Ok(new_count)
 }

@@ -120,13 +120,13 @@ impl FlowNetwork {
         }
     }
 
-    /// After [`max_flow`], the flow pushed on arc `id` (forward arcs only).
+    /// After [`max_flow`](Self::max_flow), the flow pushed on arc `id` (forward arcs only).
     pub fn flow_on(&self, id: usize) -> i64 {
         debug_assert_eq!(id % 2, 0, "flow_on takes forward-arc indices");
         self.arcs[id ^ 1].1
     }
 
-    /// After [`max_flow`], the set of nodes reachable from `s` in the
+    /// After [`max_flow`](Self::max_flow), the set of nodes reachable from `s` in the
     /// residual graph — the source side of a minimum cut.
     pub fn residual_reachable(&self, s: u32) -> Vec<bool> {
         let mut seen = vec![false; self.node_count()];

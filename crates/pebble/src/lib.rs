@@ -9,7 +9,7 @@
 //! - [`play`]: an actual game harness — positions, moves, strategy traits,
 //!   random/exhaustive Spoilers — used to validate solver verdicts and the
 //!   hand-rolled strategies of Section 6 by adversarial play.
-//! - [`preceq`]: the relation `A ≼^k B` ("every `L^k` sentence true in `A`
+//! - [`preceq`](mod@preceq): the relation `A ≼^k B` ("every `L^k` sentence true in `A`
 //!   holds in `B`", Definition 4.1) decided via Theorem 4.8.
 //! - [`cnf`], [`cnf_game`]: CNF formulas and the k-pebble game **on Boolean
 //!   formulas** of Definition 6.5, the bookkeeping device of Theorem 6.6.

@@ -678,7 +678,7 @@ pub fn read_manifest(dir: &Path) -> Result<Option<Manifest>, RecoveryError> {
 // Counter snapshots.
 // ---------------------------------------------------------------------
 
-/// Appends the encoding of an [`EvalStats`] record (eight `u64` counters
+/// Appends the encoding of an [`EvalStats`](crate::store::EvalStats) record (eight `u64` counters
 /// in declaration order).
 pub fn encode_eval_stats(buf: &mut Vec<u8>, s: &crate::store::EvalStats) {
     for v in [
@@ -695,7 +695,7 @@ pub fn encode_eval_stats(buf: &mut Vec<u8>, s: &crate::store::EvalStats) {
     }
 }
 
-/// Decodes an [`EvalStats`] record written by [`encode_eval_stats`].
+/// Decodes an [`EvalStats`](crate::store::EvalStats) record written by [`encode_eval_stats`].
 pub fn decode_eval_stats(
     r: &mut ByteReader<'_>,
     path: &Path,
