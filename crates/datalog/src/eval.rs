@@ -1851,10 +1851,13 @@ pub(crate) fn evaluate_rule(
     // Batched (cost-based) rules keep per-atom probe memos: consecutive
     // branches that bind the same key reuse the previous index answer.
     let memo_len = if rule.batched { rule.atoms.len() } else { 0 };
+    // Counting mode must visit every derivation to keep support exact.
+    let head_check_at = rule.head_check_at.filter(|_| !buf.counting);
     let mut join = RuleJoin {
         rule,
         ctx,
         buf,
+        head_check_at,
         binding: vec![None; rule.var_count],
         probe_memo: vec![HashMap::new(); memo_len],
         check_memo: vec![HashMap::new(); memo_len],
@@ -1883,6 +1886,9 @@ pub(crate) struct RuleJoin<'a, 'b> {
     pub(crate) rule: &'a CompiledRule,
     pub(crate) ctx: &'a JoinCtx<'a>,
     pub(crate) buf: &'b mut WorkerBuf,
+    /// The rule's [`CompiledRule::head_check_at`], or `None` in counting
+    /// mode.
+    head_check_at: Option<usize>,
     pub(crate) binding: Vec<Option<Element>>,
     /// Per-atom memo of probe key → resolved posting slice. Within one
     /// stage the indexed prefix is frozen, so a repeated key resolves to
@@ -1957,23 +1963,11 @@ impl<'a, 'b> RuleJoin<'a, 'b> {
         self.charge()
     }
 
-    /// Where this join takes the head early exit: the rule's
-    /// [`CompiledRule::head_check_at`], except in counting mode, which must
-    /// visit every derivation to keep support counts exact.
-    #[inline]
-    fn head_check_at(&self) -> Option<usize> {
-        if self.buf.counting {
-            None
-        } else {
-            self.rule.head_check_at
-        }
-    }
-
     /// Whether the (fully bound) head tuple of the current branch has
     /// already been derived — committed in the shared store or interned in
     /// this worker's scratch arena. Only meaningful at
-    /// [`head_check_at`](Self::head_check_at), where the planner guarantees
-    /// every head argument is bound.
+    /// [`CompiledRule::head_check_at`], where the planner guarantees every
+    /// head argument is bound.
     fn head_already_derived(&mut self) -> bool {
         let rule = self.rule;
         let ctx = self.ctx;
@@ -2002,7 +1996,7 @@ impl<'a, 'b> RuleJoin<'a, 'b> {
         // on, so a branch whose head tuple is already derived can stop —
         // the remaining atoms would only re-verify a derivation that adds
         // nothing to the stage.
-        if self.head_check_at() == Some(atom_pos) && self.head_already_derived() {
+        if self.head_check_at == Some(atom_pos) && self.head_already_derived() {
             return Ok(());
         }
         if atom_pos == rule.atoms.len() {
@@ -2231,7 +2225,7 @@ impl<'a, 'b> RuleJoin<'a, 'b> {
     /// kernel decision.
     #[inline]
     fn emits_batched(&self) -> bool {
-        self.rule.batched && (self.head_check_at().is_none() || self.rule.generic.is_some())
+        self.rule.batched && (self.head_check_at.is_none() || self.rule.generic.is_some())
     }
 
     /// Emits the (fully bound) head tuple. Set mode: skip if already

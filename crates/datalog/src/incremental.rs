@@ -950,15 +950,11 @@ impl DeletionVariants {
 /// engine's persistent indexes, this batch's planned variants, the
 /// deleted sets (final for every SCC already processed), and counters.
 struct Deleter<'a> {
-    template: &'a Structure,
-    edb: Vec<&'a TupleStore>,
+    /// What every pass reads but its windows: the pre-state stores and
+    /// indexes. `Old` and `Full` span whole stores.
+    env: StageEnv<'a>,
     idb_stores: &'a [MutableStore],
-    edb_idx: &'a [Vec<PosIndex>],
-    idb_idx: &'a [Vec<PosIndex>],
-    /// Every IDB store's length: `Old` and `Full` span whole stores.
-    lens: Vec<u32>,
     variants: &'a DeletionVariants,
-    gov: &'a Governor,
     /// The batch's worker count: each pass splits its seeds across them.
     shards: Shards,
     edb_dead: Vec<DenseSet>,
@@ -976,6 +972,7 @@ impl Deleter<'_> {
     /// not fire.
     fn seeds(&self, preds: impl Iterator<Item = (Pred, Vec<u32>)>) -> Seeds {
         let mut edb: Vec<TupleStore> = self
+            .env
             .edb
             .iter()
             .map(|s| TupleStore::new(s.arity()))
@@ -987,7 +984,7 @@ impl Deleter<'_> {
             .collect();
         for (pred, ids) in preds {
             let (seed, source) = match pred {
-                Pred::Edb(r) => (&mut edb[r.0], self.edb[r.0]),
+                Pred::Edb(r) => (&mut edb[r.0], self.env.edb[r.0]),
                 Pred::Idb(i) => (&mut idb[i.0], self.idb_stores[i.0].store()),
             };
             *seed = TupleStore::with_capacity(source.arity(), ids.len());
@@ -1028,19 +1025,11 @@ impl Deleter<'_> {
             pass,
         };
         let env = StageEnv {
-            structure: self.template,
-            edb: &self.edb,
-            edb_idx: EdbIdx::Kept(self.edb_idx),
-            idb_idx: self.idb_idx,
-            blooms: None,
-            prev_len: &self.lens,
-            delta_lo: &self.lens,
-            edb_delta_lo: None,
             deletion: Some(&windows),
-            gov: self.gov,
+            ..self.env
         };
         let live: Vec<&CompiledRule> = rules.filter(|r| env.fires(r, Fire::Seed)).collect();
-        let mut derived = vec![Vec::new(); self.lens.len()];
+        let mut derived = vec![Vec::new(); self.idb_stores.len()];
         let idb = IdbStores::Deleted {
             stores: self.idb_stores,
             derived: &mut derived,
@@ -1217,15 +1206,23 @@ impl IncrementalEngine {
             &mut self.idb_idx,
             variants.all(),
         );
+        let edb: Vec<&TupleStore> = self.edb.iter().map(|m| m.store()).collect();
+        let lens: Vec<u32> = self.idb.iter().map(|m| m.len() as u32).collect();
         let mut del = Deleter {
-            template: &self.template,
-            edb: self.edb.iter().map(|m| m.store()).collect(),
+            env: StageEnv {
+                structure: &self.template,
+                edb: &edb,
+                edb_idx: EdbIdx::Kept(&self.edb_idx),
+                idb_idx: &self.idb_idx,
+                blooms: None,
+                prev_len: &lens,
+                delta_lo: &lens,
+                edb_delta_lo: None,
+                deletion: None,
+                gov,
+            },
             idb_stores: &self.idb,
-            edb_idx: &self.edb_idx,
-            idb_idx: &self.idb_idx,
-            lens: self.idb.iter().map(|m| m.len() as u32).collect(),
             variants: &variants,
-            gov,
             shards: Shards::new(self.options.shards, || None),
             edb_dead: plan
                 .edb_dying

@@ -243,7 +243,7 @@ pub(crate) fn plan<'w>(
         PlannerMode::Textual => return Cow::Borrowed(written),
         PlannerMode::CostBased => options.lowering,
     };
-    let ctx = PlanCtx::new(edb_stats(), universe);
+    let ctx = PlanCtx::from_stats(edb_stats(), universe);
     let lower = |rules: &[CompiledRule]| -> Vec<CompiledRule> {
         rules.iter().map(|r| plan_rule(r, &ctx, lowering)).collect()
     };
@@ -270,7 +270,7 @@ pub(crate) fn plan_deletion(
     edb_stats: Vec<CardStats>,
     universe: usize,
 ) -> (Vec<CompiledRule>, Vec<CompiledRule>) {
-    let ctx = PlanCtx::new(edb_stats, universe);
+    let ctx = PlanCtx::from_stats(edb_stats, universe);
     let seeded = |rules: &[CompiledRule], lowering, checks: bool| -> Vec<CompiledRule> {
         rules
             .iter()
@@ -304,7 +304,7 @@ struct PlanCtx {
 
 impl PlanCtx {
     /// A context over per-relation cardinality snapshots.
-    fn new(edb_stats: Vec<CardStats>, universe_size: usize) -> Self {
+    fn from_stats(edb_stats: Vec<CardStats>, universe_size: usize) -> Self {
         let idb_len_est = edb_stats
             .iter()
             .map(|s| s.len)
@@ -743,12 +743,12 @@ impl CompiledProgram {
     /// lowered rules — the variable binding order with its per-variable
     /// posting-list iterators.
     pub fn explain_for_lowered(&self, structure: &Structure, lowering: JoinLowering) -> String {
-        let stats = self.edb_card_stats(structure);
+        let edb_stats = self.edb_card_stats(structure);
         let mut out = String::new();
         let _ = writeln!(out, "plan mode: cost-based");
         let _ = writeln!(out, "lowering: {lowering}");
         let _ = writeln!(out, "structure: |A| = {}", structure.universe_size());
-        for (r, stats) in self.vocabulary.relations().zip(&stats) {
+        for (r, stats) in self.vocabulary.relations().zip(&edb_stats) {
             let _ = writeln!(
                 out,
                 "edb {}: {} tuple(s), distinct {:?}",
@@ -760,7 +760,12 @@ impl CompiledProgram {
         let options = EvalOptions::default()
             .with_planner(PlannerMode::CostBased)
             .with_lowering(lowering);
-        let plan = plan(&self.written, &options, || stats, structure.universe_size());
+        let plan = plan(
+            &self.written,
+            &options,
+            || edb_stats,
+            structure.universe_size(),
+        );
         self.render(out, &plan)
     }
 
