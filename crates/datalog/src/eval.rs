@@ -18,24 +18,26 @@
 //! single store — `old = [0, delta_lo)`, `delta = [delta_lo, prev_len)`,
 //! `full = [0, prev_len)` — with no per-stage snapshot clones. EDB
 //! relations are joined directly out of the structure's own stores
-//! (zero-copy), probed through an [`EdbIndexes`] set whose per-position
-//! indexes are built the first time a plan probes them — once per run, or
-//! once per structure when the set is kept beside an immutable structure
-//! and shared across runs ([`CompiledProgram::try_run_indexed`]). IDB
-//! [`PosIndex`]es are built once and *extended* after each stage;
-//! range-restricted probes are `partition_point` sub-slices of their sorted
-//! posting lists. Each atom's probe position is chosen **statically** at
-//! rule-compile time.
+//! (zero-copy). Every store, EDB or IDB, is probed through one index
+//! layout: a slot per tuple position whose [`PosIndex`] is built the first
+//! time a kernel probes that position and *extended* after each stage.
+//! Range-restricted probes are `partition_point` sub-slices of its sorted
+//! posting lists. The EDB slots form an [`EdbIndexes`] set, built once per
+//! run, or once per structure when the set is kept beside an immutable
+//! structure and shared across runs ([`CompiledProgram::try_run_indexed`]).
+//! Each atom's probe position is chosen **statically** at rule-compile
+//! time.
 //!
 //! Programs are compiled **once** — [`Evaluator::new`] (or
-//! [`CompiledProgram::compile`]) performs equality elimination, delta
-//! rewriting, and index planning; `run` only joins. Each stage runs through
-//! the one stage executor, [`crate::sharded`]: workers read the shared
-//! stores, which are immutable during a stage, and intern candidate heads
-//! into private scratch arenas that are merged into the shared stores at
-//! the stage barrier. [`EvalOptions::shards`] sets the worker count `W`;
-//! the default is one worker, which partitions and routes nothing, and
-//! set-union merging makes every `W` produce the same stages.
+//! [`CompiledProgram::compile`]) performs equality elimination and delta
+//! rewriting; `run` only joins. One stage loop runs the stages, for
+//! from-scratch runs and incremental maintenance's insertion pass alike.
+//! Each stage runs through the one stage executor, [`crate::sharded`]:
+//! workers read the shared stores, which are immutable during a stage, and
+//! intern candidate heads into private scratch arenas that are merged into
+//! the shared stores at the stage barrier. [`EvalOptions::shards`] sets the
+//! worker count `W`; the default is one worker, which partitions and routes
+//! nothing, and set-union merging makes every `W` produce the same stages.
 //!
 //! Evaluation reports [`EvalStats`] (tuples interned, duplicate
 //! derivations, join probes, stages) and honors a [`Governor`]'s budgets
@@ -98,8 +100,8 @@ pub struct EvalOptions {
     /// differ only in whether [`EvalResult::shard`] is reported. Stage
     /// *sets* are identical for every worker count (differential-tested
     /// for W ∈ {1, 2, 4, 8}); counters such as `join_probes` may differ
-    /// at `W > 1` because every worker walks the full rule list over its
-    /// sub-delta.
+    /// at `W > 1` because every worker with a share of a rule's delta
+    /// runs that rule over its share.
     pub shards: Option<usize>,
 }
 
@@ -169,6 +171,27 @@ pub struct EvalResult {
 }
 
 impl EvalResult {
+    /// The result holding `idb` and the stages `p` committed into it.
+    fn new(
+        idb: Vec<TupleStore>,
+        p: Progress,
+        converged: bool,
+        shard: Option<crate::sharded::ShardStats>,
+    ) -> Self {
+        EvalResult {
+            idb: idb.into_iter().map(Relation::from_store).collect(),
+            stats: p
+                .stage_new
+                .into_iter()
+                .map(|new_tuples| StageStats { new_tuples })
+                .collect(),
+            eval_stats: p.stats,
+            stage_marks: p.stage_marks,
+            converged,
+            shard,
+        }
+    }
+
     /// Number of stages until the fixpoint (the `n₀` of Section 2).
     pub fn stage_count(&self) -> usize {
         self.stats.len()
@@ -212,6 +235,26 @@ impl EvalResult {
     }
 }
 
+/// The committed progress of a stage loop ([`StageLoop`]): what a
+/// from-scratch run's [`EvalCheckpoint`] and a maintenance batch's
+/// insertion pass carry from one stage boundary to the next.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct Progress {
+    /// Stages run, the converging one included (0: stage one is due).
+    pub(crate) stage: usize,
+    /// Per IDB predicate, its store length before the last committed
+    /// stage: the `old`/`delta` boundary of the next.
+    pub(crate) delta_lo: Vec<u32>,
+    /// Per committed stage that derived something, its fresh tuples per
+    /// IDB predicate.
+    pub(crate) stage_new: Vec<Vec<usize>>,
+    /// Per such stage, the IDB store lengths after it committed.
+    pub(crate) stage_marks: Vec<Vec<u32>>,
+    /// Counters of the committed stages, on top of those the loop started
+    /// from (a maintenance batch's deletion phase).
+    pub(crate) stats: EvalStats,
+}
+
 /// Resumable evaluation state captured at a *committed* stage boundary.
 ///
 /// When a governed run is interrupted, partial per-stage work is
@@ -223,11 +266,7 @@ impl EvalResult {
 #[derive(Debug, Clone)]
 pub struct EvalCheckpoint {
     idb_stores: Vec<TupleStore>,
-    delta_lo: Vec<u32>,
-    stats: Vec<StageStats>,
-    stage_marks: Vec<Vec<u32>>,
-    eval_stats: EvalStats,
-    stage: usize,
+    progress: Progress,
     /// SCCs of the predicate dependency graph that still had live deltas
     /// at the last committed stage boundary — the components the SCC
     /// scheduler would drive next. Diagnostic: resume recomputes liveness
@@ -238,7 +277,7 @@ pub struct EvalCheckpoint {
 impl EvalCheckpoint {
     /// Number of stages committed before the interrupt.
     pub fn stage_count(&self) -> usize {
-        self.stage
+        self.progress.stage
     }
 
     /// The SCC ids (stratum components) whose deltas were non-empty at the
@@ -255,7 +294,7 @@ impl EvalCheckpoint {
     /// Evaluation counters for the committed prefix (monotone across
     /// successive checkpoints of one logical run).
     pub fn eval_stats(&self) -> EvalStats {
-        self.eval_stats
+        self.progress.stats
     }
 
     /// Serializes the checkpoint for durable storage: store contents in
@@ -275,25 +314,26 @@ impl EvalCheckpoint {
                 put_u32(&mut buf, e);
             }
         }
-        for &lo in &self.delta_lo {
+        let p = &self.progress;
+        for &lo in &p.delta_lo {
             put_u32(&mut buf, lo);
         }
-        put_u32(&mut buf, self.stats.len() as u32);
-        for st in &self.stats {
-            put_u32(&mut buf, st.new_tuples.len() as u32);
-            for &c in &st.new_tuples {
+        put_u32(&mut buf, p.stage_new.len() as u32);
+        for new_tuples in &p.stage_new {
+            put_u32(&mut buf, new_tuples.len() as u32);
+            for &c in new_tuples {
                 put_u32(&mut buf, c as u32);
             }
         }
-        put_u32(&mut buf, self.stage_marks.len() as u32);
-        for row in &self.stage_marks {
+        put_u32(&mut buf, p.stage_marks.len() as u32);
+        for row in &p.stage_marks {
             put_u32(&mut buf, row.len() as u32);
             for &m in row {
                 put_u32(&mut buf, m);
             }
         }
-        encode_eval_stats(&mut buf, &self.eval_stats);
-        put_u64(&mut buf, self.stage as u64);
+        encode_eval_stats(&mut buf, &p.stats);
+        put_u64(&mut buf, p.stage as u64);
         put_u32(&mut buf, self.active_sccs.len() as u32);
         for &s in &self.active_sccs {
             put_u32(&mut buf, s);
@@ -357,16 +397,14 @@ impl EvalCheckpoint {
         if n_stats > 1 << 24 {
             return Err(fail(format!("implausible stage count {n_stats}")));
         }
-        let mut stats = Vec::with_capacity(n_stats);
+        let mut stage_new = Vec::with_capacity(n_stats);
         for _ in 0..n_stats {
             let k = r.get_u32("stage stat width").map_err(fail)? as usize;
             if k != n_idb {
                 return Err(fail(format!("stage stat width {k}, expected {n_idb}")));
             }
             let counts = r.get_u32s(k, "stage new-tuple counts").map_err(fail)?;
-            stats.push(StageStats {
-                new_tuples: counts.into_iter().map(|c| c as usize).collect(),
-            });
+            stage_new.push(counts.into_iter().map(|c| c as usize).collect());
         }
         let n_marks = r.get_u32("stage mark count").map_err(fail)? as usize;
         if n_marks != n_stats {
@@ -382,7 +420,7 @@ impl EvalCheckpoint {
             }
             stage_marks.push(r.get_u32s(k, "stage marks").map_err(fail)?);
         }
-        let eval_stats = decode_eval_stats(&mut r, path)?;
+        let stats = decode_eval_stats(&mut r, path)?;
         let stage = r.get_u64("stage counter").map_err(fail)? as usize;
         if stage != n_stats {
             return Err(fail(format!(
@@ -399,11 +437,13 @@ impl EvalCheckpoint {
         }
         Ok(EvalCheckpoint {
             idb_stores,
-            delta_lo,
-            stats,
-            stage_marks,
-            eval_stats,
-            stage,
+            progress: Progress {
+                stage,
+                delta_lo,
+                stage_new,
+                stage_marks,
+                stats,
+            },
             active_sccs,
         })
     }
@@ -412,19 +452,7 @@ impl EvalCheckpoint {
     /// progress for callers that inspect rather than resume. Clones the
     /// stores; the checkpoint stays resumable.
     pub fn partial_result(&self) -> EvalResult {
-        EvalResult {
-            idb: self
-                .idb_stores
-                .iter()
-                .cloned()
-                .map(Relation::from_store)
-                .collect(),
-            stats: self.stats.clone(),
-            eval_stats: self.eval_stats,
-            stage_marks: self.stage_marks.clone(),
-            converged: false,
-            shard: None,
-        }
+        EvalResult::new(self.idb_stores.clone(), self.progress.clone(), false, None)
     }
 }
 
@@ -488,19 +516,6 @@ pub(crate) enum JoinKernel {
     /// Every argument is bound on entry: the atom degenerates to a single
     /// interner lookup plus a range-containment test.
     Check,
-}
-
-impl JoinKernel {
-    /// The index positions this kernel probes (what the index plan must
-    /// provide).
-    pub(crate) fn index_positions(&self) -> impl Iterator<Item = usize> {
-        let pair: [Option<usize>; 2] = match *self {
-            JoinKernel::Scan | JoinKernel::Check => [None, None],
-            JoinKernel::Probe { pos } => [Some(pos), None],
-            JoinKernel::MergedProbe { pos_a, pos_b } => [Some(pos_a), Some(pos_b)],
-        };
-        pair.into_iter().flatten()
-    }
 }
 
 /// A body atom with its access mode and join kernel resolved.
@@ -787,74 +802,48 @@ pub(crate) fn compile_rule_pinned(rule: &Rule, pin: DeltaPin, magic: &[bool]) ->
     }
 }
 
-/// Gathers the index plan — which positions of which relations the given
-/// rules' kernels will ever probe — as sorted, deduplicated position lists.
-pub(crate) fn index_plan<'r>(
-    rules: impl Iterator<Item = &'r CompiledRule>,
-    edb_count: usize,
-    idb_count: usize,
-) -> (Vec<Vec<usize>>, Vec<Vec<usize>>) {
-    let mut edb_pos: Vec<HashSet<usize>> = vec![HashSet::new(); edb_count];
-    let mut idb_pos: Vec<HashSet<usize>> = vec![HashSet::new(); idb_count];
-    for rule in rules {
-        for (ai, atom) in rule.atoms.iter().enumerate() {
-            // A generic-lowered rule refines every non-seed atom through
-            // posting intersections at arbitrary argument positions, so it
-            // needs all of them indexed; binary rules only need what their
-            // statically chosen kernels probe.
-            let positions: Vec<usize> = if rule.generic.is_some() && ai > 0 {
-                (0..atom.args.len()).collect()
-            } else {
-                atom.kernel.index_positions().collect()
-            };
-            for pos in positions {
-                match atom.pred {
-                    Pred::Edb(r) => edb_pos[r.0].insert(pos),
-                    Pred::Idb(i) => idb_pos[i.0].insert(pos),
-                };
-            }
-        }
-    }
-    let sorted = |set: HashSet<usize>| {
-        let mut v: Vec<usize> = set.into_iter().collect();
-        v.sort_unstable();
-        v
-    };
-    (
-        edb_pos.into_iter().map(sorted).collect(),
-        idb_pos.into_iter().map(sorted).collect(),
-    )
+/// The position indexes over one store: one slot per tuple position,
+/// filled the first time a kernel probes that position.
+///
+/// Every position index the engine keeps has this layout: the EDB
+/// indexes of an [`EdbIndexes`] set, the IDB indexes of a from-scratch
+/// run, and the EDB and IDB indexes incremental maintenance keeps across
+/// batches. A slot is filled at most once, by whichever worker probes it
+/// first; a concurrent reader of the same slot waits for that fill
+/// instead of building its own. Which positions get indexed is thus
+/// decided by the kernels that probe them alone. Built indexes are
+/// extended over their store's appends at stage barriers
+/// ([`sync_indexes`]) and patched by `MutableStore::compact_in_place`.
+pub(crate) type IndexSlots = Box<[OnceLock<PosIndex>]>;
+
+/// Empty slots for stores of the given arities: nothing is built yet.
+pub(crate) fn index_slots(arities: impl Iterator<Item = usize>) -> Vec<IndexSlots> {
+    arities
+        .map(|a| (0..a).map(|_| OnceLock::new()).collect())
+        .collect()
 }
 
-/// Brings `indexes[i]`, the indexes over store `i`, up to date: adds an
-/// index for each planned position it lacks (`positions[i]`, if given)
-/// and extends every index over the tuples its store gained since.
+/// Extends every built index in `indexes[i]`, the slots over store `i`,
+/// over the tuples its store gained since.
 pub(crate) fn sync_indexes<'s>(
-    indexes: &mut [Vec<PosIndex>],
+    indexes: &mut [IndexSlots],
     stores: impl IntoIterator<Item = &'s TupleStore>,
-    positions: &[Vec<usize>],
 ) {
-    for (i, (ixs, store)) in indexes.iter_mut().zip(stores).enumerate() {
-        for &pos in positions.get(i).into_iter().flatten() {
-            if !ixs.iter().any(|ix| ix.pos() == pos) {
-                ixs.push(PosIndex::new(pos));
-            }
-        }
-        for ix in ixs.iter_mut() {
+    for (slots, store) in indexes.iter_mut().zip(stores) {
+        for ix in slots.iter_mut().filter_map(OnceLock::get_mut) {
             ix.update(store);
         }
     }
 }
 
-/// Position indexes over one structure's EDB relations, each built the
-/// first time a plan probes it.
+/// Position indexes over one structure's EDB relations: per relation, one
+/// slot per tuple position, each filled the first time a kernel probes it.
+/// A concurrent reader of a slot being filled waits for that fill instead
+/// of building its own.
 ///
-/// The set holds one slot per (relation, tuple position). A slot is filled
-/// at most once, by whichever worker probes it first; a concurrent reader
-/// of the same slot waits for that fill instead of building its own. A
-/// one-shot run uses a set of its own, so it builds the indexes it probes
-/// and drops them on return. A holder of an immutable structure keeps one
-/// set beside it and passes it to every run on that structure
+/// A one-shot run uses a set of its own, so it builds the indexes it
+/// probes and drops them on return. A holder of an immutable structure
+/// keeps one set beside it and passes it to every run on that structure
 /// ([`CompiledProgram::try_run_indexed`]), so each index is built once per
 /// structure rather than once per run — the query service keeps one per
 /// published snapshot.
@@ -864,7 +853,7 @@ pub(crate) fn sync_indexes<'s>(
 #[derive(Debug)]
 pub struct EdbIndexes {
     /// Per relation, one slot per tuple position.
-    slots: Vec<Box<[OnceLock<PosIndex>]>>,
+    slots: Vec<IndexSlots>,
     /// Per relation, the tuple count of the structure the set was made for.
     lens: Vec<usize>,
 }
@@ -874,10 +863,7 @@ impl EdbIndexes {
     pub fn new(structure: &Structure) -> Self {
         let vocab = structure.vocabulary();
         EdbIndexes {
-            slots: vocab
-                .relations()
-                .map(|r| (0..vocab.arity(r)).map(|_| OnceLock::new()).collect())
-                .collect(),
+            slots: index_slots(vocab.relations().map(|r| vocab.arity(r))),
             lens: vocab
                 .relations()
                 .map(|r| structure.relation(r).len())
@@ -903,52 +889,31 @@ impl EdbIndexes {
     }
 }
 
-/// The position indexes an atom's source offers the join kernels.
+/// The position indexes an atom's source offers the join kernels: the
+/// slots over its store. A deletion seed offers none (seeds are scanned,
+/// never probed).
 #[derive(Debug, Clone, Copy)]
-pub(crate) enum Indexes<'a> {
-    /// Built before the stage runs: the IDB indexes, and the EDB indexes
-    /// incremental maintenance keeps. Holds exactly the planned positions.
-    Kept(&'a [PosIndex]),
-    /// One relation's slots of an [`EdbIndexes`] set, over its store; a
-    /// slot is filled on first probe.
-    Lazy(&'a [OnceLock<PosIndex>], &'a TupleStore),
+pub(crate) struct Indexes<'a> {
+    slots: &'a [OnceLock<PosIndex>],
+    store: &'a TupleStore,
 }
 
 impl<'a> Indexes<'a> {
-    /// The index on position `p`. Kept indexes cover every statically
-    /// chosen probe position (the index plan), so the lookup succeeds.
-    #[allow(clippy::expect_used)]
+    /// The index on position `p`, built over the whole store if no kernel
+    /// has probed `p` before.
     pub(crate) fn at(self, p: usize) -> &'a PosIndex {
-        match self {
-            Indexes::Kept(indexes) => indexes
-                .iter()
-                .find(|ix| ix.pos() == p)
-                .expect("index plan covers every statically chosen probe position"),
-            Indexes::Lazy(slots, store) => slots[p].get_or_init(|| {
-                let mut ix = PosIndex::new(p);
-                ix.update(store);
-                ix
-            }),
-        }
+        self.slots[p].get_or_init(|| {
+            let mut ix = PosIndex::new(p);
+            ix.update(self.store);
+            ix
+        })
     }
 }
 
-/// Where a stage reads its EDB indexes.
-#[derive(Debug, Clone, Copy)]
-pub(crate) enum EdbIdx<'a> {
-    /// A from-scratch run: a set filled on first probe (see [`EdbIndexes`]).
-    Lazy(&'a EdbIndexes),
-    /// Incremental maintenance: the indexes the engine keeps across
-    /// batches, indexed by relation.
-    Kept(&'a [Vec<PosIndex>]),
-}
-
 /// A program compiled for evaluation: its written rules and semi-naive
-/// variants as one plan, with static index positions and the IDB index
-/// plan (which positions of which IDB predicates any variant will ever
-/// probe). Compiled **once** — by [`Evaluator::new`] or directly — and
-/// reusable across arbitrarily many structures, which is what `kv-core`'s
-/// `ProgramQuery` relies on.
+/// variants as one plan, with static probe positions. Compiled **once** —
+/// by [`Evaluator::new`] or directly — and reusable across arbitrarily many
+/// structures, which is what `kv-core`'s `ProgramQuery` relies on.
 #[derive(Debug, Clone)]
 pub struct CompiledProgram {
     pub(crate) vocabulary: Arc<Vocabulary>,
@@ -966,7 +931,7 @@ pub struct CompiledProgram {
 
 impl CompiledProgram {
     /// Compiles `program`: equality elimination, semi-naive delta
-    /// variants, static probe positions, and the aggregate index plan.
+    /// variants, and static probe positions.
     pub fn compile(program: &Program) -> Self {
         Self::compile_with_magic(program, &vec![false; program.idb_count()])
     }
@@ -1169,11 +1134,10 @@ impl CompiledProgram {
         }
         let checkpoint = EvalCheckpoint {
             idb_stores,
-            delta_lo: vec![0u32; idb_count],
-            stats: Vec::new(),
-            stage_marks: Vec::new(),
-            eval_stats: EvalStats::default(),
-            stage: 0,
+            progress: Progress {
+                delta_lo: vec![0u32; idb_count],
+                ..Progress::default()
+            },
             active_sccs: Vec::new(),
         };
         let plan = self.plan_for(structure, &options);
@@ -1204,10 +1168,10 @@ impl CompiledProgram {
     }
 
     /// The governed evaluation core: runs `plan` from `cp` (fresh or
-    /// resumed) to fixpoint, truncation, or interrupt, probing the EDB
-    /// through `edb_idx`. The plan is a pure function of (program,
-    /// structure, options), so interrupted runs re-derive it identically
-    /// on resume.
+    /// resumed) to fixpoint, truncation, or interrupt on the [`StageLoop`],
+    /// probing the EDB through `edb_idx`. The plan is a pure function of
+    /// (program, structure, options), so interrupted runs re-derive it
+    /// identically on resume.
     fn run_from(
         &self,
         structure: &Structure,
@@ -1221,30 +1185,12 @@ impl CompiledProgram {
             edb_idx.serves(structure),
             "EDB index set was made for another structure"
         );
-
-        // EDB stores are the structure's own relation stores (zero-copy);
-        // their indexes come from `edb_idx`, built on first probe.
+        // EDB stores are the structure's own relation stores (zero-copy).
         let edb_stores: Vec<&TupleStore> = self
             .vocabulary
             .relations()
             .map(|r| structure.relation(r).store())
             .collect();
-
-        // IDB state from the checkpoint (empty on a fresh run); indexes
-        // are rebuilt over the committed prefix and then extended (not
-        // rebuilt) after each further stage commits.
-        let rules = plan.naive_rules.iter().chain(&plan.semi_variants);
-        let (_, idb_positions) = index_plan(rules, edb_stores.len(), cp.idb_stores.len());
-        let mut idb_idx = vec![Vec::new(); cp.idb_stores.len()];
-        sync_indexes(&mut idb_idx, &cp.idb_stores, &idb_positions);
-
-        // Plans that keep Bloom pre-filters over each IDB's committed
-        // tuples rebuild them deterministically from the committed prefix
-        // and extend them after each stage commit.
-        let mut blooms: Option<Vec<TupleBloom>> = plan
-            .blooms
-            .then(|| cp.idb_stores.iter().map(bloom_over).collect());
-
         // Shard keys are a pure function of the compiled variants and the
         // EDB statistics (resumed runs re-derive them identically); at
         // W = 1 none are chosen. Interrupts discard partial stages whole,
@@ -1259,103 +1205,157 @@ impl CompiledProgram {
                 &self.edb_card_stats(structure),
             ))
         });
-
-        // Hands the committed state back as a resumable interrupt, with the
-        // SCC stratum schedule's live set at that boundary: the components
-        // whose predicates still carry a non-empty delta (or, before stage
-        // 1, any committed tuples — seeds).
-        let interrupted = |reason: Interrupted, mut cp: EvalCheckpoint| {
-            cp.eval_stats.stages = cp.stats.len() as u64;
-            cp.active_sccs = self.scc.active_components(&cp.delta_lo, &cp.idb_stores);
-            Err(EvalInterrupted {
-                reason,
-                checkpoint: cp,
-            })
+        let stages = StageLoop {
+            structure,
+            edb: &edb_stores,
+            edb_idx: &edb_idx.slots,
+            edb_delta_lo: None,
+            plan,
+            first_only: &[],
+            semi_naive: options.semi_naive,
+            max_stages: options.max_stages,
+            gov,
         };
+        let mut idb_idx = index_slots(self.idb_arities.iter().copied());
+        let mut idb = sharded::IdbStores::Set(&mut cp.idb_stores);
+        match stages.run(&mut idb, &mut idb_idx, &mut shards, &mut cp.progress) {
+            Ok(converged) => Ok(EvalResult::new(
+                cp.idb_stores,
+                cp.progress,
+                converged,
+                options
+                    .shards
+                    .map(|_| shards.stats(plan.semi_variants.len())),
+            )),
+            // The committed state goes back as a resumable interrupt, with
+            // the SCC stratum schedule's live set at that boundary: the
+            // components whose predicates still carry a non-empty delta
+            // (or, before stage 1, any committed tuples — seeds).
+            Err(reason) => {
+                cp.active_sccs = self
+                    .scc
+                    .active_components(&cp.progress.delta_lo, &cp.idb_stores);
+                Err(EvalInterrupted {
+                    reason,
+                    checkpoint: cp,
+                })
+            }
+        }
+    }
+}
 
-        let mut converged = false;
-        while cp.stage < options.max_stages.unwrap_or(usize::MAX) {
+/// One run of the paper's stages `Θ¹ = Θ(∅)`, `Θⁿ⁺¹ = Θ(Θⁿ)` over a plan:
+/// the stage loop of from-scratch evaluation and of incremental
+/// maintenance's insertion pass alike. Holds what the loop reads besides
+/// the IDB stores and their indexes.
+pub(crate) struct StageLoop<'a> {
+    pub(crate) structure: &'a Structure,
+    pub(crate) edb: &'a [&'a TupleStore],
+    pub(crate) edb_idx: &'a [IndexSlots],
+    /// See [`StageEnv::edb_delta_lo`].
+    pub(crate) edb_delta_lo: Option<&'a [u32]>,
+    /// Stage one runs the plan's naive rules, later stages its semi-naive
+    /// variants (or the naive rules again, unless `semi_naive`).
+    pub(crate) plan: &'a RunPlan,
+    /// Rules that run at stage one besides the plan's, unfiltered.
+    pub(crate) first_only: &'a [CompiledRule],
+    pub(crate) semi_naive: bool,
+    /// Stop after this many stages, converged or not.
+    pub(crate) max_stages: Option<usize>,
+    pub(crate) gov: &'a Governor,
+}
+
+impl StageLoop<'_> {
+    /// Runs stages from `p` into `idb` until one derives nothing (returns
+    /// `true`), `max_stages` have run (`false`), or the governor
+    /// interrupts. Each stage charges the governor, runs the live rules on
+    /// the stage executor and commits whole; `p` then holds every
+    /// committed stage, so a run continued from it derives exactly the
+    /// stages an uninterrupted run would. `idb_idx` are the slots over the
+    /// IDB stores, extended as the stores grow.
+    pub(crate) fn run(
+        &self,
+        idb: &mut sharded::IdbStores<'_>,
+        idb_idx: &mut [IndexSlots],
+        shards: &mut sharded::Shards,
+        p: &mut Progress,
+    ) -> Result<bool, Interrupted> {
+        let (gov, plan) = (self.gov, self.plan);
+        sync_indexes(idb_idx, idb.stores());
+        let arities: Vec<usize> = idb.stores().iter().map(|s| s.arity()).collect();
+        // Plans that keep Bloom pre-filters over each IDB's committed
+        // tuples rebuild them deterministically from the committed prefix
+        // and extend them after each stage commit. Counting workers never
+        // consult the committed stores, so they keep none.
+        let counting = matches!(idb, sharded::IdbStores::Counting(_));
+        let mut blooms: Option<Vec<TupleBloom>> =
+            (plan.blooms && !counting).then(|| idb.stores().into_iter().map(bloom_over).collect());
+        while p.stage < self.max_stages.unwrap_or(usize::MAX) {
             // Coarse boundary check (cancellation poll + deadline + all
             // budgets), then the stage budget for the stage about to run.
-            if let Err(reason) = gov.check().and_then(|()| gov.charge_stage()) {
-                return interrupted(reason, cp);
-            }
-            let prev_len: Vec<u32> = cp.idb_stores.iter().map(|s| s.len() as u32).collect();
-            let rules_this_stage: &[CompiledRule] = if cp.stage == 0 || !options.semi_naive {
+            gov.check().and_then(|()| gov.charge_stage())?;
+            let prev_len: Vec<u32> = idb.stores().iter().map(|s| s.len() as u32).collect();
+            let rules = if p.stage == 0 || !self.semi_naive {
                 &plan.naive_rules
             } else {
                 &plan.semi_variants
             };
             let env = StageEnv {
-                structure,
-                edb: &edb_stores,
-                edb_idx: EdbIdx::Lazy(edb_idx),
-                idb_idx: &idb_idx,
+                structure: self.structure,
+                edb: self.edb,
+                edb_idx: self.edb_idx,
+                idb_idx,
                 blooms: blooms.as_deref(),
                 prev_len: &prev_len,
-                delta_lo: &cp.delta_lo,
-                edb_delta_lo: None,
+                delta_lo: &p.delta_lo,
+                edb_delta_lo: self.edb_delta_lo,
                 deletion: None,
                 gov,
             };
-            let live_rules: Vec<&CompiledRule> = rules_this_stage
-                .iter()
-                .filter(|rule| env.fires(rule, plan.fire))
-                .collect();
-            let idb = sharded::IdbStores::Set(&mut cp.idb_stores);
-            let new_count =
-                match sharded::run_stage(&env, &live_rules, idb, &mut shards, &mut cp.eval_stats) {
-                    Ok(new_count) => new_count,
-                    Err(reason) => return interrupted(reason, cp),
-                };
-            cp.stage += 1;
-            if new_count.iter().all(|&c| c == 0) {
-                converged = true;
-                break;
+            let mut live: Vec<&CompiledRule> =
+                rules.iter().filter(|r| env.fires(r, plan.fire)).collect();
+            if p.stage == 0 {
+                live.extend(self.first_only);
             }
-            cp.stage_marks
-                .push(cp.idb_stores.iter().map(|s| s.len() as u32).collect());
-            // Advance delta markers and extend the indexes over the newly
-            // committed id range.
-            cp.delta_lo.copy_from_slice(&prev_len);
-            sync_indexes(&mut idb_idx, &cp.idb_stores, &[]);
+            let new_count = sharded::run_stage(&env, &live, idb, shards, &mut p.stats)?;
+            p.stage += 1;
+            if new_count.iter().all(|&c| c == 0) {
+                return Ok(true);
+            }
+            // Advance the delta markers and extend the indexes over the
+            // newly committed id range.
+            let stores = idb.stores();
+            p.stage_marks
+                .push(stores.iter().map(|s| s.len() as u32).collect());
+            p.delta_lo = prev_len;
+            sync_indexes(idb_idx, stores.iter().copied());
             // Extend the Bloom pre-filters over the committed delta,
             // rebuilding any filter that grew past its useful load.
-            if let Some(blooms) = blooms.as_mut() {
-                for (i, store) in cp.idb_stores.iter().enumerate() {
-                    if blooms[i].should_grow() {
-                        blooms[i] = bloom_over(store);
-                    } else {
-                        for id in cp.delta_lo[i]..store.len() as u32 {
-                            blooms[i].insert(tuple_hash(store.get(TupleId(id))));
-                        }
+            for (i, bloom) in blooms.iter_mut().flatten().enumerate() {
+                let store = stores[i];
+                if bloom.should_grow() {
+                    *bloom = bloom_over(store);
+                } else {
+                    for id in p.delta_lo[i]..store.len() as u32 {
+                        bloom.insert(tuple_hash(store.get(TupleId(id))));
                     }
                 }
             }
-            let charged = commit_stage(gov, &mut cp.eval_stats, &new_count, &self.idb_arities);
-            cp.stats.push(StageStats {
-                new_tuples: new_count,
-            });
-            if let Err(reason) = charged {
-                return interrupted(reason, cp);
-            }
+            // Budgets are charged after the stage commits, so `p` holds it
+            // and a continued run starts at the next stage.
+            let tuples: u64 = new_count.iter().map(|&c| c as u64).sum();
+            let bytes: u64 = new_count
+                .iter()
+                .zip(&arities)
+                .map(|(&c, &a)| c as u64 * a.max(1) as u64 * 4)
+                .sum();
+            p.stats.tuples_interned += tuples;
+            p.stage_new.push(new_count);
+            p.stats.stages = p.stage_new.len() as u64;
+            gov.charge_tuples(tuples)
+                .and_then(|()| gov.charge_bytes(bytes))?;
         }
-        cp.eval_stats.stages = cp.stats.len() as u64;
-
-        Ok(EvalResult {
-            idb: cp
-                .idb_stores
-                .into_iter()
-                .map(Relation::from_store)
-                .collect(),
-            stats: cp.stats,
-            eval_stats: cp.eval_stats,
-            stage_marks: cp.stage_marks,
-            converged,
-            shard: options
-                .shards
-                .map(|_| shards.stats(plan.semi_variants.len())),
-        })
+        Ok(false)
     }
 }
 
@@ -1366,27 +1366,6 @@ fn bloom_over(store: &TupleStore) -> TupleBloom {
         bloom.insert(tuple_hash(t));
     }
     bloom
-}
-
-/// Counts a committed stage's fresh tuples into `stats` and charges them,
-/// with their bytes, to `gov`'s budgets. Budgets are charged after the
-/// stage commits, so the checkpoint includes it and resume continues from
-/// the next stage.
-pub(crate) fn commit_stage(
-    gov: &Governor,
-    stats: &mut EvalStats,
-    new_count: &[usize],
-    arities: &[usize],
-) -> Result<(), Interrupted> {
-    let tuples: u64 = new_count.iter().map(|&c| c as u64).sum();
-    let bytes: u64 = new_count
-        .iter()
-        .zip(arities)
-        .map(|(&c, &a)| c as u64 * a.max(1) as u64 * 4)
-        .sum();
-    stats.tuples_interned += tuples;
-    gov.charge_tuples(tuples)
-        .and_then(|()| gov.charge_bytes(bytes))
 }
 
 /// Unwraps the result of a run governed by [`Governor::unlimited`], which
@@ -1465,15 +1444,15 @@ impl<'p> Evaluator<'p> {
 
 /// What every worker of a stage reads besides the IDB stores themselves.
 /// Everything here is borrowed immutably; the only interior mutability is
-/// an [`EdbIndexes`] slot's one-time fill, which is thread-safe, so the
-/// environment is `Sync`. It is copied into each worker's [`JoinCtx`], so
+/// an index slot's one-time fill ([`IndexSlots`]), which is thread-safe,
+/// so the environment is `Sync`. It is copied into each worker's [`JoinCtx`], so
 /// the join loops read its fields without a second indirection.
 #[derive(Clone, Copy)]
 pub(crate) struct StageEnv<'a> {
     pub(crate) structure: &'a Structure,
     pub(crate) edb: &'a [&'a TupleStore],
-    pub(crate) edb_idx: EdbIdx<'a>,
-    pub(crate) idb_idx: &'a [Vec<PosIndex>],
+    pub(crate) edb_idx: &'a [IndexSlots],
+    pub(crate) idb_idx: &'a [IndexSlots],
     /// Bloom pre-filters over each IDB's committed tuples, when the plan
     /// keeps them: a negative membership answer is definitive and skips
     /// the interner lookup.
@@ -1511,7 +1490,7 @@ pub(crate) struct StageEnv<'a> {
 ///   state.
 ///
 /// The pre-state is compacted (no dead tuples), so `Old` and `Full` span
-/// whole stores and read the engine's persistent indexes.
+/// whole stores and read the engine's kept indexes.
 pub(crate) struct DeletionWindows<'a> {
     /// Per EDB relation, the seed of the variants pinned on it (empty when
     /// the pass has none). Seeds are scanned, never probed: deletion plans
@@ -1654,53 +1633,47 @@ impl<'a> JoinCtx<'a> {
     /// range.
     pub(crate) fn source(&self, atom: &JoinAtom) -> (&'a TupleStore, Indexes<'a>, IdRange) {
         let env = &self.env;
-        if let (IdbAccess::Delta, Some(d)) = (atom.access, env.deletion) {
-            let window = match atom.pred {
-                Pred::Edb(r) => self.edb_delta[r.0],
-                Pred::Idb(i) => self.idb_delta[i.0],
-            };
-            return (d.seed(atom.pred), Indexes::Kept(&[]), window);
-        }
-        match atom.pred {
-            Pred::Edb(r) => {
-                let store = env.edb[r.0];
-                let range = match env.edb_delta_lo {
-                    None => store.id_range(),
-                    // Incremental maintenance: the EDB is append-only
-                    // within a batch, so the batch's insertions are the id
-                    // suffix above the delta mark — the same three-window
-                    // scheme the IDB stores use.
-                    Some(lo) => match atom.access {
-                        IdbAccess::Full => store.id_range(),
-                        IdbAccess::Old => IdRange {
+        let (store, slots, range): (_, &'a [OnceLock<PosIndex>], _) =
+            match (atom.pred, env.deletion) {
+                (pred, Some(d)) if atom.access == IdbAccess::Delta => {
+                    let window = match pred {
+                        Pred::Edb(r) => self.edb_delta[r.0],
+                        Pred::Idb(i) => self.idb_delta[i.0],
+                    };
+                    (d.seed(pred), &[], window)
+                }
+                (Pred::Edb(r), _) => {
+                    let store = env.edb[r.0];
+                    let range = match (env.edb_delta_lo, atom.access) {
+                        (None, _) | (_, IdbAccess::Full) => store.id_range(),
+                        // Incremental maintenance: the EDB is append-only
+                        // within a batch, so the batch's insertions are the
+                        // id suffix above the delta mark — the same
+                        // three-window scheme the IDB stores use.
+                        (Some(lo), IdbAccess::Old) => IdRange {
                             start: 0,
                             end: lo[r.0],
                         },
-                        IdbAccess::Delta => self.edb_delta[r.0],
-                    },
-                };
-                let indexes = match env.edb_idx {
-                    EdbIdx::Lazy(set) => Indexes::Lazy(&set.slots[r.0], store),
-                    EdbIdx::Kept(kept) => Indexes::Kept(&kept[r.0]),
-                };
-                (store, indexes, range)
-            }
-            Pred::Idb(i) => {
-                let store = self.idb[i.0];
-                let range = match atom.access {
-                    IdbAccess::Full => IdRange {
-                        start: 0,
-                        end: env.prev_len[i.0],
-                    },
-                    IdbAccess::Old => IdRange {
-                        start: 0,
-                        end: env.delta_lo[i.0],
-                    },
-                    IdbAccess::Delta => self.idb_delta[i.0],
-                };
-                (store, Indexes::Kept(&env.idb_idx[i.0]), range)
-            }
-        }
+                        (Some(_), IdbAccess::Delta) => self.edb_delta[r.0],
+                    };
+                    (store, &env.edb_idx[r.0], range)
+                }
+                (Pred::Idb(i), _) => {
+                    let range = match atom.access {
+                        IdbAccess::Full => IdRange {
+                            start: 0,
+                            end: env.prev_len[i.0],
+                        },
+                        IdbAccess::Old => IdRange {
+                            start: 0,
+                            end: env.delta_lo[i.0],
+                        },
+                        IdbAccess::Delta => self.idb_delta[i.0],
+                    };
+                    (self.idb[i.0], &env.idb_idx[i.0], range)
+                }
+            };
+        (store, Indexes { slots, store }, range)
     }
 
     /// The deleted ids a candidate of `atom` must avoid: set only for

@@ -4,10 +4,10 @@
 //! while the EDB mutates in batches of insertions and retractions, instead
 //! of re-running [`crate::eval::Evaluator`] from scratch after every
 //! change. The paper's stage semantics (Theorem 3.6) is defined over a
-//! fixed structure; this module preserves it exactly — the maintenance
-//! pass runs the same global stage loop over the same three id-window
-//! relation views (`old`/`delta`/`full`), merely generalized so the EDB
-//! stores get delta windows too.
+//! fixed structure; this module preserves it exactly — the insertion pass
+//! runs the stage loop of a from-scratch run itself, over the same three
+//! id-window relation views (`old`/`delta`/`full`), merely generalized so
+//! the EDB stores get delta windows too.
 //!
 //! # Batch anatomy
 //!
@@ -39,8 +39,8 @@
 //!    every store that holds one — after compaction no dead tuple exists,
 //!    so the insertion pass (and every range-based join kernel) sees
 //!    contiguous live id ranges, unchanged.
-//! 2. **Insertion** (stage-by-stage commit, like a from-scratch run).
-//!    Fresh EDB tuples append above the batch's delta mark. Stage one
+//! 2. **Insertion** (stage-by-stage commit, on a from-scratch run's stage
+//!    loop). Fresh EDB tuples append above the batch's delta mark. Stage one
 //!    runs the *EDB-delta* rule variants — the `d`-th EDB occurrence
 //!    pinned to the insertion window, earlier EDB occurrences old, later
 //!    ones full, IDB atoms full — and subsequent stages run the ordinary
@@ -53,9 +53,10 @@
 //!    counting deletion path.
 //!
 //! Both phases read one set of position indexes that the engine keeps
-//! across batches: stages extend them as stores grow, compaction patches
-//! them in place (dead ids leave their postings, moved ids are
-//! renumbered), and a position is built the first time a plan probes it.
+//! across batches, in the layout of every other index: a position is
+//! built the first time a kernel probes it, stages extend it as its store
+//! grows, and compaction patches it in place (dead ids leave their
+//! postings, moved ids are renumbered).
 //!
 //! On the *initial* batch this degenerates to exactly the from-scratch
 //! stage sequence — stage one of the batch enumerates precisely the
@@ -74,18 +75,18 @@
 
 use crate::ast::{IdbId, Literal, Pred, Rule};
 use crate::eval::{
-    commit_stage, compile_rule_pinned, index_plan, sync_indexes, CompiledProgram, CompiledRule,
-    DeletionPass, DeletionWindows, DeltaPin, DenseSet, EdbIdx, EvalOptions, StageEnv,
+    compile_rule_pinned, index_slots, sync_indexes, CompiledProgram, CompiledRule, DeletionPass,
+    DeletionWindows, DeltaPin, DenseSet, EvalOptions, IndexSlots, Progress, StageEnv, StageLoop,
 };
 use crate::planner::{self, Fire, RunPlan};
 use crate::program::Program;
 use crate::sharded::{self, IdbStores, Shards};
 use kv_structures::govern::{Governor, Interrupted};
-use kv_structures::store::{CardStats, EvalStats, PosIndex, TupleId, TupleStore};
+use kv_structures::store::{CardStats, EvalStats, TupleId, TupleStore};
 use kv_structures::{Element, InsertOutcome, MutableStore, RelId, Structure};
 use std::collections::{HashMap, HashSet};
 use std::fmt;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// One asserted or retracted EDB fact: a relation and a tuple.
 pub type Fact = (RelId, Vec<Element>);
@@ -153,15 +154,9 @@ impl std::error::Error for BatchInterrupted {}
 struct InsertionState {
     /// EDB store length per relation before this batch's appends.
     edb_delta_lo: Vec<u32>,
-    /// IDB delta marker per predicate (store length before the previous
-    /// committed stage).
-    delta_lo: Vec<u32>,
-    /// Committed insertion stages (0 = the EDB-delta stage is still due).
-    stage: usize,
-    /// Per-stage new-tuple counts (stages that derived something).
-    stage_new: Vec<Vec<usize>>,
-    /// Counters committed so far (deletion phase + committed stages).
-    stats: EvalStats,
+    /// The insertion pass's stage loop progress; its counters start from
+    /// the deletion phase's.
+    progress: Progress,
     edb_inserted: u64,
     edb_retracted: u64,
     deleted_tuples: u64,
@@ -231,11 +226,11 @@ pub struct IncrementalEngine {
     /// The deletion plan's rule variants.
     deletion_variants: DeletionVariants,
     /// Position indexes over each EDB and IDB store, shared by both
-    /// phases and kept across batches: extended when stores grow,
-    /// patched by compaction, and a position is built the first time a
-    /// plan probes it.
-    edb_idx: Vec<Vec<PosIndex>>,
-    idb_idx: Vec<Vec<PosIndex>>,
+    /// phases and kept across batches: a position is built the first time
+    /// a kernel probes it, extended when its store grows, and patched by
+    /// compaction.
+    edb_idx: Vec<IndexSlots>,
+    idb_idx: Vec<IndexSlots>,
     epoch: u64,
     pending: Option<PendingBatch>,
     total_stats: EvalStats,
@@ -297,13 +292,13 @@ impl IncrementalEngine {
             compiled,
             options,
             template: empty,
-            edb,
-            idb,
             insertion,
             fact_rules,
             deletion_variants: DeletionVariants::compile(program),
-            edb_idx: vec![Vec::new(); vocab.relations().count()],
-            idb_idx: vec![Vec::new(); program.idb_count()],
+            edb_idx: index_slots(edb.iter().map(|m| m.arity())),
+            idb_idx: index_slots(idb.iter().map(|m| m.arity())),
+            edb,
+            idb,
             epoch: 0,
             pending: None,
             total_stats: EvalStats::default(),
@@ -663,14 +658,14 @@ impl IncrementalEngine {
             m.commit_epoch();
         }
         self.epoch += 1;
-        let mut eval_stats = state.stats;
-        eval_stats.stages = state.stage_new.len() as u64;
+        let eval_stats = state.progress.stats;
         self.total_stats.merge(&eval_stats);
         Ok(BatchSummary {
             epoch: self.epoch,
             edb_inserted: state.edb_inserted,
             edb_retracted: state.edb_retracted,
             delta_tuples: state
+                .progress
                 .stage_new
                 .iter()
                 .flat_map(|s| s.iter())
@@ -679,7 +674,7 @@ impl IncrementalEngine {
             deleted_tuples: state.deleted_tuples,
             rederived_tuples: state.rederived_tuples,
             overdeleted_tuples: state.overdeleted_tuples,
-            stage_new: state.stage_new,
+            stage_new: state.progress.stage_new,
             exchanged_tuples: state.shards.exchanged,
             coalesced_pairs: batch.coalesced,
             eval_stats,
@@ -734,7 +729,7 @@ impl IncrementalEngine {
                 // contiguous ids, the commit costs O(deleted) instead of a
                 // full O(live) store rebuild, and the indexes are patched
                 // rather than rebuilt.
-                m.compact_in_place(indexes);
+                m.compact_in_place(indexes.iter_mut().filter_map(OnceLock::get_mut));
             }
         }
         let edb_delta_lo: Vec<u32> = self.edb.iter().map(|m| m.len() as u32).collect();
@@ -775,10 +770,11 @@ impl IncrementalEngine {
         }
         InsertionState {
             edb_delta_lo,
-            delta_lo: self.idb.iter().map(|m| m.len() as u32).collect(),
-            stage: 0,
-            stage_new: Vec::new(),
-            stats: plan.stats,
+            progress: Progress {
+                delta_lo: self.idb.iter().map(|m| m.len() as u32).collect(),
+                stats: plan.stats,
+                ..Progress::default()
+            },
             edb_inserted,
             edb_retracted,
             deleted_tuples,
@@ -788,35 +784,21 @@ impl IncrementalEngine {
         }
     }
 
-    /// The insertion pass: the same global stage loop as
-    /// [`CompiledProgram::try_run_governed`], running this batch's
-    /// insertion plan — the EDB-delta variants at stage one, the IDB-delta
-    /// variants after — with counting-mode workers throughout. The plan is
-    /// a pure function of the committed post-deletion EDB, so an
-    /// interrupted batch re-derives it identically on resume.
-    ///
-    /// Retraction-only batches arrive with every delta window empty, and
-    /// every variant pins a delta atom, so nothing can fire now or at any
-    /// later stage: they plan nothing and charge the single
-    /// zero-derivation stage a full pass would run.
+    /// The insertion pass: the [`StageLoop`] of a from-scratch run, over
+    /// this batch's insertion plan — the EDB-delta variants at stage one,
+    /// the IDB-delta variants after — with counting-mode workers
+    /// throughout. The plan is a pure function of the committed
+    /// post-deletion EDB, so an interrupted batch re-derives it identically
+    /// on resume.
     fn insertion_pass(
         &mut self,
         gov: &Governor,
         st: &mut InsertionState,
     ) -> Result<(), Interrupted> {
-        let grew = |stores: &[MutableStore], lo: &[u32]| {
-            stores.iter().zip(lo).any(|(m, &lo)| m.len() as u32 > lo)
-        };
-        if self.epoch > 0 && !grew(&self.edb, &st.edb_delta_lo) && !grew(&self.idb, &st.delta_lo) {
-            gov.check().and_then(|()| gov.charge_stage())?;
-            st.stage += 1;
-            return Ok(());
-        }
         let Self {
             ref template,
             ref edb,
             ref mut idb,
-            ref compiled,
             ref insertion,
             ref fact_rules,
             ref mut edb_idx,
@@ -827,74 +809,28 @@ impl IncrementalEngine {
         } = *self;
         let universe = template.universe_size();
         let plan = planner::plan(insertion, &options, || card_stats(edb), universe);
-        let rules = plan.naive_rules.iter().chain(&plan.semi_variants);
-        sync_kept_indexes(edb, edb_idx, idb, idb_idx, rules);
         let edb_stores: Vec<&TupleStore> = edb.iter().map(|m| m.store()).collect();
-        loop {
-            gov.check().and_then(|()| gov.charge_stage())?;
-            let prev_len: Vec<u32> = idb.iter().map(|m| m.len() as u32).collect();
-            let env = StageEnv {
-                structure: template,
-                edb: &edb_stores,
-                edb_idx: EdbIdx::Kept(edb_idx),
-                idb_idx,
-                // Counting workers never consult the committed stores, so
-                // a plan's Bloom filters would go unread.
-                blooms: None,
-                prev_len: &prev_len,
-                delta_lo: &st.delta_lo,
-                edb_delta_lo: Some(&st.edb_delta_lo),
-                deletion: None,
-                gov,
-            };
-            let rules = if st.stage == 0 {
-                &plan.naive_rules
-            } else {
-                &plan.semi_variants
-            };
-            let mut live_rules: Vec<&CompiledRule> =
-                rules.iter().filter(|r| env.fires(r, plan.fire)).collect();
-            if st.stage == 0 && epoch == 0 {
-                live_rules.extend(fact_rules.iter());
-            }
-            let new_count = sharded::run_stage(
-                &env,
-                &live_rules,
-                IdbStores::Counting(idb),
-                &mut st.shards,
-                &mut st.stats,
-            )?;
-            st.stage += 1;
-            if new_count.iter().all(|&c| c == 0) {
-                return Ok(());
-            }
-            st.delta_lo.copy_from_slice(&prev_len);
-            sync_indexes(idb_idx, idb.iter().map(|m| m.store()), &[]);
-            let charged = commit_stage(gov, &mut st.stats, &new_count, &compiled.idb_arities);
-            st.stage_new.push(new_count);
-            charged?;
-        }
+        sync_indexes(edb_idx, edb_stores.iter().copied());
+        let stages = StageLoop {
+            structure: template,
+            edb: &edb_stores,
+            edb_idx,
+            edb_delta_lo: Some(&st.edb_delta_lo),
+            plan: &plan,
+            first_only: if epoch == 0 { fact_rules } else { &[] },
+            semi_naive: true,
+            max_stages: None,
+            gov,
+        };
+        let idb = &mut IdbStores::Counting(idb);
+        stages.run(idb, idb_idx, &mut st.shards, &mut st.progress)?;
+        Ok(())
     }
 }
 
 /// The cardinality statistics of the live stores `stores`.
 fn card_stats(stores: &[MutableStore]) -> Vec<CardStats> {
     stores.iter().map(|m| m.store().card_stats()).collect()
-}
-
-/// Builds the indexes `rules` probe that the engine lacks (each position
-/// once, kept across batches) and extends every index over its store's
-/// appends.
-fn sync_kept_indexes<'r>(
-    edb: &[MutableStore],
-    edb_idx: &mut [Vec<PosIndex>],
-    idb: &[MutableStore],
-    idb_idx: &mut [Vec<PosIndex>],
-    rules: impl Iterator<Item = &'r CompiledRule>,
-) {
-    let (edb_positions, idb_positions) = index_plan(rules, edb.len(), idb.len());
-    sync_indexes(edb_idx, edb.iter().map(|m| m.store()), &edb_positions);
-    sync_indexes(idb_idx, idb.iter().map(|m| m.store()), &idb_positions);
 }
 
 /// The deletion plan's rule variants, read through [`DeletionWindows`]:
@@ -940,14 +876,10 @@ impl DeletionVariants {
         }
         variants
     }
-
-    fn all(&self) -> impl Iterator<Item = &CompiledRule> {
-        self.lost.iter().chain(&self.check)
-    }
 }
 
 /// The deletion plan's working state: the pre-state stores and the
-/// engine's persistent indexes, this batch's planned variants, the
+/// engine's kept indexes, this batch's planned variants, the
 /// deleted sets (final for every SCC already processed), and counters.
 struct Deleter<'a> {
     /// What every pass reads but its windows: the pre-state stores and
@@ -1030,11 +962,11 @@ impl Deleter<'_> {
         };
         let live: Vec<&CompiledRule> = rules.filter(|r| env.fires(r, Fire::Seed)).collect();
         let mut derived = vec![Vec::new(); self.idb_stores.len()];
-        let idb = IdbStores::Deleted {
+        let mut idb = IdbStores::Deleted {
             stores: self.idb_stores,
             derived: &mut derived,
         };
-        sharded::run_stage(&env, &live, idb, &mut self.shards, &mut self.stats)?;
+        sharded::run_stage(&env, &live, &mut idb, &mut self.shards, &mut self.stats)?;
         Ok(derived)
     }
 
@@ -1144,10 +1076,10 @@ impl IncrementalEngine {
     /// topological stratum order either exact counting (non-recursive)
     /// or DRed overdelete/rederive (recursive). Both run this batch's
     /// planned [`DeletionVariants`] on the shared join kernels, over the
-    /// engine's persistent indexes (missing positions are built here and
+    /// engine's kept indexes (a position first probed here is built and
     /// kept).
     fn plan_deletions(
-        &mut self,
+        &self,
         retracts: &[Fact],
         gov: &Governor,
     ) -> Result<DeletionPlan, Interrupted> {
@@ -1199,20 +1131,13 @@ impl IncrementalEngine {
             self.template.universe_size(),
         );
         let variants = DeletionVariants { lost, check };
-        sync_kept_indexes(
-            &self.edb,
-            &mut self.edb_idx,
-            &self.idb,
-            &mut self.idb_idx,
-            variants.all(),
-        );
         let edb: Vec<&TupleStore> = self.edb.iter().map(|m| m.store()).collect();
         let lens: Vec<u32> = self.idb.iter().map(|m| m.len() as u32).collect();
         let mut del = Deleter {
             env: StageEnv {
                 structure: &self.template,
                 edb: &edb,
-                edb_idx: EdbIdx::Kept(&self.edb_idx),
+                edb_idx: &self.edb_idx,
                 idb_idx: &self.idb_idx,
                 blooms: None,
                 prev_len: &lens,

@@ -12,17 +12,18 @@
 //!
 //! At `W > 1` each stage's *delta* is partitioned across the workers by
 //! tuple ownership — [`kv_structures::shard_of`] over one planner-chosen key
-//! position per predicate. Every worker runs the full live-rule set of the
-//! stage over its owner window of each delta, so the workers' derivation
-//! sets partition the stage's derivations exactly (each semi-naive variant
-//! pins exactly one delta atom, and each delta tuple has exactly one owner);
-//! rules that pin no delta (naive stages, fact rules) are dealt out
-//! round-robin. Derived tuples are then routed *by the owner of the derived
-//! tuple*: tuples a worker owns stay local, the rest cross the
-//! [`DeltaExchange`] at the stage barrier. The merge drains exchange inboxes
-//! in (owner, sender) order, which keeps every committed delta
-//! owner-contiguous, so the next stage — or a run resumed from a
-//! checkpoint — finds each worker's window by scanning owners.
+//! position per predicate. Every worker runs each live rule of the stage
+//! over its owner window of the rule's delta, and skips the rule when that
+//! window is empty, so the workers' derivation sets partition the stage's
+//! derivations exactly (each semi-naive variant pins exactly one delta
+//! atom, and each delta tuple has exactly one owner); rules that pin no
+//! delta (naive stages, fact rules) are dealt out round-robin. Derived
+//! tuples are then routed *by the owner of the derived tuple*: tuples a
+//! worker owns stay local, the rest cross the [`DeltaExchange`] at the
+//! stage barrier. The merge drains exchange inboxes in (owner, sender)
+//! order, which keeps every committed delta owner-contiguous, so the next
+//! stage — or a run resumed from a checkpoint — finds each worker's window
+//! by scanning owners.
 //!
 //! A deletion pass commits nothing: it reports the pre-state id of the head
 //! of every derivation it finds. Its delta is the pass's seeds, which each
@@ -448,30 +449,38 @@ pub(crate) enum IdbStores<'s> {
     },
 }
 
+impl IdbStores<'_> {
+    /// The stores a stage reads.
+    pub(crate) fn stores(&self) -> Vec<&TupleStore> {
+        match self {
+            IdbStores::Set(s) => s.iter().collect(),
+            IdbStores::Counting(m) => m.iter().map(|m| m.store()).collect(),
+            IdbStores::Deleted { stores, .. } => stores.iter().map(|m| m.store()).collect(),
+        }
+    }
+}
+
 /// Runs one stage of `rules` and commits it into `idb`. Spawns the `W`
 /// workers, hands each its delta windows, evaluates the rules, flushes the
 /// workers' pending governor steps, folds their counters into `stats`, and
 /// merges their output in owner order. Returns the fresh tuples per IDB
 /// predicate (none for a deletion pass).
 ///
-/// A rule that pins a delta atom runs on every worker, over that worker's
-/// windows; a rule that pins none runs on one worker, round-robin. An
-/// interrupt in any worker, or in a step flush, aborts the stage whole:
-/// nothing is committed and `stats` is untouched, so a checkpoint never
-/// holds a partial stage or in-flight exchange tuples.
+/// A rule that pins a delta atom runs on every worker whose window of that
+/// delta is non-empty, over that worker's windows; a rule that pins none
+/// runs on one worker, round-robin. An interrupt in any worker, or in a
+/// step flush, aborts the stage whole: nothing is committed and `stats` is
+/// untouched, so a checkpoint never holds a partial stage or in-flight
+/// exchange tuples.
 pub(crate) fn run_stage(
     env: &StageEnv<'_>,
     rules: &[&CompiledRule],
-    idb: IdbStores<'_>,
+    idb: &mut IdbStores<'_>,
     shards: &mut Shards,
     stats: &mut EvalStats,
 ) -> Result<Vec<usize>, Interrupted> {
     let workers = shards.workers;
-    let (counting, stores): (bool, Vec<&TupleStore>) = match &idb {
-        IdbStores::Set(s) => (false, s.iter().collect()),
-        IdbStores::Counting(m) => (true, m.iter().map(|m| m.store()).collect()),
-        IdbStores::Deleted { stores, .. } => (false, stores.iter().map(|m| m.store()).collect()),
-    };
+    let (counting, stores) = (matches!(idb, IdbStores::Counting(_)), idb.stores());
     let arities: Vec<usize> = stores.iter().map(|s| s.arity()).collect();
     let windows = delta_windows(env, &stores, shards);
     let mut results: Vec<(WorkerBuf, RoutedDelta)> = par_workers(workers, |w| {
@@ -483,7 +492,11 @@ pub(crate) fn run_stage(
         };
         let mut buf = WorkerBuf::new(&arities, counting);
         for (ri, rule) in rules.iter().enumerate() {
-            if ri % workers != w && delta_atom(rule).is_none() {
+            let runs = match delta_atom(rule) {
+                Some(atom) => !ctx.source(atom).2.is_empty(),
+                None => ri % workers == w,
+            };
+            if !runs {
                 continue;
             }
             if let Err(reason) = evaluate_rule(rule, &ctx, &mut buf) {

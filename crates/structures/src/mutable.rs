@@ -324,13 +324,13 @@ impl MutableStore {
     /// preserving survivor id order. The result has contiguous live ids
     /// and a cleared epoch-mark generation.
     ///
-    /// `indexes` (position indexes over this store, possibly none) are
-    /// patched to match: each dead id leaves its posting and each moved
-    /// tail id is renumbered to the hole it fills, postings staying
-    /// sorted (see [`PosIndex::apply_moves`]).
-    pub fn compact_in_place(&mut self, indexes: &mut [PosIndex]) {
+    /// `indexes` (the built position indexes over this store, possibly
+    /// none) are patched to match: each dead id leaves its posting and
+    /// each moved tail id is renumbered to the hole it fills, postings
+    /// staying sorted (see [`PosIndex::apply_moves`]).
+    pub fn compact_in_place<'i>(&mut self, indexes: impl IntoIterator<Item = &'i mut PosIndex>) {
         let (moves, live) = self.compaction_moves();
-        for ix in indexes.iter_mut() {
+        for ix in indexes {
             ix.update(&self.store);
             ix.apply_moves(&self.store, &moves, live);
         }

@@ -11,37 +11,40 @@
 
 use datalog_expressiveness::datalog::programs::{
     avoiding_path, path_systems, q_kl, q_prime, transitive_closure, two_disjoint_paths_acyclic,
-    two_disjoint_paths_paper_rules, two_pairs_vocabulary,
+    two_disjoint_paths_paper_rules,
 };
 use datalog_expressiveness::datalog::{
-    EvalOptions, Evaluator, Fact, IdbId, IncrementalEngine, JoinLowering, PlannerMode, Program,
+    BatchSummary, EvalOptions, Evaluator, Fact, IdbId, IncrementalEngine, JoinLowering,
+    PlannerMode, Program,
 };
+use datalog_expressiveness::homeo::{acyclic_game_program, PatternSpec};
 use datalog_expressiveness::structures::generators::{random_dag, random_digraph};
-use datalog_expressiveness::structures::{Element, SplitMix64, Structure, Vocabulary};
+use datalog_expressiveness::structures::{Element, SplitMix64, Structure};
 use std::collections::HashSet;
 use std::sync::Arc;
 
-/// One structure appropriate for each program's vocabulary (mirrors the
-/// chaos suite's fixtures).
+/// One structure over the program's own vocabulary: the path-systems
+/// relations `R/3, A/1`, a random digraph `E/2`, or — for programs with
+/// constants, which assume acyclic inputs — a random DAG whose
+/// distinguished nodes interpret the constants.
 fn fixture_for(program: &Program, seed: u64) -> Structure {
-    let vocab = program.vocabulary();
-    if vocab.constant_count() == 4 {
-        let mut g = random_dag(8, 0.35, seed);
-        g.set_distinguished(vec![0, 6, 1, 7]);
-        g.to_structure_with(Arc::new(two_pairs_vocabulary()))
-    } else if vocab.relation_count() == 2 {
-        let mut v = Vocabulary::new();
-        let r = v.add_relation("R", 3);
-        let a = v.add_relation("A", 1);
-        let mut s = Structure::new(Arc::new(v), 7);
+    let vocab = Arc::clone(program.vocabulary());
+    if let (Some(r), Some(a)) = (vocab.relation_by_name("R"), vocab.relation_by_name("A")) {
+        let mut s = Structure::new(vocab, 7);
         s.insert(a, &[0]);
         s.insert(a, &[1]);
         for &(x, y, z) in &[(2, 0, 1), (3, 2, 0), (4, 3, 2), (5, 6, 6), (6, 4, 5)] {
             s.insert(r, &[x, y, z]);
         }
-        s
-    } else {
-        random_digraph(7, 0.3, seed).to_structure()
+        return s;
+    }
+    match vocab.constant_count() {
+        0 => random_digraph(7, 0.3, seed).to_structure(),
+        c => {
+            let mut g = random_dag(8, 0.35, seed);
+            g.set_distinguished([0, 6, 1, 7, 2, 5][..c].to_vec());
+            g.to_structure_with(vocab)
+        }
     }
 }
 
@@ -54,6 +57,8 @@ fn all_programs() -> Vec<Program> {
         path_systems(),
         two_disjoint_paths_acyclic(),
         two_disjoint_paths_paper_rules(),
+        q_kl(1, 1),
+        acyclic_game_program(&PatternSpec::path_length_two()),
     ]
 }
 
@@ -261,20 +266,22 @@ fn reordered_batches_are_equivalent_to_unreordered() {
 /// One seeded maintenance schedule whose batches do not depend on the
 /// engine's tuple-id order: retract and insert choices are drawn against
 /// the *sorted* live EDB, so every join lowering and worker count sees the
-/// identical batches. Returns each batch's `(deleted, overdeleted,
-/// rederived)` triple and the sorted live IDB after every batch.
+/// identical batches. Returns the summary of the initial batch and of each
+/// of the `batches` mixed batches after it, and the sorted live IDB after
+/// every mixed batch.
 #[allow(clippy::type_complexity)]
-fn deletion_trace(
+fn churn_trace(
     program: &Program,
     opts: EvalOptions,
     seed: u64,
-) -> (Vec<(u64, u64, u64)>, Vec<Vec<Vec<Element>>>) {
+    batches: u32,
+) -> (Vec<BatchSummary>, Vec<Vec<Vec<Element>>>) {
     let s = fixture_for(program, seed);
-    let (mut engine, _) = IncrementalEngine::from_structure(program, &s, opts);
+    let (mut engine, initial) = IncrementalEngine::from_structure(program, &s, opts);
     let mut rng = SplitMix64::seed_from_u64(seed ^ 0x5eed);
-    let mut triples = Vec::new();
+    let mut summaries = vec![initial];
     let mut idbs = Vec::new();
-    for batch in 0..5u32 {
+    for batch in 0..batches {
         let live = engine.edb_structure();
         let n = live.universe_size() as u32;
         let mut inserts = Vec::new();
@@ -294,13 +301,8 @@ fn deletion_trace(
                 inserts.push((rel, t));
             }
         }
-        let summary = engine.apply_batch(&inserts, &retracts);
+        summaries.push(engine.apply_batch(&inserts, &retracts));
         assert_matches_scratch(&engine, program, &format!("seed {seed} batch {batch}"));
-        triples.push((
-            summary.deleted_tuples,
-            summary.overdeleted_tuples,
-            summary.rederived_tuples,
-        ));
         for i in 0..program.idb_count() {
             let mut rows: Vec<Vec<Element>> = engine
                 .idb_store(IdbId(i))
@@ -311,6 +313,22 @@ fn deletion_trace(
             idbs.push(rows);
         }
     }
+    (summaries, idbs)
+}
+
+/// Each mixed batch's `(deleted, overdeleted, rederived)` triple of a
+/// five-batch [`churn_trace`], and the maintained IDB after each.
+#[allow(clippy::type_complexity)]
+fn deletion_trace(
+    program: &Program,
+    opts: EvalOptions,
+    seed: u64,
+) -> (Vec<(u64, u64, u64)>, Vec<Vec<Vec<Element>>>) {
+    let (summaries, idbs) = churn_trace(program, opts, seed, 5);
+    let triples = summaries[1..]
+        .iter()
+        .map(|s| (s.deleted_tuples, s.overdeleted_tuples, s.rederived_tuples))
+        .collect();
     (triples, idbs)
 }
 
@@ -346,9 +364,288 @@ fn deletion_counters_are_pinned_for_every_lowering_and_worker_count() {
     }
 }
 
+/// The configurations the pinned maintenance counters cover, in row
+/// order: textual, then cost-based under the Auto, Binary and Generic
+/// lowerings, all at one worker.
+fn pinned_configs() -> [EvalOptions; 4] {
+    let cost = |lowering| {
+        EvalOptions::default()
+            .with_planner(PlannerMode::CostBased)
+            .with_lowering(lowering)
+    };
+    [
+        EvalOptions::default(),
+        cost(JoinLowering::Auto),
+        cost(JoinLowering::Binary),
+        cost(JoinLowering::Generic),
+    ]
+    .map(|o| o.with_shards(Some(1)))
+}
+
+/// One batch as a row: the full [`EvalStats`](datalog_expressiveness::structures::EvalStats)
+/// (join probes, magic probes, block probes, gallop steps, duplicate
+/// derivations, tuples interned, stages, generic-join rules), then
+/// `stage_new` with stages separated by spaces and predicates by commas.
+fn maintenance_row(s: &BatchSummary) -> String {
+    let e = &s.eval_stats;
+    let counters = [
+        e.join_probes,
+        e.magic_probes,
+        e.block_probes,
+        e.gallop_steps,
+        e.duplicate_derivations,
+        e.tuples_interned,
+        e.stages,
+        e.wcoj_rules,
+    ];
+    let stages: Vec<String> = s
+        .stage_new
+        .iter()
+        .map(|st| {
+            st.iter()
+                .map(|c| c.to_string())
+                .collect::<Vec<_>>()
+                .join(",")
+        })
+        .collect();
+    format!(
+        "{} | {}",
+        counters.map(|c| c.to_string()).join(" "),
+        stages.join(" ")
+    )
+}
+
+#[test]
+fn maintenance_counters_are_pinned() {
+    // Join order, kernels, probe memos, the live-rule filter, counting
+    // merges and the deletion rounds all show in a batch's counters. A
+    // change to how maintenance runs that is meant to leave it as it was
+    // must reproduce every recorded row, so a shift that moves every
+    // configuration alike cannot pass unnoticed.
+    let mut got = Vec::new();
+    for (pi, program) in all_programs().iter().enumerate() {
+        for opts in pinned_configs() {
+            let (summaries, _) = churn_trace(program, opts, 4_500 + pi as u64, 4);
+            got.extend(summaries.iter().map(maintenance_row));
+        }
+    }
+    assert_eq!(
+        got.len(),
+        PINNED_MAINTENANCE.len(),
+        "one row per program, configuration and batch"
+    );
+    let per_program = pinned_configs().len() * 5;
+    for (i, (row, want)) in got.iter().zip(&PINNED_MAINTENANCE).enumerate() {
+        assert_eq!(
+            row,
+            want,
+            "program {}, configuration {}, batch {}",
+            i / per_program,
+            i % per_program / 5,
+            i % 5
+        );
+    }
+}
+
+/// Recorded [`maintenance_row`]s: per program of [`all_programs`] (seed
+/// `4_500 + index`), per configuration of [`pinned_configs`], the initial
+/// batch and four mixed batches.
+#[rustfmt::skip]
+const PINNED_MAINTENANCE: [&str; 180] = [
+    // transitive_closure
+    "24 0 0 0 7 20 3 0 | 9 8 3",
+    "96 0 0 0 0 6 3 0 | 4 1 1",
+    "21 0 0 0 0 0 0 0 | ",
+    "18 0 0 0 6 11 3 0 | 5 4 2",
+    "86 0 0 0 1 4 1 0 | 4",
+    "18 0 6 0 7 20 3 0 | 9 8 3",
+    "94 0 2 0 0 6 3 0 | 4 1 1",
+    "21 0 0 0 0 0 0 0 | ",
+    "13 0 5 0 6 11 3 0 | 5 4 2",
+    "84 0 2 0 1 4 1 0 | 4",
+    "18 0 6 0 7 20 3 0 | 9 8 3",
+    "94 0 2 0 0 6 3 0 | 4 1 1",
+    "21 0 0 0 0 0 0 0 | ",
+    "13 0 5 0 6 11 3 0 | 5 4 2",
+    "84 0 2 0 1 4 1 0 | 4",
+    "42 0 0 24 7 20 3 3 | 9 8 3",
+    "119 0 0 57 0 6 3 9 | 4 1 1",
+    "23 0 0 2 0 0 0 4 | ",
+    "33 0 0 22 6 11 3 4 | 5 4 2",
+    "108 0 0 79 1 4 1 7 | 4",
+    // avoiding_path
+    "129 0 0 0 95 125 3 0 | 60 50 15",
+    "440 0 0 0 0 0 0 0 | ",
+    "121 0 0 0 0 5 1 0 | 5",
+    "42 0 0 0 0 0 0 0 | ",
+    "21 0 0 0 0 0 0 0 | ",
+    "22 0 107 0 95 125 3 0 | 60 50 15",
+    "440 0 0 0 0 0 0 0 | ",
+    "117 0 4 0 0 5 1 0 | 5",
+    "42 0 0 0 0 0 0 0 | ",
+    "21 0 0 0 0 0 0 0 | ",
+    "22 0 107 0 95 125 3 0 | 60 50 15",
+    "440 0 0 0 0 0 0 0 | ",
+    "117 0 4 0 0 5 1 0 | 5",
+    "42 0 0 0 0 0 0 0 | ",
+    "21 0 0 0 0 0 0 0 | ",
+    "317 0 0 464 95 125 3 3 | 60 50 15",
+    "656 0 0 1175 0 0 0 6 | ",
+    "138 0 0 94 0 5 1 4 | 5",
+    "42 0 0 0 0 0 0 2 | ",
+    "21 0 0 0 0 0 0 2 | ",
+    // q_prime
+    "748 0 0 0 283 296 6 0 | 75,0 64,30 33,40 7,31 1,14 0,1",
+    "1562 0 0 83 0 0 0 0 | ",
+    "1485 0 0 52 0 0 0 0 | ",
+    "1068 0 0 14 64 56 5 0 | 18,7 11,3 6,8 0,2 0,1",
+    "1029 0 0 62 26 46 4 0 | 20,2 9,1 8,3 0,3",
+    "429 0 416 0 283 296 6 0 | 75,0 64,30 33,40 7,31 1,14 0,1",
+    "1562 0 0 83 0 0 0 0 | ",
+    "1485 0 0 52 0 0 0 0 | ",
+    "1010 0 82 30 64 56 5 0 | 18,7 11,3 6,8 0,2 0,1",
+    "983 0 84 62 26 46 4 0 | 20,2 9,1 8,3 0,3",
+    "429 0 416 0 283 296 6 0 | 75,0 64,30 33,40 7,31 1,14 0,1",
+    "1562 0 0 83 0 0 0 0 | ",
+    "1485 0 0 52 0 0 0 0 | ",
+    "1010 0 82 30 64 56 5 0 | 18,7 11,3 6,8 0,2 0,1",
+    "983 0 84 62 26 46 4 0 | 20,2 9,1 8,3 0,3",
+    "1439 0 0 6971 283 296 6 18 | 75,0 64,30 33,40 7,31 1,14 0,1",
+    "2543 0 0 9869 0 0 0 22 | ",
+    "2297 0 0 7193 0 0 0 25 | ",
+    "1547 0 0 3451 64 56 5 35 | 18,7 11,3 6,8 0,2 0,1",
+    "1512 0 0 3737 26 46 4 33 | 20,2 9,1 8,3 0,3",
+    // q_kl(2, 1)
+    "1513 0 0 0 295 772 6 0 | 250,0 167,64 121,72 44,41 1,11 0,1",
+    "3409 0 0 440 13 81 4 0 | 40,6 16,3 9,2 4,1",
+    "1980 0 0 132 70 190 3 0 | 95,7 62,7 16,3",
+    "789 0 0 29 9 124 4 0 | 50,15 29,16 0,10 0,4",
+    "1663 0 0 182 0 25 1 0 | 25,0",
+    "450 0 1212 0 295 772 6 0 | 250,0 167,64 121,72 44,41 1,11 0,1",
+    "3297 0 145 440 13 81 4 0 | 40,6 16,3 9,2 4,1",
+    "1688 0 321 175 70 190 3 0 | 95,7 62,7 16,3",
+    "628 0 204 91 9 124 4 0 | 50,15 29,16 0,10 0,4",
+    "1632 0 39 182 0 25 1 1 | 25,0",
+    "450 0 1212 0 295 772 6 0 | 250,0 167,64 121,72 44,41 1,11 0,1",
+    "3297 0 145 440 13 81 4 0 | 40,6 16,3 9,2 4,1",
+    "1688 0 321 175 70 190 3 0 | 95,7 62,7 16,3",
+    "628 0 204 91 9 124 4 0 | 50,15 29,16 0,10 0,4",
+    "1617 0 54 182 0 25 1 0 | 25,0",
+    "2857 0 0 23606 295 772 6 18 | 250,0 167,64 121,72 44,41 1,11 0,1",
+    "5570 0 0 52812 13 81 4 37 | 40,6 16,3 9,2 4,1",
+    "2925 0 0 11650 70 190 3 25 | 95,7 62,7 16,3",
+    "1160 0 0 5493 9 124 4 22 | 50,15 29,16 0,10 0,4",
+    "2378 0 0 10052 0 25 1 17 | 25,0",
+    // path_systems
+    "21 0 0 0 0 5 4 0 | 2 1 1 1",
+    "35 0 0 0 0 1 1 0 | 1",
+    "14 0 0 0 0 1 1 0 | 1",
+    "14 0 0 0 0 0 0 0 | ",
+    "10 0 0 0 0 1 1 0 | 1",
+    "21 0 0 0 0 5 4 0 | 2 1 1 1",
+    "35 0 0 0 0 1 1 0 | 1",
+    "14 0 0 0 0 1 1 0 | 1",
+    "13 0 1 0 0 0 0 0 | ",
+    "10 0 0 0 0 1 1 0 | 1",
+    "21 0 0 0 0 5 4 0 | 2 1 1 1",
+    "35 0 0 0 0 1 1 0 | 1",
+    "14 0 0 0 0 1 1 0 | 1",
+    "13 0 1 0 0 0 0 0 | ",
+    "10 0 0 0 0 1 1 0 | 1",
+    "34 0 0 13 0 5 4 7 | 2 1 1 1",
+    "42 0 0 10 0 1 1 7 | 1",
+    "14 0 0 0 0 1 1 4 | 1",
+    "14 0 0 0 0 0 0 3 | ",
+    "10 0 0 0 0 1 1 3 | 1",
+    // two_disjoint_paths_acyclic
+    "65 0 0 0 3 11 3 0 | 2,2,0,0 1,0,4,0 0,0,2,0",
+    "144 0 0 0 0 4 3 0 | 1,0,0,0 0,0,2,0 0,0,0,1",
+    "111 0 0 0 1 1 1 0 | 0,1,0,0",
+    "60 0 0 0 1 3 2 0 | 1,0,0,0 0,0,2,0",
+    "65 0 0 0 0 0 0 2 | ",
+    "45 0 12 0 3 11 3 0 | 2,2,0,0 1,0,4,0 0,0,2,0",
+    "136 0 0 0 0 4 3 0 | 1,0,0,0 0,0,2,0 0,0,0,1",
+    "110 0 1 0 1 1 1 0 | 0,1,0,0",
+    "59 0 0 0 1 3 2 1 | 1,0,0,0 0,0,2,0",
+    "65 0 0 0 0 0 0 2 | ",
+    "45 0 12 0 3 11 3 0 | 2,2,0,0 1,0,4,0 0,0,2,0",
+    "136 0 0 0 0 4 3 0 | 1,0,0,0 0,0,2,0 0,0,0,1",
+    "110 0 1 0 1 1 1 0 | 0,1,0,0",
+    "59 0 0 0 1 3 2 0 | 1,0,0,0 0,0,2,0",
+    "65 0 0 0 0 0 0 0 | ",
+    "81 0 0 76 3 11 3 12 | 2,2,0,0 1,0,4,0 0,0,2,0",
+    "175 0 0 78 0 4 3 39 | 1,0,0,0 0,0,2,0 0,0,0,1",
+    "179 0 0 125 1 1 1 20 | 0,1,0,0",
+    "60 0 0 11 1 3 2 19 | 1,0,0,0 0,0,2,0",
+    "78 0 0 22 0 0 0 20 | ",
+    // two_disjoint_paths_paper_rules
+    "15 0 0 0 4 9 3 0 | 1 4 4",
+    "20 0 0 0 0 0 0 0 | ",
+    "0 0 0 0 0 0 0 0 | ",
+    "17 0 0 0 0 0 0 0 | ",
+    "0 0 0 0 0 0 0 0 | ",
+    "12 0 3 0 4 9 3 0 | 1 4 4",
+    "20 0 0 0 0 0 0 0 | ",
+    "0 0 0 0 0 0 0 0 | ",
+    "17 0 0 0 0 0 0 0 | ",
+    "0 0 0 0 0 0 0 0 | ",
+    "12 0 3 0 4 9 3 0 | 1 4 4",
+    "20 0 0 0 0 0 0 0 | ",
+    "0 0 0 0 0 0 0 0 | ",
+    "17 0 0 0 0 0 0 0 | ",
+    "0 0 0 0 0 0 0 0 | ",
+    "27 0 0 30 4 9 3 6 | 1 4 4",
+    "25 0 0 14 0 0 0 4 | ",
+    "0 0 0 0 0 0 0 0 | ",
+    "20 0 0 7 0 0 0 4 | ",
+    "0 0 0 0 0 0 0 0 | ",
+    // q_kl(1, 1)
+    "162 0 0 0 184 158 3 0 | 60 72 26",
+    "681 0 0 0 4 12 1 0 | 12",
+    "354 0 0 0 25 26 2 0 | 19 7",
+    "114 0 0 0 0 0 0 0 | ",
+    "203 0 0 0 12 34 3 0 | 14 12 8",
+    "20 0 142 0 184 158 3 0 | 60 72 26",
+    "670 0 11 0 4 12 1 0 | 12",
+    "331 0 23 0 25 26 2 0 | 19 7",
+    "114 0 0 0 0 0 0 0 | ",
+    "175 0 28 0 12 34 3 0 | 14 12 8",
+    "20 0 142 0 184 158 3 0 | 60 72 26",
+    "670 0 11 0 4 12 1 0 | 12",
+    "331 0 23 0 25 26 2 0 | 19 7",
+    "114 0 0 0 0 0 0 0 | ",
+    "175 0 28 0 12 34 3 0 | 14 12 8",
+    "485 0 0 909 184 158 3 3 | 60 72 26",
+    "1258 0 0 2828 4 12 1 9 | 12",
+    "599 0 0 867 25 26 2 9 | 19 7",
+    "161 0 0 336 0 0 0 2 | ",
+    "350 0 0 487 12 34 3 8 | 14 12 8",
+    // acyclic_game_program(path_length_two)
+    "34 0 0 0 0 8 4 0 | 1,0,0,0,0 0,2,1,0,0 0,1,0,2,0 0,0,0,1,0",
+    "132 0 0 0 0 2 2 0 | 0,0,1,0,0 0,0,0,1,0",
+    "40 0 0 0 0 3 2 0 | 0,1,0,0,0 0,0,0,2,0",
+    "42 0 0 0 0 0 0 0 | ",
+    "68 0 0 0 0 3 2 0 | 0,1,0,0,0 0,0,0,2,0",
+    "34 0 0 0 0 8 4 0 | 1,0,0,0,0 0,2,1,0,0 0,1,0,2,0 0,0,0,1,0",
+    "132 0 0 0 0 2 2 0 | 0,0,1,0,0 0,0,0,1,0",
+    "35 0 2 0 0 3 2 0 | 0,1,0,0,0 0,0,0,2,0",
+    "40 0 0 0 0 0 0 0 | ",
+    "63 0 2 0 0 3 2 0 | 0,1,0,0,0 0,0,0,2,0",
+    "34 0 0 0 0 8 4 0 | 1,0,0,0,0 0,2,1,0,0 0,1,0,2,0 0,0,0,1,0",
+    "132 0 0 0 0 2 2 0 | 0,0,1,0,0 0,0,0,1,0",
+    "35 0 2 0 0 3 2 0 | 0,1,0,0,0 0,0,0,2,0",
+    "40 0 0 0 0 0 0 0 | ",
+    "63 0 2 0 0 3 2 0 | 0,1,0,0,0 0,0,0,2,0",
+    "45 0 0 26 0 8 4 14 | 1,0,0,0,0 0,2,1,0,0 0,1,0,2,0 0,0,0,1,0",
+    "137 0 0 23 0 2 2 38 | 0,0,1,0,0 0,0,0,1,0",
+    "50 0 0 18 0 3 2 19 | 0,1,0,0,0 0,0,0,2,0",
+    "43 0 0 0 0 0 0 24 | ",
+    "81 0 0 28 0 3 2 31 | 0,1,0,0,0 0,0,0,2,0",
+];
+
 /// `(deleted, overdeleted, rederived)` per batch of [`deletion_trace`],
 /// one row per program of [`all_programs`] (seed `4_400 + index`).
-const PINNED_DELETION_TRIPLES: [&[(u64, u64, u64)]; 7] = [
+const PINNED_DELETION_TRIPLES: [&[(u64, u64, u64)]; 9] = [
     &[(2, 7, 5), (11, 11, 0), (4, 4, 0), (1, 1, 0), (1, 1, 0)],
     &[
         (52, 240, 188),
@@ -374,4 +671,12 @@ const PINNED_DELETION_TRIPLES: [&[(u64, u64, u64)]; 7] = [
     &[(0, 0, 0), (0, 4, 4), (1, 1, 0), (0, 0, 0), (1, 5, 4)],
     &[(8, 9, 1), (1, 1, 0), (0, 0, 0), (0, 0, 0), (0, 0, 0)],
     &[(12, 17, 5), (4, 4, 0), (0, 0, 0), (1, 1, 0), (1, 1, 0)],
+    &[
+        (23, 102, 79),
+        (76, 113, 37),
+        (34, 34, 0),
+        (9, 16, 7),
+        (14, 14, 0),
+    ],
+    &[(2, 6, 4), (8, 12, 4), (2, 2, 0), (4, 4, 0), (1, 1, 0)],
 ];

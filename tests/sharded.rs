@@ -535,3 +535,24 @@ fn single_shard_maintenance_is_counter_identical_to_default() {
         }
     }
 }
+
+#[test]
+fn workers_with_an_empty_share_run_no_rules() {
+    // Retracting the only edge of a two-node chain seeds every deletion
+    // round with at most one tuple, so at W > 1 all workers but one hold
+    // an empty share of it. Such a worker derives nothing from a rule
+    // pinned on that seed, and must not run it either: the batch counts
+    // the same deletion probes at every worker count.
+    let program = transitive_closure();
+    let s = datalog_expressiveness::structures::generators::directed_path(2);
+    let edge: Fact = (s.vocabulary().relations().next().expect("E"), vec![0, 1]);
+    let mut probes = Vec::new();
+    for w in [1usize, 2, 4] {
+        let opts = EvalOptions::default().with_shards(Some(w));
+        let (mut engine, _) = IncrementalEngine::from_structure(&program, &s, opts);
+        let summary = engine.apply_batch(&[], std::slice::from_ref(&edge));
+        assert_eq!(summary.overdeleted_tuples, 1, "W={w}");
+        probes.push(summary.eval_stats.join_probes);
+    }
+    assert_eq!(probes, [probes[0]; 3], "deletion probes at W = 1, 2, 4");
+}
