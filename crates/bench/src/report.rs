@@ -645,10 +645,10 @@ pub(crate) fn component_graph(blocks: usize, k: usize, p: f64, seed: u64) -> Str
 ///
 /// The component shape is the honest setting for maintenance: deletion
 /// work is proportional to the mutated block's closure, not the whole
-/// EDB's. (A single dense SCC is the known DRed pathology — retracting a
-/// few edges overdeletes almost the entire closure before rederiving it,
-/// and no incremental algorithm beats from-scratch there; see
-/// EXPERIMENTS.md for the measured contrast.)
+/// EDB's. (On a single dense SCC, retracting a few edges overdeletes
+/// almost the entire closure; the recompute guard then rederives the SCC
+/// from its exit rules, at about the cost of a from-scratch run; see
+/// DESIGN.md §9.)
 fn mutation_case() -> Obj {
     let program = transitive_closure();
     let s = component_graph(48, 12, 0.25, 7);

@@ -32,11 +32,22 @@
 //!    passes with the last round's overdeletions as the seed), check each
 //!    overdeleted tuple for one derivation from survivors (a seed atom on
 //!    the head, cut at the first derivation), and propagate rederivations
-//!    until stable. Each of these rounds is one deletion pass of the stage
-//!    executor; at `W > 1` its workers split the seeds into contiguous
-//!    shares. Deletion variants are cost-planned under every planner
-//!    mode. The commit kills the dead tuples and **compacts**
-//!    every store that holds one — after compaction no dead tuple exists,
+//!    until stable. A **recompute guard** bounds DRed on a dense SCC:
+//!    once an SCC's overdeleted tuples reach half its live tuples, the
+//!    overdeletion stops, every live tuple of the SCC is deleted (and
+//!    counted as overdeleted), the per-tuple check is skipped, and the
+//!    propagation is seeded instead by the SCC's *exit rules* (rules with
+//!    no body atom in the SCC, pinned on their first atom, whose seed is
+//!    all of that predicate's survivors) and its fact rules' heads — a
+//!    from-scratch run of the SCC over survivors, on the same rounds. The
+//!    guard reads only the sizes of each round's sets, so every lowering
+//!    and worker count takes the same path, and
+//!    [`BatchSummary::recomputed_sccs`] counts the SCCs that took it.
+//!    Each of these rounds is one deletion pass of the stage executor; at
+//!    `W > 1` its workers split the seeds into contiguous shares.
+//!    Deletion variants are cost-planned under every planner mode. The
+//!    commit kills the dead tuples and **compacts** every store that
+//!    holds one — after compaction no dead tuple exists,
 //!    so the insertion pass (and every range-based join kernel) sees
 //!    contiguous live id ranges, unchanged.
 //! 2. **Insertion** (stage-by-stage commit, on a from-scratch run's stage
@@ -78,7 +89,7 @@ use crate::eval::{
     compile_rule_pinned, index_slots, sync_indexes, CompiledProgram, CompiledRule, DeletionPass,
     DeletionWindows, DeltaPin, DenseSet, EvalOptions, IndexSlots, Progress, StageEnv, StageLoop,
 };
-use crate::planner::{self, Fire, RunPlan};
+use crate::planner::{self, Fire, RunPlan, SccInfo};
 use crate::program::Program;
 use crate::sharded::{self, IdbStores, Shards};
 use kv_structures::govern::{Governor, Interrupted};
@@ -106,9 +117,17 @@ pub struct BatchSummary {
     /// IDB tuples deleted net of re-derivation.
     pub deleted_tuples: u64,
     /// IDB tuples over-deleted by DRed and then re-derived from survivors.
+    /// In an SCC that took the recompute guard, every live tuple the
+    /// SCC's exit rules and fact rules rederive over survivors.
     pub rederived_tuples: u64,
-    /// IDB tuples the DRed pass over-deleted before re-derivation.
+    /// IDB tuples the DRed pass over-deleted before re-derivation. In an
+    /// SCC that took the recompute guard, every live tuple of the SCC:
+    /// the guard kills the whole SCC before rederiving it.
     pub overdeleted_tuples: u64,
+    /// Recursive SCCs whose overdeletion reached half their live tuples,
+    /// so that DRed stopped and rederived the whole SCC from its exit
+    /// rules (the recompute guard).
+    pub recomputed_sccs: u64,
     /// Insertion-pass stages that derived at least one new tuple. On the
     /// initial batch this matches the from-scratch stage sequence
     /// tuple-for-tuple (Theorem 3.6 stage identity).
@@ -162,6 +181,7 @@ struct InsertionState {
     deleted_tuples: u64,
     rederived_tuples: u64,
     overdeleted_tuples: u64,
+    recomputed_sccs: u64,
     /// The batch's worker count and shard keys (chosen only at `W > 1`),
     /// plus the exchange traffic of committed stages. Keys are chosen once
     /// per batch from the committed post-deletion EDB — a pure function of
@@ -203,6 +223,7 @@ struct DeletionPlan {
     support_sub: Vec<HashMap<u32, u32>>,
     overdeleted: u64,
     rederived: u64,
+    recomputed_sccs: u64,
     stats: EvalStats,
 }
 
@@ -282,6 +303,7 @@ impl IncrementalEngine {
             .iter()
             .map(|&a| MutableStore::new(a))
             .collect();
+        let deletion_variants = DeletionVariants::compile(program, compiled.scc_info());
         let insertion = RunPlan {
             naive_rules: edb_variants,
             semi_variants: compiled.written.semi_variants.clone(),
@@ -294,7 +316,7 @@ impl IncrementalEngine {
             template: empty,
             insertion,
             fact_rules,
-            deletion_variants: DeletionVariants::compile(program),
+            deletion_variants,
             edb_idx: index_slots(edb.iter().map(|m| m.arity())),
             idb_idx: index_slots(idb.iter().map(|m| m.arity())),
             edb,
@@ -674,6 +696,7 @@ impl IncrementalEngine {
             deleted_tuples: state.deleted_tuples,
             rederived_tuples: state.rederived_tuples,
             overdeleted_tuples: state.overdeleted_tuples,
+            recomputed_sccs: state.recomputed_sccs,
             stage_new: state.progress.stage_new,
             exchanged_tuples: state.shards.exchanged,
             coalesced_pairs: batch.coalesced,
@@ -780,6 +803,7 @@ impl IncrementalEngine {
             deleted_tuples,
             rederived_tuples: plan.rederived,
             overdeleted_tuples: plan.overdeleted,
+            recomputed_sccs: plan.recomputed_sccs,
             shards,
         }
     }
@@ -833,6 +857,15 @@ fn card_stats(stores: &[MutableStore]) -> Vec<CardStats> {
     stores.iter().map(|m| m.store().card_stats()).collect()
 }
 
+/// The recompute guard's threshold: DRed stops overdeleting a recursive
+/// SCC once its overdeleted tuples reach `1 / RECOMPUTE_DIVISOR` of the
+/// SCC's live tuples `L`, and rederives the SCC from its exit rules
+/// instead. At half, DRed would still check each of at least `L / 2`
+/// overdeleted tuples, while the recompute rederives at most `L`: it never
+/// seeds more than twice the tuples of the check it skips (a divisor `D`
+/// allows `D` times). DESIGN.md §9 has the measured threshold sweep.
+const RECOMPUTE_DIVISOR: u64 = 2;
+
 /// The deletion plan's rule variants, read through [`DeletionWindows`]:
 /// compiled once per engine and planned per batch
 /// ([`planner::plan_deletion`]). Each variant's delta atom leads its body,
@@ -849,16 +882,30 @@ struct DeletionVariants {
     /// Per rule, DRed's rederivation check ([`DeletionPass::Check`]): a
     /// seed atom over the head binds it to an overdeleted tuple.
     check: Vec<CompiledRule>,
+    /// The exit rules of every SCC, as indexes into `lost`: per rule with
+    /// a body atom but none in its head's SCC, the variant pinned on its
+    /// first atom. Seeded with that atom's survivors, they start the
+    /// recompute of an SCC that took the guard ([`Deleter::dred`]).
+    exits: Vec<usize>,
 }
 
 impl DeletionVariants {
-    fn compile(program: &Program) -> Self {
+    fn compile(program: &Program, scc: &SccInfo) -> Self {
         let magic = vec![false; program.idb_count()];
         let mut variants = DeletionVariants {
             lost: Vec::new(),
             check: Vec::new(),
+            exits: Vec::new(),
         };
         for rule in program.rules() {
+            let head_scc = scc.component_of(rule.head.0);
+            let exit = rule.atoms().all(|(pred, _)| match pred {
+                Pred::Idb(q) => scc.component_of(q.0) != head_scc,
+                Pred::Edb(_) => true,
+            });
+            if exit && rule.atoms().next().is_some() {
+                variants.exits.push(variants.lost.len());
+            }
             for o in 0..rule.atoms().count() {
                 variants
                     .lost
@@ -887,6 +934,9 @@ struct Deleter<'a> {
     env: StageEnv<'a>,
     idb_stores: &'a [MutableStore],
     variants: &'a DeletionVariants,
+    /// The program's body-less rules: a recomputed SCC rederives their
+    /// heads.
+    fact_rules: &'a [CompiledRule],
     /// The batch's worker count: each pass splits its seeds across them.
     shards: Shards,
     edb_dead: Vec<DenseSet>,
@@ -936,6 +986,20 @@ impl Deleter<'_> {
                 Pred::Idb(i) => &self.idb_dead[i.0],
             };
             (pred, dead.iter_sorted().collect())
+        }))
+    }
+
+    /// Seeds holding the surviving tuples of each of `preds`: the
+    /// pre-state minus the deleted ids.
+    fn survivor_seeds(&self, preds: impl Iterator<Item = Pred>) -> Seeds {
+        let preds: HashSet<Pred> = preds.collect();
+        self.seeds(preds.into_iter().map(|pred| {
+            let (len, dead) = match pred {
+                Pred::Edb(r) => (self.env.edb[r.0].len(), &self.edb_dead[r.0]),
+                Pred::Idb(i) => (self.idb_stores[i.0].len(), &self.idb_dead[i.0]),
+            };
+            let ids = (0..len as u32).filter(|&id| !dead.contains(id)).collect();
+            (pred, ids)
         }))
     }
 
@@ -1009,6 +1073,13 @@ impl Deleter<'_> {
     /// a deleted premise, round by round from the external deletions,
     /// then rederive the overdeleted tuples that keep a derivation from
     /// survivors and propagate the rederivations until stable.
+    ///
+    /// The recompute guard: once the SCC's overdeleted tuples reach
+    /// `1 / RECOMPUTE_DIVISOR` of its live tuples, the overdeletion stops,
+    /// the whole SCC is killed and the per-tuple check is skipped; the
+    /// propagation is seeded instead by the SCC's exit rules over
+    /// survivors, plus its fact rules' heads. That rederives the SCC as a
+    /// from-scratch run would, on the same rounds as the rederivations.
     fn dred(&mut self, members: &[usize], plan: &mut DeletionPlan) -> Result<(), Interrupted> {
         let variants = self.variants;
         let in_scc: Vec<&CompiledRule> = variants
@@ -1016,6 +1087,11 @@ impl Deleter<'_> {
             .iter()
             .filter(|r| members.contains(&r.head.0))
             .collect();
+        let live: u64 = members
+            .iter()
+            .map(|&p| self.idb_stores[p].live_len() as u64)
+            .sum();
+        let mut scc_overdeleted = 0u64;
         // Round zero is seeded by the external deletions (EDB deaths and
         // finalized earlier strata; no member has deletions yet), later
         // rounds by the last round's overdeleted member tuples.
@@ -1024,7 +1100,7 @@ impl Deleter<'_> {
             .iter()
             .map(|&p| (Pred::Idb(IdbId(p)), Vec::new()))
             .collect();
-        loop {
+        let recompute = loop {
             let derived = self.run(in_scc.iter().copied(), seeds, DeletionPass::Lost)?;
             let mut round = Vec::new();
             for (slot, &p) in members.iter().enumerate() {
@@ -1033,23 +1109,50 @@ impl Deleter<'_> {
                     .copied()
                     .filter(|&id| self.idb_dead[p].insert(id))
                     .collect();
-                plan.overdeleted += fresh.len() as u64;
+                scc_overdeleted += fresh.len() as u64;
                 overdeleted[slot].1.extend(&fresh);
                 round.push((Pred::Idb(IdbId(p)), fresh));
             }
             if round.iter().all(|(_, ids)| ids.is_empty()) {
-                break;
+                break false;
+            }
+            if scc_overdeleted * RECOMPUTE_DIVISOR >= live {
+                break true;
             }
             seeds = self.seeds(round.into_iter());
-        }
-        // Rederive: every overdeleted tuple gets one existence check
-        // against survivors; only the ones that pass seed propagation.
-        let checks = variants
-            .check
-            .iter()
-            .filter(|r| members.contains(&r.head.0));
-        let seeds = self.seeds(overdeleted.into_iter());
-        let mut derived = self.run(checks, seeds, DeletionPass::Check)?;
+        };
+        let mut derived = if recompute {
+            // The guard: delete the whole SCC, then rederive from survivors
+            // what its exit rules and fact rules derive.
+            plan.recomputed_sccs += 1;
+            for &p in members {
+                for id in 0..self.idb_stores[p].len() as u32 {
+                    if self.idb_stores[p].is_live(TupleId(id)) && self.idb_dead[p].insert(id) {
+                        scc_overdeleted += 1;
+                    }
+                }
+            }
+            let exits: Vec<&CompiledRule> = variants
+                .exits
+                .iter()
+                .map(|&i| &variants.lost[i])
+                .chain(self.fact_rules)
+                .filter(|r| members.contains(&r.head.0))
+                .collect();
+            let seeds =
+                self.survivor_seeds(exits.iter().filter_map(|r| r.atoms.first()).map(|a| a.pred));
+            self.run(exits.into_iter(), seeds, DeletionPass::Regained)?
+        } else {
+            // Rederive: every overdeleted tuple gets one existence check
+            // against survivors; only the ones that pass seed propagation.
+            let checks = variants
+                .check
+                .iter()
+                .filter(|r| members.contains(&r.head.0));
+            let seeds = self.seeds(overdeleted.into_iter());
+            self.run(checks, seeds, DeletionPass::Check)?
+        };
+        plan.overdeleted += scc_overdeleted;
         loop {
             let mut round = Vec::new();
             for &p in members {
@@ -1090,6 +1193,7 @@ impl IncrementalEngine {
             support_sub: vec![HashMap::new(); idb_count],
             overdeleted: 0,
             rederived: 0,
+            recomputed_sccs: 0,
             stats: EvalStats::default(),
         };
         // Multiset simulation of the retract list: a tuple dies when the
@@ -1130,7 +1234,11 @@ impl IncrementalEngine {
             card_stats(&self.edb),
             self.template.universe_size(),
         );
-        let variants = DeletionVariants { lost, check };
+        let variants = DeletionVariants {
+            lost,
+            check,
+            exits: written.exits.clone(),
+        };
         let edb: Vec<&TupleStore> = self.edb.iter().map(|m| m.store()).collect();
         let lens: Vec<u32> = self.idb.iter().map(|m| m.len() as u32).collect();
         let mut del = Deleter {
@@ -1148,6 +1256,7 @@ impl IncrementalEngine {
             },
             idb_stores: &self.idb,
             variants: &variants,
+            fact_rules: &self.fact_rules,
             shards: Shards::new(self.options.shards, || None),
             edb_dead: plan
                 .edb_dying

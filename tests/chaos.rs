@@ -26,13 +26,14 @@
 //! charges), the batched scan's per-block charges, and the generic join's
 //! per-value variable-loop charges. The maintenance points trip faults in
 //! both phases of an incremental batch — the read-only deletion planner's
-//! per-probe charges and the insertion pass's stage-boundary and
+//! per-probe charges, in full DRed and in the recompute guard's
+//! rederivation of an SCC, and the insertion pass's stage-boundary and
 //! per-stage tuple/byte charges — and assert that an interrupted batch,
 //! resumed, lands counter-exactly on the uninterrupted batch.
 
 use datalog_expressiveness::datalog::programs::{
     avoiding_path, path_systems, q_kl, q_prime, transitive_closure, two_disjoint_paths_acyclic,
-    two_disjoint_paths_paper_rules, two_pairs_vocabulary,
+    two_disjoint_paths_paper_rules,
 };
 use datalog_expressiveness::datalog::{EvalOptions, EvalResult, Evaluator, PlannerMode, Program};
 use datalog_expressiveness::graphalg::{disjoint_fan, try_disjoint_fan};
@@ -57,12 +58,13 @@ use std::sync::Arc;
 /// One structure appropriate for each program's vocabulary.
 fn fixture_for(program: &Program, seed: u64) -> Structure {
     let vocab = program.vocabulary();
-    if vocab.constant_count() == 4 {
-        // The Theorem 6.2 two-pairs vocabulary: a random DAG with the
-        // four distinguished nodes bound.
+    if vocab.constant_count() > 0 {
+        // Programs with constants assume acyclic inputs (the Theorem 6.2
+        // two-pairs vocabulary, the acyclic game's pattern nodes): a
+        // random DAG with the distinguished nodes bound.
         let mut g = random_dag(8, 0.35, seed);
-        g.set_distinguished(vec![0, 6, 1, 7]);
-        g.to_structure_with(Arc::new(two_pairs_vocabulary()))
+        g.set_distinguished([0, 6, 1, 7, 2, 5][..vocab.constant_count()].to_vec());
+        g.to_structure_with(Arc::clone(vocab))
     } else if vocab.relation_count() == 2 {
         // Path systems {R/3, A/1}: a small derivability instance.
         let mut v = Vocabulary::new();
@@ -89,6 +91,8 @@ fn all_programs() -> Vec<Program> {
         path_systems(),
         two_disjoint_paths_acyclic(),
         two_disjoint_paths_paper_rules(),
+        q_kl(1, 1),
+        homeo::acyclic_game_program(&PatternSpec::path_length_two()),
     ]
 }
 
@@ -724,6 +728,7 @@ fn chaos_incremental_maintenance_interrupt_resume_equals_batch() {
             .with_planner(PlannerMode::CostBased)
             .with_lowering(JoinLowering::Generic),
     ];
+    let mut guarded = 0;
     for index in 0..24usize {
         let program = &programs[index % programs.len()];
         let opts = option_matrix[index % option_matrix.len()];
@@ -738,6 +743,7 @@ fn chaos_incremental_maintenance_interrupt_resume_equals_batch() {
         let summary = match engine.try_apply_batch_governed(&inserts, &retracts, &gov) {
             Ok(done) => done,
             Err(_) => {
+                guarded += usize::from(baseline.recomputed_sccs > 0);
                 assert!(
                     engine.has_pending(),
                     "{label}: interrupted batch not pending"
@@ -762,6 +768,11 @@ fn chaos_incremental_maintenance_interrupt_resume_equals_batch() {
             summary.rederived_tuples, baseline.rederived_tuples,
             "{label}: rederived"
         );
+        assert_eq!(
+            (summary.overdeleted_tuples, summary.recomputed_sccs),
+            (baseline.overdeleted_tuples, baseline.recomputed_sccs),
+            "{label}: overdeleted and recompute guard"
+        );
         assert_eq!(summary.stage_new, baseline.stage_new, "{label}: stages");
         for i in 0..program.idb_count() {
             assert!(
@@ -773,4 +784,7 @@ fn chaos_incremental_maintenance_interrupt_resume_equals_batch() {
             );
         }
     }
+    // Interrupts must also land in batches whose deletion plan takes the
+    // recompute guard, not only in full DRed.
+    assert!(guarded > 0, "no interrupted batch took the recompute guard");
 }

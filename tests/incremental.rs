@@ -19,8 +19,8 @@ use datalog_expressiveness::datalog::{
 };
 use datalog_expressiveness::homeo::{acyclic_game_program, PatternSpec};
 use datalog_expressiveness::structures::generators::{random_dag, random_digraph};
-use datalog_expressiveness::structures::{Element, SplitMix64, Structure};
-use std::collections::HashSet;
+use datalog_expressiveness::structures::{Element, RelId, SplitMix64, Structure, Vocabulary};
+use std::collections::{BTreeSet, HashSet};
 use std::sync::Arc;
 
 /// One structure over the program's own vocabulary: the path-systems
@@ -317,19 +317,25 @@ fn churn_trace(
 }
 
 /// Each mixed batch's `(deleted, overdeleted, rederived)` triple of a
-/// five-batch [`churn_trace`], and the maintained IDB after each.
+/// five-batch [`churn_trace`], the maintained IDB after each, and each
+/// batch's count of SCCs that took the recompute guard.
 #[allow(clippy::type_complexity)]
 fn deletion_trace(
     program: &Program,
     opts: EvalOptions,
     seed: u64,
-) -> (Vec<(u64, u64, u64)>, Vec<Vec<Vec<Element>>>) {
+) -> (Vec<(u64, u64, u64)>, Vec<Vec<Vec<Element>>>, Vec<u64>) {
     let (summaries, idbs) = churn_trace(program, opts, seed, 5);
-    let triples = summaries[1..]
+    let batches = &summaries[1..];
+    let triples = batches
         .iter()
         .map(|s| (s.deleted_tuples, s.overdeleted_tuples, s.rederived_tuples))
         .collect();
-    (triples, idbs)
+    (
+        triples,
+        idbs,
+        batches.iter().map(|s| s.recomputed_sccs).collect(),
+    )
 }
 
 #[test]
@@ -338,9 +344,17 @@ fn deletion_counters_are_pinned_for_every_lowering_and_worker_count() {
     // DRed/counting semantics — which pre-state tuples lose every
     // derivation, which the overdeletion closure reaches, and which of
     // those survive — so they may not depend on join order, kernels, the
-    // lowering, or the worker count. Each program's per-batch triples are
-    // pinned to recorded values, and every configuration must reproduce
-    // them and the same maintained IDB.
+    // lowering, or the worker count. The recompute guard keeps them so:
+    // it fires on the sizes of the overdeletion rounds, and an SCC that
+    // takes it counts all its live tuples as overdeleted and the ones its
+    // exit rules reach again as rederived. Each program's per-batch
+    // triples are pinned to recorded values, and every configuration must
+    // reproduce them, the same maintained IDB and the same guard choices.
+    // The pins cover both paths: batches that run DRed to the end with
+    // overdeleted tuples, and batches that take the guard — among them
+    // `two_disjoint_paths_paper_rules`, whose one SCC is seeded by a fact
+    // rule.
+    let (mut full_dred, mut guarded) = (0, 0);
     for (pi, program) in all_programs().iter().enumerate() {
         let seed = 4_400 + pi as u64;
         let reference = deletion_trace(program, EvalOptions::default(), seed);
@@ -348,6 +362,16 @@ fn deletion_counters_are_pinned_for_every_lowering_and_worker_count() {
             reference.0, PINNED_DELETION_TRIPLES[pi],
             "program {pi}: deletion triples moved"
         );
+        for (&(_, overdeleted, _), &recomputed) in reference.0.iter().zip(&reference.2) {
+            full_dred += usize::from(overdeleted > 0 && recomputed == 0);
+            guarded += usize::from(recomputed > 0);
+        }
+        if program.idb_name(program.goal()) == "D" {
+            assert!(
+                reference.2.iter().any(|&r| r > 0),
+                "the fact-rule SCC must take the guard"
+            );
+        }
         for (oi, opts) in lowerings().into_iter().enumerate() {
             for w in [1usize, 4] {
                 let got = deletion_trace(program, opts.with_shards(Some(w)), seed);
@@ -359,7 +383,151 @@ fn deletion_counters_are_pinned_for_every_lowering_and_worker_count() {
                     got.1, reference.1,
                     "program {pi} lowering {oi} W={w}: maintained IDB"
                 );
+                assert_eq!(
+                    got.2, reference.2,
+                    "program {pi} lowering {oi} W={w}: recompute guard"
+                );
             }
+        }
+    }
+    assert!(full_dred > 0 && guarded > 0, "both deletion paths pinned");
+}
+
+/// A transitive-closure fixture for the recompute guard: a graph whose
+/// edges are partly pinned (never retracted), and the node groups that
+/// batches draw fresh edges from.
+struct GuardFixture {
+    nodes: u32,
+    pinned: BTreeSet<(u32, u32)>,
+    edges: BTreeSet<(u32, u32)>,
+    groups: Vec<(u32, u32)>,
+}
+
+impl GuardFixture {
+    /// One dense SCC: `G(60, m = 354)` plus a pinned Hamiltonian cycle.
+    fn dense(rng: &mut SplitMix64) -> Self {
+        let n = 60u32;
+        let pinned: BTreeSet<(u32, u32)> = (0..n).map(|u| (u, (u + 1) % n)).collect();
+        let mut edges = pinned.clone();
+        let mut drawn = 0;
+        while drawn < 354 {
+            let e = (rng.gen_range(0..n), rng.gen_range(0..n));
+            if e.0 != e.1 && !pinned.contains(&e) && edges.insert(e) {
+                drawn += 1;
+            }
+        }
+        GuardFixture {
+            nodes: n,
+            pinned,
+            edges,
+            groups: vec![(0, n)],
+        }
+    }
+
+    /// Tenants: 12 disjoint random blocks of 8 nodes, no edge between
+    /// blocks.
+    fn tenants(rng: &mut SplitMix64) -> Self {
+        let (blocks, k) = (12u32, 8u32);
+        let groups: Vec<(u32, u32)> = (0..blocks).map(|b| (b * k, b * k + k)).collect();
+        let mut edges = BTreeSet::new();
+        for &(lo, hi) in &groups {
+            for u in lo..hi {
+                for v in lo..hi {
+                    if u != v && rng.gen_bool(0.3) {
+                        edges.insert((u, v));
+                    }
+                }
+            }
+        }
+        GuardFixture {
+            nodes: blocks * k,
+            pinned: BTreeSet::new(),
+            edges,
+            groups,
+        }
+    }
+
+    fn structure(&self) -> Structure {
+        let mut s = Structure::new(Arc::new(Vocabulary::graph()), self.nodes as usize);
+        for &(u, v) in &self.edges {
+            s.insert(RelId(0), &[u, v]);
+        }
+        s
+    }
+
+    /// A mixed batch inside one random group: retract up to four of its
+    /// unpinned edges and insert as many absent ones.
+    fn next_batch(&mut self, rng: &mut SplitMix64) -> (Vec<Fact>, Vec<Fact>) {
+        let (lo, hi) = self.groups[rng.gen_range(0..self.groups.len() as u32) as usize];
+        let k = rng.gen_range(1u32..5) as usize;
+        let mut candidates: Vec<(u32, u32)> = self
+            .edges
+            .iter()
+            .copied()
+            .filter(|&(u, _)| (lo..hi).contains(&u))
+            .filter(|e| !self.pinned.contains(e))
+            .collect();
+        let mut retracts = Vec::new();
+        while retracts.len() < k && !candidates.is_empty() {
+            let e = candidates.swap_remove(rng.gen_range(0..candidates.len() as u32) as usize);
+            self.edges.remove(&e);
+            retracts.push(e);
+        }
+        let mut inserts = Vec::new();
+        while inserts.len() < retracts.len() {
+            let e = (rng.gen_range(lo..hi), rng.gen_range(lo..hi));
+            if e.0 != e.1 && !retracts.contains(&e) && self.edges.insert(e) {
+                inserts.push(e);
+            }
+        }
+        let facts = |es: Vec<(u32, u32)>| es.into_iter().map(|(u, v)| (RelId(0), vec![u, v]));
+        (facts(inserts).collect(), facts(retracts).collect())
+    }
+}
+
+#[test]
+fn recompute_guard_fires_on_dense_sccs_only_and_never_loses_to_scratch() {
+    // The counter gate of the recompute guard. On a dense SCC, every
+    // retracted edge overdeletes most of the closure, so the guard must
+    // fire and the batch must cost at most twice the probes of a
+    // cost-based from-scratch run. On tenants, a batch's overdeletion
+    // stays inside one block's closure, far below half of the SCC, so
+    // the guard must never fire.
+    let program = transitive_closure();
+    let scratch_opts = EvalOptions::default().with_planner(PlannerMode::CostBased);
+    for (name, dense) in [("dense", true), ("tenants", false)] {
+        let mut rng = SplitMix64::seed_from_u64(0x6a7d);
+        let mut fixture = if dense {
+            GuardFixture::dense(&mut rng)
+        } else {
+            GuardFixture::tenants(&mut rng)
+        };
+        let (mut engine, _) = IncrementalEngine::from_structure(
+            &program,
+            &fixture.structure(),
+            EvalOptions::default(),
+        );
+        for batch in 0..20 {
+            let label = format!("{name} batch {batch}");
+            let (inserts, retracts) = fixture.next_batch(&mut rng);
+            let summary = engine.apply_batch(&inserts, &retracts);
+            assert_matches_scratch(&engine, &program, &label);
+            if !dense {
+                assert_eq!(summary.recomputed_sccs, 0, "{label}: guard fired");
+                continue;
+            }
+            if summary.edb_retracted > 0 {
+                assert_eq!(summary.recomputed_sccs, 1, "{label}: guard did not fire");
+            }
+            let scratch = Evaluator::new(&program).run(&engine.edb_structure(), scratch_opts);
+            let probes =
+                |s: &datalog_expressiveness::structures::EvalStats| s.join_probes + s.block_probes;
+            assert!(
+                probes(&summary.eval_stats) <= 2 * probes(&scratch.eval_stats),
+                "{label}: {} probes against {} from scratch",
+                probes(&summary.eval_stats),
+                probes(&scratch.eval_stats)
+            );
         }
     }
 }
@@ -454,130 +622,130 @@ fn maintenance_counters_are_pinned() {
 const PINNED_MAINTENANCE: [&str; 180] = [
     // transitive_closure
     "24 0 0 0 7 20 3 0 | 9 8 3",
-    "96 0 0 0 0 6 3 0 | 4 1 1",
+    "28 0 0 0 0 6 3 0 | 4 1 1",
     "21 0 0 0 0 0 0 0 | ",
     "18 0 0 0 6 11 3 0 | 5 4 2",
-    "86 0 0 0 1 4 1 0 | 4",
+    "21 0 0 0 1 4 1 0 | 4",
     "18 0 6 0 7 20 3 0 | 9 8 3",
-    "94 0 2 0 0 6 3 0 | 4 1 1",
+    "26 0 2 0 0 6 3 0 | 4 1 1",
     "21 0 0 0 0 0 0 0 | ",
     "13 0 5 0 6 11 3 0 | 5 4 2",
-    "84 0 2 0 1 4 1 0 | 4",
+    "19 0 2 0 1 4 1 0 | 4",
     "18 0 6 0 7 20 3 0 | 9 8 3",
-    "94 0 2 0 0 6 3 0 | 4 1 1",
+    "26 0 2 0 0 6 3 0 | 4 1 1",
     "21 0 0 0 0 0 0 0 | ",
     "13 0 5 0 6 11 3 0 | 5 4 2",
-    "84 0 2 0 1 4 1 0 | 4",
+    "19 0 2 0 1 4 1 0 | 4",
     "42 0 0 24 7 20 3 3 | 9 8 3",
-    "119 0 0 57 0 6 3 9 | 4 1 1",
+    "43 0 0 49 0 6 3 7 | 4 1 1",
     "23 0 0 2 0 0 0 4 | ",
     "33 0 0 22 6 11 3 4 | 5 4 2",
-    "108 0 0 79 1 4 1 7 | 4",
+    "37 0 0 73 1 4 1 5 | 4",
     // avoiding_path
     "129 0 0 0 95 125 3 0 | 60 50 15",
-    "440 0 0 0 0 0 0 0 | ",
-    "121 0 0 0 0 5 1 0 | 5",
-    "42 0 0 0 0 0 0 0 | ",
-    "21 0 0 0 0 0 0 0 | ",
+    "53 0 0 0 0 0 0 0 | ",
+    "32 0 0 0 0 5 1 0 | 5",
+    "16 0 0 0 0 0 0 0 | ",
+    "10 0 0 0 0 0 0 0 | ",
     "22 0 107 0 95 125 3 0 | 60 50 15",
-    "440 0 0 0 0 0 0 0 | ",
-    "117 0 4 0 0 5 1 0 | 5",
-    "42 0 0 0 0 0 0 0 | ",
-    "21 0 0 0 0 0 0 0 | ",
+    "53 0 0 0 0 0 0 0 | ",
+    "28 0 4 0 0 5 1 0 | 5",
+    "16 0 0 0 0 0 0 0 | ",
+    "10 0 0 0 0 0 0 0 | ",
     "22 0 107 0 95 125 3 0 | 60 50 15",
-    "440 0 0 0 0 0 0 0 | ",
-    "117 0 4 0 0 5 1 0 | 5",
-    "42 0 0 0 0 0 0 0 | ",
-    "21 0 0 0 0 0 0 0 | ",
+    "53 0 0 0 0 0 0 0 | ",
+    "28 0 4 0 0 5 1 0 | 5",
+    "16 0 0 0 0 0 0 0 | ",
+    "10 0 0 0 0 0 0 0 | ",
     "317 0 0 464 95 125 3 3 | 60 50 15",
-    "656 0 0 1175 0 0 0 6 | ",
-    "138 0 0 94 0 5 1 4 | 5",
-    "42 0 0 0 0 0 0 2 | ",
-    "21 0 0 0 0 0 0 2 | ",
+    "167 0 0 959 0 0 0 3 | ",
+    "49 0 0 94 0 5 1 4 | 5",
+    "16 0 0 0 0 0 0 2 | ",
+    "10 0 0 0 0 0 0 2 | ",
     // q_prime
     "748 0 0 0 283 296 6 0 | 75,0 64,30 33,40 7,31 1,14 0,1",
-    "1562 0 0 83 0 0 0 0 | ",
-    "1485 0 0 52 0 0 0 0 | ",
-    "1068 0 0 14 64 56 5 0 | 18,7 11,3 6,8 0,2 0,1",
-    "1029 0 0 62 26 46 4 0 | 20,2 9,1 8,3 0,3",
+    "670 0 0 433 0 0 0 0 | ",
+    "576 0 0 341 0 0 0 0 | ",
+    "732 0 0 14 64 56 5 0 | 18,7 11,3 6,8 0,2 0,1",
+    "573 0 0 188 26 46 4 0 | 20,2 9,1 8,3 0,3",
     "429 0 416 0 283 296 6 0 | 75,0 64,30 33,40 7,31 1,14 0,1",
-    "1562 0 0 83 0 0 0 0 | ",
-    "1485 0 0 52 0 0 0 0 | ",
-    "1010 0 82 30 64 56 5 0 | 18,7 11,3 6,8 0,2 0,1",
-    "983 0 84 62 26 46 4 0 | 20,2 9,1 8,3 0,3",
+    "670 0 0 433 0 0 0 0 | ",
+    "576 0 0 341 0 0 0 0 | ",
+    "674 0 82 30 64 56 5 0 | 18,7 11,3 6,8 0,2 0,1",
+    "527 0 84 188 26 46 4 0 | 20,2 9,1 8,3 0,3",
     "429 0 416 0 283 296 6 0 | 75,0 64,30 33,40 7,31 1,14 0,1",
-    "1562 0 0 83 0 0 0 0 | ",
-    "1485 0 0 52 0 0 0 0 | ",
-    "1010 0 82 30 64 56 5 0 | 18,7 11,3 6,8 0,2 0,1",
-    "983 0 84 62 26 46 4 0 | 20,2 9,1 8,3 0,3",
+    "670 0 0 433 0 0 0 0 | ",
+    "576 0 0 341 0 0 0 0 | ",
+    "674 0 82 30 64 56 5 0 | 18,7 11,3 6,8 0,2 0,1",
+    "527 0 84 188 26 46 4 0 | 20,2 9,1 8,3 0,3",
     "1439 0 0 6971 283 296 6 18 | 75,0 64,30 33,40 7,31 1,14 0,1",
-    "2543 0 0 9869 0 0 0 22 | ",
-    "2297 0 0 7193 0 0 0 25 | ",
-    "1547 0 0 3451 64 56 5 35 | 18,7 11,3 6,8 0,2 0,1",
-    "1512 0 0 3737 26 46 4 33 | 20,2 9,1 8,3 0,3",
+    "1536 0 0 9390 0 0 0 18 | ",
+    "1253 0 0 7058 0 0 0 19 | ",
+    "1204 0 0 3456 64 56 5 33 | 18,7 11,3 6,8 0,2 0,1",
+    "997 0 0 3551 26 46 4 30 | 20,2 9,1 8,3 0,3",
     // q_kl(2, 1)
     "1513 0 0 0 295 772 6 0 | 250,0 167,64 121,72 44,41 1,11 0,1",
-    "3409 0 0 440 13 81 4 0 | 40,6 16,3 9,2 4,1",
-    "1980 0 0 132 70 190 3 0 | 95,7 62,7 16,3",
+    "1569 0 0 1045 13 81 4 0 | 40,6 16,3 9,2 4,1",
+    "1191 0 0 324 70 190 3 0 | 95,7 62,7 16,3",
     "789 0 0 29 9 124 4 0 | 50,15 29,16 0,10 0,4",
-    "1663 0 0 182 0 25 1 0 | 25,0",
+    "772 0 0 337 0 25 1 0 | 25,0",
     "450 0 1212 0 295 772 6 0 | 250,0 167,64 121,72 44,41 1,11 0,1",
-    "3297 0 145 440 13 81 4 0 | 40,6 16,3 9,2 4,1",
-    "1688 0 321 175 70 190 3 0 | 95,7 62,7 16,3",
+    "1457 0 145 1045 13 81 4 0 | 40,6 16,3 9,2 4,1",
+    "899 0 321 367 70 190 3 0 | 95,7 62,7 16,3",
     "628 0 204 91 9 124 4 0 | 50,15 29,16 0,10 0,4",
-    "1632 0 39 182 0 25 1 1 | 25,0",
+    "741 0 39 337 0 25 1 1 | 25,0",
     "450 0 1212 0 295 772 6 0 | 250,0 167,64 121,72 44,41 1,11 0,1",
-    "3297 0 145 440 13 81 4 0 | 40,6 16,3 9,2 4,1",
-    "1688 0 321 175 70 190 3 0 | 95,7 62,7 16,3",
+    "1457 0 145 1045 13 81 4 0 | 40,6 16,3 9,2 4,1",
+    "899 0 321 367 70 190 3 0 | 95,7 62,7 16,3",
     "628 0 204 91 9 124 4 0 | 50,15 29,16 0,10 0,4",
-    "1617 0 54 182 0 25 1 0 | 25,0",
+    "726 0 54 337 0 25 1 0 | 25,0",
     "2857 0 0 23606 295 772 6 18 | 250,0 167,64 121,72 44,41 1,11 0,1",
-    "5570 0 0 52812 13 81 4 37 | 40,6 16,3 9,2 4,1",
-    "2925 0 0 11650 70 190 3 25 | 95,7 62,7 16,3",
+    "3369 0 0 30643 13 81 4 34 | 40,6 16,3 9,2 4,1",
+    "2050 0 0 7650 70 190 3 23 | 95,7 62,7 16,3",
     "1160 0 0 5493 9 124 4 22 | 50,15 29,16 0,10 0,4",
-    "2378 0 0 10052 0 25 1 17 | 25,0",
+    "1232 0 0 6930 0 25 1 16 | 25,0",
     // path_systems
     "21 0 0 0 0 5 4 0 | 2 1 1 1",
-    "35 0 0 0 0 1 1 0 | 1",
+    "29 0 0 0 0 1 1 0 | 1",
     "14 0 0 0 0 1 1 0 | 1",
     "14 0 0 0 0 0 0 0 | ",
     "10 0 0 0 0 1 1 0 | 1",
     "21 0 0 0 0 5 4 0 | 2 1 1 1",
-    "35 0 0 0 0 1 1 0 | 1",
+    "29 0 0 0 0 1 1 0 | 1",
     "14 0 0 0 0 1 1 0 | 1",
     "13 0 1 0 0 0 0 0 | ",
     "10 0 0 0 0 1 1 0 | 1",
     "21 0 0 0 0 5 4 0 | 2 1 1 1",
-    "35 0 0 0 0 1 1 0 | 1",
+    "29 0 0 0 0 1 1 0 | 1",
     "14 0 0 0 0 1 1 0 | 1",
     "13 0 1 0 0 0 0 0 | ",
     "10 0 0 0 0 1 1 0 | 1",
     "34 0 0 13 0 5 4 7 | 2 1 1 1",
-    "42 0 0 10 0 1 1 7 | 1",
+    "36 0 0 10 0 1 1 7 | 1",
     "14 0 0 0 0 1 1 4 | 1",
     "14 0 0 0 0 0 0 3 | ",
     "10 0 0 0 0 1 1 3 | 1",
     // two_disjoint_paths_acyclic
     "65 0 0 0 3 11 3 0 | 2,2,0,0 1,0,4,0 0,0,2,0",
-    "144 0 0 0 0 4 3 0 | 1,0,0,0 0,0,2,0 0,0,0,1",
-    "111 0 0 0 1 1 1 0 | 0,1,0,0",
+    "120 0 0 0 0 4 3 0 | 1,0,0,0 0,0,2,0 0,0,0,1",
+    "44 0 0 0 1 1 1 0 | 0,1,0,0",
     "60 0 0 0 1 3 2 0 | 1,0,0,0 0,0,2,0",
-    "65 0 0 0 0 0 0 2 | ",
+    "40 0 0 0 0 0 0 0 | ",
     "45 0 12 0 3 11 3 0 | 2,2,0,0 1,0,4,0 0,0,2,0",
-    "136 0 0 0 0 4 3 0 | 1,0,0,0 0,0,2,0 0,0,0,1",
-    "110 0 1 0 1 1 1 0 | 0,1,0,0",
+    "112 0 0 0 0 4 3 0 | 1,0,0,0 0,0,2,0 0,0,0,1",
+    "43 0 1 0 1 1 1 0 | 0,1,0,0",
     "59 0 0 0 1 3 2 1 | 1,0,0,0 0,0,2,0",
-    "65 0 0 0 0 0 0 2 | ",
+    "40 0 0 0 0 0 0 0 | ",
     "45 0 12 0 3 11 3 0 | 2,2,0,0 1,0,4,0 0,0,2,0",
-    "136 0 0 0 0 4 3 0 | 1,0,0,0 0,0,2,0 0,0,0,1",
-    "110 0 1 0 1 1 1 0 | 0,1,0,0",
+    "112 0 0 0 0 4 3 0 | 1,0,0,0 0,0,2,0 0,0,0,1",
+    "43 0 1 0 1 1 1 0 | 0,1,0,0",
     "59 0 0 0 1 3 2 0 | 1,0,0,0 0,0,2,0",
-    "65 0 0 0 0 0 0 0 | ",
+    "40 0 0 0 0 0 0 0 | ",
     "81 0 0 76 3 11 3 12 | 2,2,0,0 1,0,4,0 0,0,2,0",
-    "175 0 0 78 0 4 3 39 | 1,0,0,0 0,0,2,0 0,0,0,1",
-    "179 0 0 125 1 1 1 20 | 0,1,0,0",
+    "157 0 0 89 0 4 3 35 | 1,0,0,0 0,0,2,0 0,0,0,1",
+    "94 0 0 90 1 1 1 15 | 0,1,0,0",
     "60 0 0 11 1 3 2 19 | 1,0,0,0 0,0,2,0",
-    "78 0 0 22 0 0 0 20 | ",
+    "54 0 0 22 0 0 0 16 | ",
     // two_disjoint_paths_paper_rules
     "15 0 0 0 4 9 3 0 | 1 4 4",
     "20 0 0 0 0 0 0 0 | ",
@@ -601,43 +769,43 @@ const PINNED_MAINTENANCE: [&str; 180] = [
     "0 0 0 0 0 0 0 0 | ",
     // q_kl(1, 1)
     "162 0 0 0 184 158 3 0 | 60 72 26",
-    "681 0 0 0 4 12 1 0 | 12",
-    "354 0 0 0 25 26 2 0 | 19 7",
+    "106 0 0 0 4 12 1 0 | 12",
+    "133 0 0 0 25 26 2 0 | 19 7",
     "114 0 0 0 0 0 0 0 | ",
-    "203 0 0 0 12 34 3 0 | 14 12 8",
+    "54 0 0 0 12 34 3 0 | 14 12 8",
     "20 0 142 0 184 158 3 0 | 60 72 26",
-    "670 0 11 0 4 12 1 0 | 12",
-    "331 0 23 0 25 26 2 0 | 19 7",
+    "95 0 11 0 4 12 1 0 | 12",
+    "110 0 23 0 25 26 2 0 | 19 7",
     "114 0 0 0 0 0 0 0 | ",
-    "175 0 28 0 12 34 3 0 | 14 12 8",
+    "26 0 28 0 12 34 3 0 | 14 12 8",
     "20 0 142 0 184 158 3 0 | 60 72 26",
-    "670 0 11 0 4 12 1 0 | 12",
-    "331 0 23 0 25 26 2 0 | 19 7",
+    "95 0 11 0 4 12 1 0 | 12",
+    "110 0 23 0 25 26 2 0 | 19 7",
     "114 0 0 0 0 0 0 0 | ",
-    "175 0 28 0 12 34 3 0 | 14 12 8",
+    "26 0 28 0 12 34 3 0 | 14 12 8",
     "485 0 0 909 184 158 3 3 | 60 72 26",
-    "1258 0 0 2828 4 12 1 9 | 12",
-    "599 0 0 867 25 26 2 9 | 19 7",
+    "362 0 0 1921 4 12 1 6 | 12",
+    "319 0 0 758 25 26 2 7 | 19 7",
     "161 0 0 336 0 0 0 2 | ",
-    "350 0 0 487 12 34 3 8 | 14 12 8",
+    "145 0 0 403 12 34 3 6 | 14 12 8",
     // acyclic_game_program(path_length_two)
     "34 0 0 0 0 8 4 0 | 1,0,0,0,0 0,2,1,0,0 0,1,0,2,0 0,0,0,1,0",
-    "132 0 0 0 0 2 2 0 | 0,0,1,0,0 0,0,0,1,0",
+    "118 0 0 0 0 2 2 0 | 0,0,1,0,0 0,0,0,1,0",
     "40 0 0 0 0 3 2 0 | 0,1,0,0,0 0,0,0,2,0",
     "42 0 0 0 0 0 0 0 | ",
     "68 0 0 0 0 3 2 0 | 0,1,0,0,0 0,0,0,2,0",
     "34 0 0 0 0 8 4 0 | 1,0,0,0,0 0,2,1,0,0 0,1,0,2,0 0,0,0,1,0",
-    "132 0 0 0 0 2 2 0 | 0,0,1,0,0 0,0,0,1,0",
+    "118 0 0 0 0 2 2 0 | 0,0,1,0,0 0,0,0,1,0",
     "35 0 2 0 0 3 2 0 | 0,1,0,0,0 0,0,0,2,0",
     "40 0 0 0 0 0 0 0 | ",
     "63 0 2 0 0 3 2 0 | 0,1,0,0,0 0,0,0,2,0",
     "34 0 0 0 0 8 4 0 | 1,0,0,0,0 0,2,1,0,0 0,1,0,2,0 0,0,0,1,0",
-    "132 0 0 0 0 2 2 0 | 0,0,1,0,0 0,0,0,1,0",
+    "118 0 0 0 0 2 2 0 | 0,0,1,0,0 0,0,0,1,0",
     "35 0 2 0 0 3 2 0 | 0,1,0,0,0 0,0,0,2,0",
     "40 0 0 0 0 0 0 0 | ",
     "63 0 2 0 0 3 2 0 | 0,1,0,0,0 0,0,0,2,0",
     "45 0 0 26 0 8 4 14 | 1,0,0,0,0 0,2,1,0,0 0,1,0,2,0 0,0,0,1,0",
-    "137 0 0 23 0 2 2 38 | 0,0,1,0,0 0,0,0,1,0",
+    "125 0 0 25 0 2 2 40 | 0,0,1,0,0 0,0,0,1,0",
     "50 0 0 18 0 3 2 19 | 0,1,0,0,0 0,0,0,2,0",
     "43 0 0 0 0 0 0 24 | ",
     "81 0 0 28 0 3 2 31 | 0,1,0,0,0 0,0,0,2,0",
@@ -646,37 +814,37 @@ const PINNED_MAINTENANCE: [&str; 180] = [
 /// `(deleted, overdeleted, rederived)` per batch of [`deletion_trace`],
 /// one row per program of [`all_programs`] (seed `4_400 + index`).
 const PINNED_DELETION_TRIPLES: [&[(u64, u64, u64)]; 9] = [
-    &[(2, 7, 5), (11, 11, 0), (4, 4, 0), (1, 1, 0), (1, 1, 0)],
+    &[(2, 7, 5), (11, 13, 2), (4, 5, 1), (1, 2, 1), (1, 2, 1)],
     &[
         (52, 240, 188),
-        (27, 155, 128),
-        (71, 132, 61),
+        (27, 188, 161),
+        (71, 161, 90),
         (0, 0, 0),
-        (65, 131, 66),
+        (65, 140, 75),
     ],
     &[
-        (252, 359, 107),
+        (252, 365, 113),
         (0, 0, 0),
-        (44, 63, 19),
-        (41, 46, 5),
-        (43, 48, 5),
+        (44, 71, 27),
+        (41, 69, 28),
+        (43, 53, 10),
     ],
     &[
-        (756, 1143, 387),
-        (460, 613, 153),
-        (173, 173, 0),
+        (756, 1212, 456),
+        (460, 637, 177),
+        (173, 259, 86),
         (66, 66, 0),
         (0, 0, 0),
     ],
-    &[(0, 0, 0), (0, 4, 4), (1, 1, 0), (0, 0, 0), (1, 5, 4)],
+    &[(0, 0, 0), (0, 7, 7), (1, 1, 0), (0, 0, 0), (1, 7, 6)],
     &[(8, 9, 1), (1, 1, 0), (0, 0, 0), (0, 0, 0), (0, 0, 0)],
-    &[(12, 17, 5), (4, 4, 0), (0, 0, 0), (1, 1, 0), (1, 1, 0)],
+    &[(12, 20, 8), (4, 8, 4), (0, 0, 0), (1, 1, 0), (1, 1, 0)],
     &[
-        (23, 102, 79),
+        (23, 119, 96),
         (76, 113, 37),
-        (34, 34, 0),
+        (34, 53, 19),
         (9, 16, 7),
         (14, 14, 0),
     ],
-    &[(2, 6, 4), (8, 12, 4), (2, 2, 0), (4, 4, 0), (1, 1, 0)],
+    &[(2, 8, 6), (8, 12, 4), (2, 2, 0), (4, 5, 1), (1, 1, 0)],
 ];
