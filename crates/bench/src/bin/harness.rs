@@ -1,76 +1,38 @@
 //! Prints every experiment table (markdown) — the source of
 //! EXPERIMENTS.md's measured columns — and writes the machine-readable
-//! solver/engine reports `BENCH_pebble.json` and `BENCH_datalog.json` to
-//! the current directory.
+//! counter reports `BENCH_pebble.json` and `BENCH_datalog.json` to the
+//! current directory.
 //!
-//! `harness --smoke` skips the tables and instead runs the demand-path
-//! and planner cross-checks ([`kv_bench::report::smoke_check`]): magic-set
-//! answers must match full saturation without extra derivations, the
-//! cost-based planner must be stage-identical to textual evaluation with
-//! no extra probes, the sharded evaluator (W ∈ {1, 4} hash-partitioned
-//! shards with delta exchange) must be stage-identical to the unsharded
-//! run, the incremental engine must hold exactly the
+//! `harness --smoke` skips the tables and instead runs the differential
+//! cross-checks ([`kv_bench::report::smoke_check`]): magic-set answers
+//! must match full saturation without extra derivations, the cost-based
+//! planner must be stage-identical to textual evaluation with no extra
+//! probes, the generic lowering must be stage-identical to the binary
+//! one, the sharded evaluator (W ∈ {1, 4}) must be stage-identical to the
+//! unsharded run, the incremental engine must hold exactly the
 //! from-scratch fixpoint after every churn batch, a durable engine
 //! re-opened from disk after the same batches must match the volatile
-//! engine tuple-for-tuple (the recovered ≡ clean gate), and the lazy
-//! pebble solver must agree with the eager
-//! one. It also re-measures the engine counters against the committed
-//! `BENCH_datalog.json` ([`kv_bench::report::regression_check`]) and
-//! fails on >10% regressions of `join_probes` /
-//! `duplicate_derivations` in either planner mode. Exits nonzero on any
-//! violation (the CI bench-smoke gate).
-//!
-//! `harness --service` runs the full multi-tenant service load
-//! generator (open-loop clients over snapshot-isolated reads with a
-//! concurrent churn writer) and writes `BENCH_service.json`;
-//! `harness --service-smoke` runs the small fixed-seed configuration and
-//! additionally enforces the machine-independent gates — popular-tenant
-//! cache hit rate above 50% and deterministic rejection of the
-//! over-budget tenant — exiting nonzero on violation (the CI
-//! bench-service gate).
+//! engine tuple-for-tuple (recovered ≡ clean), and the lazy pebble solver
+//! must agree with the eager one. It also compares the freshly measured
+//! engine counters against the committed `BENCH_datalog.json`
+//! ([`kv_bench::report::regression_check`]) and fails on any >10%
+//! regression. Exits nonzero on any violation (the CI bench-smoke gate).
 
 fn main() {
     let start = std::time::Instant::now();
-    if std::env::args().any(|a| a == "--service") {
-        // Full-size multi-tenant service load run: the committed
-        // BENCH_service.json (open-loop clients, concurrent writer).
-        let report = kv_bench::service::service_report();
-        match std::fs::write("BENCH_service.json", &report) {
-            Ok(()) => println!("wrote BENCH_service.json"),
-            Err(e) => eprintln!("failed to write BENCH_service.json: {e}"),
-        }
-        println!("total harness time: {:.2?}", start.elapsed());
-        return;
-    }
-    if std::env::args().any(|a| a == "--service-smoke") {
-        // CI gate: small fixed-seed run; machine-independent invariants
-        // (repeat-query hit rate floor, deterministic starved-tenant
-        // rejection) must hold or the job fails.
-        let (report, violations) = kv_bench::service::service_smoke();
-        match std::fs::write("BENCH_service.json", &report) {
-            Ok(()) => println!("wrote BENCH_service.json (smoke config)"),
-            Err(e) => eprintln!("failed to write BENCH_service.json: {e}"),
-        }
-        if violations.is_empty() {
-            println!("service smoke: cache and admission gates hold ✓");
-            println!("total harness time: {:.2?}", start.elapsed());
-            return;
-        }
-        for v in &violations {
-            eprintln!("service smoke violation: {v}");
-        }
-        std::process::exit(1);
-    }
     if std::env::args().any(|a| a == "--smoke") {
         let mut violations = kv_bench::report::smoke_check();
+        let datalog = kv_bench::report::datalog_report();
         // Gate against the committed report *before* overwriting it.
         match std::fs::read_to_string("BENCH_datalog.json") {
-            Ok(committed) => violations.extend(kv_bench::report::regression_check(&committed)),
+            Ok(committed) => {
+                violations.extend(kv_bench::report::regression_check(&committed, &datalog))
+            }
             Err(e) => println!("no committed BENCH_datalog.json ({e}); skipping regression gate"),
         }
         for (path, report) in [
             ("BENCH_pebble.json", kv_bench::report::pebble_report()),
-            ("BENCH_datalog.json", kv_bench::report::datalog_report()),
+            ("BENCH_datalog.json", datalog),
         ] {
             match std::fs::write(path, &report) {
                 Ok(()) => println!("wrote {path}"),

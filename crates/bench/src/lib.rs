@@ -1,6 +1,9 @@
 //! Experiment harness: the experiments (E1–E18) that stand in for
-//! the paper's missing measurement tables, plus a dependency-free
-//! micro-benchmark runner for the `benches/` binaries.
+//! the paper's missing measurement tables, the machine-independent
+//! counter reports and their differential `--smoke` gates
+//! ([`report`]), plus a dependency-free micro-benchmark runner for the
+//! `benches/` binaries. Wall-time measurements of the engine live in the
+//! repository benchmark (`benchmark/`), not here.
 //!
 //! Run the harness with:
 //!
@@ -13,7 +16,6 @@
 pub mod experiments;
 pub mod microbench;
 pub mod report;
-pub mod service;
 pub mod table;
 
 pub use experiments::all_experiments;

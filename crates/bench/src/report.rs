@@ -1,27 +1,31 @@
-//! Machine-readable benchmark reports (`BENCH_pebble.json`,
+//! Machine-readable counter reports (`BENCH_pebble.json`,
 //! `BENCH_datalog.json`), emitted by the harness binary.
+//!
+//! Every column is a count, or a ratio of counts, that a fixed seed
+//! reproduces on any machine; the reports carry no wall time. Timings come
+//! from the repository benchmark (`benchmark/`), which reports each one
+//! with its run count and spread.
 //!
 //! The JSON is hand-rolled (the workspace builds offline with zero
 //! external dependencies): every value is a number, a string of known-safe
 //! characters, or a flat object, so no escaping machinery is needed.
 //!
-//! Next to the eager baselines each report carries the demand-driven
-//! columns: `demand_ms`/`demand_tuples`/`magic_probes` for the magic-set
-//! rewrite of each Datalog case queried at a fixed goal tuple, and
-//! `lazy_ms`/`lazy_arena_size` for the lazy, root-directed pebble solver.
-//! The Datalog report additionally carries the cost-based planner columns
-//! (`planned_ms`, `planned_join_probes`, `planned_duplicate_derivations`,
-//! `scc_count`, `probe_savings_pct`), the batched/worst-case-optimal join
-//! columns (`planned_block_probes`, `planned_gallop_steps`,
-//! `planned_wcoj_rules`), the durability columns (`recovery_ms` — cold
-//! reopen of a WAL-backed directory at the mid-cadence point, snapshot
-//! load + WAL-tail replay; `flush_overhead_pct` — the per-round WAL tax,
-//! the directly measured cost of the round's two framed WAL appends as a
-//! percentage of the volatile maintenance round), the sharded-evaluation
-//! columns (`sharded_ms` at W = 4, `exchanged_tuples`, `shard_skew_pct`,
-//! and `shard_scaling` rows at 1/2/4/8 shards whose `work_balance_x` is
-//! the machine-independent load-balance ceiling — wall clock is bounded
-//! by the header's `host_cpus`).
+//! The pebble report gives the eager solver's `arena_size` and
+//! `arena_edges` next to the lazy, root-directed solver's
+//! `lazy_arena_size`. Each Datalog case gives:
+//! - the from-scratch counters (`stages`, `tuples`, `tuples_interned`,
+//!   `join_probes`, `duplicate_derivations`);
+//! - the cost-based planner columns (`planned_join_probes`,
+//!   `planned_duplicate_derivations`, `planned_block_probes`,
+//!   `planned_gallop_steps`, `planned_wcoj_rules`, `scc_count`,
+//!   `probe_savings_pct`);
+//! - the magic-set demand columns for the case's bounded goal query
+//!   (`demand_tuples`, `magic_probes`);
+//! - the sharded columns at W = 4 (`exchanged_tuples`, `shard_skew_pct`)
+//!   and `shard_scaling` rows at 1/2/4/8 shards, whose `work_balance_x` is
+//!   the load-balance ceiling on parallel speedup;
+//! - the maintenance columns of one churn round (`delta_tuples`,
+//!   `rederived_tuples`).
 //!
 //! Every report header is stamped with the git revision and a UTC
 //! timestamp, and every case records the RNG seed of its input structure,
@@ -32,69 +36,42 @@
 //! against textual-order evaluation (stage-identical runs, no extra
 //! probes), and the generic worst-case-optimal lowering against the
 //! binary kernels (stage-identical fixpoints under both forced
-//! lowerings); [`regression_check`] compares freshly measured engine
-//! counters against a committed `BENCH_datalog.json` and flags >10%
-//! regressions. Both are wired to the harness's `--smoke` flag for CI.
+//! lowerings); [`regression_check`] compares a freshly rendered
+//! `BENCH_datalog.json` against the committed one and flags >10%
+//! regressions of its engine counters. Both are wired to the harness's
+//! `--smoke` flag for CI.
 
-use crate::microbench::time_fn;
 use kv_core::datalog::programs::{avoiding_path, q_kl, transitive_closure, triangles};
 use kv_core::datalog::{
-    BindingPattern, DurabilityOptions, DurableEngine, EvalOptions, Evaluator, Fact, IdbId,
-    IncrementalEngine, JoinLowering, MagicProgram, PlannerMode, Program,
+    BindingPattern, DurabilityOptions, DurableEngine, EvalOptions, EvalResult, Evaluator, Fact,
+    IdbId, IncrementalEngine, JoinLowering, MagicProgram, PlannerMode, Program,
 };
-use kv_core::pebble::win_iteration::solve_by_win_iteration;
 use kv_core::pebble::ExistentialGame;
 use kv_core::structures::generators::{directed_path, random_digraph};
-use kv_core::structures::govern::{Budget, CancelToken, Deadline, Governor};
 use kv_core::structures::par::thread_count;
-use kv_core::structures::persist::SegmentedLog;
 use kv_core::structures::{Digraph, Element, HomKind, SplitMix64, Structure};
-use std::time::Duration;
-
-/// A governor with every interrupt source armed (step budget, deadline,
-/// cancellation token) but none close to tripping: the cost it measures
-/// is pure governance accounting, not interruption handling.
-fn armed_governor() -> Governor {
-    Governor::new(
-        Budget::steps(u64::MAX / 2),
-        Deadline::within(Duration::from_secs(3600)),
-        CancelToken::new(),
-    )
-}
-
-/// Percent overhead of `governed` over `plain`, from the *minimum*
-/// observed times (the standard microbenchmark noise filter). Not clamped:
-/// a negative value means the difference is within timer noise.
-fn overhead_pct(plain: Duration, governed: Duration) -> f64 {
-    let p = plain.as_secs_f64();
-    let g = governed.as_secs_f64();
-    if p <= 0.0 {
-        return 0.0;
-    }
-    (g - p) / p * 100.0
-}
 
 /// A flat JSON object: keys paired with pre-rendered JSON values.
-pub(crate) struct Obj(pub(crate) Vec<(String, String)>);
+struct Obj(Vec<(String, String)>);
 
 impl Obj {
-    pub(crate) fn new() -> Self {
+    fn new() -> Self {
         Self(Vec::new())
     }
-    pub(crate) fn str(mut self, k: &str, v: &str) -> Self {
+    fn str(mut self, k: &str, v: &str) -> Self {
         self.0.push((k.into(), format!("\"{v}\"")));
         self
     }
-    pub(crate) fn num(mut self, k: &str, v: impl std::fmt::Display) -> Self {
+    fn num(mut self, k: &str, v: impl std::fmt::Display) -> Self {
         self.0.push((k.into(), v.to_string()));
         self
     }
     /// A pre-rendered JSON value (nested array/object), inserted verbatim.
-    pub(crate) fn raw(mut self, k: &str, v: String) -> Self {
+    fn raw(mut self, k: &str, v: String) -> Self {
         self.0.push((k.into(), v));
         self
     }
-    pub(crate) fn render(&self) -> String {
+    fn render(&self) -> String {
         let fields: Vec<String> = self
             .0
             .iter()
@@ -106,7 +83,7 @@ impl Obj {
 
 /// The current git revision (short hash, `-dirty` suffixed when the work
 /// tree has modifications), or `"unknown"` outside a git checkout.
-pub(crate) fn git_revision() -> String {
+fn git_revision() -> String {
     let out = |args: &[&str]| -> Option<String> {
         let out = std::process::Command::new("git").args(args).output().ok()?;
         out.status
@@ -129,7 +106,7 @@ pub(crate) fn git_revision() -> String {
 /// The current time as `YYYY-MM-DDTHH:MM:SSZ`, derived from the system
 /// clock with the standard civil-from-days conversion (no date crate —
 /// the workspace builds offline with zero external dependencies).
-pub(crate) fn utc_timestamp() -> String {
+fn utc_timestamp() -> String {
     let secs = std::time::SystemTime::now()
         .duration_since(std::time::UNIX_EPOCH)
         .map(|d| d.as_secs())
@@ -151,33 +128,18 @@ pub(crate) fn utc_timestamp() -> String {
     format!("{y:04}-{m:02}-{d:02}T{hh:02}:{mm:02}:{ss:02}Z")
 }
 
-/// Physical CPUs of the measuring host — provenance for every wall-clock
-/// column. Sharded wall times cannot beat this bound no matter how well
-/// the partition balances; the machine-independent `work_balance_x`
-/// column is the signal to read on small hosts.
-pub(crate) fn host_cpus() -> usize {
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
-}
-
-pub(crate) fn render_report(cases: &[Obj]) -> String {
+fn render_report(cases: &[Obj]) -> String {
     let rows: Vec<String> = cases
         .iter()
         .map(|c| format!("    {}", c.render()))
         .collect();
     format!(
-        "{{\n  \"revision\": \"{}\",\n  \"generated_utc\": \"{}\",\n  \"threads\": {},\n  \"host_cpus\": {},\n  \"cases\": [\n{}\n  ]\n}}\n",
+        "{{\n  \"revision\": \"{}\",\n  \"generated_utc\": \"{}\",\n  \"threads\": {},\n  \"cases\": [\n{}\n  ]\n}}\n",
         git_revision(),
         utc_timestamp(),
         thread_count(),
-        host_cpus(),
         rows.join(",\n")
     )
-}
-
-pub(crate) fn ms(d: std::time::Duration) -> f64 {
-    d.as_secs_f64() * 1e3
 }
 
 /// The pebble-report workload: `(name, A, B, k, seed)` — `seed` is the
@@ -295,31 +257,15 @@ fn layered_triangle_structure(m: u32, back: u32) -> Structure {
     g.to_structure()
 }
 
-/// Pebble-game solver report: arena size, propagation edge count, and the
-/// wall time of the worklist solver next to the paper's naive `Win_k`
-/// value iteration and the lazy demand-driven solver on the same instance.
+/// Pebble-game solver report: the eager worklist solver's arena size and
+/// propagation edge count next to the lazy demand-driven solver's arena
+/// size on the same instance.
 pub fn pebble_report() -> String {
-    let mut cases = Vec::new();
-    for (name, a, b, k, seed) in &pebble_instances() {
-        let game = ExistentialGame::solve(a, b, *k, HomKind::OneToOne);
-        let lazy_game = ExistentialGame::solve_lazy(a, b, *k, HomKind::OneToOne);
-        let worklist = time_fn(2, 15, || {
-            ExistentialGame::solve(a, b, *k, HomKind::OneToOne).winner()
-        });
-        let naive = time_fn(1, 5, || {
-            solve_by_win_iteration(a, b, *k, HomKind::OneToOne).0
-        });
-        let lazy = time_fn(2, 15, || {
-            ExistentialGame::solve_lazy(a, b, *k, HomKind::OneToOne).winner()
-        });
-        let governed = time_fn(2, 15, || {
-            let gov = armed_governor();
-            match ExistentialGame::try_solve(a, b, *k, HomKind::OneToOne, &gov) {
-                Ok(game) => game.winner(),
-                Err(e) => unreachable!("armed-but-ample governor interrupted: {e}"),
-            }
-        });
-        cases.push(
+    let cases: Vec<Obj> = pebble_instances()
+        .iter()
+        .map(|(name, a, b, k, seed)| {
+            let game = ExistentialGame::solve(a, b, *k, HomKind::OneToOne);
+            let lazy_game = ExistentialGame::solve_lazy(a, b, *k, HomKind::OneToOne);
             Obj::new()
                 .str("name", name)
                 .num("k", k)
@@ -328,22 +274,14 @@ pub fn pebble_report() -> String {
                 .num("arena_size", game.arena_size())
                 .num("arena_edges", game.arena_edge_count())
                 .num("lazy_arena_size", lazy_game.arena_size())
-                .num("worklist_ms", format!("{:.4}", ms(worklist.median)))
-                .num("value_iteration_ms", format!("{:.4}", ms(naive.median)))
-                .num("lazy_ms", format!("{:.4}", ms(lazy.median)))
-                .num("governed_ms", format!("{:.4}", ms(governed.median)))
-                .num(
-                    "governance_overhead_pct",
-                    format!("{:.2}", overhead_pct(worklist.min, governed.min)),
-                ),
-        );
-    }
+        })
+        .collect();
     render_report(&cases)
 }
 
 /// The churn set of a mutation workload: the first `k` tuples of the
 /// structure's first relation (the EDB edges every case mutates).
-pub(crate) fn churn_set(s: &Structure, k: usize) -> Vec<Fact> {
+fn churn_set(s: &Structure, k: usize) -> Vec<Fact> {
     let rel = match s.vocabulary().relations().next() {
         Some(r) => r,
         None => return Vec::new(),
@@ -353,14 +291,6 @@ pub(crate) fn churn_set(s: &Structure, k: usize) -> Vec<Fact> {
         .take(k)
         .map(|t| (rel, t.to_vec()))
         .collect()
-}
-
-/// One steady-state maintenance round against a live engine: retract the
-/// churn set, then reinsert it (two batches). Returns the second batch's
-/// summary (the reinsertion delta).
-fn churn_round(engine: &mut IncrementalEngine, churn: &[Fact]) -> kv_core::datalog::BatchSummary {
-    engine.apply_batch(&[], churn);
-    engine.apply_batch(churn, &[])
 }
 
 /// Every EDB fact of `s`, as the seed batch that loads a fresh durable
@@ -375,11 +305,11 @@ fn edb_facts(s: &Structure) -> Vec<Fact> {
     facts
 }
 
-/// A per-case scratch directory for durable-engine measurements, namespaced
-/// by pid and a per-process call counter so neither concurrent harness runs
-/// nor concurrent report builds in one process (the unit tests) collide.
-/// The caller removes it when done; a stale leftover from a killed run is
-/// clobbered here.
+/// A per-case scratch directory for the durability gate, namespaced by pid
+/// and a per-process call counter so neither concurrent harness runs nor
+/// concurrent checks in one process (the unit tests) collide. The caller
+/// removes it when done; a stale leftover from a killed run is clobbered
+/// here.
 fn durable_scratch_dir(tag: &str, case: &str) -> std::path::PathBuf {
     static CALLS: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
     let call = CALLS.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
@@ -397,75 +327,59 @@ fn savings_pct(textual: u64, planned: u64) -> f64 {
     (textual - planned) as f64 / textual as f64 * 100.0
 }
 
-/// Datalog engine report: fixpoint size, stage count, the storage-engine
-/// counters (interned tuples, join probes, duplicate derivations), wall
-/// time of the default single-worker semi-naive run, the magic-set demand
-/// columns for the case's bounded goal query, the cost-based planner
-/// columns (`planned_*`, `scc_count`, `probe_savings_pct`), the
-/// durability columns (`flush_overhead_pct`, `recovery_ms`), and the
-/// sharded columns and shard-scaling rows.
+/// The shard counters of a sharded run: exchanged tuples, load skew, and
+/// `work_balance_x` — total owned delta work over the most loaded worker's
+/// share, the load-balance ceiling on parallel speedup.
+fn shard_counters(result: &EvalResult) -> (u64, f64, f64) {
+    result
+        .shard
+        .as_ref()
+        .map(|ss| {
+            let total: u64 = ss.owned.iter().sum();
+            let max = ss.owned.iter().copied().max().unwrap_or(0);
+            let balance = if max == 0 {
+                1.0
+            } else {
+                total as f64 / max as f64
+            };
+            (ss.exchanged_tuples, ss.skew_pct(), balance)
+        })
+        .unwrap_or((0, 0.0, 1.0))
+}
+
+/// Renders rows as a JSON array.
+fn render_rows(rows: &[Obj]) -> String {
+    let rows: Vec<String> = rows.iter().map(Obj::render).collect();
+    format!("[{}]", rows.join(", "))
+}
+
+/// Datalog engine report: fixpoint size, stage count and storage-engine
+/// counters of the default single-worker semi-naive run, the cost-based
+/// planner columns, the magic-set demand columns for the case's bounded
+/// goal query, the sharded columns and shard-scaling rows, and the
+/// counters of one maintenance churn round.
 pub fn datalog_report() -> String {
     let mut cases = Vec::new();
     for (name, program, s, query, seed) in &datalog_instances() {
         let ev = Evaluator::new(program);
         let opts = EvalOptions::default();
-        let planned_opts = opts.with_planner(PlannerMode::CostBased);
-        // Engine counters compare the two planner modes on single-worker
-        // runs (deterministic counters).
         let result = ev.run(s, opts);
-        let planned_result = ev.run(s, planned_opts);
-        let sequential = time_fn(2, 15, || ev.run(s, opts).stats.len());
-        let planned = time_fn(2, 15, || ev.run(s, planned_opts).stats.len());
-        let governed = time_fn(2, 15, || {
-            let gov = armed_governor();
-            match ev.try_run_governed(s, opts, &gov) {
-                Ok(result) => result.stats.len(),
-                Err(e) => unreachable!("armed-but-ample governor interrupted: {e}"),
-            }
-        });
-        // Sharded-evaluation columns: W = 4 hash-partitioned shards with
-        // inter-worker delta exchange. Wall clock is honest for *this*
-        // host (see the report's `host_cpus`); `shard_skew_pct` and the
-        // scaling rows' `work_balance_x` are the machine-independent
-        // signals — how evenly the planner's shard keys split the
-        // derivation work.
-        let sharded_result = ev.run(s, opts.with_shards(Some(4)));
-        let sharded = time_fn(2, 15, || ev.run(s, opts.with_shards(Some(4))).stats.len());
-        let (exchanged, skew) = sharded_result
-            .shard
-            .as_ref()
-            .map(|ss| (ss.exchanged_tuples, ss.skew_pct()))
-            .unwrap_or((0, 0.0));
-        // Shard-scaling rows: W ∈ {1, 2, 4, 8}. `work_balance_x` is
-        // total owned delta work over the most loaded worker's share —
-        // the load-balance ceiling on parallel speedup, independent of
-        // how many CPUs this host has.
-        let shard_rows: Vec<String> = [1usize, 2, 4, 8]
+        let planned = ev.run(s, opts.with_planner(PlannerMode::CostBased));
+        // Sharded columns: W hash-partitioned shards with inter-worker
+        // delta exchange; the case's own columns are the W = 4 run's.
+        let shards: Vec<(usize, (u64, f64, f64))> = [1usize, 2, 4, 8]
             .iter()
-            .map(|&w| {
-                let r = ev.run(s, opts.with_shards(Some(w)));
-                let t = time_fn(1, 5, || ev.run(s, opts.with_shards(Some(w))).stats.len());
-                let (exch, skew, balance) = r
-                    .shard
-                    .as_ref()
-                    .map(|ss| {
-                        let total: u64 = ss.owned.iter().sum();
-                        let max = ss.owned.iter().copied().max().unwrap_or(0);
-                        let balance = if max == 0 {
-                            1.0
-                        } else {
-                            total as f64 / max as f64
-                        };
-                        (ss.exchanged_tuples, ss.skew_pct(), balance)
-                    })
-                    .unwrap_or((0, 0.0, 1.0));
+            .map(|&w| (w, shard_counters(&ev.run(s, opts.with_shards(Some(w))))))
+            .collect();
+        let (exchanged, skew, _) = shards[2].1;
+        let shard_rows: Vec<Obj> = shards
+            .iter()
+            .map(|&(w, (exchanged, skew, balance))| {
                 Obj::new()
                     .num("shards", w)
-                    .num("sharded_ms", format!("{:.4}", ms(t.median)))
-                    .num("exchanged_tuples", exch)
-                    .num("shard_skew_pct", format!("{:.2}", skew))
-                    .num("work_balance_x", format!("{:.2}", balance))
-                    .render()
+                    .num("exchanged_tuples", exchanged)
+                    .num("shard_skew_pct", format!("{skew:.2}"))
+                    .num("work_balance_x", format!("{balance:.2}"))
             })
             .collect();
         let pattern = BindingPattern::new(vec![true; query.len()]);
@@ -473,80 +387,14 @@ pub fn datalog_report() -> String {
         // report bug worth surfacing loudly.
         #[allow(clippy::expect_used)]
         let magic = MagicProgram::rewrite(program, &pattern).expect("bench program rewrites");
-        let compiled = magic.compile();
         let seeds = [(magic.magic_goal(), magic.seed(query))];
-        let demand_result = compiled.run_seeded(s, opts, &seeds);
-        let demand = time_fn(2, 15, || compiled.run_seeded(s, opts, &seeds).stats.len());
-        // Incremental maintenance columns: steady-state churn of a small
-        // edge set (one retract batch + one reinsert batch per round)
-        // against a live engine, vs. re-running the fixpoint from scratch
-        // after every batch.
+        let demand = magic.compile().run_seeded(s, opts, &seeds);
+        // Maintenance columns: one churn round (retract a small edge set,
+        // then reinsert it) against a live engine.
         let churn = churn_set(s, 4);
         let (mut engine, _) = IncrementalEngine::from_structure(program, s, opts);
         let dropped = engine.apply_batch(&[], &churn);
         let steady = engine.apply_batch(&churn, &[]);
-        let incremental = time_fn(2, 15, || churn_round(&mut engine, &churn).epoch);
-        // Durability columns. A durable round is the volatile round plus
-        // exactly two framed WAL appends (the engine work is the same
-        // code), so the flush tax is *measured directly* — time appends
-        // of the engine's own average WAL record size — rather than
-        // subtracted from two noisy end-to-end timings that cannot
-        // resolve a few microseconds. `recovery_ms` is a cold reopen at
-        // the realistic mid-cadence point: a checkpoint snapshot plus a
-        // two-round WAL tail.
-        let durable_dir = durable_scratch_dir("bench-durable", name);
-        let durability = DurabilityOptions {
-            checkpoint_every: 0, // checkpoint manually, below
-            ..DurabilityOptions::default()
-        };
-        #[allow(clippy::expect_used)]
-        let mut durable = DurableEngine::open(program, s, opts, &durable_dir, durability.clone())
-            .expect("durable scratch dir opens");
-        #[allow(clippy::expect_used)]
-        durable
-            .apply_batch(&edb_facts(s), &[])
-            .expect("seed batch persists");
-        let before = durable.flush_stats();
-        for _ in 0..4 {
-            #[allow(clippy::expect_used)]
-            durable.apply_batch(&[], &churn).expect("retract persists");
-            #[allow(clippy::expect_used)]
-            durable.apply_batch(&churn, &[]).expect("reinsert persists");
-        }
-        let after = durable.flush_stats();
-        let record_bytes =
-            (after.wal_bytes - before.wal_bytes) / (after.wal_records - before.wal_records).max(1);
-        let payload = vec![0u8; record_bytes as usize];
-        #[allow(clippy::expect_used)]
-        let mut tax_log = SegmentedLog::create(&durable_dir, "bench-flush-tax", 1 << 20)
-            .expect("tax log creates");
-        let flush_tax = time_fn(3, 31, || {
-            #[allow(clippy::expect_used)]
-            tax_log.append(&payload).expect("tax append");
-            #[allow(clippy::expect_used)]
-            tax_log.append(&payload).expect("tax append");
-            2u64
-        });
-        drop(tax_log);
-        SegmentedLog::remove_all(&durable_dir, "bench-flush-tax");
-        #[allow(clippy::expect_used)]
-        durable.checkpoint().expect("snapshot persists");
-        for _ in 0..2 {
-            #[allow(clippy::expect_used)]
-            durable.apply_batch(&[], &churn).expect("retract persists");
-            #[allow(clippy::expect_used)]
-            durable.apply_batch(&churn, &[]).expect("reinsert persists");
-        }
-        drop(durable);
-        let recovery = time_fn(1, 5, || {
-            #[allow(clippy::expect_used)]
-            DurableEngine::open(program, s, opts, &durable_dir, durability.clone())
-                .expect("recovery succeeds")
-                .epoch()
-        });
-        let _ = std::fs::remove_dir_all(&durable_dir);
-        let flush_overhead =
-            flush_tax.median.as_secs_f64() / incremental.median.as_secs_f64().max(1e-12) * 100.0;
         cases.push(
             Obj::new()
                 .str("name", name)
@@ -560,20 +408,14 @@ pub fn datalog_report() -> String {
                     "duplicate_derivations",
                     result.eval_stats.duplicate_derivations,
                 )
-                .num("planned_join_probes", planned_result.eval_stats.join_probes)
+                .num("planned_join_probes", planned.eval_stats.join_probes)
                 .num(
                     "planned_duplicate_derivations",
-                    planned_result.eval_stats.duplicate_derivations,
+                    planned.eval_stats.duplicate_derivations,
                 )
-                .num(
-                    "planned_block_probes",
-                    planned_result.eval_stats.block_probes,
-                )
-                .num(
-                    "planned_gallop_steps",
-                    planned_result.eval_stats.gallop_steps,
-                )
-                .num("planned_wcoj_rules", planned_result.eval_stats.wcoj_rules)
+                .num("planned_block_probes", planned.eval_stats.block_probes)
+                .num("planned_gallop_steps", planned.eval_stats.gallop_steps)
+                .num("planned_wcoj_rules", planned.eval_stats.wcoj_rules)
                 .num("scc_count", ev.compiled().scc_count())
                 .num(
                     "probe_savings_pct",
@@ -581,33 +423,17 @@ pub fn datalog_report() -> String {
                         "{:.2}",
                         savings_pct(
                             result.eval_stats.join_probes,
-                            planned_result.eval_stats.join_probes,
+                            planned.eval_stats.join_probes,
                         )
                     ),
                 )
-                .num("demand_tuples", demand_result.eval_stats.tuples_interned)
-                .num("magic_probes", demand_result.eval_stats.magic_probes)
-                .num("sequential_ms", format!("{:.4}", ms(sequential.median)))
-                .num("planned_ms", format!("{:.4}", ms(planned.median)))
-                .num("sharded_ms", format!("{:.4}", ms(sharded.median)))
+                .num("demand_tuples", demand.eval_stats.tuples_interned)
+                .num("magic_probes", demand.eval_stats.magic_probes)
                 .num("exchanged_tuples", exchanged)
-                .num("shard_skew_pct", format!("{:.2}", skew))
-                .num("demand_ms", format!("{:.4}", ms(demand.median)))
-                // Per maintenance round (one retract + one reinsert batch
-                // of the churn set) against the live engine.
-                .num("incremental_ms", format!("{:.4}", ms(incremental.median)))
-                // Durable engine: WAL tax per maintenance round, and the
-                // wall time of a cold reopen (recovery) of its directory.
-                .num("flush_overhead_pct", format!("{:.2}", flush_overhead))
-                .num("recovery_ms", format!("{:.4}", ms(recovery.median)))
+                .num("shard_skew_pct", format!("{skew:.2}"))
                 .num("delta_tuples", steady.delta_tuples)
                 .num("rederived_tuples", dropped.rederived_tuples)
-                .num("governed_ms", format!("{:.4}", ms(governed.median)))
-                .num(
-                    "governance_overhead_pct",
-                    format!("{:.2}", overhead_pct(sequential.min, governed.min)),
-                )
-                .raw("shard_scaling", format!("[{}]", shard_rows.join(", "))),
+                .raw("shard_scaling", render_rows(&shard_rows)),
         );
     }
     cases.push(mutation_case());
@@ -620,7 +446,7 @@ pub fn datalog_report() -> String {
 /// one of them. Edges are sampled independently within each block with
 /// probability `p`; there are no cross-block edges, so a mutation's blast
 /// radius is bounded by its own component's closure.
-pub(crate) fn component_graph(blocks: usize, k: usize, p: f64, seed: u64) -> Structure {
+fn component_graph(blocks: usize, k: usize, p: f64, seed: u64) -> Structure {
     let mut g = Digraph::new(blocks * k);
     let mut rng = SplitMix64::seed_from_u64(seed);
     for b in 0..blocks {
@@ -638,47 +464,33 @@ pub(crate) fn component_graph(blocks: usize, k: usize, p: f64, seed: u64) -> Str
 /// The dedicated mutation workload: `transitive_closure` over a
 /// multi-tenant component graph (48 disjoint random blocks of 12 nodes),
 /// churning a 4-edge set inside one block (one retract batch + one
-/// reinsert batch per round) against a live [`IncrementalEngine`].
-/// `scratch_ms` is the cost of re-running the from-scratch fixpoint after
-/// each of the round's two batches; `speedup_x` is scratch-per-round over
-/// incremental-per-round — the steady-state advantage of maintenance.
+/// reinsert batch) against a live [`IncrementalEngine`]. Deletion work is
+/// proportional to the mutated block's closure, not the whole EDB's:
+/// `deleted_tuples` and `rederived_tuples` count the retract batch,
+/// `delta_tuples` the reinsert batch.
 ///
-/// The component shape is the honest setting for maintenance: deletion
-/// work is proportional to the mutated block's closure, not the whole
-/// EDB's. (On a single dense SCC, retracting a few edges overdeletes
-/// almost the entire closure; the recompute guard then rederives the SCC
-/// from its exit rules, at about the cost of a from-scratch run; see
-/// DESIGN.md §9.)
+/// The `shard_scaling` rows run the same round through engines pinned at
+/// W ∈ {1, 2, 4, 8} shards, so batch routing is exercised end to end
+/// (owner-sorted appends, per-stage exchange); `exchanged_tuples` counts
+/// the reinsert batch's cross-worker traffic.
 fn mutation_case() -> Obj {
     let program = transitive_closure();
     let s = component_graph(48, 12, 0.25, 7);
     let churn = churn_set(&s, 4);
-    let ev = Evaluator::new(&program);
     let opts = EvalOptions::default();
     let (mut engine, _) = IncrementalEngine::from_structure(&program, &s, opts);
     let dropped = engine.apply_batch(&[], &churn);
     let steady = engine.apply_batch(&churn, &[]);
-    let round = time_fn(2, 15, || churn_round(&mut engine, &churn).epoch);
-    let scratch = time_fn(2, 15, || ev.run(&s, opts).stats.len());
-    let speedup = (2.0 * scratch.median.as_secs_f64()) / round.median.as_secs_f64().max(1e-9);
-    // Shard-scaling rows for maintenance: the same churn round through
-    // engines pinned at W ∈ {1, 2, 4, 8} shards. Batch routing is
-    // exercised end to end (owner-sorted appends, per-stage exchange);
-    // `exchanged_tuples` counts the reinsert batch's cross-worker
-    // traffic. Wall clock is bounded by the report's `host_cpus`.
-    let shard_rows: Vec<String> = [1usize, 2, 4, 8]
+    let shard_rows: Vec<Obj> = [1usize, 2, 4, 8]
         .iter()
         .map(|&w| {
             let w_opts = opts.with_shards(Some(w));
             let (mut sharded_engine, _) = IncrementalEngine::from_structure(&program, &s, w_opts);
             sharded_engine.apply_batch(&[], &churn);
             let summary = sharded_engine.apply_batch(&churn, &[]);
-            let t = time_fn(1, 9, || churn_round(&mut sharded_engine, &churn).epoch);
             Obj::new()
                 .num("shards", w)
-                .num("incremental_ms", format!("{:.4}", ms(t.median)))
                 .num("exchanged_tuples", summary.exchanged_tuples)
-                .render()
         })
         .collect();
     Obj::new()
@@ -686,13 +498,10 @@ fn mutation_case() -> Obj {
         .num("seed", 7)
         .num("threads", thread_count())
         .num("churn_edges", churn.len())
-        .num("incremental_ms", format!("{:.4}", ms(round.median)))
-        .num("scratch_ms", format!("{:.4}", ms(scratch.median)))
-        .num("speedup_x", format!("{:.2}", speedup))
         .num("delta_tuples", steady.delta_tuples)
         .num("deleted_tuples", dropped.deleted_tuples)
         .num("rederived_tuples", dropped.rederived_tuples)
-        .raw("shard_scaling", format!("[{}]", shard_rows.join(", ")))
+        .raw("shard_scaling", render_rows(&shard_rows))
 }
 
 /// The `--smoke` durability gate for one case: loads `s` plus one churn
@@ -940,55 +749,63 @@ pub fn smoke_check() -> Vec<String> {
     violations
 }
 
+/// The counters [`regression_check`] gates: the from-scratch work counters
+/// in both planner modes, plus the demand, shard-exchange and maintenance
+/// counters.
+const GATED_COUNTERS: [&str; 11] = [
+    "tuples_interned",
+    "join_probes",
+    "duplicate_derivations",
+    "planned_join_probes",
+    "planned_duplicate_derivations",
+    "planned_block_probes",
+    "planned_gallop_steps",
+    "demand_tuples",
+    "magic_probes",
+    "exchanged_tuples",
+    "rederived_tuples",
+];
+
 /// Extracts the numeric value of `key` inside the case object named
 /// `case` from a report rendered by this module (one flat object per
-/// line). Returns `None` when the case or key is absent — committed
-/// reports predating a column simply skip its gate.
+/// line), ignoring the case's `shard_scaling` rows. Returns `None` when
+/// the case or key is absent — committed reports predating a column
+/// simply skip its gate.
 fn extract_case_num(report: &str, case: &str, key: &str) -> Option<f64> {
     let line = report
         .lines()
         .find(|l| l.contains(&format!("\"name\": \"{case}\"")))?;
-    let tail = line.split(&format!("\"{key}\": ")).nth(1)?;
+    let own = line.split("\"shard_scaling\"").next()?;
+    let tail = own.split(&format!("\"{key}\": ")).nth(1)?;
     let end = tail
         .find(|c: char| !(c.is_ascii_digit() || c == '.' || c == '-'))
         .unwrap_or(tail.len());
     tail[..end].parse().ok()
 }
 
-/// CI regression gate over the engine counters: re-measures every Datalog
-/// case and compares `join_probes` / `duplicate_derivations` (both
-/// planner modes) against the committed `BENCH_datalog.json` contents.
-/// A counter more than 10% above its committed value is a violation;
-/// counters are deterministic for fixed seeds, so anything beyond noise
-/// margin means an engine regression. Returns the violations (empty =
-/// pass); missing cases or columns in the committed report are skipped.
-pub fn regression_check(committed: &str) -> Vec<String> {
+/// CI regression gate over the engine counters: compares every gated
+/// counter column (`GATED_COUNTERS`) of each case in `fresh` (a report just
+/// rendered by [`datalog_report`]) against the committed
+/// `BENCH_datalog.json` contents. A counter more than 10% above its
+/// committed value is a violation; counters are deterministic for fixed
+/// seeds, so anything beyond that margin means an engine regression.
+/// Returns the violations (empty = pass); cases or columns missing from
+/// the committed report are skipped.
+pub fn regression_check(committed: &str, fresh: &str) -> Vec<String> {
     const TOLERANCE: f64 = 1.10;
     let mut violations = Vec::new();
-    for (name, program, s, _query, _seed) in &datalog_instances() {
-        let ev = Evaluator::new(program);
-        let seq = EvalOptions::default();
-        let textual = ev.run(s, seq);
-        let planned = ev.run(s, seq.with_planner(PlannerMode::CostBased));
-        let measured: [(&str, u64); 6] = [
-            ("join_probes", textual.eval_stats.join_probes),
-            (
-                "duplicate_derivations",
-                textual.eval_stats.duplicate_derivations,
-            ),
-            ("planned_join_probes", planned.eval_stats.join_probes),
-            (
-                "planned_duplicate_derivations",
-                planned.eval_stats.duplicate_derivations,
-            ),
-            ("planned_block_probes", planned.eval_stats.block_probes),
-            ("planned_gallop_steps", planned.eval_stats.gallop_steps),
-        ];
-        for (key, current) in measured {
-            let Some(baseline) = extract_case_num(committed, name, key) else {
+    let names = fresh
+        .lines()
+        .filter_map(|l| l.split("\"name\": \"").nth(1)?.split('"').next());
+    for name in names {
+        for key in GATED_COUNTERS {
+            let (Some(current), Some(baseline)) = (
+                extract_case_num(fresh, name, key),
+                extract_case_num(committed, name, key),
+            ) else {
                 continue;
             };
-            if (current as f64) > baseline * TOLERANCE {
+            if current > baseline * TOLERANCE {
                 violations.push(format!(
                     "{name}: {key} {current} regressed >10% over committed {baseline}"
                 ));
@@ -1004,7 +821,9 @@ mod tests {
 
     #[test]
     fn reports_are_well_formed() {
-        for report in [pebble_report(), datalog_report()] {
+        let pebble = pebble_report();
+        let datalog = datalog_report();
+        for report in [&pebble, &datalog] {
             assert!(report.starts_with("{\n  \"revision\":"));
             assert!(report.trim_end().ends_with('}'));
             assert_eq!(
@@ -1016,33 +835,60 @@ mod tests {
             assert!(report.contains("\"generated_utc\""));
             assert!(report.contains("\"threads\""));
             assert!(report.contains("\"seed\""));
+            // Wall times and their provenance come from `benchmark/`, not
+            // from these counter reports.
+            for gone in [
+                "worklist_ms",
+                "value_iteration_ms",
+                "lazy_ms",
+                "governed_ms",
+                "governance_overhead_pct",
+                "sequential_ms",
+                "planned_ms",
+                "sharded_ms",
+                "demand_ms",
+                "incremental_ms",
+                "flush_overhead_pct",
+                "recovery_ms",
+                "scratch_ms",
+                "speedup_x",
+                "host_cpus",
+                "scaling",
+                "parallel_ms",
+            ] {
+                assert!(!report.contains(&format!("\"{gone}\"")), "{gone} is gone");
+            }
         }
-        let datalog = datalog_report();
-        assert!(datalog.contains("\"demand_tuples\""));
-        assert!(datalog.contains("\"planned_ms\""));
-        assert!(datalog.contains("\"scc_count\""));
-        assert!(datalog.contains("\"probe_savings_pct\""));
-        assert!(datalog.contains("\"planned_block_probes\""));
-        assert!(datalog.contains("\"planned_gallop_steps\""));
-        assert!(datalog.contains("\"planned_wcoj_rules\""));
+        for key in ["arena_size", "arena_edges", "lazy_arena_size"] {
+            assert!(pebble.contains(&format!("\"{key}\"")), "pebble {key}");
+        }
+        for key in [
+            "stages",
+            "tuples",
+            "tuples_interned",
+            "join_probes",
+            "duplicate_derivations",
+            "planned_join_probes",
+            "planned_duplicate_derivations",
+            "planned_block_probes",
+            "planned_gallop_steps",
+            "planned_wcoj_rules",
+            "scc_count",
+            "probe_savings_pct",
+            "demand_tuples",
+            "magic_probes",
+            "exchanged_tuples",
+            "shard_skew_pct",
+            "work_balance_x",
+            "delta_tuples",
+            "deleted_tuples",
+            "rederived_tuples",
+        ] {
+            assert!(datalog.contains(&format!("\"{key}\"")), "datalog {key}");
+        }
         assert!(datalog.contains("\"tri_layered_m12_b3\""));
-        assert!(datalog.contains("\"incremental_ms\""));
-        assert!(datalog.contains("\"flush_overhead_pct\""));
-        assert!(datalog.contains("\"recovery_ms\""));
-        assert!(datalog.contains("\"delta_tuples\""));
-        assert!(datalog.contains("\"rederived_tuples\""));
         assert!(datalog.contains("\"tc_mutation_tenants48x12_churn4\""));
-        assert!(datalog.contains("\"speedup_x\""));
-        assert!(datalog.contains("\"sequential_ms\""));
-        assert!(!datalog.contains("\"scaling\""));
-        assert!(!datalog.contains("\"parallel_ms\""));
-        assert!(datalog.contains("\"host_cpus\""));
-        assert!(datalog.contains("\"sharded_ms\""));
-        assert!(datalog.contains("\"exchanged_tuples\""));
-        assert!(datalog.contains("\"shard_skew_pct\""));
-        assert!(datalog.contains("\"work_balance_x\""));
         assert!(datalog.contains("\"shard_scaling\": [{\"shards\": 1,"));
-        assert!(pebble_report().contains("\"lazy_arena_size\""));
     }
 
     #[test]
@@ -1063,28 +909,35 @@ mod tests {
     #[test]
     fn regression_check_accepts_current_counters_and_flags_inflated_ones() {
         // A committed report that matches today's counters passes…
-        let committed = datalog_report();
-        let violations = regression_check(&committed);
+        let current = datalog_report();
+        let violations = regression_check(&current, &current);
         assert!(violations.is_empty(), "regressions: {violations:?}");
         // …and one whose counters are much smaller (as if the engine had
-        // since regressed >10% relative to it) fails.
-        let shrunk = committed
-            .lines()
-            .map(|l| {
-                if l.contains("\"name\":") {
-                    l.replace("\"join_probes\": ", "\"join_probes\": 0.")
-                } else {
-                    l.to_string()
-                }
-            })
-            .collect::<Vec<_>>()
-            .join("\n");
-        assert!(
-            !regression_check(&shrunk).is_empty(),
-            "shrunken baseline must flag regressions"
-        );
-        // Reports missing the planner columns entirely (older baselines)
-        // are tolerated.
-        assert!(regression_check("{}").is_empty());
+        // since regressed >10% relative to it) fails, on one of the
+        // original columns and on one of the widened gate's.
+        let shrunk = |key: &str| {
+            current
+                .lines()
+                .map(|l| {
+                    if l.contains("\"name\":") {
+                        l.replace(&format!("\"{key}\": "), &format!("\"{key}\": 0."))
+                    } else {
+                        l.to_string()
+                    }
+                })
+                .collect::<Vec<_>>()
+                .join("\n")
+        };
+        for key in ["join_probes", "magic_probes"] {
+            let violations = regression_check(&shrunk(key), &current);
+            assert!(
+                !violations.is_empty()
+                    && violations.iter().all(|v| v.contains(&format!(" {key} "))),
+                "shrunken {key} baseline must flag only {key}: {violations:?}"
+            );
+        }
+        // Reports missing the columns entirely (older baselines) are
+        // tolerated.
+        assert!(regression_check("{}", &current).is_empty());
     }
 }

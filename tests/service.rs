@@ -7,12 +7,17 @@
 //! suite replays the writer's committed batch sequence after the fact to
 //! reconstruct the ground-truth fixpoint at every epoch and checks every
 //! recorded answer against it.
+//!
+//! A second, single-threaded test serves a fixed seeded request trace and
+//! pins the cache and admission counters it produces.
 
 use datalog_expressiveness::datalog::programs::transitive_closure;
 use datalog_expressiveness::datalog::{EvalOptions, Evaluator, Fact};
 use datalog_expressiveness::service::{Request, Response, ServiceBuilder, TenantId, TenantPolicy};
 use datalog_expressiveness::structures::generators::random_digraph;
-use datalog_expressiveness::structures::{Element, RelId, SplitMix64, Structure, Vocabulary};
+use datalog_expressiveness::structures::{
+    Digraph, Element, RelId, SplitMix64, Structure, Vocabulary,
+};
 use datalog_expressiveness::ProgramQuery;
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -273,4 +278,131 @@ fn racing_first_misses_on_one_snapshot_agree_with_ground_truth() {
         (0..2).any(|pos| snapshot.edb_indexes().built(edge(), pos).is_some()),
         "the misses built the snapshot's indexes"
     );
+}
+
+/// A disjoint union of `blocks` random `k`-node digraphs (edge probability
+/// `p` within a block, none across): one block per tenant, so a batch on
+/// one block leaves every other block's closure alone.
+fn component_graph(blocks: usize, k: usize, p: f64, seed: u64) -> Structure {
+    let mut g = Digraph::new(blocks * k);
+    let mut rng = SplitMix64::seed_from_u64(seed);
+    for b in 0..blocks {
+        for u in 0..k {
+            for v in 0..k {
+                if u != v && rng.gen_bool(p) {
+                    g.add_edge((b * k + u) as u32, (b * k + v) as u32);
+                }
+            }
+        }
+    }
+    g.to_structure()
+}
+
+#[test]
+fn seeded_request_trace_keeps_the_cache_and_admission_invariants() {
+    // `transitive_closure` over 8 random 8-node blocks. Each round, every
+    // popular tenant replays the next query of its fixed pool inside its
+    // own block, a scan tenant draws a uniform pair (cache-hostile), and a
+    // starved tenant with 10 credits draws one too. A writer commits a
+    // retract/reinsert pair of 3 edges before every fifth round until its
+    // 8 pairs run out; each commit empties the cache.
+    const BLOCKS: usize = 8;
+    const BLOCK_SIZE: usize = 8;
+    const SEED: u64 = 7;
+    const POPULAR: usize = 4;
+    const POOL: usize = 6;
+    const ROUNDS: usize = 150;
+    const CREDITS: u64 = 10;
+    const CHURN_PAIRS: usize = 8;
+    let initial = component_graph(BLOCKS, BLOCK_SIZE, 0.3, SEED);
+    let mut builder = ServiceBuilder::new(&initial).cache_capacity(512);
+    let q = builder.register_query(
+        "tc",
+        ProgramQuery::at_tuple("tc", transitive_closure(), vec![0, 1]),
+    );
+    let popular: Vec<TenantId> = (0..POPULAR)
+        .map(|i| builder.register_tenant(TenantPolicy::unlimited(format!("popular-{i}"))))
+        .collect();
+    let scan = builder.register_tenant(TenantPolicy::unlimited("scan"));
+    let starved = builder.register_tenant(TenantPolicy::unlimited("starved").with_credits(CREDITS));
+    let svc = builder.build();
+    let pools: Vec<Vec<Vec<Element>>> = (0..POPULAR)
+        .map(|i| {
+            let mut rng = SplitMix64::seed_from_u64(SEED ^ (0x9e37 + i as u64));
+            let base = (i * BLOCK_SIZE) as u32;
+            (0..POOL)
+                .map(|_| {
+                    let u = base + rng.gen_range(0..BLOCK_SIZE as u32);
+                    let v = base + rng.gen_range(0..BLOCK_SIZE as u32);
+                    vec![u, v]
+                })
+                .collect()
+        })
+        .collect();
+    let churn: Vec<Fact> = initial
+        .relation(edge())
+        .iter()
+        .take(3)
+        .map(|t| (edge(), t.to_vec()))
+        .collect();
+    let n = (BLOCKS * BLOCK_SIZE) as u32;
+    let mut scan_rng = SplitMix64::seed_from_u64(SEED ^ 0x5ca9);
+    let mut starved_rng = SplitMix64::seed_from_u64(SEED ^ 0xdead);
+    for round in 0..ROUNDS {
+        if round % 5 == 0 && round / 5 < CHURN_PAIRS {
+            svc.apply_batch(&[], &churn);
+            svc.apply_batch(&churn, &[]);
+        }
+        let mut requests: Vec<(TenantId, Vec<Element>)> = popular
+            .iter()
+            .zip(&pools)
+            .map(|(&tenant, pool)| (tenant, pool[round % POOL].clone()))
+            .collect();
+        requests.push((
+            scan,
+            vec![scan_rng.gen_range(0..n), scan_rng.gen_range(0..n)],
+        ));
+        requests.push((
+            starved,
+            vec![starved_rng.gen_range(0..n), starved_rng.gen_range(0..n)],
+        ));
+        for (tenant, tuple) in requests {
+            let response = svc.serve(&Request {
+                tenant,
+                query: q,
+                tuple,
+            });
+            assert!(
+                !matches!(response, Response::Interrupted(_)),
+                "round {round}: {response:?} under unlimited budgets"
+            );
+        }
+    }
+
+    let m = svc.metrics();
+    let (hits, misses) = m.tenants[..POPULAR]
+        .iter()
+        .fold((0, 0), |(h, x), t| (h + t.cache_hits, x + t.cache_misses));
+    let starved_row = &m.tenants[starved.0 as usize];
+    let starved_admitted = starved_row.requests - starved_row.rejected;
+    // The four invariants: repeat-query traffic mostly hits the cache, the
+    // starved tenant is admitted at most once per credit and is turned
+    // away at least once, and no admitted request is interrupted.
+    assert!(
+        hits as f64 / (hits + misses) as f64 > 0.5,
+        "popular hit rate {hits}/{}",
+        hits + misses
+    );
+    assert!(starved_admitted <= CREDITS, "{starved_row:?}");
+    assert!(starved_row.rejected > 0, "{starved_row:?}");
+    assert_eq!(m.interrupted, 0);
+    // The trace is deterministic, so its counts are exact.
+    assert_eq!((hits, misses), (441, 159), "popular hits, misses");
+    assert_eq!(
+        (m.cache_hits, m.cache_misses, m.rejected),
+        (445, 306, 149),
+        "service hits, misses, rejections"
+    );
+    assert_eq!(starved_admitted, 1);
+    assert_eq!(m.batches, 2 * CHURN_PAIRS as u64);
 }
