@@ -3,8 +3,8 @@
 //!
 //! Re-exports every subsystem and adds the cross-cutting glue:
 //!
-//! - [`query`]: boolean queries on finite structures, with Datalog(≠)
-//!   programs and the case-study solvers as instances;
+//! - [`query`]: [`ProgramQuery`], a Datalog(≠) program used as a boolean
+//!   query on finite structures;
 //! - [`pattern_based`]: pattern-based queries (Definition 5.1) and the
 //!   game-based evaluation of Proposition 5.4 / Theorem 5.5;
 //! - [`dichotomy`]: the end-to-end classification of fixed subgraph
@@ -35,8 +35,6 @@ pub use kv_datalog::{
     BatchInterrupted, BatchSummary, CrashPoint, DurabilityOptions, DurableBatchError,
     DurableEngine, Fact, FlushStats, IncrementalEngine, RecoveryError, RecoveryReport,
 };
-pub use kv_structures::{
-    CacheStats, DemandStrategy, QueryCache, QueryPlan, StructureId, StructureRegistry,
-};
+pub use kv_structures::{DemandStrategy, QueryPlan};
 pub use pattern_based::PatternBasedQuery;
-pub use query::{BooleanQuery, ProgramQuery};
+pub use query::ProgramQuery;

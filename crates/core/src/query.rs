@@ -1,43 +1,19 @@
 //! Boolean queries on finite structures.
 //!
 //! The paper's objects of study are *queries* — isomorphism-invariant
-//! boolean properties of finite structures over a fixed vocabulary. The
-//! [`BooleanQuery`] trait is the common interface under which Datalog(≠)
-//! programs, the flow/game solvers of the case study, and brute-force
-//! oracles are compared by the experiments.
+//! boolean properties of finite structures over a fixed vocabulary. A
+//! [`ProgramQuery`] is a Datalog(≠) program used as such a query. Every
+//! evaluation runs the engine; the one answer cache is the serving
+//! layer's, in `kv-service`.
 
 use kv_datalog::{
-    BatchInterrupted, BatchSummary, BindingPattern, CompiledProgram, DurabilityOptions,
-    DurableBatchError, DurableEngine, EdbIndexes, EvalOptions, EvalStats, Fact, FlushStats,
-    IncrementalEngine, MagicProgram, Program, RecoveryError, RecoveryReport,
+    BatchSummary, BindingPattern, CompiledProgram, DurabilityOptions, DurableBatchError,
+    DurableEngine, EdbIndexes, EvalOptions, EvalStats, Fact, FlushStats, IncrementalEngine,
+    MagicProgram, Program, RecoveryError, RecoveryReport,
 };
-use kv_structures::{CacheStats, Governor, Interrupted, QueryCache, QueryPlan, Structure};
+use kv_structures::{Governor, Interrupted, QueryPlan, Structure};
 use std::path::Path;
 use std::sync::Mutex;
-
-/// A boolean query over structures of a fixed vocabulary.
-pub trait BooleanQuery {
-    /// A short display name.
-    fn name(&self) -> &str;
-    /// Evaluates the query.
-    fn eval(&self, structure: &Structure) -> bool;
-    /// Evaluates the query and, when the backend supports it, reports
-    /// evaluation counters. The default forwards to [`eval`](Self::eval)
-    /// with no stats.
-    fn eval_with_stats(&self, structure: &Structure) -> (bool, Option<EvalStats>) {
-        (self.eval(structure), None)
-    }
-    /// Governed evaluation: honors the governor's budget, deadline, and
-    /// cancellation token, returning `Err(Interrupted)` instead of
-    /// looping unbounded. The default checks the governor once up front
-    /// and then runs [`eval`](Self::eval); backends with governed engines
-    /// (e.g. [`ProgramQuery`]) override this with cooperative checks
-    /// inside their hot loops.
-    fn try_eval(&self, structure: &Structure, gov: &Governor) -> Result<bool, Interrupted> {
-        gov.check()?;
-        Ok(self.eval(structure))
-    }
-}
 
 /// The compiled demand route of a [`ProgramQuery`]: the magic-set
 /// rewritten program and its compiled form.
@@ -81,10 +57,7 @@ impl EngineSlot {
 /// rewrite of the program seeded with the query's bound values — deriving
 /// only goal-relevant tuples — instead of saturating the full IDB. The
 /// rewrite is prepared once at construction; if it is not applicable the
-/// query silently falls back to full saturation. Answers are additionally
-/// memoized in an engine-level [`QueryCache`] keyed by structure content
-/// fingerprint + query tuple, serving repeated-query traffic without any
-/// evaluation at all ([`cache_stats`](Self::cache_stats)).
+/// query silently falls back to full saturation.
 pub struct ProgramQuery {
     name: String,
     program: Program,
@@ -96,7 +69,6 @@ pub struct ProgramQuery {
     /// to every evaluation route this query issues, the incremental
     /// engine included.
     shards: Option<usize>,
-    cache: Mutex<QueryCache>,
     incremental: Mutex<EngineSlot>,
 }
 
@@ -176,7 +148,6 @@ impl ProgramQuery {
             plan,
             demand,
             shards: None,
-            cache: Mutex::new(QueryCache::new()),
             incremental: Mutex::new(EngineSlot::None),
         }
     }
@@ -184,12 +155,17 @@ impl ProgramQuery {
     /// Routes every evaluation this query issues through sharded
     /// execution at the given worker count: hash-partitioned deltas with
     /// inter-worker exchange at stage barriers. Answers are identical for
-    /// every worker count (differential-tested); set before the first
-    /// evaluation so cached answers and the incremental engine agree on
-    /// the configuration.
+    /// every worker count (differential-tested); set before attaching an
+    /// incremental engine, which keeps the configuration it was built
+    /// with.
     pub fn with_shards(mut self, shards: Option<usize>) -> Self {
         self.shards = shards;
         self
+    }
+
+    /// The display name given at construction.
+    pub fn name(&self) -> &str {
+        &self.name
     }
 
     /// The wrapped program.
@@ -213,11 +189,6 @@ impl ProgramQuery {
         self.demand.is_some()
     }
 
-    /// Hit/miss/entry counters of the engine-level answer cache.
-    pub fn cache_stats(&self) -> CacheStats {
-        self.lock_cache().stats()
-    }
-
     /// Engine options for every evaluation this query issues: defaults
     /// plus the [`kv_structures::PlannerMode`] and
     /// [`kv_structures::JoinLowering`] fixed by the query plan.
@@ -228,23 +199,33 @@ impl ProgramQuery {
             .with_shards(self.shards)
     }
 
-    fn lock_cache(&self) -> std::sync::MutexGuard<'_, QueryCache> {
-        // A poisoned cache only means another thread panicked mid-insert;
-        // the map itself is still coherent.
-        self.cache.lock().unwrap_or_else(|e| e.into_inner())
+    /// Evaluates the query on `structure`: the demand route when it is
+    /// active, full saturation otherwise.
+    pub fn eval(&self, structure: &Structure) -> bool {
+        match self.eval_demand_with_stats(structure) {
+            Some((holds, _)) => holds,
+            None => self.eval_full_with_stats(structure).0,
+        }
     }
 
-    /// Full-saturation evaluation with engine counters, bypassing both the
-    /// demand path and the answer cache (differential partner and
-    /// benchmark baseline for the demand route).
+    /// Governed [`eval`](Self::eval): honors the governor's budget,
+    /// deadline, and cancellation token, returning `Err(Interrupted)`
+    /// instead of looping unbounded.
+    pub fn try_eval(&self, structure: &Structure, gov: &Governor) -> Result<bool, Interrupted> {
+        self.try_eval_at_uncached(structure, &self.goal_tuple, gov)
+    }
+
+    /// Full-saturation evaluation with engine counters, bypassing the
+    /// demand path (differential partner and benchmark baseline for the
+    /// demand route).
     pub fn eval_full_with_stats(&self, structure: &Structure) -> (bool, EvalStats) {
         let result = self.compiled.run(structure, self.eval_options());
         let holds = result.idb[self.compiled.goal().0].contains(&self.goal_tuple);
         (holds, result.eval_stats)
     }
 
-    /// Demand-path evaluation with engine counters, bypassing the answer
-    /// cache. `None` when the demand route is inactive.
+    /// Demand-path evaluation with engine counters. `None` when the
+    /// demand route is inactive.
     pub fn eval_demand_with_stats(&self, structure: &Structure) -> Option<(bool, EvalStats)> {
         let path = self.demand.as_ref()?;
         let seeds = [(path.magic.magic_goal(), path.magic.seed(&self.goal_tuple))];
@@ -256,24 +237,22 @@ impl ProgramQuery {
     }
 
     fn lock_engine(&self) -> std::sync::MutexGuard<'_, EngineSlot> {
-        // Same poisoning argument as the cache: the engine is coherent
-        // between batches, and a batch that panicked left it pending.
+        // A poisoned lock only means another thread panicked: the engine
+        // is coherent between batches, and a batch that panicked left it
+        // pending.
         self.incremental.lock().unwrap_or_else(|e| e.into_inner())
     }
 
     /// Switches this query into incremental maintenance mode: builds a
     /// [`IncrementalEngine`] whose EDB starts as `structure` (applied as
     /// the initial batch) and keeps the goal relation live across
-    /// [`apply_batch`](Self::apply_batch) mutations. The answer cache is
-    /// epoch-bumped and the initial answer patched in at the new epoch.
+    /// [`apply_batch`](Self::apply_batch) mutations.
     ///
     /// Replaces any previously attached engine.
     pub fn enable_incremental(&self, structure: &Structure) -> BatchSummary {
         let (engine, summary) =
             IncrementalEngine::from_structure(&self.program, structure, self.eval_options());
-        let mut slot = self.lock_engine();
-        self.patch_cache(&engine);
-        *slot = EngineSlot::Memory(Box::new(engine));
+        *self.lock_engine() = EngineSlot::Memory(Box::new(engine));
         summary
     }
 
@@ -303,8 +282,7 @@ impl ProgramQuery {
     /// constants) — it is validated against the directory's fingerprint
     /// and its facts are ignored.
     ///
-    /// The answer cache is epoch-bumped and the recovered answer patched
-    /// in. Replaces any previously attached engine.
+    /// Replaces any previously attached engine.
     pub fn open_durable_with(
         &self,
         structure: &Structure,
@@ -328,9 +306,7 @@ impl ProgramQuery {
             durable.apply_batch(&inserts, &[])?;
         }
         let report = durable.recovery().clone();
-        let mut slot = self.lock_engine();
-        self.patch_cache(durable.engine());
-        *slot = EngineSlot::Durable(Box::new(durable));
+        *self.lock_engine() = EngineSlot::Durable(Box::new(durable));
         Ok(report)
     }
 
@@ -386,64 +362,29 @@ impl ProgramQuery {
     }
 
     /// Whether an interrupted maintenance batch is waiting for
-    /// [`resume_batch`](Self::resume_batch).
+    /// [`resume_batch_durable`](Self::resume_batch_durable).
     pub fn batch_pending(&self) -> bool {
         self.lock_engine().engine().is_some_and(|e| e.has_pending())
     }
 
-    /// Applies a mutation batch to the incremental engine (ungoverned) and
-    /// reconciles the answer cache: the epoch is bumped — so every answer
-    /// cached against the pre-batch store can never be served again — and
-    /// the recomputed answer for the post-batch EDB is patched in at the
-    /// new epoch instead of dropping the cache wholesale.
+    /// Applies a mutation batch to the attached engine, volatile or
+    /// durable, without a governor: the unlimited form of
+    /// [`try_apply_batch_durable`](Self::try_apply_batch_durable).
     ///
-    /// Panics if [`enable_incremental`](Self::enable_incremental) has not
-    /// been called. With a durable engine attached, use
-    /// [`try_apply_batch_durable`](Self::try_apply_batch_durable), which
-    /// surfaces storage errors instead of panicking.
+    /// # Panics
+    /// Panics if no engine is attached, or on a storage error of a durable
+    /// engine (`try_apply_batch_durable` returns that error instead).
     pub fn apply_batch(&self, inserts: &[Fact], retracts: &[Fact]) -> BatchSummary {
-        let mut slot = self.lock_engine();
-        let engine = match &mut *slot {
-            EngineSlot::Memory(e) => e,
-            EngineSlot::Durable(_) => {
-                panic!("durable engine attached: use try_apply_batch_durable")
-            }
-            EngineSlot::None => panic!("apply_batch requires enable_incremental"),
-        };
-        let summary = engine.apply_batch(inserts, retracts);
-        self.patch_cache(engine);
-        summary
+        self.try_apply_batch_durable(inserts, retracts, &Governor::unlimited())
+            .unwrap_or_else(|e| panic!("apply_batch failed: {e}"))
     }
 
-    /// Governed [`apply_batch`](Self::apply_batch): honors the governor
-    /// exactly like a governed full evaluation. On interrupt the batch
-    /// stays pending inside the engine — committed insertion stages are
-    /// kept, the cache is untouched (pre-batch answers are still correct
-    /// for pre-batch structures) — and [`resume_batch`](Self::resume_batch)
+    /// Governed batch on the attached engine. A durable engine
+    /// write-ahead-logs the batch, applies it, and checkpoints when the
+    /// cadence is due; a volatile engine only applies it. On interrupt the
+    /// batch stays pending inside the engine — committed insertion stages
+    /// are kept — and [`resume_batch_durable`](Self::resume_batch_durable)
     /// continues to a result identical to an uninterrupted run.
-    pub fn try_apply_batch_governed(
-        &self,
-        inserts: &[Fact],
-        retracts: &[Fact],
-        gov: &Governor,
-    ) -> Result<BatchSummary, BatchInterrupted> {
-        let mut slot = self.lock_engine();
-        let engine = match &mut *slot {
-            EngineSlot::Memory(e) => e,
-            EngineSlot::Durable(_) => {
-                panic!("durable engine attached: use try_apply_batch_durable")
-            }
-            EngineSlot::None => panic!("try_apply_batch_governed requires enable_incremental"),
-        };
-        let summary = engine.try_apply_batch_governed(inserts, retracts, gov)?;
-        self.patch_cache(engine);
-        Ok(summary)
-    }
-
-    /// Governed durable batch: write-ahead-logs the batch, applies it,
-    /// and checkpoints when the cadence is due. Works on both engine
-    /// modes (a volatile engine simply has no logging side), so callers
-    /// can be written once against the durable API.
     ///
     /// Panics if no engine is attached.
     pub fn try_apply_batch_durable(
@@ -452,58 +393,29 @@ impl ProgramQuery {
         retracts: &[Fact],
         gov: &Governor,
     ) -> Result<BatchSummary, DurableBatchError> {
-        let mut slot = self.lock_engine();
-        let summary = match &mut *slot {
+        match &mut *self.lock_engine() {
             EngineSlot::Memory(e) => e
                 .try_apply_batch_governed(inserts, retracts, gov)
-                .map_err(DurableBatchError::Interrupted)?,
-            EngineSlot::Durable(d) => d.try_apply_batch_governed(inserts, retracts, gov)?,
+                .map_err(DurableBatchError::Interrupted),
+            EngineSlot::Durable(d) => d.try_apply_batch_governed(inserts, retracts, gov),
             EngineSlot::None => panic!("try_apply_batch_durable requires an attached engine"),
-        };
-        // Unreachable only on EngineSlot::None, which panicked above.
-        if let Some(engine) = slot.engine() {
-            self.patch_cache(engine);
         }
-        Ok(summary)
     }
 
-    /// Resumes an interrupted maintenance batch under a fresh governor.
-    pub fn resume_batch(&self, gov: &Governor) -> Result<BatchSummary, BatchInterrupted> {
-        let mut slot = self.lock_engine();
-        let engine = match &mut *slot {
-            EngineSlot::Memory(e) => e,
-            EngineSlot::Durable(_) => panic!("durable engine attached: use resume_batch_durable"),
-            EngineSlot::None => panic!("resume_batch requires a pending batch"),
-        };
-        let summary = engine.resume_batch(gov)?;
-        self.patch_cache(engine);
-        Ok(summary)
-    }
-
-    /// Resumes an interrupted batch through the durable API (see
-    /// [`try_apply_batch_durable`](Self::try_apply_batch_durable)).
+    /// Resumes an interrupted batch on the attached engine under a fresh
+    /// governor (see [`try_apply_batch_durable`](Self::try_apply_batch_durable)).
     pub fn resume_batch_durable(&self, gov: &Governor) -> Result<BatchSummary, DurableBatchError> {
-        let mut slot = self.lock_engine();
-        let summary = match &mut *slot {
-            EngineSlot::Memory(e) => e
-                .resume_batch(gov)
-                .map_err(DurableBatchError::Interrupted)?,
-            EngineSlot::Durable(d) => d.resume_batch(gov)?,
+        match &mut *self.lock_engine() {
+            EngineSlot::Memory(e) => e.resume_batch(gov).map_err(DurableBatchError::Interrupted),
+            EngineSlot::Durable(d) => d.resume_batch(gov),
             EngineSlot::None => panic!("resume_batch_durable requires a pending batch"),
-        };
-        if let Some(engine) = slot.engine() {
-            self.patch_cache(engine);
         }
-        Ok(summary)
     }
 
-    /// Governed evaluation at a caller-supplied goal tuple, bypassing the
-    /// per-query answer cache entirely — the serving layer's read path.
+    /// Governed one-shot evaluation at a caller-supplied goal tuple, with
+    /// an index set local to the call: every EDB index it probes is built
+    /// for this evaluation and dropped with it.
     ///
-    /// A query service runs **many concurrent readers** against immutable
-    /// snapshot structures and memoizes in its own *shared*, epoch-keyed
-    /// cache (O(1) lookups — no per-request structure fingerprinting), so
-    /// this path must neither consult nor populate the per-query cache.
     /// The demand (magic-set) route is taken when active: the rewrite is
     /// re-seeded with `tuple`, so one compiled query serves every goal
     /// tuple of its binding pattern. Requires `&self` only — the compiled
@@ -524,9 +436,10 @@ impl ProgramQuery {
     /// [`try_eval_at_uncached`](Self::try_eval_at_uncached) probing the EDB
     /// through `indexes`, a set made for `structure` and shared by every
     /// evaluation against it (see [`EdbIndexes`]): the first evaluation to
-    /// probe a position builds its index, later ones reuse it. A service
-    /// keeps one set per immutable snapshot, so a cache miss costs its
-    /// fixpoint rather than a rebuild of the snapshot's indexes.
+    /// probe a position builds its index, later ones reuse it. This is the
+    /// serving layer's read path: a service keeps one set per immutable
+    /// snapshot, so a cache miss costs its fixpoint rather than a rebuild
+    /// of the snapshot's indexes.
     ///
     /// # Panics
     /// Panics if `tuple`'s arity differs from the goal's, or if `indexes`
@@ -561,102 +474,6 @@ impl ProgramQuery {
             }
         }
     }
-
-    /// Governed, cache-bypassing evaluation at the query's own goal tuple
-    /// (see [`try_eval_at_uncached`](Self::try_eval_at_uncached)).
-    pub fn try_eval_uncached(
-        &self,
-        structure: &Structure,
-        gov: &Governor,
-    ) -> Result<bool, Interrupted> {
-        self.try_eval_at_uncached(structure, &self.goal_tuple, gov)
-    }
-
-    /// After a committed batch: stale-out every cached answer and patch in
-    /// the one just maintained.
-    fn patch_cache(&self, engine: &IncrementalEngine) {
-        let mut cache = self.lock_cache();
-        cache.bump_epoch();
-        cache.insert(
-            &engine.edb_structure(),
-            &self.goal_tuple,
-            engine.goal_contains(&self.goal_tuple),
-        );
-    }
-}
-
-impl BooleanQuery for ProgramQuery {
-    fn name(&self) -> &str {
-        &self.name
-    }
-
-    /// Consults the answer cache first; on a miss, evaluates through the
-    /// demand path when active (full saturation otherwise) and memoizes
-    /// the answer.
-    ///
-    /// The epoch observed at lookup time travels with the computation:
-    /// if a maintenance batch commits while the answer is being evaluated
-    /// (the cache lock is *not* held across evaluation), the insert is
-    /// rejected rather than stamping a pre-batch answer at the post-batch
-    /// epoch.
-    fn eval(&self, structure: &Structure) -> bool {
-        let (cached, observed_epoch) = self.lock_cache().get_keyed(structure, &self.goal_tuple);
-        if let Some(answer) = cached {
-            return answer;
-        }
-        let holds = self.eval_with_stats(structure).0;
-        self.lock_cache()
-            .insert_if_epoch(structure, &self.goal_tuple, holds, observed_epoch);
-        holds
-    }
-
-    /// Always evaluates (no cache) so the counters reflect a real engine
-    /// run: the demand path when active, full saturation otherwise.
-    fn eval_with_stats(&self, structure: &Structure) -> (bool, Option<EvalStats>) {
-        let (holds, stats) = match self.eval_demand_with_stats(structure) {
-            Some(pair) => pair,
-            None => self.eval_full_with_stats(structure),
-        };
-        (holds, Some(stats))
-    }
-
-    fn try_eval(&self, structure: &Structure, gov: &Governor) -> Result<bool, Interrupted> {
-        gov.check()?;
-        let (cached, observed_epoch) = self.lock_cache().get_keyed(structure, &self.goal_tuple);
-        if let Some(answer) = cached {
-            return Ok(answer);
-        }
-        let holds = self.try_eval_uncached(structure, gov)?;
-        self.lock_cache()
-            .insert_if_epoch(structure, &self.goal_tuple, holds, observed_epoch);
-        Ok(holds)
-    }
-}
-
-/// A query defined by a closure (for oracles and ad-hoc baselines).
-pub struct FnQuery<F> {
-    name: String,
-    f: F,
-}
-
-impl<F: Fn(&Structure) -> bool> FnQuery<F> {
-    /// Wraps a closure.
-    pub fn new(name: impl Into<String>, f: F) -> Self {
-        Self {
-            name: name.into(),
-            f,
-        }
-    }
-}
-
-impl<F: Fn(&Structure) -> bool> BooleanQuery for FnQuery<F> {
-    fn name(&self) -> &str {
-        &self.name
-    }
-
-    fn eval(&self, structure: &Structure) -> bool {
-        (self.f)(structure)
-    }
 }
 
 #[cfg(test)]
@@ -682,18 +499,19 @@ mod tests {
         assert_eq!(full.tuples_interned, 6); // TC of a 4-path
         assert!(full.join_probes > 0);
         assert_eq!(full.stages, 3);
-        // The default stats route takes the demand path: magic probes are
-        // counted and no more tuples are derived than full saturation.
+        // The demand route counts magic probes and derives no more
+        // tuples than full saturation.
         assert!(q.demand_active());
-        let (holds, stats) = q.eval_with_stats(&directed_path(4));
+        let (holds, stats) = q
+            .eval_demand_with_stats(&directed_path(4))
+            .expect("demand route is active");
         assert!(holds);
-        let stats = stats.expect("program queries report stats");
         assert!(stats.magic_probes > 0);
         assert!(stats.tuples_interned <= full.tuples_interned);
     }
 
     #[test]
-    fn demand_and_full_agree_and_cache_memoizes() {
+    fn demand_and_full_agree() {
         let q = ProgramQuery::at_tuple("0 reaches 3", transitive_closure(), vec![0, 3]);
         for n in 2..7 {
             let s = directed_path(n);
@@ -703,13 +521,7 @@ mod tests {
                 .expect("demand route is active");
             assert_eq!(full, demand, "demand answer must match full on path({n})");
             assert_eq!(q.eval(&s), full);
-            // Second eval of the same structure is served from the cache.
-            assert_eq!(q.eval(&s), full);
         }
-        let stats = q.cache_stats();
-        assert_eq!(stats.entries, 5);
-        assert_eq!(stats.misses, 5);
-        assert!(stats.hits >= 5);
     }
 
     #[test]
@@ -757,19 +569,6 @@ mod tests {
         let gov = Governor::unlimited();
         gov.cancel_token().cancel();
         assert_eq!(q.try_eval(&s, &gov), Err(Interrupted::Cancelled));
-        // The default impl on FnQuery checks the governor up front.
-        let f = FnQuery::new("nonempty", |s: &Structure| s.tuple_count() > 0);
-        assert_eq!(f.try_eval(&s, &Governor::unlimited()), Ok(true));
-        assert_eq!(f.try_eval(&s, &gov), Err(Interrupted::Cancelled));
-    }
-
-    #[test]
-    fn fn_query_wraps_closures() {
-        let q = FnQuery::new("nonempty", |s: &Structure| s.tuple_count() > 0);
-        assert!(q.eval(&directed_path(3)));
-        assert!(!q.eval(&directed_path(1)));
-        // The default stats hook reports none.
-        assert_eq!(q.eval_with_stats(&directed_path(3)), (true, None));
     }
 
     #[test]
@@ -793,39 +592,6 @@ mod tests {
         assert_eq!(q.incremental_holds(), Some(false));
         q.apply_batch(&[(e, vec![1, 2])], &[]);
         assert_eq!(q.incremental_holds(), Some(true));
-    }
-
-    #[test]
-    fn batches_stale_out_cached_answers() {
-        use kv_structures::RelId;
-        let q = ProgramQuery::at_tuple("0 reaches 3", transitive_closure(), vec![0, 3]);
-        let s = directed_path(4);
-        assert!(q.eval(&s)); // miss, computed, memoized
-        assert!(q.eval(&s)); // hit
-        let before = q.cache_stats();
-        assert!(before.hits >= 1);
-
-        q.enable_incremental(&s);
-        // The engine's materialized EDB has the same content fingerprint as
-        // `s`, and enable patched its answer in at the bumped epoch.
-        assert!(q.eval(&s));
-        assert_eq!(q.cache_stats().hits, before.hits + 1);
-
-        // A mutation bumps the epoch: the old entry for `s` must not be
-        // served, and the patched entry answers for the mutated store.
-        q.apply_batch(&[], &[(RelId(0), vec![1, 2])]);
-        let cut = {
-            let mut g = kv_structures::Digraph::new(4);
-            g.add_edge(0, 1);
-            g.add_edge(2, 3);
-            g.to_structure()
-        };
-        let misses = q.cache_stats().misses;
-        assert!(!q.eval(&cut)); // served from the patched entry: a hit
-        assert_eq!(q.cache_stats().misses, misses);
-        // The pre-batch structure's answer was staled out and recomputes.
-        assert!(q.eval(&s));
-        assert_eq!(q.cache_stats().misses, misses + 1);
     }
 
     #[test]
@@ -857,9 +623,9 @@ mod tests {
             assert_eq!(report.recovered_epoch, 2);
             assert_eq!(q.recovery_report().expect("attached").recovered_epoch, 2);
             assert_eq!(q.incremental_holds(), Some(false));
-            // Restore the edge durably, then force a checkpoint.
-            q.try_apply_batch_durable(&[(e, vec![1, 2])], &[], &Governor::unlimited())
-                .expect("durable batch");
+            // Restore the edge through the ungoverned path, which drives
+            // the durable engine too, then force a checkpoint.
+            q.apply_batch(&[(e, vec![1, 2])], &[]);
             assert_eq!(q.incremental_holds(), Some(true));
             assert!(q.checkpoint_now().expect("checkpoint") > 0);
         }
@@ -869,41 +635,7 @@ mod tests {
         assert_eq!(report.replayed_batches, 0);
         assert!(report.checkpoint_epoch >= 3);
         assert_eq!(q.incremental_holds(), Some(true));
-        // The answer cache was patched from recovered state.
-        assert!(q.eval(&directed_path(4)));
         std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn racing_insert_is_rejected_after_batch_commit() {
-        use kv_structures::RelId;
-        // Regression for the epoch check-and-insert race: a reader that
-        // started evaluating before a batch committed must not publish
-        // its answer at the post-batch epoch. We reproduce the interleave
-        // deterministically: capture the lookup epoch (the reader's
-        // snapshot point), let a batch commit, then attempt the insert
-        // exactly as `eval` would.
-        let q = ProgramQuery::at_tuple("0 reaches 3", transitive_closure(), vec![0, 3]);
-        q.enable_incremental(&directed_path(4));
-        // Reader side: miss + epoch capture on a structure nobody has
-        // patched, then "evaluation" happens outside the lock.
-        let s = directed_path(5);
-        let (cached, observed_epoch) = q.lock_cache().get_keyed(&s, &[0, 3]);
-        assert_eq!(cached, None);
-        // The answer computed against the pre-batch store.
-        let stale_answer = true;
-        // Writer side: a batch commits mid-evaluation and bumps the epoch.
-        q.apply_batch(&[], &[(RelId(0), vec![1, 2])]);
-        // Reader side resumes: the racy insert must be rejected...
-        let stored = q
-            .lock_cache()
-            .insert_if_epoch(&s, &[0, 3], stale_answer, observed_epoch);
-        assert!(!stored, "insert raced a committed batch");
-        // ...so a fresh eval recomputes rather than serving the answer
-        // the interrupted reader computed for the pre-batch world.
-        let misses = q.cache_stats().misses;
-        assert!(q.eval(&s));
-        assert_eq!(q.cache_stats().misses, misses + 1, "recomputed, not served");
     }
 
     #[test]
@@ -911,61 +643,76 @@ mod tests {
         let q = ProgramQuery::at_tuple("0 reaches 3", transitive_closure(), vec![0, 3]);
         let s = directed_path(5);
         let gov = Governor::unlimited();
-        // One compiled query answers every tuple of its binding pattern,
-        // without touching the per-query cache.
+        // One compiled query answers every tuple of its binding pattern.
         assert_eq!(q.try_eval_at_uncached(&s, &[0, 4], &gov), Ok(true));
         assert_eq!(q.try_eval_at_uncached(&s, &[4, 0], &gov), Ok(false));
-        assert_eq!(q.try_eval_uncached(&s, &gov), Ok(true));
-        assert_eq!(q.cache_stats().entries, 0, "cache stays untouched");
         // Governance still applies.
         let cancelled = Governor::unlimited();
         cancelled.cancel_token().cancel();
         assert_eq!(
-            q.try_eval_uncached(&s, &cancelled),
+            q.try_eval_at_uncached(&s, &[0, 4], &cancelled),
             Err(Interrupted::Cancelled)
         );
     }
 
     #[test]
     fn governed_batches_resume_on_the_query() {
+        // One batch path serves both engine modes: the same interrupted
+        // and resumed batch, on a volatile and on a durable query, lands
+        // where one straight engine run does.
         use kv_datalog::Budget;
         use kv_structures::RelId;
-        let q = ProgramQuery::at_tuple("0 reaches 5", transitive_closure(), vec![0, 5]);
-        q.enable_incremental(&directed_path(6));
-        let straight = {
-            let p = ProgramQuery::at_tuple("straight", transitive_closure(), vec![0, 5]);
-            p.enable_incremental(&directed_path(6));
-            p.apply_batch(&[(RelId(0), vec![5, 0])], &[(RelId(0), vec![2, 3])])
-        };
-        let mut budget = 20u64;
-        let mut res = q.try_apply_batch_governed(
-            &[(RelId(0), vec![5, 0])],
-            &[(RelId(0), vec![2, 3])],
-            &Governor::with_budget(Budget::steps(budget)),
-        );
-        let mut resumes = 0;
-        let summary = loop {
-            match res {
-                Ok(summary) => break summary,
-                Err(_) => {
-                    resumes += 1;
-                    assert!(q.batch_pending());
-                    assert_eq!(q.incremental_holds(), None);
-                    budget *= 2;
-                    res = q.resume_batch(&Governor::with_budget(Budget::steps(budget)));
-                }
-            }
-        };
-        assert!(resumes > 0, "tiny budget must interrupt");
-        assert!(!q.batch_pending());
-        assert_eq!(q.incremental_holds(), Some(false));
-        assert_eq!(summary.eval_stats, straight.eval_stats);
-        assert_eq!(summary.delta_tuples, straight.delta_tuples);
-        assert_eq!(summary.deleted_tuples, straight.deleted_tuples);
+        let s = directed_path(6);
+        let inserts = [(RelId(0), vec![5, 0])];
+        let retracts = [(RelId(0), vec![2, 3])];
+        let dir = std::env::temp_dir().join(format!("kv-query-resume-{}", std::process::id()));
+        std::fs::remove_dir_all(&dir).ok();
+
+        let volatile = ProgramQuery::at_tuple("0 reaches 5", transitive_closure(), vec![0, 5]);
+        volatile.enable_incremental(&s);
+        let durable = ProgramQuery::at_tuple("0 reaches 5", transitive_closure(), vec![0, 5]);
+        durable.open_durable(&s, &dir).expect("open fresh");
+
+        let options = EvalOptions::default()
+            .with_planner(volatile.plan().planner())
+            .with_lowering(volatile.plan().lowering());
+        let (mut engine, _) = IncrementalEngine::from_structure(&transitive_closure(), &s, options);
+        let straight = engine.apply_batch(&inserts, &retracts);
+        let straight_holds = engine.goal_contains(&[0, 5]);
+        assert!(!straight_holds);
         // Retracting (2, 3) overdeletes 9 of the 15 closure tuples: past
-        // half, so the recompute guard rederives the closure, and the
-        // summary says so on both routes.
+        // half, so the recompute guard rederives the closure.
         assert_eq!(straight.recomputed_sccs, 1);
-        assert_eq!(summary.recomputed_sccs, straight.recomputed_sccs);
+
+        for (mode, q) in [("volatile", &volatile), ("durable", &durable)] {
+            let mut budget = 20u64;
+            let mut res = q.try_apply_batch_durable(
+                &inserts,
+                &retracts,
+                &Governor::with_budget(Budget::steps(budget)),
+            );
+            let mut resumes = 0;
+            let summary = loop {
+                match res {
+                    Ok(summary) => break summary,
+                    Err(DurableBatchError::Interrupted(_)) => {
+                        resumes += 1;
+                        assert!(q.batch_pending(), "{mode}");
+                        assert_eq!(q.incremental_holds(), None, "{mode}");
+                        budget *= 2;
+                        res = q.resume_batch_durable(&Governor::with_budget(Budget::steps(budget)));
+                    }
+                    Err(e) => panic!("{mode}: {e}"),
+                }
+            };
+            assert!(resumes > 0, "{mode}: tiny budget must interrupt");
+            assert!(!q.batch_pending(), "{mode}");
+            assert_eq!(q.incremental_holds(), Some(straight_holds), "{mode}");
+            assert_eq!(summary.eval_stats, straight.eval_stats, "{mode}");
+            assert_eq!(summary.delta_tuples, straight.delta_tuples, "{mode}");
+            assert_eq!(summary.deleted_tuples, straight.deleted_tuples, "{mode}");
+            assert_eq!(summary.recomputed_sccs, straight.recomputed_sccs, "{mode}");
+        }
+        std::fs::remove_dir_all(&dir).ok();
     }
 }

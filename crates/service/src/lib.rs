@@ -1,11 +1,11 @@
 //! Multi-tenant query serving over Datalog(≠) programs.
 //!
 //! This crate turns the workspace's query stack — [`ProgramQuery`]'s
-//! compiled demand evaluation, the [`ClockCache`] eviction-governed memo
-//! cache, and the [`Governor`] resource-governance layer — into a small
-//! serving system: many concurrent reader threads answer boolean queries
-//! for independent *tenants* while a single writer applies insert/retract
-//! batches to the shared EDB.
+//! compiled demand evaluation and the [`Governor`] resource-governance
+//! layer — plus its own eviction-governed answer cache ([`ClockCache`])
+//! into a small serving system: many concurrent reader threads answer
+//! boolean queries for independent *tenants* while a single writer
+//! applies insert/retract batches to the shared EDB.
 //!
 //! The three pillars, each mapped to a module:
 //!
@@ -20,7 +20,7 @@
 //!   relation position builds that index into the snapshot; later readers
 //!   of the snapshot reuse it, so a cache miss pays for its own demand
 //!   fixpoint, not for indexing the EDB.
-//! - **Shared result cache** ([`QueryService`]): one capacity-bounded
+//! - **Shared result cache** ([`cache`]): one capacity-bounded
 //!   [`ClockCache`] keyed by `(query, tuple)` and stamped with the
 //!   snapshot epoch serves all tenants. Inserts are validated against the
 //!   epoch the reader evaluated under ([`ClockCache::insert_if_epoch`]),
@@ -35,19 +35,20 @@
 //!   deterministically at admission.
 //!
 //! A std-only line-protocol TCP driver ([`tcp`]) exposes the service to
-//! external load generators; the bench harness's `--service` mode uses the
-//! in-process API directly.
+//! external load generators; the repository benchmark's `serve` workload
+//! drives the in-process API directly.
 //!
 //! [`ProgramQuery`]: kv_core::ProgramQuery
 //! [`Governor`]: kv_structures::Governor
-//! [`ClockCache`]: kv_structures::ClockCache
-//! [`ClockCache::insert_if_epoch`]: kv_structures::ClockCache::insert_if_epoch
+//! [`ClockCache`]: cache::ClockCache
+//! [`ClockCache::insert_if_epoch`]: cache::ClockCache::insert_if_epoch
 //! [`Interrupted::Deadline`]: kv_structures::Interrupted::Deadline
 //! [`Structure`]: kv_structures::Structure
 
 #![warn(missing_docs)]
 #![cfg_attr(not(test), warn(clippy::unwrap_used, clippy::expect_used))]
 
+pub mod cache;
 pub mod qos;
 pub mod service;
 pub mod snapshot;

@@ -25,13 +25,14 @@
 //!   under the cache lock ([`ClockCache::insert_if_epoch`]), so a batch
 //!   committing mid-evaluation costs at most a lost memo.
 
+use crate::cache::{CacheStats, ClockCache};
 use crate::qos::{RejectReason, TenantAccount, TenantId, TenantPolicy};
 use crate::snapshot::Snapshot;
 use kv_core::ProgramQuery;
 use kv_datalog::Fact;
 use kv_structures::{
-    Budget, CacheStats, CancelToken, ClockCache, Deadline, Element, Governor, Interrupted,
-    MutableStore, RelId, RetractOutcome, Structure, Vocabulary,
+    Budget, CancelToken, Deadline, Element, Governor, Interrupted, MutableStore, RelId,
+    RetractOutcome, Structure, Vocabulary,
 };
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};

@@ -22,8 +22,7 @@
 //! - the resource-governance layer shared by every solver in the
 //!   workspace — budgets, deadlines, cooperative cancellation, and the
 //!   chaos fault-injection schedules ([`govern`]);
-//! - query plans and the engine-level memo cache for demand-driven
-//!   evaluation ([`plan`]).
+//! - query plans for demand-driven evaluation ([`plan`]).
 
 #![warn(missing_docs)]
 #![cfg_attr(not(test), warn(clippy::unwrap_used, clippy::expect_used))]
@@ -53,10 +52,7 @@ pub use io::{parse_digraph, write_digraph, DigraphParseError};
 pub use mutable::{InsertOutcome, MutableStore, RetractOutcome};
 pub use ops::{disjoint_union, induced_substructure, quotient};
 pub use persist::{LoadedLog, Manifest, RecoveryError, SegmentedLog};
-pub use plan::{
-    structure_fingerprint, CacheStats, ClockCache, DemandStrategy, JoinLowering, PlannerMode,
-    QueryCache, QueryPlan, StructureId, StructureRegistry,
-};
+pub use plan::{DemandStrategy, JoinLowering, PlannerMode, QueryPlan};
 pub use rng::SplitMix64;
 pub use shard::{shard_of, DeltaExchange, ShardKey};
 pub use store::{

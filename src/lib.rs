@@ -8,3 +8,8 @@
 
 pub use kv_core::*;
 pub use kv_service as service;
+
+// The README's Rust blocks compile and run as doctests of this crate.
+#[cfg(doctest)]
+#[doc = include_str!("../README.md")]
+pub struct ReadmeDoctests;
