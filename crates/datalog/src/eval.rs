@@ -55,8 +55,8 @@ use crate::sharded;
 use crate::wcoj::{self, GenericPlan};
 use kv_structures::govern::{Governor, Interrupted};
 use kv_structures::store::{
-    gallop_intersect, tuple_hash, CardStats, EvalStats, IdRange, PosIndex, StoreView, TupleBloom,
-    TupleId, TupleStore,
+    gallop_intersect, tuple_hash, CardStats, ElementMap, EvalStats, IdRange, PosIndex, StoreView,
+    TupleBloom, TupleId, TupleStore,
 };
 use kv_structures::{Element, JoinLowering, PlannerMode, RelId, Relation, Structure, Vocabulary};
 use std::borrow::Cow;
@@ -504,6 +504,12 @@ pub(crate) enum JoinKernel {
     Probe {
         /// The indexed argument position.
         pos: usize,
+        /// Whether every argument is bound on entry (written plans only;
+        /// the cost-based planner assigns [`JoinKernel::Check`] there).
+        /// The probe is still made and counted, but a posting list of
+        /// more than one id is answered by one interner lookup instead of
+        /// a candidate-by-candidate walk: at most one candidate can match.
+        all_bound: bool,
     },
     /// Two bound argument positions: intersect the two sorted posting
     /// lists, visiting only ids that match both.
@@ -640,15 +646,21 @@ fn apply_subst(t: &Term, subst: &[Term]) -> Term {
 /// argument position that is a constant or a variable bound by an earlier
 /// atom, scan otherwise. This reproduces the engine's historical static
 /// index choice exactly, so textual probe counters stay byte-identical.
+/// The kernel fixes which probes are counted; a fully bound probe is
+/// flagged so the join can answer it with one lookup (see
+/// [`JoinKernel::Probe`]).
 fn assign_textual_kernels(atoms: &mut [JoinAtom]) {
     let mut bound: HashSet<VarId> = HashSet::new();
     for a in atoms {
-        let first = a.args.iter().position(|t| match t {
+        let is_bound = |t: &Term| match t {
             Term::Const(_) => true,
             Term::Var(v) => bound.contains(v),
-        });
-        a.kernel = match first {
-            Some(pos) => JoinKernel::Probe { pos },
+        };
+        a.kernel = match a.args.iter().position(is_bound) {
+            Some(pos) => JoinKernel::Probe {
+                pos,
+                all_bound: a.args.iter().all(is_bound),
+            },
             None => JoinKernel::Scan,
         };
         for t in &a.args {
@@ -1556,13 +1568,28 @@ impl DenseSet {
         was
     }
 
-    /// All members in increasing id order.
+    /// Number of members.
+    pub(crate) fn len(&self) -> usize {
+        self.0.iter().map(|w| w.count_ones() as usize).sum()
+    }
+
+    /// All members in increasing id order. Zero words are skipped, and
+    /// each member is found with one `trailing_zeros`.
     pub(crate) fn iter_sorted(&self) -> impl Iterator<Item = u32> + '_ {
-        self.0.iter().enumerate().flat_map(|(w, &word)| {
-            (0..64)
-                .filter(move |b| word >> b & 1 == 1)
-                .map(move |b| (w * 64 + b) as u32)
-        })
+        self.0
+            .iter()
+            .enumerate()
+            .filter(|&(_, &word)| word != 0)
+            .flat_map(|(w, &word)| {
+                let mut rest = word;
+                std::iter::from_fn(move || {
+                    (rest != 0).then(|| {
+                        let b = rest.trailing_zeros();
+                        rest &= rest - 1;
+                        (w * 64) as u32 + b
+                    })
+                })
+            })
     }
 }
 
@@ -1832,7 +1859,7 @@ pub(crate) fn evaluate_rule(
         buf,
         head_check_at,
         binding: vec![None; rule.var_count],
-        probe_memo: vec![HashMap::new(); memo_len],
+        probe_memo: vec![ElementMap::default(); memo_len],
         check_memo: vec![HashMap::new(); memo_len],
         merge_memo: vec![None; memo_len],
         cut: false,
@@ -1866,7 +1893,7 @@ pub(crate) struct RuleJoin<'a, 'b> {
     /// Per-atom memo of probe key → resolved posting slice. Within one
     /// stage the indexed prefix is frozen, so a repeated key resolves to
     /// the identical slice; hits count as [`EvalStats::block_probes`].
-    probe_memo: Vec<HashMap<Element, &'a [u32]>>,
+    probe_memo: Vec<ElementMap<&'a [u32]>>,
     /// Per-atom memo of fully-bound check tuple → verdict.
     check_memo: Vec<HashMap<Vec<Element>, bool>>,
     /// Per-atom memo of the last merged-probe key pair and its intersected
@@ -2017,7 +2044,7 @@ impl<'a, 'b> RuleJoin<'a, 'b> {
                     }
                 }
             }
-            JoinKernel::Probe { pos } => {
+            JoinKernel::Probe { pos, all_bound } => {
                 let e = arg_value(self, pos);
                 let list: &'a [u32] = if rule.batched {
                     if let Some(&hit) = self.probe_memo[atom_pos].get(&e) {
@@ -2035,9 +2062,21 @@ impl<'a, 'b> RuleJoin<'a, 'b> {
                     self.count_probe(atom.is_magic)?;
                     indexes.at(pos).probe(e, range)
                 };
-                for &id in list {
-                    if live(id) {
-                        self.try_tuple(atom_pos, store.get(TupleId(id)))?;
+                if all_bound && list.len() > 1 {
+                    // At most one candidate matches a fully bound atom: the
+                    // one the interner finds, if it lies in the window. The
+                    // walk would pass exactly that tuple to `try_tuple`.
+                    self.load_check_buf(atom);
+                    if let Some(id) = store.lookup(&self.buf.check_buf) {
+                        if range.contains(id) && live(id.0) {
+                            self.try_tuple(atom_pos, store.get(id))?;
+                        }
+                    }
+                } else {
+                    for &id in list {
+                        if live(id) {
+                            self.try_tuple(atom_pos, store.get(TupleId(id)))?;
+                        }
                     }
                 }
             }
@@ -2086,11 +2125,7 @@ impl<'a, 'b> RuleJoin<'a, 'b> {
                 // Every argument is bound: one interner lookup decides the
                 // atom, with the range test restricting to the accessible
                 // prefix (old/delta/full).
-                self.buf.check_buf.clear();
-                for pos in 0..atom.args.len() {
-                    let e = arg_value(self, pos);
-                    self.buf.check_buf.push(e);
-                }
+                self.load_check_buf(atom);
                 let hit = if rule.batched {
                     if let Some(&v) = self.check_memo[atom_pos].get(self.buf.check_buf.as_slice()) {
                         self.count_block()?;
@@ -2120,6 +2155,18 @@ impl<'a, 'b> RuleJoin<'a, 'b> {
             }
         }
         Ok(())
+    }
+
+    /// Loads the argument values of `atom`, fully bound here, into
+    /// `check_buf` for an interner lookup.
+    fn load_check_buf(&mut self, atom: &JoinAtom) {
+        self.buf.check_buf.clear();
+        for t in &atom.args {
+            // Callers only pass atoms whose arguments are all bound.
+            #[allow(clippy::expect_used)]
+            let e = self.term_value(t).expect("statically bound");
+            self.buf.check_buf.push(e);
+        }
     }
 
     /// Per-candidate matching: extend the binding, apply the ≠-checks
@@ -2315,6 +2362,23 @@ impl<'a, 'b> RuleJoin<'a, 'b> {
     }
 }
 
+/// Clears every [`JoinKernel::Probe`]'s `all_bound` flag in `plan`, so
+/// each fully bound written probe walks its posting list; returns how many
+/// flags were set. Tests compare the lookup path against this walk.
+#[cfg(test)]
+pub(crate) fn walk_fully_bound_probes(plan: &mut RunPlan) -> usize {
+    let mut cleared = 0;
+    for rule in plan.naive_rules.iter_mut().chain(&mut plan.semi_variants) {
+        for atom in &mut rule.atoms {
+            if let JoinKernel::Probe { all_bound, .. } = &mut atom.kernel {
+                cleared += usize::from(*all_bound);
+                *all_bound = false;
+            }
+        }
+    }
+    cleared
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -2353,6 +2417,51 @@ mod tests {
         let s = directed_cycle(5);
         let result = Evaluator::new(&p).goal(&s);
         assert_eq!(result.len(), 25);
+    }
+
+    /// A fully bound written probe answered by one lookup matches exactly
+    /// what the posting-list walk matched, window for window. A variant's
+    /// delta atom is moved to the front, so it is fully bound only when
+    /// every argument is a constant.
+    /// - The third rule re-derives only existing tuples. Its `d = 2`
+    ///   variant seeds on `δT(x, y)` and then probes `old·T(x, y)`, the same
+    ///   pair, which lies at or above the delta mark.
+    /// - The fourth rule's `δT(s1, s2)` holds a stage-one pair. In every
+    ///   later stage that pair lies below the delta mark, while `s1` keeps
+    ///   gaining successors in the delta.
+    ///
+    /// The graphs are dense enough that these posting lists hold several
+    /// ids, so both atoms take the lookup branch. A match outside a window
+    /// would show in the counters.
+    #[test]
+    fn fully_bound_probe_lookup_respects_windows() {
+        let vocab = Arc::new(Vocabulary::graph_with_constants(2));
+        let p = parse_program(
+            "T(x, y) :- E(x, y). T(x, z) :- T(x, y), E(y, z). \
+             T(x, y) :- T(x, y), T(y, x), T(x, y). \
+             T(x, y) :- T(s1, s2), E(x, y). ?- T.",
+            Arc::clone(&vocab),
+        )
+        .unwrap();
+        let looked_up = CompiledProgram::compile(&p);
+        let mut walked = looked_up.clone();
+        assert_eq!(walk_fully_bound_probes(&mut walked.written), 10);
+        for seed in 0..6 {
+            let g = random_digraph(14, 0.18, seed);
+            let mut s = Structure::new(Arc::clone(&vocab), 14);
+            for (u, v) in g.edges() {
+                s.insert(kv_structures::RelId(0), &[u, v]);
+            }
+            // `s1` is the first node with an edge; `s2`, its successor.
+            let (s1, s2) = g.edges().next().unwrap();
+            s.set_constant(kv_structures::ConstId(0), s1);
+            s.set_constant(kv_structures::ConstId(1), s2);
+            let a = looked_up.run(&s, EvalOptions::default());
+            let b = walked.run(&s, EvalOptions::default());
+            assert!(a.stage_count() > 3, "seed {seed}: too few stages");
+            assert_eq!(a.eval_stats, b.eval_stats, "seed {seed}: counters diverged");
+            assert!(a.same_stages(&b), "seed {seed}: stages diverged");
+        }
     }
 
     #[test]

@@ -713,11 +713,7 @@ impl IncrementalEngine {
         retracts: &[Fact],
     ) -> InsertionState {
         let edb_retracted: u64 = plan.edb_dying.iter().map(|d| d.len() as u64).sum();
-        let deleted_tuples: u64 = plan
-            .idb_deleted
-            .iter()
-            .map(|d| d.iter_sorted().count() as u64)
-            .sum();
+        let deleted_tuples: u64 = plan.idb_deleted.iter().map(|d| d.len() as u64).sum();
         for (r, dying) in plan.edb_dying.iter().enumerate() {
             for &id in dying {
                 self.edb[r].kill(TupleId(id));
@@ -1330,6 +1326,64 @@ mod tests {
         assert_eq!(summary.stage_new, scratch_stages, "stage identity");
         assert_eq!(summary.delta_tuples, 15);
         assert_eq!(summary.deleted_tuples, 0);
+    }
+
+    /// The textual insertion pass answers fully bound probes by lookup
+    /// exactly as the posting-list walk did, inside the EDB's delta
+    /// windows. Node 1 has three old edges and batch 2 inserts three
+    /// more, so each probe below finds a posting list of three ids and
+    /// takes the lookup branch:
+    /// - `S`'s variant `o = 2` seeds on `δE(1, 2)` and probes `old·E(1, 2)`,
+    ///   the same edge, which lies at or above the delta mark;
+    /// - `R`'s variant `o = 0` probes `δE(s1, s2) = δE(1, 0)`, and `(1, 0)`
+    ///   lies below it.
+    ///
+    /// Random batches follow. Each batch must match the walk's counters and
+    /// a from-scratch run.
+    #[test]
+    fn fully_bound_insertion_probes_respect_edb_windows() {
+        use crate::eval::walk_fully_bound_probes;
+        use kv_structures::rng::SplitMix64;
+        let vocab = Arc::new(kv_structures::Vocabulary::graph_with_constants(2));
+        let program = crate::parser::parse_program(
+            "S(x, y) :- E(x, y), E(y, x), E(x, y). R(x, y) :- E(s1, s2), E(x, y). ?- S.",
+            Arc::clone(&vocab),
+        )
+        .unwrap();
+        let mut template = Structure::new(vocab, 8);
+        template.set_constant(kv_structures::ConstId(0), 1);
+        template.set_constant(kv_structures::ConstId(1), 0);
+        let mut looked_up = IncrementalEngine::new(&program, &template, EvalOptions::default());
+        let mut walked = IncrementalEngine::new(&program, &template, EvalOptions::default());
+        assert_eq!(walk_fully_bound_probes(&mut walked.insertion), 8);
+        let e = RelId(0);
+        let facts = |pairs: &[(Element, Element)]| -> Vec<Fact> {
+            pairs.iter().map(|&(u, v)| (e, vec![u, v])).collect()
+        };
+        let mut batches = vec![
+            (facts(&[(0, 1), (1, 0), (1, 4), (1, 5), (6, 1)]), vec![]),
+            (facts(&[(1, 2), (1, 3), (1, 6)]), vec![]),
+            (facts(&[(2, 1), (3, 1)]), facts(&[(1, 6), (0, 1)])),
+        ];
+        let mut rng = SplitMix64::seed_from_u64(0x5EED);
+        for _ in 0..12 {
+            let mut random = |k: usize| -> Vec<Fact> {
+                let pairs: Vec<(Element, Element)> = (0..k)
+                    .map(|_| (rng.gen_range(0u32..8), rng.gen_range(0u32..8)))
+                    .collect();
+                facts(&pairs)
+            };
+            batches.push((random(5), random(3)));
+        }
+        for (i, (inserts, retracts)) in batches.iter().enumerate() {
+            let a = looked_up.apply_batch(inserts, retracts);
+            let b = walked.apply_batch(inserts, retracts);
+            assert_eq!(a.eval_stats, b.eval_stats, "batch {i}: counters diverged");
+            assert_eq!(a.stage_new, b.stage_new, "batch {i}: stages diverged");
+            assert_eq!(a.delta_tuples, b.delta_tuples, "batch {i}");
+            assert_eq!(a.deleted_tuples, b.deleted_tuples, "batch {i}");
+            assert_matches_scratch(&looked_up, &program);
+        }
     }
 
     #[test]

@@ -423,7 +423,10 @@ fn plan_rule(rule: &CompiledRule, ctx: &PlanCtx, lowering: JoinLowering) -> Comp
         } else if b.is_empty() {
             JoinKernel::Scan
         } else if b.len() == 1 {
-            JoinKernel::Probe { pos: b[0] }
+            JoinKernel::Probe {
+                pos: b[0],
+                all_bound: false,
+            }
         } else {
             let (pos_a, pos_b) = ctx.merge_pair(atom, &b);
             JoinKernel::MergedProbe { pos_a, pos_b }
@@ -601,7 +604,7 @@ impl CompiledProgram {
     fn atom_label(&self, atom: &JoinAtom) -> String {
         let kernel = match atom.kernel {
             JoinKernel::Scan => "scan".to_string(),
-            JoinKernel::Probe { pos } => format!("probe@{pos}"),
+            JoinKernel::Probe { pos, .. } => format!("probe@{pos}"),
             JoinKernel::MergedProbe { pos_a, pos_b } => format!("merge@{pos_a},{pos_b}"),
             JoinKernel::Check => "check".to_string(),
         };

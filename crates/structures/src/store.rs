@@ -26,14 +26,27 @@
 //! The interner is a bare open-addressing table over the arena (splitmix-
 //! style mixing, linear probing), so the store stays free of interior
 //! mutability and is `Sync`: parallel evaluation workers read a shared
-//! store and exchange [`TupleId`] buffers, never boxed tuples.
+//! store and exchange [`TupleId`] buffers, never boxed tuples. Each table
+//! entry is one `u32` that packs a hash tag above the id: the table length
+//! is a power of two `2^b` and ids stay below three quarters of it, so the
+//! low `b` bits hold the id and the free high bits hold the tuple hash's
+//! high bits. A probe compares tags first and reads the arena only on a tag
+//! match, with an inline element loop rather than a `memcmp` call.
+//!
+//! Element-keyed maps ([`PosIndex`] postings and the join kernels' probe
+//! memos) hash with the same splitmix finalizer through [`ElementHasher`],
+//! not std's SipHash: the keys are dense universe elements.
 //!
 //! [`EvalStats`] is the engine's observability surface: evaluators report
 //! tuples interned, duplicate derivations, join probes and stage counts.
-//! Budgets live in [`crate::govern`].
+//! A join kernel fixes which probes are *counted*, not how a probe is
+//! answered: the evaluator's written plans answer a fully bound probe with
+//! one [`TupleStore::lookup`] when its posting list holds more than one
+//! id, and count it as the one probe the list walk was. Budgets live in [`crate::govern`].
 
 use crate::structure::Element;
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 
 /// A dense identifier of an interned tuple within one [`TupleStore`].
 ///
@@ -79,6 +92,9 @@ impl IdRange {
     }
 }
 
+/// The vacant table entry. Never a packed `id | tag` entry: a live id is
+/// below three quarters of the table length, so its low `b` bits are never
+/// all ones.
 const EMPTY_SLOT: u32 = u32::MAX;
 
 /// Splitmix-style mixing of one tuple into a table hash.
@@ -115,7 +131,9 @@ pub struct TupleStore {
     arity: usize,
     /// Tuple elements, arity-strided: tuple `i` is `data[i*arity..(i+1)*arity]`.
     data: Vec<Element>,
-    /// Open-addressing table of tuple ids (`EMPTY_SLOT` = vacant).
+    /// Open-addressing table (`EMPTY_SLOT` = vacant). Each entry packs a
+    /// tuple id in the low bits (`entry & mask`, `mask = table.len() - 1`)
+    /// and a tag, the high bits of the tuple's hash, in the bits above.
     table: Vec<u32>,
     len: u32,
     /// Per-position distinct-value counters, maintained on intern of fresh
@@ -178,12 +196,14 @@ impl TupleStore {
             self.grow_table((self.table.len() * 2).max(16));
         }
         let mask = self.table.len() - 1;
-        let mut slot = hash_tuple(tuple) as usize & mask;
+        let h = hash_tuple(tuple);
+        let tag = tag_of(h, mask);
+        let mut slot = h as usize & mask;
         loop {
             match self.table[slot] {
                 EMPTY_SLOT => {
                     let id = self.len;
-                    self.table[slot] = id;
+                    self.table[slot] = pack(id, tag);
                     self.data.extend_from_slice(tuple);
                     self.len += 1;
                     for (pos, &e) in tuple.iter().enumerate() {
@@ -191,7 +211,9 @@ impl TupleStore {
                     }
                     return (TupleId(id), true);
                 }
-                id if self.slice_of(id) == tuple => return (TupleId(id), false),
+                entry if self.entry_holds(entry, mask, tag, tuple) => {
+                    return (TupleId(entry & mask as u32), false)
+                }
                 _ => slot = (slot + 1) & mask,
             }
         }
@@ -250,13 +272,11 @@ impl TupleStore {
         let last = self.len - 1;
         self.table_remove(id.0);
         if id.0 != last {
-            // Repoint the moved tuple's table entry at its new id.
+            // Repoint the moved tuple's table entry at its new id; the
+            // tuple, and so its tag, is unchanged.
             let mask = self.table.len() - 1;
-            let mut slot = hash_tuple(self.slice_of(last)) as usize & mask;
-            while self.table[slot] != last {
-                slot = (slot + 1) & mask;
-            }
-            self.table[slot] = id.0;
+            let slot = self.slot_of(last, mask);
+            self.table[slot] = pack(id.0, self.table[slot] & !(mask as u32));
             let a = self.arity;
             let (head, tail) = self.data.split_at_mut(last as usize * a);
             head[id.0 as usize * a..(id.0 as usize + 1) * a].copy_from_slice(&tail[..a]);
@@ -271,11 +291,7 @@ impl TupleStore {
     /// all remaining chains stay unbroken).
     fn table_remove(&mut self, id: u32) {
         let mask = self.table.len() - 1;
-        let mut slot = hash_tuple(self.slice_of(id)) as usize & mask;
-        while self.table[slot] != id {
-            slot = (slot + 1) & mask;
-        }
-        let mut hole = slot;
+        let mut hole = self.slot_of(id, mask);
         loop {
             self.table[hole] = EMPTY_SLOT;
             let mut next = (hole + 1) & mask;
@@ -284,7 +300,7 @@ impl TupleStore {
                 if entry == EMPTY_SLOT {
                     return;
                 }
-                let home = hash_tuple(self.slice_of(entry)) as usize & mask;
+                let home = hash_tuple(self.slice_of(entry & mask as u32)) as usize & mask;
                 // `entry` can fill the hole iff probing from its home slot
                 // would pass through the hole — i.e. the hole is at least
                 // as far along `entry`'s probe path as `next` is.
@@ -305,11 +321,15 @@ impl TupleStore {
             return None;
         }
         let mask = self.table.len() - 1;
-        let mut slot = hash_tuple(tuple) as usize & mask;
+        let h = hash_tuple(tuple);
+        let tag = tag_of(h, mask);
+        let mut slot = h as usize & mask;
         loop {
             match self.table[slot] {
                 EMPTY_SLOT => return None,
-                id if self.slice_of(id) == tuple => return Some(TupleId(id)),
+                entry if self.entry_holds(entry, mask, tag, tuple) => {
+                    return Some(TupleId(entry & mask as u32))
+                }
                 _ => slot = (slot + 1) & mask,
             }
         }
@@ -385,18 +405,60 @@ impl TupleStore {
         &self.data[id as usize * self.arity..(id as usize + 1) * self.arity]
     }
 
+    /// Whether the occupied `entry` holds `tuple`: the tags agree and the
+    /// arena row matches, compared element by element (no `memcmp` call
+    /// for rows of a few elements).
+    #[inline]
+    fn entry_holds(&self, entry: u32, mask: usize, tag: u32, tuple: &[Element]) -> bool {
+        entry & !(mask as u32) == tag
+            && self
+                .slice_of(entry & mask as u32)
+                .iter()
+                .zip(tuple)
+                .all(|(a, b)| a == b)
+    }
+
+    /// The table slot whose entry holds id `id`.
+    fn slot_of(&self, id: u32, mask: usize) -> usize {
+        let mut slot = hash_tuple(self.slice_of(id)) as usize & mask;
+        // `EMPTY_SLOT & mask` is all ones, never a live id.
+        while self.table[slot] & mask as u32 != id {
+            slot = (slot + 1) & mask;
+        }
+        slot
+    }
+
     fn grow_table(&mut self, new_len: usize) {
         debug_assert!(new_len.is_power_of_two());
         self.table = vec![EMPTY_SLOT; new_len];
         let mask = new_len - 1;
         for id in 0..self.len {
-            let mut slot = hash_tuple(self.slice_of(id)) as usize & mask;
+            let h = hash_tuple(self.slice_of(id));
+            let mut slot = h as usize & mask;
             while self.table[slot] != EMPTY_SLOT {
                 slot = (slot + 1) & mask;
             }
-            self.table[slot] = id;
+            self.table[slot] = pack(id, tag_of(h, mask));
         }
     }
+}
+
+/// The tag of a tuple hash in a table of `mask + 1` slots: the hash's high
+/// 32 bits, less the low bits the id occupies.
+#[inline]
+fn tag_of(h: u64, mask: usize) -> u32 {
+    (h >> 32) as u32 & !(mask as u32)
+}
+
+/// One table entry: `id` in the low bits, `tag` above them.
+#[inline]
+fn pack(id: u32, tag: u32) -> u32 {
+    let entry = id | tag;
+    debug_assert_ne!(
+        entry, EMPTY_SLOT,
+        "a packed entry collides with the vacancy sentinel"
+    );
+    entry
 }
 
 impl PartialEq for TupleStore {
@@ -458,8 +520,8 @@ impl ElementSet {
     }
 }
 
-/// Splitmix64 finalizer, used by [`ElementSet`], [`TupleBloom`], and the
-/// shard-routing hash (`crate::shard`).
+/// Splitmix64 finalizer, used by [`ElementSet`], [`TupleBloom`],
+/// [`ElementHasher`], and the shard-routing hash (`crate::shard`).
 #[inline]
 pub(crate) fn mix64(mut h: u64) -> u64 {
     h = h.wrapping_add(0x9E37_79B9_7F4A_7C15);
@@ -467,6 +529,35 @@ pub(crate) fn mix64(mut h: u64) -> u64 {
     h = (h ^ (h >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     h ^ (h >> 31)
 }
+
+/// A [`Hasher`] for [`Element`] keys: the store's splitmix64 finalizer
+/// over the key, in place of std's SipHash. Element keys are dense small
+/// integers; one finalizer round spreads them over both the bucket bits
+/// and the control bits of std's table.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct ElementHasher(u64);
+
+impl Hasher for ElementHasher {
+    #[inline]
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    #[inline]
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 = mix64(self.0 ^ u64::from(b));
+        }
+    }
+
+    #[inline]
+    fn write_u32(&mut self, n: u32) {
+        self.0 = mix64(self.0 ^ u64::from(n));
+    }
+}
+
+/// A `HashMap` keyed by [`Element`] that hashes with [`ElementHasher`].
+pub type ElementMap<V> = HashMap<Element, V, BuildHasherDefault<ElementHasher>>;
 
 /// Cardinality statistics snapshot of one [`TupleStore`]: total tuple count
 /// plus per-position distinct-value counts.
@@ -623,7 +714,7 @@ impl<'a> StoreView<'a> {
 pub struct PosIndex {
     pos: usize,
     upto: u32,
-    postings: HashMap<Element, Vec<u32>>,
+    postings: ElementMap<Vec<u32>>,
 }
 
 impl PosIndex {
@@ -632,7 +723,7 @@ impl PosIndex {
         Self {
             pos,
             upto: 0,
-            postings: HashMap::new(),
+            postings: ElementMap::default(),
         }
     }
 
@@ -676,7 +767,7 @@ impl PosIndex {
             store.len(),
             "index must cover the store"
         );
-        let mut touched: HashMap<Element, (Vec<u32>, Vec<u32>)> = HashMap::new();
+        let mut touched: ElementMap<(Vec<u32>, Vec<u32>)> = ElementMap::default();
         for &(from, to) in moves {
             let entry = touched
                 .entry(store.get(TupleId(from))[self.pos])
@@ -966,6 +1057,150 @@ mod tests {
             let id = s.lookup(t).expect("survivor must stay interned");
             assert_eq!(s.get(id), &t[..]);
         }
+    }
+
+    /// Checks the packed table against the arena: one entry per id, each
+    /// carrying its tuple's tag, and no entry equal to the vacancy
+    /// sentinel except vacant slots. Returns how many entries sit before
+    /// their home slot, i.e. on a probe chain that wrapped past the end.
+    fn check_table(s: &TupleStore) -> usize {
+        if s.table.is_empty() {
+            assert_eq!(s.len(), 0);
+            return 0;
+        }
+        let mask = s.table.len() - 1;
+        assert!(s.len() * 4 <= s.table.len() * 3, "load factor exceeded");
+        let mut seen = vec![false; s.len()];
+        let mut wrapped = 0;
+        for (slot, &entry) in s.table.iter().enumerate() {
+            if entry == EMPTY_SLOT {
+                continue;
+            }
+            let id = (entry & mask as u32) as usize;
+            assert!(id < s.len(), "entry {entry:#x} points past the arena");
+            assert!(!seen[id], "id {id} has two entries");
+            seen[id] = true;
+            let h = hash_tuple(s.slice_of(id as u32));
+            assert_eq!(
+                entry & !(mask as u32),
+                tag_of(h, mask),
+                "stale tag on id {id}"
+            );
+            wrapped += usize::from(h as usize & mask > slot);
+        }
+        assert!(seen.iter().all(|&b| b), "an id has no entry");
+        wrapped
+    }
+
+    /// Random `intern` / `extend_block` / `swap_remove` / `lookup`
+    /// sequences against a `HashMap` model, over arities 0–4, fresh and
+    /// pre-sized stores, and enough growth to move the id/tag split
+    /// several times.
+    #[test]
+    fn tagged_interner_matches_model() {
+        use crate::rng::SplitMix64;
+        let mut wrapped_removals = 0usize;
+        let mut doublings = 0usize;
+        for seed in 0..40u64 {
+            let mut rng = SplitMix64::seed_from_u64(0x7A66_ED00 + seed);
+            let arity = (seed % 5) as usize;
+            // Small value ranges make duplicates and collisions common.
+            let values = [1u32, 600, 30, 9, 6][arity];
+            let mut s = if seed % 3 == 0 {
+                TupleStore::with_capacity(arity, rng.gen_range(0usize..200))
+            } else {
+                TupleStore::new(arity)
+            };
+            let mut model: HashMap<Vec<Element>, u32> = HashMap::new();
+            let mut by_id: Vec<Vec<Element>> = Vec::new();
+            let random_tuple = |rng: &mut SplitMix64| -> Vec<Element> {
+                (0..arity).map(|_| rng.gen_range(0..values)).collect()
+            };
+            let mut table_len = s.table.len();
+            for _ in 0..1500 {
+                match rng.gen_range(0u32..10) {
+                    0..=3 => {
+                        let t = random_tuple(&mut rng);
+                        let want = match model.get(&t) {
+                            Some(&id) => (TupleId(id), false),
+                            None => {
+                                let id = by_id.len() as u32;
+                                model.insert(t.clone(), id);
+                                by_id.push(t.clone());
+                                (TupleId(id), true)
+                            }
+                        };
+                        assert_eq!(s.intern(&t), want, "seed {seed}: intern {t:?}");
+                    }
+                    4 if arity > 0 => {
+                        let n = rng.gen_range(0usize..40);
+                        let block: Vec<Element> =
+                            (0..n).flat_map(|_| random_tuple(&mut rng)).collect();
+                        let mut fresh = 0;
+                        for t in block.chunks_exact(arity) {
+                            if !model.contains_key(t) {
+                                model.insert(t.to_vec(), by_id.len() as u32);
+                                by_id.push(t.to_vec());
+                                fresh += 1;
+                            }
+                        }
+                        assert_eq!(s.extend_block(&block), fresh, "seed {seed}: block");
+                    }
+                    5..=6 if !by_id.is_empty() => {
+                        let id = rng.gen_range(0..by_id.len() as u32);
+                        wrapped_removals += usize::from(check_table(&s) > 0);
+                        s.swap_remove(TupleId(id));
+                        let gone = by_id.swap_remove(id as usize);
+                        model.remove(&gone);
+                        if let Some(moved) = by_id.get(id as usize) {
+                            model.insert(moved.clone(), id);
+                        }
+                        assert_eq!(s.lookup(&gone), None, "seed {seed}: removed {gone:?}");
+                    }
+                    _ => {
+                        let t = random_tuple(&mut rng);
+                        let want = model.get(&t).map(|&id| TupleId(id));
+                        assert_eq!(s.lookup(&t), want, "seed {seed}: lookup {t:?}");
+                    }
+                }
+                if s.table.len() != table_len {
+                    doublings += 1;
+                    table_len = s.table.len();
+                }
+                assert_eq!(s.len(), by_id.len());
+            }
+            check_table(&s);
+            for (id, t) in by_id.iter().enumerate() {
+                assert_eq!(s.get(TupleId(id as u32)), &t[..], "seed {seed}: arena");
+                assert_eq!(s.lookup(t), Some(TupleId(id as u32)), "seed {seed}: {t:?}");
+            }
+        }
+        assert!(doublings >= 40, "only {doublings} table growths");
+        assert!(wrapped_removals > 0, "no removal met a wrapped chain");
+    }
+
+    /// A probe chain that wraps past the table's last slot survives the
+    /// backward-shift removal of its head, and the moved entries keep
+    /// their tags.
+    #[test]
+    fn removal_repairs_a_wrapped_chain() {
+        let mut s = TupleStore::new(1);
+        // Three tuples whose home is the 16-slot table's last slot: they
+        // occupy slots 15, 0 and 1.
+        let homed: Vec<Element> = (0..)
+            .filter(|&e| hash_tuple(&[e]) & 15 == 15)
+            .take(3)
+            .collect();
+        for &e in &homed {
+            s.intern(&[e]);
+        }
+        assert_eq!(s.table.len(), 16);
+        assert_eq!(check_table(&s), 2);
+        s.swap_remove(TupleId(0));
+        assert_eq!(check_table(&s), 1);
+        assert_eq!(s.lookup(&[homed[0]]), None);
+        assert_eq!(s.lookup(&[homed[1]]), Some(TupleId(1)));
+        assert_eq!(s.lookup(&[homed[2]]), Some(TupleId(0)));
     }
 
     #[test]
