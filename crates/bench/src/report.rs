@@ -21,8 +21,7 @@
 //!   `probe_savings_pct`);
 //! - the magic-set demand columns for the case's bounded goal query
 //!   (`demand_tuples`, `magic_probes`);
-//! - the sharded columns at W = 4 (`exchanged_tuples`, `shard_skew_pct`)
-//!   and `shard_scaling` rows at 1/2/4/8 shards, whose `work_balance_x` is
+//! - `shard_scaling` rows at 1/2/4/8 workers, whose `work_balance_x` is
 //!   the load-balance ceiling on parallel speedup;
 //! - the maintenance columns of one churn round (`delta_tuples`,
 //!   `rederived_tuples`).
@@ -327,24 +326,18 @@ fn savings_pct(textual: u64, planned: u64) -> f64 {
     (textual - planned) as f64 / textual as f64 * 100.0
 }
 
-/// The shard counters of a sharded run: exchanged tuples, load skew, and
-/// `work_balance_x` — total owned delta work over the most loaded worker's
-/// share, the load-balance ceiling on parallel speedup.
-fn shard_counters(result: &EvalResult) -> (u64, f64, f64) {
-    result
+/// `work_balance_x` of a sharded run: all workers' probes over the most
+/// loaded worker's, the load-balance ceiling on parallel speedup.
+fn work_balance(result: &EvalResult) -> f64 {
+    let probes = result
         .shard
         .as_ref()
-        .map(|ss| {
-            let total: u64 = ss.owned.iter().sum();
-            let max = ss.owned.iter().copied().max().unwrap_or(0);
-            let balance = if max == 0 {
-                1.0
-            } else {
-                total as f64 / max as f64
-            };
-            (ss.exchanged_tuples, ss.skew_pct(), balance)
-        })
-        .unwrap_or((0, 0.0, 1.0))
+        .map_or(&[][..], |ss| &ss.worker_probes);
+    let max = probes.iter().copied().max().unwrap_or(0);
+    if max == 0 {
+        return 1.0;
+    }
+    probes.iter().sum::<u64>() as f64 / max as f64
 }
 
 /// Renders rows as a JSON array.
@@ -356,8 +349,8 @@ fn render_rows(rows: &[Obj]) -> String {
 /// Datalog engine report: fixpoint size, stage count and storage-engine
 /// counters of the default single-worker semi-naive run, the cost-based
 /// planner columns, the magic-set demand columns for the case's bounded
-/// goal query, the sharded columns and shard-scaling rows, and the
-/// counters of one maintenance churn round.
+/// goal query, the shard-scaling rows, and the counters of one
+/// maintenance churn round.
 pub fn datalog_report() -> String {
     let mut cases = Vec::new();
     for (name, program, s, query, seed) in &datalog_instances() {
@@ -365,20 +358,13 @@ pub fn datalog_report() -> String {
         let opts = EvalOptions::default();
         let result = ev.run(s, opts);
         let planned = ev.run(s, opts.with_planner(PlannerMode::CostBased));
-        // Sharded columns: W hash-partitioned shards with inter-worker
-        // delta exchange; the case's own columns are the W = 4 run's.
-        let shards: Vec<(usize, (u64, f64, f64))> = [1usize, 2, 4, 8]
+        // Scaling rows: each stage's deltas cut into W contiguous shares.
+        let shard_rows: Vec<Obj> = [1usize, 2, 4, 8]
             .iter()
-            .map(|&w| (w, shard_counters(&ev.run(s, opts.with_shards(Some(w))))))
-            .collect();
-        let (exchanged, skew, _) = shards[2].1;
-        let shard_rows: Vec<Obj> = shards
-            .iter()
-            .map(|&(w, (exchanged, skew, balance))| {
+            .map(|&w| {
+                let balance = work_balance(&ev.run(s, opts.with_shards(Some(w))));
                 Obj::new()
                     .num("shards", w)
-                    .num("exchanged_tuples", exchanged)
-                    .num("shard_skew_pct", format!("{skew:.2}"))
                     .num("work_balance_x", format!("{balance:.2}"))
             })
             .collect();
@@ -429,8 +415,6 @@ pub fn datalog_report() -> String {
                 )
                 .num("demand_tuples", demand.eval_stats.tuples_interned)
                 .num("magic_probes", demand.eval_stats.magic_probes)
-                .num("exchanged_tuples", exchanged)
-                .num("shard_skew_pct", format!("{skew:.2}"))
                 .num("delta_tuples", steady.delta_tuples)
                 .num("rederived_tuples", dropped.rederived_tuples)
                 .raw("shard_scaling", render_rows(&shard_rows)),
@@ -468,11 +452,6 @@ fn component_graph(blocks: usize, k: usize, p: f64, seed: u64) -> Structure {
 /// proportional to the mutated block's closure, not the whole EDB's:
 /// `deleted_tuples` and `rederived_tuples` count the retract batch,
 /// `delta_tuples` the reinsert batch.
-///
-/// The `shard_scaling` rows run the same round through engines pinned at
-/// W ∈ {1, 2, 4, 8} shards, so batch routing is exercised end to end
-/// (owner-sorted appends, per-stage exchange); `exchanged_tuples` counts
-/// the reinsert batch's cross-worker traffic.
 fn mutation_case() -> Obj {
     let program = transitive_closure();
     let s = component_graph(48, 12, 0.25, 7);
@@ -481,18 +460,6 @@ fn mutation_case() -> Obj {
     let (mut engine, _) = IncrementalEngine::from_structure(&program, &s, opts);
     let dropped = engine.apply_batch(&[], &churn);
     let steady = engine.apply_batch(&churn, &[]);
-    let shard_rows: Vec<Obj> = [1usize, 2, 4, 8]
-        .iter()
-        .map(|&w| {
-            let w_opts = opts.with_shards(Some(w));
-            let (mut sharded_engine, _) = IncrementalEngine::from_structure(&program, &s, w_opts);
-            sharded_engine.apply_batch(&[], &churn);
-            let summary = sharded_engine.apply_batch(&churn, &[]);
-            Obj::new()
-                .num("shards", w)
-                .num("exchanged_tuples", summary.exchanged_tuples)
-        })
-        .collect();
     Obj::new()
         .str("name", "tc_mutation_tenants48x12_churn4")
         .num("seed", 7)
@@ -501,7 +468,6 @@ fn mutation_case() -> Obj {
         .num("delta_tuples", steady.delta_tuples)
         .num("deleted_tuples", dropped.deleted_tuples)
         .num("rederived_tuples", dropped.rederived_tuples)
-        .raw("shard_scaling", render_rows(&shard_rows))
 }
 
 /// The `--smoke` durability gate for one case: loads `s` plus one churn
@@ -585,10 +551,9 @@ fn durable_recovery_check(
 /// * every Datalog case must reach the same fixpoint through the same
 ///   stages under both forced join lowerings (`Binary` vs `Generic` —
 ///   the worst-case-optimal executor is a pure execution-strategy swap);
-/// * every Datalog case's sharded run (W ∈ {1, 4} hash-partitioned
-///   shards with delta exchange) must be stage-identical to the
-///   unsharded run with the same fixpoint, and a single shard must
-///   exchange nothing;
+/// * every Datalog case's sharded run (W ∈ {1, 4} workers, each reading
+///   one contiguous share of every delta) must be stage-identical to the
+///   unsharded run with the same fixpoint;
 /// * every Datalog case's incremental engine, after a churn batch
 ///   (retract then reinsert a small edge set), must hold exactly the
 ///   from-scratch fixpoint of its materialized EDB;
@@ -655,9 +620,9 @@ pub fn smoke_check() -> Vec<String> {
                 planned.eval_stats.duplicate_derivations, textual.eval_stats.duplicate_derivations
             ));
         }
-        // Sharded ≡ unsharded: hash-partitioned evaluation is a pure
-        // work-partitioning swap — stage identity and the fixpoint are
-        // shard-count-free, and a single shard exchanges nothing.
+        // Sharded ≡ unsharded: splitting each delta into worker shares is
+        // a pure work-partitioning swap — stage identity and the fixpoint
+        // do not depend on the worker count.
         for w in [1usize, 4] {
             let sharded = ev.run(s, EvalOptions::default().with_shards(Some(w)));
             if !sharded.same_stages(&full) {
@@ -672,12 +637,6 @@ pub fn smoke_check() -> Vec<String> {
                         "{name}: sharded (W={w}) IDB {i} differs from unsharded fixpoint"
                     ));
                 }
-            }
-            let exchanged = sharded.shard.as_ref().map_or(0, |ss| ss.exchanged_tuples);
-            if w == 1 && exchanged != 0 {
-                violations.push(format!(
-                    "{name}: single-shard run exchanged {exchanged} tuple(s)"
-                ));
             }
         }
         // Generic ≡ binary differential: the worst-case-optimal lowering
@@ -750,9 +709,8 @@ pub fn smoke_check() -> Vec<String> {
 }
 
 /// The counters [`regression_check`] gates: the from-scratch work counters
-/// in both planner modes, plus the demand, shard-exchange and maintenance
-/// counters.
-const GATED_COUNTERS: [&str; 11] = [
+/// in both planner modes, plus the demand and maintenance counters.
+const GATED_COUNTERS: [&str; 10] = [
     "tuples_interned",
     "join_probes",
     "duplicate_derivations",
@@ -762,7 +720,6 @@ const GATED_COUNTERS: [&str; 11] = [
     "planned_gallop_steps",
     "demand_tuples",
     "magic_probes",
-    "exchanged_tuples",
     "rederived_tuples",
 ];
 
@@ -877,8 +834,6 @@ mod tests {
             "probe_savings_pct",
             "demand_tuples",
             "magic_probes",
-            "exchanged_tuples",
-            "shard_skew_pct",
             "work_balance_x",
             "delta_tuples",
             "deleted_tuples",
@@ -889,6 +844,11 @@ mod tests {
         assert!(datalog.contains("\"tri_layered_m12_b3\""));
         assert!(datalog.contains("\"tc_mutation_tenants48x12_churn4\""));
         assert!(datalog.contains("\"shard_scaling\": [{\"shards\": 1,"));
+        let mutation = datalog
+            .lines()
+            .find(|l| l.contains("tc_mutation_tenants48x12_churn4"))
+            .unwrap_or_default();
+        assert!(!mutation.contains("shard_scaling"), "{mutation}");
     }
 
     #[test]

@@ -38,10 +38,9 @@
 //!                           rolled at a fixed size
 //! ```
 //!
-//! Because every store (each EDB relation and IDB predicate — the unit
-//! the sharded evaluator partitions by) has its own snapshot record,
-//! recovery can account for exactly which stores the replayed WAL tail
-//! touched: the relations named by the replayed batches plus the IDB
+//! Because every store (each EDB relation and IDB predicate) has its own
+//! snapshot record, recovery can account for exactly which stores the
+//! replayed WAL tail touched: the relations named by the replayed batches plus the IDB
 //! predicates reachable from them through the program's rules. The rest
 //! are recovered verbatim from their individually checksummed records —
 //! see [`RecoveryReport::stores_skipped`].

@@ -36,8 +36,9 @@
 //! workers read the shared stores, which are immutable during a stage, and
 //! intern candidate heads into private scratch arenas that are merged into
 //! the shared stores at the stage barrier. [`EvalOptions::shards`] sets the
-//! worker count `W`; the default is one worker, which partitions and routes
-//! nothing, and set-union merging makes every `W` produce the same stages.
+//! worker count `W`; the default is one worker, whose one share of each
+//! delta is the whole window, and set-union merging makes every `W`
+//! produce the same stages.
 //!
 //! Evaluation reports [`EvalStats`] (tuples interned, duplicate
 //! derivations, join probes, stages) and honors a [`Governor`]'s budgets
@@ -93,13 +94,13 @@ pub struct EvalOptions {
     /// (differential-tested).
     pub lowering: JoinLowering,
     /// The worker count `W`, the only parallelism setting: each stage's
-    /// delta is hash-partitioned across `W` workers by tuple ownership
-    /// (planner-chosen key positions) and cross-owner derivations are
-    /// exchanged at the stage barrier (see [`crate::sharded`]). `None`
+    /// delta windows are cut into `W` contiguous id shares, one per
+    /// worker, and the workers' derivations are merged in worker order at
+    /// the stage barrier (see [`crate::sharded`]). `None`
     /// (the default) and `Some(1)` run the same single-worker stages and
     /// differ only in whether [`EvalResult::shard`] is reported. Stage
     /// *sets* are identical for every worker count (differential-tested
-    /// for W ∈ {1, 2, 4, 8}); counters such as `join_probes` may differ
+    /// for W ∈ {1, 2, 3, 4, 8}); counters such as `join_probes` may differ
     /// at `W > 1` because every worker with a share of a rule's delta
     /// runs that rule over its share.
     pub shards: Option<usize>,
@@ -131,9 +132,9 @@ impl EvalOptions {
         self
     }
 
-    /// The same options with `shards` workers per stage (hash-partitioned,
-    /// owner-computes); `None` runs one worker without reporting
-    /// [`EvalResult::shard`]. See [`EvalOptions::shards`].
+    /// The same options with `shards` workers per stage, each reading one
+    /// contiguous share of every delta; `None` runs one worker without
+    /// reporting [`EvalResult::shard`]. See [`EvalOptions::shards`].
     pub fn with_shards(mut self, shards: Option<usize>) -> Self {
         self.shards = shards;
         self
@@ -165,8 +166,8 @@ pub struct EvalResult {
     pub stage_marks: Vec<Vec<u32>>,
     /// Whether the fixpoint was reached (false only if `max_stages` hit).
     pub converged: bool,
-    /// Sharded-run statistics (worker loads, exchange traffic, key
-    /// choices); `None` unless the run set [`EvalOptions::shards`].
+    /// The worker count and each worker's probes; `None` unless the run
+    /// set [`EvalOptions::shards`].
     pub shard: Option<crate::sharded::ShardStats>,
 }
 
@@ -1203,20 +1204,9 @@ impl CompiledProgram {
             .relations()
             .map(|r| structure.relation(r).store())
             .collect();
-        // Shard keys are a pure function of the compiled variants and the
-        // EDB statistics (resumed runs re-derive them identically); at
-        // W = 1 none are chosen. Interrupts discard partial stages whole,
-        // so a checkpoint never holds in-flight exchange tuples.
-        let mut shards = sharded::Shards::new(options.shards, || {
-            let edb_arities: Vec<usize> = edb_stores.iter().map(|s| s.arity()).collect();
-            Some(sharded::choose_plan(
-                &plan.semi_variants,
-                &[],
-                &self.idb_arities,
-                &edb_arities,
-                &self.edb_card_stats(structure),
-            ))
-        });
+        // Interrupts discard partial stages whole, so a checkpoint holds
+        // committed stages only, and any worker count can resume it.
+        let mut shards = sharded::ShardStats::new(options.shards);
         let stages = StageLoop {
             structure,
             edb: &edb_stores,
@@ -1235,9 +1225,7 @@ impl CompiledProgram {
                 cp.idb_stores,
                 cp.progress,
                 converged,
-                options
-                    .shards
-                    .map(|_| shards.stats(plan.semi_variants.len())),
+                options.shards.map(|_| shards),
             )),
             // The committed state goes back as a resumable interrupt, with
             // the SCC stratum schedule's live set at that boundary: the
@@ -1289,7 +1277,7 @@ impl StageLoop<'_> {
         &self,
         idb: &mut sharded::IdbStores<'_>,
         idb_idx: &mut [IndexSlots],
-        shards: &mut sharded::Shards,
+        shards: &mut sharded::ShardStats,
         p: &mut Progress,
     ) -> Result<bool, Interrupted> {
         let (gov, plan) = (self.gov, self.plan);
@@ -1642,9 +1630,9 @@ impl DeletionWindows<'_> {
 pub(crate) struct JoinCtx<'a> {
     pub(crate) env: StageEnv<'a>,
     pub(crate) idb: &'a [&'a TupleStore],
-    /// This worker's window of each IDB delta: the whole
-    /// `[delta_lo, prev_len)` at `W = 1`, its owner sub-range otherwise;
-    /// in a deletion pass, its share of each IDB seed. Every semi-naive
+    /// This worker's window of each IDB delta: its contiguous share of
+    /// `[delta_lo, prev_len)` (the whole window at `W = 1`), or in a
+    /// deletion pass its share of each IDB seed. Every semi-naive
     /// variant pins exactly one delta atom, so narrowing the `Delta`
     /// window partitions its derivations across workers without touching
     /// `Old`/`Full` reads.
@@ -1732,8 +1720,8 @@ impl<'a> JoinCtx<'a> {
 }
 
 /// Per-worker evaluation buffers: one scratch arena per IDB predicate plus
-/// counters. Workers never exchange boxed tuples — scratch arenas are
-/// merged into the shared stores at the stage barrier.
+/// counters. The scratch arenas are merged into the shared stores at the
+/// stage barrier.
 pub(crate) struct WorkerBuf {
     pub(crate) scratch: Vec<TupleStore>,
     /// Counting mode (incremental maintenance): per-scratch-tuple

@@ -13,7 +13,7 @@
 //!
 //! Each [`apply_batch`](IncrementalEngine::apply_batch) runs two phases,
 //! both on the stage executor ([`crate::sharded`]'s `run_stage`) and its
-//! shared join kernels, so the shard count `W` of
+//! shared join kernels, so the worker count `W` of
 //! [`EvalOptions::shards`] splits the work of either:
 //!
 //! 1. **Deletion** (read-only plan, all-or-nothing commit). Retractions
@@ -91,7 +91,7 @@ use crate::eval::{
 };
 use crate::planner::{self, Fire, RunPlan, SccInfo};
 use crate::program::Program;
-use crate::sharded::{self, IdbStores, Shards};
+use crate::sharded::{self, IdbStores, ShardStats};
 use kv_structures::govern::{Governor, Interrupted};
 use kv_structures::store::{CardStats, EvalStats, TupleId, TupleStore};
 use kv_structures::{Element, InsertOutcome, MutableStore, RelId, Structure};
@@ -132,10 +132,6 @@ pub struct BatchSummary {
     /// initial batch this matches the from-scratch stage sequence
     /// tuple-for-tuple (Theorem 3.6 stage identity).
     pub stage_new: Vec<Vec<usize>>,
-    /// Tuples that crossed a shard boundary during the insertion pass
-    /// (zero unless [`EvalOptions::shards`] is set, and always zero at
-    /// `W = 1` — everything is local then).
-    pub exchanged_tuples: u64,
     /// Matching insert/retract pairs of the same tuple cancelled before
     /// planning (plus retracts of facts that were not live, dropped as
     /// no-ops). Coalescing is a pure optimization: the maintained
@@ -182,12 +178,6 @@ struct InsertionState {
     rederived_tuples: u64,
     overdeleted_tuples: u64,
     recomputed_sccs: u64,
-    /// The batch's worker count and shard keys (chosen only at `W > 1`),
-    /// plus the exchange traffic of committed stages. Keys are chosen once
-    /// per batch from the committed post-deletion EDB — a pure function of
-    /// frozen state, so resumed batches re-use the identical keys and the
-    /// owner-sorted insert appends stay valid.
-    shards: Shards,
 }
 
 /// Where a pending batch stands.
@@ -698,7 +688,6 @@ impl IncrementalEngine {
             overdeleted_tuples: state.overdeleted_tuples,
             recomputed_sccs: state.recomputed_sccs,
             stage_new: state.progress.stage_new,
-            exchanged_tuples: state.shards.exchanged,
             coalesced_pairs: batch.coalesced,
             eval_stats,
         })
@@ -752,33 +741,8 @@ impl IncrementalEngine {
             }
         }
         let edb_delta_lo: Vec<u32> = self.edb.iter().map(|m| m.len() as u32).collect();
-        // Shard keys are chosen against the committed post-deletion EDB —
-        // frozen state for the rest of the batch, so an interrupted batch
-        // re-derives the identical assignment on resume.
-        let shards = Shards::new(self.options.shards, || {
-            let edb_arities: Vec<usize> = self.edb.iter().map(|m| m.store().arity()).collect();
-            Some(sharded::choose_plan(
-                &self.insertion.semi_variants,
-                &self.insertion.naive_rules,
-                &self.compiled.idb_arities,
-                &edb_arities,
-                &card_stats(&self.edb),
-            ))
-        });
-        // Route the batch to its owning shards: appending each relation's
-        // inserts in owner order makes the EDB delta owner-contiguous, so
-        // stage 0 of the insertion pass hands every worker a contiguous
-        // sub-range instead of falling back to worker 0.
-        let mut order: Vec<usize> = (0..inserts.len()).collect();
-        if let Some(plan) = &shards.plan {
-            order.sort_by_key(|&i| {
-                let (r, t) = &inserts[i];
-                kv_structures::shard_of(t, plan.edb_keys[r.0], shards.workers)
-            });
-        }
         let mut edb_inserted = 0u64;
-        for &i in &order {
-            let (r, t) = &inserts[i];
+        for (r, t) in inserts {
             match self.edb[r.0].insert(t) {
                 InsertOutcome::Fresh(_) => edb_inserted += 1,
                 InsertOutcome::Bumped(_) => {}
@@ -800,7 +764,6 @@ impl IncrementalEngine {
             rederived_tuples: plan.rederived,
             overdeleted_tuples: plan.overdeleted,
             recomputed_sccs: plan.recomputed_sccs,
-            shards,
         }
     }
 
@@ -843,7 +806,8 @@ impl IncrementalEngine {
             gov,
         };
         let idb = &mut IdbStores::Counting(idb);
-        stages.run(idb, idb_idx, &mut st.shards, &mut st.progress)?;
+        let shards = &mut ShardStats::new(options.shards);
+        stages.run(idb, idb_idx, shards, &mut st.progress)?;
         Ok(())
     }
 }
@@ -934,7 +898,7 @@ struct Deleter<'a> {
     /// heads.
     fact_rules: &'a [CompiledRule],
     /// The batch's worker count: each pass splits its seeds across them.
-    shards: Shards,
+    shards: ShardStats,
     edb_dead: Vec<DenseSet>,
     idb_dead: Vec<DenseSet>,
     stats: EvalStats,
@@ -1253,7 +1217,7 @@ impl IncrementalEngine {
             idb_stores: &self.idb,
             variants: &variants,
             fact_rules: &self.fact_rules,
-            shards: Shards::new(self.options.shards, || None),
+            shards: ShardStats::new(self.options.shards),
             edb_dead: plan
                 .edb_dying
                 .iter()

@@ -771,57 +771,6 @@ impl CompiledProgram {
         );
         self.render(out, &plan)
     }
-
-    /// Renders the shard plan a sharded run over `structure` would choose
-    /// at the given worker count: one `shard[pred←pos, local|exchange]`
-    /// line per predicate, where `pos` is the hash-partitioning key
-    /// position and the verdict says whether every semi-naive variant
-    /// producing that predicate keeps its derivations on the delta seed's
-    /// owner (`local`) or some variant must cross the inter-worker
-    /// exchange at the stage barrier (`exchange`).
-    pub fn explain_sharded(&self, structure: &Structure, shards: usize) -> String {
-        let variants = &self.written.semi_variants;
-        let edb_arities: Vec<usize> = self
-            .vocabulary
-            .relations()
-            .map(|r| self.vocabulary.arity(r))
-            .collect();
-        let plan = crate::sharded::choose_plan(
-            variants,
-            &[],
-            &self.idb_arities,
-            &edb_arities,
-            &self.edb_card_stats(structure),
-        );
-        let mut out = String::new();
-        let _ = writeln!(out, "shard plan: W = {}", shards.max(1));
-        for (p, name) in self.idb_names.iter().enumerate() {
-            let producing: Vec<usize> = (0..variants.len())
-                .filter(|&v| variants[v].head.0 == p)
-                .collect();
-            let verdict = if producing.iter().all(|&v| plan.local[v]) {
-                "local"
-            } else {
-                "exchange"
-            };
-            let _ = writeln!(out, "  shard[{name}←{}, {verdict}]", plan.idb_keys[p].pos);
-        }
-        for (r, key) in self.vocabulary.relations().zip(&plan.edb_keys) {
-            let _ = writeln!(
-                out,
-                "  shard[{}←{}, edb]",
-                self.vocabulary.relation_name(r),
-                key.pos
-            );
-        }
-        let local = plan.local.iter().filter(|&&l| l).count();
-        let _ = writeln!(
-            out,
-            "  variants: {local} local, {} exchange",
-            plan.local.len() - local
-        );
-        out
-    }
 }
 
 #[cfg(test)]
@@ -829,21 +778,6 @@ mod tests {
     use super::*;
     use crate::programs;
     use kv_structures::generators::directed_path;
-
-    #[test]
-    fn explain_sharded_renders_keys_and_locality() {
-        let compiled = CompiledProgram::compile(&programs::transitive_closure());
-        let rendered = compiled.explain_sharded(&directed_path(6), 4);
-        assert!(rendered.starts_with("shard plan: W = 4\n"), "{rendered}");
-        // S(x,z) :- E(x,y), S(y,z) keeps the delta seed's second column in
-        // its head, so keying S on position 1 makes the variant local.
-        assert!(rendered.contains("shard[S←1, local]"), "{rendered}");
-        assert!(rendered.contains("shard[E←1, edb]"), "{rendered}");
-        assert!(
-            rendered.contains("variants: 1 local, 0 exchange"),
-            "{rendered}"
-        );
-    }
 
     #[test]
     fn tc_has_one_recursive_scc() {

@@ -38,7 +38,6 @@ pub mod par;
 pub mod persist;
 pub mod plan;
 pub mod rng;
-pub mod shard;
 pub mod store;
 pub mod structure;
 pub mod vocabulary;
@@ -54,7 +53,6 @@ pub use ops::{disjoint_union, induced_substructure, quotient};
 pub use persist::{LoadedLog, Manifest, RecoveryError, SegmentedLog};
 pub use plan::{DemandStrategy, JoinLowering, PlannerMode, QueryPlan};
 pub use rng::SplitMix64;
-pub use shard::{shard_of, DeltaExchange, ShardKey};
 pub use store::{
     gallop, gallop_intersect, gallop_intersect2, gallop_scalar, tuple_hash, CardStats, EvalStats,
     IdRange, PosIndex, StoreView, TupleBloom, TupleId, TupleStore,

@@ -25,8 +25,8 @@
 //!
 //! The interner is a bare open-addressing table over the arena (splitmix-
 //! style mixing, linear probing), so the store stays free of interior
-//! mutability and is `Sync`: parallel evaluation workers read a shared
-//! store and exchange [`TupleId`] buffers, never boxed tuples. Each table
+//! mutability and is `Sync`: parallel evaluation workers read one shared
+//! store at once, with no locks. Each table
 //! entry is one `u32` that packs a hash tag above the id: the table length
 //! is a power of two `2^b` and ids stay below three quarters of it, so the
 //! low `b` bits hold the id and the free high bits hold the tuple hash's
@@ -520,8 +520,8 @@ impl ElementSet {
     }
 }
 
-/// Splitmix64 finalizer, used by [`ElementSet`], [`TupleBloom`],
-/// [`ElementHasher`], and the shard-routing hash (`crate::shard`).
+/// Splitmix64 finalizer, used by [`ElementSet`], [`TupleBloom`] and
+/// [`ElementHasher`].
 #[inline]
 pub(crate) fn mix64(mut h: u64) -> u64 {
     h = h.wrapping_add(0x9E37_79B9_7F4A_7C15);

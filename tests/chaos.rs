@@ -208,9 +208,10 @@ fn chaos_seed() -> u64 {
 
 /// Worker-count axis for the sharded evaluator. CI re-runs the Datalog
 /// chaos points with `KV_CHAOS_SHARDS` set (W ∈ {1, 4}) so interrupts
-/// and resumes are driven through the hash-partition exchange seams
-/// too; unset keeps the single-store path. Stage identity is
-/// shard-count-free, so every assertion below holds unchanged.
+/// and resumes are driven through the per-worker delta shares and the
+/// worker-order merge too; unset keeps the single-worker path. Stage
+/// identity does not depend on the worker count, so every assertion
+/// below holds unchanged.
 fn chaos_shards() -> Option<usize> {
     std::env::var("KV_CHAOS_SHARDS")
         .ok()

@@ -16,7 +16,7 @@
 
 use datalog_expressiveness::datalog::programs::{
     avoiding_path, path_systems, q_kl, q_prime, transitive_closure, two_disjoint_paths_acyclic,
-    two_disjoint_paths_paper_rules, two_pairs_vocabulary,
+    two_disjoint_paths_paper_rules,
 };
 use datalog_expressiveness::datalog::{
     BindingPattern, EvalOptions, Evaluator, MagicProgram, Program,
@@ -27,32 +27,33 @@ use datalog_expressiveness::pebble::{CnfFormula, CnfGame, ExistentialGame};
 use datalog_expressiveness::structures::generators::{
     directed_path, random_dag, random_digraph, two_crossing_paths, two_disjoint_paths,
 };
-use datalog_expressiveness::structures::{
-    Element, Governor, HomKind, QueryPlan, Structure, Vocabulary,
-};
+use datalog_expressiveness::structures::{Element, Governor, HomKind, QueryPlan, Structure};
 use std::sync::Arc;
 
 /// One structure appropriate for each program's vocabulary (mirrors the
-/// chaos suite's fixtures).
+/// sharded suite's fixtures): the path-systems relations `R/3, A/1`, or a
+/// digraph `E/2` whose distinguished nodes interpret the vocabulary's
+/// constants. Programs with constants (the two-disjoint-paths programs and
+/// Theorem 6.2's game programs) assume acyclic inputs, so they get a
+/// random DAG.
 fn fixture_for(program: &Program, seed: u64) -> Structure {
-    let vocab = program.vocabulary();
-    if vocab.constant_count() == 4 {
-        let mut g = random_dag(8, 0.35, seed);
-        g.set_distinguished(vec![0, 6, 1, 7]);
-        g.to_structure_with(Arc::new(two_pairs_vocabulary()))
-    } else if vocab.relation_count() == 2 {
-        let mut v = Vocabulary::new();
-        let r = v.add_relation("R", 3);
-        let a = v.add_relation("A", 1);
-        let mut s = Structure::new(Arc::new(v), 7);
+    let vocab = Arc::clone(program.vocabulary());
+    if let (Some(r), Some(a)) = (vocab.relation_by_name("R"), vocab.relation_by_name("A")) {
+        let mut s = Structure::new(vocab, 7);
         s.insert(a, &[0]);
         s.insert(a, &[1]);
         for &(x, y, z) in &[(2, 0, 1), (3, 2, 0), (4, 3, 2), (5, 6, 6), (6, 4, 5)] {
             s.insert(r, &[x, y, z]);
         }
-        s
-    } else {
-        random_digraph(7, 0.3, seed).to_structure()
+        return s;
+    }
+    match vocab.constant_count() {
+        0 => random_digraph(7, 0.3, seed).to_structure(),
+        c => {
+            let mut g = random_dag(8, 0.35, seed);
+            g.set_distinguished([0, 6, 1, 7, 2, 5][..c].to_vec());
+            g.to_structure_with(vocab)
+        }
     }
 }
 
@@ -65,6 +66,8 @@ fn all_programs() -> Vec<Program> {
         path_systems(),
         two_disjoint_paths_acyclic(),
         two_disjoint_paths_paper_rules(),
+        q_kl(1, 1),
+        homeo::acyclic_game_program(&PatternSpec::path_length_two()),
     ]
 }
 

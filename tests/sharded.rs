@@ -1,27 +1,29 @@
-//! Sharded parallel evaluation: hash-partitioned deltas with inter-worker
-//! exchange at stage barriers.
+//! Sharded parallel evaluation: each stage's deltas cut into `W`
+//! contiguous worker shares, merged in worker order at the stage barrier.
 //!
 //! The load-bearing guarantee is that sharding is invisible to the paper's
 //! semantics: the global stage loop is preserved, so Theorem 3.6 stage
 //! identity holds for **any** worker count. These tests pin that down:
 //!
 //! 1. **Stage identity**: for every program, every planner/lowering
-//!    combination, and `W ∈ {1, 2, 4, 8}`, the sharded run produces the
+//!    combination, and `W ∈ {1, 2, 3, 4, 8}`, the sharded run produces the
 //!    same tuple set at every stage as the unsharded run. (Counters such
 //!    as `join_probes` may differ — each worker walks the full rule list
-//!    over its delta sub-range — so the comparison is set-based.)
+//!    over its delta share — so the comparison is set-based.)
 //! 2. **Magic sets**: seeded demand-driven runs of the rewritten programs
 //!    are likewise stage-identical under sharding, for every binding
 //!    pattern of the goal.
-//! 3. **Interrupt/resume through exchange seams**: a governed sharded run
-//!    that trips mid-evaluation resumes to the same stages as a straight
-//!    run — checkpoints never contain in-flight exchange tuples, and the
-//!    resumed run re-derives its owner ranges from the committed deltas.
-//! 4. **Shard statistics sanity**: owned-tuple counts sum to the derived
-//!    total, `W = 1` exchanges nothing, and the skew metric is finite.
+//! 3. **Interrupt/resume**: a governed sharded run that trips
+//!    mid-evaluation resumes to the same stages as a straight run —
+//!    checkpoints hold committed stages only, and any worker count can cut
+//!    their deltas into shares.
+//! 4. **Shard statistics**: one probe tally per worker, summing to the
+//!    run's probes.
 //! 5. **Counter exactness at `W = 1`**: one shard *is* the default path,
 //!    so from-scratch runs and maintenance batches report identical
 //!    counters with and without `shards: Some(1)`.
+//! 6. **Maintenance**: per-tuple support is exact at every `W`, and the
+//!    EDB's ids follow the batches alone, not the worker count.
 
 use datalog_expressiveness::datalog::programs::{
     avoiding_path, path_systems, q_kl, q_prime, transitive_closure, two_disjoint_paths_acyclic,
@@ -130,7 +132,7 @@ fn option_matrix() -> Vec<(&'static str, EvalOptions)> {
     ]
 }
 
-const WORKER_COUNTS: [usize; 4] = [1, 2, 4, 8];
+const WORKER_COUNTS: [usize; 5] = [1, 2, 3, 4, 8];
 
 #[test]
 fn sharded_stages_match_unsharded_for_every_worker_count() {
@@ -164,13 +166,13 @@ fn sharded_stages_match_unsharded_for_every_worker_count() {
 #[test]
 fn sharded_naive_evaluation_matches_semi_naive() {
     // Naive rules pin no delta; sharded stages deal them out to workers
-    // round-robin but must still route derivations by owner.
+    // round-robin, and the merge must still take the union.
     for program in all_programs() {
         let s = fixture_for(&program, 9_200);
         let label = program.idb_name(program.goal()).to_string();
         let eval = Evaluator::new(&program);
         let baseline = eval.run(&s, EvalOptions::default());
-        for w in [2, 8] {
+        for w in [2, 3, 8] {
             let naive = eval.run(
                 &s,
                 EvalOptions {
@@ -205,7 +207,7 @@ fn sharded_magic_runs_match_unsharded_for_every_binding_pattern() {
             let seeds = vec![(magic.magic_goal(), magic.seed(&query))];
             let compiled = magic.compile();
             let baseline = compiled.run_seeded(&s, EvalOptions::default(), &seeds);
-            for w in [2, 4] {
+            for w in [2, 3, 4] {
                 let sharded =
                     compiled.run_seeded(&s, EvalOptions::default().with_shards(Some(w)), &seeds);
                 assert!(
@@ -249,9 +251,9 @@ fn sharded_interrupt_resume_equals_straight_run() {
 
 #[test]
 fn sharded_checkpoints_resume_under_different_worker_counts() {
-    // A checkpoint records committed stages only — never in-flight exchange
-    // queues — so it can be resumed under any worker count, including
-    // unsharded, and still land on the same stages.
+    // A checkpoint records committed stages only, so it can be resumed
+    // under any worker count, including unsharded, and still land on the
+    // same stages.
     let program = transitive_closure();
     let s = fixture_for(&program, 9_500);
     let eval = Evaluator::new(&program);
@@ -263,6 +265,7 @@ fn sharded_checkpoints_resume_under_different_worker_counts() {
         for resume_opts in [
             EvalOptions::default(),
             EvalOptions::default().with_shards(Some(2)),
+            EvalOptions::default().with_shards(Some(3)),
             EvalOptions::default().with_shards(Some(8)),
         ] {
             let resumed = eval
@@ -283,35 +286,22 @@ fn sharded_checkpoints_resume_under_different_worker_counts() {
 
 #[test]
 fn shard_stats_are_consistent() {
+    // One probe tally per worker; together they are the run's probes.
     let program = transitive_closure();
     let s = random_digraph(24, 0.2, 77).to_structure();
     let eval = Evaluator::new(&program);
-
-    // W = 1: everything is local, nothing crosses a shard boundary.
-    let solo = eval.run(&s, EvalOptions::default().with_shards(Some(1)));
-    let solo_stats = solo.shard.as_ref().expect("shard stats");
-    assert_eq!(solo_stats.exchanged_tuples, 0, "W=1 must exchange nothing");
-    assert_eq!(solo_stats.workers, 1);
-
-    for w in [2, 4, 8] {
-        let run = eval.run(&s, EvalOptions::default().with_shards(Some(w)));
-        let stats = run.shard.as_ref().expect("shard stats");
-        assert_eq!(stats.owned.len(), w);
-        let owned_total: u64 = stats.owned.iter().sum();
-        let derived: u64 = run.idb.iter().map(|r| r.len() as u64).sum();
-        assert_eq!(
-            owned_total, derived,
-            "W={w}: per-worker owned counts must sum to the derived total"
-        );
-        assert!(
-            stats.skew_pct() >= 0.0 && stats.skew_pct().is_finite(),
-            "W={w}"
-        );
-        assert_eq!(stats.idb_keys.len(), run.idb.len(), "W={w}");
-        assert!(
-            stats.local_variants + stats.exchange_variants > 0,
-            "W={w}: planner classified no variants"
-        );
+    for (mode, base) in option_matrix() {
+        for w in [1, 2, 3, 4, 8] {
+            let run = eval.run(&s, base.with_shards(Some(w)));
+            let stats = run.shard.as_ref().expect("shard stats");
+            assert_eq!(stats.workers, w, "{mode}");
+            assert_eq!(stats.worker_probes.len(), w, "{mode}");
+            assert_eq!(
+                stats.worker_probes.iter().sum::<u64>(),
+                run.eval_stats.join_probes + run.eval_stats.block_probes,
+                "{mode} W={w}: worker probes must sum to the run's"
+            );
+        }
     }
 }
 
@@ -364,18 +354,15 @@ fn sharded_incremental_engine_matches_unsharded_supports_exactly() {
     // just its live sets — must equal the unsharded engine's after every
     // batch of a mutation schedule.
     for (pi, program) in all_programs().iter().enumerate() {
-        for w in [1usize, 2, 4] {
+        for w in [1usize, 2, 3, 4] {
             let s = fixture_for(program, 9_600 + pi as u64);
             let (mut plain, _) =
                 IncrementalEngine::from_structure(program, &s, EvalOptions::default());
-            let (mut sharded, first) = IncrementalEngine::from_structure(
+            let (mut sharded, _) = IncrementalEngine::from_structure(
                 program,
                 &s,
                 EvalOptions::default().with_shards(Some(w)),
             );
-            if w == 1 {
-                assert_eq!(first.exchanged_tuples, 0, "W=1 exchanges nothing");
-            }
             let mut rng = SplitMix64::seed_from_u64(0x1990_9600 + pi as u64 * 31 + w as u64);
             for batch in 0..4u32 {
                 let (inserts, retracts) = random_batch(&plain, &mut rng);
@@ -406,7 +393,7 @@ fn sharded_initial_batch_has_stage_identity() {
             .iter()
             .map(|st| st.new_tuples.clone())
             .collect();
-        for w in [1usize, 2, 8] {
+        for w in [1usize, 2, 3, 8] {
             let (_, summary) = IncrementalEngine::from_structure(
                 program,
                 &s,
@@ -423,9 +410,8 @@ fn sharded_initial_batch_has_stage_identity() {
 #[test]
 fn sharded_batch_interrupt_resume_equals_straight_batch() {
     // A governed sharded batch interrupted mid-pass and resumed must land
-    // on exactly the straight batch's state: the owner-sorted EDB appends
-    // and the pure-function shard plan are both re-derived from committed
-    // state, and checkpoints hold no in-flight exchange tuples.
+    // on exactly the straight batch's state: the batch's EDB appends and
+    // committed stages are kept, and a partial stage is discarded whole.
     let programs = all_programs();
     for index in 0..16usize {
         let program = &programs[index % programs.len()];
@@ -547,12 +533,48 @@ fn workers_with_an_empty_share_run_no_rules() {
     let s = datalog_expressiveness::structures::generators::directed_path(2);
     let edge: Fact = (s.vocabulary().relations().next().expect("E"), vec![0, 1]);
     let mut probes = Vec::new();
-    for w in [1usize, 2, 4] {
+    for w in [1usize, 2, 3, 4] {
         let opts = EvalOptions::default().with_shards(Some(w));
         let (mut engine, _) = IncrementalEngine::from_structure(&program, &s, opts);
         let summary = engine.apply_batch(&[], std::slice::from_ref(&edge));
         assert_eq!(summary.overdeleted_tuples, 1, "W={w}");
         probes.push(summary.eval_stats.join_probes);
     }
-    assert_eq!(probes, [probes[0]; 3], "deletion probes at W = 1, 2, 4");
+    assert_eq!(probes, [probes[0]; 4], "deletion probes at W = 1, 2, 3, 4");
+}
+
+#[test]
+fn edb_ids_do_not_depend_on_the_worker_count() {
+    // A batch's inserts are appended in the order given, whatever `W`: the
+    // EDB's ids are a function of the batches alone.
+    for (pi, program) in all_programs().iter().enumerate() {
+        let s = fixture_for(program, 9_990 + pi as u64);
+        let mut engines: Vec<IncrementalEngine> = [1usize, 2, 4]
+            .iter()
+            .map(|&w| {
+                let opts = EvalOptions::default().with_shards(Some(w));
+                IncrementalEngine::from_structure(program, &s, opts).0
+            })
+            .collect();
+        let mut rng = SplitMix64::seed_from_u64(0x1990_9990 + pi as u64);
+        for batch in 0..4u32 {
+            let (inserts, retracts) = random_batch(&engines[0], &mut rng);
+            for engine in &mut engines {
+                engine.apply_batch(&inserts, &retracts);
+            }
+            let ids = |engine: &IncrementalEngine| -> Vec<Vec<Element>> {
+                s.vocabulary()
+                    .relations()
+                    .flat_map(|r| engine.edb_store(r).store().iter().map(<[_]>::to_vec))
+                    .collect()
+            };
+            for (engine, w) in engines.iter().zip([1, 2, 4]).skip(1) {
+                assert_eq!(
+                    ids(&engines[0]),
+                    ids(engine),
+                    "program {pi} batch {batch}: EDB ids differ at W={w}"
+                );
+            }
+        }
+    }
 }
