@@ -420,7 +420,9 @@ impl ProgramQuery {
     /// re-seeded with `tuple`, so one compiled query serves every goal
     /// tuple of its binding pattern. Requires `&self` only — the compiled
     /// program and rewrite are immutable after construction, so any number
-    /// of reader threads evaluate concurrently with no shared lock.
+    /// of reader threads evaluate concurrently. The one lock they share
+    /// guards the compiled program's memoized cost-based plan (see
+    /// [`CompiledProgram`]) and is held only to read or replace it.
     ///
     /// # Panics
     /// Panics if `tuple`'s arity differs from the goal's.
@@ -650,6 +652,58 @@ mod tests {
             q.try_eval_at_uncached(&s, &[0, 4], &cancelled),
             Err(Interrupted::Cancelled)
         );
+    }
+
+    #[test]
+    fn concurrent_readers_agree_while_the_plan_memo_thrashes() {
+        // Two readers share one query and alternate between structures
+        // with different statistics, so nearly every call replaces the
+        // plan the other reader's last call memoized. Every answer must
+        // equal the answer a query of its own gives.
+        use kv_structures::generators::random_digraph;
+        let query = || ProgramQuery::at_tuple("reach", transitive_closure(), vec![0, 0]);
+        let q = query();
+        let structures = [
+            random_digraph(12, 0.15, 7).to_structure(),
+            random_digraph(12, 0.3, 8).to_structure(),
+        ];
+        let stats = |s: &Structure| -> Vec<_> {
+            s.vocabulary()
+                .relations()
+                .map(|r| s.relation(r).store().card_stats())
+                .collect()
+        };
+        assert_ne!(stats(&structures[0]), stats(&structures[1]));
+        let indexes = [
+            EdbIndexes::new(&structures[0]),
+            EdbIndexes::new(&structures[1]),
+        ];
+        let gov = Governor::unlimited();
+        let tuple = |i: u32| [i % 12, i * 5 % 12];
+        let expected: Vec<[bool; 2]> = (0..200)
+            .map(|i| {
+                [0, 1].map(|k| {
+                    query()
+                        .try_eval_at_uncached(&structures[k], &tuple(i), &gov)
+                        .unwrap()
+                })
+            })
+            .collect();
+        std::thread::scope(|scope| {
+            for reader in 0..2usize {
+                let (q, structures, indexes, expected, gov) =
+                    (&q, &structures, &indexes, &expected, &gov);
+                scope.spawn(move || {
+                    for i in 0..200u32 {
+                        let k = (i as usize + reader) % 2;
+                        let got = q
+                            .try_eval_at_indexed(&structures[k], &indexes[k], &tuple(i), gov)
+                            .unwrap();
+                        assert_eq!(got, expected[i as usize][k], "reader {reader}, call {i}");
+                    }
+                });
+            }
+        });
     }
 
     #[test]

@@ -60,10 +60,10 @@ use kv_structures::store::{
     TupleBloom, TupleId, TupleStore,
 };
 use kv_structures::{Element, JoinLowering, PlannerMode, RelId, Relation, Structure, Vocabulary};
-use std::borrow::Cow;
 use std::collections::{HashMap, HashSet};
 use std::fmt;
-use std::sync::{Arc, OnceLock};
+use std::ops::Deref;
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 
 /// Options controlling evaluation.
 #[derive(Debug, Clone, Copy)]
@@ -80,10 +80,12 @@ pub struct EvalOptions {
     /// as written: written atom order, first-bound-argument probes, and no
     /// probe memos, batched emission or Bloom filters (the default here,
     /// so baseline counters stay byte-identical to the seed engine's).
-    /// [`PlannerMode::CostBased`] re-plans each body against the
-    /// structure's [`kv_structures::CardStats`] at run start, selects
-    /// specialized join kernels and turns those batching aids on. Both
-    /// derive the same tuple set at every stage (differential-tested).
+    /// [`PlannerMode::CostBased`] plans each body against the
+    /// structure's [`kv_structures::CardStats`] and universe size, selects
+    /// specialized join kernels and turns those batching aids on; a run
+    /// whose statistics, universe size and lowering equal the previous
+    /// cost-based run's reuses that run's plan (see [`CompiledProgram`]).
+    /// Both derive the same tuple set at every stage (differential-tested).
     pub planner: PlannerMode,
     /// How cost-based plans lower rule bodies into join loops:
     /// [`JoinLowering::Auto`] picks the worst-case-optimal generic join
@@ -927,6 +929,13 @@ impl<'a> Indexes<'a> {
 /// variants as one plan, with static probe positions. Compiled **once** —
 /// by [`Evaluator::new`] or directly — and reusable across arbitrarily many
 /// structures, which is what `kv-core`'s `ProgramQuery` relies on.
+///
+/// A cost-based plan is a pure function of the written rules and its
+/// key: the planner mode, the join lowering, the EDB [`CardStats`] and
+/// the universe size. The program keeps the last plan it made with its
+/// key, and a cost-based run whose key is equal runs that plan instead of
+/// planning again. Runs that repeat their planner inputs — a service's
+/// misses on one snapshot, a resumed run — plan once.
 #[derive(Debug, Clone)]
 pub struct CompiledProgram {
     pub(crate) vocabulary: Arc<Vocabulary>,
@@ -940,6 +949,56 @@ pub struct CompiledProgram {
     /// The predicate dependency graph's strongly connected components and
     /// their topological stratum order (see [`crate::planner`]).
     pub(crate) scc: SccInfo,
+    /// The last cost-based plan and the planner inputs it was made from.
+    memo: PlanMemo,
+}
+
+/// Everything [`planner::plan`] reads besides the written rules: two
+/// cost-based runs with equal keys run the same plan.
+#[derive(Debug, Clone, PartialEq, Eq)]
+struct PlanKey {
+    planner: PlannerMode,
+    lowering: JoinLowering,
+    /// One per relation of the program's vocabulary.
+    edb_stats: Vec<CardStats>,
+    universe: usize,
+}
+
+/// A one-entry memo of cost-based plans. The lock is held only to read or
+/// replace the entry, never while planning, so a replan blocks no reader.
+#[derive(Debug, Default)]
+struct PlanMemo(Mutex<Option<(PlanKey, Arc<RunPlan>)>>);
+
+impl PlanMemo {
+    fn lock(&self) -> MutexGuard<'_, Option<(PlanKey, Arc<RunPlan>)>> {
+        // A poisoned lock only means another thread panicked: the entry is
+        // replaced whole, so it is either the old pair or the new one.
+        self.0.lock().unwrap_or_else(|e| e.into_inner())
+    }
+}
+
+impl Clone for PlanMemo {
+    fn clone(&self) -> Self {
+        Self(Mutex::new(self.lock().clone()))
+    }
+}
+
+/// The plan a run evaluates: the written plan, borrowed, or a cost-based
+/// plan shared with the program's memo.
+pub(crate) enum PlanRef<'a> {
+    Written(&'a RunPlan),
+    Planned(Arc<RunPlan>),
+}
+
+impl Deref for PlanRef<'_> {
+    type Target = RunPlan;
+
+    fn deref(&self) -> &RunPlan {
+        match self {
+            PlanRef::Written(plan) => plan,
+            PlanRef::Planned(plan) => plan,
+        }
+    }
 }
 
 impl CompiledProgram {
@@ -996,6 +1055,7 @@ impl CompiledProgram {
                 fire: Fire::Seed,
             },
             scc: SccInfo::of_program(program),
+            memo: PlanMemo::default(),
         }
     }
 
@@ -1024,19 +1084,40 @@ impl CompiledProgram {
     }
 
     /// The plan a run on `structure` under `options` evaluates: the
-    /// written plan, borrowed, or its cost-based re-plan.
-    fn plan_for(&self, structure: &Structure, options: &EvalOptions) -> Cow<'_, RunPlan> {
+    /// written plan, borrowed, or its cost-based re-plan — the memoized
+    /// one when the planner inputs equal its key, else a new one, which
+    /// replaces the memo's entry.
+    fn plan_for(&self, structure: &Structure, options: &EvalOptions) -> PlanRef<'_> {
         assert_eq!(
             structure.vocabulary(),
             &self.vocabulary,
             "structure/program vocabulary mismatch"
         );
-        planner::plan(
-            &self.written,
-            options,
-            || self.edb_card_stats(structure),
-            structure.universe_size(),
-        )
+        if options.planner == PlannerMode::Textual {
+            return PlanRef::Written(&self.written);
+        }
+        let key = PlanKey {
+            planner: options.planner,
+            lowering: options.lowering,
+            edb_stats: self.edb_card_stats(structure),
+            universe: structure.universe_size(),
+        };
+        if let Some((memo_key, plan)) = &*self.memo.lock() {
+            if *memo_key == key {
+                return PlanRef::Planned(Arc::clone(plan));
+            }
+        }
+        let plan = Arc::new(
+            planner::plan(
+                &self.written,
+                options,
+                || key.edb_stats.clone(),
+                key.universe,
+            )
+            .into_owned(),
+        );
+        *self.memo.lock() = Some((key, Arc::clone(&plan)));
+        PlanRef::Planned(plan)
     }
 
     /// Evaluates on `structure` to fixpoint (or `options.max_stages`),
@@ -1183,8 +1264,8 @@ impl CompiledProgram {
     /// The governed evaluation core: runs `plan` from `cp` (fresh or
     /// resumed) to fixpoint, truncation, or interrupt on the [`StageLoop`],
     /// probing the EDB through `edb_idx`. The plan is a pure function of
-    /// (program, structure, options), so interrupted runs re-derive it
-    /// identically on resume.
+    /// (program, structure, options), so a resumed run gets the plan the
+    /// interrupted one ran: the memoized one, or an identical replan.
     fn run_from(
         &self,
         structure: &Structure,
@@ -2817,5 +2898,98 @@ mod tests {
         assert_eq!(err.checkpoint.stage_count(), 0);
         let partial = err.checkpoint.partial_result();
         assert!(!partial.converged);
+    }
+
+    /// The memo's plan, if a cost-based run has made one.
+    fn memo_plan(compiled: &CompiledProgram) -> Option<Arc<RunPlan>> {
+        compiled
+            .memo
+            .lock()
+            .as_ref()
+            .map(|(_, plan)| Arc::clone(plan))
+    }
+
+    fn cost(lowering: JoinLowering) -> EvalOptions {
+        EvalOptions::default()
+            .with_planner(PlannerMode::CostBased)
+            .with_lowering(lowering)
+    }
+
+    #[test]
+    fn equal_card_stats_reuse_the_plan() {
+        let compiled = CompiledProgram::compile(&tc());
+        let s = directed_path(6);
+        let first = compiled.run(&s, cost(JoinLowering::Auto));
+        let plan = memo_plan(&compiled).expect("a cost-based run memoizes its plan");
+        // Another structure with equal statistics, and a resumed run on
+        // the first one, run the memoized plan.
+        let second = compiled.run(&directed_path(6), cost(JoinLowering::Auto));
+        assert!(Arc::ptr_eq(&plan, &memo_plan(&compiled).unwrap()));
+        let two_stages = Governor::with_budget(Budget {
+            max_stages: Some(2),
+            ..Budget::UNLIMITED
+        });
+        let interrupted = compiled
+            .try_run_governed(&s, cost(JoinLowering::Auto), &two_stages)
+            .unwrap_err();
+        let resumed = compiled
+            .resume(
+                &s,
+                cost(JoinLowering::Auto),
+                &Governor::unlimited(),
+                interrupted.checkpoint,
+            )
+            .unwrap();
+        assert!(Arc::ptr_eq(&plan, &memo_plan(&compiled).unwrap()));
+        match compiled.plan_for(&s, &cost(JoinLowering::Auto)) {
+            PlanRef::Planned(p) => assert!(Arc::ptr_eq(&plan, &p)),
+            PlanRef::Written(_) => panic!("a cost-based run borrowed the written plan"),
+        }
+        assert_eq!(first.idb, second.idb);
+        assert_eq!(first.eval_stats, second.eval_stats);
+        assert!(first.same_stages(&resumed));
+    }
+
+    #[test]
+    fn changed_card_stats_replan() {
+        let compiled = CompiledProgram::compile(&tc());
+        let path = directed_path(6);
+        let mut wider = path.clone();
+        wider.grow(4);
+        let mut last = None;
+        // Each run changes one planner input: the relation statistics,
+        // the universe size alone, then the lowering alone.
+        for (s, lowering) in [
+            (&path, JoinLowering::Auto),
+            (&directed_cycle(6), JoinLowering::Auto),
+            (&wider, JoinLowering::Auto),
+            (&wider, JoinLowering::Generic),
+        ] {
+            let fresh = CompiledProgram::compile(&tc()).run(s, cost(lowering));
+            let run = compiled.run(s, cost(lowering));
+            assert_eq!(run.idb, fresh.idb);
+            assert_eq!(run.eval_stats, fresh.eval_stats);
+            let plan = memo_plan(&compiled).unwrap();
+            if let Some(prev) = &last {
+                assert!(!Arc::ptr_eq(prev, &plan), "stale plan reused");
+            }
+            last = Some(plan);
+        }
+    }
+
+    #[test]
+    fn textual_runs_never_touch_the_memo() {
+        let compiled = CompiledProgram::compile(&tc());
+        let s = directed_path(6);
+        compiled.run(&s, EvalOptions::default());
+        assert!(memo_plan(&compiled).is_none());
+        compiled.run(&s, cost(JoinLowering::Auto));
+        let plan = memo_plan(&compiled).unwrap();
+        compiled.run(&directed_cycle(5), EvalOptions::default());
+        assert!(Arc::ptr_eq(&plan, &memo_plan(&compiled).unwrap()));
+        match compiled.plan_for(&s, &EvalOptions::default()) {
+            PlanRef::Written(p) => assert!(std::ptr::eq(p, &compiled.written)),
+            PlanRef::Planned(_) => panic!("a textual run got a cost-based plan"),
+        }
     }
 }

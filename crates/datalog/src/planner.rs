@@ -8,7 +8,9 @@
 //! engine's insertion pass get their plan from one entry, `plan`, which
 //! borrows the written (textual) plan or re-plans it. A plan carries all
 //! the modes differ in: atom order, kernels, probe memos and batched
-//! emission, Bloom pre-filters, and which rules a stage skips.
+//! emission, Bloom pre-filters, and which rules a stage skips. A
+//! [`CompiledProgram`] keeps its last cost-based plan with the inputs it
+//! was made from, and calls `plan` only when a run's inputs differ.
 //!
 //! - **SCC stratum schedule.** [`SccInfo`] computes the IDB dependency
 //!   graph (head depends on body predicates), its SCCs (iterative Tarjan),
@@ -35,8 +37,9 @@
 //!   to exist, the remaining atoms would only re-verify a derivation that
 //!   adds nothing.
 //!
-//! Plans are pure functions of `(program, EDB statistics, options)`, so
-//! governed interrupt/resume re-derives them deterministically, and
+//! Plans are pure functions of `(program, EDB statistics, universe size,
+//! options)`, so a memoized plan is never stale, governed interrupt/resume
+//! runs the plan the interrupted run ran, and
 //! [`CompiledProgram::explain`]/[`CompiledProgram::explain_for`] render
 //! them for golden tests and review diffs.
 
@@ -232,7 +235,8 @@ pub(crate) enum Fire {
 /// plan is `written` itself, borrowed. The cost-based plan re-plans each
 /// rule against `edb_stats()` (called only then) under `options.lowering`,
 /// with memos, batched emission, Bloom filters and the all-sources filter
-/// on. Pure in its inputs, so a resumed run or batch re-derives it.
+/// on. Pure in its inputs, so a resumed run or batch re-derives it, and
+/// a from-scratch run may reuse the plan of a run with equal inputs.
 pub(crate) fn plan<'w>(
     written: &'w RunPlan,
     options: &EvalOptions,

@@ -8,14 +8,19 @@
 //! - **Readers never block writers, writers never block readers.** A
 //!   reader's only contact with shared mutable state is three short
 //!   critical sections: cloning the published snapshot `Arc`, one cache
-//!   lookup, and the admission debit. Evaluation itself runs against the
-//!   immutable snapshot with no lock held.
-//! - **Readers share a snapshot's indexes.** A cache miss evaluates
-//!   through the snapshot's [`EdbIndexes`](kv_datalog::EdbIndexes): the
-//!   first miss to probe a relation position builds its index, and every
-//!   later miss on the snapshot reuses it, so a miss costs its demand
-//!   fixpoint rather than a pass over the EDB. Readers that race the
-//!   first probe of one position wait for a single build.
+//!   lookup, and the admission debit. A miss adds one more, reading (or
+//!   replacing) its query's memoized plan. Evaluation itself runs
+//!   against the immutable snapshot with no lock held.
+//! - **Readers share a snapshot's indexes and a query's plan.** A cache
+//!   miss evaluates through the snapshot's
+//!   [`EdbIndexes`](kv_datalog::EdbIndexes): the first miss to probe a
+//!   relation position builds its index, and every later miss on the
+//!   snapshot reuses it, so a miss costs its demand fixpoint rather than
+//!   a pass over the EDB. Readers that race the first probe of one
+//!   position wait for a single build. A miss also runs the cost-based
+//!   plan its query's demand program memoized for the same EDB
+//!   statistics (see [`kv_datalog::CompiledProgram`]), so it re-plans
+//!   only when a writer epoch changed them.
 //! - **No torn reads.** Every answer is computed against (or cached from)
 //!   the fixpoint of exactly one committed epoch; the epoch is returned
 //!   with the answer. A reader holding an old snapshot keeps it alive

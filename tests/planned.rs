@@ -22,16 +22,20 @@ use datalog_expressiveness::datalog::{
     BindingPattern, CompiledProgram, EdbIndexes, EvalOptions, Evaluator, Governor, IdbId,
     JoinLowering, MagicProgram, PlannerMode, Program,
 };
-use datalog_expressiveness::homeo::{acyclic_game_program, PatternSpec};
+use datalog_expressiveness::homeo::{
+    acyclic_game_program, class_c_program, classify, PatternClass, PatternSpec,
+};
 use datalog_expressiveness::structures::generators::{random_dag, random_digraph};
 use datalog_expressiveness::structures::{Element, EvalStats, Structure};
+use datalog_expressiveness::{ProgramQuery, QueryPlan};
 use std::sync::Arc;
 
 /// One structure over the program's own vocabulary: the path-systems
 /// relations `R/3, A/1`, or a digraph `E/2` whose distinguished nodes
 /// interpret the vocabulary's constants. Programs with constants (the
 /// two-disjoint-paths programs and Theorem 6.2's game programs) assume
-/// acyclic inputs, so they get a random DAG.
+/// acyclic inputs, so they get a random DAG; Theorem 6.1's class-`C`
+/// programs, which hold on any input, get one too.
 fn fixture_for(program: &Program, seed: u64) -> Structure {
     let vocab = Arc::clone(program.vocabulary());
     if let (Some(r), Some(a)) = (vocab.relation_by_name("R"), vocab.relation_by_name("A")) {
@@ -73,6 +77,30 @@ fn game_patterns() -> [PatternSpec; 2] {
     ]
 }
 
+/// Theorem 6.1's class-`C` patterns: the self-loop pattern
+/// `{(0,0), (0,1)}`, whose program is the proof's self-loop case analysis,
+/// and the two-leg out-star, whose program is built from `Q_{2,0}`.
+fn class_c_patterns() -> [PatternSpec; 2] {
+    [
+        PatternSpec {
+            node_count: 2,
+            edges: vec![(0, 0), (0, 1)],
+        },
+        PatternSpec {
+            node_count: 3,
+            edges: vec![(0, 1), (0, 2)],
+        },
+    ]
+}
+
+/// Theorem 6.1's program for a class-`C` pattern.
+fn class_c(pattern: &PatternSpec) -> Program {
+    match classify(pattern) {
+        PatternClass::InC(root) => class_c_program(pattern, &root),
+        other => panic!("{pattern:?} is not in C: {other:?}"),
+    }
+}
+
 fn all_programs() -> Vec<Program> {
     let mut programs = vec![
         transitive_closure(),
@@ -88,6 +116,7 @@ fn all_programs() -> Vec<Program> {
         q_kl(3, 1),
     ];
     programs.extend(game_patterns().iter().map(acyclic_game_program));
+    programs.extend(class_c_patterns().iter().map(class_c));
     programs
 }
 
@@ -374,6 +403,132 @@ fn shared_prewarmed_indexes_match_a_fresh_run() {
     }
 }
 
+/// `a`'s tuples and constants over a universe grown by isolated elements
+/// until it exceeds every relation's length: the same relation statistics
+/// under another universe size.
+fn with_isolated_elements(a: &Structure) -> Structure {
+    let vocab = a.vocabulary();
+    let longest = vocab.relations().map(|r| a.relation(r).len()).max();
+    let mut c = a.clone();
+    c.grow(longest.unwrap_or(0) + 1);
+    c
+}
+
+/// `a` with each relation replaced by as many tuples, the lexicographically
+/// first ones whose elements are pairwise distinct: the same universe,
+/// constants and relation lengths under other per-position distinct
+/// counts.
+fn with_skewed_columns(a: &Structure) -> Structure {
+    let vocab = Arc::clone(a.vocabulary());
+    let n = a.universe_size() as Element;
+    let mut d = Structure::new(Arc::clone(&vocab), a.universe_size());
+    for c in vocab.constants() {
+        d.set_constant(c, a.constant(c));
+    }
+    for r in vocab.relations() {
+        let mut t = vec![0 as Element; vocab.arity(r)];
+        while d.relation(r).len() < a.relation(r).len() {
+            if t.iter().enumerate().all(|(i, x)| !t[..i].contains(x)) {
+                d.insert(r, &t);
+            }
+            // The next tuple in lexicographic order.
+            let mut i = t.len();
+            while i > 0 && t[i - 1] == n - 1 {
+                t[i - 1] = 0;
+                i -= 1;
+            }
+            assert!(i > 0, "relation {r:?} has more tuples than distinct ones");
+            t[i - 1] += 1;
+        }
+    }
+    d
+}
+
+/// An `explain_for_lowered` rendering without the statistics it prints:
+/// the planned rules alone.
+fn planned_rules(rendered: &str) -> String {
+    rendered
+        .lines()
+        .filter(|l| !l.starts_with("structure:") && !l.starts_with("edb "))
+        .collect::<Vec<_>>()
+        .join("\n")
+}
+
+#[test]
+fn a_reused_program_runs_every_structure_as_a_fresh_one_does() {
+    // A compiled program keeps its last cost-based plan and runs it again
+    // while the planner's inputs stay equal. One reused evaluator per
+    // evaluation mode and one reused query run A, A, B, A, C, D, A: hits,
+    // misses and returns to an earlier key. C changes only the universe
+    // size and D only the per-position distinct counts. Each changes some
+    // program's plan, so a plan kept across either change would show in
+    // the stages or counters. Naive evaluation runs the naive rules at
+    // every stage, where C's plan changes show.
+    let (mut c_replans, mut d_replans) = (0, 0);
+    for (pi, program) in all_programs().iter().enumerate() {
+        let a = fixture_for(program, 23_000 + 7 * pi as u64);
+        let b = fixture_for(program, 23_001 + 7 * pi as u64);
+        let c = with_isolated_elements(&a);
+        let d = with_skewed_columns(&a);
+        let arity = program.idb_arity(program.goal());
+        let tuple: Vec<Element> = (0..arity as Element).collect();
+        let compiled = CompiledProgram::compile(program);
+        for lowering in [
+            JoinLowering::Auto,
+            JoinLowering::Binary,
+            JoinLowering::Generic,
+        ] {
+            let rules = |s: &Structure| planned_rules(&compiled.explain_for_lowered(s, lowering));
+            c_replans += usize::from(rules(&c) != rules(&a));
+            d_replans += usize::from(rules(&d) != rules(&a));
+            let modes = [true, false].map(|semi_naive| EvalOptions {
+                semi_naive,
+                ..opts(PlannerMode::CostBased).with_lowering(lowering)
+            });
+            let query = || {
+                let plan = QueryPlan::auto(vec![true; arity]).with_lowering(lowering);
+                ProgramQuery::with_plan("reuse", program.clone(), tuple.clone(), plan)
+            };
+            let reused = modes.map(|_| Evaluator::new(program));
+            let reused_query = query();
+            for (step, (name, s)) in [
+                ("A", &a),
+                ("A", &a),
+                ("B", &b),
+                ("A", &a),
+                ("C", &c),
+                ("D", &d),
+                ("A", &a),
+            ]
+            .into_iter()
+            .enumerate()
+            {
+                let label = format!("program {pi}, {lowering}, step {step} ({name})");
+                for (evaluator, o) in reused.iter().zip(modes) {
+                    let fresh = Evaluator::new(program).run(s, o);
+                    let run = evaluator.run(s, o);
+                    let label = format!("{label}, semi-naive {}", o.semi_naive);
+                    assert!(run.same_stages(&fresh), "{label}");
+                    assert_eq!(run.eval_stats, fresh.eval_stats, "{label}");
+                }
+                assert_eq!(
+                    reused_query.eval_demand_with_stats(s),
+                    query().eval_demand_with_stats(s),
+                    "{label}: demand path"
+                );
+            }
+        }
+    }
+    assert!(
+        c_replans > 0,
+        "no program's plan depends on the universe size"
+    );
+    assert!(
+        d_replans > 0,
+        "no program's plan depends on distinct counts"
+    );
+}
+
 /// The fixtures the pinned counters are recorded on.
 const PINNED_SEEDS: [u64; 2] = [21_000, 21_001];
 
@@ -441,7 +596,7 @@ fn from_scratch_counters_are_pinned() {
 /// Recorded [`counter_row`]s: per program of [`all_programs`], per seed of
 /// [`PINNED_SEEDS`], per configuration of [`pinned_configs`].
 #[rustfmt::skip]
-const PINNED_COUNTERS: [[u64; 8]; 104] = [
+const PINNED_COUNTERS: [[u64; 8]; 120] = [
     // transitive_closure
     [54, 0, 0, 0, 34, 35, 4, 0],
     [22, 0, 18, 0, 34, 35, 4, 0],
@@ -559,4 +714,22 @@ const PINNED_COUNTERS: [[u64; 8]; 104] = [
     [90, 0, 35, 0, 8, 27, 5, 0],
     [90, 0, 35, 0, 8, 27, 5, 0],
     [242, 0, 0, 380, 12, 27, 5, 22],
+    // class_c_program(self-loop pattern {(0,0), (0,1)})
+    [272, 0, 0, 0, 0, 94, 5, 0],
+    [122, 0, 74, 0, 0, 94, 5, 0],
+    [122, 0, 74, 0, 0, 94, 5, 0],
+    [247, 0, 0, 274, 0, 94, 5, 21],
+    [409, 0, 0, 0, 39, 153, 4, 0],
+    [119, 0, 167, 11, 29, 153, 4, 0],
+    [119, 0, 167, 11, 29, 153, 4, 0],
+    [405, 0, 0, 952, 39, 153, 4, 14],
+    // class_c_program(out_star(2))
+    [251, 0, 0, 0, 0, 82, 5, 0],
+    [106, 0, 71, 0, 0, 82, 5, 0],
+    [106, 0, 71, 0, 0, 82, 5, 0],
+    [223, 0, 0, 269, 0, 82, 5, 11],
+    [381, 0, 0, 0, 34, 137, 4, 0],
+    [101, 0, 159, 0, 24, 137, 4, 0],
+    [101, 0, 159, 0, 24, 137, 4, 0],
+    [370, 0, 0, 928, 34, 137, 4, 7],
 ];

@@ -32,7 +32,9 @@ use datalog_expressiveness::datalog::programs::{
 use datalog_expressiveness::datalog::{
     BindingPattern, EvalOptions, Evaluator, MagicProgram, PlannerMode, Program,
 };
-use datalog_expressiveness::homeo::{acyclic_game_program, PatternSpec};
+use datalog_expressiveness::homeo::{
+    acyclic_game_program, class_c_program, classify, PatternClass, PatternSpec,
+};
 use datalog_expressiveness::structures::generators::{random_dag, random_digraph};
 use datalog_expressiveness::structures::govern::chaos;
 use datalog_expressiveness::structures::{Governor, JoinLowering, Structure};
@@ -42,7 +44,8 @@ use std::sync::Arc;
 /// relations `R/3, A/1`, or a digraph `E/2` whose distinguished nodes
 /// interpret the vocabulary's constants. Programs with constants (the
 /// two-disjoint-paths programs and Theorem 6.2's game programs) assume
-/// acyclic inputs, so they get a random DAG.
+/// acyclic inputs, so they get a random DAG; Theorem 6.1's class-`C`
+/// programs, which hold on any input, get one too.
 fn fixture_for(program: &Program, seed: u64) -> Structure {
     let vocab = Arc::clone(program.vocabulary());
     if let (Some(r), Some(a)) = (vocab.relation_by_name("R"), vocab.relation_by_name("A")) {
@@ -84,6 +87,30 @@ fn game_patterns() -> [PatternSpec; 2] {
     ]
 }
 
+/// Theorem 6.1's class-`C` patterns: the self-loop pattern
+/// `{(0,0), (0,1)}`, whose program is the proof's self-loop case analysis,
+/// and the two-leg out-star, whose program is built from `Q_{2,0}`.
+fn class_c_patterns() -> [PatternSpec; 2] {
+    [
+        PatternSpec {
+            node_count: 2,
+            edges: vec![(0, 0), (0, 1)],
+        },
+        PatternSpec {
+            node_count: 3,
+            edges: vec![(0, 1), (0, 2)],
+        },
+    ]
+}
+
+/// Theorem 6.1's program for a class-`C` pattern.
+fn class_c(pattern: &PatternSpec) -> Program {
+    match classify(pattern) {
+        PatternClass::InC(root) => class_c_program(pattern, &root),
+        other => panic!("{pattern:?} is not in C: {other:?}"),
+    }
+}
+
 fn all_programs() -> Vec<Program> {
     let mut programs = vec![
         transitive_closure(),
@@ -98,6 +125,7 @@ fn all_programs() -> Vec<Program> {
         q_kl(3, 1),
     ];
     programs.extend(game_patterns().iter().map(acyclic_game_program));
+    programs.extend(class_c_patterns().iter().map(class_c));
     programs
 }
 
