@@ -477,8 +477,9 @@ fn mutation_case() -> Obj {
 /// the same batches. The cadence of 2 makes the run cross a checkpoint
 /// *and* leave a WAL tail, so recovery exercises both the snapshot path
 /// and replay. Every EDB relation must match live-tuple-for-live-tuple
-/// with equal support counts, and every IDB must hold exactly the same
-/// set. Returns the violations (empty = pass).
+/// with equal support (assertion) counts, and every IDB, which is a set
+/// and carries no support of its own, must hold exactly the same tuples.
+/// Returns the violations (empty = pass).
 fn durable_recovery_check(
     name: &str,
     program: &Program,
@@ -559,7 +560,8 @@ fn durable_recovery_check(
 ///   from-scratch fixpoint of its materialized EDB;
 /// * every Datalog case's durable engine, re-opened from disk after the
 ///   same batches (crossing a checkpoint and leaving a WAL tail), must
-///   match the volatile engine tuple-for-tuple with equal support counts;
+///   match the volatile engine tuple-for-tuple, with equal EDB support
+///   counts;
 /// * every pebble case's lazy solver must name the same winner as the
 ///   eager worklist solver, with an arena no larger.
 ///

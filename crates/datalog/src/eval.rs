@@ -570,7 +570,7 @@ pub(crate) struct CompiledRule {
     /// (after this many atoms), a branch whose head tuple already exists
     /// can stop — the remaining atoms only re-verify a derivation that
     /// changes nothing. `None` disables the check (written rules, or the
-    /// head needs free variables). Counting workers never take it.
+    /// head needs free variables).
     pub(crate) head_check_at: Option<usize>,
     /// Whether the join keeps per-atom probe memos and batches its head
     /// emission (see [`WorkerBuf::emit_buf`]): set by cost-based plans,
@@ -721,9 +721,9 @@ pub(crate) enum DeltaPin {
     Idb(usize),
     /// Delta on the `d`-th body atom of either kind; earlier atoms old,
     /// later ones full. Across `d` this enumerates each derivation using a
-    /// delta tuple exactly once, as counting maintenance needs: inserted
-    /// EDB tuples (stage one of the insertion pass, where IDB old and full
-    /// coincide) or deleted ones (read through [`DeletionWindows`]).
+    /// delta tuple exactly once: inserted EDB tuples (stage one of the
+    /// insertion pass, where IDB old and full coincide) or deleted ones
+    /// (read through [`DeletionWindows`]).
     Any(usize),
 }
 
@@ -1366,11 +1366,12 @@ impl StageLoop<'_> {
         let arities: Vec<usize> = idb.stores().iter().map(|s| s.arity()).collect();
         // Plans that keep Bloom pre-filters over each IDB's committed
         // tuples rebuild them deterministically from the committed prefix
-        // and extend them after each stage commit. Counting workers never
-        // consult the committed stores, so they keep none.
-        let counting = matches!(idb, sharded::IdbStores::Counting(_));
-        let mut blooms: Option<Vec<TupleBloom>> =
-            (plan.blooms && !counting).then(|| idb.stores().into_iter().map(bloom_over).collect());
+        // and extend them after each stage commit. A maintenance pass (one
+        // with EDB delta windows) keeps none: building them would cost
+        // O(IDB) on every batch, however small.
+        let maintenance = self.edb_delta_lo.is_some();
+        let mut blooms: Option<Vec<TupleBloom>> = (plan.blooms && !maintenance)
+            .then(|| idb.stores().into_iter().map(bloom_over).collect());
         while p.stage < self.max_stages.unwrap_or(usize::MAX) {
             // Coarse boundary check (cancellation poll + deadline + all
             // budgets), then the stage budget for the stage about to run.
@@ -1664,9 +1665,9 @@ impl DenseSet {
 
 impl StageEnv<'_> {
     /// Whether `rule` runs this stage under the plan's filter. A rule with
-    /// an empty window derives nothing (and so, in counting mode, credits
-    /// no support): [`Fire::AllSources`] skips it, [`Fire::Seed`] only when
-    /// the empty window is its first atom's delta.
+    /// an empty window derives nothing: [`Fire::AllSources`] skips it,
+    /// [`Fire::Seed`] only when the empty window is its first atom's
+    /// delta.
     pub(crate) fn fires(&self, rule: &CompiledRule, fire: Fire) -> bool {
         match fire {
             Fire::Seed => match rule.atoms.first() {
@@ -1805,14 +1806,6 @@ impl<'a> JoinCtx<'a> {
 /// stage barrier.
 pub(crate) struct WorkerBuf {
     pub(crate) scratch: Vec<TupleStore>,
-    /// Counting mode (incremental maintenance): per-scratch-tuple
-    /// derivation counts, parallel to [`scratch`](Self::scratch). In this
-    /// mode `emit` records *every* derivation — the committed-store
-    /// shortcut is skipped, because a tuple already in the shared store
-    /// must still receive this derivation's support.
-    pub(crate) scratch_counts: Vec<Vec<u32>>,
-    /// Whether counting mode is active.
-    pub(crate) counting: bool,
     /// Batched-emission buffer: derived head tuples accumulate here (flat,
     /// arity-strided) and are interned in blocks of [`EMIT_BLOCK`],
     /// charging the governor once per block instead of never. Active for
@@ -1872,14 +1865,10 @@ const MEMO_CAP: usize = 1 << 14;
 pub(crate) const EMIT_BLOCK: usize = 64;
 
 impl WorkerBuf {
-    /// Empty buffers for the given IDB arities; `counting` selects
-    /// counting mode (incremental maintenance's insertion pass), where
-    /// every derivation is recorded with a per-tuple count.
-    pub(crate) fn new(idb_arities: &[usize], counting: bool) -> Self {
+    /// Empty buffers for the given IDB arities.
+    pub(crate) fn new(idb_arities: &[usize]) -> Self {
         Self {
             scratch: idb_arities.iter().map(|&a| TupleStore::new(a)).collect(),
-            scratch_counts: vec![Vec::new(); idb_arities.len()],
-            counting,
             emit_buf: Vec::new(),
             head_buf: Vec::new(),
             block_buf: Vec::new(),
@@ -1920,13 +1909,10 @@ pub(crate) fn evaluate_rule(
     // Batched (cost-based) rules keep per-atom probe memos: consecutive
     // branches that bind the same key reuse the previous index answer.
     let memo_len = if rule.batched { rule.atoms.len() } else { 0 };
-    // Counting mode must visit every derivation to keep support exact.
-    let head_check_at = rule.head_check_at.filter(|_| !buf.counting);
     let mut join = RuleJoin {
         rule,
         ctx,
         buf,
-        head_check_at,
         binding: vec![None; rule.var_count],
         probe_memo: vec![ElementMap::default(); memo_len],
         check_memo: vec![HashMap::new(); memo_len],
@@ -1955,9 +1941,6 @@ pub(crate) struct RuleJoin<'a, 'b> {
     pub(crate) rule: &'a CompiledRule,
     pub(crate) ctx: &'a JoinCtx<'a>,
     pub(crate) buf: &'b mut WorkerBuf,
-    /// The rule's [`CompiledRule::head_check_at`], or `None` in counting
-    /// mode.
-    head_check_at: Option<usize>,
     pub(crate) binding: Vec<Option<Element>>,
     /// Per-atom memo of probe key → resolved posting slice. Within one
     /// stage the indexed prefix is frozen, so a repeated key resolves to
@@ -2065,7 +2048,7 @@ impl<'a, 'b> RuleJoin<'a, 'b> {
         // on, so a branch whose head tuple is already derived can stop —
         // the remaining atoms would only re-verify a derivation that adds
         // nothing to the stage.
-        if self.head_check_at == Some(atom_pos) && self.head_already_derived() {
+        if self.rule.head_check_at == Some(atom_pos) && self.head_already_derived() {
             return Ok(());
         }
         if atom_pos == rule.atoms.len() {
@@ -2314,14 +2297,13 @@ impl<'a, 'b> RuleJoin<'a, 'b> {
     /// kernel decision.
     #[inline]
     fn emits_batched(&self) -> bool {
-        self.rule.batched && (self.head_check_at.is_none() || self.rule.generic.is_some())
+        self.rule.batched && (self.rule.head_check_at.is_none() || self.rule.generic.is_some())
     }
 
-    /// Emits the (fully bound) head tuple. Set mode: skip if already
-    /// committed in the shared store, otherwise intern into the worker's
-    /// scratch arena. Counting mode: record the derivation
-    /// unconditionally, bumping the tuple's scratch count. Batched rules
-    /// buffer tuples and intern one [`EMIT_BLOCK`] at a time.
+    /// Emits the (fully bound) head tuple: skip it if already committed
+    /// in the shared store, otherwise intern it into the worker's scratch
+    /// arena. Batched rules buffer tuples and intern one [`EMIT_BLOCK`] at
+    /// a time.
     fn emit(&mut self) -> Result<(), Interrupted> {
         let rule = self.rule;
         let ctx = self.ctx;
@@ -2366,18 +2348,8 @@ impl<'a, 'b> RuleJoin<'a, 'b> {
     }
 
     /// Interns the tuple currently in `head_buf` into the scratch arena
-    /// for predicate `head`, with set- or counting-mode bookkeeping.
+    /// for predicate `head`, unless it is already committed.
     fn intern_head(&mut self, head: usize) {
-        if self.buf.counting {
-            let (id, fresh) = self.buf.scratch[head].intern(&self.buf.head_buf);
-            let counts = &mut self.buf.scratch_counts[head];
-            if fresh {
-                counts.push(1);
-            } else {
-                counts[id.0 as usize] += 1;
-            }
-            return;
-        }
         let fresh = !self.ctx.committed(head, &self.buf.head_buf)
             && self.buf.scratch[head].intern(&self.buf.head_buf).1;
         if !fresh {
@@ -2387,8 +2359,8 @@ impl<'a, 'b> RuleJoin<'a, 'b> {
 
     /// Interns everything in the batched-emission buffer, charging the
     /// governor once for the block. Identical per-tuple bookkeeping to the
-    /// immediate path — set mode pre-filters committed tuples one by one,
-    /// then interns the survivors as a single
+    /// immediate path — committed tuples are filtered one by one, and the
+    /// survivors interned as a single
     /// [`TupleStore::extend_block`], so the scratch arena pays one
     /// capacity check per block instead of one per tuple.
     pub(crate) fn flush_emits(&mut self) -> Result<(), Interrupted> {
@@ -2400,31 +2372,19 @@ impl<'a, 'b> RuleJoin<'a, 'b> {
         // Nullary heads never buffer (see `emit`), so the arity is positive.
         let arity = self.rule.head_args.len();
         let pending = std::mem::take(&mut self.buf.emit_buf);
-        if self.buf.counting {
-            for tuple in pending.chunks_exact(arity) {
-                let (id, fresh) = self.buf.scratch[head].intern(tuple);
-                let counts = &mut self.buf.scratch_counts[head];
-                if fresh {
-                    counts.push(1);
-                } else {
-                    counts[id.0 as usize] += 1;
-                }
+        let mut block = std::mem::take(&mut self.buf.block_buf);
+        block.clear();
+        for tuple in pending.chunks_exact(arity) {
+            if self.ctx.committed(head, tuple) {
+                self.buf.dups += 1;
+            } else {
+                block.extend_from_slice(tuple);
             }
-        } else {
-            let mut block = std::mem::take(&mut self.buf.block_buf);
-            block.clear();
-            for tuple in pending.chunks_exact(arity) {
-                if self.ctx.committed(head, tuple) {
-                    self.buf.dups += 1;
-                } else {
-                    block.extend_from_slice(tuple);
-                }
-            }
-            let survivors = block.len() / arity;
-            let fresh = self.buf.scratch[head].extend_block(&block);
-            self.buf.dups += (survivors - fresh) as u64;
-            self.buf.block_buf = block;
         }
+        let survivors = block.len() / arity;
+        let fresh = self.buf.scratch[head].extend_block(&block);
+        self.buf.dups += (survivors - fresh) as u64;
+        self.buf.block_buf = block;
         self.buf.emit_buf = pending;
         self.buf.emit_buf.clear();
         Ok(())

@@ -25,14 +25,14 @@
 //!    tuples, `Old` is the survivors — the pre-state with a deleted-id
 //!    bitmap that the kernels check per candidate — and `Full` is the
 //!    pre-state. Earlier atoms old, later atoms full: each lost derivation
-//!    is enumerated exactly once. Non-recursive predicates subtract the
-//!    lost count from their per-tuple support (maintained exactly by the
-//!    insertion pass) and die at zero. Predicates in recursive SCCs use
+//!    is enumerated exactly once. Every SCC, in topological order, uses
 //!    DRed: overdelete round by round from the deletions (semi-naive
 //!    passes with the last round's overdeletions as the seed), check each
 //!    overdeleted tuple for one derivation from survivors (a seed atom on
 //!    the head, cut at the first derivation), and propagate rederivations
-//!    until stable. A **recompute guard** bounds DRed on a dense SCC:
+//!    until stable. On a non-recursive SCC the first round finds every
+//!    overdeleted tuple, the check runs once, and no rederivation
+//!    propagates. A **recompute guard** bounds DRed on a dense SCC:
 //!    once an SCC's overdeleted tuples reach half its live tuples, the
 //!    overdeletion stops, every live tuple of the SCC is deleted (and
 //!    counted as overdeleted), the per-tuple check is skipped, and the
@@ -58,10 +58,12 @@
 //!    semi-naive IDB-delta variants. These two rule sets are the insertion
 //!    plan: the planner borrows it as written under textual evaluation
 //!    and re-plans it against the live EDB under cost-based evaluation,
-//!    as for a from-scratch run. Workers run in counting mode: every
-//!    derivation is recorded (no committed-store shortcut, no head-check
-//!    early exit), so per-tuple support counts stay exact for the
-//!    counting deletion path.
+//!    as for a from-scratch run. Workers run as in a from-scratch run:
+//!    each new tuple is unioned into its live store at support 1, and
+//!    derivations of committed tuples are dropped (by the committed-store
+//!    check and the planner's head-check early exit). Unlike a
+//!    from-scratch run, the pass keeps no Bloom pre-filters, whose build
+//!    would cost O(IDB) on every batch.
 //!
 //! Both phases read one set of position indexes that the engine keeps
 //! across batches, in the layout of every other index: a position is
@@ -124,9 +126,9 @@ pub struct BatchSummary {
     /// SCC that took the recompute guard, every live tuple of the SCC:
     /// the guard kills the whole SCC before rederiving it.
     pub overdeleted_tuples: u64,
-    /// Recursive SCCs whose overdeletion reached half their live tuples,
-    /// so that DRed stopped and rederived the whole SCC from its exit
-    /// rules (the recompute guard).
+    /// SCCs whose overdeletion reached half their live tuples, so that
+    /// DRed stopped and rederived the whole SCC from its exit rules (the
+    /// recompute guard).
     pub recomputed_sccs: u64,
     /// Insertion-pass stages that derived at least one new tuple. On the
     /// initial batch this matches the from-scratch stage sequence
@@ -205,12 +207,9 @@ struct PendingBatch {
 struct DeletionPlan {
     /// Per relation: ids whose assertion count reaches zero, sorted.
     edb_dying: Vec<Vec<u32>>,
-    /// Per IDB predicate: net-deleted ids (counting deaths plus DRed's
-    /// overdeleted-minus-rederived).
+    /// Per IDB predicate: net-deleted ids (DRed's overdeleted minus
+    /// rederived).
     idb_deleted: Vec<DenseSet>,
-    /// Per counting (non-recursive) IDB predicate: lost derivation counts
-    /// for tuples that survive with reduced support.
-    support_sub: Vec<HashMap<u32, u32>>,
     overdeleted: u64,
     rederived: u64,
     recomputed_sccs: u64,
@@ -709,23 +708,14 @@ impl IncrementalEngine {
             }
         }
         // Surviving multiset assertions just lose count; replaying the
-        // retract list after the kills leaves exactly the planned state.
+        // retract list after the kills (a retract of a dead tuple is a
+        // no-op) leaves exactly the planned state.
         for (r, t) in retracts {
-            let store = &mut self.edb[r.0];
-            if let Some(id) = store.lookup(t) {
-                if store.is_live(id) {
-                    store.remove_support(id, 1);
-                }
-            }
+            self.edb[r.0].retract(t);
         }
         for (i, dead) in plan.idb_deleted.iter().enumerate() {
             for id in dead.iter_sorted() {
                 self.idb[i].kill(TupleId(id));
-            }
-            for (&id, &c) in &plan.support_sub[i] {
-                if !dead.contains(id) {
-                    self.idb[i].remove_support(TupleId(id), c);
-                }
             }
         }
         let edb = self.edb.iter_mut().zip(&mut self.edb_idx);
@@ -769,8 +759,8 @@ impl IncrementalEngine {
 
     /// The insertion pass: the [`StageLoop`] of a from-scratch run, over
     /// this batch's insertion plan — the EDB-delta variants at stage one,
-    /// the IDB-delta variants after — with counting-mode workers
-    /// throughout. The plan is a pure function of the committed
+    /// the IDB-delta variants after — unioning new tuples into the live
+    /// IDB stores. The plan is a pure function of the committed
     /// post-deletion EDB, so an interrupted batch re-derives it identically
     /// on resume.
     fn insertion_pass(
@@ -805,7 +795,7 @@ impl IncrementalEngine {
             max_stages: None,
             gov,
         };
-        let idb = &mut IdbStores::Counting(idb);
+        let idb = &mut IdbStores::Maintained(idb);
         let shards = &mut ShardStats::new(options.shards);
         stages.run(idb, idb_idx, shards, &mut st.progress)?;
         Ok(())
@@ -817,10 +807,9 @@ fn card_stats(stores: &[MutableStore]) -> Vec<CardStats> {
     stores.iter().map(|m| m.store().card_stats()).collect()
 }
 
-/// The recompute guard's threshold: DRed stops overdeleting a recursive
-/// SCC once its overdeleted tuples reach `1 / RECOMPUTE_DIVISOR` of the
-/// SCC's live tuples `L`, and rederives the SCC from its exit rules
-/// instead. At half, DRed would still check each of at least `L / 2`
+/// The recompute guard's threshold: DRed stops overdeleting an SCC once
+/// its overdeleted tuples reach `1 / RECOMPUTE_DIVISOR` of the SCC's live
+/// tuples `L`, and rederives the SCC from its exit rules instead. At half, DRed would still check each of at least `L / 2`
 /// overdeleted tuples, while the recompute rederives at most `L`: it never
 /// seeds more than twice the tuples of the check it skips (a divisor `D`
 /// allows `D` times). DESIGN.md §9 has the measured threshold sweep.
@@ -994,45 +983,12 @@ impl Deleter<'_> {
         Ok(derived)
     }
 
-    /// The distinct head ids in `derived`, sorted, each with its
-    /// derivation count.
-    fn heads(derived: &mut [u32]) -> Vec<(u32, u32)> {
-        derived.sort_unstable();
-        let mut heads: Vec<(u32, u32)> = Vec::new();
-        for &id in derived.iter() {
-            match heads.last_mut() {
-                Some((last, count)) if *last == id => *count += 1,
-                _ => heads.push((id, 1)),
-            }
-        }
-        heads
-    }
-
-    /// Exact counting deletion for non-recursive predicate `p`: count
-    /// each tuple's lost derivations over all rules and pinned atoms; a
-    /// tuple dies when they reach its support.
-    fn count(&mut self, p: usize, plan: &mut DeletionPlan) -> Result<(), Interrupted> {
-        let rules: Vec<&CompiledRule> = self
-            .variants
-            .lost
-            .iter()
-            .filter(|r| r.head.0 == p)
-            .collect();
-        let seeds = self.dead_seeds(rules.iter().map(|r| r.atoms[0].pred));
-        let mut derived = self.run(rules.into_iter(), seeds, DeletionPass::Lost)?;
-        for (id, lost) in Self::heads(&mut derived[p]) {
-            if self.idb_stores[p].support(TupleId(id)) <= lost {
-                self.idb_dead[p].insert(id);
-            }
-            plan.support_sub[p].insert(id, lost);
-        }
-        Ok(())
-    }
-
-    /// DRed for the recursive SCC of `members`: overdelete everything with
-    /// a deleted premise, round by round from the external deletions,
-    /// then rederive the overdeleted tuples that keep a derivation from
-    /// survivors and propagate the rederivations until stable.
+    /// DRed for the SCC of `members`: overdelete everything with a deleted
+    /// premise, round by round from the external deletions, then rederive
+    /// the overdeleted tuples that keep a derivation from survivors and
+    /// propagate the rederivations until stable. On a non-recursive SCC
+    /// the second round finds nothing, and the rederived tuples seed no
+    /// member rule.
     ///
     /// The recompute guard: once the SCC's overdeleted tuples reach
     /// `1 / RECOMPUTE_DIVISOR` of its live tuples, the overdeletion stops,
@@ -1135,22 +1091,19 @@ impl Deleter<'_> {
 
 impl IncrementalEngine {
     /// Computes the deletion plan against the pre-state without mutating
-    /// any store: EDB deaths from the retract list, then per SCC in
-    /// topological stratum order either exact counting (non-recursive)
-    /// or DRed overdelete/rederive (recursive). Both run this batch's
-    /// planned [`DeletionVariants`] on the shared join kernels, over the
-    /// engine's kept indexes (a position first probed here is built and
-    /// kept).
+    /// any store: EDB deaths from the retract list, then DRed
+    /// overdelete/rederive per SCC in topological stratum order. It runs
+    /// this batch's planned [`DeletionVariants`] on the shared join
+    /// kernels, over the engine's kept indexes (a position first probed
+    /// here is built and kept).
     fn plan_deletions(
         &self,
         retracts: &[Fact],
         gov: &Governor,
     ) -> Result<DeletionPlan, Interrupted> {
-        let idb_count = self.compiled.idb_arities.len();
         let mut plan = DeletionPlan {
             edb_dying: vec![Vec::new(); self.edb.len()],
             idb_deleted: Vec::new(),
-            support_sub: vec![HashMap::new(); idb_count],
             overdeleted: 0,
             rederived: 0,
             recomputed_sccs: 0,
@@ -1235,13 +1188,7 @@ impl IncrementalEngine {
         };
         let scc = self.compiled.scc_info();
         for c in 0..scc.count() {
-            if scc.is_recursive(c) {
-                del.dred(scc.members(c), &mut plan)?;
-            } else {
-                for &p in scc.members(c) {
-                    del.count(p, &mut plan)?;
-                }
-            }
+            del.dred(scc.members(c), &mut plan)?;
         }
         plan.stats = del.stats;
         plan.idb_deleted = del.idb_dead;
@@ -1513,11 +1460,10 @@ mod tests {
     }
 
     #[test]
-    fn support_counts_track_exact_derivations() {
-        // Diamond: 0->1->3 and 0->2->3 give S(0,3) two derivations via the
-        // recursive rule; S is recursive so deletion uses DRed, but the
-        // counts are still recorded — check them for plausibility on a
-        // non-recursive projection program instead.
+    fn edb_supports_count_assertions_and_idb_tuples_hold_one() {
+        // EDB support is the assertion multiplicity; the IDB is a set, so
+        // `P(0)`, derived from two edges, holds support 1 and dies only
+        // when DRed finds no derivation left.
         let program = crate::parser::parse_program(
             "P(x) :- E(x, y).\n?- P.",
             Arc::new(kv_structures::Vocabulary::graph()),
@@ -1526,15 +1472,28 @@ mod tests {
         let template = Structure::new(Arc::new(kv_structures::Vocabulary::graph()), 4);
         let mut engine = IncrementalEngine::new(&program, &template, EvalOptions::default());
         let e = RelId(0);
-        engine.apply_batch(&[(e, vec![0, 1]), (e, vec![0, 2])], &[]);
+        let edb_support = |engine: &IncrementalEngine, t: &[Element]| {
+            let store = engine.edb_store(e);
+            store.lookup(t).map_or(0, |id| store.support(id))
+        };
+        engine.apply_batch(&[(e, vec![0, 1]), (e, vec![0, 1]), (e, vec![0, 2])], &[]);
+        assert_eq!(edb_support(&engine, &[0, 1]), 2, "(0, 1) asserted twice");
         let p = engine.idb_store(IdbId(0));
-        let id = p.lookup(&[0]).unwrap();
-        assert_eq!(p.support(id), 2, "P(0) has two derivations");
-        // Removing one edge decrements support; P(0) survives.
-        engine.apply_batch(&[], &[(e, vec![0, 1])]);
-        let p = engine.idb_store(IdbId(0));
-        assert_eq!(p.support(p.lookup(&[0]).unwrap()), 1);
+        assert_eq!(
+            p.support(p.lookup(&[0]).unwrap()),
+            1,
+            "P(0) is a set member"
+        );
+        // One retraction of a twice-asserted edge kills nothing.
+        let summary = engine.apply_batch(&[], &[(e, vec![0, 1])]);
+        assert_eq!(summary.edb_retracted, 0);
+        assert_eq!(edb_support(&engine, &[0, 1]), 1);
+        // The second kills the edge; P(0) keeps its derivation via (0, 2).
+        let summary = engine.apply_batch(&[], &[(e, vec![0, 1])]);
+        assert_eq!(summary.edb_retracted, 1);
+        assert_eq!(summary.deleted_tuples, 0);
         assert!(engine.goal_contains(&[0]));
+        assert_matches_scratch(&engine, &program);
         engine.apply_batch(&[], &[(e, vec![0, 2])]);
         assert!(!engine.goal_contains(&[0]));
         assert_matches_scratch(&engine, &program);

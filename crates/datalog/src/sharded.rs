@@ -31,7 +31,6 @@
 
 use crate::eval::{evaluate_rule, CompiledRule, IdbAccess, JoinCtx, StageEnv, WorkerBuf};
 use kv_structures::govern::Interrupted;
-use kv_structures::mutable::InsertOutcome;
 use kv_structures::par::par_workers;
 use kv_structures::store::EvalStats;
 use kv_structures::{Element, IdRange, MutableStore, TupleStore};
@@ -104,9 +103,9 @@ fn delta_windows(
 pub(crate) enum IdbStores<'s> {
     /// From-scratch evaluation: a set union into plain stores.
     Set(&'s mut [TupleStore]),
-    /// Incremental maintenance's insertion pass: every derivation is
-    /// credited to its tuple's support count.
-    Counting(&'s mut [MutableStore]),
+    /// Incremental maintenance's insertion pass: a set union into the
+    /// engine's live stores, each new tuple at support 1.
+    Maintained(&'s mut [MutableStore]),
     /// A deletion pass over the pre-state `stores`, which it leaves as
     /// they are: the head id of every derivation found is appended to
     /// `derived`, per predicate, in worker order.
@@ -121,7 +120,7 @@ impl IdbStores<'_> {
     pub(crate) fn stores(&self) -> Vec<&TupleStore> {
         match self {
             IdbStores::Set(s) => s.iter().collect(),
-            IdbStores::Counting(m) => m.iter().map(|m| m.store()).collect(),
+            IdbStores::Maintained(m) => m.iter().map(|m| m.store()).collect(),
             IdbStores::Deleted { stores, .. } => stores.iter().map(|m| m.store()).collect(),
         }
     }
@@ -147,7 +146,7 @@ pub(crate) fn run_stage(
     stats: &mut EvalStats,
 ) -> Result<Vec<usize>, Interrupted> {
     let workers = shards.workers;
-    let (counting, stores) = (matches!(idb, IdbStores::Counting(_)), idb.stores());
+    let stores = idb.stores();
     let arities: Vec<usize> = stores.iter().map(|s| s.arity()).collect();
     let windows = delta_windows(env, &stores, workers);
     let mut results: Vec<WorkerBuf> = par_workers(workers, |w| {
@@ -157,7 +156,7 @@ pub(crate) fn run_stage(
             idb_delta: &windows[w].0,
             edb_delta: &windows[w].1,
         };
-        let mut buf = WorkerBuf::new(&arities, counting);
+        let mut buf = WorkerBuf::new(&arities);
         for (ri, rule) in rules.iter().enumerate() {
             let runs = match rule.atoms.iter().find(|a| a.access == IdbAccess::Delta) {
                 Some(atom) => !ctx.source(atom).2.is_empty(),
@@ -197,15 +196,15 @@ pub(crate) fn run_stage(
 }
 
 /// Commits one worker's output into `idb`: interns its scratch arenas
-/// (set union, or support credit in counting mode) or, in a deletion pass,
-/// appends its head ids. Derivations of tuples an earlier worker already
-/// committed land in `dups`.
+/// (a set union) or, in a deletion pass, appends its head ids.
+/// Derivations of tuples an earlier worker already committed land in
+/// `dups`.
 fn merge(idb: &mut IdbStores<'_>, buf: WorkerBuf, new_count: &mut [usize], dups: &mut u64) {
-    let arenas = buf.scratch.into_iter().zip(buf.scratch_counts).enumerate();
+    let arenas = buf.scratch.into_iter().enumerate();
     match idb {
         IdbStores::Set(stores) => {
-            for (p, (scratch, _)) in arenas {
-                for_each_tuple(scratch, |_, tuple| {
+            for (p, scratch) in arenas {
+                for_each_tuple(scratch, |tuple| {
                     if stores[p].intern(tuple).1 {
                         new_count[p] += 1;
                     } else {
@@ -214,19 +213,14 @@ fn merge(idb: &mut IdbStores<'_>, buf: WorkerBuf, new_count: &mut [usize], dups:
                 });
             }
         }
-        IdbStores::Counting(stores) => {
-            for (p, (scratch, counts)) in arenas {
-                for_each_tuple(scratch, |i, tuple| {
-                    let c = counts[i];
-                    match stores[p].insert_with_support(tuple, c) {
-                        InsertOutcome::Fresh(_) => {
-                            new_count[p] += 1;
-                            *dups += u64::from(c) - 1;
-                        }
-                        InsertOutcome::Bumped(_) => *dups += u64::from(c),
-                        InsertOutcome::Revived(_) => {
-                            debug_assert!(false, "no dead tuples during insertion");
-                        }
+        IdbStores::Maintained(stores) => {
+            for (p, scratch) in arenas {
+                for_each_tuple(scratch, |tuple| {
+                    if stores[p].contains_live(tuple) {
+                        *dups += 1;
+                    } else {
+                        stores[p].insert(tuple);
+                        new_count[p] += 1;
                     }
                 });
             }
@@ -239,15 +233,13 @@ fn merge(idb: &mut IdbStores<'_>, buf: WorkerBuf, new_count: &mut [usize], dups:
     }
 }
 
-/// Calls `f` with the id and contents of every tuple of `scratch`, in id
-/// order. The arena is moved out whole, not copied.
-fn for_each_tuple(scratch: TupleStore, mut f: impl FnMut(usize, &[Element])) {
+/// Calls `f` with every tuple of `scratch`, in id order. The arena is
+/// moved out whole, not copied.
+fn for_each_tuple(scratch: TupleStore, mut f: impl FnMut(&[Element])) {
     let (arity, len) = (scratch.arity(), scratch.len());
     if arity == 0 {
-        (0..len).for_each(|i| f(i, &[]));
+        (0..len).for_each(|_| f(&[]));
     } else {
-        for (i, tuple) in scratch.into_flat().chunks_exact(arity).enumerate() {
-            f(i, tuple);
-        }
+        scratch.into_flat().chunks_exact(arity).for_each(f);
     }
 }

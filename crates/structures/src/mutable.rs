@@ -14,10 +14,10 @@
 //!   arena underneath.
 //! - **Support counts carry the maintenance semantics.** For an EDB
 //!   relation the count is the assertion multiplicity (a fact inserted
-//!   twice survives one retraction); for an IDB relation the incremental
-//!   engine stores derivation counts (counting-based deletion decrements
-//!   them, zero means "no derivation left"). A count of zero marks the
-//!   tuple *dead*: still interned, no longer part of the relation.
+//!   twice survives one retraction); an IDB relation of the incremental
+//!   engine is a set, so each of its live tuples holds 1 (DRed deletion
+//!   kills a tuple outright). A count of zero marks the tuple *dead*:
+//!   still interned, no longer part of the relation.
 //! - **Epochs mark batch boundaries.** [`commit_epoch`](MutableStore::commit_epoch)
 //!   records the arena length, so `epoch_view(e)` is the relation as of
 //!   batch `e` — the same prefix-view trick stage snapshots use, now at
@@ -168,51 +168,23 @@ impl MutableStore {
             .map(|(t, _)| t)
     }
 
-    /// Inserts `tuple` with `count` units of support, reporting whether it
-    /// was fresh, revived, or merely bumped.
-    ///
-    /// # Panics
-    /// Panics on arity mismatch or `count == 0`.
-    pub fn insert_with_support(&mut self, tuple: &[Element], count: u32) -> InsertOutcome {
-        assert!(count > 0, "support increments must be positive");
-        let (id, fresh) = self.store.intern(tuple);
-        if fresh {
-            self.support.push(count);
-            InsertOutcome::Fresh(id)
-        } else if self.support[id.0 as usize] == 0 {
-            self.support[id.0 as usize] = count;
-            InsertOutcome::Revived(id)
-        } else {
-            self.support[id.0 as usize] += count;
-            InsertOutcome::Bumped(id)
-        }
-    }
-
-    /// Inserts `tuple` with one unit of support.
+    /// Inserts `tuple` with one unit of support, reporting whether it was
+    /// fresh, revived, or merely bumped.
     ///
     /// # Panics
     /// Panics on arity mismatch.
     pub fn insert(&mut self, tuple: &[Element]) -> InsertOutcome {
-        self.insert_with_support(tuple, 1)
-    }
-
-    /// Adds `count` units of support to tuple `id`.
-    ///
-    /// # Panics
-    /// Panics if `id` is out of bounds.
-    pub fn add_support(&mut self, id: TupleId, count: u32) {
-        self.support[id.0 as usize] += count;
-    }
-
-    /// Removes `count` units of support from tuple `id`, saturating at
-    /// zero; returns the remaining support.
-    ///
-    /// # Panics
-    /// Panics if `id` is out of bounds.
-    pub fn remove_support(&mut self, id: TupleId, count: u32) -> u32 {
-        let s = &mut self.support[id.0 as usize];
-        *s = s.saturating_sub(count);
-        *s
+        let (id, fresh) = self.store.intern(tuple);
+        if fresh {
+            self.support.push(1);
+            InsertOutcome::Fresh(id)
+        } else if self.support[id.0 as usize] == 0 {
+            self.support[id.0 as usize] = 1;
+            InsertOutcome::Revived(id)
+        } else {
+            self.support[id.0 as usize] += 1;
+            InsertOutcome::Bumped(id)
+        }
     }
 
     /// Drops tuple `id` dead (support 0) regardless of its count.
@@ -475,14 +447,13 @@ mod tests {
     #[test]
     fn support_arithmetic() {
         let mut m = MutableStore::new(2);
-        let id = m.insert_with_support(&[4, 5], 3).id();
-        m.add_support(id, 2);
+        let id = m.insert(&[4, 5]).id();
+        for _ in 0..4 {
+            m.insert(&[4, 5]);
+        }
         assert_eq!(m.support(id), 5);
-        assert_eq!(m.remove_support(id, 4), 1);
-        assert!(m.is_live(id));
-        assert_eq!(m.remove_support(id, 9), 0);
-        assert!(!m.is_live(id));
-        m.add_support(id, 1);
+        assert_eq!(m.retract(&[4, 5]), RetractOutcome::Decremented(id));
+        assert_eq!(m.support(id), 4);
         m.kill(id);
         assert_eq!(m.support(id), 0);
         assert_eq!(m.live_len(), 0);

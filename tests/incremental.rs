@@ -10,23 +10,29 @@
 //! tuple-for-tuple the from-scratch semi-naive stage sequence.
 
 use datalog_expressiveness::datalog::programs::{
-    avoiding_path, path_systems, q_kl, q_prime, transitive_closure, two_disjoint_paths_acyclic,
-    two_disjoint_paths_paper_rules,
+    avoiding_path, path_systems, q_kl, q_prime, transitive_closure, triangles,
+    two_disjoint_paths_acyclic, two_disjoint_paths_paper_rules,
 };
 use datalog_expressiveness::datalog::{
     BatchSummary, EvalOptions, Evaluator, Fact, IdbId, IncrementalEngine, JoinLowering,
     PlannerMode, Program,
 };
-use datalog_expressiveness::homeo::{acyclic_game_program, PatternSpec};
+use datalog_expressiveness::homeo::{
+    acyclic_game_program, class_c_program, classify, PatternClass, PatternSpec,
+};
 use datalog_expressiveness::structures::generators::{random_dag, random_digraph};
-use datalog_expressiveness::structures::{Element, RelId, SplitMix64, Structure, Vocabulary};
+use datalog_expressiveness::structures::{
+    Element, EvalStats, RelId, SplitMix64, Structure, Vocabulary,
+};
 use std::collections::{BTreeSet, HashSet};
 use std::sync::Arc;
 
 /// One structure over the program's own vocabulary: the path-systems
 /// relations `R/3, A/1`, a random digraph `E/2`, or — for programs with
-/// constants, which assume acyclic inputs — a random DAG whose
-/// distinguished nodes interpret the constants.
+/// constants — a random DAG whose distinguished nodes interpret the
+/// constants. The two-disjoint-paths programs and Theorem 6.2's game
+/// programs assume acyclic inputs; Theorem 6.1's class-`C` programs,
+/// which hold on any input, get a DAG too.
 fn fixture_for(program: &Program, seed: u64) -> Structure {
     let vocab = Arc::clone(program.vocabulary());
     if let (Some(r), Some(a)) = (vocab.relation_by_name("R"), vocab.relation_by_name("A")) {
@@ -48,6 +54,18 @@ fn fixture_for(program: &Program, seed: u64) -> Structure {
     }
 }
 
+/// Theorem 6.1's program for a class-`C` pattern.
+fn class_c(pattern: &PatternSpec) -> Program {
+    match classify(pattern) {
+        PatternClass::InC(root) => class_c_program(pattern, &root),
+        other => panic!("{pattern:?} is not in C: {other:?}"),
+    }
+}
+
+/// The maintained programs. `triangles` is one non-recursive SCC, and
+/// Theorem 6.1's class-`C` programs for the self-loop pattern
+/// `{(0,0), (0,1)}` and the two-leg out-star mix non-recursive and
+/// recursive SCCs, so DRed runs on both kinds.
 fn all_programs() -> Vec<Program> {
     vec![
         transitive_closure(),
@@ -59,6 +77,15 @@ fn all_programs() -> Vec<Program> {
         two_disjoint_paths_paper_rules(),
         q_kl(1, 1),
         acyclic_game_program(&PatternSpec::path_length_two()),
+        triangles(),
+        class_c(&PatternSpec {
+            node_count: 2,
+            edges: vec![(0, 0), (0, 1)],
+        }),
+        class_c(&PatternSpec {
+            node_count: 3,
+            edges: vec![(0, 1), (0, 2)],
+        }),
     ]
 }
 
@@ -155,6 +182,31 @@ fn initial_batch_has_stage_identity_on_every_program() {
                 summary.stage_new, scratch_stages,
                 "program {pi} lowering {oi}: initial-batch stage identity"
             );
+        }
+    }
+}
+
+#[test]
+fn initial_batch_never_probes_more_than_scratch() {
+    // The insertion pass runs the set-mode workers of a from-scratch run,
+    // and on the initial batch it derives the from-scratch stages, so it
+    // may not probe more than a from-scratch run with the same options:
+    // textual, and cost-based under every lowering.
+    let probes = |e: &EvalStats| e.join_probes + e.block_probes;
+    for (pi, program) in all_programs().iter().enumerate() {
+        for (oi, opts) in pinned_configs().into_iter().enumerate() {
+            for seed in [4_100, 4_500] {
+                let s = fixture_for(program, seed + pi as u64);
+                let (_, initial) = IncrementalEngine::from_structure(program, &s, opts);
+                let scratch = Evaluator::new(program).run(&s, opts);
+                assert!(
+                    probes(&initial.eval_stats) <= probes(&scratch.eval_stats),
+                    "program {pi} configuration {oi} seed {seed}: initial batch made {} \
+                     probes, scratch {}",
+                    probes(&initial.eval_stats),
+                    probes(&scratch.eval_stats)
+                );
+            }
         }
     }
 }
@@ -341,7 +393,7 @@ fn deletion_trace(
 #[test]
 fn deletion_counters_are_pinned_for_every_lowering_and_worker_count() {
     // Deleted, overdeleted and rederived tuples are set quantities of the
-    // DRed/counting semantics — which pre-state tuples lose every
+    // DRed semantics — which pre-state tuples lose every
     // derivation, which the overdeletion closure reaches, and which of
     // those survive — so they may not depend on join order, kernels, the
     // lowering, or the worker count. The recompute guard keeps them so:
@@ -585,8 +637,8 @@ fn maintenance_row(s: &BatchSummary) -> String {
 
 #[test]
 fn maintenance_counters_are_pinned() {
-    // Join order, kernels, probe memos, the live-rule filter, counting
-    // merges and the deletion rounds all show in a batch's counters. A
+    // Join order, kernels, probe memos, the live-rule filter, the
+    // committed-store checks and the deletion rounds all show in a batch's counters. A
     // change to how maintenance runs that is meant to leave it as it was
     // must reproduce every recorded row, so a shift that moves every
     // configuration alike cannot pass unnoticed.
@@ -619,7 +671,7 @@ fn maintenance_counters_are_pinned() {
 /// `4_500 + index`), per configuration of [`pinned_configs`], the initial
 /// batch and four mixed batches.
 #[rustfmt::skip]
-const PINNED_MAINTENANCE: [&str; 180] = [
+const PINNED_MAINTENANCE: [&str; 240] = [
     // transitive_closure
     "24 0 0 0 7 20 3 0 | 9 8 3",
     "28 0 0 0 0 6 3 0 | 4 1 1",
@@ -668,16 +720,16 @@ const PINNED_MAINTENANCE: [&str; 180] = [
     "576 0 0 341 0 0 0 0 | ",
     "732 0 0 14 64 56 5 0 | 18,7 11,3 6,8 0,2 0,1",
     "573 0 0 188 26 46 4 0 | 20,2 9,1 8,3 0,3",
-    "429 0 416 0 283 296 6 0 | 75,0 64,30 33,40 7,31 1,14 0,1",
+    "311 0 370 0 183 296 6 0 | 75,0 64,30 33,40 7,31 1,14 0,1",
     "670 0 0 433 0 0 0 0 | ",
     "576 0 0 341 0 0 0 0 | ",
-    "674 0 82 30 64 56 5 0 | 18,7 11,3 6,8 0,2 0,1",
-    "527 0 84 188 26 46 4 0 | 20,2 9,1 8,3 0,3",
-    "429 0 416 0 283 296 6 0 | 75,0 64,30 33,40 7,31 1,14 0,1",
+    "646 0 75 30 45 56 5 0 | 18,7 11,3 6,8 0,2 0,1",
+    "516 0 81 188 24 46 4 0 | 20,2 9,1 8,3 0,3",
+    "311 0 370 0 183 296 6 0 | 75,0 64,30 33,40 7,31 1,14 0,1",
     "670 0 0 433 0 0 0 0 | ",
     "576 0 0 341 0 0 0 0 | ",
-    "674 0 82 30 64 56 5 0 | 18,7 11,3 6,8 0,2 0,1",
-    "527 0 84 188 26 46 4 0 | 20,2 9,1 8,3 0,3",
+    "646 0 75 30 45 56 5 0 | 18,7 11,3 6,8 0,2 0,1",
+    "516 0 81 188 24 46 4 0 | 20,2 9,1 8,3 0,3",
     "1439 0 0 6971 283 296 6 18 | 75,0 64,30 33,40 7,31 1,14 0,1",
     "1536 0 0 9390 0 0 0 18 | ",
     "1253 0 0 7058 0 0 0 19 | ",
@@ -689,15 +741,15 @@ const PINNED_MAINTENANCE: [&str; 180] = [
     "1191 0 0 324 70 190 3 0 | 95,7 62,7 16,3",
     "789 0 0 29 9 124 4 0 | 50,15 29,16 0,10 0,4",
     "772 0 0 337 0 25 1 0 | 25,0",
-    "450 0 1212 0 295 772 6 0 | 250,0 167,64 121,72 44,41 1,11 0,1",
-    "1457 0 145 1045 13 81 4 0 | 40,6 16,3 9,2 4,1",
+    "382 0 1173 0 255 772 6 0 | 250,0 167,64 121,72 44,41 1,11 0,1",
+    "1451 0 142 1045 13 81 4 0 | 40,6 16,3 9,2 4,1",
     "899 0 321 367 70 190 3 0 | 95,7 62,7 16,3",
-    "628 0 204 91 9 124 4 0 | 50,15 29,16 0,10 0,4",
+    "618 0 194 91 9 124 4 0 | 50,15 29,16 0,10 0,4",
     "741 0 39 337 0 25 1 1 | 25,0",
-    "450 0 1212 0 295 772 6 0 | 250,0 167,64 121,72 44,41 1,11 0,1",
-    "1457 0 145 1045 13 81 4 0 | 40,6 16,3 9,2 4,1",
+    "382 0 1173 0 255 772 6 0 | 250,0 167,64 121,72 44,41 1,11 0,1",
+    "1451 0 142 1045 13 81 4 0 | 40,6 16,3 9,2 4,1",
     "899 0 321 367 70 190 3 0 | 95,7 62,7 16,3",
-    "628 0 204 91 9 124 4 0 | 50,15 29,16 0,10 0,4",
+    "618 0 194 91 9 124 4 0 | 50,15 29,16 0,10 0,4",
     "726 0 54 337 0 25 1 0 | 25,0",
     "2857 0 0 23606 295 772 6 18 | 250,0 167,64 121,72 44,41 1,11 0,1",
     "3369 0 0 30643 13 81 4 34 | 40,6 16,3 9,2 4,1",
@@ -713,12 +765,12 @@ const PINNED_MAINTENANCE: [&str; 180] = [
     "21 0 0 0 0 5 4 0 | 2 1 1 1",
     "29 0 0 0 0 1 1 0 | 1",
     "14 0 0 0 0 1 1 0 | 1",
-    "13 0 1 0 0 0 0 0 | ",
+    "12 0 0 0 0 0 0 0 | ",
     "10 0 0 0 0 1 1 0 | 1",
     "21 0 0 0 0 5 4 0 | 2 1 1 1",
     "29 0 0 0 0 1 1 0 | 1",
     "14 0 0 0 0 1 1 0 | 1",
-    "13 0 1 0 0 0 0 0 | ",
+    "12 0 0 0 0 0 0 0 | ",
     "10 0 0 0 0 1 1 0 | 1",
     "34 0 0 13 0 5 4 7 | 2 1 1 1",
     "36 0 0 10 0 1 1 7 | 1",
@@ -731,15 +783,15 @@ const PINNED_MAINTENANCE: [&str; 180] = [
     "44 0 0 0 1 1 1 0 | 0,1,0,0",
     "60 0 0 0 1 3 2 0 | 1,0,0,0 0,0,2,0",
     "40 0 0 0 0 0 0 0 | ",
-    "45 0 12 0 3 11 3 0 | 2,2,0,0 1,0,4,0 0,0,2,0",
+    "40 0 9 0 1 11 3 0 | 2,2,0,0 1,0,4,0 0,0,2,0",
     "112 0 0 0 0 4 3 0 | 1,0,0,0 0,0,2,0 0,0,0,1",
-    "43 0 1 0 1 1 1 0 | 0,1,0,0",
-    "59 0 0 0 1 3 2 1 | 1,0,0,0 0,0,2,0",
+    "43 0 0 0 0 1 1 0 | 0,1,0,0",
+    "58 0 0 0 0 3 2 1 | 1,0,0,0 0,0,2,0",
     "40 0 0 0 0 0 0 0 | ",
-    "45 0 12 0 3 11 3 0 | 2,2,0,0 1,0,4,0 0,0,2,0",
+    "40 0 9 0 1 11 3 0 | 2,2,0,0 1,0,4,0 0,0,2,0",
     "112 0 0 0 0 4 3 0 | 1,0,0,0 0,0,2,0 0,0,0,1",
-    "43 0 1 0 1 1 1 0 | 0,1,0,0",
-    "59 0 0 0 1 3 2 0 | 1,0,0,0 0,0,2,0",
+    "43 0 0 0 0 1 1 0 | 0,1,0,0",
+    "58 0 0 0 0 3 2 0 | 1,0,0,0 0,0,2,0",
     "40 0 0 0 0 0 0 0 | ",
     "81 0 0 76 3 11 3 12 | 2,2,0,0 1,0,4,0 0,0,2,0",
     "157 0 0 89 0 4 3 35 | 1,0,0,0 0,0,2,0 0,0,0,1",
@@ -798,22 +850,85 @@ const PINNED_MAINTENANCE: [&str; 180] = [
     "118 0 0 0 0 2 2 0 | 0,0,1,0,0 0,0,0,1,0",
     "35 0 2 0 0 3 2 0 | 0,1,0,0,0 0,0,0,2,0",
     "40 0 0 0 0 0 0 0 | ",
-    "63 0 2 0 0 3 2 0 | 0,1,0,0,0 0,0,0,2,0",
+    "60 0 2 0 0 3 2 0 | 0,1,0,0,0 0,0,0,2,0",
     "34 0 0 0 0 8 4 0 | 1,0,0,0,0 0,2,1,0,0 0,1,0,2,0 0,0,0,1,0",
     "118 0 0 0 0 2 2 0 | 0,0,1,0,0 0,0,0,1,0",
     "35 0 2 0 0 3 2 0 | 0,1,0,0,0 0,0,0,2,0",
     "40 0 0 0 0 0 0 0 | ",
-    "63 0 2 0 0 3 2 0 | 0,1,0,0,0 0,0,0,2,0",
+    "60 0 2 0 0 3 2 0 | 0,1,0,0,0 0,0,0,2,0",
     "45 0 0 26 0 8 4 14 | 1,0,0,0,0 0,2,1,0,0 0,1,0,2,0 0,0,0,1,0",
     "125 0 0 25 0 2 2 40 | 0,0,1,0,0 0,0,0,1,0",
     "50 0 0 18 0 3 2 19 | 0,1,0,0,0 0,0,0,2,0",
     "43 0 0 0 0 0 0 24 | ",
     "81 0 0 28 0 3 2 31 | 0,1,0,0,0 0,0,0,2,0",
+    // triangles
+    "25 0 0 0 0 0 0 0 | ",
+    "28 0 0 4 0 0 0 3 | ",
+    "15 0 0 0 0 4 1 0 | 4",
+    "68 0 0 20 0 7 1 4 | 7",
+    "56 0 0 61 0 0 0 4 | ",
+    "31 0 0 10 0 0 0 1 | ",
+    "28 0 0 4 0 0 0 3 | ",
+    "20 0 0 17 0 4 1 3 | 4",
+    "85 0 0 75 0 7 1 7 | 7",
+    "56 0 0 61 0 0 0 4 | ",
+    "17 0 8 0 0 0 0 0 | ",
+    "22 0 0 0 0 0 0 0 | ",
+    "15 0 0 0 0 4 1 0 | 4",
+    "52 0 3 0 0 7 1 0 | 7",
+    "40 0 0 0 0 0 0 0 | ",
+    "31 0 0 10 0 0 0 1 | ",
+    "28 0 0 4 0 0 0 3 | ",
+    "20 0 0 17 0 4 1 3 | 4",
+    "85 0 0 75 0 7 1 7 | 7",
+    "56 0 0 61 0 0 0 4 | ",
+    // class_c_program(self-loop pattern {(0,0), (0,1)})
+    "139 0 0 0 0 68 3 0 | 6,0,36,0 3,0,15,4 0,0,0,4",
+    "194 0 0 43 0 0 0 0 | ",
+    "95 0 0 2 0 0 0 0 | ",
+    "0 0 0 0 0 0 0 0 | ",
+    "0 0 0 0 0 0 0 0 | ",
+    "80 0 59 5 0 68 3 0 | 6,0,36,0 3,0,15,4 0,0,0,4",
+    "194 0 0 43 0 0 0 0 | ",
+    "95 0 0 2 0 0 0 0 | ",
+    "0 0 0 0 0 0 0 0 | ",
+    "0 0 0 0 0 0 0 0 | ",
+    "80 0 59 5 0 68 3 0 | 6,0,36,0 3,0,15,4 0,0,0,4",
+    "194 0 0 43 0 0 0 0 | ",
+    "95 0 0 2 0 0 0 0 | ",
+    "0 0 0 0 0 0 0 0 | ",
+    "0 0 0 0 0 0 0 0 | ",
+    "163 0 0 97 0 68 3 12 | 6,0,36,0 3,0,15,4 0,0,0,4",
+    "240 0 0 165 0 0 0 16 | ",
+    "102 0 0 14 0 0 0 13 | ",
+    "0 0 0 0 0 0 0 0 | ",
+    "0 0 0 0 0 0 0 0 | ",
+    // class_c_program(out_star(2))
+    "199 0 0 0 8 97 4 0 | 54,0,0 20,8,0 1,10,0 0,4,0",
+    "214 0 0 101 0 0 0 0 | ",
+    "86 0 0 26 0 0 0 0 | ",
+    "45 0 0 0 0 17 2 0 | 12,0,0 5,0,0",
+    "69 0 0 0 17 29 2 0 | 23,0,0 6,0,0",
+    "100 0 97 0 7 97 4 0 | 54,0,0 20,8,0 1,10,0 0,4,0",
+    "214 0 0 101 0 0 0 0 | ",
+    "86 0 0 26 0 0 0 0 | ",
+    "31 0 14 0 0 17 2 0 | 12,0,0 5,0,0",
+    "43 0 26 0 17 29 2 0 | 23,0,0 6,0,0",
+    "100 0 97 0 7 97 4 0 | 54,0,0 20,8,0 1,10,0 0,4,0",
+    "214 0 0 101 0 0 0 0 | ",
+    "86 0 0 26 0 0 0 0 | ",
+    "31 0 14 0 0 17 2 0 | 12,0,0 5,0,0",
+    "43 0 26 0 17 29 2 0 | 23,0,0 6,0,0",
+    "258 0 0 521 8 97 4 10 | 54,0,0 20,8,0 1,10,0 0,4,0",
+    "305 0 0 640 0 0 0 11 | ",
+    "104 0 0 117 0 0 0 7 | ",
+    "51 0 0 14 0 17 2 6 | 12,0,0 5,0,0",
+    "107 0 0 159 17 29 2 6 | 23,0,0 6,0,0",
 ];
 
 /// `(deleted, overdeleted, rederived)` per batch of [`deletion_trace`],
 /// one row per program of [`all_programs`] (seed `4_400 + index`).
-const PINNED_DELETION_TRIPLES: [&[(u64, u64, u64)]; 9] = [
+const PINNED_DELETION_TRIPLES: [&[(u64, u64, u64)]; 12] = [
     &[(2, 7, 5), (11, 13, 2), (4, 5, 1), (1, 2, 1), (1, 2, 1)],
     &[
         (52, 240, 188),
@@ -847,4 +962,19 @@ const PINNED_DELETION_TRIPLES: [&[(u64, u64, u64)]; 9] = [
         (14, 14, 0),
     ],
     &[(2, 8, 6), (8, 12, 4), (2, 2, 0), (4, 5, 1), (1, 1, 0)],
+    &[(6, 6, 0), (0, 0, 0), (0, 0, 0), (0, 0, 0), (0, 0, 0)],
+    &[
+        (68, 76, 8),
+        (61, 202, 141),
+        (0, 0, 0),
+        (41, 67, 26),
+        (42, 46, 4),
+    ],
+    &[
+        (38, 79, 41),
+        (16, 45, 29),
+        (28, 38, 10),
+        (42, 86, 44),
+        (11, 11, 0),
+    ],
 ];

@@ -338,7 +338,7 @@ fn shard_stats_are_consistent() {
 // ---------------------------------------------------------------------
 
 use datalog_expressiveness::datalog::{Fact, IdbId, IncrementalEngine};
-use datalog_expressiveness::structures::{Element, SplitMix64};
+use datalog_expressiveness::structures::{Element, MutableStore, SplitMix64};
 use std::collections::HashMap;
 
 /// A random mutation batch against the engine's current EDB (mirrors the
@@ -363,9 +363,9 @@ fn random_batch(engine: &IncrementalEngine, rng: &mut SplitMix64) -> (Vec<Fact>,
     (inserts, retracts)
 }
 
-/// Live tuple → derivation-support map of one maintained IDB predicate.
-fn support_map(engine: &IncrementalEngine, i: usize) -> HashMap<Vec<Element>, u32> {
-    let store = engine.idb_store(IdbId(i));
+/// Live tuple → support map of one maintained store: the assertion count
+/// of each live EDB fact, or 1 for each live IDB tuple.
+fn support_map(store: &MutableStore) -> HashMap<Vec<Element>, u32> {
     store
         .store()
         .iter()
@@ -376,11 +376,11 @@ fn support_map(engine: &IncrementalEngine, i: usize) -> HashMap<Vec<Element>, u3
 }
 
 #[test]
-fn sharded_incremental_engine_matches_unsharded_supports_exactly() {
-    // Counting exactness: every derivation must be credited exactly once
-    // globally, so the sharded engine's per-tuple support counts — not
-    // just its live sets — must equal the unsharded engine's after every
-    // batch of a mutation schedule.
+fn sharded_incremental_engine_matches_unsharded_on_every_batch() {
+    // Sharded ≡ unsharded maintenance across a mutation schedule: after
+    // every batch the sharded engine's live IDB sets and EDB assertion
+    // counts must equal the unsharded engine's, and each live IDB tuple
+    // must hold support 1 (the merge is a set union for every W).
     for (pi, program) in all_programs().iter().enumerate() {
         for w in [1usize, 2, 3, 4] {
             let s = fixture_for(program, 9_600 + pi as u64);
@@ -396,11 +396,24 @@ fn sharded_incremental_engine_matches_unsharded_supports_exactly() {
                 let (inserts, retracts) = random_batch(&plain, &mut rng);
                 plain.apply_batch(&inserts, &retracts);
                 sharded.apply_batch(&inserts, &retracts);
-                for i in 0..program.idb_count() {
+                let label = format!("program {pi} W={w} batch {batch}");
+                for rel in s.vocabulary().relations() {
                     assert_eq!(
-                        support_map(&plain, i),
-                        support_map(&sharded, i),
-                        "program {pi} W={w} batch {batch}: support diverged on IDB {i}"
+                        support_map(plain.edb_store(rel)),
+                        support_map(sharded.edb_store(rel)),
+                        "{label}: EDB support diverged on {rel:?}"
+                    );
+                }
+                for i in 0..program.idb_count() {
+                    let live = support_map(sharded.idb_store(IdbId(i)));
+                    assert_eq!(
+                        support_map(plain.idb_store(IdbId(i))),
+                        live,
+                        "{label}: live set diverged on IDB {i}"
+                    );
+                    assert!(
+                        live.values().all(|&c| c == 1),
+                        "{label}: an IDB {i} tuple holds support other than 1"
                     );
                 }
             }
@@ -464,8 +477,8 @@ fn sharded_batch_interrupt_resume_equals_straight_batch() {
         );
         for i in 0..program.idb_count() {
             assert_eq!(
-                support_map(&straight, i),
-                support_map(&chaotic, i),
+                support_map(straight.idb_store(IdbId(i))),
+                support_map(chaotic.idb_store(IdbId(i))),
                 "{label} W={w}: support diverged on IDB {i}"
             );
         }
