@@ -24,7 +24,8 @@
 //! - `shard_scaling` rows at 1/2/4/8 workers, whose `work_balance_x` is
 //!   the load-balance ceiling on parallel speedup;
 //! - the maintenance columns of one churn round (`delta_tuples`,
-//!   `rederived_tuples`).
+//!   `rederived_tuples`, and `churn_probes`: the round's `join_probes +
+//!   block_probes` over both batches).
 //!
 //! Every report header is stamped with the git revision and a UTC
 //! timestamp, and every case records the RNG seed of its input structure,
@@ -329,10 +330,7 @@ fn savings_pct(textual: u64, planned: u64) -> f64 {
 /// `work_balance_x` of a sharded run: all workers' probes over the most
 /// loaded worker's, the load-balance ceiling on parallel speedup.
 fn work_balance(result: &EvalResult) -> f64 {
-    let probes = result
-        .shard
-        .as_ref()
-        .map_or(&[][..], |ss| &ss.worker_probes);
+    let probes = &result.shard.worker_probes;
     let max = probes.iter().copied().max().unwrap_or(0);
     if max == 0 {
         return 1.0;
@@ -362,7 +360,7 @@ pub fn datalog_report() -> String {
         let shard_rows: Vec<Obj> = [1usize, 2, 4, 8]
             .iter()
             .map(|&w| {
-                let balance = work_balance(&ev.run(s, opts.with_shards(Some(w))));
+                let balance = work_balance(&ev.run(s, opts.with_shards(w)));
                 Obj::new()
                     .num("shards", w)
                     .num("work_balance_x", format!("{balance:.2}"))
@@ -381,6 +379,10 @@ pub fn datalog_report() -> String {
         let (mut engine, _) = IncrementalEngine::from_structure(program, s, opts);
         let dropped = engine.apply_batch(&[], &churn);
         let steady = engine.apply_batch(&churn, &[]);
+        let churn_probes: u64 = [&dropped, &steady]
+            .iter()
+            .map(|b| b.eval_stats.join_probes + b.eval_stats.block_probes)
+            .sum();
         cases.push(
             Obj::new()
                 .str("name", name)
@@ -417,6 +419,7 @@ pub fn datalog_report() -> String {
                 .num("magic_probes", demand.eval_stats.magic_probes)
                 .num("delta_tuples", steady.delta_tuples)
                 .num("rederived_tuples", dropped.rederived_tuples)
+                .num("churn_probes", churn_probes)
                 .raw("shard_scaling", render_rows(&shard_rows)),
         );
     }
@@ -626,7 +629,7 @@ pub fn smoke_check() -> Vec<String> {
         // a pure work-partitioning swap — stage identity and the fixpoint
         // do not depend on the worker count.
         for w in [1usize, 4] {
-            let sharded = ev.run(s, EvalOptions::default().with_shards(Some(w)));
+            let sharded = ev.run(s, EvalOptions::default().with_shards(w));
             if !sharded.same_stages(&full) {
                 violations.push(format!(
                     "{name}: sharded (W={w}) run is not stage-identical to unsharded"
@@ -712,7 +715,7 @@ pub fn smoke_check() -> Vec<String> {
 
 /// The counters [`regression_check`] gates: the from-scratch work counters
 /// in both planner modes, plus the demand and maintenance counters.
-const GATED_COUNTERS: [&str; 10] = [
+const GATED_COUNTERS: [&str; 11] = [
     "tuples_interned",
     "join_probes",
     "duplicate_derivations",
@@ -723,6 +726,7 @@ const GATED_COUNTERS: [&str; 10] = [
     "demand_tuples",
     "magic_probes",
     "rederived_tuples",
+    "churn_probes",
 ];
 
 /// Extracts the numeric value of `key` inside the case object named
@@ -840,6 +844,7 @@ mod tests {
             "delta_tuples",
             "deleted_tuples",
             "rederived_tuples",
+            "churn_probes",
         ] {
             assert!(datalog.contains(&format!("\"{key}\"")), "datalog {key}");
         }
@@ -876,7 +881,8 @@ mod tests {
         assert!(violations.is_empty(), "regressions: {violations:?}");
         // …and one whose counters are much smaller (as if the engine had
         // since regressed >10% relative to it) fails, on one of the
-        // original columns and on one of the widened gate's.
+        // original columns, on a demand column and on the maintenance
+        // probe column.
         let shrunk = |key: &str| {
             current
                 .lines()
@@ -890,7 +896,7 @@ mod tests {
                 .collect::<Vec<_>>()
                 .join("\n")
         };
-        for key in ["join_probes", "magic_probes"] {
+        for key in ["join_probes", "magic_probes", "churn_probes"] {
             let violations = regression_check(&shrunk(key), &current);
             assert!(
                 !violations.is_empty()

@@ -65,10 +65,9 @@ pub struct ProgramQuery {
     goal_tuple: Vec<kv_structures::Element>,
     plan: QueryPlan,
     demand: Option<DemandPath>,
-    /// Worker count for sharded evaluation (`None` = unsharded); applies
-    /// to every evaluation route this query issues, the incremental
-    /// engine included.
-    shards: Option<usize>,
+    /// Worker count per stage (default 1); applies to every evaluation
+    /// route this query issues, the incremental engine included.
+    shards: usize,
     incremental: Mutex<EngineSlot>,
 }
 
@@ -147,18 +146,18 @@ impl ProgramQuery {
             goal_tuple,
             plan,
             demand,
-            shards: None,
+            shards: 1,
             incremental: Mutex::new(EngineSlot::None),
         }
     }
 
-    /// Routes every evaluation this query issues through sharded
-    /// execution at the given worker count: each stage's deltas cut into
-    /// contiguous worker shares, merged at the stage barrier. Answers are
-    /// identical for every worker count (differential-tested); set before
-    /// attaching an incremental engine, which keeps the configuration it
-    /// was built with.
-    pub fn with_shards(mut self, shards: Option<usize>) -> Self {
+    /// Runs every evaluation this query issues with `shards` workers per
+    /// stage (0 runs one): each stage's deltas cut into contiguous worker
+    /// shares, merged at the stage barrier. Answers are identical for
+    /// every worker count (differential-tested); set before attaching an
+    /// incremental engine, which keeps the configuration it was built
+    /// with.
+    pub fn with_shards(mut self, shards: usize) -> Self {
         self.shards = shards;
         self
     }
@@ -548,7 +547,7 @@ mod tests {
         // sharded stage loop and land on the same tuples.
         for w in [1usize, 4] {
             let q = ProgramQuery::at_tuple("0 reaches 3", transitive_closure(), vec![0, 3])
-                .with_shards(Some(w));
+                .with_shards(w);
             let s = directed_path(4);
             let (full, _) = q.eval_full_with_stats(&s);
             assert!(full, "W={w}");
@@ -556,7 +555,7 @@ mod tests {
             assert_eq!(full, demand, "W={w}");
             q.enable_incremental(&s);
             assert_eq!(q.incremental_holds(), Some(true), "W={w}");
-            assert!(!q.with_shards(Some(w)).eval(&directed_path(3)), "W={w}");
+            assert!(!q.with_shards(w).eval(&directed_path(3)), "W={w}");
         }
     }
 

@@ -12,7 +12,7 @@
 //!   the batch never happened.
 //! - Crash any time after the WAL append → replay applies the full batch
 //!   deterministically, landing on the exact state — tuple ids, support
-//!   counts, epoch marks, stage identity — a clean run would hold.
+//!   counts, stage identity — a clean run would hold.
 //!
 //! Every `checkpoint_every` batches the engine state (EDB and IDB
 //! [`kv_structures::MutableStore`]s, epoch, aggregate counters) is

@@ -98,14 +98,12 @@ pub struct EvalOptions {
     /// The worker count `W`, the only parallelism setting: each stage's
     /// delta windows are cut into `W` contiguous id shares, one per
     /// worker, and the workers' derivations are merged in worker order at
-    /// the stage barrier (see [`crate::sharded`]). `None`
-    /// (the default) and `Some(1)` run the same single-worker stages and
-    /// differ only in whether [`EvalResult::shard`] is reported. Stage
-    /// *sets* are identical for every worker count (differential-tested
-    /// for W ∈ {1, 2, 3, 4, 8}); counters such as `join_probes` may differ
-    /// at `W > 1` because every worker with a share of a rule's delta
-    /// runs that rule over its share.
-    pub shards: Option<usize>,
+    /// the stage barrier (see [`crate::sharded`]). The default is 1; 0
+    /// runs one worker too. Stage *sets* are identical for every worker
+    /// count (differential-tested for W ∈ {1, 2, 3, 4, 8}); counters such
+    /// as `join_probes` may differ at `W > 1` because every worker with a
+    /// share of a rule's delta runs that rule over its share.
+    pub shards: usize,
 }
 
 impl Default for EvalOptions {
@@ -115,7 +113,7 @@ impl Default for EvalOptions {
             max_stages: None,
             planner: PlannerMode::Textual,
             lowering: JoinLowering::default(),
-            shards: None,
+            shards: 1,
         }
     }
 }
@@ -135,9 +133,8 @@ impl EvalOptions {
     }
 
     /// The same options with `shards` workers per stage, each reading one
-    /// contiguous share of every delta; `None` runs one worker without
-    /// reporting [`EvalResult::shard`]. See [`EvalOptions::shards`].
-    pub fn with_shards(mut self, shards: Option<usize>) -> Self {
+    /// contiguous share of every delta. See [`EvalOptions::shards`].
+    pub fn with_shards(mut self, shards: usize) -> Self {
         self.shards = shards;
         self
     }
@@ -168,9 +165,8 @@ pub struct EvalResult {
     pub stage_marks: Vec<Vec<u32>>,
     /// Whether the fixpoint was reached (false only if `max_stages` hit).
     pub converged: bool,
-    /// The worker count and each worker's probes; `None` unless the run
-    /// set [`EvalOptions::shards`].
-    pub shard: Option<crate::sharded::ShardStats>,
+    /// The worker count and each worker's probes.
+    pub shard: crate::sharded::ShardStats,
 }
 
 impl EvalResult {
@@ -179,7 +175,7 @@ impl EvalResult {
         idb: Vec<TupleStore>,
         p: Progress,
         converged: bool,
-        shard: Option<crate::sharded::ShardStats>,
+        shard: crate::sharded::ShardStats,
     ) -> Self {
         EvalResult {
             idb: idb.into_iter().map(Relation::from_store).collect(),
@@ -198,11 +194,6 @@ impl EvalResult {
     /// Number of stages until the fixpoint (the `n₀` of Section 2).
     pub fn stage_count(&self) -> usize {
         self.stats.len()
-    }
-
-    /// The goal relation of `program`.
-    pub fn goal_relation<'a>(&'a self, program: &Program) -> &'a Relation {
-        &self.idb[program.goal().0]
     }
 
     /// Stage `Θ^stage` (1-based) restricted to IDB `idb`, as a zero-copy
@@ -270,23 +261,12 @@ pub(crate) struct Progress {
 pub struct EvalCheckpoint {
     idb_stores: Vec<TupleStore>,
     progress: Progress,
-    /// SCCs of the predicate dependency graph that still had live deltas
-    /// at the last committed stage boundary — the components the SCC
-    /// scheduler would drive next. Diagnostic: resume recomputes liveness
-    /// from `delta_lo`, so this carries no extra authority.
-    active_sccs: Vec<u32>,
 }
 
 impl EvalCheckpoint {
     /// Number of stages committed before the interrupt.
     pub fn stage_count(&self) -> usize {
         self.progress.stage
-    }
-
-    /// The SCC ids (stratum components) whose deltas were non-empty at the
-    /// last committed stage boundary — where the schedule would resume.
-    pub fn active_sccs(&self) -> &[u32] {
-        &self.active_sccs
     }
 
     /// Total tuples interned across all IDB stores so far.
@@ -300,162 +280,13 @@ impl EvalCheckpoint {
         self.progress.stats
     }
 
-    /// Serializes the checkpoint for durable storage: store contents in
-    /// id order (so [`from_bytes`](Self::from_bytes) re-interns into the
-    /// exact same [`TupleId`] assignment), delta markers, per-stage
-    /// statistics, stage marks, and counters. The payload is
-    /// self-contained — framing and checksumming are the caller's job
-    /// (see [`kv_structures::persist`]).
-    pub fn to_bytes(&self) -> Vec<u8> {
-        use kv_structures::persist::{encode_eval_stats, put_u32, put_u64};
-        let mut buf = Vec::new();
-        put_u32(&mut buf, self.idb_stores.len() as u32);
-        for store in &self.idb_stores {
-            put_u32(&mut buf, store.arity() as u32);
-            put_u32(&mut buf, store.len() as u32);
-            for &e in store.range_slice(store.id_range()) {
-                put_u32(&mut buf, e);
-            }
-        }
-        let p = &self.progress;
-        for &lo in &p.delta_lo {
-            put_u32(&mut buf, lo);
-        }
-        put_u32(&mut buf, p.stage_new.len() as u32);
-        for new_tuples in &p.stage_new {
-            put_u32(&mut buf, new_tuples.len() as u32);
-            for &c in new_tuples {
-                put_u32(&mut buf, c as u32);
-            }
-        }
-        put_u32(&mut buf, p.stage_marks.len() as u32);
-        for row in &p.stage_marks {
-            put_u32(&mut buf, row.len() as u32);
-            for &m in row {
-                put_u32(&mut buf, m);
-            }
-        }
-        encode_eval_stats(&mut buf, &p.stats);
-        put_u64(&mut buf, p.stage as u64);
-        put_u32(&mut buf, self.active_sccs.len() as u32);
-        for &s in &self.active_sccs {
-            put_u32(&mut buf, s);
-        }
-        buf
-    }
-
-    /// Rebuilds a checkpoint from [`to_bytes`](Self::to_bytes) output.
-    /// Malformed bytes — truncation, duplicate tuples, inconsistent
-    /// markers — decode to a typed
-    /// [`RecoveryError`](kv_structures::RecoveryError), never a panic.
-    /// Resuming the rebuilt checkpoint produces a result identical,
-    /// tuple id by tuple id, to resuming the original.
-    pub fn from_bytes(bytes: &[u8]) -> Result<Self, kv_structures::RecoveryError> {
-        use kv_structures::persist::{decode_eval_stats, ByteReader, RecoveryError};
-        let path = std::path::Path::new("eval-checkpoint");
-        let mut r = ByteReader::new(bytes);
-        let fail = |d: String| RecoveryError::corrupt_at(path, 0, d);
-        let n_idb = r.get_u32("idb store count").map_err(fail)? as usize;
-        if n_idb > 10_000 {
-            return Err(fail(format!("implausible idb count {n_idb}")));
-        }
-        let mut idb_stores = Vec::with_capacity(n_idb);
-        for i in 0..n_idb {
-            let arity = r.get_u32("store arity").map_err(fail)? as usize;
-            let len = r.get_u32("store length").map_err(fail)? as usize;
-            if arity > 64 || len > (u32::MAX as usize) / arity.max(1) {
-                return Err(fail(format!(
-                    "implausible store shape: arity {arity}, {len} tuple(s)"
-                )));
-            }
-            let data = r.get_u32s(len * arity, "store data").map_err(fail)?;
-            let mut store = TupleStore::with_capacity(arity, len);
-            if arity == 0 {
-                if len > 1 {
-                    return Err(fail(format!("{len} distinct nullary tuples in IDB {i}")));
-                }
-                if len == 1 {
-                    store.intern(&[]);
-                }
-            } else {
-                for t in data.chunks_exact(arity) {
-                    let (_, fresh) = store.intern(t);
-                    if !fresh {
-                        return Err(fail(format!("duplicate tuple {t:?} in IDB {i}")));
-                    }
-                }
-            }
-            idb_stores.push(store);
-        }
-        let delta_lo = r.get_u32s(n_idb, "delta markers").map_err(fail)?;
-        for (lo, store) in delta_lo.iter().zip(&idb_stores) {
-            if *lo as usize > store.len() {
-                return Err(fail(format!(
-                    "delta marker {lo} beyond store length {}",
-                    store.len()
-                )));
-            }
-        }
-        let n_stats = r.get_u32("stage stat count").map_err(fail)? as usize;
-        if n_stats > 1 << 24 {
-            return Err(fail(format!("implausible stage count {n_stats}")));
-        }
-        let mut stage_new = Vec::with_capacity(n_stats);
-        for _ in 0..n_stats {
-            let k = r.get_u32("stage stat width").map_err(fail)? as usize;
-            if k != n_idb {
-                return Err(fail(format!("stage stat width {k}, expected {n_idb}")));
-            }
-            let counts = r.get_u32s(k, "stage new-tuple counts").map_err(fail)?;
-            stage_new.push(counts.into_iter().map(|c| c as usize).collect());
-        }
-        let n_marks = r.get_u32("stage mark count").map_err(fail)? as usize;
-        if n_marks != n_stats {
-            return Err(fail(format!(
-                "{n_marks} mark row(s) for {n_stats} stage(s)"
-            )));
-        }
-        let mut stage_marks = Vec::with_capacity(n_marks);
-        for _ in 0..n_marks {
-            let k = r.get_u32("stage mark width").map_err(fail)? as usize;
-            if k != n_idb {
-                return Err(fail(format!("stage mark width {k}, expected {n_idb}")));
-            }
-            stage_marks.push(r.get_u32s(k, "stage marks").map_err(fail)?);
-        }
-        let stats = decode_eval_stats(&mut r, path)?;
-        let stage = r.get_u64("stage counter").map_err(fail)? as usize;
-        if stage != n_stats {
-            return Err(fail(format!(
-                "stage counter {stage} != {n_stats} committed stage(s)"
-            )));
-        }
-        let n_active = r.get_u32("active scc count").map_err(fail)? as usize;
-        if n_active > 1 << 24 {
-            return Err(fail(format!("implausible active-SCC count {n_active}")));
-        }
-        let active_sccs = r.get_u32s(n_active, "active sccs").map_err(fail)?;
-        if !r.is_exhausted() {
-            return Err(fail("trailing bytes after checkpoint".to_string()));
-        }
-        Ok(EvalCheckpoint {
-            idb_stores,
-            progress: Progress {
-                stage,
-                delta_lo,
-                stage_new,
-                stage_marks,
-                stats,
-            },
-            active_sccs,
-        })
-    }
-
     /// The committed prefix as a (non-converged) [`EvalResult`] — partial
     /// progress for callers that inspect rather than resume. Clones the
-    /// stores; the checkpoint stays resumable.
+    /// stores; the checkpoint stays resumable. Worker loads are not
+    /// checkpointed, so its [`EvalResult::shard`] is one unloaded worker.
     pub fn partial_result(&self) -> EvalResult {
-        EvalResult::new(self.idb_stores.clone(), self.progress.clone(), false, None)
+        let shard = sharded::ShardStats::new(1);
+        EvalResult::new(self.idb_stores.clone(), self.progress.clone(), false, shard)
     }
 }
 
@@ -1232,7 +1063,6 @@ impl CompiledProgram {
                 delta_lo: vec![0u32; idb_count],
                 ..Progress::default()
             },
-            active_sccs: Vec::new(),
         };
         let plan = self.plan_for(structure, &options);
         self.run_from(structure, indexes, &plan, options, gov, checkpoint)
@@ -1306,21 +1136,13 @@ impl CompiledProgram {
                 cp.idb_stores,
                 cp.progress,
                 converged,
-                options.shards.map(|_| shards),
+                shards,
             )),
-            // The committed state goes back as a resumable interrupt, with
-            // the SCC stratum schedule's live set at that boundary: the
-            // components whose predicates still carry a non-empty delta
-            // (or, before stage 1, any committed tuples — seeds).
-            Err(reason) => {
-                cp.active_sccs = self
-                    .scc
-                    .active_components(&cp.progress.delta_lo, &cp.idb_stores);
-                Err(EvalInterrupted {
-                    reason,
-                    checkpoint: cp,
-                })
-            }
+            // The committed state goes back as a resumable interrupt.
+            Err(reason) => Err(EvalInterrupted {
+                reason,
+                checkpoint: cp,
+            }),
         }
     }
 }
@@ -2781,67 +2603,6 @@ mod tests {
             assert!(baseline.same_stages(&result), "steps={max_steps}");
             assert_eq!(baseline.eval_stats, result.eval_stats, "steps={max_steps}");
         }
-    }
-
-    /// A checkpoint that round-trips through its durable byte encoding
-    /// must resume to the identical fixpoint — stage by stage, counter
-    /// by counter — as resuming the original in-memory checkpoint.
-    #[test]
-    fn serialized_checkpoint_resumes_identically() {
-        let p = tc();
-        let s = directed_path(10);
-        let ev = Evaluator::new(&p);
-        let opts = EvalOptions::default();
-        let baseline = ev.run(&s, opts);
-        for max_steps in [5, 60, 400] {
-            let gov = kv_structures::govern::chaos::step_tripper(max_steps);
-            let Err(e) = ev.try_run_governed(&s, opts, &gov) else {
-                continue;
-            };
-            let bytes = e.checkpoint.to_bytes();
-            let restored = EvalCheckpoint::from_bytes(&bytes).expect("round-trip");
-            let result = ev
-                .resume(&s, opts, &Governor::unlimited(), restored)
-                .expect("resume restored checkpoint");
-            assert_eq!(baseline.idb, result.idb, "steps={max_steps}");
-            assert!(baseline.same_stages(&result), "steps={max_steps}");
-            assert_eq!(baseline.eval_stats, result.eval_stats, "steps={max_steps}");
-        }
-    }
-
-    /// Corrupted checkpoint bytes decode to typed errors, never panics:
-    /// flip every byte, truncate at every length, append garbage.
-    #[test]
-    fn corrupted_checkpoint_bytes_never_panic() {
-        let p = tc();
-        let s = directed_path(8);
-        let ev = Evaluator::new(&p);
-        let opts = EvalOptions::default();
-        let gov = kv_structures::govern::chaos::step_tripper(40);
-        let e = ev.try_run_governed(&s, opts, &gov).unwrap_err();
-        let bytes = e.checkpoint.to_bytes();
-        assert!(EvalCheckpoint::from_bytes(&bytes).is_ok());
-        for i in 0..bytes.len() {
-            for flip in [0x01u8, 0x80, 0xFF] {
-                let mut bad = bytes.clone();
-                bad[i] ^= flip;
-                // Either a typed error or a checkpoint that decodes (a
-                // benign flip, e.g. inside a counter) — never a panic.
-                let _ = EvalCheckpoint::from_bytes(&bad);
-            }
-        }
-        for len in 0..bytes.len() {
-            assert!(
-                EvalCheckpoint::from_bytes(&bytes[..len]).is_err(),
-                "truncation at {len} must not decode"
-            );
-        }
-        let mut padded = bytes.clone();
-        padded.extend_from_slice(&[0xAB; 7]);
-        assert!(
-            EvalCheckpoint::from_bytes(&padded).is_err(),
-            "trailing garbage must not decode"
-        );
     }
 
     #[test]

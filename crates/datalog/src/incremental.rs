@@ -665,9 +665,6 @@ impl IncrementalEngine {
             return Err(BatchInterrupted { reason });
         }
         let state = state.clone();
-        for m in self.edb.iter_mut().chain(self.idb.iter_mut()) {
-            m.commit_epoch();
-        }
         self.epoch += 1;
         let eval_stats = state.progress.stats;
         self.total_stats.merge(&eval_stats);

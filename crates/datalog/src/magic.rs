@@ -546,8 +546,7 @@ mod tests {
         let seeds = vec![(magic.magic_goal(), magic.seed(&[0, 11]))];
         let seq = compiled.run_seeded(&s, EvalOptions::default(), &seeds);
         for w in [1, 4] {
-            let sharded =
-                compiled.run_seeded(&s, EvalOptions::default().with_shards(Some(w)), &seeds);
+            let sharded = compiled.run_seeded(&s, EvalOptions::default().with_shards(w), &seeds);
             assert!(sharded.same_stages(&seq), "W={w}");
             if w == 1 {
                 // One worker is the default path: counters are identical.

@@ -49,7 +49,7 @@ use crate::eval::{
 };
 use crate::program::Program;
 use crate::wcoj;
-use kv_structures::store::{CardStats, TupleStore};
+use kv_structures::store::CardStats;
 use kv_structures::{JoinLowering, PlannerMode, Structure};
 use std::borrow::Cow;
 use std::collections::HashSet;
@@ -186,22 +186,6 @@ impl SccInfo {
     /// themselves, so deltas circulate within it across stages).
     pub fn is_recursive(&self, scc: usize) -> bool {
         self.recursive[scc]
-    }
-
-    /// The components whose predicates carry tuples not yet consumed as a
-    /// delta — the live set of the stratum schedule at a stage boundary
-    /// (recorded into checkpoints by governed runs).
-    pub(crate) fn active_components(&self, delta_lo: &[u32], stores: &[TupleStore]) -> Vec<u32> {
-        let mut active: Vec<u32> = delta_lo
-            .iter()
-            .zip(stores)
-            .enumerate()
-            .filter(|(_, (&lo, store))| (lo as usize) < store.len())
-            .map(|(i, _)| self.scc_of[i] as u32)
-            .collect();
-        active.sort_unstable();
-        active.dedup();
-        active
     }
 }
 

@@ -36,21 +36,20 @@ use kv_structures::store::EvalStats;
 use kv_structures::{Element, IdRange, MutableStore, TupleStore};
 
 /// The worker count of a run and each worker's load, surfaced on
-/// [`EvalResult`](crate::EvalResult) when the run set
-/// [`EvalOptions::shards`](crate::EvalOptions::shards).
+/// [`EvalResult`](crate::EvalResult).
 #[derive(Debug, Clone, PartialEq)]
 pub struct ShardStats {
     /// Worker count the run executed with.
     pub workers: usize,
-    /// Each worker's `join_probes + block_probes`, across all committed
-    /// stages: they sum to the run's.
+    /// Each worker's `join_probes + block_probes` over the stages this
+    /// call ran: on an uninterrupted run they sum to the run's.
     pub worker_probes: Vec<u64>,
 }
 
 impl ShardStats {
-    /// `workers` workers (`None` means one), none of them loaded yet.
-    pub(crate) fn new(workers: Option<usize>) -> Self {
-        let workers = workers.unwrap_or(1).max(1);
+    /// `workers` workers (0 means one), none of them loaded yet.
+    pub(crate) fn new(workers: usize) -> Self {
+        let workers = workers.max(1);
         ShardStats {
             workers,
             worker_probes: vec![0; workers],

@@ -95,7 +95,7 @@ fn assert_engine_matches_oracle(program: &Program, s: &Structure, label: &str) {
             semi_naive: false,
             ..EvalOptions::default()
         },
-        EvalOptions::default().with_shards(Some(4)),
+        EvalOptions::default().with_shards(4),
     ] {
         let result: EvalResult = Evaluator::new(program).run(s, options);
         assert!(result.converged, "{label}: engine did not converge");

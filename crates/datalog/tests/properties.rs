@@ -60,7 +60,7 @@ fn parallel_is_stage_identical_to_sequential() {
                 ..EvalOptions::default()
             },
         );
-        let parallel = Evaluator::new(program).run(s, EvalOptions::default().with_shards(Some(4)));
+        let parallel = Evaluator::new(program).run(s, EvalOptions::default().with_shards(4));
         assert_eq!(sequential.idb, parallel.idb, "idb, seed {seed}");
         assert_eq!(sequential.stats, parallel.stats, "stats, seed {seed}");
         assert!(sequential.same_stages(&parallel), "stages, seed {seed}");

@@ -253,7 +253,6 @@ impl ServiceBuilder {
             for tuple in self.initial.relation(rel).iter() {
                 stores[rel.0].insert(tuple);
             }
-            stores[rel.0].commit_epoch();
         }
         // The stores hold exactly the initial tuples, interned in the
         // initial structure's id order, so it already is the epoch-0
@@ -483,9 +482,6 @@ impl QueryService {
             if writer.stores[rel.0].insert(tuple).is_new() {
                 inserted += 1;
             }
-        }
-        for store in &mut writer.stores {
-            store.commit_epoch();
         }
         writer.epoch += 1;
         let epoch = writer.epoch;

@@ -176,7 +176,6 @@ mod tests {
         for t in source.relation(rel).iter() {
             store.insert(t);
         }
-        store.commit_epoch();
         let stores = [store];
         let captured = Snapshot::capture(&v, 5, &[], &stores, 0);
         let adopted = Snapshot::adopt(source, &stores, 0);

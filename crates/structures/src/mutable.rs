@@ -1,5 +1,5 @@
 //! Mutable relation state layered over the append-only [`TupleStore`]:
-//! per-tuple support counts, epoch marks, and compaction.
+//! per-tuple support counts and compaction.
 //!
 //! The storage engine underneath every relation in the workspace is
 //! append-only — that is what makes semi-naive deltas free id ranges and
@@ -18,10 +18,6 @@
 //!   engine is a set, so each of its live tuples holds 1 (DRed deletion
 //!   kills a tuple outright). A count of zero marks the tuple *dead*:
 //!   still interned, no longer part of the relation.
-//! - **Epochs mark batch boundaries.** [`commit_epoch`](MutableStore::commit_epoch)
-//!   records the arena length, so `epoch_view(e)` is the relation as of
-//!   batch `e` — the same prefix-view trick stage snapshots use, now at
-//!   batch granularity.
 //! - **Compaction restores the invariant the evaluator needs.** After a
 //!   deletion batch commits,
 //!   [`compact_in_place`](MutableStore::compact_in_place) fills each dead
@@ -29,11 +25,9 @@
 //!   position indexes over the store as it goes. With no dead tuples left,
 //!   every subsequent insertion appends — deltas are contiguous id ranges
 //!   again, which is exactly what lets the incremental engine reuse the
-//!   unmodified semi-naive join machinery. Compaction starts a new
-//!   epoch-mark generation: earlier epoch views refer to pre-compaction
-//!   ids and are invalidated.
+//!   unmodified semi-naive join machinery.
 
-use crate::store::{PosIndex, StoreView, TupleId, TupleStore};
+use crate::store::{PosIndex, TupleId, TupleStore};
 use crate::structure::Element;
 
 /// What an [`insert`](MutableStore::insert) did.
@@ -75,8 +69,8 @@ pub enum RetractOutcome {
     Absent,
 }
 
-/// A [`TupleStore`] with per-tuple support counts, epoch marks, and
-/// compaction — the storage substrate of incremental view maintenance.
+/// A [`TupleStore`] with per-tuple support counts and compaction — the
+/// storage substrate of incremental view maintenance.
 ///
 /// See the [module docs](self) for the design. The live relation is the
 /// set of interned tuples whose support is positive; everything else in
@@ -87,11 +81,6 @@ pub struct MutableStore {
     store: TupleStore,
     /// `support[id]` is the support count of tuple `id`; 0 = dead.
     support: Vec<u32>,
-    /// Number of committed epochs (batches).
-    epoch: u64,
-    /// Arena length at each epoch commit of the current generation (reset
-    /// by compaction).
-    epoch_marks: Vec<u32>,
 }
 
 impl MutableStore {
@@ -100,8 +89,6 @@ impl MutableStore {
         Self {
             store: TupleStore::new(arity),
             support: Vec::new(),
-            epoch: 0,
-            epoch_marks: Vec::new(),
         }
     }
 
@@ -210,35 +197,17 @@ impl MutableStore {
         }
     }
 
-    /// Number of committed epochs.
-    pub fn epoch(&self) -> u64 {
-        self.epoch
-    }
-
-    /// The arena lengths recorded at each epoch commit of the current
-    /// mark generation (cleared by compaction). Exposed so snapshots
-    /// ([`crate::persist`]) can serialize epoch state with the segments.
-    pub fn epoch_marks(&self) -> &[u32] {
-        &self.epoch_marks
-    }
-
     /// The per-tuple support counts, indexed by [`TupleId`] (0 = dead).
     pub fn support_counts(&self) -> &[u32] {
         &self.support
     }
 
-    /// Reassembles a store from snapshot parts, validating the invariants
-    /// the accessors above rely on: one support count per arena tuple,
-    /// at most `epoch` marks, and marks that are non-decreasing arena
-    /// prefixes. Returns a description of the violation on bad input —
-    /// this is the deserialization path, where malformed bytes must
-    /// surface as errors, never panics.
-    pub fn from_parts(
-        store: TupleStore,
-        support: Vec<u32>,
-        epoch: u64,
-        epoch_marks: Vec<u32>,
-    ) -> Result<Self, String> {
+    /// Reassembles a store from snapshot parts, validating the invariant
+    /// the accessors above rely on: one support count per arena tuple.
+    /// Returns a description of the violation on bad input — this is the
+    /// deserialization path, where malformed bytes must surface as errors,
+    /// never panics.
+    pub fn from_parts(store: TupleStore, support: Vec<u32>) -> Result<Self, String> {
         if support.len() != store.len() {
             return Err(format!(
                 "{} support count(s) for {} arena tuple(s)",
@@ -246,55 +215,13 @@ impl MutableStore {
                 store.len()
             ));
         }
-        if epoch_marks.len() as u64 > epoch {
-            return Err(format!(
-                "{} epoch mark(s) exceed epoch counter {epoch}",
-                epoch_marks.len()
-            ));
-        }
-        let mut prev = 0u32;
-        for &m in &epoch_marks {
-            if m < prev || m as usize > store.len() {
-                return Err(format!(
-                    "epoch mark {m} is not a non-decreasing prefix of the {}-tuple arena",
-                    store.len()
-                ));
-            }
-            prev = m;
-        }
-        Ok(Self {
-            store,
-            support,
-            epoch,
-            epoch_marks,
-        })
-    }
-
-    /// Commits the current arena state as the next epoch and returns its
-    /// number. Epoch `e` (1-based) is the arena prefix recorded here.
-    pub fn commit_epoch(&mut self) -> u64 {
-        self.epoch += 1;
-        self.epoch_marks.push(self.store.len() as u32);
-        self.epoch
-    }
-
-    /// The arena as of committed epoch `epoch` (1-based), as a prefix
-    /// view. Only epochs committed since the last
-    /// [`compact_in_place`](Self::compact_in_place) are available —
-    /// compaction renumbers ids and starts a fresh mark generation.
-    pub fn epoch_view(&self, epoch: u64) -> Option<StoreView<'_>> {
-        let generation_base = self.epoch - self.epoch_marks.len() as u64;
-        let idx = epoch.checked_sub(generation_base + 1)?;
-        self.epoch_marks
-            .get(idx as usize)
-            .map(|&upto| self.store.view(upto))
+        Ok(Self { store, support })
     }
 
     /// Drops every dead tuple in place by moving arena-tail tuples into
     /// their slots ([`TupleStore::swap_remove`]) — O(dead) table and data
     /// work instead of an O(live) re-interning rebuild, at the cost of not
-    /// preserving survivor id order. The result has contiguous live ids
-    /// and a cleared epoch-mark generation.
+    /// preserving survivor id order. The result has contiguous live ids.
     ///
     /// `indexes` (the built position indexes over this store, possibly
     /// none) are patched to match: each dead id leaves its posting and
@@ -314,7 +241,6 @@ impl MutableStore {
                 self.support.swap_remove(id as usize);
             }
         }
-        self.epoch_marks.clear();
     }
 
     /// The id moves [`compact_in_place`](Self::compact_in_place) will
@@ -417,31 +343,6 @@ mod tests {
         m.compact_in_place(&mut []);
         assert_eq!(m.len(), 3);
         assert!(m.contains_live(&[11]));
-    }
-
-    #[test]
-    fn epochs_are_prefix_views_until_compaction() {
-        let mut m = MutableStore::new(1);
-        m.insert(&[0]);
-        assert_eq!(m.commit_epoch(), 1);
-        m.insert(&[1]);
-        m.insert(&[2]);
-        assert_eq!(m.commit_epoch(), 2);
-        let v1 = m.epoch_view(1).unwrap();
-        assert_eq!(v1.len(), 1);
-        assert!(v1.contains(&[0]));
-        assert!(!v1.contains(&[2]));
-        let v2 = m.epoch_view(2).unwrap();
-        assert_eq!(v2.len(), 3);
-        assert!(m.epoch_view(3).is_none());
-        // Compaction invalidates the old generation but keeps counting.
-        m.retract(&[1]);
-        m.compact_in_place(&mut []);
-        assert!(m.epoch_view(1).is_none());
-        assert!(m.epoch_view(2).is_none());
-        assert_eq!(m.commit_epoch(), 3);
-        let v3 = m.epoch_view(3).unwrap();
-        assert_eq!(v3.len(), 2);
     }
 
     #[test]

@@ -27,10 +27,10 @@
 //!   once or not at all.
 //!
 //! [`MutableStore`] snapshots serialize arity-strided (the arena's own
-//! layout) together with their support counts, epoch counter, and
-//! epoch-mark generation, and deserialize by re-interning tuples in id
-//! order — which reproduces the exact [`crate::TupleId`] assignment and
-//! therefore preserves stage identity across a restart.
+//! layout) together with their support counts, and deserialize by
+//! re-interning tuples in id order — which reproduces the exact
+//! [`crate::TupleId`] assignment and therefore preserves stage identity
+//! across a restart.
 
 use crate::mutable::MutableStore;
 use crate::store::TupleStore;
@@ -722,18 +722,16 @@ pub fn decode_eval_stats(
 // ---------------------------------------------------------------------
 
 /// Appends the snapshot encoding of `store` to `buf`: arity, tuple count,
-/// epoch counter, epoch marks, the arity-strided element data in id
-/// order, and the per-tuple support counts.
+/// two retired fields written as zeros (a `u64` epoch counter and a `u32`
+/// count of `u32` epoch marks, kept so older readers still decode the
+/// record), the arity-strided element data in id order, and the
+/// per-tuple support counts.
 pub fn encode_mutable_store(buf: &mut Vec<u8>, store: &MutableStore) {
     let n = store.len();
     put_u32(buf, store.arity() as u32);
     put_u32(buf, n as u32);
-    put_u64(buf, store.epoch());
-    let marks = store.epoch_marks();
-    put_u32(buf, marks.len() as u32);
-    for &m in marks {
-        put_u32(buf, m);
-    }
+    put_u64(buf, 0);
+    put_u32(buf, 0);
     for &e in store.store().range_slice(store.store().id_range()) {
         put_u32(buf, e);
     }
@@ -744,7 +742,9 @@ pub fn encode_mutable_store(buf: &mut Vec<u8>, store: &MutableStore) {
 
 /// Decodes one [`MutableStore`] snapshot from `r`, re-interning tuples in
 /// id order so the rebuilt arena assigns the exact ids the snapshot was
-/// taken with. `path` contextualizes errors.
+/// taken with. The retired epoch fields are bounds-checked and dropped:
+/// records that older writers filled in still decode. `path`
+/// contextualizes errors.
 pub fn decode_mutable_store(
     r: &mut ByteReader<'_>,
     path: &Path,
@@ -765,7 +765,7 @@ pub fn decode_mutable_store(
             "{marks_len} epoch mark(s) exceed epoch {epoch}"
         )));
     }
-    let marks = r.get_u32s(marks_len, "epoch marks").map_err(&fail)?;
+    r.get_u32s(marks_len, "epoch marks").map_err(&fail)?;
     let data = r.get_u32s(n * arity, "tuple data").map_err(&fail)?;
     let support = r.get_u32s(n, "support counts").map_err(&fail)?;
     let mut rebuilt = TupleStore::with_capacity(arity, n);
@@ -781,8 +781,7 @@ pub fn decode_mutable_store(
     if arity == 0 && n == 1 {
         rebuilt.intern(&[]);
     }
-    MutableStore::from_parts(rebuilt, support, epoch, marks)
-        .map_err(|d| RecoveryError::corrupt(path, at, d))
+    MutableStore::from_parts(rebuilt, support).map_err(|d| RecoveryError::corrupt(path, at, d))
 }
 
 #[cfg(test)]
@@ -925,7 +924,7 @@ mod tests {
     }
 
     #[test]
-    fn mutable_store_snapshot_round_trips_ids_supports_and_epochs() {
+    fn mutable_store_snapshot_round_trips_ids_and_supports() {
         let mut m = MutableStore::new(2);
         let mut rng = SplitMix64::seed_from_u64(7);
         for _ in 0..50 {
@@ -935,9 +934,6 @@ mod tests {
             } else {
                 m.insert(&t);
             }
-            if rng.gen_bool(0.2) {
-                m.commit_epoch();
-            }
         }
         let mut buf = Vec::new();
         encode_mutable_store(&mut buf, &m);
@@ -946,8 +942,6 @@ mod tests {
         assert!(r.is_exhausted());
         assert_eq!(back.arity(), m.arity());
         assert_eq!(back.len(), m.len());
-        assert_eq!(back.epoch(), m.epoch());
-        assert_eq!(back.epoch_marks(), m.epoch_marks());
         for id in 0..m.len() as u32 {
             let id = crate::store::TupleId(id);
             // Identical ids, tuples, and supports: stage identity survives.
@@ -962,7 +956,6 @@ mod tests {
         for i in 0..10u32 {
             m.insert(&[i, i + 1, i + 2]);
         }
-        m.commit_epoch();
         let mut buf = Vec::new();
         encode_mutable_store(&mut buf, &m);
         // Truncation at every prefix length: typed error or clean success,
@@ -976,12 +969,51 @@ mod tests {
         }
         // A duplicated tuple row is caught by the re-interning pass.
         let mut dup = buf.clone();
-        // Rows start after arity(4) + n(4) + epoch(8) + marks_len(4) + marks(4).
-        let rows_at = 4 + 4 + 8 + 4 + 4;
+        // Rows start after arity(4) + n(4) + epoch(8) + marks_len(4).
+        let rows_at = 4 + 4 + 8 + 4;
         let row = dup[rows_at..rows_at + 12].to_vec();
         dup[rows_at + 12..rows_at + 24].copy_from_slice(&row);
         let mut r = ByteReader::new(&dup);
         let err = decode_mutable_store(&mut r, Path::new("mem")).expect_err("duplicate row");
         assert!(err.to_string().contains("duplicate tuple"), "got {err}");
+    }
+
+    /// A record in the layout written before the epoch fields retired —
+    /// epoch 5 and marks `[1, 2]` filled in — decodes to the same tuples,
+    /// ids and supports as the zero-field record written today.
+    #[test]
+    fn records_with_the_retired_epoch_fields_still_decode() {
+        let mut m = MutableStore::new(2);
+        for t in [[0, 1], [1, 2], [2, 0], [1, 2]] {
+            m.insert(&t);
+        }
+        m.retract(&[2, 0]);
+        let mut old = Vec::new();
+        put_u32(&mut old, 2);
+        put_u32(&mut old, 3);
+        put_u64(&mut old, 5);
+        put_u32(&mut old, 2);
+        put_u32(&mut old, 1);
+        put_u32(&mut old, 2);
+        for e in [0, 1, 1, 2, 2, 0] {
+            put_u32(&mut old, e);
+        }
+        for c in [1, 2, 0] {
+            put_u32(&mut old, c);
+        }
+        let mut new = Vec::new();
+        encode_mutable_store(&mut new, &m);
+        assert_eq!(new.len() + 8, old.len(), "only the two marks differ");
+        for bytes in [&old, &new] {
+            let mut r = ByteReader::new(bytes);
+            let back = decode_mutable_store(&mut r, Path::new("mem")).expect("decodes");
+            assert!(r.is_exhausted());
+            assert_eq!(back.len(), 3);
+            for id in 0..3u32 {
+                let id = crate::store::TupleId(id);
+                assert_eq!(back.store().get(id), m.store().get(id));
+                assert_eq!(back.support(id), m.support(id));
+            }
+        }
     }
 }

@@ -22,8 +22,8 @@ fn temp_dir(tag: &str) -> PathBuf {
     dir
 }
 
-/// A random mutable-store history: inserts, retracts, kills, and epoch
-/// commits, leaving a mix of live, decremented, and dead tuples.
+/// A random mutable-store history: inserts, retracts and kills, leaving a
+/// mix of live, decremented, and dead tuples.
 fn random_store(seed: u64, arity: usize, ops: usize) -> MutableStore {
     let mut rng = SplitMix64::seed_from_u64(seed);
     let mut m = MutableStore::new(arity);
@@ -38,9 +38,9 @@ fn random_store(seed: u64, arity: usize, ops: usize) -> MutableStore {
             if let Some(id) = m.lookup(&tuple) {
                 m.kill(id);
             }
-        } else {
-            m.commit_epoch();
         }
+        // Roll 9 is an idle step: the history draws it but the store is
+        // left as it is.
     }
     m
 }
@@ -63,8 +63,7 @@ fn live_content(m: &MutableStore) -> Vec<(Vec<Element>, u32)> {
 // ---------------------------------------------------------------------
 
 /// `compact_in_place` preserves exactly the live content (tuples and
-/// support counts) and leaves a contiguous fully-live arena and a cleared
-/// mark generation.
+/// support counts) and leaves a contiguous fully-live arena.
 #[test]
 fn compaction_strategies_preserve_live_content() {
     for seed in 0..48u64 {
@@ -79,8 +78,6 @@ fn compaction_strategies_preserve_live_content() {
                 swapped.live_len(),
                 "in-place left tombstones"
             );
-            // Marks are cleared: no epoch views survive compaction.
-            assert!(swapped.epoch_marks().is_empty());
         }
     }
 }
@@ -146,7 +143,6 @@ fn compacting_zero_live_tuples() {
         let mut m = MutableStore::new(2);
         for i in 0..10u32 {
             m.insert(&[i, i + 1]);
-            m.commit_epoch();
         }
         for i in 0..10u32 {
             if kill_all {
@@ -190,38 +186,6 @@ fn compacting_all_dead_middle_segment() {
     }
 }
 
-/// Interleaved epoch marks: views of committed epochs are coherent
-/// prefixes until a compaction clears the generation, and
-/// [`MutableStore::epoch_view`] refuses stale epochs afterwards.
-#[test]
-fn interleaved_epoch_marks_and_compaction() {
-    let mut m = MutableStore::new(1);
-    let mut committed = Vec::new();
-    for i in 0..12u32 {
-        m.insert(&[i]);
-        if i % 3 == 2 {
-            committed.push((m.commit_epoch(), m.len() as u32));
-        }
-    }
-    for (epoch, upto) in &committed {
-        let view = m.epoch_view(*epoch).expect("committed epoch view");
-        assert_eq!(view.len(), *upto as usize, "epoch {epoch} prefix");
-    }
-    // Kill some tuples: views still cover the arena prefix (tombstones
-    // included — marks count arena slots, not live tuples).
-    m.retract(&[1]);
-    m.retract(&[4]);
-    assert!(m.epoch_view(committed[0].0).is_some());
-    m.compact_in_place(&mut []);
-    // The old generation is gone; ids were permuted.
-    for (epoch, _) in &committed {
-        assert!(m.epoch_view(*epoch).is_none(), "stale epoch {epoch} served");
-    }
-    // New commits start a fresh generation after compaction.
-    let e = m.commit_epoch();
-    assert_eq!(m.epoch_view(e).expect("fresh epoch").len(), m.len());
-}
-
 /// `TupleStore::swap_remove` across every position of a store,
 /// including the final-slot special case: the dense invariant holds
 /// and lookups stay exact.
@@ -250,7 +214,7 @@ fn swap_remove_every_position() {
 // ---------------------------------------------------------------------
 
 /// `encode_mutable_store`/`decode_mutable_store` round-trip arbitrary
-/// histories exactly: same arena order, supports, epoch, and marks.
+/// histories exactly: same arena order and supports.
 #[test]
 fn mutable_store_codec_roundtrip() {
     let path = PathBuf::from("roundtrip-test");
@@ -263,7 +227,6 @@ fn mutable_store_codec_roundtrip() {
                 let mut n = MutableStore::new(0);
                 if seed % 2 == 0 {
                     n.insert(&[]);
-                    n.commit_epoch();
                 }
                 n
             } else {
@@ -275,8 +238,6 @@ fn mutable_store_codec_roundtrip() {
             let back = decode_mutable_store(&mut r, &path).expect("round-trip decodes");
             assert!(r.is_exhausted(), "trailing bytes");
             assert_eq!(back.len(), m.len());
-            assert_eq!(back.epoch(), m.epoch());
-            assert_eq!(back.epoch_marks(), m.epoch_marks());
             assert_eq!(back.support_counts(), m.support_counts());
             assert_eq!(live_content(&back), live_content(&m));
             // Arena id order is reproduced exactly (stage identity).
@@ -472,7 +433,6 @@ fn mutable_store_decoder_survives_every_bitflip() {
             if let Ok(decoded) = decode_mutable_store(&mut r, &path) {
                 // Whatever decoded satisfies the structural invariants.
                 assert_eq!(decoded.support_counts().len(), decoded.len());
-                assert!(decoded.epoch_marks().len() as u64 <= decoded.epoch());
             }
         }
     }

@@ -57,6 +57,17 @@ fn fixture_for(program: &Program, seed: u64) -> Structure {
     }
 }
 
+/// Theorem 6.1's program for a class-`C` pattern.
+fn class_c(pattern: &PatternSpec) -> Program {
+    match homeo::classify(pattern) {
+        homeo::PatternClass::InC(root) => homeo::class_c_program(pattern, &root),
+        other => panic!("{pattern:?} is not in C: {other:?}"),
+    }
+}
+
+/// The programs under test, with Theorem 6.1's class-`C` programs for the
+/// self-loop pattern `{(0,0), (0,1)}` and the two-leg out-star on the
+/// constant-vocabulary DAG fixtures.
 fn all_programs() -> Vec<Program> {
     vec![
         transitive_closure(),
@@ -68,6 +79,14 @@ fn all_programs() -> Vec<Program> {
         two_disjoint_paths_paper_rules(),
         q_kl(1, 1),
         homeo::acyclic_game_program(&PatternSpec::path_length_two()),
+        class_c(&PatternSpec {
+            node_count: 2,
+            edges: vec![(0, 0), (0, 1)],
+        }),
+        class_c(&PatternSpec {
+            node_count: 3,
+            edges: vec![(0, 1), (0, 2)],
+        }),
     ]
 }
 
@@ -151,7 +170,7 @@ fn magic_equals_full_under_parallel_evaluation() {
     let seeds = vec![(magic.magic_goal(), magic.seed(&[0, 11]))];
     let seq = compiled.run_seeded(&s, EvalOptions::default(), &seeds);
     for w in [1, 4] {
-        let par = compiled.run_seeded(&s, EvalOptions::default().with_shards(Some(w)), &seeds);
+        let par = compiled.run_seeded(&s, EvalOptions::default().with_shards(w), &seeds);
         for (a, b) in seq.idb.iter().zip(&par.idb) {
             assert_eq!(a.len(), b.len(), "W={w}");
             assert!(a.iter().all(|t| b.contains(t)), "W={w}");

@@ -426,7 +426,7 @@ fn deletion_counters_are_pinned_for_every_lowering_and_worker_count() {
         }
         for (oi, opts) in lowerings().into_iter().enumerate() {
             for w in [1usize, 4] {
-                let got = deletion_trace(program, opts.with_shards(Some(w)), seed);
+                let got = deletion_trace(program, opts.with_shards(w), seed);
                 assert_eq!(
                     got.0, reference.0,
                     "program {pi} lowering {oi} W={w}: deletion triples"
@@ -599,7 +599,7 @@ fn pinned_configs() -> [EvalOptions; 4] {
         cost(JoinLowering::Binary),
         cost(JoinLowering::Generic),
     ]
-    .map(|o| o.with_shards(Some(1)))
+    .map(|o| o.with_shards(1))
 }
 
 /// One batch as a row: the full [`EvalStats`](datalog_expressiveness::structures::EvalStats)

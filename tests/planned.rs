@@ -189,8 +189,7 @@ fn cost_based_parallel_matches_sequential() {
     for (pi, program) in all_programs().iter().enumerate() {
         let s = fixture_for(program, 13_000 + pi as u64);
         let seq = Evaluator::new(program).run(&s, opts(PlannerMode::CostBased));
-        let par =
-            Evaluator::new(program).run(&s, opts(PlannerMode::CostBased).with_shards(Some(4)));
+        let par = Evaluator::new(program).run(&s, opts(PlannerMode::CostBased).with_shards(4));
         assert_eq!(seq.idb, par.idb, "program {pi}");
         assert!(seq.same_stages(&par), "program {pi}");
     }
@@ -205,8 +204,7 @@ fn cost_based_respects_explicit_thread_counts() {
         let s = fixture_for(program, 14_000 + pi as u64);
         let baseline = Evaluator::new(program).run(&s, opts(PlannerMode::CostBased));
         for w in [1usize, 2, 4] {
-            let run =
-                Evaluator::new(program).run(&s, opts(PlannerMode::CostBased).with_shards(Some(w)));
+            let run = Evaluator::new(program).run(&s, opts(PlannerMode::CostBased).with_shards(w));
             assert_eq!(baseline.idb, run.idb, "program {pi}, W={w}");
             assert!(baseline.same_stages(&run), "program {pi}, W={w}");
         }
@@ -224,7 +222,7 @@ fn generic_lowering_matches_binary_stage_for_stage() {
             let s = fixture_for(program, 15_000 + 17 * pi as u64 + round);
             for w in [1usize, 4] {
                 let label = format!("program {pi}, round {round}, W={w}");
-                let opts = |planner| opts(planner).with_shards(Some(w));
+                let opts = |planner| opts(planner).with_shards(w);
                 let textual = Evaluator::new(program).run(&s, opts(PlannerMode::Textual));
                 let binary = Evaluator::new(program).run(
                     &s,
@@ -340,7 +338,7 @@ fn index_sharing_configs() -> Vec<EvalOptions> {
             JoinLowering::Generic,
         ] {
             for w in [1usize, 4] {
-                configs.push(opts(planner).with_lowering(lowering).with_shards(Some(w)));
+                configs.push(opts(planner).with_lowering(lowering).with_shards(w));
             }
         }
     }

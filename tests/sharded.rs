@@ -19,9 +19,8 @@
 //!    their deltas into shares.
 //! 4. **Shard statistics**: one probe tally per worker, summing to the
 //!    run's probes.
-//! 5. **Counter exactness at `W = 1`**: one shard *is* the default path,
-//!    so from-scratch runs and maintenance batches report identical
-//!    counters with and without `shards: Some(1)`.
+//! 5. **One worker by default**: default runs and engines use `W = 1`,
+//!    whatever the host's CPUs, and `W = 0` clamps to 1.
 //! 6. **Maintenance**: per-tuple support is exact at every `W`, and the
 //!    EDB's ids follow the batches alone, not the worker count.
 
@@ -171,7 +170,7 @@ fn sharded_stages_match_unsharded_for_every_worker_count() {
         for (mode, base) in option_matrix() {
             let baseline = eval.run(&s, base);
             for w in WORKER_COUNTS {
-                let sharded = eval.run(&s, base.with_shards(Some(w)));
+                let sharded = eval.run(&s, base.with_shards(w));
                 assert!(
                     baseline.same_stages(&sharded),
                     "{}/{mode}: sharded W={w} diverged from unsharded",
@@ -182,10 +181,7 @@ fn sharded_stages_match_unsharded_for_every_worker_count() {
                     "{}/{mode}: convergence flag differs at W={w}",
                     label
                 );
-                let stats = sharded.shard.as_ref().unwrap_or_else(|| {
-                    panic!("{}/{mode}: sharded run reported no ShardStats", label)
-                });
-                assert_eq!(stats.workers, w, "{}/{mode}", label);
+                assert_eq!(sharded.shard.workers, w, "{}/{mode}", label);
             }
         }
     }
@@ -205,7 +201,7 @@ fn sharded_naive_evaluation_matches_semi_naive() {
                 &s,
                 EvalOptions {
                     semi_naive: false,
-                    shards: Some(w),
+                    shards: w,
                     ..EvalOptions::default()
                 },
             );
@@ -237,7 +233,7 @@ fn sharded_magic_runs_match_unsharded_for_every_binding_pattern() {
             let baseline = compiled.run_seeded(&s, EvalOptions::default(), &seeds);
             for w in [2, 3, 4] {
                 let sharded =
-                    compiled.run_seeded(&s, EvalOptions::default().with_shards(Some(w)), &seeds);
+                    compiled.run_seeded(&s, EvalOptions::default().with_shards(w), &seeds);
                 assert!(
                     baseline.same_stages(&sharded),
                     "{}: magic {pattern} sharded W={w} diverged",
@@ -255,7 +251,7 @@ fn sharded_interrupt_resume_equals_straight_run() {
         let program = &programs[index % programs.len()];
         let s = fixture_for(program, 9_400 + (index % programs.len()) as u64);
         let w = WORKER_COUNTS[index % WORKER_COUNTS.len()];
-        let options = EvalOptions::default().with_shards(Some(w));
+        let options = EvalOptions::default().with_shards(w);
         let eval = Evaluator::new(program);
         let baseline = eval.run(&s, options);
         let (label, gov) = chaos::injection(0x4b56_1990, index, 60);
@@ -287,14 +283,13 @@ fn sharded_checkpoints_resume_under_different_worker_counts() {
     let eval = Evaluator::new(&program);
     let baseline = eval.run(&s, EvalOptions::default());
     let (_, gov) = chaos::injection(0x4b56_1990, 3, 30);
-    if let Err(interrupted) =
-        eval.try_run_governed(&s, EvalOptions::default().with_shards(Some(4)), &gov)
+    if let Err(interrupted) = eval.try_run_governed(&s, EvalOptions::default().with_shards(4), &gov)
     {
         for resume_opts in [
             EvalOptions::default(),
-            EvalOptions::default().with_shards(Some(2)),
-            EvalOptions::default().with_shards(Some(3)),
-            EvalOptions::default().with_shards(Some(8)),
+            EvalOptions::default().with_shards(2),
+            EvalOptions::default().with_shards(3),
+            EvalOptions::default().with_shards(8),
         ] {
             let resumed = eval
                 .resume(
@@ -320,8 +315,8 @@ fn shard_stats_are_consistent() {
     let eval = Evaluator::new(&program);
     for (mode, base) in option_matrix() {
         for w in [1, 2, 3, 4, 8] {
-            let run = eval.run(&s, base.with_shards(Some(w)));
-            let stats = run.shard.as_ref().expect("shard stats");
+            let run = eval.run(&s, base.with_shards(w));
+            let stats = &run.shard;
             assert_eq!(stats.workers, w, "{mode}");
             assert_eq!(stats.worker_probes.len(), w, "{mode}");
             assert_eq!(
@@ -389,7 +384,7 @@ fn sharded_incremental_engine_matches_unsharded_on_every_batch() {
             let (mut sharded, _) = IncrementalEngine::from_structure(
                 program,
                 &s,
-                EvalOptions::default().with_shards(Some(w)),
+                EvalOptions::default().with_shards(w),
             );
             let mut rng = SplitMix64::seed_from_u64(0x1990_9600 + pi as u64 * 31 + w as u64);
             for batch in 0..4u32 {
@@ -438,7 +433,7 @@ fn sharded_initial_batch_has_stage_identity() {
             let (_, summary) = IncrementalEngine::from_structure(
                 program,
                 &s,
-                EvalOptions::default().with_shards(Some(w)),
+                EvalOptions::default().with_shards(w),
             );
             assert_eq!(
                 summary.stage_new, scratch_stages,
@@ -458,7 +453,7 @@ fn sharded_batch_interrupt_resume_equals_straight_batch() {
         let program = &programs[index % programs.len()];
         let s = fixture_for(program, 9_800 + (index % programs.len()) as u64);
         let w = WORKER_COUNTS[index % WORKER_COUNTS.len()];
-        let options = EvalOptions::default().with_shards(Some(w));
+        let options = EvalOptions::default().with_shards(w);
         let (mut straight, _) = IncrementalEngine::from_structure(program, &s, options);
         let (mut chaotic, _) = IncrementalEngine::from_structure(program, &s, options);
         let mut rng = SplitMix64::seed_from_u64(0x1990_9800 + index as u64);
@@ -486,81 +481,29 @@ fn sharded_batch_interrupt_resume_equals_straight_batch() {
 }
 
 // ---------------------------------------------------------------------
-// Counter exactness: one shard is the default path
+// The default worker count: 1, whatever the host's CPUs, so default
+// counters are the same on every machine; 0 clamps to 1.
 // ---------------------------------------------------------------------
 
 #[test]
-fn single_shard_is_counter_identical_to_default() {
-    // `None` and `Some(1)` run the same single-worker stages, so every
-    // engine counter — not just every stage set — must agree. The
-    // cost-based Q_{2,1} instance is large enough that a multi-threaded
-    // default path would shift its `join_probes` with the host's CPUs
-    // (its textual and generic runs take minutes, so it runs under the
-    // `cost-auto` options alone).
-    let mut cases: Vec<(String, Program, Structure, Vec<_>)> = all_programs()
-        .into_iter()
-        .map(|p| {
-            let s = fixture_for(&p, 9_900);
-            (p.idb_name(p.goal()).to_string(), p, s, option_matrix())
-        })
-        .collect();
-    let cost_auto = option_matrix()
-        .into_iter()
-        .filter(|(m, _)| *m == "cost-auto");
-    cases.push((
-        "Q21/n24".to_string(),
-        q_kl(2, 1),
-        random_digraph(24, 0.15, 7).to_structure(),
-        cost_auto.collect(),
-    ));
-    for (label, program, s, matrix) in &cases {
-        let eval = Evaluator::new(program);
-        for &(mode, base) in matrix {
-            let default = eval.run(s, base);
-            let single = eval.run(s, base.with_shards(Some(1)));
-            assert_eq!(
-                default.eval_stats, single.eval_stats,
-                "{label}/{mode}: counters differ at W=1"
-            );
-            assert_eq!(default.stats, single.stats, "{label}/{mode}");
-            assert!(default.same_stages(&single), "{label}/{mode}: stages");
-            assert!(default.shard.is_none(), "{label}/{mode}");
-            assert_eq!(single.shard.map(|st| st.workers), Some(1), "{label}/{mode}");
-        }
+fn default_runs_use_one_worker() {
+    let program = transitive_closure();
+    let s = random_digraph(12, 0.3, 5).to_structure();
+    let eval = Evaluator::new(&program);
+    for options in [
+        EvalOptions::default(),
+        EvalOptions::default().with_shards(0),
+    ] {
+        assert_eq!(eval.run(&s, options).shard.workers, 1);
     }
 }
 
 #[test]
-fn single_shard_maintenance_is_counter_identical_to_default() {
-    // The same exactness for incremental maintenance: along a churn
-    // stream, every batch's counters agree between the default engine and
-    // one pinned at one shard.
-    for (pi, program) in all_programs().iter().enumerate() {
-        for (mode, base) in option_matrix() {
-            let s = fixture_for(program, 9_950 + pi as u64);
-            let (mut plain, first) = IncrementalEngine::from_structure(program, &s, base);
-            let (mut single, first_single) =
-                IncrementalEngine::from_structure(program, &s, base.with_shards(Some(1)));
-            assert_eq!(
-                first.eval_stats, first_single.eval_stats,
-                "program {pi}/{mode}: initial batch"
-            );
-            let mut rng = SplitMix64::seed_from_u64(0x1990_9950 + pi as u64);
-            for batch in 0..4u32 {
-                let (inserts, retracts) = random_batch(&plain, &mut rng);
-                let a = plain.apply_batch(&inserts, &retracts);
-                let b = single.apply_batch(&inserts, &retracts);
-                assert_eq!(
-                    a.eval_stats, b.eval_stats,
-                    "program {pi}/{mode} batch {batch}: counters differ at W=1"
-                );
-                assert_eq!(
-                    a.stage_new, b.stage_new,
-                    "program {pi}/{mode} batch {batch}"
-                );
-            }
-        }
-    }
+fn default_engines_use_one_worker() {
+    let program = transitive_closure();
+    let s = random_digraph(12, 0.3, 5).to_structure();
+    let (engine, _) = IncrementalEngine::from_structure(&program, &s, EvalOptions::default());
+    assert_eq!(engine.options().shards, 1);
 }
 
 #[test]
@@ -575,7 +518,7 @@ fn workers_with_an_empty_share_run_no_rules() {
     let edge: Fact = (s.vocabulary().relations().next().expect("E"), vec![0, 1]);
     let mut probes = Vec::new();
     for w in [1usize, 2, 3, 4] {
-        let opts = EvalOptions::default().with_shards(Some(w));
+        let opts = EvalOptions::default().with_shards(w);
         let (mut engine, _) = IncrementalEngine::from_structure(&program, &s, opts);
         let summary = engine.apply_batch(&[], std::slice::from_ref(&edge));
         assert_eq!(summary.overdeleted_tuples, 1, "W={w}");
@@ -593,7 +536,7 @@ fn edb_ids_do_not_depend_on_the_worker_count() {
         let mut engines: Vec<IncrementalEngine> = [1usize, 2, 4]
             .iter()
             .map(|&w| {
-                let opts = EvalOptions::default().with_shards(Some(w));
+                let opts = EvalOptions::default().with_shards(w);
                 IncrementalEngine::from_structure(program, &s, opts).0
             })
             .collect();
