@@ -261,6 +261,8 @@ pub(crate) struct Progress {
 pub struct EvalCheckpoint {
     idb_stores: Vec<TupleStore>,
     progress: Progress,
+    /// Each worker's probes over the committed stages.
+    shard: sharded::ShardStats,
 }
 
 impl EvalCheckpoint {
@@ -282,11 +284,11 @@ impl EvalCheckpoint {
 
     /// The committed prefix as a (non-converged) [`EvalResult`] — partial
     /// progress for callers that inspect rather than resume. Clones the
-    /// stores; the checkpoint stays resumable. Worker loads are not
-    /// checkpointed, so its [`EvalResult::shard`] is one unloaded worker.
+    /// stores; the checkpoint stays resumable. Its [`EvalResult::shard`]
+    /// holds the worker tallies of the committed stages.
     pub fn partial_result(&self) -> EvalResult {
-        let shard = sharded::ShardStats::new(1);
-        EvalResult::new(self.idb_stores.clone(), self.progress.clone(), false, shard)
+        let (stores, progress) = (self.idb_stores.clone(), self.progress.clone());
+        EvalResult::new(stores, progress, false, self.shard.clone())
     }
 }
 
@@ -1063,6 +1065,7 @@ impl CompiledProgram {
                 delta_lo: vec![0u32; idb_count],
                 ..Progress::default()
             },
+            shard: sharded::ShardStats::new(1),
         };
         let plan = self.plan_for(structure, &options);
         self.run_from(structure, indexes, &plan, options, gov, checkpoint)
@@ -1116,8 +1119,13 @@ impl CompiledProgram {
             .map(|r| structure.relation(r).store())
             .collect();
         // Interrupts discard partial stages whole, so a checkpoint holds
-        // committed stages only, and any worker count can resume it.
+        // committed stages only, and any worker count can resume it. Its
+        // worker tallies carry over, tally k onto worker k mod W, so they
+        // keep summing to the run's probes.
         let mut shards = sharded::ShardStats::new(options.shards);
+        for (k, &probes) in cp.shard.worker_probes.iter().enumerate() {
+            shards.worker_probes[k % shards.workers] += probes;
+        }
         let stages = StageLoop {
             structure,
             edb: &edb_stores,
@@ -1139,10 +1147,13 @@ impl CompiledProgram {
                 shards,
             )),
             // The committed state goes back as a resumable interrupt.
-            Err(reason) => Err(EvalInterrupted {
-                reason,
-                checkpoint: cp,
-            }),
+            Err(reason) => {
+                cp.shard = shards;
+                Err(EvalInterrupted {
+                    reason,
+                    checkpoint: cp,
+                })
+            }
         }
     }
 }

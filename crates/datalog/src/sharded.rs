@@ -41,8 +41,9 @@ use kv_structures::{Element, IdRange, MutableStore, TupleStore};
 pub struct ShardStats {
     /// Worker count the run executed with.
     pub workers: usize,
-    /// Each worker's `join_probes + block_probes` over the stages this
-    /// call ran: on an uninterrupted run they sum to the run's.
+    /// Each worker's `join_probes + block_probes`; they sum to the run's.
+    /// A resumed run adds the checkpoint's tallies, tally `k` onto worker
+    /// `k mod workers`.
     pub worker_probes: Vec<u64>,
 }
 

@@ -5,22 +5,27 @@
 //!
 //! 1. **Differential**: each `try_*` entry point under an unlimited
 //!    governor produces exactly the result of its plain counterpart — for
-//!    every program in `kv_datalog::programs`, every pebble game family
-//!    at `k ∈ {1, 2, 3}`, every homeomorphism dispatch method, the lfp
-//!    machinery, the reduction builders, and the flow/fan kernels.
+//!    every case of the shared corpus (`support::corpus`, no filter:
+//!    every program runs governed) over its `SMALL` fixtures, every
+//!    pebble game family at `k ∈ {1, 2, 3}`, every homeomorphism dispatch
+//!    method, the lfp machinery, the reduction builders, and the flow/fan
+//!    kernels.
 //! 2. **Chaos**: under seeded fault injection ([`chaos::injection`]
 //!    arms exactly one of step-budget / cancellation / expired-deadline
 //!    per point), no solver panics, checkpoint counters are monotone,
 //!    and `resume(interrupt(x)) ≡ run(x)` — stage by stage for Datalog,
 //!    verdict by verdict for the games.
 //!
-//! The injection-point counts below sum to 174 distinct seeded points
+//! The injection-point counts below sum to 181 distinct seeded points
 //! (24 Datalog + 12 existential game + 8 CNF game + 8 acyclic game +
 //! 8 lfp + 6 stage comparison + 8 homeomorphism + 8 reduction + 4 flow +
 //! 12 lazy arena + 8 seeded magic evaluation + 16 cost-based sequential +
-//! 8 cost-based parallel + 12 generic-join variable loop + 8 batched
+//! 15 cost-based parallel + 12 generic-join variable loop + 8 batched
 //! block loop + 24 incremental maintenance), satisfying the ≥64-point
 //! acceptance bar; every point runs in every `cargo test` invocation. The
+//! corpus-wide loops deal their points round-robin over the 15 corpus
+//! cases, at least one point per case, so a new case adds points only to
+//! a loop with fewer points than cases. The
 //! cost-based points trip faults inside the SCC stratum scheduler
 //! (stage-boundary checks), the planned join kernels (per-probe step
 //! charges), the batched scan's per-block charges, and the generic join's
@@ -31,11 +36,10 @@
 //! per-stage tuple/byte charges — and assert that an interrupted batch,
 //! resumed, lands counter-exactly on the uninterrupted batch.
 
-use datalog_expressiveness::datalog::programs::{
-    avoiding_path, path_systems, q_kl, q_prime, transitive_closure, two_disjoint_paths_acyclic,
-    two_disjoint_paths_paper_rules,
-};
-use datalog_expressiveness::datalog::{EvalOptions, EvalResult, Evaluator, PlannerMode, Program};
+mod support;
+
+use datalog_expressiveness::datalog::programs::{avoiding_path, transitive_closure};
+use datalog_expressiveness::datalog::{EvalOptions, EvalResult, Evaluator, PlannerMode};
 use datalog_expressiveness::graphalg::{disjoint_fan, try_disjoint_fan};
 use datalog_expressiveness::homeo;
 use datalog_expressiveness::logic::{
@@ -49,71 +53,9 @@ use datalog_expressiveness::reduction::thm66::Thm66Witness;
 use datalog_expressiveness::reduction::GPhi;
 use datalog_expressiveness::structures::generators::{random_dag, random_digraph};
 use datalog_expressiveness::structures::govern::chaos;
-use datalog_expressiveness::structures::{
-    Digraph, EvalStats, Governor, HomKind, Structure, Vocabulary,
-};
+use datalog_expressiveness::structures::{Digraph, EvalStats, Governor, HomKind, Structure};
 use std::collections::HashMap;
-use std::sync::Arc;
-
-/// One structure appropriate for each program's vocabulary.
-fn fixture_for(program: &Program, seed: u64) -> Structure {
-    let vocab = program.vocabulary();
-    if vocab.constant_count() > 0 {
-        // Programs with constants assume acyclic inputs (the Theorem 6.2
-        // two-pairs vocabulary, the acyclic game's pattern nodes): a
-        // random DAG with the distinguished nodes bound.
-        let mut g = random_dag(8, 0.35, seed);
-        g.set_distinguished([0, 6, 1, 7, 2, 5][..vocab.constant_count()].to_vec());
-        g.to_structure_with(Arc::clone(vocab))
-    } else if vocab.relation_count() == 2 {
-        // Path systems {R/3, A/1}: a small derivability instance.
-        let mut v = Vocabulary::new();
-        let r = v.add_relation("R", 3);
-        let a = v.add_relation("A", 1);
-        let mut s = Structure::new(Arc::new(v), 7);
-        s.insert(a, &[0]);
-        s.insert(a, &[1]);
-        for &(x, y, z) in &[(2, 0, 1), (3, 2, 0), (4, 3, 2), (5, 6, 6), (6, 4, 5)] {
-            s.insert(r, &[x, y, z]);
-        }
-        s
-    } else {
-        random_digraph(7, 0.3, seed).to_structure()
-    }
-}
-
-/// Theorem 6.1's program for a class-`C` pattern.
-fn class_c(pattern: &PatternSpec) -> Program {
-    match homeo::classify(pattern) {
-        homeo::PatternClass::InC(root) => homeo::class_c_program(pattern, &root),
-        other => panic!("{pattern:?} is not in C: {other:?}"),
-    }
-}
-
-/// The programs under test, with Theorem 6.1's class-`C` programs for the
-/// self-loop pattern `{(0,0), (0,1)}` and the two-leg out-star on the
-/// constant-vocabulary DAG fixtures.
-fn all_programs() -> Vec<Program> {
-    vec![
-        transitive_closure(),
-        avoiding_path(),
-        q_prime(),
-        q_kl(2, 1),
-        path_systems(),
-        two_disjoint_paths_acyclic(),
-        two_disjoint_paths_paper_rules(),
-        q_kl(1, 1),
-        homeo::acyclic_game_program(&PatternSpec::path_length_two()),
-        class_c(&PatternSpec {
-            node_count: 2,
-            edges: vec![(0, 0), (0, 1)],
-        }),
-        class_c(&PatternSpec {
-            node_count: 3,
-            edges: vec![(0, 1), (0, 2)],
-        }),
-    ]
-}
+use support::{configs, corpus, round_robin, SMALL};
 
 fn assert_results_identical(plain: &EvalResult, governed: &EvalResult, label: &str) {
     assert!(governed.same_stages(plain), "{label}: stages differ");
@@ -141,14 +83,14 @@ fn stats_monotone(prefix: &EvalStats, total: &EvalStats) -> bool {
 
 #[test]
 fn datalog_unlimited_governor_matches_plain_on_every_program() {
-    for (pi, program) in all_programs().iter().enumerate() {
-        let s = fixture_for(program, 4_100 + pi as u64);
-        let eval = Evaluator::new(program);
+    for case in corpus() {
+        let s = SMALL.draw(&case, case.seed(4_100));
+        let eval = Evaluator::new(&case.program);
         let plain = eval.run(&s, chaos_options());
         let governed = eval
             .try_run_governed(&s, chaos_options(), &Governor::unlimited())
-            .unwrap_or_else(|e| panic!("program {pi}: unlimited interrupt: {e}"));
-        assert_results_identical(&plain, &governed, &format!("program {pi}"));
+            .unwrap_or_else(|e| panic!("{}: unlimited interrupt: {e}", case.name));
+        assert_results_identical(&plain, &governed, case.name);
     }
 }
 
@@ -245,11 +187,10 @@ fn chaos_options() -> EvalOptions {
 
 #[test]
 fn chaos_datalog_interrupt_resume_equals_run() {
-    let programs = all_programs();
-    for index in 0..24usize {
-        let program = &programs[index % programs.len()];
-        let s = fixture_for(program, 4_100 + (index % programs.len()) as u64);
-        let eval = Evaluator::new(program);
+    let cases = corpus();
+    for (index, case) in round_robin(&cases, 24) {
+        let s = SMALL.draw(case, case.seed(4_100));
+        let eval = Evaluator::new(&case.program);
         let baseline = eval.run(&s, chaos_options());
         let (label, gov) = chaos::injection(chaos_seed(), index, 60);
         match eval.try_run_governed(&s, chaos_options(), &gov) {
@@ -536,12 +477,11 @@ fn chaos_planned_datalog_interrupt_resume_equals_run() {
     // cancellation/deadline checks trip at the SCC scheduler's stage
     // boundaries. Sequential planned evaluation is deterministic, so
     // resume must match the straight run *including* engine counters.
-    let programs = all_programs();
+    let cases = corpus();
     let opts = EvalOptions::default().with_planner(PlannerMode::CostBased);
-    for index in 0..16usize {
-        let program = &programs[index % programs.len()];
-        let s = fixture_for(program, 4_100 + (index % programs.len()) as u64);
-        let eval = Evaluator::new(program);
+    for (index, case) in round_robin(&cases, 16) {
+        let s = SMALL.draw(case, case.seed(4_100));
+        let eval = Evaluator::new(&case.program);
         let baseline = eval.run(&s, opts);
         let (label, gov) = chaos::injection(chaos_seed(), 1_100 + index, 60);
         match eval.try_run_governed(&s, opts, &gov) {
@@ -566,12 +506,11 @@ fn chaos_planned_parallel_interrupt_resume_matches_stages() {
     // The same contract on the chaos shards axis (`KV_CHAOS_SHARDS`
     // workers per stage): resume lands on the straight run's stages and
     // fixpoint at any worker count.
-    let programs = all_programs();
+    let cases = corpus();
     let opts = chaos_options().with_planner(PlannerMode::CostBased);
-    for index in 0..8usize {
-        let program = &programs[index % programs.len()];
-        let s = fixture_for(program, 4_100 + (index % programs.len()) as u64);
-        let eval = Evaluator::new(program);
+    for (index, case) in round_robin(&cases, 8) {
+        let s = SMALL.draw(case, case.seed(4_100));
+        let eval = Evaluator::new(&case.program);
         let baseline = eval.run(&s, opts);
         let (label, gov) = chaos::injection(chaos_seed(), 1_200 + index, 60);
         let run = match eval.try_run_governed(&s, opts, &gov) {
@@ -709,7 +648,7 @@ fn chaos_incremental_maintenance_interrupt_resume_equals_batch() {
     // either way, resuming under an unlimited governor must land on the
     // uninterrupted batch exactly — summary counters, EvalStats, and
     // every IDB store.
-    use datalog_expressiveness::datalog::{Fact, IdbId, IncrementalEngine, JoinLowering};
+    use datalog_expressiveness::datalog::{Fact, IdbId, IncrementalEngine};
     use datalog_expressiveness::structures::Element;
 
     fn mutation_batch(s: &Structure) -> (Vec<Fact>, Vec<Fact>) {
@@ -730,19 +669,13 @@ fn chaos_incremental_maintenance_interrupt_resume_equals_batch() {
         (inserts, retracts)
     }
 
-    let programs = all_programs();
-    let option_matrix = [
-        chaos_options(),
-        chaos_options().with_planner(PlannerMode::CostBased),
-        chaos_options()
-            .with_planner(PlannerMode::CostBased)
-            .with_lowering(JoinLowering::Generic),
-    ];
+    let cases = corpus();
+    let configs = configs().map(|(_, o)| o.with_shards(chaos_shards()));
     let mut guarded = 0;
-    for index in 0..24usize {
-        let program = &programs[index % programs.len()];
-        let opts = option_matrix[index % option_matrix.len()];
-        let s = fixture_for(program, 4_100 + (index % programs.len()) as u64);
+    for (index, case) in round_robin(&cases, 24) {
+        let program = &case.program;
+        let opts = configs[index % configs.len()];
+        let s = SMALL.draw(case, case.seed(4_100));
         let (inserts, retracts) = mutation_batch(&s);
 
         let (mut straight, _) = IncrementalEngine::from_structure(program, &s, opts);

@@ -3,9 +3,11 @@
 //! Two answer-identity guarantees, checked program-by-program and
 //! game-by-game against the eager implementations:
 //!
-//! 1. **Magic sets**: for every program in `kv_datalog::programs` and
-//!    every binding pattern of its goal (all 2^arity of them — `bb`, `bf`,
-//!    `fb`, `ff` for the binary goals), the rewritten program seeded from
+//! 1. **Magic sets**: for every case of the shared corpus
+//!    (`support::corpus`, no filter: every goal admits every binding
+//!    pattern) over its `SMALL` fixtures, and every binding pattern of
+//!    its goal (all 2^arity of them — `bb`, `bf`, `fb`, `ff` for the
+//!    binary goals), the rewritten program seeded from
 //!    a query tuple derives *exactly* the full-saturation goal tuples that
 //!    agree with the query on its bound positions (selection equality).
 //! 2. **Lazy arenas**: the demand-driven pebble solver names the same
@@ -14,10 +16,9 @@
 //!    acyclic two-player game behind the Theorem 6.2 dispatch — while
 //!    never materializing a larger arena.
 
-use datalog_expressiveness::datalog::programs::{
-    avoiding_path, path_systems, q_kl, q_prime, transitive_closure, two_disjoint_paths_acyclic,
-    two_disjoint_paths_paper_rules,
-};
+mod support;
+
+use datalog_expressiveness::datalog::programs::transitive_closure;
 use datalog_expressiveness::datalog::{
     BindingPattern, EvalOptions, Evaluator, MagicProgram, Program,
 };
@@ -28,74 +29,7 @@ use datalog_expressiveness::structures::generators::{
     directed_path, random_dag, random_digraph, two_crossing_paths, two_disjoint_paths,
 };
 use datalog_expressiveness::structures::{Element, Governor, HomKind, QueryPlan, Structure};
-use std::sync::Arc;
-
-/// One structure appropriate for each program's vocabulary (mirrors the
-/// sharded suite's fixtures): the path-systems relations `R/3, A/1`, or a
-/// digraph `E/2` whose distinguished nodes interpret the vocabulary's
-/// constants. Programs with constants (the two-disjoint-paths programs and
-/// Theorem 6.2's game programs) assume acyclic inputs, so they get a
-/// random DAG.
-fn fixture_for(program: &Program, seed: u64) -> Structure {
-    let vocab = Arc::clone(program.vocabulary());
-    if let (Some(r), Some(a)) = (vocab.relation_by_name("R"), vocab.relation_by_name("A")) {
-        let mut s = Structure::new(vocab, 7);
-        s.insert(a, &[0]);
-        s.insert(a, &[1]);
-        for &(x, y, z) in &[(2, 0, 1), (3, 2, 0), (4, 3, 2), (5, 6, 6), (6, 4, 5)] {
-            s.insert(r, &[x, y, z]);
-        }
-        return s;
-    }
-    match vocab.constant_count() {
-        0 => random_digraph(7, 0.3, seed).to_structure(),
-        c => {
-            let mut g = random_dag(8, 0.35, seed);
-            g.set_distinguished([0, 6, 1, 7, 2, 5][..c].to_vec());
-            g.to_structure_with(vocab)
-        }
-    }
-}
-
-/// Theorem 6.1's program for a class-`C` pattern.
-fn class_c(pattern: &PatternSpec) -> Program {
-    match homeo::classify(pattern) {
-        homeo::PatternClass::InC(root) => homeo::class_c_program(pattern, &root),
-        other => panic!("{pattern:?} is not in C: {other:?}"),
-    }
-}
-
-/// The programs under test, with Theorem 6.1's class-`C` programs for the
-/// self-loop pattern `{(0,0), (0,1)}` and the two-leg out-star on the
-/// constant-vocabulary DAG fixtures.
-fn all_programs() -> Vec<Program> {
-    vec![
-        transitive_closure(),
-        avoiding_path(),
-        q_prime(),
-        q_kl(2, 1),
-        path_systems(),
-        two_disjoint_paths_acyclic(),
-        two_disjoint_paths_paper_rules(),
-        q_kl(1, 1),
-        homeo::acyclic_game_program(&PatternSpec::path_length_two()),
-        class_c(&PatternSpec {
-            node_count: 2,
-            edges: vec![(0, 0), (0, 1)],
-        }),
-        class_c(&PatternSpec {
-            node_count: 3,
-            edges: vec![(0, 1), (0, 2)],
-        }),
-    ]
-}
-
-/// Every binding pattern of the given arity, `ff…f` through `bb…b`.
-fn all_patterns(arity: usize) -> Vec<BindingPattern> {
-    (0..1usize << arity)
-        .map(|mask| BindingPattern::new((0..arity).map(|i| mask >> i & 1 == 1).collect()))
-        .collect()
-}
+use support::{all_patterns, corpus, SMALL};
 
 /// A few query tuples inside the structure's universe, spread so both
 /// in-answer and out-of-answer selections occur.
@@ -145,13 +79,12 @@ fn assert_selection_equality(
 
 #[test]
 fn magic_equals_full_for_every_program_and_binding_pattern() {
-    for (pi, program) in all_programs().iter().enumerate() {
-        let s = fixture_for(program, 9_000 + pi as u64);
-        let arity = program.idb_arity(program.goal());
+    for case in corpus() {
+        let s = SMALL.draw(&case, case.seed(9_000));
+        let arity = case.goal_arity();
         for pattern in all_patterns(arity) {
             for query in sample_queries(arity, s.universe_size()) {
-                let label = format!("program {pi}");
-                assert_selection_equality(program, &s, &pattern, &query, &label);
+                assert_selection_equality(&case.program, &s, &pattern, &query, case.name);
             }
         }
     }

@@ -3,124 +3,25 @@
 //! The contract under test: after **every** batch of EDB insertions and
 //! retractions, the [`IncrementalEngine`]'s live IDB relations equal a
 //! from-scratch fixpoint of the same program over the engine's own
-//! materialized EDB — for every program in `kv_datalog::programs`, under
-//! randomized mutation schedules, across all three join lowerings
-//! (textual, cost-based binary, cost-based generic). The initial batch is
-//! additionally held to Theorem 3.6 stage identity: its stage sequence is
+//! materialized EDB — for every case of the shared corpus
+//! (`support::corpus`, no filter: every program is maintained) over its
+//! `SMALL` fixtures, under randomized mutation schedules, in every named
+//! configuration (`support::configs`). The initial batch is additionally
+//! held to Theorem 3.6 stage identity: its stage sequence is
 //! tuple-for-tuple the from-scratch semi-naive stage sequence.
 
-use datalog_expressiveness::datalog::programs::{
-    avoiding_path, path_systems, q_kl, q_prime, transitive_closure, triangles,
-    two_disjoint_paths_acyclic, two_disjoint_paths_paper_rules,
-};
+mod support;
+
+use datalog_expressiveness::datalog::programs::transitive_closure;
 use datalog_expressiveness::datalog::{
-    BatchSummary, EvalOptions, Evaluator, Fact, IdbId, IncrementalEngine, JoinLowering,
-    PlannerMode, Program,
+    BatchSummary, EvalOptions, Evaluator, Fact, IdbId, IncrementalEngine, PlannerMode, Program,
 };
-use datalog_expressiveness::homeo::{
-    acyclic_game_program, class_c_program, classify, PatternClass, PatternSpec,
-};
-use datalog_expressiveness::structures::generators::{random_dag, random_digraph};
 use datalog_expressiveness::structures::{
     Element, EvalStats, RelId, SplitMix64, Structure, Vocabulary,
 };
 use std::collections::{BTreeSet, HashSet};
 use std::sync::Arc;
-
-/// One structure over the program's own vocabulary: the path-systems
-/// relations `R/3, A/1`, a random digraph `E/2`, or — for programs with
-/// constants — a random DAG whose distinguished nodes interpret the
-/// constants. The two-disjoint-paths programs and Theorem 6.2's game
-/// programs assume acyclic inputs; Theorem 6.1's class-`C` programs,
-/// which hold on any input, get a DAG too.
-fn fixture_for(program: &Program, seed: u64) -> Structure {
-    let vocab = Arc::clone(program.vocabulary());
-    if let (Some(r), Some(a)) = (vocab.relation_by_name("R"), vocab.relation_by_name("A")) {
-        let mut s = Structure::new(vocab, 7);
-        s.insert(a, &[0]);
-        s.insert(a, &[1]);
-        for &(x, y, z) in &[(2, 0, 1), (3, 2, 0), (4, 3, 2), (5, 6, 6), (6, 4, 5)] {
-            s.insert(r, &[x, y, z]);
-        }
-        return s;
-    }
-    match vocab.constant_count() {
-        0 => random_digraph(7, 0.3, seed).to_structure(),
-        c => {
-            let mut g = random_dag(8, 0.35, seed);
-            g.set_distinguished([0, 6, 1, 7, 2, 5][..c].to_vec());
-            g.to_structure_with(vocab)
-        }
-    }
-}
-
-/// Theorem 6.1's program for a class-`C` pattern.
-fn class_c(pattern: &PatternSpec) -> Program {
-    match classify(pattern) {
-        PatternClass::InC(root) => class_c_program(pattern, &root),
-        other => panic!("{pattern:?} is not in C: {other:?}"),
-    }
-}
-
-/// The maintained programs. `triangles` is one non-recursive SCC, and
-/// Theorem 6.1's class-`C` programs for the self-loop pattern
-/// `{(0,0), (0,1)}` and the two-leg out-star mix non-recursive and
-/// recursive SCCs, so DRed runs on both kinds.
-fn all_programs() -> Vec<Program> {
-    vec![
-        transitive_closure(),
-        avoiding_path(),
-        q_prime(),
-        q_kl(2, 1),
-        path_systems(),
-        two_disjoint_paths_acyclic(),
-        two_disjoint_paths_paper_rules(),
-        q_kl(1, 1),
-        acyclic_game_program(&PatternSpec::path_length_two()),
-        triangles(),
-        class_c(&PatternSpec {
-            node_count: 2,
-            edges: vec![(0, 0), (0, 1)],
-        }),
-        class_c(&PatternSpec {
-            node_count: 3,
-            edges: vec![(0, 1), (0, 2)],
-        }),
-    ]
-}
-
-fn lowerings() -> [EvalOptions; 3] {
-    [
-        EvalOptions::default(), // textual
-        EvalOptions::default().with_planner(PlannerMode::CostBased),
-        EvalOptions::default()
-            .with_planner(PlannerMode::CostBased)
-            .with_lowering(JoinLowering::Generic),
-    ]
-}
-
-/// A random mutation batch against the engine's current EDB: each live
-/// tuple is retracted with probability ~1/4, and a handful of fresh random
-/// tuples (valid arity, in-universe) are inserted per relation.
-fn random_batch(engine: &IncrementalEngine, rng: &mut SplitMix64) -> (Vec<Fact>, Vec<Fact>) {
-    let s = engine.edb_structure();
-    let n = s.universe_size() as u32;
-    let mut inserts = Vec::new();
-    let mut retracts = Vec::new();
-    for rel in s.vocabulary().relations() {
-        for t in s.relation(rel).iter() {
-            if rng.gen_bool(0.25) {
-                retracts.push((rel, t.to_vec()));
-            }
-        }
-        let arity = s.vocabulary().arity(rel);
-        for _ in 0..rng.gen_range(0u32..4) {
-            let t: Vec<Element> = (0..arity).map(|_| rng.gen_range(0..n)).collect();
-            inserts.push((rel, t));
-        }
-    }
-    (inserts, retracts)
-}
+use support::{configs, corpus, random_batch, Case, SMALL};
 
 /// The engine's live IDB sets must equal a from-scratch run over the
 /// engine's own materialized EDB.
@@ -144,16 +45,16 @@ fn assert_matches_scratch(engine: &IncrementalEngine, program: &Program, label: 
 
 #[test]
 fn every_program_matches_scratch_under_random_schedules() {
-    for (pi, program) in all_programs().iter().enumerate() {
-        for (oi, opts) in lowerings().into_iter().enumerate() {
+    for case in corpus() {
+        let program = &case.program;
+        for (oi, (config, opts)) in configs().into_iter().enumerate() {
             for schedule in 0..3u64 {
-                let label = format!("program {pi} lowering {oi} schedule {schedule}");
-                let s = fixture_for(program, 4_100 + pi as u64 + 13 * schedule);
+                let label = format!("{} {config} schedule {schedule}", case.name);
+                let s = SMALL.draw(&case, case.seed(4_100 + schedule));
                 let (mut engine, _) = IncrementalEngine::from_structure(program, &s, opts);
                 assert_matches_scratch(&engine, program, &format!("{label} initial"));
-                let mut rng = SplitMix64::seed_from_u64(
-                    0x1990 + 1_000 * pi as u64 + 100 * oi as u64 + schedule,
-                );
+                let mut rng =
+                    SplitMix64::seed_from_u64(case.seed(0x1990_0000 + 100 * oi as u64 + schedule));
                 for batch in 0..4u32 {
                     let (inserts, retracts) = random_batch(&engine, &mut rng);
                     engine.apply_batch(&inserts, &retracts);
@@ -168,9 +69,10 @@ fn every_program_matches_scratch_under_random_schedules() {
 fn initial_batch_has_stage_identity_on_every_program() {
     // Theorem 3.6 stage identity: the initial batch derives, stage by
     // stage, exactly the from-scratch semi-naive stage sequence.
-    for (pi, program) in all_programs().iter().enumerate() {
-        for (oi, opts) in lowerings().into_iter().enumerate() {
-            let s = fixture_for(program, 4_100 + pi as u64);
+    for case in corpus() {
+        let program = &case.program;
+        for (config, opts) in configs() {
+            let s = SMALL.draw(&case, case.seed(4_100));
             let (_, summary) = IncrementalEngine::from_structure(program, &s, opts);
             let scratch = Evaluator::new(program).run(&s, opts);
             let scratch_stages: Vec<Vec<usize>> = scratch
@@ -180,7 +82,8 @@ fn initial_batch_has_stage_identity_on_every_program() {
                 .collect();
             assert_eq!(
                 summary.stage_new, scratch_stages,
-                "program {pi} lowering {oi}: initial-batch stage identity"
+                "{} {config}: initial-batch stage identity",
+                case.name
             );
         }
     }
@@ -193,16 +96,17 @@ fn initial_batch_never_probes_more_than_scratch() {
     // may not probe more than a from-scratch run with the same options:
     // textual, and cost-based under every lowering.
     let probes = |e: &EvalStats| e.join_probes + e.block_probes;
-    for (pi, program) in all_programs().iter().enumerate() {
-        for (oi, opts) in pinned_configs().into_iter().enumerate() {
-            for seed in [4_100, 4_500] {
-                let s = fixture_for(program, seed + pi as u64);
+    for case in corpus() {
+        let program = &case.program;
+        for (config, opts) in configs() {
+            for seed in [case.seed(4_100), case.seed(4_500)] {
+                let s = SMALL.draw(&case, seed);
                 let (_, initial) = IncrementalEngine::from_structure(program, &s, opts);
                 let scratch = Evaluator::new(program).run(&s, opts);
                 assert!(
                     probes(&initial.eval_stats) <= probes(&scratch.eval_stats),
-                    "program {pi} configuration {oi} seed {seed}: initial batch made {} \
-                     probes, scratch {}",
+                    "{} {config} seed {seed}: initial batch made {} probes, scratch {}",
+                    case.name,
                     probes(&initial.eval_stats),
                     probes(&scratch.eval_stats)
                 );
@@ -216,8 +120,9 @@ fn drain_and_refill_round_trips() {
     // Retract everything, then re-insert the original EDB: the engine
     // must pass through the empty fixpoint and land back on the original
     // one (epoch-advanced, content-identical).
-    for (pi, program) in all_programs().iter().enumerate() {
-        let s = fixture_for(program, 4_200 + pi as u64);
+    for case in corpus() {
+        let (program, name) = (&case.program, case.name);
+        let s = SMALL.draw(&case, case.seed(4_200));
         let (mut engine, _) =
             IncrementalEngine::from_structure(program, &s, EvalOptions::default());
         let all: Vec<Fact> = s
@@ -231,9 +136,9 @@ fn drain_and_refill_round_trips() {
             })
             .collect();
         engine.apply_batch(&[], &all);
-        assert_matches_scratch(&engine, program, &format!("program {pi} drained"));
+        assert_matches_scratch(&engine, program, &format!("{name} drained"));
         engine.apply_batch(&all, &[]);
-        assert_matches_scratch(&engine, program, &format!("program {pi} refilled"));
+        assert_matches_scratch(&engine, program, &format!("{name} refilled"));
     }
 }
 
@@ -254,12 +159,13 @@ fn reordered_batches_are_equivalent_to_unreordered() {
     // and the identical summary counters. This is what makes replayed
     // (WAL) and resumed batches reproducible regardless of how callers
     // assembled them.
-    for (pi, program) in all_programs().iter().enumerate() {
-        let s = fixture_for(program, 4_300 + pi as u64);
+    for case in corpus() {
+        let program = &case.program;
+        let s = SMALL.draw(&case, case.seed(4_300));
         let opts = EvalOptions::default();
         let (mut plain, _) = IncrementalEngine::from_structure(program, &s, opts);
         let (mut shuffled, _) = IncrementalEngine::from_structure(program, &s, opts);
-        let mut rng = SplitMix64::seed_from_u64(0x0de4 + pi as u64);
+        let mut rng = SplitMix64::seed_from_u64(case.seed(0x0de4));
         for batch in 0..3u32 {
             let (inserts, retracts) = random_batch(&plain, &mut rng);
             let mut inserts_perm = inserts.clone();
@@ -268,7 +174,7 @@ fn reordered_batches_are_equivalent_to_unreordered() {
             shuffle(&mut retracts_perm, &mut rng);
             let a = plain.apply_batch(&inserts, &retracts);
             let b = shuffled.apply_batch(&inserts_perm, &retracts_perm);
-            let label = format!("program {pi} batch {batch}");
+            let label = format!("{} batch {batch}", case.name);
             assert_eq!(
                 (a.edb_inserted, a.edb_retracted, a.delta_tuples),
                 (b.edb_inserted, b.edb_retracted, b.delta_tuples),
@@ -323,12 +229,13 @@ fn reordered_batches_are_equivalent_to_unreordered() {
 /// every mixed batch.
 #[allow(clippy::type_complexity)]
 fn churn_trace(
-    program: &Program,
+    case: &Case,
     opts: EvalOptions,
     seed: u64,
     batches: u32,
 ) -> (Vec<BatchSummary>, Vec<Vec<Vec<Element>>>) {
-    let s = fixture_for(program, seed);
+    let program = &case.program;
+    let s = SMALL.draw(case, seed);
     let (mut engine, initial) = IncrementalEngine::from_structure(program, &s, opts);
     let mut rng = SplitMix64::seed_from_u64(seed ^ 0x5eed);
     let mut summaries = vec![initial];
@@ -373,11 +280,11 @@ fn churn_trace(
 /// batch's count of SCCs that took the recompute guard.
 #[allow(clippy::type_complexity)]
 fn deletion_trace(
-    program: &Program,
+    case: &Case,
     opts: EvalOptions,
     seed: u64,
 ) -> (Vec<(u64, u64, u64)>, Vec<Vec<Vec<Element>>>, Vec<u64>) {
-    let (summaries, idbs) = churn_trace(program, opts, seed, 5);
+    let (summaries, idbs) = churn_trace(case, opts, seed, 5);
     let batches = &summaries[1..];
     let triples = batches
         .iter()
@@ -407,41 +314,29 @@ fn deletion_counters_are_pinned_for_every_lowering_and_worker_count() {
     // `two_disjoint_paths_paper_rules`, whose one SCC is seeded by a fact
     // rule.
     let (mut full_dred, mut guarded) = (0, 0);
-    for (pi, program) in all_programs().iter().enumerate() {
-        let seed = 4_400 + pi as u64;
-        let reference = deletion_trace(program, EvalOptions::default(), seed);
-        assert_eq!(
-            reference.0, PINNED_DELETION_TRIPLES[pi],
-            "program {pi}: deletion triples moved"
-        );
+    support::check_pinned(PINNED_DELETION_TRIPLES, &corpus(), 4_400, |case, seed| {
+        let reference = deletion_trace(case, EvalOptions::default(), seed);
         for (&(_, overdeleted, _), &recomputed) in reference.0.iter().zip(&reference.2) {
             full_dred += usize::from(overdeleted > 0 && recomputed == 0);
             guarded += usize::from(recomputed > 0);
         }
-        if program.idb_name(program.goal()) == "D" {
+        if case.program.idb_name(case.program.goal()) == "D" {
             assert!(
                 reference.2.iter().any(|&r| r > 0),
                 "the fact-rule SCC must take the guard"
             );
         }
-        for (oi, opts) in lowerings().into_iter().enumerate() {
+        for (config, opts) in configs() {
             for w in [1usize, 4] {
-                let got = deletion_trace(program, opts.with_shards(w), seed);
-                assert_eq!(
-                    got.0, reference.0,
-                    "program {pi} lowering {oi} W={w}: deletion triples"
-                );
-                assert_eq!(
-                    got.1, reference.1,
-                    "program {pi} lowering {oi} W={w}: maintained IDB"
-                );
-                assert_eq!(
-                    got.2, reference.2,
-                    "program {pi} lowering {oi} W={w}: recompute guard"
-                );
+                let label = format!("{} {config} W={w}", case.name);
+                let got = deletion_trace(case, opts.with_shards(w), seed);
+                assert_eq!(got.0, reference.0, "{label}: deletion triples");
+                assert_eq!(got.1, reference.1, "{label}: maintained IDB");
+                assert_eq!(got.2, reference.2, "{label}: recompute guard");
             }
         }
-    }
+        vec![(String::new(), reference.0)]
+    });
     assert!(full_dred > 0 && guarded > 0, "both deletion paths pinned");
 }
 
@@ -584,24 +479,6 @@ fn recompute_guard_fires_on_dense_sccs_only_and_never_loses_to_scratch() {
     }
 }
 
-/// The configurations the pinned maintenance counters cover, in row
-/// order: textual, then cost-based under the Auto, Binary and Generic
-/// lowerings, all at one worker.
-fn pinned_configs() -> [EvalOptions; 4] {
-    let cost = |lowering| {
-        EvalOptions::default()
-            .with_planner(PlannerMode::CostBased)
-            .with_lowering(lowering)
-    };
-    [
-        EvalOptions::default(),
-        cost(JoinLowering::Auto),
-        cost(JoinLowering::Binary),
-        cost(JoinLowering::Generic),
-    ]
-    .map(|o| o.with_shards(1))
-}
-
 /// One batch as a row: the full [`EvalStats`](datalog_expressiveness::structures::EvalStats)
 /// (join probes, magic probes, block probes, gallop steps, duplicate
 /// derivations, tuples interned, stages, generic-join rules), then
@@ -642,339 +519,343 @@ fn maintenance_counters_are_pinned() {
     // change to how maintenance runs that is meant to leave it as it was
     // must reproduce every recorded row, so a shift that moves every
     // configuration alike cannot pass unnoticed.
-    let mut got = Vec::new();
-    for (pi, program) in all_programs().iter().enumerate() {
-        for opts in pinned_configs() {
-            let (summaries, _) = churn_trace(program, opts, 4_500 + pi as u64, 4);
-            got.extend(summaries.iter().map(maintenance_row));
+    support::check_pinned(PINNED_MAINTENANCE, &corpus(), 4_500, |case, seed| {
+        let mut rows = Vec::new();
+        for (config, opts) in configs() {
+            let (summaries, _) = churn_trace(case, opts, seed, 4);
+            let batches = summaries.iter().enumerate();
+            rows.extend(batches.map(|(b, s)| (format!("{config}/{b}"), maintenance_row(s))));
         }
-    }
-    assert_eq!(
-        got.len(),
-        PINNED_MAINTENANCE.len(),
-        "one row per program, configuration and batch"
-    );
-    let per_program = pinned_configs().len() * 5;
-    for (i, (row, want)) in got.iter().zip(&PINNED_MAINTENANCE).enumerate() {
-        assert_eq!(
-            row,
-            want,
-            "program {}, configuration {}, batch {}",
-            i / per_program,
-            i % per_program / 5,
-            i % 5
-        );
-    }
+        rows
+    });
 }
 
-/// Recorded [`maintenance_row`]s: per program of [`all_programs`] (seed
-/// `4_500 + index`), per configuration of [`pinned_configs`], the initial
-/// batch and four mixed batches.
+/// Recorded [`maintenance_row`]s, keyed `case/seed/configuration/batch`:
+/// per corpus case, per seed, per configuration of [`configs`], the
+/// initial batch (0) and four mixed batches.
 #[rustfmt::skip]
-const PINNED_MAINTENANCE: [&str; 240] = [
-    // transitive_closure
-    "24 0 0 0 7 20 3 0 | 9 8 3",
-    "28 0 0 0 0 6 3 0 | 4 1 1",
-    "21 0 0 0 0 0 0 0 | ",
-    "18 0 0 0 6 11 3 0 | 5 4 2",
-    "21 0 0 0 1 4 1 0 | 4",
-    "18 0 6 0 7 20 3 0 | 9 8 3",
-    "26 0 2 0 0 6 3 0 | 4 1 1",
-    "21 0 0 0 0 0 0 0 | ",
-    "13 0 5 0 6 11 3 0 | 5 4 2",
-    "19 0 2 0 1 4 1 0 | 4",
-    "18 0 6 0 7 20 3 0 | 9 8 3",
-    "26 0 2 0 0 6 3 0 | 4 1 1",
-    "21 0 0 0 0 0 0 0 | ",
-    "13 0 5 0 6 11 3 0 | 5 4 2",
-    "19 0 2 0 1 4 1 0 | 4",
-    "42 0 0 24 7 20 3 3 | 9 8 3",
-    "43 0 0 49 0 6 3 7 | 4 1 1",
-    "23 0 0 2 0 0 0 4 | ",
-    "33 0 0 22 6 11 3 4 | 5 4 2",
-    "37 0 0 73 1 4 1 5 | 4",
-    // avoiding_path
-    "129 0 0 0 95 125 3 0 | 60 50 15",
-    "53 0 0 0 0 0 0 0 | ",
-    "32 0 0 0 0 5 1 0 | 5",
-    "16 0 0 0 0 0 0 0 | ",
-    "10 0 0 0 0 0 0 0 | ",
-    "22 0 107 0 95 125 3 0 | 60 50 15",
-    "53 0 0 0 0 0 0 0 | ",
-    "28 0 4 0 0 5 1 0 | 5",
-    "16 0 0 0 0 0 0 0 | ",
-    "10 0 0 0 0 0 0 0 | ",
-    "22 0 107 0 95 125 3 0 | 60 50 15",
-    "53 0 0 0 0 0 0 0 | ",
-    "28 0 4 0 0 5 1 0 | 5",
-    "16 0 0 0 0 0 0 0 | ",
-    "10 0 0 0 0 0 0 0 | ",
-    "317 0 0 464 95 125 3 3 | 60 50 15",
-    "167 0 0 959 0 0 0 3 | ",
-    "49 0 0 94 0 5 1 4 | 5",
-    "16 0 0 0 0 0 0 2 | ",
-    "10 0 0 0 0 0 0 2 | ",
-    // q_prime
-    "748 0 0 0 283 296 6 0 | 75,0 64,30 33,40 7,31 1,14 0,1",
-    "670 0 0 433 0 0 0 0 | ",
-    "576 0 0 341 0 0 0 0 | ",
-    "732 0 0 14 64 56 5 0 | 18,7 11,3 6,8 0,2 0,1",
-    "573 0 0 188 26 46 4 0 | 20,2 9,1 8,3 0,3",
-    "311 0 370 0 183 296 6 0 | 75,0 64,30 33,40 7,31 1,14 0,1",
-    "670 0 0 433 0 0 0 0 | ",
-    "576 0 0 341 0 0 0 0 | ",
-    "646 0 75 30 45 56 5 0 | 18,7 11,3 6,8 0,2 0,1",
-    "516 0 81 188 24 46 4 0 | 20,2 9,1 8,3 0,3",
-    "311 0 370 0 183 296 6 0 | 75,0 64,30 33,40 7,31 1,14 0,1",
-    "670 0 0 433 0 0 0 0 | ",
-    "576 0 0 341 0 0 0 0 | ",
-    "646 0 75 30 45 56 5 0 | 18,7 11,3 6,8 0,2 0,1",
-    "516 0 81 188 24 46 4 0 | 20,2 9,1 8,3 0,3",
-    "1439 0 0 6971 283 296 6 18 | 75,0 64,30 33,40 7,31 1,14 0,1",
-    "1536 0 0 9390 0 0 0 18 | ",
-    "1253 0 0 7058 0 0 0 19 | ",
-    "1204 0 0 3456 64 56 5 33 | 18,7 11,3 6,8 0,2 0,1",
-    "997 0 0 3551 26 46 4 30 | 20,2 9,1 8,3 0,3",
-    // q_kl(2, 1)
-    "1513 0 0 0 295 772 6 0 | 250,0 167,64 121,72 44,41 1,11 0,1",
-    "1569 0 0 1045 13 81 4 0 | 40,6 16,3 9,2 4,1",
-    "1191 0 0 324 70 190 3 0 | 95,7 62,7 16,3",
-    "789 0 0 29 9 124 4 0 | 50,15 29,16 0,10 0,4",
-    "772 0 0 337 0 25 1 0 | 25,0",
-    "382 0 1173 0 255 772 6 0 | 250,0 167,64 121,72 44,41 1,11 0,1",
-    "1451 0 142 1045 13 81 4 0 | 40,6 16,3 9,2 4,1",
-    "899 0 321 367 70 190 3 0 | 95,7 62,7 16,3",
-    "618 0 194 91 9 124 4 0 | 50,15 29,16 0,10 0,4",
-    "741 0 39 337 0 25 1 1 | 25,0",
-    "382 0 1173 0 255 772 6 0 | 250,0 167,64 121,72 44,41 1,11 0,1",
-    "1451 0 142 1045 13 81 4 0 | 40,6 16,3 9,2 4,1",
-    "899 0 321 367 70 190 3 0 | 95,7 62,7 16,3",
-    "618 0 194 91 9 124 4 0 | 50,15 29,16 0,10 0,4",
-    "726 0 54 337 0 25 1 0 | 25,0",
-    "2857 0 0 23606 295 772 6 18 | 250,0 167,64 121,72 44,41 1,11 0,1",
-    "3369 0 0 30643 13 81 4 34 | 40,6 16,3 9,2 4,1",
-    "2050 0 0 7650 70 190 3 23 | 95,7 62,7 16,3",
-    "1160 0 0 5493 9 124 4 22 | 50,15 29,16 0,10 0,4",
-    "1232 0 0 6930 0 25 1 16 | 25,0",
-    // path_systems
-    "21 0 0 0 0 5 4 0 | 2 1 1 1",
-    "29 0 0 0 0 1 1 0 | 1",
-    "14 0 0 0 0 1 1 0 | 1",
-    "14 0 0 0 0 0 0 0 | ",
-    "10 0 0 0 0 1 1 0 | 1",
-    "21 0 0 0 0 5 4 0 | 2 1 1 1",
-    "29 0 0 0 0 1 1 0 | 1",
-    "14 0 0 0 0 1 1 0 | 1",
-    "12 0 0 0 0 0 0 0 | ",
-    "10 0 0 0 0 1 1 0 | 1",
-    "21 0 0 0 0 5 4 0 | 2 1 1 1",
-    "29 0 0 0 0 1 1 0 | 1",
-    "14 0 0 0 0 1 1 0 | 1",
-    "12 0 0 0 0 0 0 0 | ",
-    "10 0 0 0 0 1 1 0 | 1",
-    "34 0 0 13 0 5 4 7 | 2 1 1 1",
-    "36 0 0 10 0 1 1 7 | 1",
-    "14 0 0 0 0 1 1 4 | 1",
-    "14 0 0 0 0 0 0 3 | ",
-    "10 0 0 0 0 1 1 3 | 1",
-    // two_disjoint_paths_acyclic
-    "65 0 0 0 3 11 3 0 | 2,2,0,0 1,0,4,0 0,0,2,0",
-    "120 0 0 0 0 4 3 0 | 1,0,0,0 0,0,2,0 0,0,0,1",
-    "44 0 0 0 1 1 1 0 | 0,1,0,0",
-    "60 0 0 0 1 3 2 0 | 1,0,0,0 0,0,2,0",
-    "40 0 0 0 0 0 0 0 | ",
-    "40 0 9 0 1 11 3 0 | 2,2,0,0 1,0,4,0 0,0,2,0",
-    "112 0 0 0 0 4 3 0 | 1,0,0,0 0,0,2,0 0,0,0,1",
-    "43 0 0 0 0 1 1 0 | 0,1,0,0",
-    "58 0 0 0 0 3 2 1 | 1,0,0,0 0,0,2,0",
-    "40 0 0 0 0 0 0 0 | ",
-    "40 0 9 0 1 11 3 0 | 2,2,0,0 1,0,4,0 0,0,2,0",
-    "112 0 0 0 0 4 3 0 | 1,0,0,0 0,0,2,0 0,0,0,1",
-    "43 0 0 0 0 1 1 0 | 0,1,0,0",
-    "58 0 0 0 0 3 2 0 | 1,0,0,0 0,0,2,0",
-    "40 0 0 0 0 0 0 0 | ",
-    "81 0 0 76 3 11 3 12 | 2,2,0,0 1,0,4,0 0,0,2,0",
-    "157 0 0 89 0 4 3 35 | 1,0,0,0 0,0,2,0 0,0,0,1",
-    "94 0 0 90 1 1 1 15 | 0,1,0,0",
-    "60 0 0 11 1 3 2 19 | 1,0,0,0 0,0,2,0",
-    "54 0 0 22 0 0 0 16 | ",
-    // two_disjoint_paths_paper_rules
-    "15 0 0 0 4 9 3 0 | 1 4 4",
-    "20 0 0 0 0 0 0 0 | ",
-    "0 0 0 0 0 0 0 0 | ",
-    "17 0 0 0 0 0 0 0 | ",
-    "0 0 0 0 0 0 0 0 | ",
-    "12 0 3 0 4 9 3 0 | 1 4 4",
-    "20 0 0 0 0 0 0 0 | ",
-    "0 0 0 0 0 0 0 0 | ",
-    "17 0 0 0 0 0 0 0 | ",
-    "0 0 0 0 0 0 0 0 | ",
-    "12 0 3 0 4 9 3 0 | 1 4 4",
-    "20 0 0 0 0 0 0 0 | ",
-    "0 0 0 0 0 0 0 0 | ",
-    "17 0 0 0 0 0 0 0 | ",
-    "0 0 0 0 0 0 0 0 | ",
-    "27 0 0 30 4 9 3 6 | 1 4 4",
-    "25 0 0 14 0 0 0 4 | ",
-    "0 0 0 0 0 0 0 0 | ",
-    "20 0 0 7 0 0 0 4 | ",
-    "0 0 0 0 0 0 0 0 | ",
-    // q_kl(1, 1)
-    "162 0 0 0 184 158 3 0 | 60 72 26",
-    "106 0 0 0 4 12 1 0 | 12",
-    "133 0 0 0 25 26 2 0 | 19 7",
-    "114 0 0 0 0 0 0 0 | ",
-    "54 0 0 0 12 34 3 0 | 14 12 8",
-    "20 0 142 0 184 158 3 0 | 60 72 26",
-    "95 0 11 0 4 12 1 0 | 12",
-    "110 0 23 0 25 26 2 0 | 19 7",
-    "114 0 0 0 0 0 0 0 | ",
-    "26 0 28 0 12 34 3 0 | 14 12 8",
-    "20 0 142 0 184 158 3 0 | 60 72 26",
-    "95 0 11 0 4 12 1 0 | 12",
-    "110 0 23 0 25 26 2 0 | 19 7",
-    "114 0 0 0 0 0 0 0 | ",
-    "26 0 28 0 12 34 3 0 | 14 12 8",
-    "485 0 0 909 184 158 3 3 | 60 72 26",
-    "362 0 0 1921 4 12 1 6 | 12",
-    "319 0 0 758 25 26 2 7 | 19 7",
-    "161 0 0 336 0 0 0 2 | ",
-    "145 0 0 403 12 34 3 6 | 14 12 8",
-    // acyclic_game_program(path_length_two)
-    "34 0 0 0 0 8 4 0 | 1,0,0,0,0 0,2,1,0,0 0,1,0,2,0 0,0,0,1,0",
-    "118 0 0 0 0 2 2 0 | 0,0,1,0,0 0,0,0,1,0",
-    "40 0 0 0 0 3 2 0 | 0,1,0,0,0 0,0,0,2,0",
-    "42 0 0 0 0 0 0 0 | ",
-    "68 0 0 0 0 3 2 0 | 0,1,0,0,0 0,0,0,2,0",
-    "34 0 0 0 0 8 4 0 | 1,0,0,0,0 0,2,1,0,0 0,1,0,2,0 0,0,0,1,0",
-    "118 0 0 0 0 2 2 0 | 0,0,1,0,0 0,0,0,1,0",
-    "35 0 2 0 0 3 2 0 | 0,1,0,0,0 0,0,0,2,0",
-    "40 0 0 0 0 0 0 0 | ",
-    "60 0 2 0 0 3 2 0 | 0,1,0,0,0 0,0,0,2,0",
-    "34 0 0 0 0 8 4 0 | 1,0,0,0,0 0,2,1,0,0 0,1,0,2,0 0,0,0,1,0",
-    "118 0 0 0 0 2 2 0 | 0,0,1,0,0 0,0,0,1,0",
-    "35 0 2 0 0 3 2 0 | 0,1,0,0,0 0,0,0,2,0",
-    "40 0 0 0 0 0 0 0 | ",
-    "60 0 2 0 0 3 2 0 | 0,1,0,0,0 0,0,0,2,0",
-    "45 0 0 26 0 8 4 14 | 1,0,0,0,0 0,2,1,0,0 0,1,0,2,0 0,0,0,1,0",
-    "125 0 0 25 0 2 2 40 | 0,0,1,0,0 0,0,0,1,0",
-    "50 0 0 18 0 3 2 19 | 0,1,0,0,0 0,0,0,2,0",
-    "43 0 0 0 0 0 0 24 | ",
-    "81 0 0 28 0 3 2 31 | 0,1,0,0,0 0,0,0,2,0",
-    // triangles
-    "25 0 0 0 0 0 0 0 | ",
-    "28 0 0 4 0 0 0 3 | ",
-    "15 0 0 0 0 4 1 0 | 4",
-    "68 0 0 20 0 7 1 4 | 7",
-    "56 0 0 61 0 0 0 4 | ",
-    "31 0 0 10 0 0 0 1 | ",
-    "28 0 0 4 0 0 0 3 | ",
-    "20 0 0 17 0 4 1 3 | 4",
-    "85 0 0 75 0 7 1 7 | 7",
-    "56 0 0 61 0 0 0 4 | ",
-    "17 0 8 0 0 0 0 0 | ",
-    "22 0 0 0 0 0 0 0 | ",
-    "15 0 0 0 0 4 1 0 | 4",
-    "52 0 3 0 0 7 1 0 | 7",
-    "40 0 0 0 0 0 0 0 | ",
-    "31 0 0 10 0 0 0 1 | ",
-    "28 0 0 4 0 0 0 3 | ",
-    "20 0 0 17 0 4 1 3 | 4",
-    "85 0 0 75 0 7 1 7 | 7",
-    "56 0 0 61 0 0 0 4 | ",
-    // class_c_program(self-loop pattern {(0,0), (0,1)})
-    "139 0 0 0 0 68 3 0 | 6,0,36,0 3,0,15,4 0,0,0,4",
-    "194 0 0 43 0 0 0 0 | ",
-    "95 0 0 2 0 0 0 0 | ",
-    "0 0 0 0 0 0 0 0 | ",
-    "0 0 0 0 0 0 0 0 | ",
-    "80 0 59 5 0 68 3 0 | 6,0,36,0 3,0,15,4 0,0,0,4",
-    "194 0 0 43 0 0 0 0 | ",
-    "95 0 0 2 0 0 0 0 | ",
-    "0 0 0 0 0 0 0 0 | ",
-    "0 0 0 0 0 0 0 0 | ",
-    "80 0 59 5 0 68 3 0 | 6,0,36,0 3,0,15,4 0,0,0,4",
-    "194 0 0 43 0 0 0 0 | ",
-    "95 0 0 2 0 0 0 0 | ",
-    "0 0 0 0 0 0 0 0 | ",
-    "0 0 0 0 0 0 0 0 | ",
-    "163 0 0 97 0 68 3 12 | 6,0,36,0 3,0,15,4 0,0,0,4",
-    "240 0 0 165 0 0 0 16 | ",
-    "102 0 0 14 0 0 0 13 | ",
-    "0 0 0 0 0 0 0 0 | ",
-    "0 0 0 0 0 0 0 0 | ",
-    // class_c_program(out_star(2))
-    "199 0 0 0 8 97 4 0 | 54,0,0 20,8,0 1,10,0 0,4,0",
-    "214 0 0 101 0 0 0 0 | ",
-    "86 0 0 26 0 0 0 0 | ",
-    "45 0 0 0 0 17 2 0 | 12,0,0 5,0,0",
-    "69 0 0 0 17 29 2 0 | 23,0,0 6,0,0",
-    "100 0 97 0 7 97 4 0 | 54,0,0 20,8,0 1,10,0 0,4,0",
-    "214 0 0 101 0 0 0 0 | ",
-    "86 0 0 26 0 0 0 0 | ",
-    "31 0 14 0 0 17 2 0 | 12,0,0 5,0,0",
-    "43 0 26 0 17 29 2 0 | 23,0,0 6,0,0",
-    "100 0 97 0 7 97 4 0 | 54,0,0 20,8,0 1,10,0 0,4,0",
-    "214 0 0 101 0 0 0 0 | ",
-    "86 0 0 26 0 0 0 0 | ",
-    "31 0 14 0 0 17 2 0 | 12,0,0 5,0,0",
-    "43 0 26 0 17 29 2 0 | 23,0,0 6,0,0",
-    "258 0 0 521 8 97 4 10 | 54,0,0 20,8,0 1,10,0 0,4,0",
-    "305 0 0 640 0 0 0 11 | ",
-    "104 0 0 117 0 0 0 7 | ",
-    "51 0 0 14 0 17 2 6 | 12,0,0 5,0,0",
-    "107 0 0 159 17 29 2 6 | 23,0,0 6,0,0",
+const PINNED_MAINTENANCE: &[(&str, &str)] = &[
+    ("transitive_closure/4500/textual/0", "24 0 0 0 7 20 3 0 | 9 8 3"),
+    ("transitive_closure/4500/textual/1", "28 0 0 0 0 6 3 0 | 4 1 1"),
+    ("transitive_closure/4500/textual/2", "21 0 0 0 0 0 0 0 | "),
+    ("transitive_closure/4500/textual/3", "18 0 0 0 6 11 3 0 | 5 4 2"),
+    ("transitive_closure/4500/textual/4", "21 0 0 0 1 4 1 0 | 4"),
+    ("transitive_closure/4500/cost-auto/0", "18 0 6 0 7 20 3 0 | 9 8 3"),
+    ("transitive_closure/4500/cost-auto/1", "26 0 2 0 0 6 3 0 | 4 1 1"),
+    ("transitive_closure/4500/cost-auto/2", "21 0 0 0 0 0 0 0 | "),
+    ("transitive_closure/4500/cost-auto/3", "13 0 5 0 6 11 3 0 | 5 4 2"),
+    ("transitive_closure/4500/cost-auto/4", "19 0 2 0 1 4 1 0 | 4"),
+    ("transitive_closure/4500/cost-binary/0", "18 0 6 0 7 20 3 0 | 9 8 3"),
+    ("transitive_closure/4500/cost-binary/1", "26 0 2 0 0 6 3 0 | 4 1 1"),
+    ("transitive_closure/4500/cost-binary/2", "21 0 0 0 0 0 0 0 | "),
+    ("transitive_closure/4500/cost-binary/3", "13 0 5 0 6 11 3 0 | 5 4 2"),
+    ("transitive_closure/4500/cost-binary/4", "19 0 2 0 1 4 1 0 | 4"),
+    ("transitive_closure/4500/cost-generic/0", "42 0 0 24 7 20 3 3 | 9 8 3"),
+    ("transitive_closure/4500/cost-generic/1", "43 0 0 49 0 6 3 7 | 4 1 1"),
+    ("transitive_closure/4500/cost-generic/2", "23 0 0 2 0 0 0 4 | "),
+    ("transitive_closure/4500/cost-generic/3", "33 0 0 22 6 11 3 4 | 5 4 2"),
+    ("transitive_closure/4500/cost-generic/4", "37 0 0 73 1 4 1 5 | 4"),
+    ("avoiding_path/4501/textual/0", "129 0 0 0 95 125 3 0 | 60 50 15"),
+    ("avoiding_path/4501/textual/1", "53 0 0 0 0 0 0 0 | "),
+    ("avoiding_path/4501/textual/2", "32 0 0 0 0 5 1 0 | 5"),
+    ("avoiding_path/4501/textual/3", "16 0 0 0 0 0 0 0 | "),
+    ("avoiding_path/4501/textual/4", "10 0 0 0 0 0 0 0 | "),
+    ("avoiding_path/4501/cost-auto/0", "22 0 107 0 95 125 3 0 | 60 50 15"),
+    ("avoiding_path/4501/cost-auto/1", "53 0 0 0 0 0 0 0 | "),
+    ("avoiding_path/4501/cost-auto/2", "28 0 4 0 0 5 1 0 | 5"),
+    ("avoiding_path/4501/cost-auto/3", "16 0 0 0 0 0 0 0 | "),
+    ("avoiding_path/4501/cost-auto/4", "10 0 0 0 0 0 0 0 | "),
+    ("avoiding_path/4501/cost-binary/0", "22 0 107 0 95 125 3 0 | 60 50 15"),
+    ("avoiding_path/4501/cost-binary/1", "53 0 0 0 0 0 0 0 | "),
+    ("avoiding_path/4501/cost-binary/2", "28 0 4 0 0 5 1 0 | 5"),
+    ("avoiding_path/4501/cost-binary/3", "16 0 0 0 0 0 0 0 | "),
+    ("avoiding_path/4501/cost-binary/4", "10 0 0 0 0 0 0 0 | "),
+    ("avoiding_path/4501/cost-generic/0", "317 0 0 464 95 125 3 3 | 60 50 15"),
+    ("avoiding_path/4501/cost-generic/1", "167 0 0 959 0 0 0 3 | "),
+    ("avoiding_path/4501/cost-generic/2", "49 0 0 94 0 5 1 4 | 5"),
+    ("avoiding_path/4501/cost-generic/3", "16 0 0 0 0 0 0 2 | "),
+    ("avoiding_path/4501/cost-generic/4", "10 0 0 0 0 0 0 2 | "),
+    ("q_prime/4502/textual/0", "748 0 0 0 283 296 6 0 | 75,0 64,30 33,40 7,31 1,14 0,1"),
+    ("q_prime/4502/textual/1", "670 0 0 433 0 0 0 0 | "),
+    ("q_prime/4502/textual/2", "576 0 0 341 0 0 0 0 | "),
+    ("q_prime/4502/textual/3", "732 0 0 14 64 56 5 0 | 18,7 11,3 6,8 0,2 0,1"),
+    ("q_prime/4502/textual/4", "573 0 0 188 26 46 4 0 | 20,2 9,1 8,3 0,3"),
+    ("q_prime/4502/cost-auto/0", "311 0 370 0 183 296 6 0 | 75,0 64,30 33,40 7,31 1,14 0,1"),
+    ("q_prime/4502/cost-auto/1", "670 0 0 433 0 0 0 0 | "),
+    ("q_prime/4502/cost-auto/2", "576 0 0 341 0 0 0 0 | "),
+    ("q_prime/4502/cost-auto/3", "646 0 75 30 45 56 5 0 | 18,7 11,3 6,8 0,2 0,1"),
+    ("q_prime/4502/cost-auto/4", "516 0 81 188 24 46 4 0 | 20,2 9,1 8,3 0,3"),
+    ("q_prime/4502/cost-binary/0", "311 0 370 0 183 296 6 0 | 75,0 64,30 33,40 7,31 1,14 0,1"),
+    ("q_prime/4502/cost-binary/1", "670 0 0 433 0 0 0 0 | "),
+    ("q_prime/4502/cost-binary/2", "576 0 0 341 0 0 0 0 | "),
+    ("q_prime/4502/cost-binary/3", "646 0 75 30 45 56 5 0 | 18,7 11,3 6,8 0,2 0,1"),
+    ("q_prime/4502/cost-binary/4", "516 0 81 188 24 46 4 0 | 20,2 9,1 8,3 0,3"),
+    ("q_prime/4502/cost-generic/0", "1439 0 0 6971 283 296 6 18 | 75,0 64,30 33,40 7,31 1,14 0,1"),
+    ("q_prime/4502/cost-generic/1", "1536 0 0 9390 0 0 0 18 | "),
+    ("q_prime/4502/cost-generic/2", "1253 0 0 7058 0 0 0 19 | "),
+    ("q_prime/4502/cost-generic/3", "1204 0 0 3456 64 56 5 33 | 18,7 11,3 6,8 0,2 0,1"),
+    ("q_prime/4502/cost-generic/4", "997 0 0 3551 26 46 4 30 | 20,2 9,1 8,3 0,3"),
+    ("q_kl(2,1)/4503/textual/0", "1513 0 0 0 295 772 6 0 | 250,0 167,64 121,72 44,41 1,11 0,1"),
+    ("q_kl(2,1)/4503/textual/1", "1569 0 0 1045 13 81 4 0 | 40,6 16,3 9,2 4,1"),
+    ("q_kl(2,1)/4503/textual/2", "1191 0 0 324 70 190 3 0 | 95,7 62,7 16,3"),
+    ("q_kl(2,1)/4503/textual/3", "789 0 0 29 9 124 4 0 | 50,15 29,16 0,10 0,4"),
+    ("q_kl(2,1)/4503/textual/4", "772 0 0 337 0 25 1 0 | 25,0"),
+    ("q_kl(2,1)/4503/cost-auto/0", "382 0 1173 0 255 772 6 0 | 250,0 167,64 121,72 44,41 1,11 0,1"),
+    ("q_kl(2,1)/4503/cost-auto/1", "1451 0 142 1045 13 81 4 0 | 40,6 16,3 9,2 4,1"),
+    ("q_kl(2,1)/4503/cost-auto/2", "899 0 321 367 70 190 3 0 | 95,7 62,7 16,3"),
+    ("q_kl(2,1)/4503/cost-auto/3", "618 0 194 91 9 124 4 0 | 50,15 29,16 0,10 0,4"),
+    ("q_kl(2,1)/4503/cost-auto/4", "741 0 39 337 0 25 1 1 | 25,0"),
+    ("q_kl(2,1)/4503/cost-binary/0", "382 0 1173 0 255 772 6 0 | 250,0 167,64 121,72 44,41 1,11 0,1"),
+    ("q_kl(2,1)/4503/cost-binary/1", "1451 0 142 1045 13 81 4 0 | 40,6 16,3 9,2 4,1"),
+    ("q_kl(2,1)/4503/cost-binary/2", "899 0 321 367 70 190 3 0 | 95,7 62,7 16,3"),
+    ("q_kl(2,1)/4503/cost-binary/3", "618 0 194 91 9 124 4 0 | 50,15 29,16 0,10 0,4"),
+    ("q_kl(2,1)/4503/cost-binary/4", "726 0 54 337 0 25 1 0 | 25,0"),
+    ("q_kl(2,1)/4503/cost-generic/0", "2857 0 0 23606 295 772 6 18 | 250,0 167,64 121,72 44,41 1,11 0,1"),
+    ("q_kl(2,1)/4503/cost-generic/1", "3369 0 0 30643 13 81 4 34 | 40,6 16,3 9,2 4,1"),
+    ("q_kl(2,1)/4503/cost-generic/2", "2050 0 0 7650 70 190 3 23 | 95,7 62,7 16,3"),
+    ("q_kl(2,1)/4503/cost-generic/3", "1160 0 0 5493 9 124 4 22 | 50,15 29,16 0,10 0,4"),
+    ("q_kl(2,1)/4503/cost-generic/4", "1232 0 0 6930 0 25 1 16 | 25,0"),
+    ("path_systems/4504/textual/0", "21 0 0 0 0 5 4 0 | 2 1 1 1"),
+    ("path_systems/4504/textual/1", "29 0 0 0 0 1 1 0 | 1"),
+    ("path_systems/4504/textual/2", "14 0 0 0 0 1 1 0 | 1"),
+    ("path_systems/4504/textual/3", "14 0 0 0 0 0 0 0 | "),
+    ("path_systems/4504/textual/4", "10 0 0 0 0 1 1 0 | 1"),
+    ("path_systems/4504/cost-auto/0", "21 0 0 0 0 5 4 0 | 2 1 1 1"),
+    ("path_systems/4504/cost-auto/1", "29 0 0 0 0 1 1 0 | 1"),
+    ("path_systems/4504/cost-auto/2", "14 0 0 0 0 1 1 0 | 1"),
+    ("path_systems/4504/cost-auto/3", "12 0 0 0 0 0 0 0 | "),
+    ("path_systems/4504/cost-auto/4", "10 0 0 0 0 1 1 0 | 1"),
+    ("path_systems/4504/cost-binary/0", "21 0 0 0 0 5 4 0 | 2 1 1 1"),
+    ("path_systems/4504/cost-binary/1", "29 0 0 0 0 1 1 0 | 1"),
+    ("path_systems/4504/cost-binary/2", "14 0 0 0 0 1 1 0 | 1"),
+    ("path_systems/4504/cost-binary/3", "12 0 0 0 0 0 0 0 | "),
+    ("path_systems/4504/cost-binary/4", "10 0 0 0 0 1 1 0 | 1"),
+    ("path_systems/4504/cost-generic/0", "34 0 0 13 0 5 4 7 | 2 1 1 1"),
+    ("path_systems/4504/cost-generic/1", "36 0 0 10 0 1 1 7 | 1"),
+    ("path_systems/4504/cost-generic/2", "14 0 0 0 0 1 1 4 | 1"),
+    ("path_systems/4504/cost-generic/3", "14 0 0 0 0 0 0 3 | "),
+    ("path_systems/4504/cost-generic/4", "10 0 0 0 0 1 1 3 | 1"),
+    ("two_disjoint_paths_acyclic/4505/textual/0", "65 0 0 0 3 11 3 0 | 2,2,0,0 1,0,4,0 0,0,2,0"),
+    ("two_disjoint_paths_acyclic/4505/textual/1", "120 0 0 0 0 4 3 0 | 1,0,0,0 0,0,2,0 0,0,0,1"),
+    ("two_disjoint_paths_acyclic/4505/textual/2", "44 0 0 0 1 1 1 0 | 0,1,0,0"),
+    ("two_disjoint_paths_acyclic/4505/textual/3", "60 0 0 0 1 3 2 0 | 1,0,0,0 0,0,2,0"),
+    ("two_disjoint_paths_acyclic/4505/textual/4", "40 0 0 0 0 0 0 0 | "),
+    ("two_disjoint_paths_acyclic/4505/cost-auto/0", "40 0 9 0 1 11 3 0 | 2,2,0,0 1,0,4,0 0,0,2,0"),
+    ("two_disjoint_paths_acyclic/4505/cost-auto/1", "112 0 0 0 0 4 3 0 | 1,0,0,0 0,0,2,0 0,0,0,1"),
+    ("two_disjoint_paths_acyclic/4505/cost-auto/2", "43 0 0 0 0 1 1 0 | 0,1,0,0"),
+    ("two_disjoint_paths_acyclic/4505/cost-auto/3", "58 0 0 0 0 3 2 1 | 1,0,0,0 0,0,2,0"),
+    ("two_disjoint_paths_acyclic/4505/cost-auto/4", "40 0 0 0 0 0 0 0 | "),
+    ("two_disjoint_paths_acyclic/4505/cost-binary/0", "40 0 9 0 1 11 3 0 | 2,2,0,0 1,0,4,0 0,0,2,0"),
+    ("two_disjoint_paths_acyclic/4505/cost-binary/1", "112 0 0 0 0 4 3 0 | 1,0,0,0 0,0,2,0 0,0,0,1"),
+    ("two_disjoint_paths_acyclic/4505/cost-binary/2", "43 0 0 0 0 1 1 0 | 0,1,0,0"),
+    ("two_disjoint_paths_acyclic/4505/cost-binary/3", "58 0 0 0 0 3 2 0 | 1,0,0,0 0,0,2,0"),
+    ("two_disjoint_paths_acyclic/4505/cost-binary/4", "40 0 0 0 0 0 0 0 | "),
+    ("two_disjoint_paths_acyclic/4505/cost-generic/0", "81 0 0 76 3 11 3 12 | 2,2,0,0 1,0,4,0 0,0,2,0"),
+    ("two_disjoint_paths_acyclic/4505/cost-generic/1", "157 0 0 89 0 4 3 35 | 1,0,0,0 0,0,2,0 0,0,0,1"),
+    ("two_disjoint_paths_acyclic/4505/cost-generic/2", "94 0 0 90 1 1 1 15 | 0,1,0,0"),
+    ("two_disjoint_paths_acyclic/4505/cost-generic/3", "60 0 0 11 1 3 2 19 | 1,0,0,0 0,0,2,0"),
+    ("two_disjoint_paths_acyclic/4505/cost-generic/4", "54 0 0 22 0 0 0 16 | "),
+    ("two_disjoint_paths_paper_rules/4506/textual/0", "15 0 0 0 4 9 3 0 | 1 4 4"),
+    ("two_disjoint_paths_paper_rules/4506/textual/1", "20 0 0 0 0 0 0 0 | "),
+    ("two_disjoint_paths_paper_rules/4506/textual/2", "0 0 0 0 0 0 0 0 | "),
+    ("two_disjoint_paths_paper_rules/4506/textual/3", "17 0 0 0 0 0 0 0 | "),
+    ("two_disjoint_paths_paper_rules/4506/textual/4", "0 0 0 0 0 0 0 0 | "),
+    ("two_disjoint_paths_paper_rules/4506/cost-auto/0", "12 0 3 0 4 9 3 0 | 1 4 4"),
+    ("two_disjoint_paths_paper_rules/4506/cost-auto/1", "20 0 0 0 0 0 0 0 | "),
+    ("two_disjoint_paths_paper_rules/4506/cost-auto/2", "0 0 0 0 0 0 0 0 | "),
+    ("two_disjoint_paths_paper_rules/4506/cost-auto/3", "17 0 0 0 0 0 0 0 | "),
+    ("two_disjoint_paths_paper_rules/4506/cost-auto/4", "0 0 0 0 0 0 0 0 | "),
+    ("two_disjoint_paths_paper_rules/4506/cost-binary/0", "12 0 3 0 4 9 3 0 | 1 4 4"),
+    ("two_disjoint_paths_paper_rules/4506/cost-binary/1", "20 0 0 0 0 0 0 0 | "),
+    ("two_disjoint_paths_paper_rules/4506/cost-binary/2", "0 0 0 0 0 0 0 0 | "),
+    ("two_disjoint_paths_paper_rules/4506/cost-binary/3", "17 0 0 0 0 0 0 0 | "),
+    ("two_disjoint_paths_paper_rules/4506/cost-binary/4", "0 0 0 0 0 0 0 0 | "),
+    ("two_disjoint_paths_paper_rules/4506/cost-generic/0", "27 0 0 30 4 9 3 6 | 1 4 4"),
+    ("two_disjoint_paths_paper_rules/4506/cost-generic/1", "25 0 0 14 0 0 0 4 | "),
+    ("two_disjoint_paths_paper_rules/4506/cost-generic/2", "0 0 0 0 0 0 0 0 | "),
+    ("two_disjoint_paths_paper_rules/4506/cost-generic/3", "20 0 0 7 0 0 0 4 | "),
+    ("two_disjoint_paths_paper_rules/4506/cost-generic/4", "0 0 0 0 0 0 0 0 | "),
+    ("q_kl(1,1)/4507/textual/0", "162 0 0 0 184 158 3 0 | 60 72 26"),
+    ("q_kl(1,1)/4507/textual/1", "106 0 0 0 4 12 1 0 | 12"),
+    ("q_kl(1,1)/4507/textual/2", "133 0 0 0 25 26 2 0 | 19 7"),
+    ("q_kl(1,1)/4507/textual/3", "114 0 0 0 0 0 0 0 | "),
+    ("q_kl(1,1)/4507/textual/4", "54 0 0 0 12 34 3 0 | 14 12 8"),
+    ("q_kl(1,1)/4507/cost-auto/0", "20 0 142 0 184 158 3 0 | 60 72 26"),
+    ("q_kl(1,1)/4507/cost-auto/1", "95 0 11 0 4 12 1 0 | 12"),
+    ("q_kl(1,1)/4507/cost-auto/2", "110 0 23 0 25 26 2 0 | 19 7"),
+    ("q_kl(1,1)/4507/cost-auto/3", "114 0 0 0 0 0 0 0 | "),
+    ("q_kl(1,1)/4507/cost-auto/4", "26 0 28 0 12 34 3 0 | 14 12 8"),
+    ("q_kl(1,1)/4507/cost-binary/0", "20 0 142 0 184 158 3 0 | 60 72 26"),
+    ("q_kl(1,1)/4507/cost-binary/1", "95 0 11 0 4 12 1 0 | 12"),
+    ("q_kl(1,1)/4507/cost-binary/2", "110 0 23 0 25 26 2 0 | 19 7"),
+    ("q_kl(1,1)/4507/cost-binary/3", "114 0 0 0 0 0 0 0 | "),
+    ("q_kl(1,1)/4507/cost-binary/4", "26 0 28 0 12 34 3 0 | 14 12 8"),
+    ("q_kl(1,1)/4507/cost-generic/0", "485 0 0 909 184 158 3 3 | 60 72 26"),
+    ("q_kl(1,1)/4507/cost-generic/1", "362 0 0 1921 4 12 1 6 | 12"),
+    ("q_kl(1,1)/4507/cost-generic/2", "319 0 0 758 25 26 2 7 | 19 7"),
+    ("q_kl(1,1)/4507/cost-generic/3", "161 0 0 336 0 0 0 2 | "),
+    ("q_kl(1,1)/4507/cost-generic/4", "145 0 0 403 12 34 3 6 | 14 12 8"),
+    ("game(path_length_two)/4508/textual/0", "34 0 0 0 0 8 4 0 | 1,0,0,0,0 0,2,1,0,0 0,1,0,2,0 0,0,0,1,0"),
+    ("game(path_length_two)/4508/textual/1", "118 0 0 0 0 2 2 0 | 0,0,1,0,0 0,0,0,1,0"),
+    ("game(path_length_two)/4508/textual/2", "40 0 0 0 0 3 2 0 | 0,1,0,0,0 0,0,0,2,0"),
+    ("game(path_length_two)/4508/textual/3", "42 0 0 0 0 0 0 0 | "),
+    ("game(path_length_two)/4508/textual/4", "68 0 0 0 0 3 2 0 | 0,1,0,0,0 0,0,0,2,0"),
+    ("game(path_length_two)/4508/cost-auto/0", "34 0 0 0 0 8 4 0 | 1,0,0,0,0 0,2,1,0,0 0,1,0,2,0 0,0,0,1,0"),
+    ("game(path_length_two)/4508/cost-auto/1", "118 0 0 0 0 2 2 0 | 0,0,1,0,0 0,0,0,1,0"),
+    ("game(path_length_two)/4508/cost-auto/2", "35 0 2 0 0 3 2 0 | 0,1,0,0,0 0,0,0,2,0"),
+    ("game(path_length_two)/4508/cost-auto/3", "40 0 0 0 0 0 0 0 | "),
+    ("game(path_length_two)/4508/cost-auto/4", "60 0 2 0 0 3 2 0 | 0,1,0,0,0 0,0,0,2,0"),
+    ("game(path_length_two)/4508/cost-binary/0", "34 0 0 0 0 8 4 0 | 1,0,0,0,0 0,2,1,0,0 0,1,0,2,0 0,0,0,1,0"),
+    ("game(path_length_two)/4508/cost-binary/1", "118 0 0 0 0 2 2 0 | 0,0,1,0,0 0,0,0,1,0"),
+    ("game(path_length_two)/4508/cost-binary/2", "35 0 2 0 0 3 2 0 | 0,1,0,0,0 0,0,0,2,0"),
+    ("game(path_length_two)/4508/cost-binary/3", "40 0 0 0 0 0 0 0 | "),
+    ("game(path_length_two)/4508/cost-binary/4", "60 0 2 0 0 3 2 0 | 0,1,0,0,0 0,0,0,2,0"),
+    ("game(path_length_two)/4508/cost-generic/0", "45 0 0 26 0 8 4 14 | 1,0,0,0,0 0,2,1,0,0 0,1,0,2,0 0,0,0,1,0"),
+    ("game(path_length_two)/4508/cost-generic/1", "125 0 0 25 0 2 2 40 | 0,0,1,0,0 0,0,0,1,0"),
+    ("game(path_length_two)/4508/cost-generic/2", "50 0 0 18 0 3 2 19 | 0,1,0,0,0 0,0,0,2,0"),
+    ("game(path_length_two)/4508/cost-generic/3", "43 0 0 0 0 0 0 24 | "),
+    ("game(path_length_two)/4508/cost-generic/4", "81 0 0 28 0 3 2 31 | 0,1,0,0,0 0,0,0,2,0"),
+    ("triangles/4509/textual/0", "25 0 0 0 0 0 0 0 | "),
+    ("triangles/4509/textual/1", "28 0 0 4 0 0 0 3 | "),
+    ("triangles/4509/textual/2", "15 0 0 0 0 4 1 0 | 4"),
+    ("triangles/4509/textual/3", "68 0 0 20 0 7 1 4 | 7"),
+    ("triangles/4509/textual/4", "56 0 0 61 0 0 0 4 | "),
+    ("triangles/4509/cost-auto/0", "31 0 0 10 0 0 0 1 | "),
+    ("triangles/4509/cost-auto/1", "28 0 0 4 0 0 0 3 | "),
+    ("triangles/4509/cost-auto/2", "20 0 0 17 0 4 1 3 | 4"),
+    ("triangles/4509/cost-auto/3", "85 0 0 75 0 7 1 7 | 7"),
+    ("triangles/4509/cost-auto/4", "56 0 0 61 0 0 0 4 | "),
+    ("triangles/4509/cost-binary/0", "17 0 8 0 0 0 0 0 | "),
+    ("triangles/4509/cost-binary/1", "22 0 0 0 0 0 0 0 | "),
+    ("triangles/4509/cost-binary/2", "15 0 0 0 0 4 1 0 | 4"),
+    ("triangles/4509/cost-binary/3", "52 0 3 0 0 7 1 0 | 7"),
+    ("triangles/4509/cost-binary/4", "40 0 0 0 0 0 0 0 | "),
+    ("triangles/4509/cost-generic/0", "31 0 0 10 0 0 0 1 | "),
+    ("triangles/4509/cost-generic/1", "28 0 0 4 0 0 0 3 | "),
+    ("triangles/4509/cost-generic/2", "20 0 0 17 0 4 1 3 | 4"),
+    ("triangles/4509/cost-generic/3", "85 0 0 75 0 7 1 7 | 7"),
+    ("triangles/4509/cost-generic/4", "56 0 0 61 0 0 0 4 | "),
+    ("class_c(self_loop)/4510/textual/0", "139 0 0 0 0 68 3 0 | 6,0,36,0 3,0,15,4 0,0,0,4"),
+    ("class_c(self_loop)/4510/textual/1", "194 0 0 43 0 0 0 0 | "),
+    ("class_c(self_loop)/4510/textual/2", "95 0 0 2 0 0 0 0 | "),
+    ("class_c(self_loop)/4510/textual/3", "0 0 0 0 0 0 0 0 | "),
+    ("class_c(self_loop)/4510/textual/4", "0 0 0 0 0 0 0 0 | "),
+    ("class_c(self_loop)/4510/cost-auto/0", "80 0 59 5 0 68 3 0 | 6,0,36,0 3,0,15,4 0,0,0,4"),
+    ("class_c(self_loop)/4510/cost-auto/1", "194 0 0 43 0 0 0 0 | "),
+    ("class_c(self_loop)/4510/cost-auto/2", "95 0 0 2 0 0 0 0 | "),
+    ("class_c(self_loop)/4510/cost-auto/3", "0 0 0 0 0 0 0 0 | "),
+    ("class_c(self_loop)/4510/cost-auto/4", "0 0 0 0 0 0 0 0 | "),
+    ("class_c(self_loop)/4510/cost-binary/0", "80 0 59 5 0 68 3 0 | 6,0,36,0 3,0,15,4 0,0,0,4"),
+    ("class_c(self_loop)/4510/cost-binary/1", "194 0 0 43 0 0 0 0 | "),
+    ("class_c(self_loop)/4510/cost-binary/2", "95 0 0 2 0 0 0 0 | "),
+    ("class_c(self_loop)/4510/cost-binary/3", "0 0 0 0 0 0 0 0 | "),
+    ("class_c(self_loop)/4510/cost-binary/4", "0 0 0 0 0 0 0 0 | "),
+    ("class_c(self_loop)/4510/cost-generic/0", "163 0 0 97 0 68 3 12 | 6,0,36,0 3,0,15,4 0,0,0,4"),
+    ("class_c(self_loop)/4510/cost-generic/1", "240 0 0 165 0 0 0 16 | "),
+    ("class_c(self_loop)/4510/cost-generic/2", "102 0 0 14 0 0 0 13 | "),
+    ("class_c(self_loop)/4510/cost-generic/3", "0 0 0 0 0 0 0 0 | "),
+    ("class_c(self_loop)/4510/cost-generic/4", "0 0 0 0 0 0 0 0 | "),
+    ("class_c(out_star_2)/4511/textual/0", "199 0 0 0 8 97 4 0 | 54,0,0 20,8,0 1,10,0 0,4,0"),
+    ("class_c(out_star_2)/4511/textual/1", "214 0 0 101 0 0 0 0 | "),
+    ("class_c(out_star_2)/4511/textual/2", "86 0 0 26 0 0 0 0 | "),
+    ("class_c(out_star_2)/4511/textual/3", "45 0 0 0 0 17 2 0 | 12,0,0 5,0,0"),
+    ("class_c(out_star_2)/4511/textual/4", "69 0 0 0 17 29 2 0 | 23,0,0 6,0,0"),
+    ("class_c(out_star_2)/4511/cost-auto/0", "100 0 97 0 7 97 4 0 | 54,0,0 20,8,0 1,10,0 0,4,0"),
+    ("class_c(out_star_2)/4511/cost-auto/1", "214 0 0 101 0 0 0 0 | "),
+    ("class_c(out_star_2)/4511/cost-auto/2", "86 0 0 26 0 0 0 0 | "),
+    ("class_c(out_star_2)/4511/cost-auto/3", "31 0 14 0 0 17 2 0 | 12,0,0 5,0,0"),
+    ("class_c(out_star_2)/4511/cost-auto/4", "43 0 26 0 17 29 2 0 | 23,0,0 6,0,0"),
+    ("class_c(out_star_2)/4511/cost-binary/0", "100 0 97 0 7 97 4 0 | 54,0,0 20,8,0 1,10,0 0,4,0"),
+    ("class_c(out_star_2)/4511/cost-binary/1", "214 0 0 101 0 0 0 0 | "),
+    ("class_c(out_star_2)/4511/cost-binary/2", "86 0 0 26 0 0 0 0 | "),
+    ("class_c(out_star_2)/4511/cost-binary/3", "31 0 14 0 0 17 2 0 | 12,0,0 5,0,0"),
+    ("class_c(out_star_2)/4511/cost-binary/4", "43 0 26 0 17 29 2 0 | 23,0,0 6,0,0"),
+    ("class_c(out_star_2)/4511/cost-generic/0", "258 0 0 521 8 97 4 10 | 54,0,0 20,8,0 1,10,0 0,4,0"),
+    ("class_c(out_star_2)/4511/cost-generic/1", "305 0 0 640 0 0 0 11 | "),
+    ("class_c(out_star_2)/4511/cost-generic/2", "104 0 0 117 0 0 0 7 | "),
+    ("class_c(out_star_2)/4511/cost-generic/3", "51 0 0 14 0 17 2 6 | 12,0,0 5,0,0"),
+    ("class_c(out_star_2)/4511/cost-generic/4", "107 0 0 159 17 29 2 6 | 23,0,0 6,0,0"),
+    ("q_kl(2,2)/4500137/textual/0", "3182 0 0 0 1001 1891 5 0 | 768,0 556,198 130,160 7,69 0,3"),
+    ("q_kl(2,2)/4500137/textual/1", "3670 0 0 3477 84 165 4 0 | 83,9 34,9 15,3 10,2"),
+    ("q_kl(2,2)/4500137/textual/2", "1754 0 0 190 0 0 0 0 | "),
+    ("q_kl(2,2)/4500137/textual/3", "2180 0 0 1691 186 286 3 0 | 155,4 99,14 9,5"),
+    ("q_kl(2,2)/4500137/textual/4", "1284 0 0 579 90 199 3 0 | 118,0 54,0 27,0"),
+    ("q_kl(2,2)/4500137/cost-auto/0", "480 0 2597 0 898 1891 5 0 | 768,0 556,198 130,160 7,69 0,3"),
+    ("q_kl(2,2)/4500137/cost-auto/1", "3474 0 251 3477 77 165 4 0 | 83,9 34,9 15,3 10,2"),
+    ("q_kl(2,2)/4500137/cost-auto/2", "1754 0 0 190 0 0 0 0 | "),
+    ("q_kl(2,2)/4500137/cost-auto/3", "1746 0 506 1691 182 286 3 0 | 155,4 99,14 9,5"),
+    ("q_kl(2,2)/4500137/cost-auto/4", "1011 0 273 579 90 199 3 0 | 118,0 54,0 27,0"),
+    ("q_kl(2,2)/4500137/cost-binary/0", "480 0 2597 0 898 1891 5 0 | 768,0 556,198 130,160 7,69 0,3"),
+    ("q_kl(2,2)/4500137/cost-binary/1", "3474 0 251 3477 77 165 4 0 | 83,9 34,9 15,3 10,2"),
+    ("q_kl(2,2)/4500137/cost-binary/2", "1754 0 0 190 0 0 0 0 | "),
+    ("q_kl(2,2)/4500137/cost-binary/3", "1746 0 506 1691 182 286 3 0 | 155,4 99,14 9,5"),
+    ("q_kl(2,2)/4500137/cost-binary/4", "1011 0 273 579 90 199 3 0 | 118,0 54,0 27,0"),
+    ("q_kl(2,2)/4500137/cost-generic/0", "7433 0 0 180726 1001 1891 5 14 | 768,0 556,198 130,160 7,69 0,3"),
+    ("q_kl(2,2)/4500137/cost-generic/1", "9175 0 0 243846 84 165 4 33 | 83,9 34,9 15,3 10,2"),
+    ("q_kl(2,2)/4500137/cost-generic/2", "3001 0 0 46971 0 0 0 18 | "),
+    ("q_kl(2,2)/4500137/cost-generic/3", "4470 0 0 67007 186 286 3 25 | 155,4 99,14 9,5"),
+    ("q_kl(2,2)/4500137/cost-generic/4", "2382 0 0 11422 90 199 3 19 | 118,0 54,0 27,0"),
+    ("q_kl(3,1)/4500071/textual/0", "1546 0 0 0 388 958 4 0 | 512,0,0 364,36,0 8,32,0 0,6,0"),
+    ("q_kl(3,1)/4500071/textual/1", "1490 0 0 1219 27 126 2 0 | 99,18,0 0,9,0"),
+    ("q_kl(3,1)/4500071/textual/2", "892 0 0 0 236 397 3 0 | 200,27,6 118,32,6 0,0,8"),
+    ("q_kl(3,1)/4500071/textual/3", "1848 0 0 646 155 310 2 0 | 192,9,0 91,18,0"),
+    ("q_kl(3,1)/4500071/textual/4", "496 0 0 0 27 236 4 0 | 91,26,0 70,33,0 0,14,0 0,2,0"),
+    ("q_kl(3,1)/4500071/cost-auto/0", "138 0 1392 0 372 958 4 0 | 512,0,0 364,36,0 8,32,0 0,6,0"),
+    ("q_kl(3,1)/4500071/cost-auto/1", "1314 0 176 1326 27 126 2 0 | 99,18,0 0,9,0"),
+    ("q_kl(3,1)/4500071/cost-auto/2", "196 0 718 148 236 397 3 0 | 200,27,6 118,32,6 0,0,8"),
+    ("q_kl(3,1)/4500071/cost-auto/3", "1323 0 605 703 155 310 2 0 | 192,9,0 91,18,0"),
+    ("q_kl(3,1)/4500071/cost-auto/4", "162 0 364 111 27 236 4 0 | 91,26,0 70,33,0 0,14,0 0,2,0"),
+    ("q_kl(3,1)/4500071/cost-binary/0", "138 0 1392 0 372 958 4 0 | 512,0,0 364,36,0 8,32,0 0,6,0"),
+    ("q_kl(3,1)/4500071/cost-binary/1", "1314 0 176 1326 27 126 2 0 | 99,18,0 0,9,0"),
+    ("q_kl(3,1)/4500071/cost-binary/2", "196 0 718 148 236 397 3 0 | 200,27,6 118,32,6 0,0,8"),
+    ("q_kl(3,1)/4500071/cost-binary/3", "1323 0 605 703 155 310 2 0 | 192,9,0 91,18,0"),
+    ("q_kl(3,1)/4500071/cost-binary/4", "162 0 364 111 27 236 4 0 | 91,26,0 70,33,0 0,14,0 0,2,0"),
+    ("q_kl(3,1)/4500071/cost-generic/0", "2694 0 0 28278 388 958 4 13 | 512,0,0 364,36,0 8,32,0 0,6,0"),
+    ("q_kl(3,1)/4500071/cost-generic/1", "2744 0 0 24925 27 126 2 20 | 99,18,0 0,9,0"),
+    ("q_kl(3,1)/4500071/cost-generic/2", "1771 0 0 16310 236 397 3 18 | 200,27,6 118,32,6 0,0,8"),
+    ("q_kl(3,1)/4500071/cost-generic/3", "3340 0 0 26941 155 310 2 27 | 192,9,0 91,18,0"),
+    ("q_kl(3,1)/4500071/cost-generic/4", "1095 0 0 16389 27 236 4 18 | 91,26,0 70,33,0 0,14,0 0,2,0"),
+    ("game(path_length_three)/4500879/textual/0", "576 0 0 0 24 48 5 0 | 1,0,0,0,0,0,0,0,0 0,5,1,0,2,0,0,0,0 0,0,0,5,1,10,2,0,0 0,0,0,0,0,5,1,10,0 0,0,0,0,0,0,0,5,0"),
+    ("game(path_length_three)/4500879/textual/1", "580 0 0 24 0 0 0 9 | "),
+    ("game(path_length_three)/4500879/textual/2", "894 0 0 374 0 6 3 18 | 0,0,1,0,0,0,0,0,0 0,0,0,2,0,0,1,0,0 0,0,0,0,0,0,0,2,0"),
+    ("game(path_length_three)/4500879/textual/3", "404 0 0 91 0 4 3 15 | 0,1,0,0,0,0,0,0,0 0,0,0,1,0,1,0,0,0 0,0,0,0,0,0,0,1,0"),
+    ("game(path_length_three)/4500879/textual/4", "358 0 0 41 0 0 0 15 | "),
+    ("game(path_length_three)/4500879/cost-auto/0", "336 0 102 282 9 48 5 9 | 1,0,0,0,0,0,0,0,0 0,5,1,0,2,0,0,0,0 0,0,0,5,1,10,2,0,0 0,0,0,0,0,5,1,10,0 0,0,0,0,0,0,0,5,0"),
+    ("game(path_length_three)/4500879/cost-auto/1", "580 0 0 24 0 0 0 9 | "),
+    ("game(path_length_three)/4500879/cost-auto/2", "908 0 6 450 0 6 3 33 | 0,0,1,0,0,0,0,0,0 0,0,0,2,0,0,1,0,0 0,0,0,0,0,0,0,2,0"),
+    ("game(path_length_three)/4500879/cost-auto/3", "419 0 0 136 0 4 3 30 | 0,1,0,0,0,0,0,0,0 0,0,0,1,0,1,0,0,0 0,0,0,0,0,0,0,1,0"),
+    ("game(path_length_three)/4500879/cost-auto/4", "358 0 0 41 0 0 0 15 | "),
+    ("game(path_length_three)/4500879/cost-binary/0", "237 0 145 0 3 48 5 0 | 1,0,0,0,0,0,0,0,0 0,5,1,0,2,0,0,0,0 0,0,0,5,1,10,2,0,0 0,0,0,0,0,5,1,10,0 0,0,0,0,0,0,0,5,0"),
+    ("game(path_length_three)/4500879/cost-binary/1", "580 0 0 0 0 0 0 0 | "),
+    ("game(path_length_three)/4500879/cost-binary/2", "801 0 12 40 0 6 3 0 | 0,0,1,0,0,0,0,0,0 0,0,0,2,0,0,1,0,0 0,0,0,0,0,0,0,2,0"),
+    ("game(path_length_three)/4500879/cost-binary/3", "379 0 0 0 0 4 3 0 | 0,1,0,0,0,0,0,0,0 0,0,0,1,0,1,0,0,0 0,0,0,0,0,0,0,1,0"),
+    ("game(path_length_three)/4500879/cost-binary/4", "346 0 0 0 0 0 0 0 | "),
+    ("game(path_length_three)/4500879/cost-generic/0", "730 0 0 1163 24 48 5 57 | 1,0,0,0,0,0,0,0,0 0,5,1,0,2,0,0,0,0 0,0,0,5,1,10,2,0,0 0,0,0,0,0,5,1,10,0 0,0,0,0,0,0,0,5,0"),
+    ("game(path_length_three)/4500879/cost-generic/1", "758 0 0 648 0 0 0 112 | "),
+    ("game(path_length_three)/4500879/cost-generic/2", "1323 0 0 1649 0 6 3 195 | 0,0,1,0,0,0,0,0,0 0,0,0,2,0,0,1,0,0 0,0,0,0,0,0,0,2,0"),
+    ("game(path_length_three)/4500879/cost-generic/3", "556 0 0 360 0 4 3 178 | 0,1,0,0,0,0,0,0,0 0,0,0,1,0,1,0,0,0 0,0,0,0,0,0,0,1,0"),
+    ("game(path_length_three)/4500879/cost-generic/4", "422 0 0 157 0 0 0 141 | "),
 ];
 
-/// `(deleted, overdeleted, rederived)` per batch of [`deletion_trace`],
-/// one row per program of [`all_programs`] (seed `4_400 + index`).
-const PINNED_DELETION_TRIPLES: [&[(u64, u64, u64)]; 12] = [
-    &[(2, 7, 5), (11, 13, 2), (4, 5, 1), (1, 2, 1), (1, 2, 1)],
-    &[
-        (52, 240, 188),
-        (27, 188, 161),
-        (71, 161, 90),
-        (0, 0, 0),
-        (65, 140, 75),
-    ],
-    &[
-        (252, 365, 113),
-        (0, 0, 0),
-        (44, 71, 27),
-        (41, 69, 28),
-        (43, 53, 10),
-    ],
-    &[
-        (756, 1212, 456),
-        (460, 637, 177),
-        (173, 259, 86),
-        (66, 66, 0),
-        (0, 0, 0),
-    ],
-    &[(0, 0, 0), (0, 7, 7), (1, 1, 0), (0, 0, 0), (1, 7, 6)],
-    &[(8, 9, 1), (1, 1, 0), (0, 0, 0), (0, 0, 0), (0, 0, 0)],
-    &[(12, 20, 8), (4, 8, 4), (0, 0, 0), (1, 1, 0), (1, 1, 0)],
-    &[
-        (23, 119, 96),
-        (76, 113, 37),
-        (34, 53, 19),
-        (9, 16, 7),
-        (14, 14, 0),
-    ],
-    &[(2, 8, 6), (8, 12, 4), (2, 2, 0), (4, 5, 1), (1, 1, 0)],
-    &[(6, 6, 0), (0, 0, 0), (0, 0, 0), (0, 0, 0), (0, 0, 0)],
-    &[
-        (68, 76, 8),
-        (61, 202, 141),
-        (0, 0, 0),
-        (41, 67, 26),
-        (42, 46, 4),
-    ],
-    &[
-        (38, 79, 41),
-        (16, 45, 29),
-        (28, 38, 10),
-        (42, 86, 44),
-        (11, 11, 0),
-    ],
+/// `(deleted, overdeleted, rederived)` per batch of [`deletion_trace`].
+type Triples = &'static [(u64, u64, u64)];
+
+/// Recorded [`Triples`], keyed `case/seed`.
+#[rustfmt::skip]
+const PINNED_DELETION_TRIPLES: &[(&str, Triples)] = &[
+    ("transitive_closure/4400", &[(2, 7, 5), (11, 13, 2), (4, 5, 1), (1, 2, 1), (1, 2, 1)]),
+    ("avoiding_path/4401", &[(52, 240, 188), (27, 188, 161), (71, 161, 90), (0, 0, 0), (65, 140, 75)]),
+    ("q_prime/4402", &[(252, 365, 113), (0, 0, 0), (44, 71, 27), (41, 69, 28), (43, 53, 10)]),
+    ("q_kl(2,1)/4403", &[(756, 1212, 456), (460, 637, 177), (173, 259, 86), (66, 66, 0), (0, 0, 0)]),
+    ("path_systems/4404", &[(0, 0, 0), (0, 7, 7), (1, 1, 0), (0, 0, 0), (1, 7, 6)]),
+    ("two_disjoint_paths_acyclic/4405", &[(8, 9, 1), (1, 1, 0), (0, 0, 0), (0, 0, 0), (0, 0, 0)]),
+    ("two_disjoint_paths_paper_rules/4406", &[(12, 20, 8), (4, 8, 4), (0, 0, 0), (1, 1, 0), (1, 1, 0)]),
+    ("q_kl(1,1)/4407", &[(23, 119, 96), (76, 113, 37), (34, 53, 19), (9, 16, 7), (14, 14, 0)]),
+    ("game(path_length_two)/4408", &[(2, 8, 6), (8, 12, 4), (2, 2, 0), (4, 5, 1), (1, 1, 0)]),
+    ("triangles/4409", &[(6, 6, 0), (0, 0, 0), (0, 0, 0), (0, 0, 0), (0, 0, 0)]),
+    ("class_c(self_loop)/4410", &[(68, 76, 8), (61, 202, 141), (0, 0, 0), (41, 67, 26), (42, 46, 4)]),
+    ("class_c(out_star_2)/4411", &[(38, 79, 41), (16, 45, 29), (28, 38, 10), (42, 86, 44), (11, 11, 0)]),
+    ("q_kl(2,2)/4400137", &[(1223, 2155, 932), (540, 995, 455), (199, 226, 27), (0, 0, 0), (146, 173, 27)]),
+    ("q_kl(3,1)/4400071", &[(1249, 1838, 589), (0, 0, 0), (172, 300, 128), (707, 1008, 301), (126, 126, 0)]),
+    ("game(path_length_three)/4400879", &[(2, 2, 0), (3, 6, 3), (4, 5, 1), (0, 0, 0), (1, 1, 0)]),
 ];

@@ -10,115 +10,25 @@
 //! CostBased ≡ Textual, stage for stage,
 //! ```
 //!
-//! for every program in `kv_datalog::programs`, over random structures,
-//! under magic-set rewriting for **all** `2^arity` goal binding patterns,
-//! and under parallel evaluation.
+//! for every case of the shared corpus (`support::corpus`, no filter: the
+//! planner admits every program) over its `SMALL` fixtures, under
+//! magic-set rewriting for **all** `2^arity` goal binding patterns, and
+//! under parallel evaluation.
+
+mod support;
 
 use datalog_expressiveness::datalog::programs::{
-    avoiding_path, path_systems, q_kl, q_prime, transitive_closure, triangles,
-    two_disjoint_paths_acyclic, two_disjoint_paths_paper_rules,
+    avoiding_path, q_kl, transitive_closure, triangles,
 };
 use datalog_expressiveness::datalog::{
     BindingPattern, CompiledProgram, EdbIndexes, EvalOptions, Evaluator, Governor, IdbId,
     JoinLowering, MagicProgram, PlannerMode, Program,
 };
-use datalog_expressiveness::homeo::{
-    acyclic_game_program, class_c_program, classify, PatternClass, PatternSpec,
-};
-use datalog_expressiveness::structures::generators::{random_dag, random_digraph};
+use datalog_expressiveness::structures::generators::random_digraph;
 use datalog_expressiveness::structures::{Element, EvalStats, Structure};
 use datalog_expressiveness::{ProgramQuery, QueryPlan};
 use std::sync::Arc;
-
-/// One structure over the program's own vocabulary: the path-systems
-/// relations `R/3, A/1`, or a digraph `E/2` whose distinguished nodes
-/// interpret the vocabulary's constants. Programs with constants (the
-/// two-disjoint-paths programs and Theorem 6.2's game programs) assume
-/// acyclic inputs, so they get a random DAG; Theorem 6.1's class-`C`
-/// programs, which hold on any input, get one too.
-fn fixture_for(program: &Program, seed: u64) -> Structure {
-    let vocab = Arc::clone(program.vocabulary());
-    if let (Some(r), Some(a)) = (vocab.relation_by_name("R"), vocab.relation_by_name("A")) {
-        let mut s = Structure::new(vocab, 7);
-        s.insert(a, &[0]);
-        s.insert(a, &[1]);
-        for &(x, y, z) in &[(2, 0, 1), (3, 2, 0), (4, 3, 2), (5, 6, 6), (6, 4, 5)] {
-            s.insert(r, &[x, y, z]);
-        }
-        return s;
-    }
-    // Q_{k,l} with k + l = 3 has a 5-ary goal: one node fewer keeps its
-    // fixpoint (up to n^5 tuples) in the range of the other programs'.
-    let nodes = if program.idb_arity(program.goal()) > 4 {
-        6
-    } else {
-        7
-    };
-    match vocab.constant_count() {
-        0 => random_digraph(nodes, 0.3, seed).to_structure(),
-        c => {
-            let mut g = random_dag(8, 0.35, seed);
-            g.set_distinguished([0, 6, 1, 7, 2, 5][..c].to_vec());
-            g.to_structure_with(vocab)
-        }
-    }
-}
-
-/// Theorem 6.2's game programs for a two-edge and a three-edge pattern:
-/// one IDB per subset of pattern edges, mutually recursive, with
-/// ≠-heavy bodies.
-fn game_patterns() -> [PatternSpec; 2] {
-    [
-        PatternSpec::path_length_two(),
-        PatternSpec {
-            node_count: 4,
-            edges: vec![(0, 1), (1, 2), (2, 3)],
-        },
-    ]
-}
-
-/// Theorem 6.1's class-`C` patterns: the self-loop pattern
-/// `{(0,0), (0,1)}`, whose program is the proof's self-loop case analysis,
-/// and the two-leg out-star, whose program is built from `Q_{2,0}`.
-fn class_c_patterns() -> [PatternSpec; 2] {
-    [
-        PatternSpec {
-            node_count: 2,
-            edges: vec![(0, 0), (0, 1)],
-        },
-        PatternSpec {
-            node_count: 3,
-            edges: vec![(0, 1), (0, 2)],
-        },
-    ]
-}
-
-/// Theorem 6.1's program for a class-`C` pattern.
-fn class_c(pattern: &PatternSpec) -> Program {
-    match classify(pattern) {
-        PatternClass::InC(root) => class_c_program(pattern, &root),
-        other => panic!("{pattern:?} is not in C: {other:?}"),
-    }
-}
-
-fn all_programs() -> Vec<Program> {
-    let mut programs = vec![
-        transitive_closure(),
-        avoiding_path(),
-        q_prime(),
-        q_kl(2, 1),
-        path_systems(),
-        two_disjoint_paths_acyclic(),
-        two_disjoint_paths_paper_rules(),
-        triangles(),
-        q_kl(1, 1),
-        q_kl(2, 2),
-        q_kl(3, 1),
-    ];
-    programs.extend(game_patterns().iter().map(acyclic_game_program));
-    programs.extend(class_c_patterns().iter().map(class_c));
-    programs
-}
+use support::{all_patterns, configs, corpus, SMALL};
 
 fn opts(planner: PlannerMode) -> EvalOptions {
     EvalOptions::default().with_planner(planner)
@@ -126,33 +36,28 @@ fn opts(planner: PlannerMode) -> EvalOptions {
 
 #[test]
 fn cost_based_matches_textual_stage_for_stage() {
-    for (pi, program) in all_programs().iter().enumerate() {
+    for case in corpus() {
+        let program = &case.program;
         for round in 0..3u64 {
-            let s = fixture_for(program, 11_000 + 17 * pi as u64 + round);
+            let s = SMALL.draw(&case, case.seed(11_000 + round));
+            let label = format!("{}, round {round}", case.name);
             let textual = Evaluator::new(program).run(&s, opts(PlannerMode::Textual));
             let planned = Evaluator::new(program).run(&s, opts(PlannerMode::CostBased));
-            assert_eq!(textual.idb, planned.idb, "program {pi}, round {round}");
+            assert_eq!(textual.idb, planned.idb, "{label}");
             assert!(
                 textual.same_stages(&planned),
-                "program {pi}, round {round}: stage structure diverged"
+                "{label}: stage structure diverged"
             );
             assert_eq!(
                 textual.eval_stats.tuples_interned, planned.eval_stats.tuples_interned,
-                "program {pi}, round {round}"
+                "{label}"
             );
             assert_eq!(
                 textual.eval_stats.stages, planned.eval_stats.stages,
-                "program {pi}, round {round}"
+                "{label}"
             );
         }
     }
-}
-
-/// Every binding pattern of the given arity, `ff…f` through `bb…b`.
-fn all_patterns(arity: usize) -> Vec<BindingPattern> {
-    (0..1usize << arity)
-        .map(|mask| BindingPattern::new((0..arity).map(|i| mask >> i & 1 == 1).collect()))
-        .collect()
 }
 
 #[test]
@@ -160,15 +65,15 @@ fn cost_based_matches_textual_under_magic_for_every_binding_pattern() {
     // Magic rewriting happens first, planning second: the planner sees the
     // adorned program (magic guards and all) and must preserve its stages
     // for every goal adornment.
-    for (pi, program) in all_programs().iter().enumerate() {
-        let s = fixture_for(program, 12_000 + pi as u64);
-        let arity = program.idb_arity(program.goal());
+    for case in corpus() {
+        let s = SMALL.draw(&case, case.seed(12_000));
+        let arity = case.goal_arity();
         let query: Vec<Element> = (0..arity)
             .map(|i| (2 * i as Element + 1) % s.universe_size() as Element)
             .collect();
         for pattern in all_patterns(arity) {
-            let label = format!("program {pi}, pattern {pattern}");
-            let magic = MagicProgram::rewrite(program, &pattern)
+            let label = format!("{}, pattern {pattern}", case.name);
+            let magic = MagicProgram::rewrite(&case.program, &pattern)
                 .unwrap_or_else(|e| panic!("{label}: rewrite failed: {e}"));
             let compiled = magic.compile();
             let seeds = vec![(magic.magic_goal(), magic.seed(&query))];
@@ -186,12 +91,13 @@ fn cost_based_parallel_matches_sequential() {
     // at W = 4 shard workers must be stage-identical to the default
     // single-worker planned run (counters may differ at W > 1: duplicate
     // suppression is scratch-local).
-    for (pi, program) in all_programs().iter().enumerate() {
-        let s = fixture_for(program, 13_000 + pi as u64);
+    for case in corpus() {
+        let (program, name) = (&case.program, case.name);
+        let s = SMALL.draw(&case, case.seed(13_000));
         let seq = Evaluator::new(program).run(&s, opts(PlannerMode::CostBased));
         let par = Evaluator::new(program).run(&s, opts(PlannerMode::CostBased).with_shards(4));
-        assert_eq!(seq.idb, par.idb, "program {pi}");
-        assert!(seq.same_stages(&par), "program {pi}");
+        assert_eq!(seq.idb, par.idb, "{name}");
+        assert!(seq.same_stages(&par), "{name}");
     }
 }
 
@@ -200,13 +106,14 @@ fn cost_based_respects_explicit_thread_counts() {
     // The harness's scaling rows pin the shard worker count W explicitly;
     // every count must reach the same fixpoint with the same stage
     // structure as the default single-worker run.
-    for (pi, program) in all_programs().iter().enumerate() {
-        let s = fixture_for(program, 14_000 + pi as u64);
+    for case in corpus() {
+        let (program, name) = (&case.program, case.name);
+        let s = SMALL.draw(&case, case.seed(14_000));
         let baseline = Evaluator::new(program).run(&s, opts(PlannerMode::CostBased));
         for w in [1usize, 2, 4] {
             let run = Evaluator::new(program).run(&s, opts(PlannerMode::CostBased).with_shards(w));
-            assert_eq!(baseline.idb, run.idb, "program {pi}, W={w}");
-            assert!(baseline.same_stages(&run), "program {pi}, W={w}");
+            assert_eq!(baseline.idb, run.idb, "{name}, W={w}");
+            assert!(baseline.same_stages(&run), "{name}, W={w}");
         }
     }
 }
@@ -217,11 +124,12 @@ fn generic_lowering_matches_binary_stage_for_stage() {
     // swap: for every program and structure, forcing JoinLowering::Generic
     // derives exactly the same stages as forcing JoinLowering::Binary (and
     // as the textual baseline), at W ∈ {1, 4} shard workers alike.
-    for (pi, program) in all_programs().iter().enumerate() {
+    for case in corpus() {
+        let program = &case.program;
         for round in 0..3u64 {
-            let s = fixture_for(program, 15_000 + 17 * pi as u64 + round);
+            let s = SMALL.draw(&case, case.seed(15_000 + round));
             for w in [1usize, 4] {
-                let label = format!("program {pi}, round {round}, W={w}");
+                let label = format!("{}, round {round}, W={w}", case.name);
                 let opts = |planner| opts(planner).with_shards(w);
                 let textual = Evaluator::new(program).run(&s, opts(PlannerMode::Textual));
                 let binary = Evaluator::new(program).run(
@@ -246,15 +154,15 @@ fn generic_lowering_matches_binary_under_magic_for_every_binding_pattern() {
     // Magic rewriting inserts guard atoms and seeds demand tuples; the
     // generic executor must preserve stages across every goal adornment of
     // every program, exactly as the binary kernels do.
-    for (pi, program) in all_programs().iter().enumerate() {
-        let s = fixture_for(program, 16_000 + pi as u64);
-        let arity = program.idb_arity(program.goal());
+    for case in corpus() {
+        let s = SMALL.draw(&case, case.seed(16_000));
+        let arity = case.goal_arity();
         let query: Vec<Element> = (0..arity)
             .map(|i| (2 * i as Element + 1) % s.universe_size() as Element)
             .collect();
         for pattern in all_patterns(arity) {
-            let label = format!("program {pi}, pattern {pattern}");
-            let magic = MagicProgram::rewrite(program, &pattern)
+            let label = format!("{}, pattern {pattern}", case.name);
+            let magic = MagicProgram::rewrite(&case.program, &pattern)
                 .unwrap_or_else(|e| panic!("{label}: rewrite failed: {e}"));
             let compiled = magic.compile();
             let seeds = vec![(magic.magic_goal(), magic.seed(&query))];
@@ -353,15 +261,16 @@ fn shared_prewarmed_indexes_match_a_fresh_run() {
     // derive exactly what a run with a set of its own derives, with the
     // same stages and the same counters.
     let configs = index_sharing_configs();
-    for (pi, program) in all_programs().iter().enumerate() {
+    for case in corpus() {
+        let program = &case.program;
         for round in 0..2u64 {
-            let s = fixture_for(program, 15_000 + 19 * pi as u64 + round);
-            let arity = program.idb_arity(program.goal());
+            let s = SMALL.draw(&case, case.seed(17_000 + round));
+            let arity = case.goal_arity();
             let query: Vec<Element> = (0..arity)
                 .map(|i| (3 * i as Element + round as Element) % s.universe_size() as Element)
                 .collect();
             let magic = MagicProgram::rewrite(program, &BindingPattern::all_bound(arity))
-                .unwrap_or_else(|e| panic!("program {pi}: rewrite failed: {e}"));
+                .unwrap_or_else(|e| panic!("{}: rewrite failed: {e}", case.name));
             let runs: [(CompiledProgram, Seeds); 2] = [
                 (CompiledProgram::compile(program), Vec::new()),
                 (
@@ -381,7 +290,8 @@ fn shared_prewarmed_indexes_match_a_fresh_run() {
                 for (compiled, seeds) in &runs {
                     for &o in &configs {
                         let label = format!(
-                            "program {pi}, round {round}, pass {pass}, seeded {}, {:?}/{}/{:?}",
+                            "{}, round {round}, pass {pass}, seeded {}, {:?}/{}/{:?}",
+                            case.name,
                             !seeds.is_empty(),
                             o.planner,
                             o.lowering,
@@ -463,12 +373,13 @@ fn a_reused_program_runs_every_structure_as_a_fresh_one_does() {
     // the stages or counters. Naive evaluation runs the naive rules at
     // every stage, where C's plan changes show.
     let (mut c_replans, mut d_replans) = (0, 0);
-    for (pi, program) in all_programs().iter().enumerate() {
-        let a = fixture_for(program, 23_000 + 7 * pi as u64);
-        let b = fixture_for(program, 23_001 + 7 * pi as u64);
+    for case in corpus() {
+        let program = &case.program;
+        let a = SMALL.draw(&case, case.seed(23_000));
+        let b = SMALL.draw(&case, case.seed(23_001));
         let c = with_isolated_elements(&a);
         let d = with_skewed_columns(&a);
-        let arity = program.idb_arity(program.goal());
+        let arity = case.goal_arity();
         let tuple: Vec<Element> = (0..arity as Element).collect();
         let compiled = CompiledProgram::compile(program);
         for lowering in [
@@ -501,7 +412,7 @@ fn a_reused_program_runs_every_structure_as_a_fresh_one_does() {
             .into_iter()
             .enumerate()
             {
-                let label = format!("program {pi}, {lowering}, step {step} ({name})");
+                let label = format!("{}, {lowering}, step {step} ({name})", case.name);
                 for (evaluator, o) in reused.iter().zip(modes) {
                     let fresh = Evaluator::new(program).run(s, o);
                     let run = evaluator.run(s, o);
@@ -527,21 +438,6 @@ fn a_reused_program_runs_every_structure_as_a_fresh_one_does() {
     );
 }
 
-/// The fixtures the pinned counters are recorded on.
-const PINNED_SEEDS: [u64; 2] = [21_000, 21_001];
-
-/// The configurations the pinned counters cover, in row order: textual,
-/// then cost-based under the Auto, Binary and Generic lowerings.
-fn pinned_configs() -> [EvalOptions; 4] {
-    let cost = |lowering| opts(PlannerMode::CostBased).with_lowering(lowering);
-    [
-        opts(PlannerMode::Textual),
-        cost(JoinLowering::Auto),
-        cost(JoinLowering::Binary),
-        cost(JoinLowering::Generic),
-    ]
-}
-
 /// The full [`EvalStats`] as one row: join probes, magic probes, block
 /// probes, gallop steps, duplicate derivations, tuples interned, stages,
 /// generic-join rules.
@@ -564,170 +460,140 @@ fn from_scratch_counters_are_pinned() {
     // and the live-rule filter all show in the single-worker counters. A
     // change to how plans are built or executed that is meant to leave
     // evaluation as it was must reproduce every recorded row.
-    let mut got = Vec::new();
-    for program in all_programs() {
-        for seed in PINNED_SEEDS {
-            let s = fixture_for(&program, seed);
-            for o in pinned_configs() {
-                got.push(counter_row(&Evaluator::new(&program).run(&s, o).eval_stats));
-            }
-        }
-    }
-    assert_eq!(
-        got.len(),
-        PINNED_COUNTERS.len(),
-        "one row per program, seed and configuration"
-    );
-    let per_program = PINNED_SEEDS.len() * pinned_configs().len();
-    for (i, (row, want)) in got.iter().zip(&PINNED_COUNTERS).enumerate() {
-        let (seed, config) = (i % per_program / 4, i % 4);
-        assert_eq!(
-            row,
-            want,
-            "program {}, seed {}, configuration {config}",
-            i / per_program,
-            PINNED_SEEDS[seed]
-        );
-    }
+    support::check_pinned(PINNED_COUNTERS, &corpus(), 21_000, |case, seed| {
+        let s = SMALL.draw(case, seed);
+        configs()
+            .into_iter()
+            .map(|(name, o)| {
+                let stats = Evaluator::new(&case.program).run(&s, o).eval_stats;
+                (name.to_string(), counter_row(&stats))
+            })
+            .collect()
+    });
 }
 
-/// Recorded [`counter_row`]s: per program of [`all_programs`], per seed of
-/// [`PINNED_SEEDS`], per configuration of [`pinned_configs`].
+/// Recorded [`counter_row`]s, keyed `case/seed/configuration`: per corpus
+/// case, per seed, per configuration of [`configs`].
 #[rustfmt::skip]
-const PINNED_COUNTERS: [[u64; 8]; 120] = [
-    // transitive_closure
-    [54, 0, 0, 0, 34, 35, 4, 0],
-    [22, 0, 18, 0, 34, 35, 4, 0],
-    [22, 0, 18, 0, 34, 35, 4, 0],
-    [96, 0, 0, 154, 34, 35, 4, 4],
-    [63, 0, 0, 0, 63, 42, 4, 0],
-    [25, 0, 22, 0, 63, 42, 4, 0],
-    [25, 0, 22, 0, 63, 42, 4, 0],
-    [137, 0, 0, 252, 63, 42, 4, 4],
-    // avoiding_path
-    [166, 0, 0, 0, 119, 147, 4, 0],
-    [22, 0, 130, 0, 119, 147, 4, 0],
-    [22, 0, 130, 0, 119, 147, 4, 0],
-    [387, 0, 0, 634, 119, 147, 4, 4],
-    [207, 0, 0, 0, 214, 186, 4, 0],
-    [29, 0, 162, 0, 214, 186, 4, 0],
-    [29, 0, 162, 0, 214, 186, 4, 0],
-    [588, 0, 0, 1081, 214, 186, 4, 4],
-    // q_prime
-    [702, 0, 0, 0, 165, 238, 5, 0],
-    [236, 0, 289, 0, 119, 238, 5, 0],
-    [236, 0, 289, 0, 119, 238, 5, 0],
-    [998, 0, 0, 3521, 165, 238, 5, 14],
-    [905, 0, 0, 0, 288, 286, 6, 0],
-    [324, 0, 358, 0, 214, 286, 6, 0],
-    [324, 0, 358, 0, 214, 286, 6, 0],
-    [1449, 0, 0, 6837, 288, 286, 6, 15],
-    // q_kl(2, 1)
-    [2279, 0, 0, 0, 655, 925, 5, 0],
-    [402, 0, 1355, 0, 552, 925, 5, 0],
-    [402, 0, 1355, 0, 552, 925, 5, 0],
-    [3789, 0, 0, 40461, 655, 925, 5, 14],
-    [2922, 0, 0, 0, 964, 1121, 6, 0],
-    [565, 0, 1709, 0, 805, 1121, 6, 0],
-    [565, 0, 1709, 0, 805, 1121, 6, 0],
-    [5075, 0, 0, 77330, 964, 1121, 6, 15],
-    // path_systems
-    [32, 0, 0, 0, 0, 5, 4, 0],
-    [21, 0, 0, 0, 0, 5, 4, 0],
-    [21, 0, 0, 0, 0, 5, 4, 0],
-    [34, 0, 0, 13, 0, 5, 4, 7],
-    [32, 0, 0, 0, 0, 5, 4, 0],
-    [21, 0, 0, 0, 0, 5, 4, 0],
-    [21, 0, 0, 0, 0, 5, 4, 0],
-    [34, 0, 0, 13, 0, 5, 4, 7],
-    // two_disjoint_paths_acyclic
-    [33, 0, 0, 0, 0, 2, 1, 0],
-    [4, 0, 0, 0, 0, 2, 1, 0],
-    [4, 0, 0, 0, 0, 2, 1, 0],
-    [4, 0, 0, 0, 0, 2, 1, 1],
-    [248, 0, 0, 0, 12, 27, 4, 0],
-    [79, 0, 26, 0, 8, 27, 4, 0],
-    [79, 0, 26, 0, 8, 27, 4, 0],
-    [235, 0, 0, 367, 12, 27, 4, 19],
-    // two_disjoint_paths_paper_rules
-    [21, 0, 0, 0, 0, 3, 2, 0],
-    [8, 0, 1, 0, 0, 3, 2, 0],
-    [8, 0, 1, 0, 0, 3, 2, 0],
-    [11, 0, 0, 3, 0, 3, 2, 4],
-    [65, 0, 0, 0, 38, 30, 5, 0],
-    [30, 0, 14, 0, 38, 30, 5, 0],
-    [30, 0, 14, 0, 38, 30, 5, 0],
-    [111, 0, 0, 207, 38, 30, 5, 10],
-    // triangles
-    [35, 0, 0, 0, 0, 6, 1, 0],
-    [49, 0, 0, 56, 0, 6, 1, 1],
-    [24, 0, 11, 0, 0, 6, 1, 0],
-    [49, 0, 0, 56, 0, 6, 1, 1],
-    [44, 0, 0, 0, 0, 6, 1, 0],
-    [68, 0, 0, 82, 0, 6, 1, 1],
-    [31, 0, 13, 0, 0, 6, 1, 0],
-    [68, 0, 0, 82, 0, 6, 1, 1],
-    // q_kl(1, 1)
-    [153, 0, 0, 0, 152, 147, 4, 0],
-    [26, 0, 126, 0, 152, 147, 4, 0],
-    [26, 0, 126, 0, 152, 147, 4, 0],
-    [435, 0, 0, 814, 152, 147, 4, 4],
-    [192, 0, 0, 0, 221, 186, 4, 0],
-    [27, 0, 164, 0, 221, 186, 4, 0],
-    [27, 0, 164, 0, 221, 186, 4, 0],
-    [582, 0, 0, 1075, 221, 186, 4, 4],
-    // q_kl(2, 2)
-    [1665, 0, 0, 0, 414, 798, 3, 0],
-    [156, 0, 1146, 0, 414, 798, 3, 0],
-    [156, 0, 1146, 0, 414, 798, 3, 0],
-    [2636, 0, 0, 24424, 414, 798, 3, 9],
-    [2373, 0, 0, 0, 574, 1132, 4, 0],
-    [141, 0, 1632, 0, 554, 1132, 4, 0],
-    [141, 0, 1632, 0, 554, 1132, 4, 0],
-    [3337, 0, 0, 41870, 574, 1132, 4, 10],
-    // q_kl(3, 1)
-    [1765, 0, 0, 0, 414, 798, 3, 0],
-    [170, 0, 1178, 0, 414, 798, 3, 0],
-    [170, 0, 1178, 0, 414, 798, 3, 0],
-    [2682, 0, 0, 24442, 414, 798, 3, 11],
-    [2562, 0, 0, 0, 576, 1150, 4, 0],
-    [181, 0, 1698, 0, 554, 1150, 4, 0],
-    [181, 0, 1698, 0, 554, 1150, 4, 0],
-    [3487, 0, 0, 43141, 576, 1150, 4, 16],
-    // acyclic_game_program(path of length two)
-    [43, 0, 0, 0, 0, 2, 2, 0],
-    [5, 0, 0, 0, 0, 2, 2, 0],
-    [5, 0, 0, 0, 0, 2, 2, 0],
-    [6, 0, 0, 1, 0, 2, 2, 3],
-    [87, 0, 0, 0, 1, 5, 3, 0],
-    [8, 0, 0, 0, 1, 5, 3, 0],
-    [8, 0, 0, 0, 1, 5, 3, 0],
-    [13, 0, 0, 15, 1, 5, 3, 4],
-    // acyclic_game_program(path of length three)
-    [144, 0, 0, 0, 0, 6, 3, 0],
-    [19, 0, 2, 0, 0, 6, 3, 0],
-    [19, 0, 2, 0, 0, 6, 3, 0],
-    [28, 0, 0, 12, 0, 6, 3, 9],
-    [519, 0, 0, 0, 12, 27, 5, 0],
-    [90, 0, 35, 0, 8, 27, 5, 0],
-    [90, 0, 35, 0, 8, 27, 5, 0],
-    [242, 0, 0, 380, 12, 27, 5, 22],
-    // class_c_program(self-loop pattern {(0,0), (0,1)})
-    [272, 0, 0, 0, 0, 94, 5, 0],
-    [122, 0, 74, 0, 0, 94, 5, 0],
-    [122, 0, 74, 0, 0, 94, 5, 0],
-    [247, 0, 0, 274, 0, 94, 5, 21],
-    [409, 0, 0, 0, 39, 153, 4, 0],
-    [119, 0, 167, 11, 29, 153, 4, 0],
-    [119, 0, 167, 11, 29, 153, 4, 0],
-    [405, 0, 0, 952, 39, 153, 4, 14],
-    // class_c_program(out_star(2))
-    [251, 0, 0, 0, 0, 82, 5, 0],
-    [106, 0, 71, 0, 0, 82, 5, 0],
-    [106, 0, 71, 0, 0, 82, 5, 0],
-    [223, 0, 0, 269, 0, 82, 5, 11],
-    [381, 0, 0, 0, 34, 137, 4, 0],
-    [101, 0, 159, 0, 24, 137, 4, 0],
-    [101, 0, 159, 0, 24, 137, 4, 0],
-    [370, 0, 0, 928, 34, 137, 4, 7],
+const PINNED_COUNTERS: &[(&str, [u64; 8])] = &[
+    ("transitive_closure/21000/textual", [54, 0, 0, 0, 34, 35, 4, 0]),
+    ("transitive_closure/21000/cost-auto", [22, 0, 18, 0, 34, 35, 4, 0]),
+    ("transitive_closure/21000/cost-binary", [22, 0, 18, 0, 34, 35, 4, 0]),
+    ("transitive_closure/21000/cost-generic", [96, 0, 0, 154, 34, 35, 4, 4]),
+    ("transitive_closure/21001/textual", [63, 0, 0, 0, 63, 42, 4, 0]),
+    ("transitive_closure/21001/cost-auto", [25, 0, 22, 0, 63, 42, 4, 0]),
+    ("transitive_closure/21001/cost-binary", [25, 0, 22, 0, 63, 42, 4, 0]),
+    ("transitive_closure/21001/cost-generic", [137, 0, 0, 252, 63, 42, 4, 4]),
+    ("avoiding_path/21000/textual", [166, 0, 0, 0, 119, 147, 4, 0]),
+    ("avoiding_path/21000/cost-auto", [22, 0, 130, 0, 119, 147, 4, 0]),
+    ("avoiding_path/21000/cost-binary", [22, 0, 130, 0, 119, 147, 4, 0]),
+    ("avoiding_path/21000/cost-generic", [387, 0, 0, 634, 119, 147, 4, 4]),
+    ("avoiding_path/21001/textual", [207, 0, 0, 0, 214, 186, 4, 0]),
+    ("avoiding_path/21001/cost-auto", [29, 0, 162, 0, 214, 186, 4, 0]),
+    ("avoiding_path/21001/cost-binary", [29, 0, 162, 0, 214, 186, 4, 0]),
+    ("avoiding_path/21001/cost-generic", [588, 0, 0, 1081, 214, 186, 4, 4]),
+    ("q_prime/21000/textual", [702, 0, 0, 0, 165, 238, 5, 0]),
+    ("q_prime/21000/cost-auto", [236, 0, 289, 0, 119, 238, 5, 0]),
+    ("q_prime/21000/cost-binary", [236, 0, 289, 0, 119, 238, 5, 0]),
+    ("q_prime/21000/cost-generic", [998, 0, 0, 3521, 165, 238, 5, 14]),
+    ("q_prime/21001/textual", [905, 0, 0, 0, 288, 286, 6, 0]),
+    ("q_prime/21001/cost-auto", [324, 0, 358, 0, 214, 286, 6, 0]),
+    ("q_prime/21001/cost-binary", [324, 0, 358, 0, 214, 286, 6, 0]),
+    ("q_prime/21001/cost-generic", [1449, 0, 0, 6837, 288, 286, 6, 15]),
+    ("q_kl(2,1)/21000/textual", [2279, 0, 0, 0, 655, 925, 5, 0]),
+    ("q_kl(2,1)/21000/cost-auto", [402, 0, 1355, 0, 552, 925, 5, 0]),
+    ("q_kl(2,1)/21000/cost-binary", [402, 0, 1355, 0, 552, 925, 5, 0]),
+    ("q_kl(2,1)/21000/cost-generic", [3789, 0, 0, 40461, 655, 925, 5, 14]),
+    ("q_kl(2,1)/21001/textual", [2922, 0, 0, 0, 964, 1121, 6, 0]),
+    ("q_kl(2,1)/21001/cost-auto", [565, 0, 1709, 0, 805, 1121, 6, 0]),
+    ("q_kl(2,1)/21001/cost-binary", [565, 0, 1709, 0, 805, 1121, 6, 0]),
+    ("q_kl(2,1)/21001/cost-generic", [5075, 0, 0, 77330, 964, 1121, 6, 15]),
+    ("path_systems/21000/textual", [32, 0, 0, 0, 0, 5, 4, 0]),
+    ("path_systems/21000/cost-auto", [21, 0, 0, 0, 0, 5, 4, 0]),
+    ("path_systems/21000/cost-binary", [21, 0, 0, 0, 0, 5, 4, 0]),
+    ("path_systems/21000/cost-generic", [34, 0, 0, 13, 0, 5, 4, 7]),
+    ("path_systems/21001/textual", [32, 0, 0, 0, 0, 5, 4, 0]),
+    ("path_systems/21001/cost-auto", [21, 0, 0, 0, 0, 5, 4, 0]),
+    ("path_systems/21001/cost-binary", [21, 0, 0, 0, 0, 5, 4, 0]),
+    ("path_systems/21001/cost-generic", [34, 0, 0, 13, 0, 5, 4, 7]),
+    ("two_disjoint_paths_acyclic/21000/textual", [33, 0, 0, 0, 0, 2, 1, 0]),
+    ("two_disjoint_paths_acyclic/21000/cost-auto", [4, 0, 0, 0, 0, 2, 1, 0]),
+    ("two_disjoint_paths_acyclic/21000/cost-binary", [4, 0, 0, 0, 0, 2, 1, 0]),
+    ("two_disjoint_paths_acyclic/21000/cost-generic", [4, 0, 0, 0, 0, 2, 1, 1]),
+    ("two_disjoint_paths_acyclic/21001/textual", [248, 0, 0, 0, 12, 27, 4, 0]),
+    ("two_disjoint_paths_acyclic/21001/cost-auto", [79, 0, 26, 0, 8, 27, 4, 0]),
+    ("two_disjoint_paths_acyclic/21001/cost-binary", [79, 0, 26, 0, 8, 27, 4, 0]),
+    ("two_disjoint_paths_acyclic/21001/cost-generic", [235, 0, 0, 367, 12, 27, 4, 19]),
+    ("two_disjoint_paths_paper_rules/21000/textual", [21, 0, 0, 0, 0, 3, 2, 0]),
+    ("two_disjoint_paths_paper_rules/21000/cost-auto", [8, 0, 1, 0, 0, 3, 2, 0]),
+    ("two_disjoint_paths_paper_rules/21000/cost-binary", [8, 0, 1, 0, 0, 3, 2, 0]),
+    ("two_disjoint_paths_paper_rules/21000/cost-generic", [11, 0, 0, 3, 0, 3, 2, 4]),
+    ("two_disjoint_paths_paper_rules/21001/textual", [65, 0, 0, 0, 38, 30, 5, 0]),
+    ("two_disjoint_paths_paper_rules/21001/cost-auto", [30, 0, 14, 0, 38, 30, 5, 0]),
+    ("two_disjoint_paths_paper_rules/21001/cost-binary", [30, 0, 14, 0, 38, 30, 5, 0]),
+    ("two_disjoint_paths_paper_rules/21001/cost-generic", [111, 0, 0, 207, 38, 30, 5, 10]),
+    ("triangles/21000/textual", [35, 0, 0, 0, 0, 6, 1, 0]),
+    ("triangles/21000/cost-auto", [49, 0, 0, 56, 0, 6, 1, 1]),
+    ("triangles/21000/cost-binary", [24, 0, 11, 0, 0, 6, 1, 0]),
+    ("triangles/21000/cost-generic", [49, 0, 0, 56, 0, 6, 1, 1]),
+    ("triangles/21001/textual", [44, 0, 0, 0, 0, 6, 1, 0]),
+    ("triangles/21001/cost-auto", [68, 0, 0, 82, 0, 6, 1, 1]),
+    ("triangles/21001/cost-binary", [31, 0, 13, 0, 0, 6, 1, 0]),
+    ("triangles/21001/cost-generic", [68, 0, 0, 82, 0, 6, 1, 1]),
+    ("q_kl(1,1)/21000/textual", [153, 0, 0, 0, 152, 147, 4, 0]),
+    ("q_kl(1,1)/21000/cost-auto", [26, 0, 126, 0, 152, 147, 4, 0]),
+    ("q_kl(1,1)/21000/cost-binary", [26, 0, 126, 0, 152, 147, 4, 0]),
+    ("q_kl(1,1)/21000/cost-generic", [435, 0, 0, 814, 152, 147, 4, 4]),
+    ("q_kl(1,1)/21001/textual", [192, 0, 0, 0, 221, 186, 4, 0]),
+    ("q_kl(1,1)/21001/cost-auto", [27, 0, 164, 0, 221, 186, 4, 0]),
+    ("q_kl(1,1)/21001/cost-binary", [27, 0, 164, 0, 221, 186, 4, 0]),
+    ("q_kl(1,1)/21001/cost-generic", [582, 0, 0, 1075, 221, 186, 4, 4]),
+    ("q_kl(2,2)/21000/textual", [1665, 0, 0, 0, 414, 798, 3, 0]),
+    ("q_kl(2,2)/21000/cost-auto", [156, 0, 1146, 0, 414, 798, 3, 0]),
+    ("q_kl(2,2)/21000/cost-binary", [156, 0, 1146, 0, 414, 798, 3, 0]),
+    ("q_kl(2,2)/21000/cost-generic", [2636, 0, 0, 24424, 414, 798, 3, 9]),
+    ("q_kl(2,2)/21001/textual", [2373, 0, 0, 0, 574, 1132, 4, 0]),
+    ("q_kl(2,2)/21001/cost-auto", [141, 0, 1632, 0, 554, 1132, 4, 0]),
+    ("q_kl(2,2)/21001/cost-binary", [141, 0, 1632, 0, 554, 1132, 4, 0]),
+    ("q_kl(2,2)/21001/cost-generic", [3337, 0, 0, 41870, 574, 1132, 4, 10]),
+    ("q_kl(3,1)/21000/textual", [1765, 0, 0, 0, 414, 798, 3, 0]),
+    ("q_kl(3,1)/21000/cost-auto", [170, 0, 1178, 0, 414, 798, 3, 0]),
+    ("q_kl(3,1)/21000/cost-binary", [170, 0, 1178, 0, 414, 798, 3, 0]),
+    ("q_kl(3,1)/21000/cost-generic", [2682, 0, 0, 24442, 414, 798, 3, 11]),
+    ("q_kl(3,1)/21001/textual", [2562, 0, 0, 0, 576, 1150, 4, 0]),
+    ("q_kl(3,1)/21001/cost-auto", [181, 0, 1698, 0, 554, 1150, 4, 0]),
+    ("q_kl(3,1)/21001/cost-binary", [181, 0, 1698, 0, 554, 1150, 4, 0]),
+    ("q_kl(3,1)/21001/cost-generic", [3487, 0, 0, 43141, 576, 1150, 4, 16]),
+    ("game(path_length_two)/21000/textual", [43, 0, 0, 0, 0, 2, 2, 0]),
+    ("game(path_length_two)/21000/cost-auto", [5, 0, 0, 0, 0, 2, 2, 0]),
+    ("game(path_length_two)/21000/cost-binary", [5, 0, 0, 0, 0, 2, 2, 0]),
+    ("game(path_length_two)/21000/cost-generic", [6, 0, 0, 1, 0, 2, 2, 3]),
+    ("game(path_length_two)/21001/textual", [87, 0, 0, 0, 1, 5, 3, 0]),
+    ("game(path_length_two)/21001/cost-auto", [8, 0, 0, 0, 1, 5, 3, 0]),
+    ("game(path_length_two)/21001/cost-binary", [8, 0, 0, 0, 1, 5, 3, 0]),
+    ("game(path_length_two)/21001/cost-generic", [13, 0, 0, 15, 1, 5, 3, 4]),
+    ("game(path_length_three)/21000/textual", [144, 0, 0, 0, 0, 6, 3, 0]),
+    ("game(path_length_three)/21000/cost-auto", [19, 0, 2, 0, 0, 6, 3, 0]),
+    ("game(path_length_three)/21000/cost-binary", [19, 0, 2, 0, 0, 6, 3, 0]),
+    ("game(path_length_three)/21000/cost-generic", [28, 0, 0, 12, 0, 6, 3, 9]),
+    ("game(path_length_three)/21001/textual", [519, 0, 0, 0, 12, 27, 5, 0]),
+    ("game(path_length_three)/21001/cost-auto", [90, 0, 35, 0, 8, 27, 5, 0]),
+    ("game(path_length_three)/21001/cost-binary", [90, 0, 35, 0, 8, 27, 5, 0]),
+    ("game(path_length_three)/21001/cost-generic", [242, 0, 0, 380, 12, 27, 5, 22]),
+    ("class_c(self_loop)/21000/textual", [272, 0, 0, 0, 0, 94, 5, 0]),
+    ("class_c(self_loop)/21000/cost-auto", [122, 0, 74, 0, 0, 94, 5, 0]),
+    ("class_c(self_loop)/21000/cost-binary", [122, 0, 74, 0, 0, 94, 5, 0]),
+    ("class_c(self_loop)/21000/cost-generic", [247, 0, 0, 274, 0, 94, 5, 21]),
+    ("class_c(self_loop)/21001/textual", [409, 0, 0, 0, 39, 153, 4, 0]),
+    ("class_c(self_loop)/21001/cost-auto", [119, 0, 167, 11, 29, 153, 4, 0]),
+    ("class_c(self_loop)/21001/cost-binary", [119, 0, 167, 11, 29, 153, 4, 0]),
+    ("class_c(self_loop)/21001/cost-generic", [405, 0, 0, 952, 39, 153, 4, 14]),
+    ("class_c(out_star_2)/21000/textual", [251, 0, 0, 0, 0, 82, 5, 0]),
+    ("class_c(out_star_2)/21000/cost-auto", [106, 0, 71, 0, 0, 82, 5, 0]),
+    ("class_c(out_star_2)/21000/cost-binary", [106, 0, 71, 0, 0, 82, 5, 0]),
+    ("class_c(out_star_2)/21000/cost-generic", [223, 0, 0, 269, 0, 82, 5, 11]),
+    ("class_c(out_star_2)/21001/textual", [381, 0, 0, 0, 34, 137, 4, 0]),
+    ("class_c(out_star_2)/21001/cost-auto", [101, 0, 159, 0, 24, 137, 4, 0]),
+    ("class_c(out_star_2)/21001/cost-binary", [101, 0, 159, 0, 24, 137, 4, 0]),
+    ("class_c(out_star_2)/21001/cost-generic", [370, 0, 0, 928, 34, 137, 4, 7]),
 ];

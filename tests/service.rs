@@ -33,7 +33,7 @@ fn edge() -> RelId {
 
 /// A random batch over the edge relation: a few inserts and a few
 /// retracts, all in-universe; retracts may miss (multiset no-op).
-fn random_batch(rng: &mut SplitMix64) -> (Vec<Fact>, Vec<Fact>) {
+fn random_edge_batch(rng: &mut SplitMix64) -> (Vec<Fact>, Vec<Fact>) {
     let pick = |rng: &mut SplitMix64| loop {
         let u = rng.gen_range(0..N);
         let v = rng.gen_range(0..N);
@@ -174,7 +174,7 @@ fn concurrent_readers_observe_only_committed_fixpoints() {
         // hammers the serve path.
         let mut rng = SplitMix64::seed_from_u64(0x317e);
         for _ in 0..BATCHES {
-            let (inserts, retracts) = random_batch(&mut rng);
+            let (inserts, retracts) = random_edge_batch(&mut rng);
             let outcome = svc.apply_batch(&inserts, &retracts);
             committed.push((inserts, retracts));
             assert_eq!(outcome.epoch, committed.len() as u64);
