@@ -93,9 +93,9 @@ impl Default for DurabilityOptions {
 }
 
 /// A seeded kill point inside the durable commit protocol. The recovery
-/// tests run the engine in a subprocess with one of these armed; the
-/// process [`std::process::abort`]s at the seam, the parent restarts it,
-/// and recovery must land on the clean-run state.
+/// tests run the engine in a child process with one of these armed; the
+/// child [`std::process::abort`]s at the seam, the parent recovers the
+/// directory, and recovery must land on the clean-run state.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CrashPoint {
     /// While appending the WAL record of the batch producing `epoch`:
@@ -131,32 +131,6 @@ pub enum CrashPoint {
     /// Manifest swapped, stale generations not yet pruned: recovery uses
     /// the new snapshot and ignores the orphans.
     AfterManifest,
-}
-
-impl CrashPoint {
-    /// Parses the harness's crash spec: `wal-torn:EPOCH:KEEP`,
-    /// `after-wal:EPOCH`, `after-apply:EPOCH`, `ckpt-torn:KEEP`,
-    /// `before-manifest`, `after-manifest`.
-    pub fn parse(spec: &str) -> Option<CrashPoint> {
-        let mut parts = spec.split(':');
-        let head = parts.next()?;
-        let mut num = || parts.next()?.parse::<u64>().ok();
-        match head {
-            "wal-torn" => {
-                let epoch = num()?;
-                let keep = num()? as usize;
-                Some(CrashPoint::WalTorn { epoch, keep })
-            }
-            "after-wal" => Some(CrashPoint::AfterWal { epoch: num()? }),
-            "after-apply" => Some(CrashPoint::AfterApply { epoch: num()? }),
-            "ckpt-torn" => Some(CrashPoint::CheckpointTorn {
-                keep: num()? as usize,
-            }),
-            "before-manifest" => Some(CrashPoint::BeforeManifest),
-            "after-manifest" => Some(CrashPoint::AfterManifest),
-            _ => None,
-        }
-    }
 }
 
 /// What recovery found and did while opening a durable directory.

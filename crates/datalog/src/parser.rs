@@ -722,6 +722,26 @@ mod tests {
     }
 
     #[test]
+    fn fuzzed_programs_never_panic() {
+        let valid = [
+            "// TC\nS(x, y) :- E(x, y).\nS(x, y) :- E(x, z), S(z, y).\n?- S.\n",
+            "T(x, y, w) :- E(x, y), w != x, w != y.\nT(x, y, w) <- E(x, z), T(z, y, w), w != x.\n",
+            "D(s1, s2).\nP(x) :- E(s1, x), x = s2, D(x, x).\n?- P.\n",
+            "A(x) :- E(x, x).\nB(x, w) :- A(x), E(w, w).\n?- B.",
+        ];
+        let vocab = Arc::new(Vocabulary::graph_with_constants(2));
+        let mut rng = kv_structures::SplitMix64::seed_from_u64(0xDA7A_F022);
+        for _ in 0..20_000 {
+            let src = rng.fuzz_text(&valid);
+            let parsed = std::panic::catch_unwind(|| {
+                let _ = parse_program(&src, Arc::clone(&vocab));
+                let _ = parse_program_strict(&src, Arc::clone(&vocab));
+            });
+            assert!(parsed.is_ok(), "the parser panicked on {src:?}");
+        }
+    }
+
+    #[test]
     fn strict_mode_rejects_unbound_head_variable() {
         let src = "P(x, w) :- E(x, x).";
         let err = parse_program_strict(src, graph_vocab()).unwrap_err();

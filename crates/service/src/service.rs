@@ -160,10 +160,9 @@ struct ServiceCounters {
     batches: AtomicU64,
 }
 
-/// A registered query: its display name, goal arity, and the compiled
-/// [`ProgramQuery`] (shared immutably by all reader threads).
+/// A registered query: its goal arity and the compiled [`ProgramQuery`]
+/// (shared immutably by all reader threads).
 struct RegisteredQuery {
-    name: String,
     arity: usize,
     query: Arc<ProgramQuery>,
 }
@@ -217,9 +216,8 @@ impl ServiceBuilder {
         );
         let arity = query.program().idb_arity(query.program().goal());
         let id = QueryId(self.queries.len() as u32);
-        self.by_name.insert(name.clone(), id);
+        self.by_name.insert(name, id);
         self.queries.push(RegisteredQuery {
-            name,
             arity,
             query: Arc::new(query),
         });
@@ -328,16 +326,6 @@ impl QueryService {
     /// Resolves a registered query by name.
     pub fn query_id(&self, name: &str) -> Option<QueryId> {
         self.by_name.get(name).copied()
-    }
-
-    /// Registered query names, indexed by [`QueryId`].
-    pub fn query_names(&self) -> Vec<&str> {
-        self.queries.iter().map(|q| q.name.as_str()).collect()
-    }
-
-    /// Number of registered tenants.
-    pub fn tenant_count(&self) -> usize {
-        self.tenants.len()
     }
 
     /// The currently published snapshot. Cheap (`Arc` clone); the
@@ -583,6 +571,7 @@ mod tests {
     use kv_core::ProgramQuery;
     use kv_datalog::programs::transitive_closure;
     use kv_structures::generators::directed_path;
+    use std::time::Duration;
 
     fn tc_service(tenants: Vec<TenantPolicy>) -> (QueryService, QueryId, Vec<TenantId>) {
         let mut builder = ServiceBuilder::new(&directed_path(4));
@@ -728,6 +717,36 @@ mod tests {
         ));
         let m = svc.metrics();
         assert_eq!(m.interrupted, 1);
+        assert_eq!(m.tenants[0].interrupted, 1);
+        assert_eq!(m.tenants[1].interrupted, 0);
+    }
+
+    #[test]
+    fn an_expired_deadline_interrupts_only_its_own_request() {
+        let (svc, q, ids) = tc_service(vec![
+            TenantPolicy::unlimited("hasty").with_deadline(Duration::ZERO),
+            TenantPolicy::unlimited("free"),
+        ]);
+        // A miss checks its governor at the first stage boundary, and a
+        // zero deadline has expired by then on any clock. The two tenants
+        // ask different tuples, so neither can be answered from the
+        // other's cache entry.
+        let (hasty, free) = std::thread::scope(|s| {
+            let hasty = s.spawn(|| svc.serve(&req(ids[0], q, vec![0, 3])));
+            let free = s.spawn(|| svc.serve(&req(ids[1], q, vec![1, 3])));
+            (hasty.join().unwrap(), free.join().unwrap())
+        });
+        assert_eq!(hasty, Response::Interrupted(Interrupted::Deadline));
+        assert_eq!(
+            free,
+            Response::Answer {
+                holds: true,
+                epoch: 0,
+                cached: false
+            }
+        );
+        let m = svc.metrics();
+        assert_eq!((m.interrupted, m.answered), (1, 1));
         assert_eq!(m.tenants[0].interrupted, 1);
         assert_eq!(m.tenants[1].interrupted, 0);
     }

@@ -223,6 +223,29 @@ mod tests {
     }
 
     #[test]
+    fn fuzzed_request_lines_get_a_reply_not_a_panic() {
+        let mut builder = ServiceBuilder::new(&directed_path(4));
+        builder.register_query(
+            "tc",
+            ProgramQuery::at_tuple("tc", transitive_closure(), vec![0, 3]),
+        );
+        builder.register_tenant(TenantPolicy::unlimited("t0"));
+        builder.register_tenant(TenantPolicy::unlimited("broke").with_credits(0));
+        let service = builder.build();
+        let valid = ["Q 0 tc 0 3", "Q 1 tc 3 0\nSTATS", "q 0 tc 2 1", "STATS"];
+        let mut rng = kv_structures::SplitMix64::seed_from_u64(0x7C9_F022);
+        for _ in 0..5_000 {
+            let text = rng.fuzz_text(&valid);
+            // One request per line, trimmed, as the connection handler
+            // passes them on.
+            for line in text.lines().map(str::trim).filter(|l| !l.is_empty()) {
+                let reply = std::panic::catch_unwind(|| dispatch(&service, line));
+                assert!(reply.is_ok(), "dispatch panicked on {line:?}");
+            }
+        }
+    }
+
+    #[test]
     fn tcp_roundtrip_serves_queries_and_stats() {
         let mut builder = ServiceBuilder::new(&directed_path(4));
         builder.register_query(

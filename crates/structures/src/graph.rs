@@ -6,7 +6,7 @@
 //! [`Structure`] over the vocabulary `{E/2, s1, …, sk}` for the logic and
 //! game machinery.
 
-use crate::structure::{Element, Structure};
+use crate::structure::Structure;
 use crate::vocabulary::{ConstId, RelId, Vocabulary};
 use std::collections::HashSet;
 use std::sync::Arc;
@@ -230,18 +230,6 @@ impl Digraph {
         out.push_str("}\n");
         out
     }
-
-    /// Elementwise union of node sets and edges with another graph over the
-    /// same node range (used by construction code that assembles gadgets).
-    ///
-    /// # Panics
-    /// Panics if the node counts differ.
-    pub fn union_edges(&mut self, other: &Digraph) {
-        assert_eq!(self.node_count(), other.node_count());
-        for (u, v) in other.edges() {
-            self.add_edge(u, v);
-        }
-    }
 }
 
 /// An element-renaming view used when composing graphs: maps old node ids to
@@ -252,11 +240,6 @@ pub fn copy_into(dst: &mut Digraph, src: &Digraph) -> Vec<u32> {
         dst.add_edge(mapping[u as usize], mapping[v as usize]);
     }
     mapping
-}
-
-/// Re-export for ergonomic use alongside `Element`.
-pub fn as_elements(nodes: &[u32]) -> &[Element] {
-    nodes
 }
 
 #[cfg(test)]

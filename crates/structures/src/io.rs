@@ -208,6 +208,21 @@ mod tests {
     }
 
     #[test]
+    fn fuzzed_inputs_never_panic() {
+        let valid = [
+            "# header\nnodes 5\n0 1\n1 2\n2 4\ndistinguished 0 4\n",
+            "nodes 3\n\n0 1\n  1 2  \n2 0\n",
+            "nodes 12\n10 11\n3 9\ndistinguished 11\n",
+        ];
+        let mut rng = crate::SplitMix64::seed_from_u64(0xD16A_F022);
+        for _ in 0..20_000 {
+            let text = rng.fuzz_text(&valid);
+            let parsed = std::panic::catch_unwind(|| parse_digraph(&text));
+            assert!(parsed.is_ok(), "parse_digraph panicked on {text:?}");
+        }
+    }
+
+    #[test]
     fn errors_carry_line_and_column() {
         let e = parse_digraph("nodes 3\n0 1\n0 zap\n").unwrap_err();
         assert_eq!((e.line, e.col), (3, 3));

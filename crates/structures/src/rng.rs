@@ -57,6 +57,42 @@ impl SplitMix64 {
     pub fn gen_range<T: RangeInt>(&mut self, range: Range<T>) -> T {
         T::sample(self, range)
     }
+
+    /// A fuzz input for a parser that must reject bad text, never panic:
+    /// one draw in four is up to 64 random bytes, the rest are one of
+    /// `valid` with one to four byte edits (overwrite, delete, insert a
+    /// random byte, or copy in up to 16 bytes of a valid input). Bytes
+    /// that do not form UTF-8 become U+FFFD.
+    ///
+    /// # Panics
+    /// Panics if `valid` is empty.
+    pub fn fuzz_text(&mut self, valid: &[&str]) -> String {
+        let pick = |rng: &mut Self| valid[rng.gen_range(0..valid.len())].as_bytes();
+        let bytes: Vec<u8> = if self.gen_range(0..4u32) == 0 {
+            let len = self.gen_range(0..65usize);
+            (0..len).map(|_| self.next_u64() as u8).collect()
+        } else {
+            let mut bytes = pick(self).to_vec();
+            for _ in 0..self.gen_range(1..5u32) {
+                let at = self.gen_range(0..bytes.len() + 1);
+                match self.gen_range(0..4u32) {
+                    0 if at < bytes.len() => bytes[at] = self.next_u64() as u8,
+                    1 if at < bytes.len() => {
+                        bytes.remove(at);
+                    }
+                    2 => bytes.insert(at, self.next_u64() as u8),
+                    _ => {
+                        let donor = pick(self);
+                        let start = self.gen_range(0..donor.len() + 1);
+                        let len = self.gen_range(0..donor.len() - start + 1).min(16);
+                        bytes.splice(at..at, donor[start..start + len].iter().copied());
+                    }
+                }
+            }
+            bytes
+        };
+        String::from_utf8_lossy(&bytes).into_owned()
+    }
 }
 
 /// Integer types [`SplitMix64::gen_range`] can sample.

@@ -177,11 +177,6 @@ impl Structure {
         &self.relations[rel.0]
     }
 
-    /// Mutable access to the interpretation of relation `rel`.
-    pub fn relation_mut(&mut self, rel: RelId) -> &mut Relation {
-        &mut self.relations[rel.0]
-    }
-
     /// Inserts a tuple into relation `rel`; returns `true` if it was new.
     ///
     /// # Panics

@@ -1,9 +1,9 @@
 //! The differential corpus the equivalence suites share
-//! (`tests/{planned,sharded,incremental,chaos,demand}.rs`): one list of
-//! named programs ([`corpus`]), the fixture families that draw structures
-//! for them ([`SMALL`], [`SPARSE`]), the named run configurations
-//! ([`configs`]), and pinned tables keyed by `case/seed[/…]`
-//! ([`check_pinned`]).
+//! (`tests/{planned,sharded,incremental,chaos,demand,recovery}.rs`): one
+//! list of named programs ([`corpus`]), the fixture families that draw
+//! structures for them ([`SMALL`], [`SPARSE`]), the named run
+//! configurations ([`configs`]), and pinned tables keyed by
+//! `case/seed[/…]` ([`check_pinned`]).
 //!
 //! A program joins every suite with one [`Case`] line in [`corpus`], plus
 //! its rows in the pinned tables that admit it: a pinned test run without
@@ -240,6 +240,62 @@ pub fn random_batch(engine: &IncrementalEngine, rng: &mut SplitMix64) -> (Vec<Fa
         }
     }
     (inserts, retracts)
+}
+
+/// The deterministic batch stream of the recovery suite: batch 1 asserts
+/// `template`'s facts, and each later batch makes four moves: an insert
+/// of a random tuple (6 in 10, which may re-insert a live one), a retract
+/// of a live fact (3 in 10), or a phantom retract of a random tuple, most
+/// likely not live (1 in 10). A pure function of `(case, template, seed,
+/// count)`, so the crashing child and the verifying parent draw the same
+/// stream.
+pub fn batch_stream(
+    case: &Case,
+    template: &Structure,
+    seed: u64,
+    count: usize,
+) -> Vec<(Vec<Fact>, Vec<Fact>)> {
+    let vocab = case.program.vocabulary();
+    let universe = template.universe_size() as u32;
+    let rels: Vec<_> = vocab.relations().collect();
+    let mut batches = Vec::with_capacity(count);
+    let mut initial: Vec<Fact> = Vec::new();
+    for &r in &rels {
+        for t in template.relation(r).iter() {
+            initial.push((r, t.to_vec()));
+        }
+    }
+    // The generator mirrors the engine's multiset semantics locally so
+    // retract targets are (usually) live without consulting the engine.
+    let mut live: Vec<Fact> = initial.clone();
+    batches.push((initial, Vec::new()));
+    let mut rng = SplitMix64::seed_from_u64(seed ^ 0xD1FF_0000);
+    while batches.len() < count {
+        let mut inserts = Vec::new();
+        let mut retracts = Vec::new();
+        for _ in 0..4 {
+            let roll = rng.next_u64() % 10;
+            if roll < 6 || live.is_empty() {
+                let r = rels[rng.gen_range(0..rels.len())];
+                let t: Vec<Element> = (0..vocab.arity(r))
+                    .map(|_| rng.gen_range(0..universe))
+                    .collect();
+                live.push((r, t.clone()));
+                inserts.push((r, t));
+            } else if roll < 9 {
+                let i = rng.gen_range(0..live.len());
+                retracts.push(live.swap_remove(i));
+            } else {
+                let r = rels[rng.gen_range(0..rels.len())];
+                let t: Vec<Element> = (0..vocab.arity(r))
+                    .map(|_| rng.gen_range(0..universe))
+                    .collect();
+                retracts.push((r, t));
+            }
+        }
+        batches.push((inserts, retracts));
+    }
+    batches
 }
 
 /// Checks a pinned table keyed `case/seed[/rest]` against fresh runs.
