@@ -37,6 +37,8 @@ pub enum RejectReason {
     UnknownQuery,
     /// The request tuple's arity does not match the query's goal arity.
     ArityMismatch,
+    /// A request tuple element lies outside the EDB's universe.
+    OutOfUniverse,
     /// The tenant's admission credit balance is exhausted.
     OutOfCredits,
 }
@@ -47,6 +49,7 @@ impl std::fmt::Display for RejectReason {
             RejectReason::UnknownTenant => "unknown-tenant",
             RejectReason::UnknownQuery => "unknown-query",
             RejectReason::ArityMismatch => "arity-mismatch",
+            RejectReason::OutOfUniverse => "out-of-universe",
             RejectReason::OutOfCredits => "out-of-credits",
         };
         f.write_str(s)

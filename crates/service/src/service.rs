@@ -2,15 +2,16 @@
 //!
 //! One [`QueryService`] owns the EDB (per-relation [`MutableStore`]s
 //! behind a writer lock), a set of registered [`ProgramQuery`]s, a tenant
-//! table, a shared epoch-keyed result cache, and the currently published
-//! [`Snapshot`]. The concurrency contract:
+//! table, and the currently published [`Snapshot`], which carries the
+//! answer cache of its epoch. The concurrency contract:
 //!
 //! - **Readers never block writers, writers never block readers.** A
 //!   reader's only contact with shared mutable state is three short
-//!   critical sections: cloning the published snapshot `Arc`, one cache
-//!   lookup, and the admission debit. A miss adds one more, reading (or
-//!   replacing) its query's memoized plan. Evaluation itself runs
-//!   against the immutable snapshot with no lock held.
+//!   critical sections: cloning the published snapshot `Arc`, one lookup
+//!   in that snapshot's cache, and the admission debit. A miss adds two
+//!   more, reading (or replacing) its query's memoized plan and
+//!   memoizing its answer. Evaluation itself runs against the immutable
+//!   snapshot with no lock held.
 //! - **Readers share a snapshot's indexes and a query's plan.** A cache
 //!   miss evaluates through the snapshot's
 //!   [`EdbIndexes`](kv_datalog::EdbIndexes): the first miss to probe a
@@ -25,14 +26,14 @@
 //!   the fixpoint of exactly one committed epoch; the epoch is returned
 //!   with the answer. A reader holding an old snapshot keeps it alive
 //!   through the `Arc` for as long as its evaluation takes.
-//! - **The cache can only memoize the current epoch.** Lookups require
-//!   `cache epoch == snapshot epoch`; inserts revalidate the same equality
-//!   under the cache lock ([`ClockCache::insert_if_epoch`]), so a batch
-//!   committing mid-evaluation costs at most a lost memo.
+//! - **A cache answers only for its own snapshot.** A reader looks up and
+//!   memoizes in the cache of the snapshot it evaluated against, and a
+//!   commit publishes a new snapshot with an empty cache. A batch
+//!   committing mid-evaluation therefore costs at most a memo stored
+//!   where no later request looks.
 
-use crate::cache::{CacheStats, ClockCache};
 use crate::qos::{RejectReason, TenantAccount, TenantId, TenantPolicy};
-use crate::snapshot::Snapshot;
+use crate::snapshot::{CacheKey, Snapshot};
 use kv_core::ProgramQuery;
 use kv_datalog::Fact;
 use kv_structures::{
@@ -101,7 +102,7 @@ pub struct TenantMetrics {
     pub requests: u64,
     /// Requests served from the shared cache.
     pub cache_hits: u64,
-    /// Requests that evaluated (cache miss or epoch mismatch).
+    /// Requests that evaluated (cache miss).
     pub cache_misses: u64,
     /// Requests refused at admission.
     pub rejected: u64,
@@ -132,10 +133,20 @@ pub struct ServiceMetrics {
     pub batches: u64,
     /// The currently published epoch.
     pub epoch: u64,
-    /// Shared-cache counters (hits/misses/entries/evictions).
+    /// Answer-cache counters.
     pub cache: CacheStats,
     /// Per-tenant counters, indexed by [`TenantId`].
     pub tenants: Vec<TenantMetrics>,
+}
+
+/// Answer-cache counters in [`ServiceMetrics`].
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct CacheStats {
+    /// Answers memoized at the published epoch.
+    pub entries: u64,
+    /// Entries dropped by capacity pressure over the service's life.
+    /// A commit's empty cache evicts nothing.
+    pub evictions: u64,
 }
 
 /// Atomic per-tenant counters (lock-free on the read path).
@@ -158,6 +169,7 @@ struct ServiceCounters {
     rejected: AtomicU64,
     interrupted: AtomicU64,
     batches: AtomicU64,
+    evictions: AtomicU64,
 }
 
 /// A registered query: its goal arity and the compiled [`ProgramQuery`]
@@ -166,14 +178,6 @@ struct RegisteredQuery {
     arity: usize,
     query: Arc<ProgramQuery>,
 }
-
-/// The writer's exclusive state.
-struct WriterState {
-    stores: Vec<MutableStore>,
-    epoch: u64,
-}
-
-type CacheKey = (u32, Box<[Element]>);
 
 /// Builds a [`QueryService`]: the initial EDB, the query table, the
 /// tenant table, and the cache capacity are fixed at build time (the EDB
@@ -231,7 +235,7 @@ impl ServiceBuilder {
         id
     }
 
-    /// Bounds the shared result cache at `capacity` entries (clock
+    /// Bounds each epoch's answer cache at `capacity` entries (clock
     /// eviction when full). Unbounded by default.
     pub fn cache_capacity(mut self, capacity: usize) -> Self {
         self.cache_capacity = Some(capacity);
@@ -255,11 +259,7 @@ impl ServiceBuilder {
         // The stores hold exactly the initial tuples, interned in the
         // initial structure's id order, so it already is the epoch-0
         // snapshot's structure: adopt it instead of capturing a copy.
-        let snapshot = Snapshot::adopt(self.initial, &stores, 0);
-        let cache = match self.cache_capacity {
-            Some(cap) => ClockCache::with_capacity(cap),
-            None => ClockCache::new(),
-        };
+        let snapshot = Snapshot::adopt(self.initial, 0, self.cache_capacity);
         let accounts = self.tenants.iter().map(TenantAccount::new).collect();
         let tenant_counters = (0..self.tenants.len())
             .map(|_| TenantCounters::default())
@@ -272,9 +272,9 @@ impl ServiceBuilder {
             by_name: self.by_name,
             tenants: self.tenants,
             tenant_counters,
-            writer: Mutex::new(WriterState { stores, epoch: 0 }),
+            cache_capacity: self.cache_capacity,
+            writer: Mutex::new(stores),
             published: Mutex::new(Arc::new(snapshot)),
-            cache: Mutex::new(cache),
             accounts: Mutex::new(accounts),
             counters: ServiceCounters::default(),
         }
@@ -291,9 +291,9 @@ pub struct QueryService {
     by_name: HashMap<String, QueryId>,
     tenants: Vec<TenantPolicy>,
     tenant_counters: Vec<TenantCounters>,
-    writer: Mutex<WriterState>,
+    cache_capacity: Option<usize>,
+    writer: Mutex<Vec<MutableStore>>,
     published: Mutex<Arc<Snapshot>>,
-    cache: Mutex<ClockCache<CacheKey>>,
     accounts: Mutex<Vec<TenantAccount>>,
     counters: ServiceCounters,
 }
@@ -305,19 +305,13 @@ impl QueryService {
             .unwrap_or_else(|poisoned| poisoned.into_inner())
     }
 
-    fn lock_cache(&self) -> MutexGuard<'_, ClockCache<CacheKey>> {
-        self.cache
-            .lock()
-            .unwrap_or_else(|poisoned| poisoned.into_inner())
-    }
-
     fn lock_accounts(&self) -> MutexGuard<'_, Vec<TenantAccount>> {
         self.accounts
             .lock()
             .unwrap_or_else(|poisoned| poisoned.into_inner())
     }
 
-    fn lock_writer(&self) -> MutexGuard<'_, WriterState> {
+    fn lock_writer(&self) -> MutexGuard<'_, Vec<MutableStore>> {
         self.writer
             .lock()
             .unwrap_or_else(|poisoned| poisoned.into_inner())
@@ -348,8 +342,9 @@ impl QueryService {
         }
     }
 
-    /// Serves one request end to end: admission → snapshot → cache →
-    /// governed evaluation → epoch-validated memoization → debit.
+    /// Serves one request end to end: admission → snapshot → the
+    /// snapshot's cache → governed evaluation → memoization in the same
+    /// cache → debit.
     pub fn serve(&self, request: &Request) -> Response {
         self.counters.requests.fetch_add(1, Ordering::Relaxed);
         let Some(tenant) = self.tenants.get(request.tenant.0 as usize) else {
@@ -364,6 +359,9 @@ impl QueryService {
         if request.tuple.len() != registered.arity {
             return self.reject(tc, RejectReason::ArityMismatch);
         }
+        if request.tuple.iter().any(|&e| e as usize >= self.universe) {
+            return self.reject(tc, RejectReason::OutOfUniverse);
+        }
         // Admission: a tenant at zero credits is turned away before the
         // service spends anything on it.
         if !self.lock_accounts()[request.tenant.0 as usize].admissible() {
@@ -373,17 +371,7 @@ impl QueryService {
         let snapshot = self.snapshot();
         let key: CacheKey = (request.query.0, request.tuple.clone().into_boxed_slice());
 
-        // Cache lookup: only meaningful while the cache epoch equals the
-        // snapshot epoch — a hit at a newer cache epoch would leak a
-        // post-snapshot answer into this reader's view.
-        let cached = {
-            let mut cache = self.lock_cache();
-            if cache.epoch() == snapshot.epoch() {
-                cache.get(&key)
-            } else {
-                None
-            }
-        };
+        let cached = snapshot.cache().get(&key);
         if let Some(holds) = cached {
             self.charge(request.tenant, 0);
             tc.cache_hits.fetch_add(1, Ordering::Relaxed);
@@ -411,8 +399,9 @@ impl QueryService {
         self.charge(request.tenant, gov.usage().steps);
         match outcome {
             Ok(holds) => {
-                self.lock_cache()
-                    .insert_if_epoch(key, holds, snapshot.epoch());
+                if snapshot.cache().insert(key, holds) {
+                    self.counters.evictions.fetch_add(1, Ordering::Relaxed);
+                }
                 self.counters.answered.fetch_add(1, Ordering::Relaxed);
                 Response::Answer {
                     holds,
@@ -455,11 +444,11 @@ impl QueryService {
         for (rel, tuple) in retracts.iter().chain(inserts) {
             self.validate(*rel, tuple);
         }
-        let mut writer = self.lock_writer();
+        let mut stores = self.lock_writer();
         let mut retracted = 0usize;
         let mut retract_misses = 0usize;
         for (rel, tuple) in retracts {
-            match writer.stores[rel.0].retract(tuple) {
+            match stores[rel.0].retract(tuple) {
                 RetractOutcome::Died(_) => retracted += 1,
                 RetractOutcome::Decremented(_) => {}
                 RetractOutcome::Absent => retract_misses += 1,
@@ -467,34 +456,25 @@ impl QueryService {
         }
         let mut inserted = 0usize;
         for (rel, tuple) in inserts {
-            if writer.stores[rel.0].insert(tuple).is_new() {
+            if stores[rel.0].insert(tuple).is_new() {
                 inserted += 1;
             }
         }
-        writer.epoch += 1;
-        let epoch = writer.epoch;
+        // Only this writer publishes, and it holds the writer lock, so the
+        // published epoch cannot move under it.
+        let epoch = self.epoch() + 1;
         let snapshot = Arc::new(Snapshot::capture(
             &self.vocabulary,
             self.universe,
             &self.constants,
-            &writer.stores,
+            &stores,
             epoch,
+            self.cache_capacity,
         ));
-        let retired = {
-            // Publish snapshot and bump the cache epoch together, so the
-            // pair (published snapshot, cache epoch) only ever advances in
-            // lock-step. A reader that grabbed the old snapshot just
-            // before the publish sees a cache-epoch mismatch and simply
-            // evaluates uncached; its insert is rejected by the epoch
-            // check.
-            let mut published = self.lock_published();
-            let mut cache = self.lock_cache();
-            cache.bump_epoch();
-            std::mem::replace(&mut *published, snapshot)
-        };
-        // Released after the locks: freeing the old snapshot's structure
-        // and indexes (when no reader still holds it) never delays a
-        // reader's snapshot or cache lookup.
+        let retired = std::mem::replace(&mut *self.lock_published(), snapshot);
+        // Released after the lock: freeing the old snapshot's structure,
+        // indexes and cache (when no reader still holds it) never delays a
+        // reader's snapshot lookup.
         drop(retired);
         self.counters.batches.fetch_add(1, Ordering::Relaxed);
         BatchOutcome {
@@ -519,6 +499,11 @@ impl QueryService {
 
     /// A point-in-time copy of every counter.
     pub fn metrics(&self) -> ServiceMetrics {
+        let snapshot = self.snapshot();
+        let cache = CacheStats {
+            entries: snapshot.cache().len() as u64,
+            evictions: self.counters.evictions.load(Ordering::Relaxed),
+        };
         let accounts = self.lock_accounts().clone();
         let tenants = self
             .tenants
@@ -544,8 +529,8 @@ impl QueryService {
             rejected: self.counters.rejected.load(Ordering::Relaxed),
             interrupted: self.counters.interrupted.load(Ordering::Relaxed),
             batches: self.counters.batches.load(Ordering::Relaxed),
-            epoch: self.epoch(),
-            cache: self.lock_cache().stats(),
+            epoch: snapshot.epoch(),
+            cache,
             tenants,
         }
     }
@@ -766,7 +751,82 @@ mod tests {
             svc.serve(&req(ids[0], q, vec![0])),
             Response::Rejected(RejectReason::ArityMismatch)
         );
-        assert_eq!(svc.metrics().rejected, 3);
+        // Out-of-universe elements are refused before any evaluation, so
+        // they take no cache slot.
+        for tuple in [vec![99, 3], vec![u32::MAX, u32::MAX]] {
+            assert_eq!(
+                svc.serve(&req(ids[0], q, tuple)),
+                Response::Rejected(RejectReason::OutOfUniverse)
+            );
+        }
+        let m = svc.metrics();
+        assert_eq!((m.rejected, m.cache_misses, m.cache.entries), (5, 0, 0));
+    }
+
+    #[test]
+    fn unbounded_cache_holds_only_the_published_epochs_answers() {
+        let mut builder = ServiceBuilder::new(&directed_path(5));
+        let q = builder.register_query(
+            "tc",
+            ProgramQuery::at_tuple("tc", transitive_closure(), vec![0, 4]),
+        );
+        let t = builder.register_tenant(TenantPolicy::unlimited("t0"));
+        let svc = builder.build();
+        let keys: Vec<Vec<Element>> = (0..5u32)
+            .flat_map(|u| (0..4u32).map(move |v| vec![u, v]))
+            .collect();
+        let e = RelId(0);
+        for epoch in 0..10u64 {
+            for key in &keys {
+                svc.serve(&req(t, q, key.clone()));
+            }
+            assert_eq!(svc.metrics().cache.entries, 20, "epoch {epoch}");
+            svc.apply_batch(&[(e, vec![4, 0])], &[]);
+            assert_eq!(svc.metrics().cache.entries, 0, "after commit {epoch}");
+        }
+    }
+
+    #[test]
+    fn a_memo_on_a_retired_snapshot_is_never_served() {
+        let (svc, q, ids) = tc_service(vec![TenantPolicy::unlimited("t0")]);
+        // A reader takes the epoch-0 snapshot and evaluates (3, 0) ...
+        let old = svc.snapshot();
+        svc.apply_batch(&[(RelId(0), vec![3, 0])], &[]);
+        // ... and memoizes its pre-batch answer after the commit.
+        old.cache().insert((q.0, Box::from([3, 0])), false);
+        assert_eq!(
+            svc.serve(&req(ids[0], q, vec![3, 0])),
+            Response::Answer {
+                holds: true,
+                epoch: 1,
+                cached: false
+            }
+        );
+        assert_eq!(svc.metrics().cache.entries, 1);
+    }
+
+    #[test]
+    fn evictions_are_cumulative_across_commits() {
+        let mut builder = ServiceBuilder::new(&directed_path(4)).cache_capacity(2);
+        let q = builder.register_query(
+            "tc",
+            ProgramQuery::at_tuple("tc", transitive_closure(), vec![0, 3]),
+        );
+        let t = builder.register_tenant(TenantPolicy::unlimited("t0"));
+        let svc = builder.build();
+        let mut readings = Vec::new();
+        for round in 0..3u32 {
+            // Three keys over a capacity of two: one eviction per epoch.
+            for v in 1..4 {
+                svc.serve(&req(t, q, vec![round, v]));
+            }
+            readings.push(svc.metrics().cache.evictions);
+            // A commit publishes an empty cache, and dropping the old
+            // one is no eviction.
+            svc.apply_batch(&[], &[]);
+            readings.push(svc.metrics().cache.evictions);
+        }
+        assert_eq!(readings, [1, 1, 2, 2, 3, 3]);
     }
 
     #[test]

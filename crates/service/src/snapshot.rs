@@ -1,14 +1,13 @@
-//! Immutable point-in-time views of the served EDB.
+//! Immutable point-in-time views of the served EDB, each with the answers
+//! memoized against it.
 //!
 //! The writer applies batches to per-relation [`MutableStore`]s (support
 //! counts, tombstones) and, at each commit, *publishes* a [`Snapshot`]:
-//! the committed epoch, one [`SnapshotMark`] per relation recording the
-//! append-only arena length and live-tuple count at that instant — the
-//! "store-length mark" that identifies a semi-naive stage — a
-//! materialized [`Structure`] holding exactly the live tuples, and an
-//! [`EdbIndexes`] set over that structure. Readers hold the snapshot
-//! through an `Arc`, so a snapshot outlives its epoch for as long as any
-//! in-flight request still evaluates against it.
+//! the committed epoch, a materialized [`Structure`] holding exactly the
+//! live tuples, an [`EdbIndexes`] set over that structure, and an empty
+//! answer cache. Readers hold the snapshot through an `Arc`, so a
+//! snapshot outlives its epoch for as long as any in-flight request still
+//! evaluates against it.
 //!
 //! The index set starts empty. The first evaluation to probe a position
 //! of a relation builds that position's index into the set; every later
@@ -16,47 +15,45 @@
 //! same index. A snapshot's indexes are therefore built at most once, and
 //! freed with the snapshot.
 //!
+//! The cache follows the same rule: a reader looks up and memoizes
+//! answers in the cache of the snapshot it evaluated against, so every
+//! entry answers for exactly that snapshot's EDB. A reader that finishes
+//! after a commit memoizes into the retired snapshot, where no later
+//! request looks, and the entries are freed with it.
+//!
 //! [`MutableStore`]: kv_structures::MutableStore
 
+use crate::cache::ClockCache;
 use kv_datalog::EdbIndexes;
 use kv_structures::{Element, MutableStore, Structure, Vocabulary};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard};
 
-/// Per-relation store-length mark captured at a commit point.
-///
-/// Because the underlying [`TupleStore`](kv_structures::TupleStore) arena
-/// is append-only, `arena_len` alone pins the set of tuple ids that
-/// existed at the commit; `live` additionally records how many of them
-/// carried positive support (retractions tombstone, they never shift ids).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SnapshotMark {
-    /// Length of the relation's append-only tuple arena at the commit.
-    pub arena_len: u32,
-    /// Number of live (positive-support) tuples at the commit.
-    pub live: u32,
-}
+/// The answer cache's key: query id plus goal tuple.
+pub(crate) type CacheKey = (u32, Box<[Element]>);
 
 /// An immutable view of the EDB at one committed epoch, with the position
-/// indexes its readers share.
+/// indexes and the answer cache its readers share.
 #[derive(Debug)]
 pub struct Snapshot {
     epoch: u64,
-    marks: Vec<SnapshotMark>,
     edb: Structure,
     indexes: EdbIndexes,
+    cache: Mutex<ClockCache<CacheKey>>,
 }
 
 impl Snapshot {
-    /// Captures the current state of the writer's stores as a snapshot at
-    /// `epoch`. Materializes a fresh [`Structure`] from the live tuples;
+    /// Captures the live tuples of the writer's stores as the snapshot at
+    /// `epoch`, with an empty cache of `cache_capacity` entries
+    /// (`None` = unbounded). Materializes a fresh [`Structure`];
     /// `O(live EDB)`, paid once per committed batch by the writer, never
     /// by readers.
-    pub fn capture(
+    pub(crate) fn capture(
         vocabulary: &Arc<Vocabulary>,
         universe: usize,
         constants: &[Element],
         stores: &[MutableStore],
         epoch: u64,
+        cache_capacity: Option<usize>,
     ) -> Self {
         let mut edb = Structure::new(Arc::clone(vocabulary), universe);
         for (c, &value) in vocabulary.constants().zip(constants) {
@@ -67,50 +64,26 @@ impl Snapshot {
                 edb.insert(rel, tuple);
             }
         }
-        Self::adopt(edb, stores, epoch)
+        Self::adopt(edb, epoch, cache_capacity)
     }
 
-    /// Publishes `edb` as the snapshot of `stores` at `epoch` without
-    /// copying it. `edb` must be what [`capture`](Self::capture) would
-    /// build: each relation holds its store's live tuples, interned in
-    /// arena order — true of the structure a writer filled its stores from.
-    ///
-    /// # Panics
-    /// Panics if a relation's size differs from its store's live count.
-    pub(crate) fn adopt(edb: Structure, stores: &[MutableStore], epoch: u64) -> Self {
-        let marks = edb
-            .vocabulary()
-            .relations()
-            .map(|rel| {
-                let store = &stores[rel.0];
-                assert_eq!(
-                    edb.relation(rel).len(),
-                    store.live_len(),
-                    "snapshot relation must hold its store's live tuples"
-                );
-                SnapshotMark {
-                    arena_len: store.len() as u32,
-                    live: store.live_len() as u32,
-                }
-            })
-            .collect();
-        let indexes = EdbIndexes::new(&edb);
+    /// Publishes `edb` as the snapshot at `epoch` without copying it, with
+    /// an empty cache of `cache_capacity` entries. `edb` must be what
+    /// [`capture`](Self::capture) would build: each relation holds its
+    /// store's live tuples, interned in arena order — true of the
+    /// structure a writer filled its stores from.
+    pub(crate) fn adopt(edb: Structure, epoch: u64, cache_capacity: Option<usize>) -> Self {
         Snapshot {
             epoch,
-            marks,
+            indexes: EdbIndexes::new(&edb),
             edb,
-            indexes,
+            cache: Mutex::new(ClockCache::new(cache_capacity)),
         }
     }
 
     /// The committed epoch this snapshot reflects (0 = initial load).
     pub fn epoch(&self) -> u64 {
         self.epoch
-    }
-
-    /// Per-relation store-length marks, indexed by `RelId`.
-    pub fn marks(&self) -> &[SnapshotMark] {
-        &self.marks
     }
 
     /// The materialized EDB at this epoch. Readers evaluate queries
@@ -126,9 +99,20 @@ impl Snapshot {
         &self.indexes
     }
 
+    /// The answers memoized against this snapshot's EDB.
+    pub(crate) fn cache(&self) -> MutexGuard<'_, ClockCache<CacheKey>> {
+        self.cache
+            .lock()
+            .unwrap_or_else(|poisoned| poisoned.into_inner())
+    }
+
     /// Total live tuples across all relations at this epoch.
     pub fn live_tuples(&self) -> usize {
-        self.marks.iter().map(|m| m.live as usize).sum()
+        self.edb
+            .vocabulary()
+            .relations()
+            .map(|rel| self.edb.relation(rel).len())
+            .sum()
     }
 }
 
@@ -143,22 +127,16 @@ mod tests {
     }
 
     #[test]
-    fn capture_sees_only_live_tuples_and_records_marks() {
+    fn capture_sees_only_live_tuples() {
         let v = vocab();
         let mut store = MutableStore::new(2);
         store.insert(&[0, 1]);
         store.insert(&[1, 2]);
         store.retract(&[1, 2]);
-        let snap = Snapshot::capture(&v, 4, &[], &[store], 3);
+        let snap = Snapshot::capture(&v, 4, &[], &[store], 3, None);
         assert_eq!(snap.epoch(), 3);
-        assert_eq!(
-            snap.marks(),
-            &[SnapshotMark {
-                arena_len: 2,
-                live: 1
-            }]
-        );
         assert_eq!(snap.live_tuples(), 1);
+        assert!(snap.cache().is_empty());
         let rel = v.relations().next().unwrap();
         assert!(snap.edb().relation(rel).contains(&[0, 1]));
         assert!(!snap.edb().relation(rel).contains(&[1, 2]));
@@ -176,10 +154,9 @@ mod tests {
         for t in source.relation(rel).iter() {
             store.insert(t);
         }
-        let stores = [store];
-        let captured = Snapshot::capture(&v, 5, &[], &stores, 0);
-        let adopted = Snapshot::adopt(source, &stores, 0);
-        assert_eq!(adopted.marks(), captured.marks());
+        let captured = Snapshot::capture(&v, 5, &[], &[store], 0, None);
+        let adopted = Snapshot::adopt(source, 0, None);
+        assert_eq!(adopted.live_tuples(), captured.live_tuples());
         // Same tuples under the same ids, not just the same set.
         assert!(adopted
             .edb()

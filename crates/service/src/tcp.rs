@@ -243,6 +243,10 @@ mod tests {
                 assert!(reply.is_ok(), "dispatch panicked on {line:?}");
             }
         }
+        // Elements outside the 4-node universe are refused at admission.
+        for line in ["Q 0 tc 99 3", "Q 0 tc 4294967295 4294967295"] {
+            assert_eq!(dispatch(&service, line), "REJECTED out-of-universe");
+        }
     }
 
     #[test]

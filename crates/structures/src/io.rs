@@ -16,10 +16,16 @@
 //! Parsing is total: malformed input yields a structured
 //! [`DigraphParseError`] carrying the 1-based line and column of the
 //! offending token — never a panic (property-tested on arbitrary input).
+//! A node count above [`MAX_NODES`] is such an error, so a short input
+//! cannot ask for gigabytes of adjacency lists.
 
 use crate::graph::Digraph;
 use std::fmt;
 use std::fmt::Write as _;
+
+/// The largest `nodes` count [`parse_digraph`] accepts: 2^20 nodes, about
+/// 48 MB of empty adjacency vectors.
+pub const MAX_NODES: usize = 1 << 20;
 
 /// A parse failure with source position context.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -90,6 +96,13 @@ pub fn parse_digraph(text: &str) -> Result<Digraph, DigraphParseError> {
                     return Err(DigraphParseError::at(lineno, 0, "missing node count"));
                 };
                 let n = parse_u32(lineno, col, tok, "node count")? as usize;
+                if n > MAX_NODES {
+                    return Err(DigraphParseError::at(
+                        lineno,
+                        col,
+                        format!("node count {n} exceeds the limit {MAX_NODES}"),
+                    ));
+                }
                 if let Some((col, tok)) = parts.next() {
                     return Err(DigraphParseError::at(
                         lineno,
@@ -205,6 +218,16 @@ mod tests {
         assert!(parse_digraph("nodes 2\nnodes 3\n").is_err());
         assert!(parse_digraph("").is_err());
         assert!(parse_digraph("nodes 2\n0 1 9\n").is_err()); // trailing token
+    }
+
+    #[test]
+    fn node_counts_above_the_limit_are_refused_before_allocating() {
+        // Two adjacency vectors per node would ask for about 200 GB here.
+        let e = parse_digraph("nodes 4294967295\n").unwrap_err();
+        assert_eq!((e.line, e.col), (1, 7));
+        assert!(e.message.contains("exceeds the limit"), "{e}");
+        let over = format!("# big\n  nodes {}\n", MAX_NODES + 1);
+        assert_eq!(parse_digraph(&over).unwrap_err().col, 9);
     }
 
     #[test]

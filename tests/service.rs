@@ -8,6 +8,9 @@
 //! reconstruct the ground-truth fixpoint at every epoch and checks every
 //! recorded answer against it.
 //!
+//! `KV_CHAOS_SEED` re-rolls the concurrent test's graph, reader and
+//! writer seeds; unset, they are fixed.
+//!
 //! A second, single-threaded test serves a fixed seeded request trace and
 //! pins the cache and admission counters it produces.
 
@@ -92,9 +95,19 @@ fn fixpoints_per_epoch(
     truth
 }
 
+/// Salt for the concurrent test's seeds. CI re-rolls them by setting
+/// `KV_CHAOS_SEED`; unset, the salt is 0 and the fixed seeds below apply.
+fn chaos_salt() -> u64 {
+    std::env::var("KV_CHAOS_SEED")
+        .ok()
+        .and_then(|v| v.trim().parse().ok())
+        .unwrap_or(0)
+}
+
 #[test]
 fn concurrent_readers_observe_only_committed_fixpoints() {
-    let initial = random_digraph(N as usize, 0.2, 0x5e71).to_structure();
+    let salt = chaos_salt();
+    let initial = random_digraph(N as usize, 0.2, 0x5e71 ^ salt).to_structure();
     let mut builder = ServiceBuilder::new(&initial).cache_capacity(64);
     let q = builder.register_query(
         "tc",
@@ -125,7 +138,7 @@ fn concurrent_readers_observe_only_committed_fixpoints() {
             let direct = Arc::clone(&direct);
             let done = &done;
             readers.push(scope.spawn(move || {
-                let mut rng = SplitMix64::seed_from_u64(0xbeef + i as u64);
+                let mut rng = SplitMix64::seed_from_u64((0xbeef + i as u64) ^ salt);
                 let mut seen: Vec<(Vec<Element>, bool, u64)> = Vec::new();
                 let mut last_epoch = 0u64;
                 while !done.load(Ordering::SeqCst) || seen.len() < 50 {
@@ -172,7 +185,7 @@ fn concurrent_readers_observe_only_committed_fixpoints() {
 
         // The writer: randomized batches, committed while every reader
         // hammers the serve path.
-        let mut rng = SplitMix64::seed_from_u64(0x317e);
+        let mut rng = SplitMix64::seed_from_u64(0x317e ^ salt);
         for _ in 0..BATCHES {
             let (inserts, retracts) = random_edge_batch(&mut rng);
             let outcome = svc.apply_batch(&inserts, &retracts);
